@@ -40,14 +40,18 @@ print(f"  perturbed near-projector: square residual {broken.square_residual:.2e}
 
 print()
 print("formal reality probed on random Hermitian pairs, dims 2..8:")
+print("  (one stacked call per dimension: 200 pairs as two (200, d, d) stacks)")
 worst = np.inf
 for dim in range(2, 9):
-    for trial in range(200):
-        x = hilbert.sample_hermitian(dim, seed=1000 * dim + trial)
-        y = hilbert.sample_hermitian(dim, seed=1000 * dim + trial + 1)
-        probe = jordan.formal_reality_probe(x, y)
-        floor = 0.01 * max(hilbert.operator_norm(x) ** 2, hilbert.operator_norm(y) ** 2)
-        worst = min(worst, probe.residual_norm / floor)
-        assert probe.verdict == "consistent"
+    x = hilbert.sample_hermitians(dim, [1000 * dim + trial for trial in range(200)])
+    y = hilbert.sample_hermitians(dim, [1000 * dim + trial + 1 for trial in range(200)])
+    residual, scale = jordan.formal_reality_residuals(x, y)
+    assert (residual > 0.01 * scale**2).all()
+    worst = min(worst, float((residual / (0.01 * scale**2)).min()))
 print(f"  1400 pairs, all consistent; smallest residual/floor ratio {worst:.1f}")
 print("  (statistical evidence, not a proof)")
+
+print()
+single = jordan.formal_reality_probe(x[0], y[0])
+print(f"the single-pair probe is the same kernel on one member: residual "
+      f"{single.residual_norm:.4f} == {residual[0]:.4f}, verdict {single.verdict}")

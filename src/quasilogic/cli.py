@@ -155,12 +155,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_jordan_verify(args: argparse.Namespace) -> int:
-    results = verify.jordan_suite(
-        dims=args.dims, trials_per_dim=min(args.trials, 200), seed=args.seed,
-        tol=args.tol, reality_trials_per_dim=args.trials,
-    )
     sweep = verify.jordan_sweep_report(
         dims=args.dims, trials_per_dim=args.trials, seed=args.seed, tol=args.tol
+    )
+    results = verify.jordan_suite(
+        dims=args.dims, trials_per_dim=min(args.trials, 200), seed=args.seed,
+        tol=args.tol, reality=sweep,
     )
     all_passed = all(r.passed for r in results)
     if args.format == "json":
@@ -168,7 +168,7 @@ def _cmd_jordan_verify(args: argparse.Namespace) -> int:
             "config": _config_dict(args),
             "all_passed": all_passed,
             "checks": [r.as_dict() for r in results],
-            "formal_reality_sweep": sweep,
+            "formal_reality_sweep": sweep.records,
         }
         _emit(json.dumps(payload, indent=2), args.out)
         return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
@@ -248,6 +248,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_kd(args: argparse.Namespace) -> int:
+    if len(args.dims) != 1:
+        sys.stderr.write(f"error: kd takes a single dimension, got {list(args.dims)}\n")
+        return EXIT_INPUT_ERROR
     dim = args.dims[0]
     rho = hilbert.sample_state(dim, "mixed", seed=args.seed)
     basis_a = hilbert.sample_orthonormal_basis(dim, seed=args.seed + 1)

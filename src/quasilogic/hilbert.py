@@ -44,13 +44,17 @@ __all__ = [
     "QuasiProbTable",
     "NegativitySearchResult",
     "operator_norm",
+    "hermiticity_residual",
     "validate_projector",
     "validate_density",
     "complement_projector",
     "rank_one_projector",
     "sample_state",
+    "sample_states",
     "sample_projector",
+    "sample_projectors",
     "sample_hermitian",
+    "sample_hermitians",
     "sample_orthonormal_basis",
     "sample_commuting_triple",
     "born_probability",
@@ -78,9 +82,32 @@ JointMethod = Literal["operational", "jordan"]
 XorMethod = Literal["operational", "mapped_operator"]
 
 
-def operator_norm(matrix: np.ndarray) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(matrix, 2))
+def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
+    """Spectral norm (largest singular value); one per member of an (n, d, d) stack."""
+    if np.ndim(matrix) == 2:
+        return float(np.linalg.norm(matrix, 2))
+    return np.linalg.norm(matrix, 2, axis=(-2, -1))
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every member of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _worst(residuals: float | np.ndarray) -> float:
+    """Largest residual of a matrix (a float already) or a stack (0 when empty)."""
+    if isinstance(residuals, float):
+        return residuals
+    return float(residuals.max(initial=0.0))
+
+
+def hermiticity_residual(m: np.ndarray) -> float:
+    """Worst ||m - m^H|| over a matrix or an (n, d, d) stack.
+
+    Exactly Hermitian input has residual 0 without a singular-value solve.
+    """
+    skew = m - _dagger(m)
+    return _worst(operator_norm(skew)) if skew.any() else 0.0
 
 
 def _freeze(matrix: np.ndarray) -> np.ndarray:
@@ -89,14 +116,16 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_square(matrix: np.ndarray, max_dim: int) -> np.ndarray:
+def _check_square(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
-    d = m.shape[0]
+    return m
+
+
+def _check_dim(d: int, max_dim: int) -> None:
     if not 2 <= d <= max_dim:
         raise BadDimensionError(f"dimension {d} outside supported range [2, {max_dim}]")
-    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,31 +162,48 @@ def validate_projector(
     Raises :class:`NotHermitianError` or :class:`NotIdempotentError` with the
     violated operator-norm residual attached.
     """
-    m = _check_square(matrix, max_dim)
-    herm = operator_norm(m - m.conj().T)
+    return Projector(_validated_projectors(_check_square(matrix), tol, max_dim))
+
+
+def _validated_projectors(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray:
+    """Frozen copy of a matrix or (n, d, d) stack after the checks of :func:`validate_projector`.
+
+    A stack is checked at once; an error carries the worst member's residual.
+    """
+    _check_dim(m.shape[-1], max_dim)
+    herm = hermiticity_residual(m)
     if herm > tol:
         raise NotHermitianError(herm, tol)
-    idem = operator_norm(m @ m - m)
+    idem = _worst(operator_norm(m @ m - m))
     if idem > tol:
         raise NotIdempotentError(idem, tol)
-    return Projector(_freeze(m))
+    return _freeze(m)
 
 
 def validate_density(
     matrix: np.ndarray, tol: float = DEFAULT_TOL, max_dim: int = MAX_DIM
 ) -> DensityState:
     """Validate a candidate density matrix (Hermitian, PSD, unit trace)."""
-    m = _check_square(matrix, max_dim)
-    herm = operator_norm(m - m.conj().T)
+    return DensityState(_validated_densities(_check_square(matrix), tol, max_dim))
+
+
+def _validated_densities(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray:
+    """Frozen copy of a matrix or (n, d, d) stack after the checks of :func:`validate_density`.
+
+    A stack is checked at once; an error carries the worst member's value.
+    """
+    _check_dim(m.shape[-1], max_dim)
+    herm = hermiticity_residual(m)
     if herm > tol:
         raise NotHermitianError(herm, tol)
-    eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if eigenvalues.min() < -tol:
-        raise NotPositiveSemidefiniteError(float(eigenvalues.min()), tol)
-    trace = complex(m.trace())
-    if abs(trace - 1.0) > tol:
-        raise TraceNotOneError(trace, tol)
-    return DensityState(_freeze(m))
+    lowest = float(np.linalg.eigvalsh((m + _dagger(m)) / 2).min(initial=np.inf))
+    if lowest < -tol:
+        raise NotPositiveSemidefiniteError(lowest, tol)
+    traces = np.ravel(np.trace(m, axis1=-2, axis2=-1))
+    gaps = np.abs(traces - 1.0)
+    if gaps.max(initial=0.0) > tol:
+        raise TraceNotOneError(complex(traces[gaps.argmax()]), tol)
+    return _freeze(m)
 
 
 def _check_dims(*operands: Projector | DensityState) -> int:
@@ -186,48 +232,93 @@ def rank_one_projector(vector: np.ndarray, tol: float = DEFAULT_TOL) -> Projecto
 # sampling (deterministic in the seed)
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _gaussian_stack(seeds: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
+    """One complex Gaussian draw of ``shape`` per seed, stacked on a new first axis."""
+    draws = [_complex_gaussian(np.random.default_rng(seed), shape) for seed in seeds]
+    return np.array(draws).reshape(len(draws), *shape)
+
+
+def _haar_unitaries(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from complex Gaussian matrices (a matrix or a stack)."""
     q, r = np.linalg.qr(g)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
+
+
+def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return _haar_unitaries(_complex_gaussian(rng, (dim, dim)))
 
 
 def sample_state(
     dim: int, purity: Literal["pure", "mixed"] = "pure", seed: int = 0
 ) -> DensityState:
     """Random state: Haar-uniform pure vector, or Hilbert-Schmidt mixed state."""
-    rng = np.random.default_rng(seed)
-    if purity == "pure":
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        rho = np.outer(v, v.conj())
-    elif purity == "mixed":
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = g @ g.conj().T
-        rho /= rho.trace().real
-    else:
-        raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
-    rho = (rho + rho.conj().T) / 2
-    return validate_density(rho)
+    return DensityState(sample_states(dim, [purity], [seed])[0])
+
+
+def sample_states(
+    dim: int, purities: Sequence[Literal["pure", "mixed"]], seeds: Sequence[int]
+) -> np.ndarray:
+    """Read-only (n, d, d) stack whose member i is ``sample_state(dim, purities[i], seeds[i])``.
+
+    Each member comes from its own seed's draws, bit for bit; the stack is
+    validated once.
+    """
+    for purity in purities:
+        if purity not in ("pure", "mixed"):
+            raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
+    rho = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    pure = [i for i, purity in enumerate(purities) if purity == "pure"]
+    mixed = [i for i, purity in enumerate(purities) if purity == "mixed"]
+    if pure:
+        vectors = _gaussian_stack([seeds[i] for i in pure], (dim,))
+        for v in vectors:
+            v /= np.linalg.norm(v)
+        rho[pure] = vectors[:, :, None] * vectors.conj()[:, None, :]
+    if mixed:
+        g = _gaussian_stack([seeds[i] for i in mixed], (dim, dim))
+        products = g @ _dagger(g)
+        rho[mixed] = products / np.trace(products, axis1=1, axis2=2).real[:, None, None]
+    return _validated_densities((rho + _dagger(rho)) / 2, DEFAULT_TOL, MAX_DIM)
 
 
 def sample_projector(dim: int, rank: int, seed: int = 0) -> Projector:
     """Random rank-``rank`` projector from a Haar-random orthonormal frame."""
-    if not 1 <= rank < dim:
-        raise BadRankError(f"rank must satisfy 1 <= rank < dim, got rank={rank}, dim={dim}")
-    rng = np.random.default_rng(seed)
-    u = _haar_unitary(dim, rng)
-    frame = u[:, :rank]
-    p = frame @ frame.conj().T
-    return validate_projector((p + p.conj().T) / 2)
+    return Projector(sample_projectors(dim, [rank], [seed])[0])
+
+
+def sample_projectors(dim: int, ranks: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
+    """Read-only (n, d, d) stack whose member i is ``sample_projector(dim, ranks[i], seeds[i])``.
+
+    Each member comes from its own seed's draws, bit for bit; frames of equal
+    rank are multiplied out together and the stack is validated once.
+    """
+    ranks = np.asarray(ranks, dtype=int)
+    for rank in ranks.tolist():
+        if not 1 <= rank < dim:
+            raise BadRankError(f"rank must satisfy 1 <= rank < dim, got rank={rank}, dim={dim}")
+    u = _haar_unitaries(_gaussian_stack(seeds, (dim, dim)))
+    p = np.empty_like(u)
+    for rank in np.unique(ranks).tolist():
+        members = ranks == rank
+        frame = u[members][:, :, :rank]
+        p[members] = frame @ _dagger(frame)
+    return _validated_projectors((p + _dagger(p)) / 2, DEFAULT_TOL, MAX_DIM)
 
 
 def sample_hermitian(dim: int, seed: int = 0, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries of the given scale."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + g.conj().T) / 2
+    return sample_hermitians(dim, [seed], scale)[0]
+
+
+def sample_hermitians(dim: int, seeds: Sequence[int], scale: float = 1.0) -> np.ndarray:
+    """(n, d, d) stack whose member i is ``sample_hermitian(dim, seeds[i], scale)``."""
+    g = _gaussian_stack(seeds, (dim, dim))
+    return scale * (g + _dagger(g)) / 2
 
 
 def sample_orthonormal_basis(dim: int, seed: int = 0) -> np.ndarray:
@@ -580,15 +671,17 @@ def negativity_random_search(
     mixing can only shrink negativity.  Records the best value found; this is
     a brute-force search, not an optimiser, and makes no optimality claim.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(seed)
     best: NegativitySearchResult | None = None
     for i in range(draws):
         if purity == "pure":
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v = _complex_gaussian(rng, dim)
             v /= np.linalg.norm(v)
             rho_m = np.outer(v, v.conj())
         else:
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            g = _complex_gaussian(rng, (dim, dim))
             rho_m = g @ g.conj().T
             rho_m /= rho_m.trace().real
         ops = []
@@ -618,7 +711,6 @@ def negativity_random_search(
                 question_a=validate_projector((a_m + a_m.conj().T) / 2),
                 question_b=validate_projector((b_m + b_m.conj().T) / 2),
             )
-    assert best is not None
     return best
 
 

@@ -9,6 +9,11 @@ vanishes when every term does).
 
 Formal reality is probed statistically over random inputs; the verdict is
 "consistent with", never a proof.
+
+Every kernel takes a single d x d matrix or an (n, d, d) stack and then works
+memberwise, so a sweep costs one numpy call per dimension rather than one per
+input; the report functions (``*_check``, ``*_probe``) are the single-matrix
+forms.
 """
 
 from __future__ import annotations
@@ -19,25 +24,36 @@ from typing import Literal
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHermitianError
-from .hilbert import DEFAULT_TOL, Projector, complement_projector, operator_norm
+from .hilbert import DEFAULT_TOL, Projector, hermiticity_residual, operator_norm
 
 __all__ = [
     "jordan_product",
     "mapped_conjunction",
     "IdempotencyReport",
+    "idempotency_residuals",
     "idempotency_transfer_check",
     "FormalRealityReport",
+    "formal_reality_residuals",
     "formal_reality_probe",
     "XorSymmetryReport",
+    "xor_symmetry_residuals",
     "xor_operator_symmetry_check",
 ]
 
 
-def _as_hermitian(matrix: np.ndarray | Projector, tol: float) -> np.ndarray:
+def _as_matrices(matrix: np.ndarray | Projector) -> np.ndarray:
     m = matrix.matrix if isinstance(matrix, Projector) else np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    residual = operator_norm(m - m.conj().T)
+    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+        raise DimensionMismatchError(
+            f"expected a square matrix or an (n, d, d) stack, got shape {m.shape}"
+        )
+    return m
+
+
+def _as_hermitian(matrix: np.ndarray | Projector, tol: float) -> np.ndarray:
+    """The matrix or stack as a complex array; the error names the worst member's residual."""
+    m = _as_matrices(matrix)
+    residual = hermiticity_residual(m)
     if residual > tol:
         raise NotHermitianError(residual, tol)
     return m
@@ -46,7 +62,7 @@ def _as_hermitian(matrix: np.ndarray | Projector, tol: float) -> np.ndarray:
 def jordan_product(
     x: np.ndarray | Projector, y: np.ndarray | Projector, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Symmetrised product (xy + yx)/2 of two Hermitian matrices.
+    """Symmetrised product (xy + yx)/2 of two Hermitian matrices, or memberwise of two stacks.
 
     Commutative and Hermitian by construction; non-associative in general.
     """
@@ -57,8 +73,10 @@ def jordan_product(
     return (xm @ ym + ym @ xm) / 2
 
 
-def mapped_conjunction(a: Projector, b: Projector, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Operator image of the logical conjunction of two questions.
+def mapped_conjunction(
+    a: Projector | np.ndarray, b: Projector | np.ndarray, tol: float = DEFAULT_TOL
+) -> np.ndarray:
+    """Operator image of the logical conjunction of two questions (or two stacks of them).
 
     Identical to the symmetrised product of the projectors; satisfies the
     operator marginality  (A ∘ B) + (A ∘ B̄) = A.
@@ -79,6 +97,16 @@ class IdempotencyReport:
         return self.cubic_residual <= self.tol and self.square_residual <= self.tol
 
 
+def idempotency_residuals(
+    a: np.ndarray | Projector, tol: float = DEFAULT_TOL
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Cubic ||A A A - A|| and square ||A ∘ A - A|| residuals, per member of a stack."""
+    m = _as_hermitian(a, tol)
+    cubic = operator_norm(m @ m @ m - m)
+    square = operator_norm(m @ m - m)  # x ∘ x reduces to the ordinary square
+    return cubic, square
+
+
 def idempotency_transfer_check(
     a: np.ndarray | Projector, tol: float = DEFAULT_TOL
 ) -> IdempotencyReport:
@@ -87,9 +115,7 @@ def idempotency_transfer_check(
     Accepts raw Hermitian matrices so that near-projectors can be diagnosed;
     a genuine projector passes both residual checks trivially.
     """
-    m = _as_hermitian(a, tol)
-    cubic = operator_norm(m @ m @ m - m)
-    square = operator_norm(m @ m - m)  # x ∘ x reduces to the ordinary square
+    cubic, square = idempotency_residuals(a, tol)
     return IdempotencyReport(cubic_residual=cubic, square_residual=square, tol=tol)
 
 
@@ -102,6 +128,19 @@ class FormalRealityReport:
     verdict: Literal["consistent", "violated"]
 
 
+def formal_reality_residuals(
+    x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL
+) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Residual ||x∘x + y∘y|| and input scale max(||x||, ||y||), per member of two stacks."""
+    xm = _as_hermitian(x, tol)
+    ym = _as_hermitian(y, tol)
+    if xm.shape != ym.shape:
+        raise DimensionMismatchError(f"shapes {xm.shape} and {ym.shape} differ")
+    residual = operator_norm(jordan_product(xm, xm) + jordan_product(ym, ym))
+    scale = np.maximum(operator_norm(xm), operator_norm(ym))
+    return residual, scale
+
+
 def formal_reality_probe(
     x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL
 ) -> FormalRealityReport:
@@ -112,12 +151,8 @@ def formal_reality_probe(
     (vanishing residual with nonzero input) must never occur and would signal
     broken arithmetic.
     """
-    xm = _as_hermitian(x, tol)
-    ym = _as_hermitian(y, tol)
-    if xm.shape != ym.shape:
-        raise DimensionMismatchError(f"shapes {xm.shape} and {ym.shape} differ")
-    residual = operator_norm(jordan_product(xm, xm) + jordan_product(ym, ym))
-    scale = max(operator_norm(xm), operator_norm(ym))
+    residual, scale = formal_reality_residuals(x, y, tol)
+    scale = float(scale)
     violated = residual <= tol and scale > tol
     return FormalRealityReport(
         residual_norm=residual,
@@ -144,6 +179,30 @@ class XorSymmetryReport:
         )
 
 
+def xor_symmetry_residuals(
+    a: Projector | np.ndarray, b: Projector | np.ndarray
+) -> tuple[float | np.ndarray, ...]:
+    """Swap and both expansion residuals of the mapped exclusive disjunction.
+
+    Takes two projectors, or two (n, d, d) stacks of validated projector
+    matrices, and returns one residual of each kind per member.
+    """
+    am, bm = _as_matrices(a), _as_matrices(b)
+    if am.shape != bm.shape:
+        raise DimensionMismatchError(f"shapes {am.shape} and {bm.shape} differ")
+    identity = np.eye(am.shape[-1])
+    abar = identity - am
+    bbar = identity - bm
+    forward = am @ bbar @ am + abar @ bm @ abar
+    backward = bm @ abar @ bm + bbar @ am @ bbar
+    expansion = am + bm - am @ bm - bm @ am
+    return (
+        operator_norm(forward - backward),
+        operator_norm(forward - expansion),
+        operator_norm(backward - expansion),
+    )
+
+
 def xor_operator_symmetry_check(
     a: Projector, b: Projector, tol: float = DEFAULT_TOL
 ) -> XorSymmetryReport:
@@ -154,15 +213,10 @@ def xor_operator_symmetry_check(
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
-    am, bm = a.matrix, b.matrix
-    abar = complement_projector(a).matrix
-    bbar = complement_projector(b).matrix
-    forward = am @ bbar @ am + abar @ bm @ abar
-    backward = bm @ abar @ bm + bbar @ am @ bbar
-    expansion = am + bm - am @ bm - bm @ am
+    swap, expansion_ab, expansion_ba = xor_symmetry_residuals(a, b)
     return XorSymmetryReport(
-        swap_residual=operator_norm(forward - backward),
-        expansion_residual_ab=operator_norm(forward - expansion),
-        expansion_residual_ba=operator_norm(backward - expansion),
+        swap_residual=swap,
+        expansion_residual_ab=expansion_ab,
+        expansion_residual_ba=expansion_ba,
         tol=tol,
     )

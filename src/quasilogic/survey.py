@@ -272,13 +272,15 @@ def qq_equality_stat(table: SequentialCountTable) -> tuple[float, float]:
     Null hypothesis: the exclusive-disjunction probability (answers differ)
     is the same in both orders.  Equivalent to order invariance of the
     logical joint probability; the exact balance ``xor difference =
-    -2 * conjunction difference`` is asserted on the point estimates before
+    -2 * conjunction difference`` is checked on the point estimates before
     testing.  Returns (z statistic, two-sided p-value).
     """
     xor_ab, xor_ba = xor_estimates(table)
     logical_ab, logical_ba = reconstruct_logical_joint(table)
     # exact bookkeeping identity on the estimates; failure is a defect
-    assert xor_ab - xor_ba == -2 * (logical_ab[(1, 1)] - logical_ba[(1, 1)])
+    imbalance = (xor_ab - xor_ba) + 2 * (logical_ab[(1, 1)] - logical_ba[(1, 1)])
+    if imbalance != 0:
+        raise ArithmeticError(f"xor/conjunction balance identity off by {imbalance}")
 
     n1, n2 = table.n_ab, table.n_ba
     x1 = table.counts_ab[(1, 0)] + table.counts_ab[(0, 1)]

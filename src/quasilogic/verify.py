@@ -21,8 +21,9 @@ __all__ = [
     "DOUBLE_PRECISION_FLOOR",
     "logic_suite",
     "hilbert_suite",
-    "jordan_suite",
+    "FormalRealitySweep",
     "jordan_sweep_report",
+    "jordan_suite",
     "run_all",
 ]
 
@@ -59,6 +60,11 @@ def _exact(name: str, holds: bool, detail: str = "") -> CheckResult:
 def _residual(name: str, residual: float, tol: float, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=residual <= tol, residual=residual,
                        tol=tol, detail=detail)
+
+
+def _largest(*residuals: float | np.ndarray) -> float:
+    """Largest of residuals and residual stacks (0 when all are empty)."""
+    return max(float(np.max(r, initial=0.0)) for r in residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +140,36 @@ def _example_triple() -> tuple[hilbert.DensityState, hilbert.Projector, hilbert.
     return rho, a, b
 
 
+def _sampled_questions(dim: int, trials_per_dim: int, seed: int):
+    """Trial keys and the two read-only (n, d, d) question stacks of one dimension.
+
+    Trial t uses the key k = seed + 1_000_003·dim + 7·t: its two ranks are
+    drawn in turn from ``default_rng(k + 1)`` and its questions are
+    ``sample_projector(dim, rank, k + 2)`` and ``sample_projector(dim, rank, k + 3)``.
+    """
+    keys = [seed + 1_000_003 * dim + 7 * t for t in range(trials_per_dim)]
+    rank_rngs = [np.random.default_rng(key + 1) for key in keys]
+    ranks_a = [int(rng.integers(1, dim)) for rng in rank_rngs]
+    ranks_b = [int(rng.integers(1, dim)) for rng in rank_rngs]
+    return (
+        keys,
+        hilbert.sample_projectors(dim, ranks_a, [key + 2 for key in keys]),
+        hilbert.sample_projectors(dim, ranks_b, [key + 3 for key in keys]),
+    )
+
+
 def _sampled_triples(dims: tuple[int, ...], trials_per_dim: int, seed: int):
+    """(dim, state, question_a, question_b) per trial, sliced from per-dimension stacks.
+
+    The state of trial t is ``sample_state(dim, pure for even t else mixed, k)``
+    with k its key from :func:`_sampled_questions`.
+    """
+    purities = ["pure" if t % 2 == 0 else "mixed" for t in range(trials_per_dim)]
     for dim in dims:
-        for t in range(trials_per_dim):
-            key = seed + 1_000_003 * dim + 7 * t
-            purity = "pure" if t % 2 == 0 else "mixed"
-            rho = hilbert.sample_state(dim, purity, seed=key)
-            rng = np.random.default_rng(key + 1)
-            rank_a = int(rng.integers(1, dim))
-            rank_b = int(rng.integers(1, dim))
-            a = hilbert.sample_projector(dim, rank_a, seed=key + 2)
-            b = hilbert.sample_projector(dim, rank_b, seed=key + 3)
-            yield dim, rho, a, b
+        keys, questions_a, questions_b = _sampled_questions(dim, trials_per_dim, seed)
+        states = hilbert.sample_states(dim, purities, keys)
+        for rho, a, b in zip(states, questions_a, questions_b):
+            yield dim, hilbert.DensityState(rho), hilbert.Projector(a), hilbert.Projector(b)
 
 
 def hilbert_suite(
@@ -278,13 +302,68 @@ def hilbert_suite(
 # jordan suite
 
 
+@dataclass(frozen=True)
+class FormalRealitySweep:
+    """Formal-reality probes over several dimensions, from one stacked pass each."""
+
+    trials_per_dim: int
+    records: list[dict]  # one JSON record per dimension
+    min_ratio: float     # smallest residual / (0.01 max(||x||², ||y||²)) over all pairs
+    violations: int
+
+
+def jordan_sweep_report(
+    dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
+    trials_per_dim: int = 1000,
+    seed: int = 42,
+    tol: float = hilbert.DEFAULT_TOL,
+) -> FormalRealitySweep:
+    """Formal-reality sweep: ``records`` in the documented JSON shape, plus the
+    inputs of the ``jordan.formal_reality`` check, from ``trials_per_dim``
+    probes of x∘x + y∘y per dimension.
+
+    Pair t at dimension d is (sample_hermitian(d, k), sample_hermitian(d, k + 1))
+    with k = seed + 104_729·d + t, so the y of pair t is the x of pair t + 1:
+    each dimension draws trials_per_dim + 1 matrices and probes them in one
+    stacked call.
+    """
+    records = []
+    min_ratio = np.inf
+    violations = 0
+    for dim in dims:
+        keys = [seed + 104_729 * dim + t for t in range(trials_per_dim + 1)]
+        matrices = hilbert.sample_hermitians(dim, keys)
+        residual, scale = jordan.formal_reality_residuals(matrices[:-1], matrices[1:], tol)
+        violated = (residual <= tol) & (scale > tol)
+        violations += int(violated.sum())
+        # Python float powers, so each floor equals the scalar 0.01 * max(||x||**2, ||y||**2)
+        min_ratio = min([min_ratio] + [
+            r / (0.01 * s**2) for r, s in zip(residual.tolist(), scale.tolist())
+        ])
+        records.append({
+            "dim": dim,
+            "trials": trials_per_dim,
+            "seed": seed,
+            "max_residual": _largest(residual),
+            "min_residual": float(np.min(residual, initial=np.inf)),
+            "verdict": "violated" if violated.any() else "consistent",
+        })
+    return FormalRealitySweep(trials_per_dim, records, min_ratio, violations)
+
+
 def jordan_suite(
     dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     trials_per_dim: int = 100,
     seed: int = 42,
     tol: float = hilbert.DEFAULT_TOL,
-    reality_trials_per_dim: int = 1000,
+    reality: FormalRealitySweep | None = None,
 ) -> list[CheckResult]:
+    """Jordan-product checks on the sampled questions plus the formal-reality check.
+
+    ``reality`` is the :func:`jordan_sweep_report` the last check reads, run
+    by the caller with the same dims, seed and tol; by default it runs here
+    with 1000 pairs per dimension.
+    """
     results: list[CheckResult] = []
 
     max_commute = 0.0
@@ -294,39 +373,31 @@ def jordan_suite(
     max_idem = 0.0
     max_xor = 0.0
     count = 0
-    for dim, rho, a, b in _sampled_triples(dims, trials_per_dim, seed):
-        count += 1
-        x = hilbert.sample_hermitian(dim, seed=seed + 977 * count)
-        y = hilbert.sample_hermitian(dim, seed=seed + 977 * count + 1)
+    for dim in dims:
+        _, a, b = _sampled_questions(dim, trials_per_dim, seed)
+        # sample i (counted from 1 over all dims) pairs the keys seed + 977·i and + 1
+        counts = range(count + 1, count + len(a) + 1)
+        count += len(a)
+        x = hilbert.sample_hermitians(dim, [seed + 977 * i for i in counts])
+        y = hilbert.sample_hermitians(dim, [seed + 977 * i + 1 for i in counts])
         xy = jordan.jordan_product(x, y)
-        max_commute = max(max_commute, hilbert.operator_norm(xy - jordan.jordan_product(y, x)))
-        max_hermitian = max(max_hermitian, hilbert.operator_norm(xy - xy.conj().T))
+        max_commute = _largest(
+            max_commute, hilbert.operator_norm(xy - jordan.jordan_product(y, x)))
+        max_hermitian = _largest(
+            max_hermitian, hilbert.operator_norm(xy - xy.conj().transpose(0, 2, 1)))
         xx = jordan.jordan_product(x, x)
-        max_power = max(
-            max_power,
-            hilbert.operator_norm(jordan.jordan_product(xx, x) - jordan.jordan_product(x, xx)),
-        )
+        max_power = _largest(max_power, hilbert.operator_norm(
+            jordan.jordan_product(xx, x) - jordan.jordan_product(x, xx)))
 
-        abar = hilbert.complement_projector(a)
-        bbar = hilbert.complement_projector(b)
-        max_marginality = max(
+        identity = np.eye(dim)
+        ab = jordan.mapped_conjunction(a, b)
+        max_marginality = _largest(
             max_marginality,
-            hilbert.operator_norm(
-                jordan.mapped_conjunction(a, b) + jordan.mapped_conjunction(a, bbar) - a.matrix
-            ),
-            hilbert.operator_norm(
-                jordan.mapped_conjunction(a, b) + jordan.mapped_conjunction(abar, b) - b.matrix
-            ),
+            hilbert.operator_norm(ab + jordan.mapped_conjunction(a, identity - b) - a),
+            hilbert.operator_norm(ab + jordan.mapped_conjunction(identity - a, b) - b),
         )
-        idem = jordan.idempotency_transfer_check(a, tol)
-        max_idem = max(max_idem, idem.cubic_residual, idem.square_residual)
-        symmetry = jordan.xor_operator_symmetry_check(a, b, tol)
-        max_xor = max(
-            max_xor,
-            symmetry.swap_residual,
-            symmetry.expansion_residual_ab,
-            symmetry.expansion_residual_ba,
-        )
+        max_idem = _largest(max_idem, *jordan.idempotency_residuals(a, tol))
+        max_xor = _largest(max_xor, *jordan.xor_symmetry_residuals(a, b))
 
     detail = f"{count} samples over dims {dims}"
     results.append(_residual("jordan.product_commutativity", max_commute, tol, detail))
@@ -336,57 +407,14 @@ def jordan_suite(
     results.append(_residual("jordan.idempotency_transfer", max_idem, tol, detail))
     results.append(_residual("jordan.xor_operator_symmetry", max_xor, tol, detail))
 
-    min_ratio = np.inf
-    violations = 0
-    for dim in dims:
-        for t in range(reality_trials_per_dim):
-            key = seed + 104_729 * dim + t
-            x = hilbert.sample_hermitian(dim, seed=key)
-            y = hilbert.sample_hermitian(dim, seed=key + 1)
-            probe = jordan.formal_reality_probe(x, y, tol)
-            floor = 0.01 * max(
-                hilbert.operator_norm(x) ** 2, hilbert.operator_norm(y) ** 2
-            )
-            min_ratio = min(min_ratio, probe.residual_norm / floor)
-            if probe.verdict == "violated":
-                violations += 1
+    if reality is None:
+        reality = jordan_sweep_report(dims, 1000, seed, tol)
     results.append(_exact(
         "jordan.formal_reality",
-        violations == 0 and min_ratio > 1.0,
-        f"{reality_trials_per_dim} pairs per dim, min residual ratio {min_ratio:.3f}",
+        reality.violations == 0 and reality.min_ratio > 1.0,
+        f"{reality.trials_per_dim} pairs per dim, min residual ratio {reality.min_ratio:.3f}",
     ))
     return results
-
-
-def jordan_sweep_report(
-    dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
-    trials_per_dim: int = 1000,
-    seed: int = 42,
-    tol: float = hilbert.DEFAULT_TOL,
-) -> list[dict]:
-    """Per-dimension formal-reality sweep in the documented JSON shape."""
-    report = []
-    for dim in dims:
-        max_residual = 0.0
-        min_residual = np.inf
-        violated = False
-        for t in range(trials_per_dim):
-            key = seed + 104_729 * dim + t
-            x = hilbert.sample_hermitian(dim, seed=key)
-            y = hilbert.sample_hermitian(dim, seed=key + 1)
-            probe = jordan.formal_reality_probe(x, y, tol)
-            max_residual = max(max_residual, probe.residual_norm)
-            min_residual = min(min_residual, probe.residual_norm)
-            violated |= probe.verdict == "violated"
-        report.append({
-            "dim": dim,
-            "trials": trials_per_dim,
-            "seed": seed,
-            "max_residual": max_residual,
-            "min_residual": float(min_residual),
-            "verdict": "violated" if violated else "consistent",
-        })
-    return report
 
 
 def run_all(
@@ -398,6 +426,6 @@ def run_all(
     """Every invariant suite in one flat list."""
     results = logic_suite()
     results += hilbert_suite(dims, trials_per_dim, seed, tol)
-    results += jordan_suite(dims, trials_per_dim, seed, tol,
-                            reality_trials_per_dim=max(100, trials_per_dim))
+    reality = jordan_sweep_report(dims, max(100, trials_per_dim), seed, tol)
+    results += jordan_suite(dims, trials_per_dim, seed, tol, reality)
     return results

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from quasilogic import cli
+from quasilogic import cli, jordan
 
 
 def run(capsys, *argv):
@@ -116,6 +116,13 @@ class TestKd:
         assert lines[0] == "i,j,re,im"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("spec", ["2-3", "2,4"])
+    def test_multiple_dimensions_rejected(self, capsys, spec):
+        code, out, err = run(capsys, "kd", "--dim", spec)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
 
 class TestSurvey:
     def test_bundled_synthetic_fixture(self, capsys, data_dir):
@@ -191,6 +198,30 @@ class TestJordanVerify:
         for entry in sweep:
             assert set(entry) == {"dim", "trials", "seed", "max_residual", "min_residual", "verdict"}
             assert entry["verdict"] == "consistent"
+
+    def test_each_formal_reality_pair_is_probed_once(self, capsys, monkeypatch):
+        calls, pairs, scalar_calls = [], [], []
+        stacked = jordan.formal_reality_residuals
+        scalar = jordan.formal_reality_probe
+
+        def counting_residuals(x, y, tol=1e-10):
+            calls.append(len(x))
+            pairs.extend(xi.tobytes() + yi.tobytes() for xi, yi in zip(x, y))
+            return stacked(x, y, tol)
+
+        def counting_probe(x, y, tol=1e-10):
+            scalar_calls.append(1)
+            return scalar(x, y, tol)
+
+        monkeypatch.setattr(jordan, "formal_reality_residuals", counting_residuals)
+        monkeypatch.setattr(jordan, "formal_reality_probe", counting_probe)
+        code, _, _ = run(
+            capsys, "jordan-verify", "--dim", "2,4", "--trials", "50", "--format", "json"
+        )
+        assert code == 0
+        assert calls == [50, 50]          # one stacked call per dimension
+        assert len(pairs) == len(set(pairs)) == 100
+        assert scalar_calls == []
 
 
 class TestArgumentHandling:

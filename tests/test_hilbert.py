@@ -10,9 +10,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from quasilogic import hilbert
+from quasilogic import hilbert, verify
 from quasilogic.errors import (
     BadDimensionError,
     BadRankError,
@@ -447,3 +448,137 @@ class TestSerialization:
         data = {"dim": 3, "re": [[0.0] * 2] * 2, "im": [[0.0] * 2] * 2}
         with pytest.raises(BadDimensionError):
             hilbert.matrix_from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# stacked sampling and validation against the per-key reference code
+
+stack_dims = st.integers(min_value=2, max_value=8)
+stack_seeds = st.integers(min_value=0, max_value=2**32)
+
+
+def reference_state(dim, purity, seed):
+    rng = np.random.default_rng(seed)
+    if purity == "pure":
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v /= np.linalg.norm(v)
+        rho = np.outer(v, v.conj())
+    else:
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = g @ g.conj().T
+        rho /= rho.trace().real
+    return (rho + rho.conj().T) / 2
+
+
+def reference_projector(dim, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    frame = u[:, :rank]
+    p = frame @ frame.conj().T
+    return (p + p.conj().T) / 2
+
+
+def reference_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (g + g.conj().T) / 2
+
+
+def reference_triples(dim, trials, seed):
+    """The per-trial sampling loop that verify's stacked sampler replaces."""
+    for t in range(trials):
+        key = seed + 1_000_003 * dim + 7 * t
+        rho = reference_state(dim, "pure" if t % 2 == 0 else "mixed", key)
+        rng = np.random.default_rng(key + 1)
+        rank_a = int(rng.integers(1, dim))
+        rank_b = int(rng.integers(1, dim))
+        yield rho, reference_projector(dim, rank_a, key + 2), reference_projector(dim, rank_b, key + 3)
+
+
+class TestStackedSampling:
+    @given(stack_dims, stack_seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_states_equal_per_key_draws(self, dim, seed):
+        purities = ["pure", "mixed", "mixed", "pure", "mixed"]
+        keys = [seed + 11 * i for i in range(len(purities))]
+        stack = hilbert.sample_states(dim, purities, keys)
+        assert stack.shape == (5, dim, dim) and not stack.flags.writeable
+        for member, purity, key in zip(stack, purities, keys):
+            assert np.array_equal(member, reference_state(dim, purity, key))
+            assert np.array_equal(member, hilbert.sample_state(dim, purity, key).matrix)
+
+    @given(stack_dims, stack_seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_projectors_equal_per_key_draws(self, dim, seed):
+        ranks = [1 + (seed + i) % (dim - 1) for i in range(6)]
+        keys = [seed + 13 * i for i in range(6)]
+        stack = hilbert.sample_projectors(dim, ranks, keys)
+        assert not stack.flags.writeable
+        for member, rank, key in zip(stack, ranks, keys):
+            assert np.array_equal(member, reference_projector(dim, rank, key))
+            assert np.array_equal(member, hilbert.sample_projector(dim, rank, key).matrix)
+
+    @given(stack_dims, stack_seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_hermitians_and_norms_equal_per_matrix(self, dim, seed):
+        keys = [seed + i for i in range(7)]
+        stack = hilbert.sample_hermitians(dim, keys)
+        norms = hilbert.operator_norm(stack)
+        assert norms.shape == (7,)
+        for member, norm, key in zip(stack, norms, keys):
+            assert np.array_equal(member, reference_hermitian(dim, key))
+            assert norm == hilbert.operator_norm(member) == float(np.linalg.norm(member, 2))
+
+    @given(stack_dims, st.integers(min_value=1, max_value=9), stack_seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_verify_sampler_equals_per_trial_loop(self, dim, trials, seed):
+        stacked = list(verify._sampled_triples((dim,), trials, seed))
+        assert len(stacked) == trials
+        for (d, rho, a, b), (rho_ref, a_ref, b_ref) in zip(
+            stacked, reference_triples(dim, trials, seed)
+        ):
+            assert d == dim
+            assert np.array_equal(rho.matrix, rho_ref)
+            assert np.array_equal(a.matrix, a_ref)
+            assert np.array_equal(b.matrix, b_ref)
+
+    def test_stack_validation_reports_worst_member(self):
+        stack = np.array(hilbert.sample_projectors(3, [1, 2, 1, 2], [1, 2, 3, 4]))
+        stack[1, 0, 2] += 1e-6
+        stack[3, 1, 0] += 1e-8
+        worst = hilbert.operator_norm(stack[1] - stack[1].conj().T)
+        assert hilbert.hermiticity_residual(stack) == worst
+        with pytest.raises(NotHermitianError) as exc:
+            hilbert._validated_projectors(stack, hilbert.DEFAULT_TOL, hilbert.MAX_DIM)
+        assert exc.value.residual == worst
+
+    def test_stack_density_validation_matches_scalar_errors(self):
+        stack = np.array([np.diag([0.5, 0.5]), np.diag([1.5, -0.5])], dtype=complex)
+        with pytest.raises(NotPositiveSemidefiniteError) as exc:
+            hilbert._validated_densities(stack, hilbert.DEFAULT_TOL, hilbert.MAX_DIM)
+        assert exc.value.min_eigenvalue == pytest.approx(-0.5)
+        with pytest.raises(TraceNotOneError):
+            hilbert._validated_densities(
+                np.array([np.diag([0.5, 0.5]), np.diag([0.7, 0.7])], dtype=complex),
+                hilbert.DEFAULT_TOL, hilbert.MAX_DIM,
+            )
+
+    def test_exactly_hermitian_residual_is_zero(self):
+        assert hilbert.hermiticity_residual(hilbert.sample_hermitians(4, [1, 2])) == 0.0
+
+    def test_bad_rank_in_stack_rejected(self):
+        with pytest.raises(BadRankError):
+            hilbert.sample_projectors(3, [1, 3], [0, 1])
+
+    def test_bad_purity_in_stack_rejected(self):
+        with pytest.raises(ValueError):
+            hilbert.sample_states(3, ["pure", "thermal"], [0, 1])
+
+
+class TestNegativitySearchArguments:
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_non_positive_draws_rejected(self, draws):
+        with pytest.raises(ValueError, match="draws"):
+            hilbert.negativity_random_search(2, draws)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from quasilogic import hilbert, jordan
+from quasilogic import hilbert, jordan, verify
 from quasilogic.errors import DimensionMismatchError, NotHermitianError
 
 ATOL = 1e-12
@@ -169,3 +169,103 @@ class TestXorOperatorSymmetry:
         assert report.swap_residual <= 1e-10
         assert report.expansion_residual_ab <= 1e-10
         assert report.expansion_residual_ba <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against per-matrix numpy and the per-pair probe loop
+
+
+def spectral(m):
+    return float(np.linalg.norm(m, 2))
+
+
+def projector_stack(dim, seed, n=5):
+    ranks = [1 + (seed + i) % (dim - 1) for i in range(n)]
+    return hilbert.sample_projectors(dim, ranks, [seed + 3 * i for i in range(n)])
+
+
+class TestStackedKernels:
+    @given(dims, seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_products_and_formal_reality_equal_per_matrix(self, dim, seed):
+        x = hilbert.sample_hermitians(dim, [seed + 2 * i for i in range(6)])
+        y = hilbert.sample_hermitians(dim, [seed + 2 * i + 1 for i in range(6)])
+        products = jordan.jordan_product(x, y)
+        residual, scale = jordan.formal_reality_residuals(x, y)
+        for i in range(6):
+            xi, yi = x[i], y[i]
+            assert np.array_equal(products[i], (xi @ yi + yi @ xi) / 2)
+            assert np.array_equal(products[i], jordan.jordan_product(xi, yi))
+            squares = (xi @ xi + xi @ xi) / 2 + (yi @ yi + yi @ yi) / 2
+            assert residual[i] == spectral(squares)
+            assert scale[i] == max(spectral(xi), spectral(yi))
+            probe = jordan.formal_reality_probe(xi, yi)
+            assert (probe.residual_norm, probe.input_scale) == (residual[i], scale[i])
+
+    @given(dims, seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_projector_kernels_equal_per_matrix(self, dim, seed):
+        a = projector_stack(dim, seed)
+        b = projector_stack(dim, seed + 1)
+        cubic, square = jordan.idempotency_residuals(a)
+        swap, expansion_ab, expansion_ba = jordan.xor_symmetry_residuals(a, b)
+        identity = np.eye(dim)
+        for i in range(len(a)):
+            ai, bi = a[i], b[i]
+            assert cubic[i] == spectral(ai @ ai @ ai - ai)
+            assert square[i] == spectral(ai @ ai - ai)
+            abar, bbar = identity - ai, identity - bi
+            forward = ai @ bbar @ ai + abar @ bi @ abar
+            backward = bi @ abar @ bi + bbar @ ai @ bbar
+            expansion = ai + bi - ai @ bi - bi @ ai
+            assert swap[i] == spectral(forward - backward)
+            assert expansion_ab[i] == spectral(forward - expansion)
+            assert expansion_ba[i] == spectral(backward - expansion)
+            report = jordan.xor_operator_symmetry_check(
+                hilbert.Projector(ai), hilbert.Projector(bi)
+            )
+            assert report.swap_residual == swap[i]
+
+    def test_one_non_hermitian_member_raises_worst_residual(self):
+        stack = np.array(hilbert.sample_hermitians(3, range(5)))
+        stack[3, 0, 1] += 1e-6
+        stack[1, 2, 0] += 1e-8
+        worst = spectral(stack[3] - stack[3].conj().T)
+        for call in (
+            lambda: jordan.jordan_product(stack, np.eye(3)[None].repeat(5, axis=0)),
+            lambda: jordan.formal_reality_residuals(stack, stack),
+            lambda: jordan.idempotency_residuals(stack),
+        ):
+            with pytest.raises(NotHermitianError) as exc:
+                call()
+            assert exc.value.residual == worst
+
+    def test_stack_length_mismatch_rejected(self):
+        x = hilbert.sample_hermitians(2, [1, 2, 3])
+        with pytest.raises(DimensionMismatchError):
+            jordan.jordan_product(x, x[:2])
+
+    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=30), seeds)
+    @settings(max_examples=15, deadline=None)
+    def test_sweep_equals_per_pair_probe_loop(self, dim, trials, seed):
+        sweep = verify.jordan_sweep_report((dim,), trials, seed)
+        residuals, ratios, violated = [], [], False
+        for t in range(trials):
+            key = seed + 104_729 * dim + t
+            x = hilbert.sample_hermitian(dim, seed=key)
+            y = hilbert.sample_hermitian(dim, seed=key + 1)
+            probe = jordan.formal_reality_probe(x, y)
+            floor = 0.01 * max(hilbert.operator_norm(x) ** 2, hilbert.operator_norm(y) ** 2)
+            residuals.append(probe.residual_norm)
+            ratios.append(probe.residual_norm / floor)
+            violated |= probe.verdict == "violated"
+        assert sweep.records == [{
+            "dim": dim,
+            "trials": trials,
+            "seed": seed,
+            "max_residual": max(residuals),
+            "min_residual": min(residuals),
+            "verdict": "violated" if violated else "consistent",
+        }]
+        assert sweep.min_ratio == min(ratios)
+        assert sweep.violations == 0

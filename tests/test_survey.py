@@ -232,6 +232,13 @@ class TestQQEquality:
         statistic, p_value = survey.qq_equality_stat(table)
         assert (statistic, p_value) == (0.0, 1.0)
 
+    def test_broken_balance_identity_raises(self, synthetic, monkeypatch):
+        # an explicit raise, not an assert, so the defect check survives python -O
+        xor_ab, xor_ba = survey.xor_estimates(synthetic)
+        monkeypatch.setattr(survey, "xor_estimates", lambda table: (xor_ab + F(1, 100), xor_ba))
+        with pytest.raises(ArithmeticError, match="balance"):
+            survey.qq_equality_stat(synthetic)
+
 
 class TestOrderEffect:
     def test_identical_distributions(self):
