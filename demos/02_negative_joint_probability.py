@@ -11,10 +11,7 @@ import numpy as np
 
 from quasilogic import hilbert
 
-psi = np.array([1.0, -3.0]) / np.sqrt(10.0)
-rho = hilbert.validate_density(np.outer(psi, psi.conj()))
-a = hilbert.validate_projector(np.diag([1.0, 0.0]))
-b = hilbert.rank_one_projector(np.array([1.0, 1.0]))
+rho, a, b = hilbert.worked_example()
 
 print("single-question probabilities:")
 print(f"  P(A=1) = {hilbert.born_probability(rho, a):.3f}")
@@ -36,7 +33,7 @@ print(f"  arguments swapped: {hilbert.logical_joint(rho, b, a, 'operational'):+.
 print()
 print("full quasi-probability table:")
 table = hilbert.quasi_prob_table(rho, a, b)
-for cell in hilbert.CELLS:
+for cell in reversed(hilbert.CELLS):
     print(f"  P(A={cell[0]}, B={cell[1]}) = {table.cells[cell]:+.3f}")
 print(f"  sum = {table.total():.6f}, marginals ({table.marginal_a:.3f}, {table.marginal_b:.3f})")
 

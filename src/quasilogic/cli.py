@@ -4,7 +4,9 @@ Subcommands: ``truth-table``, ``verify``, ``demo``, ``survey``, ``kd``,
 ``jordan-verify``.  Output is deterministic for a fixed (input, seed,
 version); every report embeds the generating configuration.
 
-Exit codes: 0 success, 1 property/golden failure, 2 input error.
+Exit codes: 0 success, 1 property/golden failure, 2 input error (including
+an input file that cannot be read or is not UTF-8 text, and an output path
+that cannot be written).
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, hilbert, logic, survey, verify
-from .errors import QuasilogicError, SchemaError
+from .errors import QuasilogicError
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -125,15 +125,17 @@ def _cmd_truth_table(args: argparse.Namespace) -> int:
 
 
 def _render_checks(results: list[verify.CheckResult], args: argparse.Namespace,
-                   out: str | None, fmt: str) -> int:
+                   **extra) -> int:
+    """Print the checks in ``args.format``; ``extra`` keys follow them in JSON."""
     all_passed = all(r.passed for r in results)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "config": _config_dict(args),
             "all_passed": all_passed,
             "checks": [r.as_dict() for r in results],
+            **extra,
         }
-        _emit(json.dumps(payload, indent=2), out)
+        _emit(json.dumps(payload, indent=2), args.out)
     else:
         lines = []
         for r in results:
@@ -143,7 +145,7 @@ def _render_checks(results: list[verify.CheckResult], args: argparse.Namespace,
                 + (f"  [{r.detail}]" if r.detail else "")
             )
         lines.append("all checks passed" if all_passed else "FAILURES PRESENT")
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
 
 
@@ -151,7 +153,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify.run_all(
         dims=args.dims, trials_per_dim=args.trials, seed=args.seed, tol=args.tol
     )
-    return _render_checks(results, args, args.out, args.format)
+    return _render_checks(results, args)
 
 
 def _cmd_jordan_verify(args: argparse.Namespace) -> int:
@@ -162,17 +164,7 @@ def _cmd_jordan_verify(args: argparse.Namespace) -> int:
         dims=args.dims, trials_per_dim=min(args.trials, 200), seed=args.seed,
         tol=args.tol, reality=sweep,
     )
-    all_passed = all(r.passed for r in results)
-    if args.format == "json":
-        payload = {
-            "config": _config_dict(args),
-            "all_passed": all_passed,
-            "checks": [r.as_dict() for r in results],
-            "formal_reality_sweep": sweep.records,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-        return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
-    return _render_checks(results, args, args.out, "text")
+    return _render_checks(results, args, formal_reality_sweep=sweep.records)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +172,7 @@ def _cmd_jordan_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    psi = np.array([1.0, -3.0]) / np.sqrt(10.0)
-    rho = hilbert.validate_density(np.outer(psi, psi.conj()))
-    a = hilbert.validate_projector(np.diag([1.0, 0.0]))
-    b = hilbert.rank_one_projector(np.array([1.0, 1.0]))
+    rho, a, b = hilbert.worked_example()
 
     p_a = hilbert.born_probability(rho, a)
     p_b = hilbert.born_probability(rho, b)
@@ -235,7 +224,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         "",
         "quasi-probability table (raw values, negativity preserved):",
     ]
-    for cell in hilbert.CELLS:
+    for cell in reversed(hilbert.CELLS):
         lines.append(f"  P(A={cell[0]}, B={cell[1]}) = {table.cells[cell]:+.6f}")
     lines.append("")
     lines.append(f"cells sum to {table.total():.12f}")
@@ -315,9 +304,6 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         sys.stderr.write(f"error: input file not found: {args.input}\n")
         return EXIT_INPUT_ERROR
-    except SchemaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
 
     report = survey.classicality_report(
         table, iterations=args.trials, seed=args.seed, confidence=args.confidence
@@ -345,16 +331,15 @@ def _survey_text(report: survey.ReconstructionReport) -> str:
         f"{'cell':>10s} {'seq ' + la + '-first':>14s} {'seq ' + lb + '-first':>14s}"
         f" {'logical (AB)':>13s} {'logical (BA)':>13s} {'gap':>8s} {'flag':>5s}",
     ]
-    for a in (1, 0):
-        for b in (1, 0):
-            seq_ab = report.seq_probs_ab[(a, b)]
-            seq_ba = report.seq_probs_ba[(b, a)]
-            flag = report.classicality_flags_ab[(a, b)] or report.classicality_flags_ba[(a, b)]
-            lines.append(
-                f"  {la}={a},{lb}={b} {seq_ab:14.4f} {seq_ba:14.4f}"
-                f" {report.logical_ab[(a, b)]:13.4f} {report.logical_ba[(a, b)]:13.4f}"
-                f" {report.order_invariance_gap[(a, b)]:8.4f} {str(flag):>5s}"
-            )
+    for a, b in reversed(survey.CELLS):
+        seq_ab = report.seq_probs_ab[(a, b)]
+        seq_ba = report.seq_probs_ba[(b, a)]
+        flag = report.classicality_flags_ab[(a, b)] or report.classicality_flags_ba[(a, b)]
+        lines.append(
+            f"  {la}={a},{lb}={b} {seq_ab:14.4f} {seq_ba:14.4f}"
+            f" {report.logical_ab[(a, b)]:13.4f} {report.logical_ba[(a, b)]:13.4f}"
+            f" {report.order_invariance_gap[(a, b)]:8.4f} {str(flag):>5s}"
+        )
     lines += [
         "",
         f"xor expectation: {la}-first {report.xor_ab:.4f}, {lb}-first {report.xor_ba:.4f}",
@@ -366,10 +351,9 @@ def _survey_text(report: survey.ReconstructionReport) -> str:
         f" seed {report.seed}",
     ]
     for which in ("logical_ab", "logical_ba"):
-        for a in (1, 0):
-            for b in (1, 0):
-                lo, hi = report.bootstrap_intervals[which][(a, b)]
-                lines.append(f"  {which} ({la}={a},{lb}={b}): [{lo:+.4f}, {hi:+.4f}]")
+        for a, b in reversed(survey.CELLS):
+            lo, hi = report.bootstrap_intervals[which][(a, b)]
+            lines.append(f"  {which} ({la}={a},{lb}={b}): [{lo:+.4f}, {hi:+.4f}]")
     flagged = [
         f"{which} ({a},{b})"
         for which, flags in (("logical_ab", report.classicality_flags_ab),
@@ -453,9 +437,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except QuasilogicError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT_ERROR
+    except (QuasilogicError, OSError) as exc:
+        message = str(exc)
+    except UnicodeDecodeError as exc:
+        message = f"input is not UTF-8 text: {exc}"
+    sys.stderr.write(f"error: {message}\n")
+    return EXIT_INPUT_ERROR
 
 
 def entry_point() -> None:

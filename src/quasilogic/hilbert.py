@@ -35,6 +35,7 @@ from .errors import (
     ZeroPostSelectionError,
     ZeroProbabilityBranchError,
 )
+from .logic import CELLS
 
 __all__ = [
     "DEFAULT_TOL",
@@ -67,6 +68,7 @@ __all__ = [
     "quasi_prob_table",
     "kd_distribution",
     "weak_value",
+    "worked_example",
     "negativity_search",
     "negativity_random_search",
     "model_sequential_probabilities",
@@ -488,9 +490,6 @@ def xor_expectation(
 # quasi-probability tables
 
 
-CELLS: tuple[tuple[int, int], ...] = ((1, 1), (1, 0), (0, 1), (0, 0))
-
-
 @dataclass(frozen=True)
 class QuasiProbTable:
     """2x2 table of logical joint probabilities, cell (a, b) for answers a, b.
@@ -518,7 +517,7 @@ class QuasiProbTable:
 
     def to_csv(self) -> str:
         lines = ["a,b,value"]
-        for a, b in CELLS:
+        for a, b in reversed(CELLS):
             lines.append(f"{a},{b},{self.cells[(a, b)]!r}")
         return "\n".join(lines) + "\n"
 
@@ -558,7 +557,7 @@ def quasi_prob_table(
     answers_b = {1: b, 0: bbar}
     cells = {
         (ia, ib): logical_joint(rho, questions[ia], answers_b[ib], method)
-        for ia, ib in CELLS
+        for ia, ib in reversed(CELLS)
     }
     pa = born_probability(rho, a)
     pb = born_probability(rho, b)
@@ -638,6 +637,19 @@ def weak_value(
 
 # ---------------------------------------------------------------------------
 # negativity witnesses
+
+
+def worked_example() -> tuple[DensityState, Projector, Projector]:
+    """The two-level (state, A, B) whose logical joint table has a -0.1 cell.
+
+    State (|0> - 3|1>)/sqrt(10), A = |0><0|, B = |+><+|: the (1, 1) cell is
+    -0.1 and the weak value of A post-selected on B is -0.5.
+    """
+    psi = np.array([1.0, -3.0]) / np.sqrt(10.0)
+    rho = validate_density(np.outer(psi, psi.conj()))
+    a = validate_projector(np.diag([1.0, 0.0]))
+    b = rank_one_projector(np.array([1.0, 1.0]))
+    return rho, a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -733,16 +745,8 @@ def model_sequential_probabilities(
     bbar = complement_projector(b)
     firsts = {1: a, 0: abar}
     seconds = {1: b, 0: bbar}
-    p_ab = {
-        (fa, sb): sequential_probability(rho, firsts[fa], seconds[sb])
-        for fa in (0, 1)
-        for sb in (0, 1)
-    }
-    p_ba = {
-        (fb, sa): sequential_probability(rho, seconds[fb], firsts[sa])
-        for fb in (0, 1)
-        for sa in (0, 1)
-    }
+    p_ab = {(fa, sb): sequential_probability(rho, firsts[fa], seconds[sb]) for fa, sb in CELLS}
+    p_ba = {(fb, sa): sequential_probability(rho, seconds[fb], firsts[sa]) for fb, sa in CELLS}
     return p_ab, p_ba
 
 

@@ -20,6 +20,7 @@ from typing import Iterator, Literal
 
 __all__ = [
     "Answer",
+    "CELLS",
     "CounterfactualRecord",
     "Connective",
     "IdentityReport",
@@ -44,6 +45,13 @@ Answer = int
 Connective = Literal["conjunction", "xor", "inclusive_or"]
 
 CONNECTIVES: tuple[Connective, ...] = ("conjunction", "xor", "inclusive_or")
+
+CELLS: tuple[tuple[Answer, Answer], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+"""Answer pairs (first, second) in ascending order, so index = 2*first + second.
+
+The one cell order of the package: survey indexes count vectors and orders
+bootstrap draws by it, and the Hilbert layer displays it reversed.
+"""
 
 
 def _check_answer(value: int, name: str) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from fractions import Fraction
 from typing import Literal, Mapping
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     BadConfidenceError,
@@ -40,9 +40,11 @@ from .errors import (
     TooFewIterationsError,
     ZeroVarianceError,
 )
+from .logic import CELLS
 
 __all__ = [
     "CELLS",
+    "MAX_GROUP_TOTAL",
     "SequentialCountTable",
     "parse_counts",
     "load_counts",
@@ -58,13 +60,13 @@ __all__ = [
     "classicality_report",
 ]
 
-CELLS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
-"""Fixed (first, second) cell order used throughout: index = 2*first + second."""
-
 Cell = tuple[int, int]
 BootstrapTarget = tuple[Literal["logical_ab", "logical_ba", "order_difference"], Cell]
 
 CSV_HEADER = ("order", "first", "second", "count")
+
+MAX_GROUP_TOTAL = 2**63 - 1
+"""Largest respondent count per order group: the multinomial resampler's int64 limit."""
 
 _LABEL_DIRECTIVE = re.compile(r"#\s*label_([ab])\s*[=:]\s*(.+?)\s*$")
 
@@ -78,7 +80,7 @@ class SequentialCountTable:
     ``counts_ba[(first, second)]``: respondents who answered ``first`` to
     question B (asked first) and then ``second`` to question A.
     The two groups may have different sizes; every estimate divides by its own
-    group total.
+    group total, which may not exceed :data:`MAX_GROUP_TOTAL`.
     """
 
     counts_ab: Mapping[Cell, int]
@@ -95,8 +97,13 @@ class SequentialCountTable:
                     raise SchemaError(f"{name}{cell}: count {value!r} is not an integer")
                 if value < 0:
                     raise NegativeCountError(f"{name}{cell}: count {value} is negative")
-            if sum(counts.values()) <= 0:
+            total = sum(int(value) for value in counts.values())
+            if total <= 0:
                 raise SchemaError(f"{name}: group total must be positive")
+            if total > MAX_GROUP_TOTAL:
+                raise SchemaError(
+                    f"{name}: group total {total} exceeds the limit {MAX_GROUP_TOTAL} (2**63 - 1)"
+                )
         object.__setattr__(self, "counts_ab", dict(self.counts_ab))
         object.__setattr__(self, "counts_ba", dict(self.counts_ba))
 
@@ -137,7 +144,10 @@ def parse_counts(text: str, label_a: str = "A", label_b: str = "B") -> Sequentia
                 else:
                     label_b = match.group(2)
             continue
-        rows.append((lineno, next(csv.reader(io.StringIO(stripped)))))
+        try:
+            rows.append((lineno, next(csv.reader(io.StringIO(stripped)))))
+        except csv.Error as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from None
 
     if not rows:
         raise SchemaError("empty document")
@@ -227,16 +237,8 @@ def logical_tables_from_probs(
     ba_first = _first_marginal(p_ba)     # undisturbed B
     ba_second = _second_marginal(p_ba)   # A after nonselective B
 
-    logical_ab = {
-        (a, b): p_ab[(a, b)] + (ba_first[b] - ab_second[b]) / 2
-        for a in (0, 1)
-        for b in (0, 1)
-    }
-    logical_ba = {
-        (a, b): p_ba[(b, a)] + (ab_first[a] - ba_second[a]) / 2
-        for a in (0, 1)
-        for b in (0, 1)
-    }
+    logical_ab = {(a, b): p_ab[(a, b)] + (ba_first[b] - ab_second[b]) / 2 for a, b in CELLS}
+    logical_ba = {(a, b): p_ba[(b, a)] + (ab_first[a] - ba_second[a]) / 2 for a, b in CELLS}
     return logical_ab, logical_ba
 
 
@@ -294,14 +296,23 @@ def qq_equality_stat(table: SequentialCountTable) -> tuple[float, float]:
             "pooled variance is zero but the two estimates differ"
         )
     z = (float(xor_ab) - float(xor_ba)) / variance**0.5
-    p_value = 2 * float(stats.norm.sf(abs(z)))
-    return z, p_value
+    return z, _normal_two_sided_p(z)
+
+
+def _normal_two_sided_p(z: float) -> float:
+    """P(|Z| >= |z|) for a standard normal Z."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
+def _chi2_df3_sf(x: float) -> float:
+    """P(X >= x) for a chi-square X with 3 degrees of freedom (Abramowitz & Stegun, ch. 26)."""
+    return math.erfc(math.sqrt(x / 2.0)) + math.sqrt(2.0 * x / math.pi) * math.exp(-x / 2.0)
 
 
 def _relabeled_rows(table: SequentialCountTable) -> np.ndarray:
     """2x4 observed counts with both orders relabeled to common (a, b) cells."""
-    row_ab = [table.counts_ab[(a, b)] for a in (0, 1) for b in (0, 1)]
-    row_ba = [table.counts_ba[(b, a)] for a in (0, 1) for b in (0, 1)]
+    row_ab = [table.counts_ab[(a, b)] for a, b in CELLS]
+    row_ba = [table.counts_ba[(b, a)] for a, b in CELLS]
     return np.array([row_ab, row_ba], dtype=float)
 
 
@@ -324,8 +335,7 @@ def order_effect_stat(table: SequentialCountTable) -> tuple[float, float]:
             stacklevel=2,
         )
     statistic = float((((observed - expected) ** 2)[positive] / expected[positive]).sum())
-    p_value = float(stats.chi2.sf(statistic, df=3))
-    return statistic, p_value
+    return statistic, _chi2_df3_sf(statistic)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +400,24 @@ def bootstrap_ci(
     target is ``(which, (a, b))`` with ``which`` one of ``logical_ab``,
     ``logical_ba``, ``order_difference``.  Deterministic given the seed.
     """
-    if iterations < 100:
-        raise TooFewIterationsError(f"need >= 100 iterations, got {iterations}")
-    if not 0.0 < confidence < 1.0:
-        raise BadConfidenceError(f"confidence must be in (0, 1), got {confidence}")
+    _check_bootstrap(iterations, confidence)
     which, cell = target
     if cell not in set(CELLS):
         raise ValueError(f"unknown cell {cell!r}")
     samples_ab, samples_ba = _resample(table, iterations, seed)
     values = _logical_cell_samples(samples_ab, samples_ba, which, cell)
+    return _percentile_interval(values, confidence)
+
+
+def _check_bootstrap(iterations: int, confidence: float) -> None:
+    if iterations < 100:
+        raise TooFewIterationsError(f"need >= 100 iterations, got {iterations}")
+    if not 0.0 < confidence < 1.0:
+        raise BadConfidenceError(f"confidence must be in (0, 1), got {confidence}")
+
+
+def _percentile_interval(values: np.ndarray, confidence: float) -> tuple[float, float]:
+    """Central ``confidence`` interval of the bootstrap values."""
     alpha = (1.0 - confidence) / 2.0
     lower, upper = np.quantile(values, [alpha, 1.0 - alpha])
     return float(lower), float(upper)
@@ -534,19 +553,10 @@ class ReconstructionReport:
         series line up; ``sequential_ba`` cell (a, b) reads 'answered b to B
         first, then a to A'.
         """
-        rows: list[tuple[str, str, float]] = []
-        for a in (0, 1):
-            for b in (0, 1):
-                rows.append(("sequential_ab", f"{a}{b}", self.seq_probs_ab[(a, b)]))
-        for a in (0, 1):
-            for b in (0, 1):
-                rows.append(("sequential_ba", f"{a}{b}", self.seq_probs_ba[(b, a)]))
-        for a in (0, 1):
-            for b in (0, 1):
-                rows.append(("logical_ab", f"{a}{b}", self.logical_ab[(a, b)]))
-        for a in (0, 1):
-            for b in (0, 1):
-                rows.append(("logical_ba", f"{a}{b}", self.logical_ba[(a, b)]))
+        rows = [("sequential_ab", f"{a}{b}", self.seq_probs_ab[(a, b)]) for a, b in CELLS]
+        rows += [("sequential_ba", f"{a}{b}", self.seq_probs_ba[(b, a)]) for a, b in CELLS]
+        rows += [("logical_ab", f"{a}{b}", self.logical_ab[(a, b)]) for a, b in CELLS]
+        rows += [("logical_ba", f"{a}{b}", self.logical_ba[(a, b)]) for a, b in CELLS]
         return rows
 
     def plot_csv(self) -> str:
@@ -579,7 +589,7 @@ def _render_svg(report: ReconstructionReport) -> str:
     values = {series: dict() for series, _ in _SERIES_STYLE}
     for series, cell, value in report.plot_rows():
         values[series][cell] = value
-    cell_order = ["11", "10", "01", "00"]
+    cell_order = [_cell_key(cell) for cell in reversed(CELLS)]
 
     lo = min(0.0, min(min(v.values()) for v in values.values()))
     hi = max(max(v.values()) for v in values.values())
@@ -669,10 +679,7 @@ def classicality_report(
     """Run the full pipeline and assemble a :class:`ReconstructionReport`."""
     from . import __version__
 
-    if iterations < 100:
-        raise TooFewIterationsError(f"need >= 100 iterations, got {iterations}")
-    if not 0.0 < confidence < 1.0:
-        raise BadConfidenceError(f"confidence must be in (0, 1), got {confidence}")
+    _check_bootstrap(iterations, confidence)
 
     p_ab, p_ba = sequential_probs(table)
     logical_ab, logical_ba = reconstruct_logical_joint(table)
@@ -683,18 +690,15 @@ def classicality_report(
         order_statistic, order_p = order_effect_stat(table)
 
     samples_ab, samples_ba = _resample(table, iterations, seed)
-    alpha = (1.0 - confidence) / 2.0
-    quantiles = [alpha, 1.0 - alpha]
-
-    intervals: dict[str, dict[Cell, tuple[float, float]]] = {}
-    for which in ("logical_ab", "logical_ba", "order_difference"):
-        per_cell: dict[Cell, tuple[float, float]] = {}
-        for a in (0, 1):
-            for b in (0, 1):
-                vals = _logical_cell_samples(samples_ab, samples_ba, which, (a, b))
-                lo, hi = np.quantile(vals, quantiles)
-                per_cell[(a, b)] = (float(lo), float(hi))
-        intervals[which] = per_cell
+    intervals = {
+        which: {
+            cell: _percentile_interval(
+                _logical_cell_samples(samples_ab, samples_ba, which, cell), confidence
+            )
+            for cell in CELLS
+        }
+        for which in ("logical_ab", "logical_ba", "order_difference")
+    }
 
     def flags(estimates: Mapping[Cell, Fraction], which: str) -> dict[Cell, bool]:
         return {

@@ -130,16 +130,6 @@ def logic_suite() -> list[CheckResult]:
 # hilbert suite
 
 
-def _example_triple() -> tuple[hilbert.DensityState, hilbert.Projector, hilbert.Projector]:
-    """Fixed two-level example with a -0.1 logical joint cell."""
-    psi = np.array([1.0, -3.0]) / np.sqrt(10.0)
-    rho = hilbert.validate_density(np.outer(psi, psi.conj()))
-    a = hilbert.validate_projector(np.diag([1.0, 0.0]))
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    b = hilbert.rank_one_projector(plus)
-    return rho, a, b
-
-
 def _sampled_questions(dim: int, trials_per_dim: int, seed: int):
     """Trial keys and the two read-only (n, d, d) question stacks of one dimension.
 
@@ -237,7 +227,7 @@ def hilbert_suite(
     results.append(_residual("hilbert.repeated_question", max_repeat, tol, detail))
 
     # fixed worked example: negative cell, weak value, genuine order dependence
-    rho, a, b = _example_triple()
+    rho, a, b = hilbert.worked_example()
     joint = hilbert.logical_joint(rho, a, b, "operational")
     results.append(_residual("hilbert.example_negative_cell", abs(joint - (-0.1)), 1e-12))
     wv = hilbert.weak_value(rho, a, b)
@@ -356,13 +346,13 @@ def jordan_suite(
     trials_per_dim: int = 100,
     seed: int = 42,
     tol: float = hilbert.DEFAULT_TOL,
-    reality: FormalRealitySweep | None = None,
+    *,
+    reality: FormalRealitySweep,
 ) -> list[CheckResult]:
     """Jordan-product checks on the sampled questions plus the formal-reality check.
 
     ``reality`` is the :func:`jordan_sweep_report` the last check reads, run
-    by the caller with the same dims, seed and tol; by default it runs here
-    with 1000 pairs per dimension.
+    by the caller with the same dims, seed and tol.
     """
     results: list[CheckResult] = []
 
@@ -407,8 +397,6 @@ def jordan_suite(
     results.append(_residual("jordan.idempotency_transfer", max_idem, tol, detail))
     results.append(_residual("jordan.xor_operator_symmetry", max_xor, tol, detail))
 
-    if reality is None:
-        reality = jordan_sweep_report(dims, 1000, seed, tol)
     results.append(_exact(
         "jordan.formal_reality",
         reality.violations == 0 and reality.min_ratio > 1.0,
@@ -427,5 +415,5 @@ def run_all(
     results = logic_suite()
     results += hilbert_suite(dims, trials_per_dim, seed, tol)
     reality = jordan_sweep_report(dims, max(100, trials_per_dim), seed, tol)
-    results += jordan_suite(dims, trials_per_dim, seed, tol, reality)
+    results += jordan_suite(dims, trials_per_dim, seed, tol, reality=reality)
     return results

@@ -1,6 +1,5 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import quasilogic
@@ -20,8 +19,4 @@ def tilted_example():
 
     state = (|0> - 3|1>)/sqrt(10), A = |0><0|, B = |+><+|.
     """
-    psi = np.array([1.0, -3.0]) / np.sqrt(10.0)
-    rho = hilbert.validate_density(np.outer(psi, psi.conj()))
-    a = hilbert.validate_projector(np.diag([1.0, 0.0]))
-    b = hilbert.rank_one_projector(np.array([1.0, 1.0]))
-    return rho, a, b
+    return hilbert.worked_example()

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from quasilogic import hilbert, jordan, logic, survey
+from quasilogic import hilbert, jordan, logic, survey, verify
 
 SWEEP_DIMS = (2, 3, 4, 5, 6, 7, 8)
 SWEEP_TRIALS_PER_DIM = 100
@@ -26,7 +26,7 @@ def verdict(number: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Shared seeded sweep over (state, question, question) triples.
+    """Shared seeded sweep over the (state, question, question) triples of ``verify``.
 
     Collects every residual that criteria 3 and 4 need, plus the elapsed
     wall time for the runtime budget.
@@ -40,39 +40,32 @@ def sweep():
         "xor_operator": 0.0,  # ||A B̄ A + Ā B Ā - (A + B - AB - BA)||
     }
     count = 0
-    for dim in SWEEP_DIMS:
-        for trial in range(SWEEP_TRIALS_PER_DIM):
-            key = SWEEP_SEED + 1_000_003 * dim + 7 * trial
-            rho = hilbert.sample_state(dim, "pure" if trial % 2 == 0 else "mixed", seed=key)
-            rng = np.random.default_rng(key + 1)
-            a = hilbert.sample_projector(dim, int(rng.integers(1, dim)), seed=key + 2)
-            b = hilbert.sample_projector(dim, int(rng.integers(1, dim)), seed=key + 3)
-
-            operational = hilbert.logical_joint(rho, a, b, "operational")
-            algebraic = hilbert.logical_joint(rho, a, b, "jordan")
-            re_trace = float(np.trace(rho.matrix @ a.matrix @ b.matrix).real)
-            gaps["method"] = max(gaps["method"], abs(operational - algebraic))
-            gaps["re_trace"] = max(
-                gaps["re_trace"], abs(operational - re_trace), abs(algebraic - re_trace)
-            )
-            gaps["joint_swap"] = max(
-                gaps["joint_swap"],
-                abs(operational - hilbert.logical_joint(rho, b, a, "operational")),
-            )
-            gaps["xor_swap"] = max(
-                gaps["xor_swap"],
-                abs(
-                    hilbert.xor_expectation(rho, a, b, "operational")
-                    - hilbert.xor_expectation(rho, b, a, "operational")
-                ),
-            )
-            symmetry = jordan.xor_operator_symmetry_check(a, b)
-            gaps["xor_operator"] = max(
-                gaps["xor_operator"],
-                symmetry.expansion_residual_ab,
-                symmetry.expansion_residual_ba,
-            )
-            count += 1
+    for _, rho, a, b in verify._sampled_triples(SWEEP_DIMS, SWEEP_TRIALS_PER_DIM, SWEEP_SEED):
+        operational = hilbert.logical_joint(rho, a, b, "operational")
+        algebraic = hilbert.logical_joint(rho, a, b, "jordan")
+        re_trace = float(np.trace(rho.matrix @ a.matrix @ b.matrix).real)
+        gaps["method"] = max(gaps["method"], abs(operational - algebraic))
+        gaps["re_trace"] = max(
+            gaps["re_trace"], abs(operational - re_trace), abs(algebraic - re_trace)
+        )
+        gaps["joint_swap"] = max(
+            gaps["joint_swap"],
+            abs(operational - hilbert.logical_joint(rho, b, a, "operational")),
+        )
+        gaps["xor_swap"] = max(
+            gaps["xor_swap"],
+            abs(
+                hilbert.xor_expectation(rho, a, b, "operational")
+                - hilbert.xor_expectation(rho, b, a, "operational")
+            ),
+        )
+        symmetry = jordan.xor_operator_symmetry_check(a, b)
+        gaps["xor_operator"] = max(
+            gaps["xor_operator"],
+            symmetry.expansion_residual_ab,
+            symmetry.expansion_residual_ba,
+        )
+        count += 1
     elapsed = time.perf_counter() - start
     return gaps, count, elapsed
 

@@ -1,10 +1,27 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import quasilogic
 from quasilogic import cli, jordan
+from quasilogic.logic import CELLS
+
+ROW_KEYS = [f"{order},{first},{second}" for order in ("AB", "BA") for first, second in CELLS]
+# well-formed count files with any counts, some past the group-total limit
+count_files = st.lists(
+    st.one_of(st.integers(min_value=0, max_value=1000),
+              st.integers(min_value=0, max_value=10**25)),
+    min_size=8, max_size=8,
+).map(lambda counts: "".join(
+    ["order,first,second,count\n"] + [f"{key},{n}\n" for key, n in zip(ROW_KEYS, counts)]
+).encode())
 
 
 def run(capsys, *argv):
@@ -222,6 +239,70 @@ class TestJordanVerify:
         assert calls == [50, 50]          # one stacked call per dimension
         assert len(pairs) == len(set(pairs)) == 100
         assert scalar_calls == []
+
+
+class TestInputErrors:
+    """Unreadable input and unwritable output exit 2 with one error line."""
+
+    @staticmethod
+    def assert_input_error(code, err):
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_non_utf8_survey_file(self, capsys, tmp_path, data_dir):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"# label_a = caf\xe9\n" + (data_dir / "synthetic_n100.csv").read_bytes())
+        code, out, err = run(capsys, "survey", str(path))
+        self.assert_input_error(code, err)
+        assert out == "" and "UTF-8" in err
+
+    def test_directory_as_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "survey", str(tmp_path))
+        self.assert_input_error(code, err)
+        assert out == ""
+
+    def test_count_above_limit(self, capsys, tmp_path, data_dir):
+        path = tmp_path / "huge.csv"
+        text = (data_dir / "synthetic_n100.csv").read_text()
+        path.write_text(text.replace("AB,1,1,40", f"AB,1,1,{10**23}"))
+        code, out, err = run(capsys, "survey", str(path))
+        self.assert_input_error(code, err)
+        assert out == "" and "exceeds the limit" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["truth-table", "--out"],
+        ["verify", "--dim", "2", "--trials", "5", "--out"],
+        ["demo", "--out"],
+        ["kd", "--out"],
+        ["jordan-verify", "--dim", "2", "--trials", "5", "--out"],
+        ["survey", "synthetic_n100.csv", "--trials", "100", "--out"],
+        ["survey", "synthetic_n100.csv", "--trials", "100", "--svg"],
+    ])
+    def test_unwritable_output(self, capsys, tmp_path, data_dir, argv):
+        argv = [str(data_dir / arg) if arg.endswith(".csv") else arg for arg in argv]
+        code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "out"))
+        self.assert_input_error(code, err)
+
+    @given(st.one_of(st.binary(max_size=300), count_files))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_survey_on_arbitrary_bytes_exits_0_or_2(self, capsys, tmp_path, data):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(data)
+        code, _, _ = run(capsys, "survey", str(path))
+        assert code in (0, 2)
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: the CLI must not pull in scipy."""
+    src = str(Path(quasilogic.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, quasilogic.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestArgumentHandling:

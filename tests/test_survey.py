@@ -10,11 +10,13 @@ import json
 import warnings
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2_contingency
+from numpy.testing import assert_allclose
+from scipy.stats import chi2, chi2_contingency, norm
 
-from quasilogic import hilbert, survey
+from quasilogic import hilbert, logic, survey
 from quasilogic.errors import (
     BadConfidenceError,
     DuplicateCellError,
@@ -34,6 +36,11 @@ def make_table(ab, ba, **kwargs) -> SequentialCountTable:
     )
 
 
+def test_one_cell_order_shared_by_all_layers():
+    assert survey.CELLS is hilbert.CELLS is logic.CELLS
+    assert [2 * first + second for first, second in CELLS] == [0, 1, 2, 3]
+
+
 @pytest.fixture
 def synthetic() -> SequentialCountTable:
     return make_table((30, 20, 10, 40), (35, 5, 15, 45))
@@ -45,6 +52,18 @@ def clinton_gore(data_dir) -> SequentialCountTable:
 
 
 count_arrays = st.lists(st.integers(min_value=0, max_value=500), min_size=4, max_size=4)
+
+# lines built from the schema's own tokens, so documents get past the header;
+# runs of digits reach the csv module's field-size limit (131072 characters)
+csv_fields = st.one_of(
+    st.sampled_from(["AB", "BA", "0", "1", "-1", "", '"', "\x00", "1e3", "# label_a = Q"]),
+    st.integers(min_value=-(10**25), max_value=10**25).map(str),
+    st.integers(min_value=1, max_value=200_000).map(lambda n: "7" * n),
+    st.text(max_size=4),
+)
+csv_rows = st.lists(csv_fields, min_size=1, max_size=5).map(",".join)
+csv_documents = st.lists(csv_rows, max_size=10).map(
+    lambda rows: "\n".join(["order,first,second,count", *rows]))
 
 
 class TestParsing:
@@ -98,6 +117,29 @@ class TestParsing:
     def test_empty_document(self):
         with pytest.raises(SchemaError):
             survey.parse_counts("\n\n")
+
+    @given(st.one_of(st.text(), csv_documents))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_schema_errors(self, text):
+        try:
+            survey.parse_counts(text)
+        except SchemaError:
+            pass
+
+    def test_group_total_limit(self, synthetic):
+        limit = survey.MAX_GROUP_TOTAL
+        assert limit == 2**63 - 1
+        at_limit = make_table((limit - 3, 1, 1, 1), (1, 1, 1, 1))
+        assert at_limit.n_ab == limit
+        lo, hi = survey.bootstrap_ci(at_limit, ("logical_ab", (0, 0)), 100, 0.95, seed=0)
+        assert lo <= hi
+        with pytest.raises(SchemaError, match="exceeds the limit 9223372036854775807"):
+            make_table((limit - 2, 1, 1, 1), (1, 1, 1, 1))
+        # int64 counts whose sum would wrap around are still rejected
+        with pytest.raises(SchemaError, match="exceeds the limit"):
+            make_table((np.int64(2**62),) * 4, (1, 1, 1, 1))
+        with pytest.raises(SchemaError, match="counts_ba: group total"):
+            survey.parse_counts(synthetic.to_csv().replace("BA,0,0,35", f"BA,0,0,{10**23}"))
 
     def test_zero_total_group_rejected(self):
         with pytest.raises(SchemaError):
@@ -238,6 +280,20 @@ class TestQQEquality:
         monkeypatch.setattr(survey, "xor_estimates", lambda table: (xor_ab + F(1, 100), xor_ba))
         with pytest.raises(ArithmeticError, match="balance"):
             survey.qq_equality_stat(synthetic)
+
+
+class TestClosedFormPValues:
+    """The scipy-free p-values against scipy.stats, kept here as the reference."""
+
+    def test_normal_two_sided(self):
+        z = np.linspace(-37.5, 37.5, 3001)
+        ours = [survey._normal_two_sided_p(float(v)) for v in z]
+        assert_allclose(ours, 2 * norm.sf(np.abs(z)), rtol=1e-12, atol=0)
+
+    def test_chi2_three_degrees_of_freedom(self):
+        x = np.concatenate([[0.0], np.geomspace(1e-6, 1400.0, 3000)])
+        ours = [survey._chi2_df3_sf(float(v)) for v in x]
+        assert_allclose(ours, chi2.sf(x, df=3), rtol=1e-12, atol=0)
 
 
 class TestOrderEffect:
