@@ -246,15 +246,14 @@ def _cmd_kd(args: argparse.Namespace) -> int:
     basis_b = hilbert.sample_orthonormal_basis(dim, seed=args.seed + 2)
     table = hilbert.kd_distribution(rho, basis_a, basis_b, tol=args.tol)
 
+    # row i compares Re table[i, :] with the logical joints of |a_i><a_i| and
+    # every |b_j><b_j|; each of the 2d questions is built and validated once
+    questions_b = hilbert.rank_one_projectors(basis_b)
     max_gap = 0.0
     for i in range(dim):
-        for j in range(dim):
-            pa = hilbert.rank_one_projector(basis_a[i])
-            pb = hilbert.rank_one_projector(basis_b[j])
-            max_gap = max(
-                max_gap,
-                abs(table[i, j].real - hilbert.logical_joint(rho, pa, pb, "jordan")),
-            )
+        question_a = hilbert.rank_one_projector(basis_a[i]).matrix
+        joints = hilbert.logical_joints(rho.matrix, question_a, questions_b, "jordan")
+        max_gap = max(max_gap, float(abs(table[i].real - joints).max()))
 
     total = complex(table.sum())
     min_real = float(table.real.min())
@@ -315,10 +314,19 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         text = report.plot_csv()
     else:
         text = _survey_text(report)
-    _emit(text, args.out)
 
-    if args.svg is not None:
-        Path(args.svg).write_text(report.to_svg(), encoding="utf-8")
+    # the chart goes first and the report last, so an unwritable path leaves
+    # neither a report on stdout nor one file of the pair
+    if args.svg is None:
+        _emit(text, args.out)
+        return EXIT_OK
+    svg = Path(args.svg)
+    svg.write_text(report.to_svg(), encoding="utf-8")
+    try:
+        _emit(text, args.out)
+    except OSError:
+        svg.unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

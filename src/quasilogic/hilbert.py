@@ -12,6 +12,15 @@ one that takes the expectation of the symmetrised operator product.  Their
 agreement is the central consistency check of the module and is enforced by
 the test suite rather than assumed.
 
+Every evaluation has a stacked kernel (``born_probabilities``,
+``lueders_updates``, ``logical_joints``, ``quasi_prob_tables``, ...) that takes
+d x d matrices or (n, d, d) stacks of validated matrices, broadcast against
+each other, and works memberwise; the single-object functions
+(``born_probability``, ``lueders_update``, ``logical_joint``, ...) are their
+one-matrix forms.  States the kernels build (post-measurement states) are
+validated once per stack, and long stacks are processed in blocks of bounded
+size.
+
 All functions are pure; stored matrices are marked read-only after validation.
 """
 
@@ -50,6 +59,7 @@ __all__ = [
     "validate_density",
     "complement_projector",
     "rank_one_projector",
+    "rank_one_projectors",
     "sample_state",
     "sample_states",
     "sample_projector",
@@ -58,19 +68,28 @@ __all__ = [
     "sample_hermitians",
     "sample_orthonormal_basis",
     "sample_commuting_triple",
+    "sample_commuting_triples",
     "born_probability",
+    "born_probabilities",
     "clamp_probability",
     "lueders_update",
+    "lueders_updates",
     "sequential_probability",
+    "sequential_probabilities",
     "nonselective_state",
     "logical_joint",
+    "logical_joints",
     "xor_expectation",
+    "xor_expectations",
     "quasi_prob_table",
+    "quasi_prob_tables",
+    "table_marginality_residuals",
     "kd_distribution",
     "weak_value",
     "worked_example",
     "negativity_search",
     "negativity_random_search",
+    "min_cell_over_states",
     "model_sequential_probabilities",
     "matrix_to_json",
     "matrix_from_json",
@@ -78,6 +97,12 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 MAX_DIM = 64
+
+_BLOCK_ENTRIES = 1 << 12
+"""Matrix entries per member stack in one block of a long stack, which bounds temporaries."""
+
+_TABLE_CELLS = tuple(reversed(CELLS))
+"""Cell order of quasi-probability tables: (1, 1), (1, 0), (0, 1), (0, 0)."""
 
 UpdateMode = Literal["selective_yes", "selective_no", "nonselective"]
 JointMethod = Literal["operational", "jordan"]
@@ -103,6 +128,24 @@ def _worst(residuals: float | np.ndarray) -> float:
     return float(residuals.max(initial=0.0))
 
 
+def _re_trace(m: np.ndarray) -> np.ndarray:
+    """Real part of the trace of a matrix (0-d) or of every member of a stack."""
+    return np.trace(m, axis1=-2, axis2=-1).real
+
+
+def _block_length(dim: int) -> int:
+    """Members of a d x d stack in one block."""
+    return max(1, _BLOCK_ENTRIES // (dim * dim))
+
+
+def _blockwise(fn, m: np.ndarray) -> list:
+    """``[fn(m)]`` for a matrix; ``fn`` of each block of a stack, in order."""
+    if m.ndim == 2:
+        return [fn(m)]
+    step = _block_length(m.shape[-1])
+    return [fn(m[i:i + step]) for i in range(0, len(m), step)]
+
+
 def hermiticity_residual(m: np.ndarray) -> float:
     """Worst ||m - m^H|| over a matrix or an (n, d, d) stack.
 
@@ -112,14 +155,15 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return _worst(operator_norm(skew)) if skew.any() else 0.0
 
 
-def _freeze(matrix: np.ndarray) -> np.ndarray:
-    out = np.array(matrix, dtype=np.complex128)
-    out.flags.writeable = False
-    return out
+def _freeze(m: np.ndarray) -> np.ndarray:
+    """Mark a complex array the caller no longer writes to read-only, in place."""
+    m.flags.writeable = False
+    return m
 
 
 def _check_square(matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.complex128)
+    """A complex copy of a square matrix (validation freezes it, never the caller's array)."""
+    m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -168,15 +212,15 @@ def validate_projector(
 
 
 def _validated_projectors(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray:
-    """Frozen copy of a matrix or (n, d, d) stack after the checks of :func:`validate_projector`.
+    """A complex matrix or (n, d, d) stack, frozen after the checks of :func:`validate_projector`.
 
-    A stack is checked at once; an error carries the worst member's residual.
+    A stack is checked block by block; an error carries the worst member's residual.
     """
     _check_dim(m.shape[-1], max_dim)
-    herm = hermiticity_residual(m)
+    herm = max(_blockwise(hermiticity_residual, m), default=0.0)
     if herm > tol:
         raise NotHermitianError(herm, tol)
-    idem = _worst(operator_norm(m @ m - m))
+    idem = max(_blockwise(lambda p: _worst(operator_norm(p @ p - p)), m), default=0.0)
     if idem > tol:
         raise NotIdempotentError(idem, tol)
     return _freeze(m)
@@ -190,15 +234,17 @@ def validate_density(
 
 
 def _validated_densities(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray:
-    """Frozen copy of a matrix or (n, d, d) stack after the checks of :func:`validate_density`.
+    """A complex matrix or (n, d, d) stack, frozen after the checks of :func:`validate_density`.
 
-    A stack is checked at once; an error carries the worst member's value.
+    A stack is checked block by block; an error carries the worst member's value.
     """
     _check_dim(m.shape[-1], max_dim)
-    herm = hermiticity_residual(m)
+    herm = max(_blockwise(hermiticity_residual, m), default=0.0)
     if herm > tol:
         raise NotHermitianError(herm, tol)
-    lowest = float(np.linalg.eigvalsh((m + _dagger(m)) / 2).min(initial=np.inf))
+    lowest = min(_blockwise(
+        lambda r: float(np.linalg.eigvalsh((r + _dagger(r)) / 2).min(initial=np.inf)), m
+    ), default=np.inf)
     if lowest < -tol:
         raise NotPositiveSemidefiniteError(lowest, tol)
     traces = np.ravel(np.trace(m, axis1=-2, axis2=-1))
@@ -222,12 +268,34 @@ def complement_projector(p: Projector) -> Projector:
 
 def rank_one_projector(vector: np.ndarray, tol: float = DEFAULT_TOL) -> Projector:
     """Projector onto the ray of a (not necessarily normalised) vector."""
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    norm = np.linalg.norm(v)
-    if norm == 0:
+    return Projector(rank_one_projectors(np.reshape(vector, (1, -1)), tol)[0])
+
+
+def rank_one_projectors(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Read-only (n, d, d) stack whose member i is ``rank_one_projector(vectors[i])``.
+
+    The stack is validated once, with the tolerance and errors of
+    :func:`validate_projector`.
+    """
+    v = np.asarray(vectors, dtype=np.complex128)
+    if v.ndim != 2:
+        raise BadDimensionError(f"expected an (n, d) array of vectors, got shape {v.shape}")
+    return _validated_projectors(_ray_projectors(v), tol, MAX_DIM)
+
+
+def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
+    """(n, d, d) stack of |v><v| / <v|v>, one per row of a complex (n, d) array.
+
+    Each row is divided by its ``np.linalg.norm``, computed as that function
+    does, sqrt(re·re + im·im) from dot products of the strided real and
+    imaginary parts, so the result matches normalising one vector at a time.
+    """
+    re, im = vectors.real[:, None, :], vectors.imag[:, None, :]
+    squares = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
+    if not squares.all():
         raise ValueError("cannot project onto the zero vector")
-    v = v / norm
-    return validate_projector(np.outer(v, v.conj()), tol)
+    v = vectors / np.sqrt(squares)[:, None]
+    return v[:, :, None] * v.conj()[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +317,6 @@ def _haar_unitaries(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diagonal / np.abs(diagonal))[..., None, :]
-
-
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return _haar_unitaries(_complex_gaussian(rng, (dim, dim)))
 
 
 def sample_state(
@@ -277,15 +341,16 @@ def sample_states(
     pure = [i for i, purity in enumerate(purities) if purity == "pure"]
     mixed = [i for i, purity in enumerate(purities) if purity == "mixed"]
     if pure:
-        vectors = _gaussian_stack([seeds[i] for i in pure], (dim,))
-        for v in vectors:
-            v /= np.linalg.norm(v)
-        rho[pure] = vectors[:, :, None] * vectors.conj()[:, None, :]
+        rho[pure] = _ray_projectors(_gaussian_stack([seeds[i] for i in pure], (dim,)))
     if mixed:
-        g = _gaussian_stack([seeds[i] for i in mixed], (dim, dim))
-        products = g @ _dagger(g)
-        rho[mixed] = products / np.trace(products, axis1=1, axis2=2).real[:, None, None]
+        rho[mixed] = _normalised_grams(_gaussian_stack([seeds[i] for i in mixed], (dim, dim)))
     return _validated_densities((rho + _dagger(rho)) / 2, DEFAULT_TOL, MAX_DIM)
+
+
+def _normalised_grams(g: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt states g g^H / Tr(g g^H), one per member of an (n, d, d) stack."""
+    products = g @ _dagger(g)
+    return products / _re_trace(products)[:, None, None]
 
 
 def sample_projector(dim: int, rank: int, seed: int = 0) -> Projector:
@@ -303,13 +368,18 @@ def sample_projectors(dim: int, ranks: Sequence[int], seeds: Sequence[int]) -> n
     for rank in ranks.tolist():
         if not 1 <= rank < dim:
             raise BadRankError(f"rank must satisfy 1 <= rank < dim, got rank={rank}, dim={dim}")
-    u = _haar_unitaries(_gaussian_stack(seeds, (dim, dim)))
+    p = _frame_projectors(_haar_unitaries(_gaussian_stack(seeds, (dim, dim))), ranks)
+    return _validated_projectors((p + _dagger(p)) / 2, DEFAULT_TOL, MAX_DIM)
+
+
+def _frame_projectors(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Projector onto the first ``ranks[i]`` columns of unitary ``u[i]``; equal ranks go together."""
     p = np.empty_like(u)
     for rank in np.unique(ranks).tolist():
         members = ranks == rank
         frame = u[members][:, :, :rank]
         p[members] = frame @ _dagger(frame)
-    return _validated_projectors((p + _dagger(p)) / 2, DEFAULT_TOL, MAX_DIM)
+    return p
 
 
 def sample_hermitian(dim: int, seed: int = 0, scale: float = 1.0) -> np.ndarray:
@@ -325,36 +395,69 @@ def sample_hermitians(dim: int, seeds: Sequence[int], scale: float = 1.0) -> np.
 
 def sample_orthonormal_basis(dim: int, seed: int = 0) -> np.ndarray:
     """Haar-random orthonormal basis, returned as an array of row vectors."""
-    rng = np.random.default_rng(seed)
-    return _haar_unitary(dim, rng).T
+    return _haar_unitaries(_complex_gaussian(np.random.default_rng(seed), (dim, dim))).T
 
 
 def sample_commuting_triple(
     dim: int, seed: int = 0
 ) -> tuple[DensityState, Projector, Projector]:
     """State and two questions diagonal in one random basis (a classical triple)."""
-    rng = np.random.default_rng(seed)
-    u = _haar_unitary(dim, rng)
-    probs = rng.dirichlet(np.ones(dim))
+    rho, a, b = sample_commuting_triples(dim, [seed])
+    return DensityState(rho[0]), Projector(a[0]), Projector(b[0])
 
-    def diagonal_pattern() -> np.ndarray:
-        while True:
-            bits = rng.integers(0, 2, size=dim)
-            if 0 < bits.sum() < dim:
-                return bits.astype(float)
 
-    rho = u @ np.diag(probs.astype(complex)) @ u.conj().T
-    a = u @ np.diag(diagonal_pattern().astype(complex)) @ u.conj().T
-    b = u @ np.diag(diagonal_pattern().astype(complex)) @ u.conj().T
+def sample_commuting_triples(
+    dim: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (n, d, d) stacks of states and of both questions: member i is
+    ``sample_commuting_triple(dim, seeds[i])``.
+
+    Each triple comes from its own seed's draws, bit for bit: a Haar unitary,
+    Dirichlet eigenvalues for the state, and a proper 0/1 diagonal for each
+    question.  Each stack is validated once.
+    """
+    diagonals = np.zeros((3, len(seeds), dim, dim), dtype=np.complex128)
+    g = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    index = np.arange(dim)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        g[i] = _complex_gaussian(rng, (dim, dim))
+        diagonals[0, i, index, index] = rng.dirichlet(np.ones(dim))
+        for question in (1, 2):
+            diagonals[question, i, index, index] = _proper_pattern(rng, dim)
+    u = _haar_unitaries(g)
+    rho, a, b = (u @ diagonal @ _dagger(u) for diagonal in diagonals)
     return (
-        validate_density((rho + rho.conj().T) / 2),
-        validate_projector((a + a.conj().T) / 2),
-        validate_projector((b + b.conj().T) / 2),
+        _validated_densities((rho + _dagger(rho)) / 2, DEFAULT_TOL, MAX_DIM),
+        _validated_projectors((a + _dagger(a)) / 2, DEFAULT_TOL, MAX_DIM),
+        _validated_projectors((b + _dagger(b)) / 2, DEFAULT_TOL, MAX_DIM),
     )
+
+
+def _proper_pattern(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random 0/1 diagonal that is neither all 0 nor all 1 (redrawn until it is)."""
+    while True:
+        bits = rng.integers(0, 2, size=dim)
+        if 0 < bits.sum() < dim:
+            return bits.astype(float)
 
 
 # ---------------------------------------------------------------------------
 # probabilities and updates
+
+
+def _operands(*operands: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """Common dimension and complex arrays of kernel operands (matrices or (n, d, d) stacks)."""
+    arrays = [np.asarray(m, dtype=np.complex128) for m in operands]
+    for m in arrays:
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+            raise DimensionMismatchError(
+                f"expected a square matrix or an (n, d, d) stack, got shape {m.shape}"
+            )
+    dims = {m.shape[-1] for m in arrays}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
+    return dims.pop(), arrays
 
 
 def born_probability(rho: DensityState, p: Projector) -> float:
@@ -363,8 +466,13 @@ def born_probability(rho: DensityState, p: Projector) -> float:
     The raw value is returned unclamped (it may sit at -1e-16 from round-off);
     use :func:`clamp_probability` for human-readable reporting.
     """
-    _check_dims(rho, p)
-    return float(np.trace(rho.matrix @ p.matrix).real)
+    return float(born_probabilities(rho.matrix, p.matrix))
+
+
+def born_probabilities(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Re Tr(rho P) per member of broadcast state and projector stacks."""
+    _, (rho, p) = _operands(rho, p)
+    return _re_trace(rho @ p)
 
 
 def clamp_probability(value: float) -> float:
@@ -384,27 +492,40 @@ def lueders_update(
     Raises :class:`ZeroProbabilityBranchError` when a selective branch has
     probability at or below ``tol``.
     """
-    dim = _check_dims(rho, p)
-    revalidate = dict(tol=max(tol, 1e-12), max_dim=max(MAX_DIM, dim))
+    probability, post = lueders_updates(rho.matrix, p.matrix, mode, tol)
+    return float(probability), DensityState(post)
+
+
+def lueders_updates(
+    rho: np.ndarray, p: np.ndarray, mode: UpdateMode, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`lueders_update` per member of broadcast state and projector stacks.
+
+    Returns the branch probabilities and the read-only post-states, which are
+    validated once for the whole stack (an error carries the worst member's
+    value).  A selective branch at or below ``tol`` raises
+    :class:`ZeroProbabilityBranchError` with the smallest probability.
+    """
+    dim, (rho, p) = _operands(rho, p)
     if mode == "nonselective":
-        pbar = complement_projector(p)
-        post = (
-            p.matrix @ rho.matrix @ p.matrix
-            + pbar.matrix @ rho.matrix @ pbar.matrix
-        )
-        return 1.0, validate_density((post + post.conj().T) / 2, **revalidate)
-    if mode == "selective_yes":
-        proj = p
-    elif mode == "selective_no":
-        proj = complement_projector(p)
+        pbar = np.eye(dim) - p
+        post = p @ rho @ p + pbar @ rho @ pbar
+        probability = np.ones(post.shape[:-2])
     else:
-        raise ValueError(f"unknown update mode {mode!r}")
-    branch = proj.matrix @ rho.matrix @ proj.matrix
-    probability = float(branch.trace().real)
-    if probability <= tol:
-        raise ZeroProbabilityBranchError(probability, tol)
-    post = branch / probability
-    return probability, validate_density((post + post.conj().T) / 2, **revalidate)
+        if mode == "selective_yes":
+            proj = p
+        elif mode == "selective_no":
+            proj = np.eye(dim) - p
+        else:
+            raise ValueError(f"unknown update mode {mode!r}")
+        branch = proj @ rho @ proj
+        probability = _re_trace(branch)
+        lowest = float(probability.min(initial=np.inf))
+        if lowest <= tol:
+            raise ZeroProbabilityBranchError(lowest, tol)
+        post = branch / probability[..., None, None]
+    post = _validated_densities((post + _dagger(post)) / 2, max(tol, 1e-12), max(MAX_DIM, dim))
+    return probability, post
 
 
 def nonselective_state(rho: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> DensityState:
@@ -418,8 +539,13 @@ def sequential_probability(rho: DensityState, a: Projector, b: Projector) -> flo
 
     Generally order-dependent; swapping the arguments changes the value.
     """
-    _check_dims(rho, a, b)
-    return float(np.trace(b.matrix @ a.matrix @ rho.matrix @ a.matrix).real)
+    return float(sequential_probabilities(rho.matrix, a.matrix, b.matrix))
+
+
+def sequential_probabilities(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tr(B A rho A) per member of broadcast state and projector stacks."""
+    _, (rho, a, b) = _operands(rho, a, b)
+    return _re_trace(b @ a @ rho @ a)
 
 
 def logical_joint(
@@ -437,15 +563,42 @@ def logical_joint(
     (AB + BA)/2.  Both equal Re Tr(rho A B); they agree to round-off, and the
     value may be negative.  Order-symmetric in (a, b) by construction.
     """
-    _check_dims(rho, a, b)
+    return float(logical_joints(rho.matrix, a.matrix, b.matrix, method))
+
+
+def logical_joints(
+    rho: np.ndarray, a: np.ndarray, b: np.ndarray, method: JointMethod = "operational"
+) -> np.ndarray:
+    """:func:`logical_joint` per member of broadcast state and projector stacks.
+
+    The operational route composes Lüders updates and validates the disturbed
+    states once per block; a stack longer than a block is evaluated block by
+    block, so temporaries stay bounded.
+    """
+    dim, operands = _operands(rho, a, b)
+    n = max((len(m) for m in operands if m.ndim == 3), default=0)
+    step = _block_length(dim)
+    if n > step:
+        return np.concatenate([
+            logical_joints(*(m[i:i + step] if m.ndim == 3 and len(m) == n else m
+                             for m in operands), method)
+            for i in range(0, n, step)
+        ])
+    rho, a, b = operands
     if method == "operational":
-        seq = sequential_probability(rho, a, b)
-        disturbed = nonselective_state(rho, a)
-        return seq + (born_probability(rho, b) - born_probability(disturbed, b)) / 2
+        _, disturbed = lueders_updates(rho, a, "nonselective")
+        undisturbed_b = born_probabilities(rho, b)
+        return sequential_probabilities(rho, a, b) + (
+            undisturbed_b - born_probabilities(disturbed, b)
+        ) / 2
     if method == "jordan":
-        sym = (a.matrix @ b.matrix + b.matrix @ a.matrix) / 2
-        return float(np.trace(rho.matrix @ sym).real)
+        return _re_trace(rho @ _symmetrised(a, b))
     raise ValueError(f"unknown method {method!r}")
+
+
+def _symmetrised(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jordan product (AB + BA)/2, memberwise on stacks."""
+    return (a @ b + b @ a) / 2
 
 
 def xor_expectation(
@@ -462,27 +615,35 @@ def xor_expectation(
     Tr(rho (A B̄ A + Ā B Ā)) after verifying that the operator expands to the
     manifestly order-symmetric form A + B - AB - BA within ``tol``.
     """
-    _check_dims(rho, a, b)
-    abar = complement_projector(a)
-    bbar = complement_projector(b)
+    return float(xor_expectations(rho.matrix, a.matrix, b.matrix, method, tol))
+
+
+def xor_expectations(
+    rho: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    method: XorMethod = "operational",
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """:func:`xor_expectation` per member of broadcast state and projector stacks.
+
+    The ``mapped_operator`` error carries the worst member's expansion residual.
+    """
+    dim, (rho, a, b) = _operands(rho, a, b)
+    identity = np.eye(dim)
+    abar = identity - a
+    bbar = identity - b
     if method == "operational":
-        return sequential_probability(rho, a, bbar) + sequential_probability(
-            rho, abar, b
-        )
+        return sequential_probabilities(rho, a, bbar) + sequential_probabilities(rho, abar, b)
     if method == "mapped_operator":
-        mapped = (
-            a.matrix @ bbar.matrix @ a.matrix
-            + abar.matrix @ b.matrix @ abar.matrix
-        )
-        symmetric = (
-            a.matrix + b.matrix - a.matrix @ b.matrix - b.matrix @ a.matrix
-        )
-        residual = operator_norm(mapped - symmetric)
+        mapped = a @ bbar @ a + abar @ b @ abar
+        symmetric = a + b - a @ b - b @ a
+        residual = _worst(operator_norm(mapped - symmetric))
         if residual > tol:
             raise ArithmeticError(
                 f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
             )
-        return float(np.trace(rho.matrix @ mapped).real)
+        return _re_trace(rho @ mapped)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -550,30 +711,57 @@ def quasi_prob_table(
     (B or its complement).  Normalisation and both marginality relations are
     verified within ``tol``; a violation raises, since it would be a defect.
     """
-    _check_dims(rho, a, b)
-    abar = complement_projector(a)
-    bbar = complement_projector(b)
-    questions = {1: a, 0: abar}
-    answers_b = {1: b, 0: bbar}
-    cells = {
-        (ia, ib): logical_joint(rho, questions[ia], answers_b[ib], method)
-        for ia, ib in reversed(CELLS)
-    }
-    pa = born_probability(rho, a)
-    pb = born_probability(rho, b)
-    table = QuasiProbTable(cells=cells, marginal_a=pa, marginal_b=pb)
-
-    checks = (
-        abs(table.total() - 1.0),
-        abs(table.row_sums()[1] - pa),
-        abs(table.row_sums()[0] - (1.0 - pa)),
-        abs(table.column_sums()[1] - pb),
-        abs(table.column_sums()[0] - (1.0 - pb)),
+    cells, pa, pb = quasi_prob_tables(rho.matrix, a.matrix, b.matrix, method, tol)
+    return QuasiProbTable(
+        cells=dict(zip(_TABLE_CELLS, cells.tolist())), marginal_a=float(pa), marginal_b=float(pb)
     )
-    worst = max(checks)
+
+
+def quasi_prob_tables(
+    rho: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    method: JointMethod = "operational",
+    tol: float = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`quasi_prob_table` per member of broadcast state and projector stacks.
+
+    Returns the cells, shape (..., 4) in the order (1, 1), (1, 0), (0, 1),
+    (0, 0), and the marginals P(A) and P(B).  The worst marginality residual
+    of the stack (see :func:`table_marginality_residuals`) must be within ``tol``.
+    """
+    dim, (rho, a, b) = _operands(rho, a, b)
+    identity = np.eye(dim)
+    firsts = {1: a, 0: identity - a}
+    seconds = {1: b, 0: identity - b}
+    cells = np.stack(
+        [logical_joints(rho, firsts[ia], seconds[ib], method) for ia, ib in _TABLE_CELLS],
+        axis=-1,
+    )
+    pa = born_probabilities(rho, a)
+    pb = born_probabilities(rho, b)
+    worst = float(table_marginality_residuals(cells, pa, pb).max(initial=0.0))
     if worst > tol:
         raise ArithmeticError(f"table marginality residual {worst:.3e} exceeds tol {tol:.3e}")
-    return table
+    return cells, pa, pb
+
+
+def table_marginality_residuals(
+    cells: np.ndarray, pa: np.ndarray, pb: np.ndarray
+) -> np.ndarray:
+    """Residuals of the five table identities, shape (..., 5), from :func:`quasi_prob_tables`.
+
+    In order: |total - 1|, |row a=1 - P(A)|, |row a=0 - (1 - P(A))|,
+    |column b=1 - P(B)| and |column b=0 - (1 - P(B))|.
+    """
+    c11, c10, c01, c00 = np.moveaxis(cells, -1, 0)
+    return np.abs(np.stack([
+        c11 + c10 + c01 + c00 - 1.0,
+        c11 + c10 - pa,
+        c01 + c00 - (1.0 - pa),
+        c11 + c01 - pb,
+        c10 + c00 - (1.0 - pb),
+    ], axis=-1))
 
 
 def _validate_basis(
@@ -680,50 +868,80 @@ def negativity_random_search(
     """Search random (state, question, question) triples for negative cells.
 
     Pure states are drawn by default since cells are linear in the state, so
-    mixing can only shrink negativity.  Records the best value found; this is
-    a brute-force search, not an optimiser, and makes no optimality claim.
+    mixing can only shrink negativity.  Records the best value found, at the
+    first draw that reaches it; this is a brute-force search, not an
+    optimiser, and makes no optimality claim.
+
+    Draw i takes, from one ``default_rng(seed)`` stream and in this order, the
+    real and then the imaginary parts of the state's Gaussians and, per
+    question, a rank and the real and then the imaginary parts of a Haar
+    unitary's Gaussians.  Consecutive normal draws are taken in one call, which
+    yields the same numbers as one call per part.  The triples are evaluated
+    in stacked blocks; only the winner is validated.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(seed)
-    best: NegativitySearchResult | None = None
-    for i in range(draws):
-        if purity == "pure":
-            v = _complex_gaussian(rng, dim)
-            v /= np.linalg.norm(v)
-            rho_m = np.outer(v, v.conj())
-        else:
-            g = _complex_gaussian(rng, (dim, dim))
-            rho_m = g @ g.conj().T
-            rho_m /= rho_m.trace().real
-        ops = []
-        for _ in range(2):
-            rank = int(rng.integers(1, dim))
-            u = _haar_unitary(dim, rng)
-            frame = u[:, :rank]
-            ops.append(frame @ frame.conj().T)
-        a_m, b_m = ops
+    state_shape = (dim,) if purity == "pure" else (dim, dim)
+    step = _block_length(dim)
+    best = None  # (min cell, cell, draw index, state, A, B)
+    for start in range(0, draws, step):
+        n = min(step, draws - start)
+        # per draw: (real, imaginary) Gaussian parts of the state, then of each unitary
+        state_parts = np.empty((n, 2, *state_shape))
+        frame_parts = np.empty((2, n, 2, dim, dim))
+        ranks = np.empty((2, n), dtype=int)
+        for i in range(n):
+            rng.standard_normal(out=state_parts[i])
+            for q in range(2):
+                ranks[q, i] = rng.integers(1, dim)
+                rng.standard_normal(out=frame_parts[q, i])
+        g = state_parts[:, 0] + 1j * state_parts[:, 1]
+        rho = _ray_projectors(g) if purity == "pure" else _normalised_grams(g)
+        a, b = (
+            _frame_projectors(_haar_unitaries(parts[:, 0] + 1j * parts[:, 1]), r)
+            for parts, r in zip(frame_parts, ranks)
+        )
         # direct cell evaluation; the wrapped API is exercised on the winner
-        value = np.trace(rho_m @ a_m @ b_m).real
-        pa = np.trace(rho_m @ a_m).real
-        pb = np.trace(rho_m @ b_m).real
-        cells = {
-            (1, 1): value,
-            (1, 0): pa - value,
-            (0, 1): pb - value,
-            (0, 0): 1.0 - pa - pb + value,
-        }
-        cell = min(cells, key=lambda k: cells[k])
-        if best is None or cells[cell] < best.min_value:
-            best = NegativitySearchResult(
-                min_value=float(cells[cell]),
-                cell=cell,
-                draw_index=i,
-                state=validate_density((rho_m + rho_m.conj().T) / 2),
-                question_a=validate_projector((a_m + a_m.conj().T) / 2),
-                question_b=validate_projector((b_m + b_m.conj().T) / 2),
-            )
-    return best
+        value = _re_trace(rho @ a @ b)
+        pa = _re_trace(rho @ a)
+        pb = _re_trace(rho @ b)
+        cells = np.stack([value, pa - value, pb - value, 1.0 - pa - pb + value], axis=-1)
+        k = int(cells.min(axis=-1).argmin())
+        j = int(cells[k].argmin())
+        if best is None or cells[k, j] < best[0]:
+            best = (float(cells[k, j]), _TABLE_CELLS[j], start + k, rho[k], a[k], b[k])
+    min_value, cell, index, rho_m, a_m, b_m = best
+    return NegativitySearchResult(
+        min_value=min_value,
+        cell=cell,
+        draw_index=index,
+        state=validate_density((rho_m + _dagger(rho_m)) / 2),
+        question_a=validate_projector((a_m + _dagger(a_m)) / 2),
+        question_b=validate_projector((b_m + _dagger(b_m)) / 2),
+    )
+
+
+def min_cell_over_states(a: Projector, b: Projector) -> tuple[float, tuple[int, int]]:
+    """Most negative table cell over all states for fixed questions, and its cell.
+
+    Cell (i, j) is Tr(rho (A_i ∘ B_j)), with A_1 = A, A_0 = its complement and
+    likewise for B; it is linear in rho, so its minimum over states is the
+    lowest eigenvalue of the Jordan product A_i ∘ B_j, taken here for all four
+    products in one ``eigvalsh``.  Jordan's two-subspace lemma bounds it below
+    by -1/8, reached by rank-one questions with overlap |<a|b>| = 1/2.
+    """
+    dim = _check_dims(a, b)
+    identity = np.eye(dim)
+    firsts = {1: a.matrix, 0: identity - a.matrix}
+    seconds = {1: b.matrix, 0: identity - b.matrix}
+    products = _symmetrised(
+        np.stack([firsts[i] for i, _ in _TABLE_CELLS]),
+        np.stack([seconds[j] for _, j in _TABLE_CELLS]),
+    )
+    lowest = np.linalg.eigvalsh(products)[:, 0]
+    k = int(lowest.argmin())
+    return float(lowest[k]), _TABLE_CELLS[k]
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,16 @@ MAX_GROUP_TOTAL = 2**63 - 1
 
 _LABEL_DIRECTIVE = re.compile(r"#\s*label_([ab])\s*[=:]\s*(.+?)\s*$")
 
+_SHOWN_CHARS = 32
+"""Longest input field an error message repeats in full."""
+
+
+def _shown(field: str, quote: bool = True) -> str:
+    """An input field for an error message (its ``repr`` if quoted), cut to a prefix when long."""
+    prefix = field[:_SHOWN_CHARS]
+    shown = repr(prefix) if quote else prefix
+    return shown if len(field) <= _SHOWN_CHARS else f"{shown}... ({len(field)} characters)"
+
 
 @dataclass(frozen=True)
 class SequentialCountTable:
@@ -102,7 +112,8 @@ class SequentialCountTable:
                 raise SchemaError(f"{name}: group total must be positive")
             if total > MAX_GROUP_TOTAL:
                 raise SchemaError(
-                    f"{name}: group total {total} exceeds the limit {MAX_GROUP_TOTAL} (2**63 - 1)"
+                    f"{name}: group total {_shown(str(total), quote=False)} exceeds the limit"
+                    f" {MAX_GROUP_TOTAL} (2**63 - 1)"
                 )
         object.__setattr__(self, "counts_ab", dict(self.counts_ab))
         object.__setattr__(self, "counts_ba", dict(self.counts_ba))
@@ -154,7 +165,7 @@ def parse_counts(text: str, label_a: str = "A", label_b: str = "B") -> Sequentia
     header_line, header = rows[0]
     if [h.strip() for h in header] != list(CSV_HEADER):
         raise SchemaError(
-            f"line {header_line}: expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
+            f"line {header_line}: expected header {','.join(CSV_HEADER)!r}, got {_shown(','.join(header))}"
         )
 
     tables: dict[str, dict[Cell, int]] = {"AB": {}, "BA": {}}
@@ -163,15 +174,10 @@ def parse_counts(text: str, label_a: str = "A", label_b: str = "B") -> Sequentia
             raise SchemaError(f"line {lineno}: expected 4 fields, got {len(row)}")
         order, first_s, second_s, count_s = (cell.strip() for cell in row)
         if order not in tables:
-            raise SchemaError(f"line {lineno}: order must be AB or BA, got {order!r}")
+            raise SchemaError(f"line {lineno}: order must be AB or BA, got {_shown(order)}")
         if first_s not in ("0", "1") or second_s not in ("0", "1"):
             raise SchemaError(f"line {lineno}: answers must be 0 or 1")
-        try:
-            count = int(count_s)
-        except ValueError:
-            raise SchemaError(f"line {lineno}: count {count_s!r} is not an integer") from None
-        if count < 0:
-            raise NegativeCountError(f"line {lineno}: count {count} is negative")
+        count = _parse_count(count_s, lineno)
         cell = (int(first_s), int(second_s))
         if cell in tables[order]:
             raise DuplicateCellError(f"line {lineno}: duplicate cell {order},{cell[0]},{cell[1]}")
@@ -186,6 +192,29 @@ def parse_counts(text: str, label_a: str = "A", label_b: str = "B") -> Sequentia
     return SequentialCountTable(
         counts_ab=tables["AB"], counts_ba=tables["BA"], label_a=label_a, label_b=label_b
     )
+
+
+def _parse_count(text: str, lineno: int) -> int:
+    """A non-negative integer count.
+
+    ``int`` refuses a field of digits only when it is longer than Python's
+    integer-string digit limit; without its leading zeros such a count is
+    either short enough to read or far above :data:`MAX_GROUP_TOTAL`.
+    """
+    try:
+        count = int(text)
+    except ValueError:
+        if not text.isdecimal():
+            raise SchemaError(f"line {lineno}: count {_shown(text)} is not an integer") from None
+        significant = text.lstrip("0")
+        if len(significant) > len(str(MAX_GROUP_TOTAL)):
+            raise SchemaError(
+                f"line {lineno}: count {_shown(text)} exceeds the limit {MAX_GROUP_TOTAL} (2**63 - 1)"
+            ) from None
+        count = int(significant or "0")
+    if count < 0:
+        raise NegativeCountError(f"line {lineno}: count {_shown(str(count), quote=False)} is negative")
+    return count
 
 
 def load_counts(path: str, label_a: str = "A", label_b: str = "B") -> SequentialCountTable:

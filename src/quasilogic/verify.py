@@ -148,8 +148,8 @@ def _sampled_questions(dim: int, trials_per_dim: int, seed: int):
     )
 
 
-def _sampled_triples(dims: tuple[int, ...], trials_per_dim: int, seed: int):
-    """(dim, state, question_a, question_b) per trial, sliced from per-dimension stacks.
+def _sampled_stacks(dims: tuple[int, ...], trials_per_dim: int, seed: int):
+    """(dim, states, questions_a, questions_b) per dimension: read-only (n, d, d) stacks.
 
     The state of trial t is ``sample_state(dim, pure for even t else mixed, k)``
     with k its key from :func:`_sampled_questions`.
@@ -157,7 +157,12 @@ def _sampled_triples(dims: tuple[int, ...], trials_per_dim: int, seed: int):
     purities = ["pure" if t % 2 == 0 else "mixed" for t in range(trials_per_dim)]
     for dim in dims:
         keys, questions_a, questions_b = _sampled_questions(dim, trials_per_dim, seed)
-        states = hilbert.sample_states(dim, purities, keys)
+        yield dim, hilbert.sample_states(dim, purities, keys), questions_a, questions_b
+
+
+def _sampled_triples(dims: tuple[int, ...], trials_per_dim: int, seed: int):
+    """(dim, state, question_a, question_b) per trial, sliced from :func:`_sampled_stacks`."""
+    for dim, states, questions_a, questions_b in _sampled_stacks(dims, trials_per_dim, seed):
         for rho, a, b in zip(states, questions_a, questions_b):
             yield dim, hilbert.DensityState(rho), hilbert.Projector(a), hilbert.Projector(b)
 
@@ -181,39 +186,34 @@ def hilbert_suite(
     max_marginality = 0.0
     max_repeat = 0.0
     count = 0
-    for dim, rho, a, b in _sampled_triples(dims, trials_per_dim, seed):
-        count += 1
-        operational = hilbert.logical_joint(rho, a, b, "operational")
-        algebraic = hilbert.logical_joint(rho, a, b, "jordan")
-        kd_real = float(np.trace(rho.matrix @ a.matrix @ b.matrix).real)
-        max_method_gap = max(max_method_gap, abs(operational - algebraic))
-        max_kd_gap = max(max_kd_gap, abs(operational - kd_real), abs(algebraic - kd_real))
-        max_joint_swap = max(
-            max_joint_swap,
-            abs(operational - hilbert.logical_joint(rho, b, a, "operational")),
+    for _, rho, a, b in _sampled_stacks(dims, trials_per_dim, seed):
+        count += len(rho)
+        operational = hilbert.logical_joints(rho, a, b, "operational")
+        algebraic = hilbert.logical_joints(rho, a, b, "jordan")
+        kd_real = np.trace(rho @ a @ b, axis1=1, axis2=2).real
+        max_method_gap = _largest(max_method_gap, np.abs(operational - algebraic))
+        max_kd_gap = _largest(
+            max_kd_gap, np.abs(operational - kd_real), np.abs(algebraic - kd_real)
         )
-        xor_op = hilbert.xor_expectation(rho, a, b, "operational")
+        max_joint_swap = _largest(
+            max_joint_swap, np.abs(operational - hilbert.logical_joints(rho, b, a, "operational"))
+        )
+        xor_op = hilbert.xor_expectations(rho, a, b, "operational")
         # the suite measures the operator residual itself (below); disable the
         # op-level contract check so impossible tolerances report, not crash
-        xor_mapped = hilbert.xor_expectation(rho, a, b, "mapped_operator", tol=np.inf)
-        max_xor_method_gap = max(max_xor_method_gap, abs(xor_op - xor_mapped))
-        max_xor_swap = max(
-            max_xor_swap, abs(xor_op - hilbert.xor_expectation(rho, b, a, "operational"))
+        xor_mapped = hilbert.xor_expectations(rho, a, b, "mapped_operator", tol=np.inf)
+        max_xor_method_gap = _largest(max_xor_method_gap, np.abs(xor_op - xor_mapped))
+        max_xor_swap = _largest(
+            max_xor_swap, np.abs(xor_op - hilbert.xor_expectations(rho, b, a, "operational"))
         )
-        symmetry = jordan.xor_operator_symmetry_check(a, b, tol)
-        max_xor_operator = max(
-            max_xor_operator, symmetry.expansion_residual_ab, symmetry.swap_residual
-        )
-        table = hilbert.quasi_prob_table(rho, a, b, method="jordan", tol=np.inf)
-        pa, pb = hilbert.born_probability(rho, a), hilbert.born_probability(rho, b)
-        max_marginality = max(
-            max_marginality,
-            abs(table.total() - 1.0),
-            abs(table.row_sums()[1] - pa),
-            abs(table.column_sums()[1] - pb),
-        )
-        max_repeat = max(
-            max_repeat, abs(hilbert.sequential_probability(rho, a, a) - pa)
+        swap, expansion_ab, _ = jordan.xor_symmetry_residuals(a, b)
+        max_xor_operator = _largest(max_xor_operator, expansion_ab, swap)
+        cells, pa, pb = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
+        marginality = hilbert.table_marginality_residuals(cells, pa, pb)
+        # total, row a=1 and column b=1
+        max_marginality = _largest(max_marginality, marginality[:, [0, 1, 3]])
+        max_repeat = _largest(
+            max_repeat, np.abs(hilbert.sequential_probabilities(rho, a, a) - pa)
         )
 
     detail = f"{count} triples over dims {dims}"
@@ -242,13 +242,16 @@ def hilbert_suite(
         f"sequential gap {seq_gap:.4f}, logical gap {joint_gap:.2e}",
     ))
 
-    # classical baseline: commuting triples never go negative
+    # classical baseline: commuting triples never go negative; trial t has
+    # dimension 2 + t % 4 and seed seed + 17 t
     min_cell = np.inf
-    for t in range(classical_trials):
-        dim = 2 + t % 4
-        rho_c, a_c, b_c = hilbert.sample_commuting_triple(dim, seed=seed + 17 * t)
-        value, _ = hilbert.negativity_search(rho_c, a_c, b_c)
-        min_cell = min(min_cell, value)
+    for dim in range(2, 6):
+        seeds = [seed + 17 * t for t in range(dim - 2, classical_trials, 4)]
+        if seeds:
+            cells, _, _ = hilbert.quasi_prob_tables(
+                *hilbert.sample_commuting_triples(dim, seeds), "jordan"
+            )
+            min_cell = min(min_cell, float(cells.min()))
     results.append(_residual(
         "hilbert.classical_triples_nonnegative",
         max(0.0, -float(min_cell)),
@@ -264,24 +267,28 @@ def hilbert_suite(
         f"best cell {found.min_value:.6f} at draw {found.draw_index}",
     ))
 
-    # survey round trip: model probabilities reconstruct the model's joints
+    # survey round trip: model probabilities reconstruct the model's joints;
+    # model t is drawn from the seeds seed + 31 t, + 1 and + 2
+    models = range(20)
+    states = hilbert.sample_states(
+        2, ["pure" if t % 2 == 0 else "mixed" for t in models], [seed + 31 * t for t in models]
+    )
+    questions_a = hilbert.sample_projectors(2, [1] * 20, [seed + 31 * t + 1 for t in models])
+    questions_b = hilbert.sample_projectors(2, [1] * 20, [seed + 31 * t + 2 for t in models])
+    joints, _, _ = hilbert.quasi_prob_tables(
+        states, questions_a, questions_b, "operational", tol=np.inf
+    )
     max_roundtrip = 0.0
-    for t in range(20):
-        rho_m = hilbert.sample_state(2, "pure" if t % 2 == 0 else "mixed", seed=seed + 31 * t)
-        a_m = hilbert.sample_projector(2, 1, seed=seed + 31 * t + 1)
-        b_m = hilbert.sample_projector(2, 1, seed=seed + 31 * t + 2)
-        p_ab, p_ba = hilbert.model_sequential_probabilities(rho_m, a_m, b_m)
+    for rho_m, a_m, b_m, model in zip(states, questions_a, questions_b, joints.tolist()):
+        p_ab, p_ba = hilbert.model_sequential_probabilities(
+            hilbert.DensityState(rho_m), hilbert.Projector(a_m), hilbert.Projector(b_m)
+        )
         logical_ab, logical_ba = survey.logical_tables_from_probs(p_ab, p_ba)
-        abar = hilbert.complement_projector(a_m)
-        bbar = hilbert.complement_projector(b_m)
-        ops_a = {1: a_m, 0: abar}
-        ops_b = {1: b_m, 0: bbar}
-        for cell in survey.CELLS:
-            model = hilbert.logical_joint(rho_m, ops_a[cell[0]], ops_b[cell[1]], "operational")
+        for cell, value in zip(reversed(survey.CELLS), model):
             max_roundtrip = max(
                 max_roundtrip,
-                abs(logical_ab[cell] - model),
-                abs(logical_ba[cell] - model),
+                abs(logical_ab[cell] - value),
+                abs(logical_ba[cell] - value),
             )
     results.append(_residual("hilbert.survey_round_trip", max_roundtrip, tol, "20 seeded models at d=2"))
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasilogic
-from quasilogic import cli, jordan
+from quasilogic import cli, hilbert, jordan
 from quasilogic.logic import CELLS
 
 ROW_KEYS = [f"{order},{first},{second}" for order in ("AB", "BA") for first, second in CELLS]
@@ -283,6 +283,44 @@ class TestInputErrors:
         code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "out"))
         self.assert_input_error(code, err)
 
+    def test_unwritable_svg_leaves_no_report(self, capsys, data_dir):
+        code, out, err = run(capsys, "survey", str(data_dir / "synthetic_n100.csv"),
+                             "--svg", "/nonexistent/x.svg")
+        self.assert_input_error(code, err)
+        assert out == ""
+
+    def test_unwritable_out_leaves_no_svg(self, capsys, tmp_path, data_dir):
+        svg = tmp_path / "chart.svg"
+        code, out, err = run(capsys, "survey", str(data_dir / "synthetic_n100.csv"),
+                             "--trials", "100", "--svg", str(svg),
+                             "--out", str(tmp_path / "missing" / "report.txt"))
+        self.assert_input_error(code, err)
+        assert out == "" and not svg.exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("AB,1,1,40", "AB,1,1," + "7" * 5000),
+        ("AB,1,1,40", "AB,1,1," + "9" * 400),
+        ("order,first,second,count", "order,first,second,count" + "x" * 5000),
+        ("AB,1,1,40", "Q" * 3000 + ",1,1,40"),
+    ])
+    def test_long_fields_give_one_short_line(self, capsys, tmp_path, data_dir, old, new):
+        path = tmp_path / "long.csv"
+        path.write_text((data_dir / "synthetic_n100.csv").read_text().replace(old, new))
+        code, out, err = run(capsys, "survey", str(path))
+        self.assert_input_error(code, err)
+        assert out == "" and len(err) < 200
+        if new.startswith("AB,1,1,"):
+            assert "exceeds the limit" in err and str(2**63 - 1) in err
+
+    @pytest.mark.parametrize("count", ["12.5", "many", "1e3", ""])
+    def test_non_integer_counts_say_so(self, capsys, tmp_path, data_dir, count):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            (data_dir / "synthetic_n100.csv").read_text().replace("AB,1,1,40", f"AB,1,1,{count}"))
+        code, out, err = run(capsys, "survey", str(path))
+        self.assert_input_error(code, err)
+        assert "is not an integer" in err
+
     @given(st.one_of(st.binary(max_size=300), count_files))
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -291,6 +329,46 @@ class TestInputErrors:
         path.write_bytes(data)
         code, _, _ = run(capsys, "survey", str(path))
         assert code in (0, 2)
+
+
+class TestCallCounts:
+    """Deterministic cost counters: stacked work must not turn back into per-item calls."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, names):
+        calls = {name: 0 for name in names}
+        for name in names:
+            original = getattr(module, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_verify_makes_per_dimension_calls(self, capsys, monkeypatch):
+        names = ["_validated_densities", "_validated_projectors", "logical_joints",
+                 "logical_joint", "validate_density", "validate_projector"]
+        calls = self.count_calls(monkeypatch, hilbert, names)
+        code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "100", "--format", "json")
+        assert code == 0
+        dims = 7
+        # 700 triples, 1000 commuting triples and 10k search draws: per-item work
+        # makes thousands of these calls; a stack longer than a block adds a few
+        assert calls["_validated_densities"] + calls["_validated_projectors"] <= 12 * dims + 10
+        assert calls["logical_joints"] <= 16 * dims + 10
+        assert calls["logical_joint"] <= 2  # the worked example
+        assert calls["validate_density"] + calls["validate_projector"] <= 10
+
+    def test_kd_builds_each_question_once(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, hilbert, [
+            "rank_one_projector", "_validated_projectors", "validate_projector", "logical_joint"])
+        code, _, _ = run(capsys, "kd", "--dim", "24", "--format", "json")
+        assert code == 0
+        assert calls["validate_projector"] == 0 and calls["logical_joint"] == 0
+        assert calls["rank_one_projector"] == 24      # one per row, not one per cell
+        assert calls["_validated_projectors"] <= 2 * 24
 
 
 def test_cli_import_loads_no_scipy():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from quasilogic import hilbert, verify
+from quasilogic import hilbert, jordan, verify
 from quasilogic.errors import (
     BadDimensionError,
     BadRankError,
@@ -582,3 +582,288 @@ class TestNegativitySearchArguments:
     def test_non_positive_draws_rejected(self, draws):
         with pytest.raises(ValueError, match="draws"):
             hilbert.negativity_random_search(2, draws)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against the per-triple reference code
+
+
+def reference_re_trace(m):
+    return float(np.trace(m).real)
+
+
+def reference_lueders(rho, p, mode):
+    """Unvalidated (probability, post-state) of the per-matrix Lüders update."""
+    eye = np.eye(len(p))
+    if mode == "nonselective":
+        post = p @ rho @ p + (eye - p) @ rho @ (eye - p)
+        return 1.0, (post + post.conj().T) / 2
+    proj = p if mode == "selective_yes" else eye - p
+    branch = proj @ rho @ proj
+    probability = float(branch.trace().real)
+    post = branch / probability
+    return probability, (post + post.conj().T) / 2
+
+
+def reference_joint(rho, a, b, method):
+    if method == "jordan":
+        return reference_re_trace(rho @ ((a @ b + b @ a) / 2))
+    seq = reference_re_trace(b @ a @ rho @ a)
+    _, disturbed = reference_lueders(rho, a, "nonselective")
+    return seq + (reference_re_trace(rho @ b) - reference_re_trace(disturbed @ b)) / 2
+
+
+def reference_xor(rho, a, b, method):
+    eye = np.eye(len(a))
+    abar, bbar = eye - a, eye - b
+    if method == "operational":
+        return reference_re_trace(bbar @ a @ rho @ a) + reference_re_trace(b @ abar @ rho @ abar)
+    return reference_re_trace(rho @ (a @ bbar @ a + abar @ b @ abar))
+
+
+def reference_cells(rho, a, b, method):
+    eye = np.eye(len(a))
+    firsts, seconds = {1: a, 0: eye - a}, {1: b, 0: eye - b}
+    return [reference_joint(rho, firsts[i], seconds[j], method) for i, j in reversed(hilbert.CELLS)]
+
+
+def reference_search(dim, draws, seed, purity):
+    """The per-draw search loop that the stacked search replaces."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for i in range(draws):
+        if purity == "pure":
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v /= np.linalg.norm(v)
+            rho = np.outer(v, v.conj())
+        else:
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            rho = g @ g.conj().T
+            rho /= rho.trace().real
+        ops = []
+        for _ in range(2):
+            rank = int(rng.integers(1, dim))
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            q, r = np.linalg.qr(g)
+            u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+            ops.append(u[:, :rank] @ u[:, :rank].conj().T)
+        a, b = ops
+        value = np.trace(rho @ a @ b).real
+        pa, pb = np.trace(rho @ a).real, np.trace(rho @ b).real
+        cells = {(1, 1): value, (1, 0): pa - value, (0, 1): pb - value,
+                 (0, 0): 1.0 - pa - pb + value}
+        cell = min(cells, key=lambda k: cells[k])
+        if best is None or cells[cell] < best[0]:
+            best = (cells[cell], cell, i, rho, a, b)
+    return best
+
+
+def reference_commuting_triple(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    probs = rng.dirichlet(np.ones(dim))
+
+    def pattern():
+        while True:
+            bits = rng.integers(0, 2, size=dim)
+            if 0 < bits.sum() < dim:
+                return bits.astype(float)
+
+    out = []
+    for diagonal in (probs, pattern(), pattern()):
+        m = u @ np.diag(diagonal.astype(complex)) @ u.conj().T
+        out.append((m + m.conj().T) / 2)
+    return out
+
+
+def sampled_stack(dim, trials, seed):
+    (_, rho, a, b), = verify._sampled_stacks((dim,), trials, seed)
+    return rho, a, b
+
+
+stack_trials = st.integers(min_value=1, max_value=12)
+block_members = st.integers(min_value=1, max_value=5)
+
+
+class TestStackedKernels:
+    @given(stack_dims, stack_trials, stack_seeds, block_members)
+    @settings(max_examples=25, deadline=None)
+    def test_lueders_updates_equal_per_triple(self, dim, trials, seed, members):
+        rho, a, _ = sampled_stack(dim, trials, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hilbert, "_BLOCK_ENTRIES", members * dim * dim)
+            for mode in ("nonselective", "selective_yes", "selective_no"):
+                probabilities, posts = hilbert.lueders_updates(rho, a, mode)
+                assert posts.shape == rho.shape and not posts.flags.writeable
+                for r, p, probability, post in zip(rho, a, probabilities, posts):
+                    ref_probability, ref_post = reference_lueders(r, p, mode)
+                    assert probability == ref_probability
+                    assert np.array_equal(post, ref_post)
+                    scalar = hilbert.lueders_update(
+                        hilbert.DensityState(r), hilbert.Projector(p), mode)
+                    assert scalar[0] == probability
+                    assert np.array_equal(scalar[1].matrix, post)
+
+    @given(stack_dims, stack_trials, stack_seeds, block_members)
+    @settings(max_examples=25, deadline=None)
+    def test_joint_xor_and_tables_equal_per_triple(self, dim, trials, seed, members):
+        rho, a, b = sampled_stack(dim, trials, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hilbert, "_BLOCK_ENTRIES", members * dim * dim)
+            for method in ("operational", "jordan"):
+                joints = hilbert.logical_joints(rho, a, b, method)
+                cells, pa, pb = hilbert.quasi_prob_tables(rho, a, b, method)
+                assert joints.shape == (trials,) and cells.shape == (trials, 4)
+                for i, (r, p, q) in enumerate(zip(rho, a, b)):
+                    assert joints[i] == reference_joint(r, p, q, method)
+                    assert cells[i].tolist() == reference_cells(r, p, q, method)
+                    assert pa[i] == reference_re_trace(r @ p)
+                    assert pb[i] == reference_re_trace(r @ q)
+                    objects = hilbert.DensityState(r), hilbert.Projector(p), hilbert.Projector(q)
+                    assert hilbert.logical_joint(*objects, method) == joints[i]
+                    table = hilbert.quasi_prob_table(*objects, method)
+                    assert list(table.cells.values()) == cells[i].tolist()
+            # one projector against a stack, as the kd check uses it
+            joints = hilbert.logical_joints(rho[0], a[0], b, "jordan")
+            assert joints.tolist() == [reference_joint(rho[0], a[0], q, "jordan") for q in b]
+            for method in ("operational", "mapped_operator"):
+                xors = hilbert.xor_expectations(rho, a, b, method)
+                for i, (r, p, q) in enumerate(zip(rho, a, b)):
+                    assert xors[i] == reference_xor(r, p, q, method)
+            sequential = hilbert.sequential_probabilities(rho, a, b)
+            born = hilbert.born_probabilities(rho, b)
+            for i, (r, p, q) in enumerate(zip(rho, a, b)):
+                assert sequential[i] == reference_re_trace(q @ p @ r @ p)
+                assert born[i] == reference_re_trace(r @ q)
+
+    @given(stack_dims, st.integers(min_value=1, max_value=40), stack_seeds,
+           st.sampled_from(["pure", "mixed"]), st.integers(min_value=1, max_value=9))
+    @settings(max_examples=30, deadline=None)
+    def test_negativity_search_equals_per_draw_loop(self, dim, draws, seed, purity, members):
+        ref_value, ref_cell, ref_index, ref_rho, ref_a, ref_b = reference_search(
+            dim, draws, seed, purity)
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of `members` draws, so most examples cross a block boundary
+            mp.setattr(hilbert, "_BLOCK_ENTRIES", members * dim * dim)
+            found = hilbert.negativity_random_search(dim, draws, seed, purity)
+        assert found.min_value == ref_value
+        assert found.cell == ref_cell
+        assert found.draw_index == ref_index
+        assert np.array_equal(found.state.matrix, (ref_rho + ref_rho.conj().T) / 2)
+        assert np.array_equal(found.question_a.matrix, (ref_a + ref_a.conj().T) / 2)
+        assert np.array_equal(found.question_b.matrix, (ref_b + ref_b.conj().T) / 2)
+
+    def test_default_search_keeps_its_winner(self):
+        """verify's 10k draws at d=2 span several blocks; seed 42 still wins at draw 765."""
+        assert hilbert._block_length(2) < 10_000
+        assert hilbert.negativity_random_search(2, 10_000, seed=42).draw_index == 765
+
+    @given(st.integers(min_value=2, max_value=5), stack_seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_commuting_triples_equal_per_seed(self, dim, seed):
+        seeds = [seed + 17 * i for i in range(6)]
+        stacks = hilbert.sample_commuting_triples(dim, seeds)
+        for i, s in enumerate(seeds):
+            scalar = hilbert.sample_commuting_triple(dim, s)
+            for stack, ref, obj in zip(stacks, reference_commuting_triple(dim, s), scalar):
+                assert not stack.flags.writeable
+                assert np.array_equal(stack[i], ref)
+                assert np.array_equal(obj.matrix, ref)
+
+    @given(stack_dims, st.integers(min_value=1, max_value=6), stack_seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_rank_one_projectors_equal_per_vector(self, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        stack = hilbert.rank_one_projectors(vectors)
+        for v, member in zip(vectors, stack):
+            unit = v / np.linalg.norm(v)
+            assert np.array_equal(member, np.outer(unit, unit.conj()))
+            assert np.array_equal(hilbert.rank_one_projector(v).matrix, member)
+
+    def test_bad_post_state_in_stack_reports_worst_member(self, monkeypatch):
+        # not states: the disturbed "states" keep these diagonals, two of them negative
+        rho = np.array([np.diag(d) for d in ([0.5, 0.5], [1.3, -0.3], [1.1, -0.1], [1.0, 0.0])],
+                       dtype=complex)
+        p = proj(1, 0).matrix
+        monkeypatch.setattr(hilbert, "_BLOCK_ENTRIES", 4)  # one member per block
+        with pytest.raises(NotPositiveSemidefiniteError) as exc:
+            hilbert.lueders_updates(rho, p, "nonselective")
+        assert exc.value.min_eigenvalue == pytest.approx(-0.3, abs=1e-15)
+        with pytest.raises(NotPositiveSemidefiniteError) as exc:
+            hilbert.logical_joints(rho, p, proj(0, 1).matrix, "operational")
+        assert exc.value.min_eigenvalue == pytest.approx(-0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("validator", ["_validated_projectors", "_validated_densities"])
+    def test_blockwise_validation_reports_worst_member(self, monkeypatch, validator):
+        stack = np.array(hilbert.sample_projectors(3, [1, 1, 1, 1], [1, 2, 3, 4]))
+        stack[1, 0, 2] += 1e-8
+        stack[3, 1, 0] += 1e-6
+        worst = hilbert.operator_norm(stack[3] - stack[3].conj().T)
+        monkeypatch.setattr(hilbert, "_BLOCK_ENTRIES", 9)  # one member per block
+        with pytest.raises(NotHermitianError) as exc:
+            getattr(hilbert, validator)(stack, hilbert.DEFAULT_TOL, hilbert.MAX_DIM)
+        assert exc.value.residual == worst
+
+    def test_zero_branch_in_stack_reports_smallest_probability(self):
+        rho = np.array([np.diag([0.5, 0.5]), np.diag([1.0, 0.0]), np.diag([0.9, 0.1])],
+                       dtype=complex)
+        with pytest.raises(ZeroProbabilityBranchError) as exc:
+            hilbert.lueders_updates(rho, proj(0, 1).matrix, "selective_yes")
+        assert exc.value.probability == 0.0
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            hilbert.logical_joints(np.eye(2) / 2, np.eye(3), np.eye(3))
+        with pytest.raises(DimensionMismatchError):
+            hilbert.born_probabilities(np.eye(2) / 2, np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# exact negativity: the minimum cell over all states
+
+
+def question_pairs():
+    @st.composite
+    def pairs(draw):
+        dim = draw(stack_dims)
+        ranks = draw(st.lists(st.integers(1, dim - 1), min_size=2, max_size=2))
+        seed = draw(stack_seeds)
+        return (hilbert.sample_projector(dim, ranks[0], seed),
+                hilbert.sample_projector(dim, ranks[1], seed + 1))
+    return pairs()
+
+
+class TestMinCellOverStates:
+    @given(question_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_never_below_minus_one_eighth(self, pair):
+        a, b = pair
+        value, cell = hilbert.min_cell_over_states(a, b)
+        assert value >= -1 / 8 - 1e-12
+        # the lowest eigenvalue of that cell's Jordan product, attained by its eigenvector
+        firsts = {1: a, 0: hilbert.complement_projector(a)}
+        seconds = {1: b, 0: hilbert.complement_projector(b)}
+        lowest = {
+            (i, j): np.linalg.eigvalsh(jordan.jordan_product(firsts[i], seconds[j]))[0]
+            for i, j in hilbert.CELLS
+        }
+        assert value == pytest.approx(min(lowest.values()), abs=1e-12)
+        _, vectors = np.linalg.eigh(jordan.jordan_product(firsts[cell[0]], seconds[cell[1]]))
+        witness = hilbert.validate_density(np.outer(vectors[:, 0], vectors[:, 0].conj()))
+        table = hilbert.quasi_prob_table(witness, a, b, "jordan")
+        assert table.cells[cell] == pytest.approx(value, abs=1e-12)
+
+    def test_overlap_one_half_attains_minus_one_eighth(self):
+        a = proj(1, 0)
+        b = hilbert.rank_one_projector(np.array([0.5, np.sqrt(3) / 2]))
+        value, _ = hilbert.min_cell_over_states(a, b)
+        assert abs(value - (-1 / 8)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 42, 7])
+    def test_bounds_the_random_search(self, seed):
+        found = hilbert.negativity_random_search(2, 2_000, seed=seed)
+        value, _ = hilbert.min_cell_over_states(found.question_a, found.question_b)
+        assert value <= found.min_value

@@ -141,6 +141,15 @@ class TestParsing:
         with pytest.raises(SchemaError, match="counts_ba: group total"):
             survey.parse_counts(synthetic.to_csv().replace("BA,0,0,35", f"BA,0,0,{10**23}"))
 
+    def test_count_past_the_digit_limit_names_the_limit(self, synthetic):
+        for digits in (400, 5000):
+            text = synthetic.to_csv().replace("AB,1,1,40", "AB,1,1," + "7" * digits)
+            with pytest.raises(SchemaError, match="exceeds the limit 9223372036854775807") as err:
+                survey.parse_counts(text)
+            assert len(str(err.value)) < 200
+        padded = synthetic.to_csv().replace("AB,1,1,40", "AB,1,1," + "0" * 5000 + "40")
+        assert survey.parse_counts(padded).counts_ab == synthetic.counts_ab
+
     def test_zero_total_group_rejected(self):
         with pytest.raises(SchemaError):
             make_table((0, 0, 0, 0), (1, 1, 1, 1))
