@@ -148,7 +148,14 @@ def _sampled_questions(dim: int, trials_per_dim: int, seed: int):
     )
 
 
-def _sampled_stacks(dims: tuple[int, ...], trials_per_dim: int, seed: int):
+def _questions(dim: int, trials_per_dim: int, seed: int, questions=None):
+    """``questions[dim]`` when given, else :func:`_sampled_questions` of the dimension."""
+    if questions is not None:
+        return questions[dim]
+    return _sampled_questions(dim, trials_per_dim, seed)
+
+
+def _sampled_stacks(dims: tuple[int, ...], trials_per_dim: int, seed: int, questions=None):
     """(dim, states, questions_a, questions_b) per dimension: read-only (n, d, d) stacks.
 
     The state of trial t is ``sample_state(dim, pure for even t else mixed, k)``
@@ -156,7 +163,7 @@ def _sampled_stacks(dims: tuple[int, ...], trials_per_dim: int, seed: int):
     """
     purities = ["pure" if t % 2 == 0 else "mixed" for t in range(trials_per_dim)]
     for dim in dims:
-        keys, questions_a, questions_b = _sampled_questions(dim, trials_per_dim, seed)
+        keys, questions_a, questions_b = _questions(dim, trials_per_dim, seed, questions)
         yield dim, hilbert.sample_states(dim, purities, keys), questions_a, questions_b
 
 
@@ -174,7 +181,14 @@ def hilbert_suite(
     tol: float = hilbert.DEFAULT_TOL,
     negativity_draws: int = 10_000,
     classical_trials: int = 1000,
+    *,
+    questions: dict | None = None,
 ) -> list[CheckResult]:
+    """Hilbert-semantics checks on sampled triples, a worked example and baselines.
+
+    ``questions`` maps each dimension to its :func:`_sampled_questions` result,
+    so that a caller running :func:`jordan_suite` too samples them once.
+    """
     results: list[CheckResult] = []
 
     max_method_gap = 0.0
@@ -185,8 +199,9 @@ def hilbert_suite(
     max_xor_operator = 0.0
     max_marginality = 0.0
     max_repeat = 0.0
+    min_table_cell = np.inf
     count = 0
-    for _, rho, a, b in _sampled_stacks(dims, trials_per_dim, seed):
+    for _, rho, a, b in _sampled_stacks(dims, trials_per_dim, seed, questions):
         count += len(rho)
         operational = hilbert.logical_joints(rho, a, b, "operational")
         algebraic = hilbert.logical_joints(rho, a, b, "jordan")
@@ -212,6 +227,7 @@ def hilbert_suite(
         marginality = hilbert.table_marginality_residuals(cells, pa, pb)
         # total, row a=1 and column b=1
         max_marginality = _largest(max_marginality, marginality[:, [0, 1, 3]])
+        min_table_cell = min(min_table_cell, float(np.min(cells, initial=np.inf)))
         max_repeat = _largest(
             max_repeat, np.abs(hilbert.sequential_probabilities(rho, a, a) - pa)
         )
@@ -224,6 +240,11 @@ def hilbert_suite(
     results.append(_residual("hilbert.xor_order_symmetry", max_xor_swap, tol, detail))
     results.append(_residual("hilbert.xor_operator_expansion", max_xor_operator, tol, detail))
     results.append(_residual("hilbert.table_marginality", max_marginality, tol, detail))
+    # Jordan's two-subspace lemma: no cell of any table is below -1/8
+    results.append(_residual(
+        "hilbert.quasi_prob_floor", max(0.0, -1 / 8 - min_table_cell), tol,
+        f"{detail}, min cell {min_table_cell:.6f}",
+    ))
     results.append(_residual("hilbert.repeated_question", max_repeat, tol, detail))
 
     # fixed worked example: negative cell, weak value, genuine order dependence
@@ -240,6 +261,16 @@ def hilbert_suite(
         "hilbert.sequential_order_dependence",
         seq_gap > 0.01 and joint_gap <= tol,
         f"sequential gap {seq_gap:.4f}, logical gap {joint_gap:.2e}",
+    ))
+
+    # the floor is attained: rank-one questions at d=2 with overlap |<a|b>| = 1/2
+    floor, floor_cell = hilbert.min_cell_over_states(
+        hilbert.rank_one_projector(np.array([1.0, 0.0])),
+        hilbert.rank_one_projector(np.array([0.5, np.sqrt(3) / 2])),
+    )
+    results.append(_residual(
+        "hilbert.quasi_prob_floor_witness", abs(floor - (-1 / 8)), 1e-12,
+        f"d=2, overlap 1/2, min cell {floor:.6f} at {floor_cell}",
     ))
 
     # classical baseline: commuting triples never go negative; trial t has
@@ -355,11 +386,13 @@ def jordan_suite(
     tol: float = hilbert.DEFAULT_TOL,
     *,
     reality: FormalRealitySweep,
+    questions: dict | None = None,
 ) -> list[CheckResult]:
     """Jordan-product checks on the sampled questions plus the formal-reality check.
 
     ``reality`` is the :func:`jordan_sweep_report` the last check reads, run
-    by the caller with the same dims, seed and tol.
+    by the caller with the same dims, seed and tol.  ``questions`` is as in
+    :func:`hilbert_suite`.
     """
     results: list[CheckResult] = []
 
@@ -371,7 +404,7 @@ def jordan_suite(
     max_xor = 0.0
     count = 0
     for dim in dims:
-        _, a, b = _sampled_questions(dim, trials_per_dim, seed)
+        _, a, b = _questions(dim, trials_per_dim, seed, questions)
         # sample i (counted from 1 over all dims) pairs the keys seed + 977·i and + 1
         counts = range(count + 1, count + len(a) + 1)
         count += len(a)
@@ -418,9 +451,10 @@ def run_all(
     seed: int = 42,
     tol: float = hilbert.DEFAULT_TOL,
 ) -> list[CheckResult]:
-    """Every invariant suite in one flat list."""
+    """Every invariant suite in one flat list; the questions are sampled once for both suites."""
+    questions = {dim: _sampled_questions(dim, trials_per_dim, seed) for dim in dims}
     results = logic_suite()
-    results += hilbert_suite(dims, trials_per_dim, seed, tol)
+    results += hilbert_suite(dims, trials_per_dim, seed, tol, questions=questions)
     reality = jordan_sweep_report(dims, max(100, trials_per_dim), seed, tol)
-    results += jordan_suite(dims, trials_per_dim, seed, tol, reality=reality)
+    results += jordan_suite(dims, trials_per_dim, seed, tol, reality=reality, questions=questions)
     return results

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasilogic
-from quasilogic import cli, hilbert, jordan
+from quasilogic import cli, hilbert, jordan, survey, verify
 from quasilogic.logic import CELLS
 
 ROW_KEYS = [f"{order},{first},{second}" for order in ("AB", "BA") for first, second in CELLS]
@@ -360,6 +361,30 @@ class TestCallCounts:
         assert calls["logical_joints"] <= 16 * dims + 10
         assert calls["logical_joint"] <= 2  # the worked example
         assert calls["validate_density"] + calls["validate_projector"] <= 10
+
+    def test_verify_samples_each_dimension_once(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, verify, ["_sampled_questions"])
+        code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "5", "--format", "json")
+        assert code == 0
+        assert calls["_sampled_questions"] == 7  # shared by the hilbert and jordan suites
+
+    def test_survey_reduces_each_interval_column_once(self, capsys, monkeypatch, data_dir):
+        iterations = 700
+        shapes = []
+        original = np.quantile
+
+        def quantile(values, *args, **kwargs):
+            shapes.append(np.shape(values))
+            return original(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "quantile", quantile)
+        calls = self.count_calls(monkeypatch, survey, ["_resample", "_marginal_shift"])
+        code, _, _ = run(capsys, "survey", str(data_dir / "clinton_gore_1997.csv"),
+                         "--trials", str(iterations), "--format", "json")
+        assert code == 0
+        # one resample, four shared marginal shifts, one quantile per interval column
+        assert calls == {"_resample": 1, "_marginal_shift": 4}
+        assert shapes == [(iterations,)] * 12
 
     def test_kd_builds_each_question_once(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch, hilbert, [

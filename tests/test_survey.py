@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import chi2, chi2_contingency, norm
 
@@ -332,6 +332,20 @@ class TestOrderEffect:
         assert statistic > 0
 
 
+@pytest.fixture
+def resample_calls(monkeypatch) -> list:
+    """The arguments of every ``survey._resample`` call made during the test."""
+    calls = []
+    original = survey._resample
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(survey, "_resample", counting)
+    return calls
+
+
 class TestBootstrap:
     def test_deterministic(self, synthetic):
         a = survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 500, 0.95, seed=9)
@@ -368,6 +382,96 @@ class TestBootstrap:
             survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 500, 1.5, seed=0)
         with pytest.raises(ValueError):
             survey.bootstrap_ci(synthetic, ("logical_ab", (1, 2)), 500, 0.95, seed=0)
+
+    def test_bad_target_draws_nothing(self, synthetic, resample_calls):
+        with pytest.raises(ValueError, match="unknown bootstrap target 'bogus'"):
+            survey.bootstrap_ci(synthetic, ("bogus", (1, 1)), 10**6)
+        with pytest.raises(ValueError, match=r"unknown cell \(1, 2\)"):
+            survey.bootstrap_ci(synthetic, ("logical_ab", (1, 2)), 10**6)
+        assert resample_calls == []
+        survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 100)
+        assert len(resample_calls) == 1
+
+
+# Reference bootstrap: the per-target formulas of the per-cell implementation,
+# which re-normalised both resamples for every interval.
+
+def reference_resample(table, iterations, seed):
+    rng = np.random.default_rng(seed)
+    n_ab, n_ba = table.n_ab, table.n_ba
+    ab = np.array([table.counts_ab[cell] for cell in CELLS], dtype=float)
+    ba = np.array([table.counts_ba[cell] for cell in CELLS], dtype=float)
+    samples_ab = rng.multinomial(n_ab, ab / n_ab, size=iterations)
+    samples_ba = rng.multinomial(n_ba, ba / n_ba, size=iterations)
+    return samples_ab.astype(float), samples_ba.astype(float)
+
+
+def reference_cell_samples(samples_ab, samples_ba, which, cell):
+    a, b = cell
+    q_ab = samples_ab / samples_ab.sum(axis=1, keepdims=True)
+    q_ba = samples_ba / samples_ba.sum(axis=1, keepdims=True)
+
+    def idx(first, second):
+        return 2 * first + second
+
+    ba_first_b = q_ba[:, idx(b, 0)] + q_ba[:, idx(b, 1)]
+    ab_second_b = q_ab[:, idx(0, b)] + q_ab[:, idx(1, b)]
+    logical_ab = q_ab[:, idx(a, b)] + (ba_first_b - ab_second_b) / 2
+
+    ab_first_a = q_ab[:, idx(a, 0)] + q_ab[:, idx(a, 1)]
+    ba_second_a = q_ba[:, idx(0, a)] + q_ba[:, idx(1, a)]
+    logical_ba = q_ba[:, idx(b, a)] + (ab_first_a - ba_second_a) / 2
+
+    return {"logical_ab": logical_ab, "logical_ba": logical_ba,
+            "order_difference": logical_ab - logical_ba}[which]
+
+
+def reference_intervals(table, iterations, confidence, seed):
+    samples_ab, samples_ba = reference_resample(table, iterations, seed)
+    alpha = (1.0 - confidence) / 2.0
+    intervals = {}
+    for which in ("logical_ab", "logical_ba", "order_difference"):
+        intervals[which] = {}
+        for cell in CELLS:
+            values = reference_cell_samples(samples_ab, samples_ba, which, cell)
+            lower, upper = np.quantile(values, [alpha, 1.0 - alpha])
+            intervals[which][cell] = (float(lower), float(upper))
+    return intervals
+
+
+@st.composite
+def group_counts(draw):
+    """Four counts whose total is anywhere in [1, 2**63 - 1], often above 2**53."""
+    total = draw(st.one_of(
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=2**53 + 1, max_value=survey.MAX_GROUP_TOTAL),
+        st.integers(min_value=1, max_value=survey.MAX_GROUP_TOTAL),
+    ))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=total), min_size=3, max_size=3)))
+    bounds = [0, *cuts, total]
+    return [high - low for low, high in zip(bounds, bounds[1:])]
+
+
+class TestOnePassBootstrap:
+    @given(group_counts(), group_counts(), st.integers(min_value=100, max_value=5000),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    # row sums of float counts above 2**53 round differently from the group total
+    @example([2**54 + 1, 3, 2**55, 7], [1, 2**60, 5, 2**53 + 3], 2345, 0.9, 0)
+    @example([2**61 - 1] * 3 + [2**61 + 2], [2**62 - 1, 12345, 2**60, 2**62 - 12345 - 2**60], 2345, 0.9, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_intervals_equal_the_per_cell_reference(self, ab, ba, iterations, confidence, seed):
+        table = make_table(ab, ba)
+        expected = reference_intervals(table, iterations, confidence, seed)
+        report = survey.classicality_report(table, iterations, seed, confidence)
+        assert report.bootstrap_intervals == expected
+        for which, cells in expected.items():
+            for cell, interval in cells.items():
+                assert survey.bootstrap_ci(table, (which, cell), iterations, confidence, seed) == interval
+
+    def test_report_resamples_once(self, clinton_gore, resample_calls):
+        survey.classicality_report(clinton_gore, iterations=500, seed=3)
+        assert len(resample_calls) == 1
 
 
 class TestSimulateCounts:
