@@ -353,7 +353,7 @@ def jordan_sweep_report(
     Pair t at dimension d is (sample_hermitian(d, k), sample_hermitian(d, k + 1))
     with k = seed + 104_729·d + t, so the y of pair t is the x of pair t + 1:
     each dimension draws trials_per_dim + 1 matrices and probes them in one
-    stacked call.
+    stacked call, norming each matrix once.
     """
     records = []
     min_ratio = np.inf
@@ -361,7 +361,9 @@ def jordan_sweep_report(
     for dim in dims:
         keys = [seed + 104_729 * dim + t for t in range(trials_per_dim + 1)]
         matrices = hilbert.sample_hermitians(dim, keys)
-        residual, scale = jordan.formal_reality_residuals(matrices[:-1], matrices[1:], tol)
+        norms = hilbert.operator_norm(matrices)
+        residual, scale = jordan.formal_reality_residuals(
+            matrices[:-1], matrices[1:], tol, norms=(norms[:-1], norms[1:]))
         violated = (residual <= tol) & (scale > tol)
         violations += int(violated.sum())
         # Python float powers, so each floor equals the scalar 0.01 * max(||x||**2, ||y||**2)

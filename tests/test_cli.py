@@ -222,10 +222,10 @@ class TestJordanVerify:
         stacked = jordan.formal_reality_residuals
         scalar = jordan.formal_reality_probe
 
-        def counting_residuals(x, y, tol=1e-10):
+        def counting_residuals(x, y, tol=1e-10, **kwargs):
             calls.append(len(x))
             pairs.extend(xi.tobytes() + yi.tobytes() for xi, yi in zip(x, y))
-            return stacked(x, y, tol)
+            return stacked(x, y, tol, **kwargs)
 
         def counting_probe(x, y, tol=1e-10):
             scalar_calls.append(1)

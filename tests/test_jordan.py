@@ -269,3 +269,17 @@ class TestStackedKernels:
         }]
         assert sweep.min_ratio == min(ratios)
         assert sweep.violations == 0
+
+    def test_sweep_norms_each_matrix_once(self, monkeypatch):
+        normed = []
+        original = hilbert.operator_norm
+
+        def counting(m):
+            normed.append(1 if np.ndim(m) == 2 else len(m))
+            return original(m)
+
+        monkeypatch.setattr(hilbert, "operator_norm", counting)
+        monkeypatch.setattr(jordan, "operator_norm", counting)
+        verify.jordan_sweep_report((2, 3), 40, seed=9)
+        # per dimension: the 41 matrices once, and the 40 residuals
+        assert sum(normed) == 2 * (41 + 40)
