@@ -43,8 +43,9 @@ print("formal reality probed on random Hermitian pairs, dims 2..8:")
 print("  (one stacked call per dimension: 200 pairs as two (200, d, d) stacks)")
 worst = np.inf
 for dim in range(2, 9):
-    x = hilbert.sample_hermitians(dim, [1000 * dim + trial for trial in range(200)])
-    y = hilbert.sample_hermitians(dim, [1000 * dim + trial + 1 for trial in range(200)])
+    rng = np.random.default_rng([1000, dim])
+    x = hilbert.sample_hermitians(dim, 200, rng)
+    y = hilbert.sample_hermitians(dim, 200, rng)
     residual, scale = jordan.formal_reality_residuals(x, y)
     assert (residual > 0.01 * scale**2).all()
     worst = min(worst, float((residual / (0.01 * scale**2)).min()))

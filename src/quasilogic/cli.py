@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,11 +44,13 @@ def _parse_dims(spec: str) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def _positive(kind: type, name: str):
+def _number(kind: type, name: str, *, zero_allowed: bool = False):
+    """argparse type: a finite ``kind`` value above 0, or at least 0 when ``zero_allowed``."""
     def convert(text: str):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {value}")
+        if not ((value >= 0 if zero_allowed else value > 0) and value < math.inf):
+            requirement = "non-negative and finite" if zero_allowed else "positive and finite"
+            raise argparse.ArgumentTypeError(f"{name} must be {requirement}, got {value}")
         return value
 
     return convert
@@ -389,13 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    seed = _number(int, "seed", zero_allowed=True)
+
     def common(p: argparse.ArgumentParser, *, dims: str = "2", trials: int = 1000) -> None:
         p.add_argument("--dim", dest="dims", type=_parse_dims, default=_parse_dims(dims),
                        help=f"dimension or range, e.g. 2, 2-8, 2,4,6 (default {dims})")
-        p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
-        p.add_argument("--trials", type=_positive(int, "trials"), default=trials,
+        p.add_argument("--seed", type=seed, default=42, help="random seed (default 42)")
+        p.add_argument("--trials", type=_number(int, "trials"), default=trials,
                        help=f"samples per dimension / bootstrap iterations (default {trials})")
-        p.add_argument("--tol", type=_positive(float, "tol"), default=1e-10,
+        p.add_argument("--tol", type=_number(float, "tol"), default=1e-10,
                        help="numerical tolerance (default 1e-10)")
 
     tt = sub.add_parser("truth-table", help="print the connective value tables")
@@ -423,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("survey", help="reconstruct logical joints from a count file")
     sv.add_argument("input", help="count CSV (header: order,first,second,count)")
-    sv.add_argument("--seed", type=int, default=42)
-    sv.add_argument("--trials", type=_positive(int, "trials"), default=10_000,
+    sv.add_argument("--seed", type=seed, default=42)
+    sv.add_argument("--trials", type=_number(int, "trials"), default=10_000,
                     help="bootstrap iterations (default 10000)")
     sv.add_argument("--confidence", type=float, default=0.95)
     sv.add_argument("--format", choices=("json", "csv", "text"), default="text")

@@ -21,7 +21,8 @@ one-matrix forms.  States the kernels build (post-measurement states) are
 validated once per stack, and long stacks are processed in blocks of bounded
 size.
 
-All functions are pure; stored matrices are marked read-only after validation.
+Apart from the stacked samplers, which advance the generator they are given,
+all functions are pure; stored matrices are marked read-only after validation.
 """
 
 from __future__ import annotations
@@ -299,17 +300,14 @@ def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling (deterministic in the seed)
+# sampling: a stacked sampler draws its n members from one Generator, one call per
+# stack; each per-seed sampler is its one-member form on ``default_rng(seed)``
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _gaussian_stack(seeds: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
-    """One complex Gaussian draw of ``shape`` per seed, stacked on a new first axis."""
-    draws = [_complex_gaussian(np.random.default_rng(seed), shape) for seed in seeds]
-    return np.array(draws).reshape(len(draws), *shape)
+def _complex_gaussians(rng: np.random.Generator, n: int, shape: tuple[int, ...]) -> np.ndarray:
+    """n complex Gaussian arrays of ``shape``, each drawn as its real, then its imaginary parts."""
+    parts = rng.standard_normal((n, 2, *shape))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def _haar_unitaries(g: np.ndarray) -> np.ndarray:
@@ -323,27 +321,27 @@ def sample_state(
     dim: int, purity: Literal["pure", "mixed"] = "pure", seed: int = 0
 ) -> DensityState:
     """Random state: Haar-uniform pure vector, or Hilbert-Schmidt mixed state."""
-    return DensityState(sample_states(dim, [purity], [seed])[0])
+    return DensityState(sample_states(dim, [purity], np.random.default_rng(seed))[0])
 
 
 def sample_states(
-    dim: int, purities: Sequence[Literal["pure", "mixed"]], seeds: Sequence[int]
+    dim: int, purities: Sequence[Literal["pure", "mixed"]], rng: np.random.Generator
 ) -> np.ndarray:
-    """Read-only (n, d, d) stack whose member i is ``sample_state(dim, purities[i], seeds[i])``.
+    """Read-only (n, d, d) stack of random states, member i of purity ``purities[i]``.
 
-    Each member comes from its own seed's draws, bit for bit; the stack is
-    validated once.
+    The pure members' Gaussians are drawn first, then the mixed members', each
+    in member order; the stack is validated once.
     """
     for purity in purities:
         if purity not in ("pure", "mixed"):
             raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
-    rho = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    rho = np.empty((len(purities), dim, dim), dtype=np.complex128)
     pure = [i for i, purity in enumerate(purities) if purity == "pure"]
     mixed = [i for i, purity in enumerate(purities) if purity == "mixed"]
     if pure:
-        rho[pure] = _ray_projectors(_gaussian_stack([seeds[i] for i in pure], (dim,)))
+        rho[pure] = _ray_projectors(_complex_gaussians(rng, len(pure), (dim,)))
     if mixed:
-        rho[mixed] = _normalised_grams(_gaussian_stack([seeds[i] for i in mixed], (dim, dim)))
+        rho[mixed] = _normalised_grams(_complex_gaussians(rng, len(mixed), (dim, dim)))
     return _validated_densities((rho + _dagger(rho)) / 2, DEFAULT_TOL, MAX_DIM)
 
 
@@ -355,20 +353,20 @@ def _normalised_grams(g: np.ndarray) -> np.ndarray:
 
 def sample_projector(dim: int, rank: int, seed: int = 0) -> Projector:
     """Random rank-``rank`` projector from a Haar-random orthonormal frame."""
-    return Projector(sample_projectors(dim, [rank], [seed])[0])
+    return Projector(sample_projectors(dim, [rank], np.random.default_rng(seed))[0])
 
 
-def sample_projectors(dim: int, ranks: Sequence[int], seeds: Sequence[int]) -> np.ndarray:
-    """Read-only (n, d, d) stack whose member i is ``sample_projector(dim, ranks[i], seeds[i])``.
+def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) -> np.ndarray:
+    """Read-only (n, d, d) stack of random projectors, member i of rank ``ranks[i]``.
 
-    Each member comes from its own seed's draws, bit for bit; frames of equal
-    rank are multiplied out together and the stack is validated once.
+    Frames of equal rank are multiplied out together and the stack is
+    validated once.
     """
     ranks = np.asarray(ranks, dtype=int)
     for rank in ranks.tolist():
         if not 1 <= rank < dim:
             raise BadRankError(f"rank must satisfy 1 <= rank < dim, got rank={rank}, dim={dim}")
-    p = _frame_projectors(_haar_unitaries(_gaussian_stack(seeds, (dim, dim))), ranks)
+    p = _frame_projectors(_haar_unitaries(_complex_gaussians(rng, len(ranks), (dim, dim))), ranks)
     return _validated_projectors((p + _dagger(p)) / 2, DEFAULT_TOL, MAX_DIM)
 
 
@@ -384,48 +382,45 @@ def _frame_projectors(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 def sample_hermitian(dim: int, seed: int = 0, scale: float = 1.0) -> np.ndarray:
     """Random Hermitian matrix with Gaussian entries of the given scale."""
-    return sample_hermitians(dim, [seed], scale)[0]
+    return sample_hermitians(dim, 1, np.random.default_rng(seed), scale)[0]
 
 
-def sample_hermitians(dim: int, seeds: Sequence[int], scale: float = 1.0) -> np.ndarray:
-    """(n, d, d) stack whose member i is ``sample_hermitian(dim, seeds[i], scale)``."""
-    g = _gaussian_stack(seeds, (dim, dim))
+def sample_hermitians(dim: int, n: int, rng: np.random.Generator,
+                      scale: float = 1.0) -> np.ndarray:
+    """(n, d, d) stack of random Hermitian matrices with Gaussian entries of the given scale."""
+    g = _complex_gaussians(rng, n, (dim, dim))
     return scale * (g + _dagger(g)) / 2
 
 
 def sample_orthonormal_basis(dim: int, seed: int = 0) -> np.ndarray:
     """Haar-random orthonormal basis, returned as an array of row vectors."""
-    return _haar_unitaries(_complex_gaussian(np.random.default_rng(seed), (dim, dim))).T
+    return _haar_unitaries(_complex_gaussians(np.random.default_rng(seed), 1, (dim, dim))[0]).T
 
 
 def sample_commuting_triple(
     dim: int, seed: int = 0
 ) -> tuple[DensityState, Projector, Projector]:
     """State and two questions diagonal in one random basis (a classical triple)."""
-    rho, a, b = sample_commuting_triples(dim, [seed])
+    rho, a, b = sample_commuting_triples(dim, 1, np.random.default_rng(seed))
     return DensityState(rho[0]), Projector(a[0]), Projector(b[0])
 
 
 def sample_commuting_triples(
-    dim: int, seeds: Sequence[int]
+    dim: int, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (n, d, d) stacks of states and of both questions: member i is
-    ``sample_commuting_triple(dim, seeds[i])``.
+    """Read-only (n, d, d) stacks of states and of both questions, each triple
+    diagonal in one Haar-random basis.
 
-    Each triple comes from its own seed's draws, bit for bit: a Haar unitary,
-    Dirichlet eigenvalues for the state, and a proper 0/1 diagonal for each
-    question.  Each stack is validated once.
+    Drawn in turn for all members: the unitaries, Dirichlet eigenvalues for
+    the states, and a proper 0/1 diagonal for question A, then for question B.
+    Each stack is validated once.
     """
-    diagonals = np.zeros((3, len(seeds), dim, dim), dtype=np.complex128)
-    g = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    u = _haar_unitaries(_complex_gaussians(rng, n, (dim, dim)))
+    diagonals = np.zeros((3, n, dim, dim), dtype=np.complex128)
     index = np.arange(dim)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        g[i] = _complex_gaussian(rng, (dim, dim))
-        diagonals[0, i, index, index] = rng.dirichlet(np.ones(dim))
-        for question in (1, 2):
-            diagonals[question, i, index, index] = _proper_pattern(rng, dim)
-    u = _haar_unitaries(g)
+    diagonals[0][:, index, index] = rng.dirichlet(np.ones(dim), size=n)
+    for question in (1, 2):
+        diagonals[question][:, index, index] = _proper_patterns(rng, n, dim)
     rho, a, b = (u @ diagonal @ _dagger(u) for diagonal in diagonals)
     return (
         _validated_densities((rho + _dagger(rho)) / 2, DEFAULT_TOL, MAX_DIM),
@@ -434,12 +429,12 @@ def sample_commuting_triples(
     )
 
 
-def _proper_pattern(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random 0/1 diagonal that is neither all 0 nor all 1 (redrawn until it is)."""
-    while True:
-        bits = rng.integers(0, 2, size=dim)
-        if 0 < bits.sum() < dim:
-            return bits.astype(float)
+def _proper_patterns(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
+    """n random 0/1 rows of length ``dim``; all-0 and all-1 rows are redrawn until none is left."""
+    bits = rng.integers(0, 2, size=(n, dim))
+    while (improper := bits.min(axis=1) == bits.max(axis=1)).any():
+        bits[improper] = rng.integers(0, 2, size=(int(improper.sum()), dim))
+    return bits.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -872,36 +867,30 @@ def negativity_random_search(
     first draw that reaches it; this is a brute-force search, not an
     optimiser, and makes no optimality claim.
 
-    Draw i takes, from one ``default_rng(seed)`` stream and in this order, the
-    real and then the imaginary parts of the state's Gaussians and, per
-    question, a rank and the real and then the imaginary parts of a Haar
-    unitary's Gaussians.  Consecutive normal draws are taken in one call, which
-    yields the same numbers as one call per part.  The triples are evaluated
-    in stacked blocks; only the winner is validated.
+    One ``default_rng(seed)`` stream first gives the two question ranks of
+    every draw, then per draw the real and imaginary parts of the state's
+    Gaussians and of each question's unitary, in that order; each block of
+    draws takes its Gaussians in one call, so the result does not depend on
+    the block length.  The triples are evaluated in stacked blocks; only the
+    winner is validated.
     """
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     rng = np.random.default_rng(seed)
+    ranks = rng.integers(1, dim, size=(draws, 2))
     state_shape = (dim,) if purity == "pure" else (dim, dim)
+    state_size = 2 * int(np.prod(state_shape))
     step = _block_length(dim)
     best = None  # (min cell, cell, draw index, state, A, B)
     for start in range(0, draws, step):
         n = min(step, draws - start)
-        # per draw: (real, imaginary) Gaussian parts of the state, then of each unitary
-        state_parts = np.empty((n, 2, *state_shape))
-        frame_parts = np.empty((2, n, 2, dim, dim))
-        ranks = np.empty((2, n), dtype=int)
-        for i in range(n):
-            rng.standard_normal(out=state_parts[i])
-            for q in range(2):
-                ranks[q, i] = rng.integers(1, dim)
-                rng.standard_normal(out=frame_parts[q, i])
-        g = state_parts[:, 0] + 1j * state_parts[:, 1]
+        parts = rng.standard_normal((n, state_size + 4 * dim * dim))
+        state = parts[:, :state_size].reshape(n, 2, *state_shape)
+        frames = parts[:, state_size:].reshape(n, 2, 2, dim, dim)
+        g = state[:, 0] + 1j * state[:, 1]
         rho = _ray_projectors(g) if purity == "pure" else _normalised_grams(g)
-        a, b = (
-            _frame_projectors(_haar_unitaries(parts[:, 0] + 1j * parts[:, 1]), r)
-            for parts, r in zip(frame_parts, ranks)
-        )
+        u = _haar_unitaries(frames[:, :, 0] + 1j * frames[:, :, 1])  # (n, question, d, d)
+        a, b = (_frame_projectors(u[:, q], ranks[start:start + n, q]) for q in range(2))
         # direct cell evaluation; the wrapped API is exercised on the winner
         value = _re_trace(rho @ a @ b)
         pa = _re_trace(rho @ a)

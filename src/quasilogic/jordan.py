@@ -133,8 +133,7 @@ def formal_reality_residuals(
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Residual ||x∘x + y∘y|| and input scale max(||x||, ||y||), per member of two stacks.
 
-    ``norms`` is the pair (||x||, ||y||) when the caller has it already, as a
-    sweep whose pairs share matrices does.
+    ``norms`` is (||x||, ||y||) when the caller has them, as a sweep of overlapping pairs does.
     """
     xm = _as_hermitian(x, tol)
     ym = _as_hermitian(y, tol)

@@ -30,6 +30,13 @@ __all__ = [
 DOUBLE_PRECISION_FLOOR = 1e-12
 """Residuals at or below this are attributable to double-precision round-off."""
 
+# Each suite draws its samples at dimension d from one stream, default_rng([seed, suite, d]).
+_QUESTIONS, _STATES, _PRODUCTS, _SWEEP, _CLASSICAL, _ROUND_TRIP = range(6)
+
+
+def _stream(seed: int, suite: int, dim: int) -> np.random.Generator:
+    return np.random.default_rng([seed, suite, dim])
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -131,21 +138,14 @@ def logic_suite() -> list[CheckResult]:
 
 
 def _sampled_questions(dim: int, trials_per_dim: int, seed: int):
-    """Trial keys and the two read-only (n, d, d) question stacks of one dimension.
+    """The two read-only (n, d, d) question stacks of one dimension.
 
-    Trial t uses the key k = seed + 1_000_003·dim + 7·t: its two ranks are
-    drawn in turn from ``default_rng(k + 1)`` and its questions are
-    ``sample_projector(dim, rank, k + 2)`` and ``sample_projector(dim, rank, k + 3)``.
+    The questions stream of the dimension gives the ranks of every A, then of
+    every B, then the A stack, then the B stack.
     """
-    keys = [seed + 1_000_003 * dim + 7 * t for t in range(trials_per_dim)]
-    rank_rngs = [np.random.default_rng(key + 1) for key in keys]
-    ranks_a = [int(rng.integers(1, dim)) for rng in rank_rngs]
-    ranks_b = [int(rng.integers(1, dim)) for rng in rank_rngs]
-    return (
-        keys,
-        hilbert.sample_projectors(dim, ranks_a, [key + 2 for key in keys]),
-        hilbert.sample_projectors(dim, ranks_b, [key + 3 for key in keys]),
-    )
+    rng = _stream(seed, _QUESTIONS, dim)
+    ranks = rng.integers(1, dim, size=(2, trials_per_dim))
+    return tuple(hilbert.sample_projectors(dim, r, rng) for r in ranks)
 
 
 def _questions(dim: int, trials_per_dim: int, seed: int, questions=None):
@@ -158,13 +158,14 @@ def _questions(dim: int, trials_per_dim: int, seed: int, questions=None):
 def _sampled_stacks(dims: tuple[int, ...], trials_per_dim: int, seed: int, questions=None):
     """(dim, states, questions_a, questions_b) per dimension: read-only (n, d, d) stacks.
 
-    The state of trial t is ``sample_state(dim, pure for even t else mixed, k)``
-    with k its key from :func:`_sampled_questions`.
+    The state of trial t is pure for even t, else mixed, drawn from the
+    states stream of the dimension; the questions are :func:`_sampled_questions`.
     """
     purities = ["pure" if t % 2 == 0 else "mixed" for t in range(trials_per_dim)]
     for dim in dims:
-        keys, questions_a, questions_b = _questions(dim, trials_per_dim, seed, questions)
-        yield dim, hilbert.sample_states(dim, purities, keys), questions_a, questions_b
+        questions_a, questions_b = _questions(dim, trials_per_dim, seed, questions)
+        states = hilbert.sample_states(dim, purities, _stream(seed, _STATES, dim))
+        yield dim, states, questions_a, questions_b
 
 
 def _sampled_triples(dims: tuple[int, ...], trials_per_dim: int, seed: int):
@@ -274,14 +275,13 @@ def hilbert_suite(
     ))
 
     # classical baseline: commuting triples never go negative; trial t has
-    # dimension 2 + t % 4 and seed seed + 17 t
+    # dimension 2 + t % 4, and each dimension's triples come from its own stream
     min_cell = np.inf
     for dim in range(2, 6):
-        seeds = [seed + 17 * t for t in range(dim - 2, classical_trials, 4)]
-        if seeds:
-            cells, _, _ = hilbert.quasi_prob_tables(
-                *hilbert.sample_commuting_triples(dim, seeds), "jordan"
-            )
+        n = len(range(dim - 2, classical_trials, 4))
+        if n:
+            triples = hilbert.sample_commuting_triples(dim, n, _stream(seed, _CLASSICAL, dim))
+            cells, _, _ = hilbert.quasi_prob_tables(*triples, "jordan")
             min_cell = min(min_cell, float(cells.min()))
     results.append(_residual(
         "hilbert.classical_triples_nonnegative",
@@ -299,13 +299,11 @@ def hilbert_suite(
     ))
 
     # survey round trip: model probabilities reconstruct the model's joints;
-    # model t is drawn from the seeds seed + 31 t, + 1 and + 2
-    models = range(20)
-    states = hilbert.sample_states(
-        2, ["pure" if t % 2 == 0 else "mixed" for t in models], [seed + 31 * t for t in models]
-    )
-    questions_a = hilbert.sample_projectors(2, [1] * 20, [seed + 31 * t + 1 for t in models])
-    questions_b = hilbert.sample_projectors(2, [1] * 20, [seed + 31 * t + 2 for t in models])
+    # one stream gives the 20 states (pure for even t), then the A and the B questions
+    rng = _stream(seed, _ROUND_TRIP, 2)
+    states = hilbert.sample_states(2, ["pure" if t % 2 == 0 else "mixed" for t in range(20)], rng)
+    questions_a = hilbert.sample_projectors(2, [1] * 20, rng)
+    questions_b = hilbert.sample_projectors(2, [1] * 20, rng)
     joints, _, _ = hilbert.quasi_prob_tables(
         states, questions_a, questions_b, "operational", tol=np.inf
     )
@@ -350,17 +348,16 @@ def jordan_sweep_report(
     inputs of the ``jordan.formal_reality`` check, from ``trials_per_dim``
     probes of x∘x + y∘y per dimension.
 
-    Pair t at dimension d is (sample_hermitian(d, k), sample_hermitian(d, k + 1))
-    with k = seed + 104_729·d + t, so the y of pair t is the x of pair t + 1:
-    each dimension draws trials_per_dim + 1 matrices and probes them in one
-    stacked call, norming each matrix once.
+    Each dimension draws trials_per_dim + 1 Hermitian matrices from its sweep
+    stream, and pair t is (matrix t, matrix t + 1), so the y of pair t is the
+    x of pair t + 1; the pairs are probed in one stacked call, norming each
+    matrix once.
     """
     records = []
     min_ratio = np.inf
     violations = 0
     for dim in dims:
-        keys = [seed + 104_729 * dim + t for t in range(trials_per_dim + 1)]
-        matrices = hilbert.sample_hermitians(dim, keys)
+        matrices = hilbert.sample_hermitians(dim, trials_per_dim + 1, _stream(seed, _SWEEP, dim))
         norms = hilbert.operator_norm(matrices)
         residual, scale = jordan.formal_reality_residuals(
             matrices[:-1], matrices[1:], tol, norms=(norms[:-1], norms[1:]))
@@ -406,12 +403,12 @@ def jordan_suite(
     max_xor = 0.0
     count = 0
     for dim in dims:
-        _, a, b = _questions(dim, trials_per_dim, seed, questions)
-        # sample i (counted from 1 over all dims) pairs the keys seed + 977·i and + 1
-        counts = range(count + 1, count + len(a) + 1)
+        a, b = _questions(dim, trials_per_dim, seed, questions)
         count += len(a)
-        x = hilbert.sample_hermitians(dim, [seed + 977 * i for i in counts])
-        y = hilbert.sample_hermitians(dim, [seed + 977 * i + 1 for i in counts])
+        # the products stream of the dimension gives every x, then every y
+        rng = _stream(seed, _PRODUCTS, dim)
+        x = hilbert.sample_hermitians(dim, len(a), rng)
+        y = hilbert.sample_hermitians(dim, len(a), rng)
         xy = jordan.jordan_product(x, y)
         max_commute = _largest(
             max_commute, hilbert.operator_norm(xy - jordan.jordan_product(y, x)))

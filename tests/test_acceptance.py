@@ -172,23 +172,13 @@ def test_criterion_06_classical_baseline():
 
 
 def test_criterion_07_formal_reality():
-    min_ratio = np.inf
-    violations = 0
-    for dim in SWEEP_DIMS:
-        for trial in range(1000):
-            key = SWEEP_SEED + 104_729 * dim + trial
-            x = hilbert.sample_hermitian(dim, seed=key)
-            y = hilbert.sample_hermitian(dim, seed=key + 1)
-            probe = jordan.formal_reality_probe(x, y)
-            floor = 0.01 * max(
-                hilbert.operator_norm(x) ** 2, hilbert.operator_norm(y) ** 2
-            )
-            min_ratio = min(min_ratio, probe.residual_norm / floor)
-            violations += probe.verdict == "violated"
+    # the sweep of jordan-verify; test_jordan pins it to the per-pair probe loop
+    reality = verify.jordan_sweep_report(SWEEP_DIMS, 1000, SWEEP_SEED)
     verdict(
         7,
-        violations == 0 and min_ratio > 1.0,
-        f"7x10^3 Hermitian pairs: zero violations, min residual/floor ratio {min_ratio:.2f}",
+        reality.violations == 0 and reality.min_ratio > 1.0,
+        f"7x10^3 Hermitian pairs: zero violations, min residual/floor ratio "
+        f"{reality.min_ratio:.2f}",
     )
 
 

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -423,3 +424,79 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--seed", "-5"],
+        ["kd", "--seed", "-3"],
+        ["jordan-verify", "--seed", "-1"],
+        ["survey", "synthetic_n100.csv", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_an_input_error(self, capsys, data_dir, argv):
+        argv = [str(data_dir / arg) if arg.endswith(".csv") else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "jordan-verify"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-nan", "1e400"])
+    def test_non_finite_tolerance_is_an_input_error(self, capsys, command, tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--dim", "2", "--trials", "5", f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+    def test_seed_zero_is_accepted(self, capsys):
+        code, _, _ = run(capsys, "jordan-verify", "--dim", "2", "--trials", "5", "--seed", "0")
+        assert code == 0
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as handle:
+        assert tomllib.load(handle)["project"]["version"] == quasilogic.__version__
+
+
+def test_jordan_verify_builds_one_generator_per_stream(capsys, monkeypatch):
+    built = []
+    original = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    code, _, _ = run(capsys, "jordan-verify", "--format", "json")
+    assert code == 0
+    # the sweep, question and product streams of each of the seven dimensions
+    assert len(built) <= 3 * 7
+
+
+# sha256 of the output of quasilogic 0.1.0 with its version string, for
+# commands that draw nothing from the samplers that changed in 0.2.0
+UNCHANGED_OUTPUTS = [
+    (["kd", "--dim", "24", "--seed", "5", "--format", "json"],
+     "c646e9206faad1486f5342ec29da99a9476f810853465f9f77f5ce55c6a2c5b2"),
+    (["demo", "--format", "json"],
+     "f6a82446a44f41e996359356a22302b25f7662f3db0826d22dbd490621b23e8d"),
+    (["survey", "synthetic_n100.csv"],
+     "85cf8871739a95e381f77f081d036d393f540aba8513f0b45c530640f2e8571e"),
+    (["survey", "clinton_gore_1997.csv"],
+     "6a9663780868068d1854103d0176113d38c3afb326f2178dd66b6339aaa56f6f"),
+    (["survey", "synthetic_n100.csv", "--format", "json"],
+     "7642a4966d11508758289fd14c879afc640aac32b9facb9a9dde324cc570a3a2"),
+    (["survey", "clinton_gore_1997.csv", "--format", "json"],
+     "fb7b28191e450dc70b630aa4671c4ba43fdca9860242f81a98ab944687a730e2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", UNCHANGED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in UNCHANGED_OUTPUTS])
+def test_output_unchanged_since_0_1_0(capsys, data_dir, argv, digest):
+    argv = [str(data_dir / arg) if arg.endswith(".csv") else arg for arg in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    out = out.replace(f'"version": "{quasilogic.__version__}"', '"version": "0.1.0"')
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -451,14 +451,23 @@ class TestSerialization:
 
 
 # ---------------------------------------------------------------------------
-# stacked sampling and validation against the per-key reference code
+# stacked sampling and validation against reference code that draws one
+# member at a time from the same generator
 
 stack_dims = st.integers(min_value=2, max_value=8)
 stack_seeds = st.integers(min_value=0, max_value=2**32)
 
 
-def reference_state(dim, purity, seed):
-    rng = np.random.default_rng(seed)
+def complex_gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def haar_unitary(rng, dim):
+    q, r = np.linalg.qr(complex_gaussian(rng, (dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def reference_state(dim, purity, rng):
     if purity == "pure":
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v /= np.linalg.norm(v)
@@ -470,31 +479,35 @@ def reference_state(dim, purity, seed):
     return (rho + rho.conj().T) / 2
 
 
-def reference_projector(dim, rank, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    frame = u[:, :rank]
+def reference_states(dim, purities, rng):
+    """Member i of purity purities[i]; the pure members are drawn first, then the mixed ones."""
+    states = {}
+    for purity in ("pure", "mixed"):
+        for i, p in enumerate(purities):
+            if p == purity:
+                states[i] = reference_state(dim, purity, rng)
+    return [states[i] for i in range(len(purities))]
+
+
+def reference_projector(dim, rank, rng):
+    frame = haar_unitary(rng, dim)[:, :rank]
     p = frame @ frame.conj().T
     return (p + p.conj().T) / 2
 
 
-def reference_hermitian(dim, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def reference_hermitian(dim, rng):
+    g = complex_gaussian(rng, (dim, dim))
     return (g + g.conj().T) / 2
 
 
 def reference_triples(dim, trials, seed):
-    """The per-trial sampling loop that verify's stacked sampler replaces."""
-    for t in range(trials):
-        key = seed + 1_000_003 * dim + 7 * t
-        rho = reference_state(dim, "pure" if t % 2 == 0 else "mixed", key)
-        rng = np.random.default_rng(key + 1)
-        rank_a = int(rng.integers(1, dim))
-        rank_b = int(rng.integers(1, dim))
-        yield rho, reference_projector(dim, rank_a, key + 2), reference_projector(dim, rank_b, key + 3)
+    """Verify's triples of one dimension, drawn one member at a time from its two streams."""
+    rng = np.random.default_rng([seed, verify._QUESTIONS, dim])
+    ranks = [[int(rng.integers(1, dim)) for _ in range(trials)] for _ in "ab"]
+    questions_a, questions_b = ([reference_projector(dim, r, rng) for r in rs] for rs in ranks)
+    states = reference_states(dim, ["pure" if t % 2 == 0 else "mixed" for t in range(trials)],
+                              np.random.default_rng([seed, verify._STATES, dim]))
+    yield from zip(states, questions_a, questions_b)
 
 
 class TestStackedSampling:
@@ -502,34 +515,53 @@ class TestStackedSampling:
     @settings(max_examples=25, deadline=None)
     def test_states_equal_per_key_draws(self, dim, seed):
         purities = ["pure", "mixed", "mixed", "pure", "mixed"]
-        keys = [seed + 11 * i for i in range(len(purities))]
-        stack = hilbert.sample_states(dim, purities, keys)
+        stack = hilbert.sample_states(dim, purities, np.random.default_rng(seed))
         assert stack.shape == (5, dim, dim) and not stack.flags.writeable
-        for member, purity, key in zip(stack, purities, keys):
-            assert np.array_equal(member, reference_state(dim, purity, key))
-            assert np.array_equal(member, hilbert.sample_state(dim, purity, key).matrix)
+        references = reference_states(dim, purities, np.random.default_rng(seed))
+        for member, reference in zip(stack, references):
+            assert np.array_equal(member, reference)
 
     @given(stack_dims, stack_seeds)
     @settings(max_examples=25, deadline=None)
     def test_projectors_equal_per_key_draws(self, dim, seed):
         ranks = [1 + (seed + i) % (dim - 1) for i in range(6)]
-        keys = [seed + 13 * i for i in range(6)]
-        stack = hilbert.sample_projectors(dim, ranks, keys)
+        stack = hilbert.sample_projectors(dim, ranks, np.random.default_rng(seed))
         assert not stack.flags.writeable
-        for member, rank, key in zip(stack, ranks, keys):
-            assert np.array_equal(member, reference_projector(dim, rank, key))
-            assert np.array_equal(member, hilbert.sample_projector(dim, rank, key).matrix)
+        rng = np.random.default_rng(seed)
+        for member, rank in zip(stack, ranks):
+            assert np.array_equal(member, reference_projector(dim, rank, rng))
 
     @given(stack_dims, stack_seeds)
     @settings(max_examples=25, deadline=None)
     def test_hermitians_and_norms_equal_per_matrix(self, dim, seed):
-        keys = [seed + i for i in range(7)]
-        stack = hilbert.sample_hermitians(dim, keys)
+        stack = hilbert.sample_hermitians(dim, 7, np.random.default_rng(seed))
         norms = hilbert.operator_norm(stack)
         assert norms.shape == (7,)
-        for member, norm, key in zip(stack, norms, keys):
-            assert np.array_equal(member, reference_hermitian(dim, key))
+        rng = np.random.default_rng(seed)
+        for member, norm in zip(stack, norms):
+            assert np.array_equal(member, reference_hermitian(dim, rng))
             assert norm == hilbert.operator_norm(member) == float(np.linalg.norm(member, 2))
+
+    @given(stack_dims, stack_seeds)
+    @settings(max_examples=50, deadline=None)
+    def test_per_seed_samplers_equal_default_rng_draws(self, dim, seed):
+        """Each per-seed sampler is the one-member stack on default_rng(seed)."""
+        def rng():
+            return np.random.default_rng(seed)
+
+        rank = 1 + seed % (dim - 1)
+        for purity in ("pure", "mixed"):
+            assert np.array_equal(hilbert.sample_state(dim, purity, seed).matrix,
+                                  reference_state(dim, purity, rng()))
+        assert np.array_equal(hilbert.sample_projector(dim, rank, seed).matrix,
+                              reference_projector(dim, rank, rng()))
+        assert np.array_equal(hilbert.sample_hermitian(dim, seed, 2.5),
+                              2.5 * reference_hermitian(dim, rng()))
+        assert np.array_equal(hilbert.sample_orthonormal_basis(dim, seed),
+                              haar_unitary(rng(), dim).T)
+        triple = hilbert.sample_commuting_triple(dim, seed)
+        for obj, (ref,) in zip(triple, reference_commuting_triples(dim, 1, rng())):
+            assert np.array_equal(obj.matrix, ref)
 
     @given(stack_dims, st.integers(min_value=1, max_value=9), stack_seeds)
     @settings(max_examples=25, deadline=None)
@@ -545,7 +577,7 @@ class TestStackedSampling:
             assert np.array_equal(b.matrix, b_ref)
 
     def test_stack_validation_reports_worst_member(self):
-        stack = np.array(hilbert.sample_projectors(3, [1, 2, 1, 2], [1, 2, 3, 4]))
+        stack = np.array(hilbert.sample_projectors(3, [1, 2, 1, 2], np.random.default_rng(1)))
         stack[1, 0, 2] += 1e-6
         stack[3, 1, 0] += 1e-8
         worst = hilbert.operator_norm(stack[1] - stack[1].conj().T)
@@ -566,15 +598,16 @@ class TestStackedSampling:
             )
 
     def test_exactly_hermitian_residual_is_zero(self):
-        assert hilbert.hermiticity_residual(hilbert.sample_hermitians(4, [1, 2])) == 0.0
+        stack = hilbert.sample_hermitians(4, 2, np.random.default_rng(1))
+        assert hilbert.hermiticity_residual(stack) == 0.0
 
     def test_bad_rank_in_stack_rejected(self):
         with pytest.raises(BadRankError):
-            hilbert.sample_projectors(3, [1, 3], [0, 1])
+            hilbert.sample_projectors(3, [1, 3], np.random.default_rng(0))
 
     def test_bad_purity_in_stack_rejected(self):
         with pytest.raises(ValueError):
-            hilbert.sample_states(3, ["pure", "thermal"], [0, 1])
+            hilbert.sample_states(3, ["pure", "thermal"], np.random.default_rng(0))
 
 
 class TestNegativitySearchArguments:
@@ -628,24 +661,23 @@ def reference_cells(rho, a, b, method):
 
 
 def reference_search(dim, draws, seed, purity):
-    """The per-draw search loop that the stacked search replaces."""
+    """The per-draw search loop that the stacked search replaces: every draw's
+    two ranks first, then per draw the state's and both unitaries' Gaussians."""
     rng = np.random.default_rng(seed)
+    ranks = [[int(rng.integers(1, dim)) for _ in range(2)] for _ in range(draws)]
     best = None
     for i in range(draws):
         if purity == "pure":
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v = complex_gaussian(rng, dim)
             v /= np.linalg.norm(v)
             rho = np.outer(v, v.conj())
         else:
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            g = complex_gaussian(rng, (dim, dim))
             rho = g @ g.conj().T
             rho /= rho.trace().real
         ops = []
-        for _ in range(2):
-            rank = int(rng.integers(1, dim))
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            q, r = np.linalg.qr(g)
-            u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        for rank in ranks[i]:
+            u = haar_unitary(rng, dim)
             ops.append(u[:, :rank] @ u[:, :rank].conj().T)
         a, b = ops
         value = np.trace(rho @ a @ b).real
@@ -658,23 +690,26 @@ def reference_search(dim, draws, seed, purity):
     return best
 
 
-def reference_commuting_triple(dim, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    probs = rng.dirichlet(np.ones(dim))
+def reference_commuting_triples(dim, n, rng):
+    """(states, questions A, questions B) of n members: every unitary, then every
+    member's Dirichlet eigenvalues, then the 0/1 diagonals of A and then of B,
+    each drawn for all members and the all-0 and all-1 rows redrawn in rounds."""
+    unitaries = [haar_unitary(rng, dim) for _ in range(n)]
+    probs = [rng.dirichlet(np.ones(dim)) for _ in range(n)]
 
-    def pattern():
+    def patterns():
+        rows = [rng.integers(0, 2, size=dim) for _ in range(n)]
         while True:
-            bits = rng.integers(0, 2, size=dim)
-            if 0 < bits.sum() < dim:
-                return bits.astype(float)
+            improper = [i for i, row in enumerate(rows) if not 0 < row.sum() < dim]
+            if not improper:
+                return [row.astype(float) for row in rows]
+            for i in improper:
+                rows[i] = rng.integers(0, 2, size=dim)
 
     out = []
-    for diagonal in (probs, pattern(), pattern()):
-        m = u @ np.diag(diagonal.astype(complex)) @ u.conj().T
-        out.append((m + m.conj().T) / 2)
+    for diagonals in (probs, patterns(), patterns()):
+        ms = [u @ np.diag(d.astype(complex)) @ u.conj().T for u, d in zip(unitaries, diagonals)]
+        out.append([(m + m.conj().T) / 2 for m in ms])
     return out
 
 
@@ -763,14 +798,12 @@ class TestStackedKernels:
     @given(st.integers(min_value=2, max_value=5), stack_seeds)
     @settings(max_examples=25, deadline=None)
     def test_commuting_triples_equal_per_seed(self, dim, seed):
-        seeds = [seed + 17 * i for i in range(6)]
-        stacks = hilbert.sample_commuting_triples(dim, seeds)
-        for i, s in enumerate(seeds):
-            scalar = hilbert.sample_commuting_triple(dim, s)
-            for stack, ref, obj in zip(stacks, reference_commuting_triple(dim, s), scalar):
-                assert not stack.flags.writeable
-                assert np.array_equal(stack[i], ref)
-                assert np.array_equal(obj.matrix, ref)
+        stacks = hilbert.sample_commuting_triples(dim, 6, np.random.default_rng(seed))
+        references = reference_commuting_triples(dim, 6, np.random.default_rng(seed))
+        for stack, refs in zip(stacks, references):
+            assert not stack.flags.writeable
+            for member, ref in zip(stack, refs):
+                assert np.array_equal(member, ref)
 
     @given(stack_dims, st.integers(min_value=1, max_value=6), stack_seeds)
     @settings(max_examples=25, deadline=None)
@@ -798,7 +831,7 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("validator", ["_validated_projectors", "_validated_densities"])
     def test_blockwise_validation_reports_worst_member(self, monkeypatch, validator):
-        stack = np.array(hilbert.sample_projectors(3, [1, 1, 1, 1], [1, 2, 3, 4]))
+        stack = np.array(hilbert.sample_projectors(3, [1, 1, 1, 1], np.random.default_rng(1)))
         stack[1, 0, 2] += 1e-8
         stack[3, 1, 0] += 1e-6
         worst = hilbert.operator_norm(stack[3] - stack[3].conj().T)

@@ -181,15 +181,16 @@ def spectral(m):
 
 def projector_stack(dim, seed, n=5):
     ranks = [1 + (seed + i) % (dim - 1) for i in range(n)]
-    return hilbert.sample_projectors(dim, ranks, [seed + 3 * i for i in range(n)])
+    return hilbert.sample_projectors(dim, ranks, np.random.default_rng(seed))
 
 
 class TestStackedKernels:
     @given(dims, seeds)
     @settings(max_examples=25, deadline=None)
     def test_products_and_formal_reality_equal_per_matrix(self, dim, seed):
-        x = hilbert.sample_hermitians(dim, [seed + 2 * i for i in range(6)])
-        y = hilbert.sample_hermitians(dim, [seed + 2 * i + 1 for i in range(6)])
+        rng = np.random.default_rng(seed)
+        x = hilbert.sample_hermitians(dim, 6, rng)
+        y = hilbert.sample_hermitians(dim, 6, rng)
         products = jordan.jordan_product(x, y)
         residual, scale = jordan.formal_reality_residuals(x, y)
         for i in range(6):
@@ -227,7 +228,7 @@ class TestStackedKernels:
             assert report.swap_residual == swap[i]
 
     def test_one_non_hermitian_member_raises_worst_residual(self):
-        stack = np.array(hilbert.sample_hermitians(3, range(5)))
+        stack = np.array(hilbert.sample_hermitians(3, 5, np.random.default_rng(0)))
         stack[3, 0, 1] += 1e-6
         stack[1, 2, 0] += 1e-8
         worst = spectral(stack[3] - stack[3].conj().T)
@@ -241,7 +242,7 @@ class TestStackedKernels:
             assert exc.value.residual == worst
 
     def test_stack_length_mismatch_rejected(self):
-        x = hilbert.sample_hermitians(2, [1, 2, 3])
+        x = hilbert.sample_hermitians(2, 3, np.random.default_rng(1))
         with pytest.raises(DimensionMismatchError):
             jordan.jordan_product(x, x[:2])
 
@@ -250,10 +251,13 @@ class TestStackedKernels:
     def test_sweep_equals_per_pair_probe_loop(self, dim, trials, seed):
         sweep = verify.jordan_sweep_report((dim,), trials, seed)
         residuals, ratios, violated = [], [], False
-        for t in range(trials):
-            key = seed + 104_729 * dim + t
-            x = hilbert.sample_hermitian(dim, seed=key)
-            y = hilbert.sample_hermitian(dim, seed=key + 1)
+        # trials + 1 matrices drawn one at a time from the sweep's stream; pair t is (t, t + 1)
+        rng = np.random.default_rng([seed, verify._SWEEP, dim])
+        matrices = []
+        for _ in range(trials + 1):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            matrices.append((g + g.conj().T) / 2)
+        for x, y in zip(matrices, matrices[1:]):
             probe = jordan.formal_reality_probe(x, y)
             floor = 0.01 * max(hilbert.operator_norm(x) ** 2, hilbert.operator_norm(y) ** 2)
             residuals.append(probe.residual_norm)
