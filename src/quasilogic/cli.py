@@ -26,21 +26,23 @@ EXIT_INPUT_ERROR = 2
 
 
 def _parse_dims(spec: str) -> tuple[int, ...]:
-    """Parse a dimension spec: '3', '2-8', or '2,4,6'."""
+    """Parse a dimension spec: '3', '2-8', or '2,4,6', each dimension in [2, MAX_DIM].
+
+    A range's ends are checked before the range is expanded.
+    """
     dims: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if "-" in part[1:]:
-            lo_s, hi_s = part.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise argparse.ArgumentTypeError(f"empty dimension range {part!r}")
-            dims.extend(range(lo, hi + 1))
-        else:
-            dims.append(int(part))
-    for d in dims:
-        if d < 2:
-            raise argparse.ArgumentTypeError(f"dimension must be >= 2, got {d}")
+        ends = part.split("-", 1) if "-" in part[1:] else [part, part]
+        lo, hi = (int(end) for end in ends)
+        for d in (lo, hi):
+            if not 2 <= d <= hilbert.MAX_DIM:
+                raise argparse.ArgumentTypeError(
+                    f"dimension {d} outside supported range [2, {hilbert.MAX_DIM}]"
+                )
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty dimension range {part!r}")
+        dims.extend(range(lo, hi + 1))
     return tuple(dims)
 
 

@@ -15,7 +15,8 @@ the test suite rather than assumed.
 Every evaluation has a stacked kernel (``born_probabilities``,
 ``lueders_updates``, ``logical_joints``, ``quasi_prob_tables``, ...) that takes
 d x d matrices or (n, d, d) stacks of validated matrices, broadcast against
-each other, and works memberwise; the single-object functions
+each other under one shape rule (``_operands``, which ``jordan`` shares too),
+and works memberwise; the single-object functions
 (``born_probability``, ``lueders_update``, ``logical_joint``, ...) are their
 one-matrix forms.  States the kernels build (post-measurement states) are
 validated once per stack, and long stacks are processed in blocks of bounded
@@ -139,12 +140,18 @@ def _block_length(dim: int) -> int:
     return max(1, _BLOCK_ENTRIES // (dim * dim))
 
 
-def _blockwise(fn, m: np.ndarray) -> list:
-    """``[fn(m)]`` for a matrix; ``fn`` of each block of a stack, in order."""
-    if m.ndim == 2:
-        return [fn(m)]
-    step = _block_length(m.shape[-1])
-    return [fn(m[i:i + step]) for i in range(0, len(m), step)]
+def _blockwise(fn, *operands: np.ndarray) -> list:
+    """``fn`` of each block of the longest stack among :func:`_operands` results, in order.
+
+    A matrix or a one-member stack goes whole into every block; operands that
+    fit in one block give ``[fn(*operands)]``.
+    """
+    n = max((len(m) for m in operands if m.ndim == 3), default=0)
+    step = _block_length(operands[0].shape[-1])
+    if n <= step:
+        return [fn(*operands)]
+    return [fn(*(m[i:i + step] if m.ndim == 3 and len(m) == n else m for m in operands))
+            for i in range(0, n, step)]
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
@@ -154,6 +161,17 @@ def hermiticity_residual(m: np.ndarray) -> float:
     """
     skew = m - _dagger(m)
     return _worst(operator_norm(skew)) if skew.any() else 0.0
+
+
+def _hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+    """``m`` once its hermiticity residual, checked block by block, is within ``tol``.
+
+    :class:`NotHermitianError` carries the worst member's residual.
+    """
+    herm = max(_blockwise(hermiticity_residual, m))
+    if herm > tol:
+        raise NotHermitianError(herm, tol)
+    return m
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:
@@ -218,10 +236,8 @@ def _validated_projectors(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray
     A stack is checked block by block; an error carries the worst member's residual.
     """
     _check_dim(m.shape[-1], max_dim)
-    herm = max(_blockwise(hermiticity_residual, m), default=0.0)
-    if herm > tol:
-        raise NotHermitianError(herm, tol)
-    idem = max(_blockwise(lambda p: _worst(operator_norm(p @ p - p)), m), default=0.0)
+    _hermitian(m, tol)
+    idem = max(_blockwise(lambda p: _worst(operator_norm(p @ p - p)), m))
     if idem > tol:
         raise NotIdempotentError(idem, tol)
     return _freeze(m)
@@ -240,12 +256,10 @@ def _validated_densities(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray:
     A stack is checked block by block; an error carries the worst member's value.
     """
     _check_dim(m.shape[-1], max_dim)
-    herm = max(_blockwise(hermiticity_residual, m), default=0.0)
-    if herm > tol:
-        raise NotHermitianError(herm, tol)
+    _hermitian(m, tol)
     lowest = min(_blockwise(
         lambda r: float(np.linalg.eigvalsh((r + _dagger(r)) / 2).min(initial=np.inf)), m
-    ), default=np.inf)
+    ))
     if lowest < -tol:
         raise NotPositiveSemidefiniteError(lowest, tol)
     traces = np.ravel(np.trace(m, axis1=-2, axis2=-1))
@@ -255,16 +269,58 @@ def _validated_densities(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray:
     return _freeze(m)
 
 
-def _check_dims(*operands: Projector | DensityState) -> int:
-    dims = {op.dim for op in operands}
+# ---------------------------------------------------------------------------
+# operand layer: the shape rule and the operator formulas every kernel shares
+
+
+def _operands(*operands) -> list[np.ndarray]:
+    """Complex arrays of kernel operands, checked against one shape rule.
+
+    An operand is a d x d matrix, an (n, d, d) stack, a :class:`Projector` or
+    a :class:`DensityState`.  All share d, and all stacks of more than one
+    member share n, so a matrix or a one-member stack broadcasts against a
+    stack; anything else raises :class:`DimensionMismatchError`.
+    """
+    arrays = [op.matrix if isinstance(op, (Projector, DensityState))
+              else np.asarray(op, dtype=np.complex128) for op in operands]
+    for m in arrays:
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
+            raise DimensionMismatchError(
+                f"expected a square matrix or an (n, d, d) stack, got shape {m.shape}"
+            )
+    dims = {m.shape[-1] for m in arrays}
     if len(dims) != 1:
         raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
-    return dims.pop()
+    lengths = {len(m) for m in arrays if m.ndim == 3} - {1}
+    if len(lengths) > 1:
+        raise DimensionMismatchError(f"mixed stack lengths {sorted(lengths)}")
+    return arrays
+
+
+def _answers(p: np.ndarray) -> dict[int, np.ndarray]:
+    """The question for answer 1 and its complement 1 - P for answer 0, memberwise."""
+    return {1: p, 0: np.eye(p.shape[-1]) - p}
+
+
+def _symmetrised(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jordan product (AB + BA)/2, memberwise on stacks."""
+    return (a @ b + b @ a) / 2
+
+
+def _mapped_xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mapped exclusive disjunction A B̄ A + Ā B Ā of two questions, memberwise."""
+    abar, bbar = _answers(a)[0], _answers(b)[0]
+    return a @ bbar @ a + abar @ b @ abar
+
+
+def _xor_expansion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Order-symmetric expansion A + B - AB - BA of the mapped exclusive disjunction."""
+    return a + b - a @ b - b @ a
 
 
 def complement_projector(p: Projector) -> Projector:
     """The 'no' question: identity minus the projector."""
-    return Projector(_freeze(np.eye(p.dim) - p.matrix))
+    return Projector(_freeze(_answers(p.matrix)[0]))
 
 
 def rank_one_projector(vector: np.ndarray, tol: float = DEFAULT_TOL) -> Projector:
@@ -373,7 +429,7 @@ def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) 
 def _frame_projectors(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     """Projector onto the first ``ranks[i]`` columns of unitary ``u[i]``; equal ranks go together."""
     p = np.empty_like(u)
-    for rank in np.unique(ranks).tolist():
+    for rank in sorted(set(ranks.tolist())):
         members = ranks == rank
         frame = u[members][:, :, :rank]
         p[members] = frame @ _dagger(frame)
@@ -441,20 +497,6 @@ def _proper_patterns(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 # probabilities and updates
 
 
-def _operands(*operands: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """Common dimension and complex arrays of kernel operands (matrices or (n, d, d) stacks)."""
-    arrays = [np.asarray(m, dtype=np.complex128) for m in operands]
-    for m in arrays:
-        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-            raise DimensionMismatchError(
-                f"expected a square matrix or an (n, d, d) stack, got shape {m.shape}"
-            )
-    dims = {m.shape[-1] for m in arrays}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
-    return dims.pop(), arrays
-
-
 def born_probability(rho: DensityState, p: Projector) -> float:
     """Probability of the answer 'yes': Re Tr(rho P).
 
@@ -466,7 +508,7 @@ def born_probability(rho: DensityState, p: Projector) -> float:
 
 def born_probabilities(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Re Tr(rho P) per member of broadcast state and projector stacks."""
-    _, (rho, p) = _operands(rho, p)
+    rho, p = _operands(rho, p)
     return _re_trace(rho @ p)
 
 
@@ -501,26 +543,23 @@ def lueders_updates(
     value).  A selective branch at or below ``tol`` raises
     :class:`ZeroProbabilityBranchError` with the smallest probability.
     """
-    dim, (rho, p) = _operands(rho, p)
+    rho, p = _operands(rho, p)
+    answers = _answers(p)
     if mode == "nonselective":
-        pbar = np.eye(dim) - p
-        post = p @ rho @ p + pbar @ rho @ pbar
+        post = p @ rho @ p + answers[0] @ rho @ answers[0]
         probability = np.ones(post.shape[:-2])
     else:
-        if mode == "selective_yes":
-            proj = p
-        elif mode == "selective_no":
-            proj = np.eye(dim) - p
-        else:
+        answer = {"selective_yes": 1, "selective_no": 0}.get(mode)
+        if answer is None:
             raise ValueError(f"unknown update mode {mode!r}")
-        branch = proj @ rho @ proj
+        branch = answers[answer] @ rho @ answers[answer]
         probability = _re_trace(branch)
         lowest = float(probability.min(initial=np.inf))
         if lowest <= tol:
             raise ZeroProbabilityBranchError(lowest, tol)
         post = branch / probability[..., None, None]
-    post = _validated_densities((post + _dagger(post)) / 2, max(tol, 1e-12), max(MAX_DIM, dim))
-    return probability, post
+    post = (post + _dagger(post)) / 2
+    return probability, _validated_densities(post, max(tol, 1e-12), max(MAX_DIM, p.shape[-1]))
 
 
 def nonselective_state(rho: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> DensityState:
@@ -539,7 +578,7 @@ def sequential_probability(rho: DensityState, a: Projector, b: Projector) -> flo
 
 def sequential_probabilities(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tr(B A rho A) per member of broadcast state and projector stacks."""
-    _, (rho, a, b) = _operands(rho, a, b)
+    rho, a, b = _operands(rho, a, b)
     return _re_trace(b @ a @ rho @ a)
 
 
@@ -570,30 +609,21 @@ def logical_joints(
     states once per block; a stack longer than a block is evaluated block by
     block, so temporaries stay bounded.
     """
-    dim, operands = _operands(rho, a, b)
-    n = max((len(m) for m in operands if m.ndim == 3), default=0)
-    step = _block_length(dim)
-    if n > step:
-        return np.concatenate([
-            logical_joints(*(m[i:i + step] if m.ndim == 3 and len(m) == n else m
-                             for m in operands), method)
-            for i in range(0, n, step)
-        ])
-    rho, a, b = operands
-    if method == "operational":
+    operands = _operands(rho, a, b)
+    if method not in ("operational", "jordan"):
+        raise ValueError(f"unknown method {method!r}")
+
+    def joints(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if method == "jordan":
+            return _re_trace(rho @ _symmetrised(a, b))
         _, disturbed = lueders_updates(rho, a, "nonselective")
         undisturbed_b = born_probabilities(rho, b)
         return sequential_probabilities(rho, a, b) + (
             undisturbed_b - born_probabilities(disturbed, b)
         ) / 2
-    if method == "jordan":
-        return _re_trace(rho @ _symmetrised(a, b))
-    raise ValueError(f"unknown method {method!r}")
 
-
-def _symmetrised(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Jordan product (AB + BA)/2, memberwise on stacks."""
-    return (a @ b + b @ a) / 2
+    blocks = _blockwise(joints, *operands)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def xor_expectation(
@@ -624,16 +654,13 @@ def xor_expectations(
 
     The ``mapped_operator`` error carries the worst member's expansion residual.
     """
-    dim, (rho, a, b) = _operands(rho, a, b)
-    identity = np.eye(dim)
-    abar = identity - a
-    bbar = identity - b
+    rho, a, b = _operands(rho, a, b)
     if method == "operational":
-        return sequential_probabilities(rho, a, bbar) + sequential_probabilities(rho, abar, b)
+        return (sequential_probabilities(rho, a, _answers(b)[0])
+                + sequential_probabilities(rho, _answers(a)[0], b))
     if method == "mapped_operator":
-        mapped = a @ bbar @ a + abar @ b @ abar
-        symmetric = a + b - a @ b - b @ a
-        residual = _worst(operator_norm(mapped - symmetric))
+        mapped = _mapped_xor(a, b)
+        residual = _worst(operator_norm(mapped - _xor_expansion(a, b)))
         if residual > tol:
             raise ArithmeticError(
                 f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
@@ -725,10 +752,8 @@ def quasi_prob_tables(
     (0, 0), and the marginals P(A) and P(B).  The worst marginality residual
     of the stack (see :func:`table_marginality_residuals`) must be within ``tol``.
     """
-    dim, (rho, a, b) = _operands(rho, a, b)
-    identity = np.eye(dim)
-    firsts = {1: a, 0: identity - a}
-    seconds = {1: b, 0: identity - b}
+    rho, a, b = _operands(rho, a, b)
+    firsts, seconds = _answers(a), _answers(b)
     cells = np.stack(
         [logical_joints(rho, firsts[ia], seconds[ib], method) for ia, ib in _TABLE_CELLS],
         axis=-1,
@@ -808,13 +833,13 @@ def weak_value(
     :class:`ZeroPostSelectionError` when the post-selection probability is at
     or below ``tol``.
     """
-    _check_dims(rho, a, post)
-    denominator = float(np.trace(post.matrix @ rho.matrix).real)
+    rho, a, post = _operands(rho, a, post)
+    denominator = float(np.trace(post @ rho).real)
     if denominator <= tol:
         raise ZeroPostSelectionError(
             f"post-selection probability {denominator:.3e} at or below tol {tol:.3e}"
         )
-    numerator = complex(np.trace(post.matrix @ a.matrix @ rho.matrix))
+    numerator = complex(np.trace(post @ a @ rho))
     return numerator / denominator
 
 
@@ -920,10 +945,8 @@ def min_cell_over_states(a: Projector, b: Projector) -> tuple[float, tuple[int, 
     products in one ``eigvalsh``.  Jordan's two-subspace lemma bounds it below
     by -1/8, reached by rank-one questions with overlap |<a|b>| = 1/2.
     """
-    dim = _check_dims(a, b)
-    identity = np.eye(dim)
-    firsts = {1: a.matrix, 0: identity - a.matrix}
-    seconds = {1: b.matrix, 0: identity - b.matrix}
+    a, b = _operands(a, b)
+    firsts, seconds = _answers(a), _answers(b)
     products = _symmetrised(
         np.stack([firsts[i] for i, _ in _TABLE_CELLS]),
         np.stack([seconds[j] for _, j in _TABLE_CELLS]),
@@ -947,13 +970,10 @@ def model_sequential_probabilities(
     B asked first.  These are the infinite-sample expected frequencies of a
     two-order survey run on this model.
     """
-    _check_dims(rho, a, b)
-    abar = complement_projector(a)
-    bbar = complement_projector(b)
-    firsts = {1: a, 0: abar}
-    seconds = {1: b, 0: bbar}
-    p_ab = {(fa, sb): sequential_probability(rho, firsts[fa], seconds[sb]) for fa, sb in CELLS}
-    p_ba = {(fb, sa): sequential_probability(rho, seconds[fb], firsts[sa]) for fb, sa in CELLS}
+    rho, a, b = _operands(rho, a, b)
+    firsts, seconds = _answers(a), _answers(b)
+    p_ab = {(i, j): float(sequential_probabilities(rho, firsts[i], seconds[j])) for i, j in CELLS}
+    p_ba = {(i, j): float(sequential_probabilities(rho, seconds[i], firsts[j])) for i, j in CELLS}
     return p_ab, p_ba
 
 
@@ -963,9 +983,7 @@ def model_sequential_probabilities(
 
 def matrix_to_json(matrix: np.ndarray) -> dict:
     """JSON-ready dict { "dim": d, "re": [[...]], "im": [[...]] }."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
+    m = _check_square(matrix)
     return {
         "dim": int(m.shape[0]),
         "re": m.real.tolist(),

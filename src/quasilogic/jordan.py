@@ -10,10 +10,15 @@ vanishes when every term does).
 Formal reality is probed statistically over random inputs; the verdict is
 "consistent with", never a proof.
 
-Every kernel takes a single d x d matrix or an (n, d, d) stack and then works
+Every kernel takes d x d matrices or (n, d, d) stacks and then works
 memberwise, so a sweep costs one numpy call per dimension rather than one per
 input; the report functions (``*_check``, ``*_probe``) are the single-matrix
-forms.
+forms.  The operands follow the shape rule of the ``hilbert`` kernels, whose
+operand layer this module shares: one common d, one common stack length, and
+a d x d matrix or a one-member stack broadcasts against a stack; anything
+else raises :class:`DimensionMismatchError`.  The product and the mapped
+exclusive disjunction are the same formulas the ``hilbert`` algebraic route
+evaluates.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
-from .hilbert import DEFAULT_TOL, Projector, hermiticity_residual, operator_norm
+from .hilbert import (DEFAULT_TOL, Projector, _hermitian, _mapped_xor, _operands, _symmetrised,
+                      _xor_expansion, operator_norm)
 
 __all__ = [
     "jordan_product",
@@ -41,36 +46,15 @@ __all__ = [
 ]
 
 
-def _as_matrices(matrix: np.ndarray | Projector) -> np.ndarray:
-    m = matrix.matrix if isinstance(matrix, Projector) else np.asarray(matrix, dtype=np.complex128)
-    if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-        raise DimensionMismatchError(
-            f"expected a square matrix or an (n, d, d) stack, got shape {m.shape}"
-        )
-    return m
-
-
-def _as_hermitian(matrix: np.ndarray | Projector, tol: float) -> np.ndarray:
-    """The matrix or stack as a complex array; the error names the worst member's residual."""
-    m = _as_matrices(matrix)
-    residual = hermiticity_residual(m)
-    if residual > tol:
-        raise NotHermitianError(residual, tol)
-    return m
-
-
 def jordan_product(
     x: np.ndarray | Projector, y: np.ndarray | Projector, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
-    """Symmetrised product (xy + yx)/2 of two Hermitian matrices, or memberwise of two stacks.
+    """Symmetrised product (xy + yx)/2 of two Hermitian matrices, memberwise on stacks.
 
     Commutative and Hermitian by construction; non-associative in general.
     """
-    xm = _as_hermitian(x, tol)
-    ym = _as_hermitian(y, tol)
-    if xm.shape != ym.shape:
-        raise DimensionMismatchError(f"shapes {xm.shape} and {ym.shape} differ")
-    return (xm @ ym + ym @ xm) / 2
+    xm, ym = _operands(x, y)
+    return _symmetrised(_hermitian(xm, tol), _hermitian(ym, tol))
 
 
 def mapped_conjunction(
@@ -101,7 +85,7 @@ def idempotency_residuals(
     a: np.ndarray | Projector, tol: float = DEFAULT_TOL
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Cubic ||A A A - A|| and square ||A ∘ A - A|| residuals, per member of a stack."""
-    m = _as_hermitian(a, tol)
+    m = _hermitian(*_operands(a), tol)
     cubic = operator_norm(m @ m @ m - m)
     square = operator_norm(m @ m - m)  # x ∘ x reduces to the ordinary square
     return cubic, square
@@ -135,10 +119,7 @@ def formal_reality_residuals(
 
     ``norms`` is (||x||, ||y||) when the caller has them, as a sweep of overlapping pairs does.
     """
-    xm = _as_hermitian(x, tol)
-    ym = _as_hermitian(y, tol)
-    if xm.shape != ym.shape:
-        raise DimensionMismatchError(f"shapes {xm.shape} and {ym.shape} differ")
+    xm, ym = (_hermitian(m, tol) for m in _operands(x, y))
     residual = operator_norm(xm @ xm + ym @ ym)  # x ∘ x reduces to the ordinary square
     x_norms, y_norms = (operator_norm(xm), operator_norm(ym)) if norms is None else norms
     return residual, np.maximum(x_norms, y_norms)
@@ -187,18 +168,12 @@ def xor_symmetry_residuals(
 ) -> tuple[float | np.ndarray, ...]:
     """Swap and both expansion residuals of the mapped exclusive disjunction.
 
-    Takes two projectors, or two (n, d, d) stacks of validated projector
+    Takes projectors, or matrices and (n, d, d) stacks of validated projector
     matrices, and returns one residual of each kind per member.
     """
-    am, bm = _as_matrices(a), _as_matrices(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatchError(f"shapes {am.shape} and {bm.shape} differ")
-    identity = np.eye(am.shape[-1])
-    abar = identity - am
-    bbar = identity - bm
-    forward = am @ bbar @ am + abar @ bm @ abar
-    backward = bm @ abar @ bm + bbar @ am @ bbar
-    expansion = am + bm - am @ bm - bm @ am
+    am, bm = _operands(a, b)
+    forward, backward = _mapped_xor(am, bm), _mapped_xor(bm, am)
+    expansion = _xor_expansion(am, bm)
     return (
         operator_norm(forward - backward),
         operator_norm(forward - expansion),
@@ -214,8 +189,6 @@ def xor_operator_symmetry_check(
     Both orderings of the mapped operator are compared with each other and
     with the common expansion A + B - AB - BA.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dims {a.dim} and {b.dim} differ")
     swap, expansion_ab, expansion_ba = xor_symmetry_residuals(a, b)
     return XorSymmetryReport(
         swap_residual=swap,

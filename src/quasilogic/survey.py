@@ -613,7 +613,11 @@ _SERIES_STYLE = (
 def _render_svg(report: ReconstructionReport) -> str:
     """Self-contained grouped bar chart: sequential probabilities in blue hues,
     reconstructed logical joint probabilities in red hues, one group per
-    answer pair."""
+    answer pair.  The labels from the count file are escaped as XML text."""
+    # imported here: it pulls in urllib.request, which only SVG output needs
+    from xml.sax.saxutils import escape
+
+    label_a, label_b = escape(report.label_a), escape(report.label_b)
     width, height = 720, 420
     margin_left, margin_right, margin_top, margin_bottom = 60, 20, 48, 56
     plot_w = width - margin_left - margin_right
@@ -641,7 +645,7 @@ def _render_svg(report: ReconstructionReport) -> str:
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="15">'
-        f"Sequential vs logical joint probabilities: {report.label_a} / {report.label_b}</text>",
+        f"Sequential vs logical joint probabilities: {label_a} / {label_b}</text>",
     ]
 
     for tick in _axis_ticks(lo, hi):
@@ -670,7 +674,7 @@ def _render_svg(report: ReconstructionReport) -> str:
                 f'<rect x="{x:.1f}" y="{top:.1f}" width="{bar_w * 0.9:.1f}" '
                 f'height="{bar_h:.1f}" fill="{color}"/>'
             )
-        label = f"{report.label_a}={cell[0]}, {report.label_b}={cell[1]}"
+        label = f"{label_a}={cell[0]}, {label_b}={cell[1]}"
         parts.append(
             f'<text x="{gx + group_w / 2:.1f}" y="{height - margin_bottom + 18}" '
             f'text-anchor="middle">{label}</text>'

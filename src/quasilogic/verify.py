@@ -30,6 +30,9 @@ __all__ = [
 DOUBLE_PRECISION_FLOOR = 1e-12
 """Residuals at or below this are attributable to double-precision round-off."""
 
+_NEGATIVITY_DRAWS = 10_000  # random triples the hilbert suite searches at d = 2
+_CLASSICAL_TRIALS = 1000  # commuting triples whose cells the hilbert suite checks
+
 # Each suite draws its samples at dimension d from one stream, default_rng([seed, suite, d]).
 _QUESTIONS, _STATES, _PRODUCTS, _SWEEP, _CLASSICAL, _ROUND_TRIP = range(6)
 
@@ -180,8 +183,6 @@ def hilbert_suite(
     trials_per_dim: int = 100,
     seed: int = 42,
     tol: float = hilbert.DEFAULT_TOL,
-    negativity_draws: int = 10_000,
-    classical_trials: int = 1000,
     *,
     questions: dict | None = None,
 ) -> list[CheckResult]:
@@ -278,20 +279,19 @@ def hilbert_suite(
     # dimension 2 + t % 4, and each dimension's triples come from its own stream
     min_cell = np.inf
     for dim in range(2, 6):
-        n = len(range(dim - 2, classical_trials, 4))
-        if n:
-            triples = hilbert.sample_commuting_triples(dim, n, _stream(seed, _CLASSICAL, dim))
-            cells, _, _ = hilbert.quasi_prob_tables(*triples, "jordan")
-            min_cell = min(min_cell, float(cells.min()))
+        n = len(range(dim - 2, _CLASSICAL_TRIALS, 4))
+        triples = hilbert.sample_commuting_triples(dim, n, _stream(seed, _CLASSICAL, dim))
+        cells, _, _ = hilbert.quasi_prob_tables(*triples, "jordan")
+        min_cell = min(min_cell, float(cells.min()))
     results.append(_residual(
         "hilbert.classical_triples_nonnegative",
         max(0.0, -float(min_cell)),
         1e-12,
-        f"{classical_trials} commuting triples, min cell {min_cell:.3e}",
+        f"{_CLASSICAL_TRIALS} commuting triples, min cell {min_cell:.3e}",
     ))
 
     # negativity is actually reachable: random search at d=2
-    found = hilbert.negativity_random_search(2, negativity_draws, seed=seed)
+    found = hilbert.negativity_random_search(2, _NEGATIVITY_DRAWS, seed=seed)
     results.append(_exact(
         "hilbert.negativity_search_floor",
         found.min_value <= -0.09,

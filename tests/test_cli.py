@@ -397,16 +397,22 @@ class TestCallCounts:
         assert calls["_validated_projectors"] <= 2 * 24
 
 
-def test_cli_import_loads_no_scipy():
-    """numpy is the only runtime dependency: the CLI must not pull in scipy."""
+def test_cli_import_loads_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: the CLI must not pull in scipy.
+
+    In the same fresh interpreter, a jordan-verify run must not load
+    ``numpy.ma`` either, which ``np.unique`` imports on first use.
+    """
     src = str(Path(quasilogic.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, quasilogic.cli; "
-             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
+             "argv = ['jordan-verify', '--dim', '2', '--trials', '5', '--out', sys.argv[1]]; "
+             "print(quasilogic.cli.main(argv), 'numpy.ma' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "sweep.json")],
+                            env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.splitlines() == ["[]", "0 False"]
 
 
 class TestArgumentHandling:
@@ -446,6 +452,27 @@ class TestArgumentHandling:
             cli.main([command, "--dim", "2", "--trials", "5", f"--tol={tol}"])
         assert exc.value.code == 2
         assert "tol must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--dim", "2,100", "--trials", "3000"],
+        ["verify", "--dim", "1-8"],
+        ["jordan-verify", "--dim", "2,100", "--trials", "3000"],
+        ["jordan-verify", "--dim", "2-100000000"],
+        ["kd", "--dim", "65"],
+    ])
+    def test_dimension_outside_range_is_rejected_before_any_work(
+        self, capsys, monkeypatch, argv
+    ):
+        calls = []
+        samplers = [(hilbert, name) for name in dir(hilbert) if name.startswith("sample_")]
+        sweeps = [(verify, name) for name in ("run_all", "jordan_sweep_report", "jordan_suite")]
+        for module, name in samplers + sweeps:
+            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "outside supported range [2, 64]" in capsys.readouterr().err
+        assert calls == []
 
     def test_seed_zero_is_accepted(self, capsys):
         code, _, _ = run(capsys, "jordan-verify", "--dim", "2", "--trials", "5", "--seed", "0")
@@ -499,4 +526,25 @@ def test_output_unchanged_since_0_1_0(capsys, data_dir, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     out = out.replace(f'"version": "{quasilogic.__version__}"', '"version": "0.1.0"')
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of sampled output at 0.2.0 with its version string; every float of it
+# depends on the samplers and the kernels, so a refactor must leave them alone
+SAMPLED_OUTPUTS = [
+    (["verify", "--format", "json"],
+     "70072b971c71795b576270d7b0af3bdc584c2cd57d39a7b25dacb0151df2a8e3"),
+    (["jordan-verify", "--format", "json"],
+     "77cdb914395010da53363f4da736c6096e73cb2aac883392b20f01bf7cae32eb"),
+    (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
+     "0e0e28a3f88f0adb0e4e56439fbce9ae1f9e876f6e65ef4ad9505e90b9ad6221"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SAMPLED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in SAMPLED_OUTPUTS])
+def test_sampled_output_unchanged_since_0_2_0(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    out = out.replace(f'"version": "{quasilogic.__version__}"', '"version": "0.2.0"')
     assert hashlib.sha256(out.encode()).hexdigest() == digest

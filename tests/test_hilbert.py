@@ -854,6 +854,35 @@ class TestStackedKernels:
             hilbert.born_probabilities(np.eye(2) / 2, np.ones((2, 3)))
 
 
+# every stacked kernel of both modules, on (states, questions, questions) stacks
+STACKED_KERNELS = {
+    "hilbert.born_probabilities": lambda rho, a, b: hilbert.born_probabilities(rho, b),
+    "hilbert.lueders_updates": lambda rho, a, b: hilbert.lueders_updates(rho, b, "nonselective"),
+    "hilbert.sequential_probabilities": hilbert.sequential_probabilities,
+    "hilbert.logical_joints operational":
+        lambda rho, a, b: hilbert.logical_joints(rho, a, b, "operational"),
+    "hilbert.logical_joints jordan": lambda rho, a, b: hilbert.logical_joints(rho, a, b, "jordan"),
+    "hilbert.xor_expectations operational":
+        lambda rho, a, b: hilbert.xor_expectations(rho, a, b, "operational"),
+    "hilbert.xor_expectations mapped_operator":
+        lambda rho, a, b: hilbert.xor_expectations(rho, a, b, "mapped_operator"),
+    "hilbert.quasi_prob_tables": hilbert.quasi_prob_tables,
+    "jordan.jordan_product": lambda rho, a, b: jordan.jordan_product(a, b),
+    "jordan.mapped_conjunction": lambda rho, a, b: jordan.mapped_conjunction(a, b),
+    "jordan.formal_reality_residuals": lambda rho, a, b: jordan.formal_reality_residuals(a, b),
+    "jordan.xor_symmetry_residuals": lambda rho, a, b: jordan.xor_symmetry_residuals(a, b),
+}
+
+
+@pytest.mark.parametrize("misfit", ["mixed d", "stack lengths 3 and 5"])
+@pytest.mark.parametrize("kernel", STACKED_KERNELS.values(), ids=STACKED_KERNELS.keys())
+def test_stacked_kernels_share_one_shape_rule(kernel, misfit):
+    rho, a, _ = sampled_stack(2, 3, seed=0)
+    _, _, b = sampled_stack(3, 3, seed=0) if misfit == "mixed d" else sampled_stack(2, 5, seed=0)
+    with pytest.raises(DimensionMismatchError):
+        kernel(rho, a, b)
+
+
 # ---------------------------------------------------------------------------
 # exact negativity: the minimum cell over all states
 

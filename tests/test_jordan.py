@@ -246,6 +246,16 @@ class TestStackedKernels:
         with pytest.raises(DimensionMismatchError):
             jordan.jordan_product(x, x[:2])
 
+    def test_matrix_broadcasts_against_stack(self):
+        xs = hilbert.sample_hermitians(3, 4, np.random.default_rng(2))
+        y = hilbert.sample_hermitian(3, seed=3)
+        for products in (jordan.jordan_product(xs, y), jordan.jordan_product(xs, y[None])):
+            assert products.shape == xs.shape
+            for x, product in zip(xs, products):
+                assert_allclose(product, jordan.jordan_product(x, y), atol=ATOL)
+        residuals, scales = jordan.formal_reality_residuals(xs, y)
+        assert residuals.shape == scales.shape == (4,)
+
     @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=30), seeds)
     @settings(max_examples=15, deadline=None)
     def test_sweep_equals_per_pair_probe_loop(self, dim, trials, seed):

@@ -9,6 +9,7 @@ implementations.
 import json
 import warnings
 from fractions import Fraction as F
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -551,6 +552,19 @@ class TestClassicalityReport:
         assert svg.count("<rect") >= 16
         for color in ("#1f5fa8", "#7fb2e5", "#b22222", "#f08080"):
             assert color in svg
+
+    def test_svg_escapes_labels(self, data_dir):
+        label_a = """<A & "x">"""
+        label_b = "B's </text><script>alert(1)</script><text>"
+        text = (data_dir / "synthetic_n100.csv").read_text(encoding="utf-8")
+        table = survey.parse_counts(f"# label_a = {label_a}\n# label_b = {label_b}\n{text}")
+        svg = survey.classicality_report(table, iterations=200, seed=3).to_svg()
+        root = ElementTree.fromstring(svg)  # well-formed XML
+        ns = "{http://www.w3.org/2000/svg}"
+        texts = [node.text for node in root.iter(f"{ns}text")]
+        assert texts[0] == f"Sequential vs logical joint probabilities: {label_a} / {label_b}"
+        assert f"{label_a}=1, {label_b}=1" in texts
+        assert root.find(f".//{ns}script") is None
 
     def test_validation(self, synthetic):
         with pytest.raises(TooFewIterationsError):
