@@ -12,6 +12,7 @@ that cannot be written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ EXIT_INPUT_ERROR = 2
 
 
 def _parse_dims(spec: str) -> tuple[int, ...]:
-    """Parse a dimension spec: '3', '2-8', or '2,4,6', each dimension in [2, MAX_DIM].
+    """Parse a dimension spec: '3', '2-8', or '2,4,6', distinct dimensions in [2, MAX_DIM].
 
     A range's ends are checked before the range is expanded.
     """
@@ -34,7 +35,12 @@ def _parse_dims(spec: str) -> tuple[int, ...]:
     for part in spec.split(","):
         part = part.strip()
         ends = part.split("-", 1) if "-" in part[1:] else [part, part]
-        lo, hi = (int(end) for end in ends)
+        try:
+            lo, hi = (int(end) for end in ends)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a dimension, a range or a list such as 2, 2-8 or 2,4,6, got {spec!r}"
+            ) from None
         for d in (lo, hi):
             if not 2 <= d <= hilbert.MAX_DIM:
                 raise argparse.ArgumentTypeError(
@@ -42,14 +48,21 @@ def _parse_dims(spec: str) -> tuple[int, ...]:
                 )
         if lo > hi:
             raise argparse.ArgumentTypeError(f"empty dimension range {part!r}")
-        dims.extend(range(lo, hi + 1))
+        for d in range(lo, hi + 1):
+            if d in dims:
+                raise argparse.ArgumentTypeError(f"dimension {d} repeated in {spec!r}")
+            dims.append(d)
     return tuple(dims)
 
 
 def _number(kind: type, name: str, *, zero_allowed: bool = False):
     """argparse type: a finite ``kind`` value above 0, or at least 0 when ``zero_allowed``."""
     def convert(text: str):
-        value = kind(text)
+        try:
+            value = kind(text)
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"{name} must be {expected}, got {text!r}") from None
         if not ((value >= 0 if zero_allowed else value > 0) and value < math.inf):
             requirement = "non-negative and finite" if zero_allowed else "positive and finite"
             raise argparse.ArgumentTypeError(f"{name} must be {requirement}, got {value}")
@@ -448,8 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on first use and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (QuasilogicError, OSError) as exc:

@@ -381,16 +381,24 @@ _BOOTSTRAP_TARGETS = ("logical_ab", "logical_ba", "order_difference")
 def _resample(table: SequentialCountTable, iterations: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Each order group's resampled frequencies, (iterations, 4) in :data:`CELLS` order.
 
-    A group is made float before the next is drawn, then divided in place by its row sums.
+    A group is normalised before the next is drawn.
     """
     rng = np.random.default_rng(seed)
-    q_ab, q_ba = (
-        rng.multinomial(n, _cells_vector(counts) / n, size=iterations).astype(float)
+    return tuple(
+        _frequencies(rng.multinomial(n, _cells_vector(counts) / n, size=iterations), n)
         for counts, n in ((table.counts_ab, table.n_ab), (table.counts_ba, table.n_ba))
     )
-    for q in (q_ab, q_ba):
-        q /= q.sum(axis=1, keepdims=True)
-    return q_ab, q_ba
+
+
+def _frequencies(draws: np.ndarray, n: int) -> np.ndarray:
+    """Multinomial ``draws`` of total ``n`` divided by their float row sums."""
+    if n <= 2**53:
+        # every count and partial sum up to 2**53 is an exact float, so each
+        # float row sum is exactly n and one division gives the same bits
+        return draws / n
+    q = draws.astype(float)
+    q /= q.sum(axis=1, keepdims=True)
+    return q
 
 
 def _marginal_shift(q_first: np.ndarray, q_second: np.ndarray, v: int) -> np.ndarray:
@@ -450,10 +458,73 @@ def _check_bootstrap(iterations: int, confidence: float) -> None:
 
 
 def _percentile_interval(values: np.ndarray, confidence: float) -> tuple[float, float]:
-    """Central ``confidence`` interval of the bootstrap values, which it reorders."""
+    """Central ``confidence`` interval of the bootstrap values, which it may reorder.
+
+    Bit for bit ``np.quantile(values, [alpha, 1 - alpha])`` with alpha =
+    (1 - confidence) / 2: numpy's ``"linear"`` method (Hyndman & Fan type 7),
+    with numpy's virtual index, top-end clamp and two-sided interpolation.
+    """
+    n = values.size
     alpha = (1.0 - confidence) / 2.0
-    lower, upper = np.quantile(values, [alpha, 1.0 - alpha], overwrite_input=True)
-    return float(lower), float(upper)
+    ends = []
+    for q in (alpha, 1.0 - alpha):
+        virtual = (n - 1) * q
+        if virtual >= n - 1:
+            # numpy takes the last value through index -1, and gamma = virtual - (-1)
+            ends.append((n - 1, n - 1, virtual + 1))
+        else:
+            previous = math.floor(virtual)
+            ends.append((previous, previous + 1, virtual - previous))
+    order = _order_statistics(values, [ends[0][:2], ends[1][:2]])
+    interval = []
+    for previous, following, gamma in ends:
+        a, b = order[previous], order[following]
+        interval.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+    return interval[0], interval[1]
+
+
+_TAIL_SAMPLE = 1024
+"""Least size of the strided sample whose order statistics set the tail thresholds."""
+
+
+def _order_statistics(values: np.ndarray, tails: list[tuple[int, int]]) -> dict[int, float]:
+    """``{rank: value}`` of ascending sorted ``values`` at a lower and an upper pair of ranks.
+
+    Each pair is selected among the values at or beyond a threshold read from a
+    sorted strided sample (Floyd & Rivest, CACM 18(3), 1975), four standard
+    deviations past the pair's rank.  Those values are the first (last) values
+    of the sorted column, ties included, so a rank inside them is exact.  When
+    the column is short or a candidate set cannot hold its ranks, the whole
+    column is partitioned in place instead.  No randomness is drawn.
+    """
+    n = values.size
+    step = n // _TAIL_SAMPLE
+    if step > 1:
+        sample = np.sort(values[::step])
+        m = sample.size
+        found: dict[int, float] = {}
+        for ranks, upper in zip(tails, (False, True)):
+            # how many values the candidates must hold, and its sample position:
+            # a tail holds at most about half the column, so r < m for m >= 1024
+            depth = n - min(ranks) if upper else max(ranks) + 1
+            share = depth / n
+            r = math.ceil(share * m + 4 * math.sqrt(m * share * (1 - share))) + 1
+            if upper:
+                candidates = values[values >= sample[m - 1 - r]]
+                offset = n - candidates.size
+            else:
+                candidates = values[values <= sample[r]]
+                offset = 0
+            if candidates.size < depth:
+                break
+            kth = [rank - offset for rank in ranks]
+            candidates.partition(kth)
+            found.update(zip(ranks, candidates[kth].tolist()))
+        else:
+            return found
+    ranks = [rank for pair in tails for rank in pair]
+    values.partition(ranks)
+    return dict(zip(ranks, values[ranks].tolist()))
 
 
 def simulate_counts(

@@ -372,18 +372,18 @@ class TestCallCounts:
     def test_survey_reduces_each_interval_column_once(self, capsys, monkeypatch, data_dir):
         iterations = 700
         shapes = []
-        original = np.quantile
+        original = survey._percentile_interval
 
-        def quantile(values, *args, **kwargs):
+        def percentile_interval(values, *args, **kwargs):
             shapes.append(np.shape(values))
             return original(values, *args, **kwargs)
 
-        monkeypatch.setattr(np, "quantile", quantile)
+        monkeypatch.setattr(survey, "_percentile_interval", percentile_interval)
         calls = self.count_calls(monkeypatch, survey, ["_resample", "_marginal_shift"])
         code, _, _ = run(capsys, "survey", str(data_dir / "clinton_gore_1997.csv"),
                          "--trials", str(iterations), "--format", "json")
         assert code == 0
-        # one resample, four shared marginal shifts, one quantile per interval column
+        # one resample, four shared marginal shifts, one interval per column
         assert calls == {"_resample": 1, "_marginal_shift": 4}
         assert shapes == [(iterations,)] * 12
 
@@ -474,6 +474,38 @@ class TestArgumentHandling:
         assert "outside supported range [2, 64]" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("argv, repeat", [
+        (["verify", "--dim", "2,2"], "dimension 2 repeated in '2,2'"),
+        (["verify", "--dim", "2-4,3"], "dimension 3 repeated in '2-4,3'"),
+        (["jordan-verify", "--dim", "3,2-4"], "dimension 3 repeated in '3,2-4'"),
+        (["kd", "--dim", "5,5"], "dimension 5 repeated in '5,5'"),
+    ])
+    def test_repeated_dimension_is_an_input_error(self, capsys, argv, repeat):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --dim: {repeat}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["kd", "--dim", "x"], "--dim: expected a dimension, a range or a list such as"
+                               " 2, 2-8 or 2,4,6, got 'x'"),
+        (["verify", "--dim", "2-x"], "--dim: expected a dimension, a range or a list such as"
+                                     " 2, 2-8 or 2,4,6, got '2-x'"),
+        (["verify", "--seed", "abc"], "--seed: seed must be an integer, got 'abc'"),
+        (["kd", "--trials", "1.5"], "--trials: trials must be an integer, got '1.5'"),
+        (["jordan-verify", "--tol", "x"], "--tol: tol must be a number, got 'x'"),
+        (["survey", "synthetic_n100.csv", "--trials", "1e4"],
+         "--trials: trials must be an integer, got '1e4'"),
+    ])
+    def test_malformed_value_names_the_option_and_its_form(self, capsys, data_dir, argv, message):
+        argv = [str(data_dir / arg) if arg.endswith(".csv") else arg for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"argument {message}")
+        assert "_parse_dims" not in err and "convert" not in err
+
     def test_seed_zero_is_accepted(self, capsys):
         code, _, _ = run(capsys, "jordan-verify", "--dim", "2", "--trials", "5", "--seed", "0")
         assert code == 0
@@ -499,6 +531,29 @@ def test_jordan_verify_builds_one_generator_per_stream(capsys, monkeypatch):
     assert code == 0
     # the sweep, question and product streams of each of the seven dimensions
     assert len(built) <= 3 * 7
+
+
+def test_one_process_builds_the_parser_once(capsys, monkeypatch, data_dir):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    for argv in (["survey", str(data_dir / "synthetic_n100.csv")],
+                 ["verify", "--dim", "2", "--trials", "5"], ["kd", "--dim", "2"]):
+        assert run(capsys, *argv)[0] == 0
+    # the shared parser still prints what a new one prints
+    for argv, expected in ((["--version"], f"quasilogic {quasilogic.__version__}\n"),
+                           (["--help"], original().format_help())):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected
+    assert len(built) == 1
 
 
 # sha256 of the output of quasilogic 0.1.0 with its version string, for

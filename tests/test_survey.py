@@ -474,6 +474,62 @@ class TestOnePassBootstrap:
         survey.classicality_report(clinton_gore, iterations=500, seed=3)
         assert len(resample_calls) == 1
 
+    # group totals 2**53 (divided by the total) and 2**53 + 1 (by float row sums)
+    @pytest.mark.parametrize("counts", [
+        [2**53 - 3, 1, 1, 1], [1, 1, 1, 2**53 - 3], [2**52, 2**51, 2**51 - 7, 7],
+        [2**53 - 2, 1, 1, 1], [1, 1, 1, 2**53 - 2], [2**52, 2**51, 2**51 - 6, 7],
+    ])
+    def test_resample_at_the_exact_float_boundary(self, counts):
+        table = make_table(counts, counts[::-1])
+        draws = reference_resample(table, 500, seed=11)
+        for q, expected in zip(survey._resample(table, 500, seed=11), draws):
+            expected /= expected.sum(axis=1, keepdims=True)
+            assert q.dtype == np.float64
+            assert q.tobytes() == expected.tobytes()
+
+
+@st.composite
+def bootstrap_columns(draw):
+    """Columns of 100 to 20,000 values: ties, sorted, reversed, constant, periodic."""
+    n = draw(st.integers(min_value=100, max_value=20_000))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e300, 2.0**-1060, 5e-324]))
+    kind = draw(st.sampled_from(
+        ["spread", "ties", "sorted", "reversed", "constant", "near_constant", "periodic"]))
+    if kind == "ties":
+        values = rng.integers(0, draw(st.integers(min_value=1, max_value=6)), n) * scale
+    elif kind == "constant":
+        values = np.full(n, 0.25 * scale)
+    elif kind == "near_constant":
+        values = np.full(n, 0.25)
+        values[rng.integers(0, n, 3)] = np.nextafter(0.25, 1.0)
+        values *= scale
+    elif kind == "periodic":  # a period that divides the sample stride defeats the sample
+        values = np.tile(rng.normal(size=draw(st.integers(min_value=1, max_value=64))), n)[:n]
+        values *= scale
+    else:
+        values = rng.normal(size=n) * scale
+        if kind != "spread":
+            values.sort()
+            if kind == "reversed":
+                values = values[::-1].copy()
+    return values
+
+
+class TestPercentileInterval:
+    @given(bootstrap_columns(),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(np.arange(100.0), 1 - 2**-53)
+    @example(np.arange(30_000.0)[::-1].copy(), 1 - 2**-53)
+    @example(np.arange(5000.0), 5e-324)
+    @example(np.arange(5000.0), 0.95)
+    @example(np.tile([3.0, 1.0, 2.0], 20_000)[:20_000].copy(), 0.95)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_linear_quantile(self, values, confidence):
+        alpha = (1.0 - confidence) / 2.0
+        expected = tuple(float(v) for v in np.quantile(values, [alpha, 1.0 - alpha]))
+        assert survey._percentile_interval(values.copy(), confidence) == expected
+
 
 class TestSimulateCounts:
     def test_expected_counts_preserve_total(self):
