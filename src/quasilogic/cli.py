@@ -265,12 +265,12 @@ def _cmd_kd(args: argparse.Namespace) -> int:
     table = hilbert.kd_distribution(rho, basis_a, basis_b, tol=args.tol)
 
     # row i compares Re table[i, :] with the logical joints of |a_i><a_i| and
-    # every |b_j><b_j|; each of the 2d questions is built and validated once
+    # every |b_j><b_j|; each basis's d questions are built and validated once
+    questions_a = hilbert.rank_one_projectors(basis_a)
     questions_b = hilbert.rank_one_projectors(basis_b)
     max_gap = 0.0
     for i in range(dim):
-        question_a = hilbert.rank_one_projector(basis_a[i]).matrix
-        joints = hilbert.logical_joints(rho.matrix, question_a, questions_b, "jordan")
+        joints = hilbert.logical_joints(rho.matrix, questions_a[i], questions_b, "jordan")
         max_gap = max(max_gap, float(abs(table[i].real - joints).max()))
 
     total = complex(table.sum())
@@ -409,12 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     seed = _number(int, "seed", zero_allowed=True)
 
-    def common(p: argparse.ArgumentParser, *, dims: str = "2", trials: int = 1000) -> None:
+    def common(p: argparse.ArgumentParser, *, dims: str = "2", trials: int | None = 1000) -> None:
+        """--dim, --seed and --tol, and --trials unless ``trials`` is None."""
         p.add_argument("--dim", dest="dims", type=_parse_dims, default=_parse_dims(dims),
                        help=f"dimension or range, e.g. 2, 2-8, 2,4,6 (default {dims})")
         p.add_argument("--seed", type=seed, default=42, help="random seed (default 42)")
-        p.add_argument("--trials", type=_number(int, "trials"), default=trials,
-                       help=f"samples per dimension / bootstrap iterations (default {trials})")
+        if trials is not None:
+            p.add_argument("--trials", type=_number(int, "trials"), default=trials,
+                           help=f"samples per dimension (default {trials})")
         p.add_argument("--tol", type=_number(float, "tol"), default=1e-10,
                        help="numerical tolerance (default 1e-10)")
 
@@ -436,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=_cmd_demo)
 
     kd = sub.add_parser("kd", help="Kirkwood-Dirac distribution on random bases")
-    common(kd, dims="2")
+    common(kd, dims="2", trials=None)
     kd.add_argument("--format", choices=("json", "csv", "text"), default="text")
     kd.add_argument("--out", default=None)
     kd.set_defaults(func=_cmd_kd)

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -134,6 +135,19 @@ class TestKd:
         lines = out.strip().splitlines()
         assert lines[0] == "i,j,re,im"
         assert len(lines) == 5
+
+    def test_trials_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kd", "--trials", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials 7" in capsys.readouterr().err
+        code, out, _ = run(capsys, "kd", "--dim", "2", "--format", "json")
+        assert code == 0 and "trials" not in json.loads(out)["config"]
+
+    def test_largest_dimension_matches_logical_joints(self, capsys):
+        code, out, _ = run(capsys, "kd", "--dim", "64", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["max_gap_to_logical_joint"] <= 1e-10
 
     @pytest.mark.parametrize("spec", ["2-3", "2,4"])
     def test_multiple_dimensions_rejected(self, capsys, spec):
@@ -389,12 +403,19 @@ class TestCallCounts:
 
     def test_kd_builds_each_question_once(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch, hilbert, [
-            "rank_one_projector", "_validated_projectors", "validate_projector", "logical_joint"])
+            "rank_one_projector", "_validated_projectors", "validate_projector", "logical_joint",
+            "operator_norm"])
+        # np.linalg.norm(m, 2) calls the svd of the module that defines it
+        linalg = inspect.unwrap(np.linalg.norm).__globals__
+        svd, svd_calls = linalg["svd"], []
+        monkeypatch.setitem(linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
         code, _, _ = run(capsys, "kd", "--dim", "24", "--format", "json")
         assert code == 0
         assert calls["validate_projector"] == 0 and calls["logical_joint"] == 0
-        assert calls["rank_one_projector"] == 24      # one per row, not one per cell
-        assert calls["_validated_projectors"] <= 2 * 24
+        assert calls["rank_one_projector"] == 0
+        assert calls["_validated_projectors"] == 2    # one stack of d questions per basis
+        # valid input passes every check on its Frobenius norms alone
+        assert calls["operator_norm"] == 0 and svd_calls == []
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -492,7 +513,7 @@ class TestArgumentHandling:
         (["verify", "--dim", "2-x"], "--dim: expected a dimension, a range or a list such as"
                                      " 2, 2-8 or 2,4,6, got '2-x'"),
         (["verify", "--seed", "abc"], "--seed: seed must be an integer, got 'abc'"),
-        (["kd", "--trials", "1.5"], "--trials: trials must be an integer, got '1.5'"),
+        (["verify", "--trials", "1.5"], "--trials: trials must be an integer, got '1.5'"),
         (["jordan-verify", "--tol", "x"], "--tol: tol must be a number, got 'x'"),
         (["survey", "synthetic_n100.csv", "--trials", "1e4"],
          "--trials: trials must be an integer, got '1e4'"),
@@ -556,50 +577,102 @@ def test_one_process_builds_the_parser_once(capsys, monkeypatch, data_dir):
     assert len(built) == 1
 
 
+def without(out: str, fields) -> str:
+    """JSON output re-serialised as the CLI writes it, without its version and ``fields``.
+
+    A field is a top-level key, ``config.KEY`` (dropped if present) or
+    ``CHECK NAME:KEY`` for a key of one check.
+    """
+    data = json.loads(out)
+    del data["config"]["version"]
+    checks = {check["name"]: check for check in data.get("checks", [])}
+    for field in fields:
+        if field.startswith("config."):
+            data["config"].pop(field.removeprefix("config."), None)
+        elif ":" in field:
+            name, key = field.split(":")
+            del checks[name][key]
+        else:
+            del data[field]
+    return json.dumps(data, indent=2) + "\n"
+
+
+def pinned(out: str, version: str, fields) -> str:
+    """What a pin hashes: ``out`` at ``version``, or without its fields that changed since."""
+    if fields:
+        return without(out, fields)
+    return out.replace(f'"version": "{quasilogic.__version__}"', f'"version": "{version}"')
+
+
+# The fields that 0.3.0 changed in their last bits, where kd and verify read the
+# Jordan route, Tr((rho∘A)B) since 0.3.0 (and kd no longer takes --trials).
+KD_CHANGED = ("config.trials", "max_gap_to_logical_joint")
+CLASSICAL_CHANGED = ("hilbert.classical_triples_nonnegative:residual",
+                     "hilbert.classical_triples_nonnegative:detail")
+
 # sha256 of the output of quasilogic 0.1.0 with its version string, for
-# commands that draw nothing from the samplers that changed in 0.2.0
+# commands that draw nothing from the samplers that changed in 0.2.0; where
+# fields are listed, of the output without them and without its version
 UNCHANGED_OUTPUTS = [
     (["kd", "--dim", "24", "--seed", "5", "--format", "json"],
-     "c646e9206faad1486f5342ec29da99a9476f810853465f9f77f5ce55c6a2c5b2"),
+     "9abf817672f8c3a91f1deea0a4fd963e7230e81e35344992fdc24d16c2108e80", KD_CHANGED),
     (["demo", "--format", "json"],
-     "f6a82446a44f41e996359356a22302b25f7662f3db0826d22dbd490621b23e8d"),
+     "f6a82446a44f41e996359356a22302b25f7662f3db0826d22dbd490621b23e8d", ()),
     (["survey", "synthetic_n100.csv"],
-     "85cf8871739a95e381f77f081d036d393f540aba8513f0b45c530640f2e8571e"),
+     "85cf8871739a95e381f77f081d036d393f540aba8513f0b45c530640f2e8571e", ()),
     (["survey", "clinton_gore_1997.csv"],
-     "6a9663780868068d1854103d0176113d38c3afb326f2178dd66b6339aaa56f6f"),
+     "6a9663780868068d1854103d0176113d38c3afb326f2178dd66b6339aaa56f6f", ()),
     (["survey", "synthetic_n100.csv", "--format", "json"],
-     "7642a4966d11508758289fd14c879afc640aac32b9facb9a9dde324cc570a3a2"),
+     "7642a4966d11508758289fd14c879afc640aac32b9facb9a9dde324cc570a3a2", ()),
     (["survey", "clinton_gore_1997.csv", "--format", "json"],
-     "fb7b28191e450dc70b630aa4671c4ba43fdca9860242f81a98ab944687a730e2"),
+     "fb7b28191e450dc70b630aa4671c4ba43fdca9860242f81a98ab944687a730e2", ()),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", UNCHANGED_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _ in UNCHANGED_OUTPUTS])
-def test_output_unchanged_since_0_1_0(capsys, data_dir, argv, digest):
+@pytest.mark.parametrize("argv, digest, fields", UNCHANGED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _, _ in UNCHANGED_OUTPUTS])
+def test_output_unchanged_since_0_1_0(capsys, data_dir, argv, digest, fields):
     argv = [str(data_dir / arg) if arg.endswith(".csv") else arg for arg in argv]
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    out = out.replace(f'"version": "{quasilogic.__version__}"', '"version": "0.1.0"')
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(pinned(out, "0.1.0", fields).encode()).hexdigest() == digest
 
 
 # sha256 of sampled output at 0.2.0 with its version string; every float of it
-# depends on the samplers and the kernels, so a refactor must leave them alone
+# depends on the samplers and the kernels, so a refactor must leave them alone;
+# where fields are listed, of the output without them and without its version
 SAMPLED_OUTPUTS = [
     (["verify", "--format", "json"],
-     "70072b971c71795b576270d7b0af3bdc584c2cd57d39a7b25dacb0151df2a8e3"),
+     "431fbc6cad2651782f7f4dbdbd7cee5ee0e933db8d91286cece4324f91f79205", ("hilbert.table_marginality:residual",) + CLASSICAL_CHANGED),
     (["jordan-verify", "--format", "json"],
-     "77cdb914395010da53363f4da736c6096e73cb2aac883392b20f01bf7cae32eb"),
+     "77cdb914395010da53363f4da736c6096e73cb2aac883392b20f01bf7cae32eb", ()),
     (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
-     "0e0e28a3f88f0adb0e4e56439fbce9ae1f9e876f6e65ef4ad9505e90b9ad6221"),
+     "17ee0eedf7e6640e7eb9de8c932141a245837eb8b93ed88465cfa92f751b8866", ("hilbert.joint_operational_vs_algebraic:residual",) + CLASSICAL_CHANGED),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", SAMPLED_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _ in SAMPLED_OUTPUTS])
-def test_sampled_output_unchanged_since_0_2_0(capsys, argv, digest):
+@pytest.mark.parametrize("argv, digest, fields", SAMPLED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _, _ in SAMPLED_OUTPUTS])
+def test_sampled_output_unchanged_since_0_2_0(capsys, argv, digest, fields):
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    out = out.replace(f'"version": "{quasilogic.__version__}"', '"version": "0.2.0"')
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(pinned(out, "0.2.0", fields).encode()).hexdigest() == digest
+
+
+# sha256 at 0.3.0, with its version string, of the outputs whose fields above changed
+CHANGED_OUTPUTS = [
+    (["kd", "--dim", "24", "--seed", "5", "--format", "json"],
+     "3552163b0f6b31173dd381e8c8a7b72f4aea7bb773f3dc064f39429fe9106cc3"),
+    (["verify", "--format", "json"],
+     "714a691332de6ad7ff4e772c3aff1b943ee294fc8d52c3a79c4bed78b40865c4"),
+    (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
+     "ede1474929c6f38a5403c95160dc56317485f6ca0d93096c7adda1553648b6d7"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CHANGED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in CHANGED_OUTPUTS])
+def test_output_pinned_at_0_3_0(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(pinned(out, "0.3.0", ()).encode()).hexdigest() == digest

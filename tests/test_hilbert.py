@@ -640,7 +640,8 @@ def reference_lueders(rho, p, mode):
 
 def reference_joint(rho, a, b, method):
     if method == "jordan":
-        return reference_re_trace(rho @ ((a @ b + b @ a) / 2))
+        # Re Tr((rho∘A) B) = Re Σᵢⱼ (rho∘A)ᵢⱼ Bⱼᵢ
+        return float(np.einsum("ij,ji->", (rho @ a + a @ rho) / 2, b).real)
     seq = reference_re_trace(b @ a @ rho @ a)
     _, disturbed = reference_lueders(rho, a, "nonselective")
     return seq + (reference_re_trace(rho @ b) - reference_re_trace(disturbed @ b)) / 2
@@ -852,6 +853,122 @@ class TestStackedKernels:
             hilbert.logical_joints(np.eye(2) / 2, np.eye(3), np.eye(3))
         with pytest.raises(DimensionMismatchError):
             hilbert.born_probabilities(np.eye(2) / 2, np.ones((2, 3)))
+
+
+def operand(kind, dim, rng):
+    """A state, projector, Hermitian or PSD matrix of dimension ``dim``."""
+    if kind == "state":
+        return hilbert.sample_states(dim, ["mixed"], rng)[0]
+    if kind == "projector":
+        return hilbert.sample_projectors(dim, [int(rng.integers(1, dim))], rng)[0]
+    h = hilbert.sample_hermitians(dim, 1, rng)[0]
+    return h if kind == "hermitian" else h @ h
+
+
+class TestJordanTraceForm:
+    @given(st.integers(min_value=2, max_value=64), stack_seeds,
+           st.sampled_from(["state", "hermitian", "psd"]),
+           st.sampled_from(["projector", "hermitian", "psd"]),
+           st.sampled_from(["projector", "hermitian", "psd"]))
+    @settings(max_examples=40, deadline=None)
+    def test_within_rounding_of_the_product_form(self, dim, seed, rho_kind, a_kind, b_kind):
+        """Tr((rho∘A) B) is within 16·d·eps·‖rho‖‖A‖‖B‖ of Re Tr(rho (AB + BA)/2)."""
+        rng = np.random.default_rng(seed)
+        rho, a, b = (np.stack([operand(kind, dim, rng) for _ in range(2)])
+                     for kind in (rho_kind, a_kind, b_kind))
+        rho_norm, a_norm, b_norm = (hilbert.operator_norm(m) for m in (rho, a, b))
+        scale = 16 * dim * np.finfo(float).eps
+
+        def product_form(rho, a, b):
+            return np.trace(rho @ ((a @ b + b @ a) / 2), axis1=-2, axis2=-1).real
+
+        joints = hilbert.logical_joints(rho, a, b, "jordan")
+        assert np.all(np.abs(joints - product_form(rho, a, b))
+                      <= scale * rho_norm * a_norm * b_norm)
+        # rho∘A formed once against a stack of B
+        joints = hilbert.logical_joints(rho[0], a[0], b, "jordan")
+        assert np.all(np.abs(joints - product_form(rho[0], a[0], b))
+                      <= scale * rho_norm[0] * a_norm[0] * b_norm)
+
+
+class TestNormGate:
+    """Pass/fail checks read the Frobenius norm first and decide as the spectral norm does."""
+
+    @given(st.integers(min_value=2, max_value=64), stack_seeds,
+           st.floats(min_value=-1e-11, max_value=1e-11), st.sampled_from([1e-12, 1e-10, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_decides_as_the_spectral_norm(self, dim, seed, offset, tol):
+        # rank one, where the two norms are equal, and a full-rank member below tol
+        rng = np.random.default_rng(seed)
+        u, v = hilbert._complex_gaussians(rng, 2, (dim,))
+        rank_one = np.outer(u, v.conj())
+        full = hilbert._complex_gaussians(rng, 1, (dim, dim))[0]
+        stack = np.stack([rank_one * (tol * (1 + offset) / hilbert.operator_norm(rank_one)),
+                          full * (tol / 2 / hilbert.operator_norm(full))])
+        spectral = float(hilbert.operator_norm(stack).max())
+        gate = hilbert._gate_norm(stack, tol)
+        assert (gate > tol) == (spectral > tol)
+        if spectral > tol:
+            assert gate == spectral
+
+    @staticmethod
+    def residuals(scale):
+        """(operand, residual matrix) of each gated check, the residual of spectral norm
+        ``scale``·tol and of Frobenius norm 2 or √2 times that."""
+        c = scale * hilbert.DEFAULT_TOL
+        delta = -0.5 + np.sqrt(0.25 + c)  # δ(1 + δ) = c
+        skewed = np.diag([0.25] * 4) + 0.5j * c * np.diag([1.0, -1.0, 1.0, -1.0])
+        stretched = np.diag([1.0 + delta, 1.0 + delta, 0.0, 0.0])
+        basis = np.sqrt(1.0 + c) * np.eye(4, dtype=complex)
+        a, b = np.diag([1.0 + delta, 0.0, 1.0 + delta, 0.0]), np.diag([1.0, 0.0, 1.0, 0.0])
+        return {
+            "hermitian": (skewed, skewed - skewed.conj().T),
+            "idempotent": (stretched, stretched @ stretched - stretched),
+            "orthonormal": (basis, basis.conj() @ basis.T - np.eye(4)),
+            "xor": ((a, b), hilbert._mapped_xor(a, b) - hilbert._xor_expansion(a, b)),
+        }
+
+    def check(self, site, operand):
+        tol = hilbert.DEFAULT_TOL
+        if site == "hermitian":
+            return hilbert.validate_density(operand, tol)
+        if site == "idempotent":
+            return hilbert.validate_projector(operand, tol)
+        if site == "orthonormal":
+            return hilbert.kd_distribution(hilbert.validate_density(np.eye(4) / 4),
+                                           operand, operand, tol)
+        return hilbert.xor_expectations(np.eye(4) / 4, *operand, "mapped_operator", tol)
+
+    @pytest.mark.parametrize("site", ["hermitian", "idempotent", "orthonormal", "xor"])
+    def test_spectral_within_tol_passes_beyond_frobenius(self, site):
+        operand, residual = self.residuals(0.9)[site]
+        assert hilbert.operator_norm(residual) <= hilbert.DEFAULT_TOL
+        assert np.linalg.norm(residual) > hilbert.DEFAULT_TOL
+        self.check(site, operand)
+
+    @pytest.mark.parametrize("site, error", [
+        ("hermitian", NotHermitianError), ("idempotent", NotIdempotentError),
+        ("orthonormal", NotOrthonormalError), ("xor", ArithmeticError),
+    ])
+    def test_spectral_just_beyond_tol_raises_its_value(self, site, error):
+        operand, residual = self.residuals(1 + 1e-4)[site]
+        spectral = hilbert.operator_norm(residual)
+        assert spectral > hilbert.DEFAULT_TOL
+        with pytest.raises(error) as exc:
+            self.check(site, operand)
+        if site == "xor":
+            assert str(exc.value) == (
+                f"mapped XOR operator deviates from its symmetric expansion by {spectral:.3e}")
+        else:
+            assert exc.value.residual == spectral
+
+    def test_messages_unchanged(self):
+        with pytest.raises(NotHermitianError) as exc:
+            hilbert.validate_projector(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        assert str(exc.value) == "hermiticity residual 1.000e+00 exceeds tol 1.000e-10"
+        with pytest.raises(NotIdempotentError) as exc:
+            hilbert.validate_projector(np.diag([0.5, 0.5]))
+        assert str(exc.value) == "idempotency residual 2.500e-01 exceeds tol 1.000e-10"
 
 
 # every stacked kernel of both modules, on (states, questions, questions) stacks
