@@ -14,7 +14,7 @@ Four layers, usable independently:
   and bootstrap intervals.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 from .logic import (
     ALL_RECORDS,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -55,16 +56,16 @@ def _parse_dims(spec: str) -> tuple[int, ...]:
     return tuple(dims)
 
 
-def _number(kind: type, name: str, *, zero_allowed: bool = False):
-    """argparse type: a finite ``kind`` value above 0, or at least 0 when ``zero_allowed``."""
+def _number(kind: type, name: str, accept=lambda value: 0 < value < math.inf,
+            requirement: str = "positive and finite"):
+    """argparse type: a ``kind`` value that ``accept`` admits; the error says ``requirement``."""
     def convert(text: str):
         try:
             value = kind(text)
         except ValueError:
             expected = "an integer" if kind is int else "a number"
             raise argparse.ArgumentTypeError(f"{name} must be {expected}, got {text!r}") from None
-        if not ((value >= 0 if zero_allowed else value > 0) and value < math.inf):
-            requirement = "non-negative and finite" if zero_allowed else "positive and finite"
+        if not accept(value):
             raise argparse.ArgumentTypeError(f"{name} must be {requirement}, got {value}")
         return value
 
@@ -72,10 +73,11 @@ def _number(kind: type, name: str, *, zero_allowed: bool = False):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text``, ended by a newline, to stdout or, the same bytes, to the file ``out``."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         Path(out).write_text(text, encoding="utf-8")
 
@@ -254,6 +256,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 # kd
 
 
+# one cell of the kd JSON array as json.dumps(indent=2) lays it out
+_KD_CELL_JSON = '    {\n      "i": %d,\n      "j": %d,\n      "re": %r,\n      "im": %r\n    }'
+
+
 def _cmd_kd(args: argparse.Namespace) -> int:
     if len(args.dims) != 1:
         sys.stderr.write(f"error: kd takes a single dimension, got {list(args.dims)}\n")
@@ -275,24 +281,31 @@ def _cmd_kd(args: argparse.Namespace) -> int:
 
     total = complex(table.sum())
     min_real = float(table.real.min())
+    # the cells in row order as Python floats, read once for every format
+    cells = [
+        (i, j, re, im)
+        for (i, j), re, im in zip(
+            itertools.product(range(dim), repeat=2),
+            table.real.ravel().tolist(),
+            table.imag.ravel().tolist(),
+        )
+    ]
     if args.format == "json":
         payload = {
             "config": _config_dict(args),
-            "cells": [
-                {"i": i, "j": j, "re": float(table[i, j].real), "im": float(table[i, j].imag)}
-                for i in range(dim)
-                for j in range(dim)
-            ],
+            "cells": [],
             "sum": {"re": total.real, "im": total.imag},
             "min_real_part": min_real,
             "max_gap_to_logical_joint": max_gap,
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        # json.dumps(indent=2) of the per-cell dicts {"i", "j", "re", "im"}, written
+        # without its pure-Python encoder; the cells are finite, so json prints
+        # them with float.__repr__, as %r does
+        array = ",\n".join(_KD_CELL_JSON % cell for cell in cells)
+        text = json.dumps(payload, indent=2).replace('"cells": []', f'"cells": [\n{array}\n  ]', 1)
+        _emit(text, args.out)
     elif args.format == "csv":
-        lines = ["i,j,re,im"]
-        for i in range(dim):
-            for j in range(dim):
-                lines.append(f"{i},{j},{table[i, j].real!r},{table[i, j].imag!r}")
+        lines = ["i,j,re,im"] + ["%d,%d,%r,%r" % cell for cell in cells]
         _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [
@@ -302,10 +315,8 @@ def _cmd_kd(args: argparse.Namespace) -> int:
             f"max |Re cell - logical joint|: {max_gap:.3e}",
             "",
         ]
-        for i in range(dim):
-            row = "  ".join(
-                f"{table[i, j].real:+.4f}{table[i, j].imag:+.4f}i" for j in range(dim)
-            )
+        for start in range(0, dim * dim, dim):
+            row = "  ".join(f"{re:+.4f}{im:+.4f}i" for _, _, re, im in cells[start:start + dim])
             lines.append(f"  {row}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -407,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seed = _number(int, "seed", zero_allowed=True)
+    seed = _number(int, "seed", lambda value: 0 <= value < math.inf, "non-negative and finite")
 
     def common(p: argparse.ArgumentParser, *, dims: str = "2", trials: int | None = 1000) -> None:
         """--dim, --seed and --tol, and --trials unless ``trials`` is None."""
@@ -446,9 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser("survey", help="reconstruct logical joints from a count file")
     sv.add_argument("input", help="count CSV (header: order,first,second,count)")
     sv.add_argument("--seed", type=seed, default=42)
-    sv.add_argument("--trials", type=_number(int, "trials"), default=10_000,
-                    help="bootstrap iterations (default 10000)")
-    sv.add_argument("--confidence", type=float, default=0.95)
+    sv.add_argument("--trials", default=10_000,
+                    type=_number(int, "trials", lambda value: value >= 100, "at least 100"),
+                    help="bootstrap iterations, at least 100 (default 10000)")
+    sv.add_argument("--confidence", default=0.95,
+                    type=_number(float, "confidence", lambda value: 0 < value < 1, "in (0, 1)"),
+                    help="bootstrap interval level, in (0, 1) (default 0.95)")
     sv.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sv.add_argument("--out", default=None)
     sv.add_argument("--svg", default=None, help="also write a grouped bar chart SVG")

@@ -136,6 +136,60 @@ class TestKd:
         assert lines[0] == "i,j,re,im"
         assert len(lines) == 5
 
+    def test_csv_fields_are_the_json_cells(self, capsys):
+        _, csv_out, _ = run(capsys, "kd", "--dim", "5", "--seed", "3", "--format", "csv")
+        _, json_out, _ = run(capsys, "kd", "--dim", "5", "--seed", "3", "--format", "json")
+        rows = [line.split(",") for line in csv_out.splitlines()[1:]]
+        cells = json.loads(json_out)["cells"]
+        assert len(rows) == len(cells) == 25
+        for (i, j, re, im), cell in zip(rows, cells):
+            assert (int(i), int(j), float(re), float(im)) == (
+                cell["i"], cell["j"], cell["re"], cell["im"])
+
+    @pytest.mark.parametrize("seed", [0, 5, 123456789])
+    @pytest.mark.parametrize("dim", [2, 3, 24, 64])
+    def test_json_is_the_indenting_encoders_output(self, capsys, dim, seed):
+        # the payload as a list of per-cell dicts, rendered by json.dumps itself
+        rho = hilbert.sample_state(dim, "mixed", seed=seed)
+        basis_a = hilbert.sample_orthonormal_basis(dim, seed=seed + 1)
+        basis_b = hilbert.sample_orthonormal_basis(dim, seed=seed + 2)
+        table = hilbert.kd_distribution(rho, basis_a, basis_b, tol=1e-10)
+        questions_b = hilbert.rank_one_projectors(basis_b)
+        max_gap = 0.0
+        for i, question in enumerate(hilbert.rank_one_projectors(basis_a)):
+            joints = hilbert.logical_joints(rho.matrix, question, questions_b, "jordan")
+            max_gap = max(max_gap, float(abs(table[i].real - joints).max()))
+        total = complex(table.sum())
+        reference = {
+            "config": {"version": quasilogic.__version__, "dims": [dim], "seed": seed,
+                       "tol": 1e-10},
+            "cells": [
+                {"i": i, "j": j, "re": float(table[i, j].real), "im": float(table[i, j].imag)}
+                for i in range(dim)
+                for j in range(dim)
+            ],
+            "sum": {"re": total.real, "im": total.imag},
+            "min_real_part": float(table.real.min()),
+            "max_gap_to_logical_joint": max_gap,
+        }
+        code, out, _ = run(capsys, "kd", "--dim", str(dim), "--seed", str(seed), "--format", "json")
+        expected = json.dumps(reference, indent=2) + "\n"
+        # compared by hand: pytest's diff of two outputs this long takes minutes
+        lines = zip(out.splitlines(), expected.splitlines())
+        first = next((n for n, (got, want) in enumerate(lines, 1) if got != want), None)
+        same = out == expected
+        assert code == 0
+        assert same, f"output differs from json.dumps at line {first}"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = ["kd", "--dim", "7", "--seed", "2", "--format", fmt]
+        _, stdout, _ = run(capsys, *argv)
+        target = tmp_path / "kd.out"
+        code, nothing, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0 and nothing == ""
+        assert target.read_bytes() == stdout.encode()
+
     def test_trials_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["kd", "--trials", "7"])
@@ -527,6 +581,25 @@ class TestArgumentHandling:
         assert err.splitlines()[-1].endswith(f"argument {message}")
         assert "_parse_dims" not in err and "convert" not in err
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--confidence", "1.5", "confidence must be in (0, 1), got 1.5"),
+        ("--confidence", "0", "confidence must be in (0, 1), got 0.0"),
+        ("--confidence", "nan", "confidence must be in (0, 1), got nan"),
+        ("--confidence", "abc", "confidence must be a number, got 'abc'"),
+        ("--trials", "50", "trials must be at least 100, got 50"),
+        ("--trials", "-3", "trials must be at least 100, got -3"),
+    ])
+    def test_survey_bootstrap_options_are_checked_before_the_file_is_read(
+            self, capsys, monkeypatch, data_dir, option, value, message):
+        loads = []
+        monkeypatch.setattr(survey, "load_counts", lambda *a, **k: loads.append(a))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["survey", str(data_dir / "synthetic_n100.csv"), option, value])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"argument {option}: {message}")
+        assert loads == []
+
     def test_seed_zero_is_accepted(self, capsys):
         code, _, _ = run(capsys, "jordan-verify", "--dim", "2", "--trials", "5", "--seed", "0")
         assert code == 0
@@ -676,3 +749,20 @@ def test_output_pinned_at_0_3_0(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(pinned(out, "0.3.0", ()).encode()).hexdigest() == digest
+
+
+# sha256 of kd's text output, which holds no version string and is unchanged
+# since 0.3.0, and of its CSV output, whose fields are plain floats since 0.3.1
+KD_OUTPUTS = [
+    (["kd", "--dim", "24", "--seed", "5"],
+     "b985507ae676a915b34e4af5c73878bf2484e35b77b9838da31e0a24a0545934"),
+    (["kd", "--dim", "24", "--seed", "5", "--format", "csv"],
+     "ae2ba5e4c189408c9616afd27211bad69c228a5b57639d2e5eff72cfa80d164c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", KD_OUTPUTS, ids=[" ".join(argv) for argv, _ in KD_OUTPUTS])
+def test_kd_output_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
