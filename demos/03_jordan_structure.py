@@ -24,19 +24,19 @@ print(f"  residual: {hilbert.operator_norm(total - a.matrix):.2e}")
 
 print()
 print("the mapped exclusive disjunction is order-symmetric:")
-report = jordan.xor_operator_symmetry_check(a, b)
-print(f"  swap residual:      {report.swap_residual:.2e}")
-print(f"  expansion residual: {report.expansion_residual_ab:.2e}"
+swap, expansion_ab, _ = jordan.xor_symmetry_residuals(a, b)
+print(f"  swap residual:      {swap:.2e}")
+print(f"  expansion residual: {expansion_ab:.2e}"
       "  (against A + B - AB - BA)")
 
 print()
 print("idempotency transfers from A*A = A to the cubic A*A*A = A:")
-genuine = jordan.idempotency_transfer_check(hilbert.sample_projector(6, 3, seed=0))
-print(f"  random rank-3 projector at d=6: cubic residual {genuine.cubic_residual:.2e}")
+cubic, _ = jordan.idempotency_residuals(hilbert.sample_projector(6, 3, seed=0))
+print(f"  random rank-3 projector at d=6: cubic residual {cubic:.2e}")
 near = np.diag([1.0, 0.0]) + 1e-3 * np.diag([1.0, -1.0])
-broken = jordan.idempotency_transfer_check(near)
-print(f"  perturbed near-projector: square residual {broken.square_residual:.2e},"
-      f" passed={broken.passed}")
+near_cubic, near_square = jordan.idempotency_residuals(near)
+print(f"  perturbed near-projector: square residual {near_square:.2e},"
+      f" passed={max(near_cubic, near_square) <= 1e-10}")
 
 print()
 print("formal reality probed on random Hermitian pairs, dims 2..8:")
@@ -53,6 +53,6 @@ print(f"  1400 pairs, all consistent; smallest residual/floor ratio {worst:.1f}"
 print("  (statistical evidence, not a proof)")
 
 print()
-single = jordan.formal_reality_probe(x[0], y[0])
-print(f"the single-pair probe is the same kernel on one member: residual "
-      f"{single.residual_norm:.4f} == {residual[0]:.4f}, verdict {single.verdict}")
+single, _ = jordan.formal_reality_residuals(x[0], y[0])
+print(f"one pair is the same kernel on d x d matrices: residual "
+      f"{single:.4f} == {residual[0]:.4f}")

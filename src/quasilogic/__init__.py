@@ -14,7 +14,7 @@ Four layers, usable independently:
   and bootstrap intervals.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"
 
 from .logic import (
     ALL_RECORDS,
@@ -48,13 +48,7 @@ from .hilbert import (
     weak_value,
     xor_expectation,
 )
-from .jordan import (
-    formal_reality_probe,
-    idempotency_transfer_check,
-    jordan_product,
-    mapped_conjunction,
-    xor_operator_symmetry_check,
-)
+from .jordan import jordan_product, mapped_conjunction
 from .survey import (
     ReconstructionReport,
     SequentialCountTable,
@@ -101,11 +95,8 @@ __all__ = [
     "weak_value",
     "xor_expectation",
     # jordan
-    "formal_reality_probe",
-    "idempotency_transfer_check",
     "jordan_product",
     "mapped_conjunction",
-    "xor_operator_symmetry_check",
     # survey
     "ReconstructionReport",
     "SequentialCountTable",

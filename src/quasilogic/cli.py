@@ -26,6 +26,11 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
+# Input limits that keep a command's memory near 1 GB: survey at 10**7 bootstrap
+# draws, and verify at trials x d² = 2**24 (--dim 64 --trials 4096), take 1.2 and 3.4 GB.
+MAX_BOOTSTRAP_TRIALS = 10**7
+MAX_SAMPLED_ENTRIES = 2**22  # trials x d² of verify and jordan-verify at their largest d
+
 
 def _parse_dims(spec: str) -> tuple[int, ...]:
     """Parse a dimension spec: '3', '2-8', or '2,4,6', distinct dimensions in [2, MAX_DIM].
@@ -57,8 +62,8 @@ def _parse_dims(spec: str) -> tuple[int, ...]:
 
 
 def _number(kind: type, name: str, accept=lambda value: 0 < value < math.inf,
-            requirement: str = "positive and finite"):
-    """argparse type: a ``kind`` value that ``accept`` admits; the error says ``requirement``."""
+            requirement: str = "positive and finite", at_most=math.inf):
+    """argparse type: a ``kind`` value that ``accept`` admits and at most ``at_most``."""
     def convert(text: str):
         try:
             value = kind(text)
@@ -67,6 +72,8 @@ def _number(kind: type, name: str, accept=lambda value: 0 < value < math.inf,
             raise argparse.ArgumentTypeError(f"{name} must be {expected}, got {text!r}") from None
         if not accept(value):
             raise argparse.ArgumentTypeError(f"{name} must be {requirement}, got {value}")
+        if value > at_most:
+            raise argparse.ArgumentTypeError(f"{name} must be at most {at_most}, got {value}")
         return value
 
     return convert
@@ -169,7 +176,22 @@ def _render_checks(results: list[verify.CheckResult], args: argparse.Namespace,
     return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
 
 
+def _too_many_samples(args: argparse.Namespace) -> bool:
+    """Whether trials x d² at the largest d exceeds MAX_SAMPLED_ENTRIES; if so, says so."""
+    dim = max(args.dims)
+    entries = args.trials * dim * dim
+    if entries <= MAX_SAMPLED_ENTRIES:
+        return False
+    sys.stderr.write(
+        f"error: --trials {args.trials} at dimension {dim} makes {entries} matrix entries"
+        f" per stack; trials * dim**2 may be at most {MAX_SAMPLED_ENTRIES}\n"
+    )
+    return True
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if _too_many_samples(args):
+        return EXIT_INPUT_ERROR
     results = verify.run_all(
         dims=args.dims, trials_per_dim=args.trials, seed=args.seed, tol=args.tol
     )
@@ -177,6 +199,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_jordan_verify(args: argparse.Namespace) -> int:
+    if _too_many_samples(args):
+        return EXIT_INPUT_ERROR
     sweep = verify.jordan_sweep_report(
         dims=args.dims, trials_per_dim=args.trials, seed=args.seed, tol=args.tol
     )
@@ -427,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=seed, default=42, help="random seed (default 42)")
         if trials is not None:
             p.add_argument("--trials", type=_number(int, "trials"), default=trials,
-                           help=f"samples per dimension (default {trials})")
+                           help=f"samples per dimension; trials * dim**2 at the largest"
+                           f" dimension at most {MAX_SAMPLED_ENTRIES} (default {trials})")
         p.add_argument("--tol", type=_number(float, "tol"), default=1e-10,
                        help="numerical tolerance (default 1e-10)")
 
@@ -458,8 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("input", help="count CSV (header: order,first,second,count)")
     sv.add_argument("--seed", type=seed, default=42)
     sv.add_argument("--trials", default=10_000,
-                    type=_number(int, "trials", lambda value: value >= 100, "at least 100"),
-                    help="bootstrap iterations, at least 100 (default 10000)")
+                    type=_number(int, "trials", lambda value: value >= 100, "at least 100",
+                                 at_most=MAX_BOOTSTRAP_TRIALS),
+                    help=f"bootstrap iterations, 100 to {MAX_BOOTSTRAP_TRIALS}"
+                    " (default 10000)")
     sv.add_argument("--confidence", default=0.95,
                     type=_number(float, "confidence", lambda value: 0 < value < 1, "in (0, 1)"),
                     help="bootstrap interval level, in (0, 1) (default 0.95)")

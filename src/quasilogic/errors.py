@@ -20,6 +20,10 @@ class DimensionMismatchError(QuasilogicError):
     """Operands live on spaces of different dimension."""
 
 
+class NonFiniteError(QuasilogicError):
+    """A matrix or vector has a NaN or infinite entry."""
+
+
 class NotHermitianError(QuasilogicError):
     """Matrix is not self-adjoint within tolerance."""
 

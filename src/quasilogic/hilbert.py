@@ -38,6 +38,7 @@ from .errors import (
     BadRankError,
     DimensionMismatchError,
     IncompleteBasisError,
+    NonFiniteError,
     NotHermitianError,
     NotIdempotentError,
     NotOrthonormalError,
@@ -56,7 +57,6 @@ __all__ = [
     "QuasiProbTable",
     "NegativitySearchResult",
     "operator_norm",
-    "hermiticity_residual",
     "validate_projector",
     "validate_density",
     "complement_projector",
@@ -94,7 +94,6 @@ __all__ = [
     "min_cell_over_states",
     "model_sequential_probabilities",
     "matrix_to_json",
-    "matrix_from_json",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -154,15 +153,6 @@ def _blockwise(fn, *operands: np.ndarray) -> list:
             for i in range(0, n, step)]
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
-    """Worst ||m - m^H|| over a matrix or an (n, d, d) stack.
-
-    Exactly Hermitian input has residual 0 without a singular-value solve.
-    """
-    skew = m - _dagger(m)
-    return _worst(operator_norm(skew)) if skew.any() else 0.0
-
-
 def _gate_norm(m: np.ndarray, tol: float) -> float:
     """Worst spectral norm over a matrix or a stack, as far as a check against ``tol`` needs it.
 
@@ -194,12 +184,19 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _finite(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` once every entry is finite; a NaN or an infinity raises :class:`NonFiniteError`."""
+    if not np.isfinite(m).all():
+        raise NonFiniteError(f"{what} has a NaN or infinite entry")
+    return m
+
+
 def _check_square(matrix: np.ndarray) -> np.ndarray:
-    """A complex copy of a square matrix (validation freezes it, never the caller's array)."""
+    """A complex copy of a finite square matrix (validation freezes it, not the caller's array)."""
     m = np.array(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
-    return m
+    return _finite(m, "matrix")
 
 
 def _check_dim(d: int, max_dim: int) -> None:
@@ -356,7 +353,7 @@ def rank_one_projectors(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> np.nda
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         raise BadDimensionError(f"expected an (n, d) array of vectors, got shape {v.shape}")
-    return _validated_projectors(_ray_projectors(v), tol, MAX_DIM)
+    return _validated_projectors(_ray_projectors(_finite(v, "vector")), tol, MAX_DIM)
 
 
 def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
@@ -713,36 +710,9 @@ class QuasiProbTable:
     def total(self) -> float:
         return sum(self.cells.values())
 
-    def row_sums(self) -> dict[int, float]:
-        return {a: self.cells[(a, 1)] + self.cells[(a, 0)] for a in (1, 0)}
-
-    def column_sums(self) -> dict[int, float]:
-        return {b: self.cells[(1, b)] + self.cells[(0, b)] for b in (1, 0)}
-
     def min_cell(self) -> tuple[float, tuple[int, int]]:
         cell = min(self.cells, key=lambda k: self.cells[k])
         return self.cells[cell], cell
-
-    def to_csv(self) -> str:
-        lines = ["a,b,value"]
-        for a, b in reversed(CELLS):
-            lines.append(f"{a},{b},{self.cells[(a, b)]!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "QuasiProbTable":
-        rows = [line.strip() for line in text.splitlines() if line.strip()]
-        if not rows or rows[0] != "a,b,value":
-            raise ValueError("expected header 'a,b,value'")
-        cells: dict[tuple[int, int], float] = {}
-        for row in rows[1:]:
-            a_str, b_str, value = row.split(",")
-            cells[(int(a_str), int(b_str))] = float(value)
-        if set(cells) != set(CELLS):
-            raise ValueError(f"expected exactly cells {CELLS}")
-        marginal_a = cells[(1, 1)] + cells[(1, 0)]
-        marginal_b = cells[(1, 1)] + cells[(0, 1)]
-        return cls(cells=cells, marginal_a=marginal_a, marginal_b=marginal_b)
 
 
 def quasi_prob_table(
@@ -821,6 +791,7 @@ def _validate_basis(
         raise IncompleteBasisError(
             f"{name}: vectors have length {mat.shape[1]}, expected {dim}"
         )
+    _finite(mat, name)
     gram = mat.conj() @ mat.T
     residual = _gate_norm(gram - np.eye(dim), tol)
     if residual > tol:
@@ -1014,15 +985,3 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
         "re": m.real.tolist(),
         "im": m.imag.tolist(),
     }
-
-
-def matrix_from_json(data: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`; checks shape consistency."""
-    dim = int(data["dim"])
-    re = np.asarray(data["re"], dtype=float)
-    im = np.asarray(data["im"], dtype=float)
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise BadDimensionError(
-            f"re/im shapes {re.shape}/{im.shape} inconsistent with dim {dim}"
-        )
-    return re + 1j * im

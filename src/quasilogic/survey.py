@@ -55,7 +55,6 @@ __all__ = [
     "qq_equality_stat",
     "order_effect_stat",
     "bootstrap_ci",
-    "simulate_counts",
     "ReconstructionReport",
     "classicality_report",
 ]
@@ -525,45 +524,6 @@ def _order_statistics(values: np.ndarray, tails: list[tuple[int, int]]) -> dict[
     ranks = [rank for pair in tails for rank in pair]
     values.partition(ranks)
     return dict(zip(ranks, values[ranks].tolist()))
-
-
-def simulate_counts(
-    p_ab: Mapping[Cell, float],
-    p_ba: Mapping[Cell, float],
-    n_per_order: int,
-    seed: int = 0,
-    method: Literal["multinomial", "expected"] = "multinomial",
-    label_a: str = "A",
-    label_b: str = "B",
-) -> SequentialCountTable:
-    """Draw a synthetic survey from model sequential distributions.
-
-    ``expected`` rounds the expected counts (largest-remainder, preserving the
-    total); ``multinomial`` draws one multinomial sample per order group.
-    """
-    def to_counts(probs: Mapping[Cell, float], rng: np.random.Generator) -> dict[Cell, int]:
-        p = np.clip(_cells_vector(probs), 0.0, None)
-        p = p / p.sum()
-        if method == "multinomial":
-            drawn = rng.multinomial(n_per_order, p)
-        elif method == "expected":
-            raw = p * n_per_order
-            base = np.floor(raw).astype(int)
-            remainder = n_per_order - base.sum()
-            order = np.argsort(-(raw - base))
-            base[order[:remainder]] += 1
-            drawn = base
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        return {cell: int(drawn[i]) for i, cell in enumerate(CELLS)}
-
-    rng = np.random.default_rng(seed)
-    return SequentialCountTable(
-        counts_ab=to_counts(p_ab, rng),
-        counts_ba=to_counts(p_ba, rng),
-        label_a=label_a,
-        label_b=label_b,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,8 @@ def sweep():
                 - hilbert.xor_expectation(rho, b, a, "operational")
             ),
         )
-        symmetry = jordan.xor_operator_symmetry_check(a, b)
-        gaps["xor_operator"] = max(
-            gaps["xor_operator"],
-            symmetry.expansion_residual_ab,
-            symmetry.expansion_residual_ba,
-        )
+        _, expansion_ab, expansion_ba = jordan.xor_symmetry_residuals(a, b)
+        gaps["xor_operator"] = max(gaps["xor_operator"], expansion_ab, expansion_ba)
         count += 1
     elapsed = time.perf_counter() - start
     return gaps, count, elapsed

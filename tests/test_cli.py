@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasilogic
-from quasilogic import cli, hilbert, jordan, survey, verify
+from quasilogic import cli, hilbert, jordan, logic, survey, verify
 from quasilogic.logic import CELLS
 
 ROW_KEYS = [f"{order},{first},{second}" for order in ("AB", "BA") for first, second in CELLS]
@@ -287,28 +287,21 @@ class TestJordanVerify:
             assert entry["verdict"] == "consistent"
 
     def test_each_formal_reality_pair_is_probed_once(self, capsys, monkeypatch):
-        calls, pairs, scalar_calls = [], [], []
+        calls, pairs = [], []
         stacked = jordan.formal_reality_residuals
-        scalar = jordan.formal_reality_probe
 
         def counting_residuals(x, y, tol=1e-10, **kwargs):
             calls.append(len(x))
             pairs.extend(xi.tobytes() + yi.tobytes() for xi, yi in zip(x, y))
             return stacked(x, y, tol, **kwargs)
 
-        def counting_probe(x, y, tol=1e-10):
-            scalar_calls.append(1)
-            return scalar(x, y, tol)
-
         monkeypatch.setattr(jordan, "formal_reality_residuals", counting_residuals)
-        monkeypatch.setattr(jordan, "formal_reality_probe", counting_probe)
         code, _, _ = run(
             capsys, "jordan-verify", "--dim", "2,4", "--trials", "50", "--format", "json"
         )
         assert code == 0
         assert calls == [50, 50]          # one stacked call per dimension
         assert len(pairs) == len(set(pairs)) == 100
-        assert scalar_calls == []
 
 
 class TestInputErrors:
@@ -588,6 +581,9 @@ class TestArgumentHandling:
         ("--confidence", "abc", "confidence must be a number, got 'abc'"),
         ("--trials", "50", "trials must be at least 100, got 50"),
         ("--trials", "-3", "trials must be at least 100, got -3"),
+        ("--trials", "10000001", "trials must be at most 10000000, got 10000001"),
+        ("--trials", "100000000000000000000",
+         "trials must be at most 10000000, got 100000000000000000000"),
     ])
     def test_survey_bootstrap_options_are_checked_before_the_file_is_read(
             self, capsys, monkeypatch, data_dir, option, value, message):
@@ -600,6 +596,50 @@ class TestArgumentHandling:
         assert len(errors) == 1 and errors[0].endswith(f"argument {option}: {message}")
         assert loads == []
 
+    def test_survey_trials_limit_is_inclusive(self, data_dir):
+        args = cli.build_parser().parse_args(
+            ["survey", str(data_dir / "synthetic_n100.csv"), "--trials", "10000000"])
+        assert args.trials == cli.MAX_BOOTSTRAP_TRIALS == 10**7
+
+    @staticmethod
+    def stub_sampling(monkeypatch):
+        """Record every sampler and suite call in place of running it."""
+        calls = []
+        for name in [name for name in dir(hilbert) if name.startswith("sample_")]:
+            monkeypatch.setattr(hilbert, name, lambda *a, _name=name, **k: calls.append(_name))
+        monkeypatch.setattr(verify, "run_all", lambda *a, **k: calls.append("run_all") or [])
+        monkeypatch.setattr(verify, "jordan_suite", lambda *a, **k: calls.append("suite") or [])
+        monkeypatch.setattr(verify, "jordan_sweep_report", lambda *a, **k: calls.append(
+            "sweep") or verify.FormalRealitySweep(0, [], np.inf, 0))
+        return calls
+
+    @pytest.mark.parametrize("argv, dim, entries", [
+        (["verify", "--dim", "2", "--trials", "100000000000000000000"], 2, 4 * 10**20),
+        (["jordan-verify", "--dim", "2", "--trials", "100000000000000000000"], 2, 4 * 10**20),
+        (["verify", "--dim", "64", "--trials", "4096"], 64, 2**24),
+        (["jordan-verify", "--dim", "2-64", "--trials", "1025"], 64, 1025 * 64**2),
+        (["verify", "--dim", "8,3", "--trials", "65537"], 8, 65537 * 64),
+    ])
+    def test_trials_beyond_the_sample_limit_exit_2_before_any_work(
+            self, capsys, monkeypatch, argv, dim, entries):
+        calls = self.stub_sampling(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: --trials {argv[-1]} at dimension {dim} makes {entries} matrix"
+                       " entries per stack; trials * dim**2 may be at most 4194304\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--dim", "64", "--trials", "1024"],
+        ["jordan-verify", "--dim", "2,64", "--trials", "1024"],
+        ["verify", "--dim", "2", "--trials", str(2**20)],
+    ])
+    def test_trials_at_the_sample_limit_are_accepted(self, capsys, monkeypatch, argv):
+        calls = self.stub_sampling(monkeypatch)
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert calls in (["run_all"], ["sweep", "suite"])
+
     def test_seed_zero_is_accepted(self, capsys):
         code, _, _ = run(capsys, "jordan-verify", "--dim", "2", "--trials", "5", "--seed", "0")
         assert code == 0
@@ -610,6 +650,31 @@ def test_package_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as handle:
         assert tomllib.load(handle)["project"]["version"] == quasilogic.__version__
+
+
+LAYERS = (logic, hilbert, jordan, survey, verify)
+
+
+@pytest.mark.parametrize("layer", LAYERS, ids=lambda layer: layer.__name__)
+def test_layer_all_lists_exactly_its_public_api(layer):
+    unresolved = [name for name in layer.__all__ if not hasattr(layer, name)]
+    defined = {
+        name for name, value in vars(layer).items()
+        if not name.startswith("_") and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == layer.__name__
+    }
+    assert unresolved == []
+    assert sorted(defined - set(layer.__all__)) == []
+    assert len(set(layer.__all__)) == len(layer.__all__)
+
+
+def test_package_all_reexports_the_layer_objects():
+    for name in quasilogic.__all__:
+        if name == "__version__":
+            continue
+        owners = [layer for layer in LAYERS if name in layer.__all__]
+        assert len(owners) == 1, name
+        assert getattr(quasilogic, name) is getattr(owners[0], name), name
 
 
 def test_jordan_verify_builds_one_generator_per_stream(capsys, monkeypatch):

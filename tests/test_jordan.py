@@ -104,50 +104,54 @@ class TestMappedConjunction:
 
 class TestIdempotencyTransfer:
     def test_projector_passes(self):
-        report = jordan.idempotency_transfer_check(proj(1, 1, 0))
-        assert report.passed
-        assert report.cubic_residual <= 1e-12
+        cubic, square = jordan.idempotency_residuals(proj(1, 1, 0))
+        assert cubic <= 1e-12 and square <= hilbert.DEFAULT_TOL
 
     def test_random_rank_k_projector_passes(self):
-        report = jordan.idempotency_transfer_check(hilbert.sample_projector(6, 3, seed=21))
-        assert report.passed
+        residuals = jordan.idempotency_residuals(hilbert.sample_projector(6, 3, seed=21))
+        assert max(residuals) <= hilbert.DEFAULT_TOL
 
     def test_near_projector_fails_with_residual(self):
         perturbed = np.diag([1.0, 0.0]) + 1e-3 * np.diag([1.0, -1.0])
-        report = jordan.idempotency_transfer_check(perturbed, tol=1e-10)
-        assert not report.passed
-        assert report.square_residual == pytest.approx(1e-3, rel=0.1)
+        cubic, square = jordan.idempotency_residuals(perturbed, tol=1e-10)
+        assert max(cubic, square) > 1e-10
+        assert square == pytest.approx(1e-3, rel=0.1)
+
+
+def violated(residual, scale, tol=hilbert.DEFAULT_TOL):
+    """The sweep's verdict on one pair: a vanishing residual at a nonzero input scale."""
+    return residual <= tol and scale > tol
 
 
 class TestFormalReality:
     def test_zero_inputs_consistent(self):
-        report = jordan.formal_reality_probe(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert report.residual_norm == 0.0
-        assert report.verdict == "consistent"
+        residual, scale = jordan.formal_reality_residuals(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert residual == scale == 0.0
+        assert not violated(residual, scale)
 
     def test_signed_matrix_still_positive_square(self):
-        report = jordan.formal_reality_probe(np.diag([1.0, -1.0]), np.zeros((2, 2)))
-        assert report.residual_norm == pytest.approx(1.0)
-        assert report.verdict == "consistent"
+        residual, scale = jordan.formal_reality_residuals(np.diag([1.0, -1.0]), np.zeros((2, 2)))
+        assert residual == pytest.approx(1.0) and scale == pytest.approx(1.0)
+        assert not violated(residual, scale)
 
     @given(dims, seeds)
     @settings(max_examples=60, deadline=None)
     def test_random_pairs_never_violate(self, dim, seed):
         x = hilbert.sample_hermitian(dim, seed=seed)
         y = hilbert.sample_hermitian(dim, seed=seed + 1)
-        report = jordan.formal_reality_probe(x, y)
-        assert report.verdict == "consistent"
+        residual, scale = jordan.formal_reality_residuals(x, y)
+        assert not violated(residual, scale)
         floor = 0.01 * max(
             hilbert.operator_norm(x) ** 2, hilbert.operator_norm(y) ** 2
         )
-        assert report.residual_norm > floor
+        assert residual > floor
 
 
 class TestXorOperatorSymmetry:
     def test_commuting_pair(self):
-        report = jordan.xor_operator_symmetry_check(proj(1, 1, 0), proj(0, 1, 1))
-        assert report.passed
-        assert report.swap_residual <= 1e-12
+        swap, *expansions = jordan.xor_symmetry_residuals(proj(1, 1, 0), proj(0, 1, 1))
+        assert swap <= 1e-12
+        assert max(expansions) <= hilbert.DEFAULT_TOL
 
     def test_hand_example_is_half_identity(self):
         a = proj(1, 0)
@@ -156,8 +160,7 @@ class TestXorOperatorSymmetry:
         bbar = hilbert.complement_projector(b)
         forward = a.matrix @ bbar.matrix @ a.matrix + abar.matrix @ b.matrix @ abar.matrix
         assert_allclose(forward, np.eye(2) / 2, atol=ATOL)
-        report = jordan.xor_operator_symmetry_check(a, b)
-        assert report.passed
+        assert max(jordan.xor_symmetry_residuals(a, b)) <= hilbert.DEFAULT_TOL
 
     @given(dims, seeds)
     @settings(max_examples=50, deadline=None)
@@ -165,14 +168,14 @@ class TestXorOperatorSymmetry:
         rng = np.random.default_rng(seed)
         a = hilbert.sample_projector(dim, int(rng.integers(1, dim)), seed=seed)
         b = hilbert.sample_projector(dim, int(rng.integers(1, dim)), seed=seed + 1)
-        report = jordan.xor_operator_symmetry_check(a, b)
-        assert report.swap_residual <= 1e-10
-        assert report.expansion_residual_ab <= 1e-10
-        assert report.expansion_residual_ba <= 1e-10
+        swap, expansion_ab, expansion_ba = jordan.xor_symmetry_residuals(a, b)
+        assert swap <= 1e-10
+        assert expansion_ab <= 1e-10
+        assert expansion_ba <= 1e-10
 
 
 # ---------------------------------------------------------------------------
-# stacked kernels against per-matrix numpy and the per-pair probe loop
+# stacked kernels against per-matrix numpy and a per-pair loop
 
 
 def spectral(m):
@@ -200,8 +203,7 @@ class TestStackedKernels:
             squares = (xi @ xi + xi @ xi) / 2 + (yi @ yi + yi @ yi) / 2
             assert residual[i] == spectral(squares)
             assert scale[i] == max(spectral(xi), spectral(yi))
-            probe = jordan.formal_reality_probe(xi, yi)
-            assert (probe.residual_norm, probe.input_scale) == (residual[i], scale[i])
+            assert jordan.formal_reality_residuals(xi, yi) == (residual[i], scale[i])
 
     @given(dims, seeds)
     @settings(max_examples=25, deadline=None)
@@ -222,10 +224,8 @@ class TestStackedKernels:
             assert swap[i] == spectral(forward - backward)
             assert expansion_ab[i] == spectral(forward - expansion)
             assert expansion_ba[i] == spectral(backward - expansion)
-            report = jordan.xor_operator_symmetry_check(
-                hilbert.Projector(ai), hilbert.Projector(bi)
-            )
-            assert report.swap_residual == swap[i]
+            pair = jordan.xor_symmetry_residuals(hilbert.Projector(ai), hilbert.Projector(bi))
+            assert pair == (swap[i], expansion_ab[i], expansion_ba[i])
 
     def test_one_non_hermitian_member_raises_worst_residual(self):
         stack = np.array(hilbert.sample_hermitians(3, 5, np.random.default_rng(0)))
@@ -260,7 +260,7 @@ class TestStackedKernels:
     @settings(max_examples=15, deadline=None)
     def test_sweep_equals_per_pair_probe_loop(self, dim, trials, seed):
         sweep = verify.jordan_sweep_report((dim,), trials, seed)
-        residuals, ratios, violated = [], [], False
+        residuals, ratios, any_violated = [], [], False
         # trials + 1 matrices drawn one at a time from the sweep's stream; pair t is (t, t + 1)
         rng = np.random.default_rng([seed, verify._SWEEP, dim])
         matrices = []
@@ -268,18 +268,18 @@ class TestStackedKernels:
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             matrices.append((g + g.conj().T) / 2)
         for x, y in zip(matrices, matrices[1:]):
-            probe = jordan.formal_reality_probe(x, y)
+            residual, scale = jordan.formal_reality_residuals(x, y)
             floor = 0.01 * max(hilbert.operator_norm(x) ** 2, hilbert.operator_norm(y) ** 2)
-            residuals.append(probe.residual_norm)
-            ratios.append(probe.residual_norm / floor)
-            violated |= probe.verdict == "violated"
+            residuals.append(residual)
+            ratios.append(residual / floor)
+            any_violated |= violated(residual, scale)
         assert sweep.records == [{
             "dim": dim,
             "trials": trials,
             "seed": seed,
             "max_residual": max(residuals),
             "min_residual": min(residuals),
-            "verdict": "violated" if violated else "consistent",
+            "verdict": "violated" if any_violated else "consistent",
         }]
         assert sweep.min_ratio == min(ratios)
         assert sweep.violations == 0

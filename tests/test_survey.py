@@ -531,20 +531,6 @@ class TestPercentileInterval:
         assert survey._percentile_interval(values.copy(), confidence) == expected
 
 
-class TestSimulateCounts:
-    def test_expected_counts_preserve_total(self):
-        p = {(0, 0): 0.451, (0, 1): 0.049, (1, 0): 0.049, (1, 1): 0.451}
-        table = survey.simulate_counts(p, p, 1000, seed=0, method="expected")
-        assert table.n_ab == table.n_ba == 1000
-        assert table.counts_ab[(0, 0)] == 451
-
-    def test_multinomial_deterministic(self):
-        p = {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}
-        t1 = survey.simulate_counts(p, p, 500, seed=6)
-        t2 = survey.simulate_counts(p, p, 500, seed=6)
-        assert t1.counts_ab == t2.counts_ab and t1.counts_ba == t2.counts_ba
-
-
 class TestClassicalityReport:
     def test_classical_product_data_has_no_flags(self):
         table = make_table((30, 30, 20, 20), (30, 20, 30, 20))
@@ -577,8 +563,12 @@ class TestClassicalityReport:
 
     def test_strongly_nonclassical_model_is_flagged(self, tilted_example):
         rho, a, b = tilted_example
-        p_ab, p_ba = hilbert.model_sequential_probabilities(rho, a, b)
-        table = survey.simulate_counts(p_ab, p_ba, 100_000, seed=5, method="multinomial")
+        rng = np.random.default_rng(5)
+        draws = []
+        for probs in hilbert.model_sequential_probabilities(rho, a, b):
+            p = np.clip([probs[cell] for cell in CELLS], 0.0, None)
+            draws.append(rng.multinomial(100_000, p / p.sum()))  # one group per order
+        table = make_table(*draws)
         report = survey.classicality_report(table, iterations=2000, seed=7)
         assert report.logical_ab[(1, 1)] == pytest.approx(-0.1, abs=0.01)
         assert report.classicality_flags_ab[(1, 1)]
