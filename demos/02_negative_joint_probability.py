@@ -49,7 +49,12 @@ kd = hilbert.kd_distribution(rho, basis_a, basis_b)
 print(np.array2string(np.round(kd, 4)))
 
 print()
-print("how negative can a cell get at d=2?  brute-force random search:")
-result = hilbert.negativity_random_search(2, 20_000, seed=1)
-print(f"  best of 2x10^4 draws: {result.min_value:+.4f} at cell {result.cell}")
-print("  (no optimality claim; the search only reports what it found)")
+print("how negative can a cell get?  For fixed questions, the lowest value over")
+print("all states is the lowest eigenvalue of a Jordan product:")
+value, cell = hilbert.min_cell_over_states(a, b)
+print(f"  these questions (overlap 1/sqrt(2)): {value:+.4f} at cell {cell}")
+a_half = hilbert.rank_one_projector(np.array([1.0, 0.0]))
+b_half = hilbert.rank_one_projector(np.array([0.5, np.sqrt(3) / 2]))
+value, cell = hilbert.min_cell_over_states(a_half, b_half)
+print(f"  rank-one questions at overlap 1/2:   {value:+.4f} at cell {cell}")
+print("  (-1/8 exactly: Jordan's two-subspace lemma puts no cell of any pair lower)")

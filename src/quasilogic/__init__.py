@@ -14,7 +14,7 @@ Four layers, usable independently:
   and bootstrap intervals.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .logic import (
     ALL_RECORDS,
@@ -36,8 +36,6 @@ from .hilbert import (
     kd_distribution,
     logical_joint,
     lueders_update,
-    negativity_random_search,
-    negativity_search,
     quasi_prob_table,
     rank_one_projector,
     sample_projector,
@@ -83,8 +81,6 @@ __all__ = [
     "kd_distribution",
     "logical_joint",
     "lueders_update",
-    "negativity_random_search",
-    "negativity_search",
     "quasi_prob_table",
     "rank_one_projector",
     "sample_projector",

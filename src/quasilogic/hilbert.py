@@ -55,7 +55,6 @@ __all__ = [
     "Projector",
     "DensityState",
     "QuasiProbTable",
-    "NegativitySearchResult",
     "operator_norm",
     "validate_projector",
     "validate_density",
@@ -89,9 +88,8 @@ __all__ = [
     "kd_distribution",
     "weak_value",
     "worked_example",
-    "negativity_search",
-    "negativity_random_search",
     "min_cell_over_states",
+    "min_cells_over_states",
     "model_sequential_probabilities",
     "matrix_to_json",
 ]
@@ -134,11 +132,6 @@ def _re_trace(m: np.ndarray) -> np.ndarray:
     return np.trace(m, axis1=-2, axis2=-1).real
 
 
-def _block_length(dim: int) -> int:
-    """Members of a d x d stack in one block."""
-    return max(1, _BLOCK_ENTRIES // (dim * dim))
-
-
 def _blockwise(fn, *operands: np.ndarray) -> list:
     """``fn`` of each block of the longest stack among :func:`_operands` results, in order.
 
@@ -146,7 +139,7 @@ def _blockwise(fn, *operands: np.ndarray) -> list:
     fit in one block give ``[fn(*operands)]``.
     """
     n = max((len(m) for m in operands if m.ndim == 3), default=0)
-    step = _block_length(operands[0].shape[-1])
+    step = max(1, _BLOCK_ENTRIES // operands[0].shape[-1] ** 2)
     if n <= step:
         return [fn(*operands)]
     return [fn(*(m[i:i + step] if m.ndim == 3 and len(m) == n else m for m in operands))
@@ -162,18 +155,23 @@ def _gate_norm(m: np.ndarray, tol: float) -> float:
     singular-value solve; otherwise the exact worst spectral norm is returned,
     the value an error reports.
     """
-    if _worst(np.linalg.norm(m, axis=(-2, -1))) <= tol * (1 - 1e-12):
+    frobenius = _worst(np.linalg.norm(m, axis=(-2, -1)))
+    if frobenius <= tol * (1 - 1e-12):
         return 0.0
+    if not np.isfinite(m).all():
+        return frobenius  # inf or NaN: LAPACK rejects a non-finite matrix
     return _worst(operator_norm(m))
 
 
 def _hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     """``m`` once its hermiticity residual, checked block by block, is within ``tol``.
 
-    :class:`NotHermitianError` carries the worst member's residual.
+    :class:`NotHermitianError` carries the worst member's residual.  Here and below,
+    overflow leaves inf or NaN, which fails the check silently and in any block.
     """
-    herm = max(_blockwise(lambda block: _gate_norm(block - _dagger(block), tol), m))
-    if herm > tol:
+    with np.errstate(all="ignore"):
+        herm = float(np.max(_blockwise(lambda block: _gate_norm(block - _dagger(block), tol), m)))
+    if not herm <= tol:
         raise NotHermitianError(herm, tol)
     return m
 
@@ -248,8 +246,9 @@ def _validated_projectors(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray
     """
     _check_dim(m.shape[-1], max_dim)
     _hermitian(m, tol)
-    idem = max(_blockwise(lambda p: _gate_norm(p @ p - p, tol), m))
-    if idem > tol:
+    with np.errstate(all="ignore"):
+        idem = float(np.max(_blockwise(lambda p: _gate_norm(p @ p - p, tol), m)))
+    if not idem <= tol:
         raise NotIdempotentError(idem, tol)
     return _freeze(m)
 
@@ -268,14 +267,14 @@ def _validated_densities(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray:
     """
     _check_dim(m.shape[-1], max_dim)
     _hermitian(m, tol)
-    lowest = min(_blockwise(
-        lambda r: float(np.linalg.eigvalsh((r + _dagger(r)) / 2).min(initial=np.inf)), m
-    ))
-    if lowest < -tol:
+    with np.errstate(all="ignore"):  # r/2 + r^H/2, unlike (r + r^H)/2, cannot overflow
+        lowest = float(np.min(_blockwise(
+            lambda r: np.linalg.eigvalsh(r / 2 + _dagger(r) / 2).min(initial=np.inf), m)))
+        traces = np.ravel(np.trace(m, axis1=-2, axis2=-1))
+        gaps = np.abs(traces - 1.0)
+    if not lowest >= -tol:
         raise NotPositiveSemidefiniteError(lowest, tol)
-    traces = np.ravel(np.trace(m, axis1=-2, axis2=-1))
-    gaps = np.abs(traces - 1.0)
-    if gaps.max(initial=0.0) > tol:
+    if not gaps.max(initial=0.0) <= tol:
         raise TraceNotOneError(complex(traces[gaps.argmax()]), tol)
     return _freeze(m)
 
@@ -362,11 +361,20 @@ def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
     Each row is divided by its ``np.linalg.norm``, computed as that function
     does, sqrt(re·re + im·im) from dot products of the strided real and
     imaginary parts, so the result matches normalising one vector at a time.
+    A row whose sum of squares over- or underflowed is divided by its largest
+    real or imaginary part first; a zero row raises :class:`BadRankError`.
     """
     re, im = vectors.real[:, None, :], vectors.imag[:, None, :]
-    squares = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
-    if not squares.all():
-        raise ValueError("cannot project onto the zero vector")
+    with np.errstate(over="ignore"):
+        squares = (re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[:, 0, 0]
+    rescale = ~((squares >= np.finfo(float).tiny) & (squares <= np.finfo(float).max))
+    if rescale.any():
+        scales = np.maximum(abs(vectors.real), abs(vectors.imag))[rescale].max(axis=-1)
+        if not scales.all():
+            raise BadRankError("cannot project onto the zero vector")
+        vectors = vectors.copy()
+        vectors[rescale] /= scales[:, None]
+        return _ray_projectors(vectors)  # every row's sum of squares is now normal
     v = vectors / np.sqrt(squares)[:, None]
     return v[:, :, None] * v.conj()[:, None, :]
 
@@ -792,9 +800,9 @@ def _validate_basis(
             f"{name}: vectors have length {mat.shape[1]}, expected {dim}"
         )
     _finite(mat, name)
-    gram = mat.conj() @ mat.T
-    residual = _gate_norm(gram - np.eye(dim), tol)
-    if residual > tol:
+    with np.errstate(all="ignore"):  # overflow leaves inf or NaN, which fails the check
+        residual = _gate_norm(mat.conj() @ mat.T - np.eye(dim), tol)
+    if not residual <= tol:
         raise NotOrthonormalError(residual, tol)
     return mat
 
@@ -856,100 +864,33 @@ def worked_example() -> tuple[DensityState, Projector, Projector]:
     return rho, a, b
 
 
-@dataclass(frozen=True, eq=False)
-class NegativitySearchResult:
-    """Best (most negative) cell found by a random search; no global claim."""
-
-    min_value: float
-    cell: tuple[int, int]
-    draw_index: int
-    state: DensityState
-    question_a: Projector
-    question_b: Projector
-
-
-def negativity_search(
-    rho: DensityState, a: Projector, b: Projector
-) -> tuple[float, tuple[int, int]]:
-    """Minimum cell of the quasi-probability table and the outcome pair attaining it."""
-    return quasi_prob_table(rho, a, b, method="jordan").min_cell()
-
-
-def negativity_random_search(
-    dim: int,
-    draws: int,
-    seed: int = 0,
-    purity: Literal["pure", "mixed"] = "pure",
-) -> NegativitySearchResult:
-    """Search random (state, question, question) triples for negative cells.
-
-    Pure states are drawn by default since cells are linear in the state, so
-    mixing can only shrink negativity.  Records the best value found, at the
-    first draw that reaches it; this is a brute-force search, not an
-    optimiser, and makes no optimality claim.
-
-    One ``default_rng(seed)`` stream first gives the two question ranks of
-    every draw, then per draw the real and imaginary parts of the state's
-    Gaussians and of each question's unitary, in that order; each block of
-    draws takes its Gaussians in one call, so the result does not depend on
-    the block length.  The triples are evaluated in stacked blocks; only the
-    winner is validated.
-    """
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
-    rng = np.random.default_rng(seed)
-    ranks = rng.integers(1, dim, size=(draws, 2))
-    state_shape = (dim,) if purity == "pure" else (dim, dim)
-    state_size = 2 * int(np.prod(state_shape))
-    step = _block_length(dim)
-    best = None  # (min cell, cell, draw index, state, A, B)
-    for start in range(0, draws, step):
-        n = min(step, draws - start)
-        parts = rng.standard_normal((n, state_size + 4 * dim * dim))
-        state = parts[:, :state_size].reshape(n, 2, *state_shape)
-        frames = parts[:, state_size:].reshape(n, 2, 2, dim, dim)
-        g = state[:, 0] + 1j * state[:, 1]
-        rho = _ray_projectors(g) if purity == "pure" else _normalised_grams(g)
-        u = _haar_unitaries(frames[:, :, 0] + 1j * frames[:, :, 1])  # (n, question, d, d)
-        a, b = (_frame_projectors(u[:, q], ranks[start:start + n, q]) for q in range(2))
-        # direct cell evaluation; the wrapped API is exercised on the winner
-        value = _re_trace(rho @ a @ b)
-        pa = _re_trace(rho @ a)
-        pb = _re_trace(rho @ b)
-        cells = np.stack([value, pa - value, pb - value, 1.0 - pa - pb + value], axis=-1)
-        k = int(cells.min(axis=-1).argmin())
-        j = int(cells[k].argmin())
-        if best is None or cells[k, j] < best[0]:
-            best = (float(cells[k, j]), _TABLE_CELLS[j], start + k, rho[k], a[k], b[k])
-    min_value, cell, index, rho_m, a_m, b_m = best
-    return NegativitySearchResult(
-        min_value=min_value,
-        cell=cell,
-        draw_index=index,
-        state=validate_density((rho_m + _dagger(rho_m)) / 2),
-        question_a=validate_projector((a_m + _dagger(a_m)) / 2),
-        question_b=validate_projector((b_m + _dagger(b_m)) / 2),
-    )
-
-
 def min_cell_over_states(a: Projector, b: Projector) -> tuple[float, tuple[int, int]]:
-    """Most negative table cell over all states for fixed questions, and its cell.
+    """Most negative table cell over all states for fixed questions, and its cell."""
+    lowest = min_cells_over_states(a, b)
+    k = int(lowest.argmin())
+    return float(lowest[k]), _TABLE_CELLS[k]
+
+
+def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum over all states of each table cell, shape (..., 4) in the cell order of
+    :func:`quasi_prob_tables`, per member of broadcast question stacks.
 
     Cell (i, j) is Tr(rho (A_i ∘ B_j)), with A_1 = A, A_0 = its complement and
     likewise for B; it is linear in rho, so its minimum over states is the
-    lowest eigenvalue of the Jordan product A_i ∘ B_j, taken here for all four
-    products in one ``eigvalsh``.  Jordan's two-subspace lemma bounds it below
-    by -1/8, reached by rank-one questions with overlap |<a|b>| = 1/2.
+    lowest eigenvalue of the Jordan product A_i ∘ B_j, one ``eigvalsh`` per block
+    for all four products of every member.  Jordan's two-subspace lemma bounds
+    it below by -1/8, reached by rank-one questions with overlap |<a|b>| = 1/2.
     """
-    a, b = _operands(a, b)
-    firsts, seconds = _answers(a), _answers(b)
-    products = _symmetrised(
-        np.stack([firsts[i] for i, _ in _TABLE_CELLS]),
-        np.stack([seconds[j] for _, j in _TABLE_CELLS]),
-    )
-    lowest = np.linalg.eigvalsh(products)[:, 0]
-    k = int(lowest.argmin())
-    return float(lowest[k]), _TABLE_CELLS[k]
+    def lowest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        firsts, seconds = _answers(a), _answers(b)
+        products = _symmetrised(
+            np.stack([firsts[i] for i, _ in _TABLE_CELLS], axis=-3),
+            np.stack([seconds[j] for _, j in _TABLE_CELLS], axis=-3),
+        )
+        return np.linalg.eigvalsh(products)[..., 0]
+
+    blocks = _blockwise(lowest, *_operands(a, b))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

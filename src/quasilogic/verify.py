@@ -30,7 +30,6 @@ __all__ = [
 DOUBLE_PRECISION_FLOOR = 1e-12
 """Residuals at or below this are attributable to double-precision round-off."""
 
-_NEGATIVITY_DRAWS = 10_000  # random triples the hilbert suite searches at d = 2
 _CLASSICAL_TRIALS = 1000  # commuting triples whose cells the hilbert suite checks
 
 # Each suite draws its samples at dimension d from one stream, default_rng([seed, suite, d]).
@@ -202,9 +201,11 @@ def hilbert_suite(
     max_marginality = 0.0
     max_repeat = 0.0
     min_table_cell = np.inf
+    question_pairs = []
     count = 0
-    for _, rho, a, b in _sampled_stacks(dims, trials_per_dim, seed, questions):
+    for dim, rho, a, b in _sampled_stacks(dims, trials_per_dim, seed, questions):
         count += len(rho)
+        question_pairs.append((dim, a, b))
         operational = hilbert.logical_joints(rho, a, b, "operational")
         algebraic = hilbert.logical_joints(rho, a, b, "jordan")
         kd_real = np.trace(rho @ a @ b, axis1=1, axis2=2).real
@@ -290,13 +291,7 @@ def hilbert_suite(
         f"{_CLASSICAL_TRIALS} commuting triples, min cell {min_cell:.3e}",
     ))
 
-    # negativity is actually reachable: random search at d=2
-    found = hilbert.negativity_random_search(2, _NEGATIVITY_DRAWS, seed=seed)
-    results.append(_exact(
-        "hilbert.negativity_search_floor",
-        found.min_value <= -0.09,
-        f"best cell {found.min_value:.6f} at draw {found.draw_index}",
-    ))
+    results.append(_negativity_floor(question_pairs, dims, tol))
 
     # survey round trip: model probabilities reconstruct the model's joints;
     # one stream gives the 20 states (pure for even t), then the A and the B questions
@@ -322,6 +317,23 @@ def hilbert_suite(
     results.append(_residual("hilbert.survey_round_trip", max_roundtrip, tol, "20 seeded models at d=2"))
 
     return results
+
+
+def _negativity_floor(question_pairs, dims: tuple[int, ...], tol: float) -> CheckResult:
+    """``hilbert.negativity_search_floor``: how far the exact minimum over all states of
+    any pair's cells lies below -1/8, and that pair's dimension, index and cell."""
+    floor, at, count = np.inf, "", 0
+    for dim, a, b in question_pairs:
+        count += len(a)
+        lowest = hilbert.min_cells_over_states(a, b)
+        pair, cell = divmod(int(lowest.argmin()), 4)
+        if lowest[pair, cell] < floor:
+            floor = float(lowest[pair, cell])
+            at = f"d={dim}, pair {pair}, cell {hilbert._TABLE_CELLS[cell]}"
+    return _residual(
+        "hilbert.negativity_search_floor", max(0.0, -1 / 8 - floor), tol,
+        f"{count} question pairs over dims {dims}, min cell over states {floor:.6f} at {at}",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,17 @@ class TestVerify:
         failed = [c for c in data["checks"] if not c["passed"]]
         assert failed
         assert all(c["failure_kind"] == "tolerance" for c in failed)
+
+    @pytest.mark.parametrize("seed", [9, 13, 27])
+    def test_one_trial_passes_the_negativity_floor(self, capsys, seed):
+        """One sampled pair lies above -0.09 here (-0.088 at seed 9); the exact floor holds."""
+        code, out, _ = run(capsys, "verify", "--dim", "2", "--trials", "1", "--seed", str(seed),
+                           "--format", "json")
+        assert code == 0
+        checks = {check["name"]: check for check in json.loads(out)["checks"]}
+        floor = checks["hilbert.negativity_search_floor"]
+        assert floor["passed"] and floor["residual"] == 0.0
+        assert "1 question pairs over dims (2,), min cell over states" in floor["detail"]
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--dim", "2", "--trials", "5")
@@ -417,12 +429,12 @@ class TestCallCounts:
         code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "100", "--format", "json")
         assert code == 0
         dims = 7
-        # 700 triples, 1000 commuting triples and 10k search draws: per-item work
+        # 700 triples, 700 question pairs and 1000 commuting triples: per-item work
         # makes thousands of these calls; a stack longer than a block adds a few
         assert calls["_validated_densities"] + calls["_validated_projectors"] <= 12 * dims + 10
         assert calls["logical_joints"] <= 16 * dims + 10
         assert calls["logical_joint"] <= 2  # the worked example
-        assert calls["validate_density"] + calls["validate_projector"] <= 10
+        assert calls["validate_density"] + calls["validate_projector"] <= 2  # its state and A
 
     def test_verify_samples_each_dimension_once(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch, verify, ["_sampled_questions"])
@@ -677,6 +689,30 @@ def test_package_all_reexports_the_layer_objects():
         assert getattr(quasilogic, name) is getattr(owners[0], name), name
 
 
+def removed_names(version: str) -> set[str]:
+    """The names README's "Since <version>" note lists as removed: each backticked name
+    that opens one of its bullets, before the colon, without its arguments."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    note = readme.split(f"\nSince {version}, ")[1].split("\n\n")[0]
+    heads = [bullet.split(":")[0] for bullet in note.split("\n- ")[1:]]
+    return {name.split("(")[0] for head in heads for name in re.findall(r"`([^`]+)`", head)}
+
+
+@pytest.mark.parametrize("version, count", [("0.4.0", 16), ("0.5.0", 5)])
+def test_removed_names_stay_absent(version, count):
+    """A method named after its class is gone from that class; any other name from the
+    package and every layer."""
+    names = removed_names(version)
+    assert len(names) == count, sorted(names)
+    classes = {name: getattr(layer, name) for layer in LAYERS for name in layer.__all__
+               if inspect.isclass(getattr(layer, name))}
+    for qualified in names:
+        owner, _, name = qualified.rpartition(".")
+        for module in [classes[owner]] if owner in classes else (quasilogic,) + LAYERS:
+            assert not hasattr(module, name), qualified
+            assert name not in getattr(module, "__all__", ()), qualified
+
+
 def test_jordan_verify_builds_one_generator_per_stream(capsys, monkeypatch):
     built = []
     original = np.random.default_rng
@@ -747,6 +783,11 @@ def pinned(out: str, version: str, fields) -> str:
 KD_CHANGED = ("config.trials", "max_gap_to_logical_joint")
 CLASSICAL_CHANGED = ("hilbert.classical_triples_nonnegative:residual",
                      "hilbert.classical_triples_nonnegative:detail")
+# The fields of the check that 0.5.0 made exact: the lowest cell over all states
+# of the sampled question pairs in place of a random search's best draw.
+NEGATIVITY_CHANGED = ("hilbert.negativity_search_floor:residual",
+                      "hilbert.negativity_search_floor:tol",
+                      "hilbert.negativity_search_floor:detail")
 
 # sha256 of the output of quasilogic 0.1.0 with its version string, for
 # commands that draw nothing from the samplers that changed in 0.2.0; where
@@ -781,11 +822,13 @@ def test_output_unchanged_since_0_1_0(capsys, data_dir, argv, digest, fields):
 # where fields are listed, of the output without them and without its version
 SAMPLED_OUTPUTS = [
     (["verify", "--format", "json"],
-     "431fbc6cad2651782f7f4dbdbd7cee5ee0e933db8d91286cece4324f91f79205", ("hilbert.table_marginality:residual",) + CLASSICAL_CHANGED),
+     "a0b806dedcb266defec83bd30d8d514226a052acce5db732435f2752acc6dc6c",
+     ("hilbert.table_marginality:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED),
     (["jordan-verify", "--format", "json"],
      "77cdb914395010da53363f4da736c6096e73cb2aac883392b20f01bf7cae32eb", ()),
     (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
-     "17ee0eedf7e6640e7eb9de8c932141a245837eb8b93ed88465cfa92f751b8866", ("hilbert.joint_operational_vs_algebraic:residual",) + CLASSICAL_CHANGED),
+     "3f281da4404638352b731bda2419697e902e233fe5c89001f23693a6129b7d2d",
+     ("hilbert.joint_operational_vs_algebraic:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED),
 ]
 
 
@@ -797,23 +840,41 @@ def test_sampled_output_unchanged_since_0_2_0(capsys, argv, digest, fields):
     assert hashlib.sha256(pinned(out, "0.2.0", fields).encode()).hexdigest() == digest
 
 
-# sha256 at 0.3.0, with its version string, of the outputs whose fields above changed
+# sha256 at 0.3.0, with its version string, of the outputs whose fields above changed;
+# where fields are listed, of the output without them and without its version
 CHANGED_OUTPUTS = [
     (["kd", "--dim", "24", "--seed", "5", "--format", "json"],
-     "3552163b0f6b31173dd381e8c8a7b72f4aea7bb773f3dc064f39429fe9106cc3"),
+     "3552163b0f6b31173dd381e8c8a7b72f4aea7bb773f3dc064f39429fe9106cc3", ()),
     (["verify", "--format", "json"],
-     "714a691332de6ad7ff4e772c3aff1b943ee294fc8d52c3a79c4bed78b40865c4"),
+     "f63fec87fe048a1aeb84fa8f6a92703d40c02cb8879ed05130e720b1bfcadbbf", NEGATIVITY_CHANGED),
     (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
-     "ede1474929c6f38a5403c95160dc56317485f6ca0d93096c7adda1553648b6d7"),
+     "583bfd29ac6f422a497f4f0e4ef7f319a8857d4e840fcc82f02b83fe33b20d53", NEGATIVITY_CHANGED),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", CHANGED_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _ in CHANGED_OUTPUTS])
-def test_output_pinned_at_0_3_0(capsys, argv, digest):
+@pytest.mark.parametrize("argv, digest, fields", CHANGED_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _, _ in CHANGED_OUTPUTS])
+def test_output_pinned_at_0_3_0(capsys, argv, digest, fields):
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(pinned(out, "0.3.0", ()).encode()).hexdigest() == digest
+    assert hashlib.sha256(pinned(out, "0.3.0", fields).encode()).hexdigest() == digest
+
+
+# sha256 at 0.5.0, with its version string, of the outputs whose fields above changed
+NEGATIVITY_OUTPUTS = [
+    (["verify", "--format", "json"],
+     "16e2bb283493b3de10abd507a633c189d6136345e4228a5ead951ce62f0580bb"),
+    (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
+     "550d8894bcf829d0341a7c8f7ae2c04c9058813ae70c0b6157c61ee824f3564d"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", NEGATIVITY_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in NEGATIVITY_OUTPUTS])
+def test_output_pinned_at_0_5_0(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(pinned(out, "0.5.0", ()).encode()).hexdigest() == digest
 
 
 # sha256 of kd's text output, which holds no version string and is unchanged

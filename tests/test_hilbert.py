@@ -26,6 +26,7 @@ from quasilogic.errors import (
     NotOrthonormalError,
     NotPositiveSemidefiniteError,
     TraceNotOneError,
+    QuasilogicError,
     ZeroPostSelectionError,
     ZeroProbabilityBranchError,
 )
@@ -95,6 +96,52 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="NaN or infinite entry"):
                 call(m, v)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: hilbert.validate_projector(np.diag([1e200, 0.0])), NotIdempotentError),
+        (lambda: hilbert.validate_projector(np.diag([1e200, 1e200])), NotIdempotentError),
+        (lambda: hilbert.validate_density(np.array([[0.5, 1.7e308], [1.7e308, 0.5]])),
+         NotPositiveSemidefiniteError),
+        (lambda: hilbert.validate_projector(np.array([[1.0, 1.7e308], [-1.7e308, 0.0]])),
+         NotHermitianError),
+        (lambda: hilbert.kd_distribution(state(0.5, 0.5), [[1e200, 1e200j], [0.0, 1.0]], np.eye(2)),
+         NotOrthonormalError),
+    ], ids=["overflowing square", "overflowing diagonal", "overflowing state",
+            "overflowing hermiticity residual", "overflowing gram matrix"])
+    def test_finite_input_whose_checks_overflow_is_rejected(self, call, error):
+        """A residual that overflows to NaN or inf fails its check, and warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                call()
+
+    @pytest.mark.parametrize("order", ["overflow last", "overflow first"])
+    def test_overflowing_member_is_rejected_in_any_block(self, monkeypatch, order):
+        members = [np.diag([1.0, 0.0]), np.diag([1e200, 0.0])]
+        if order == "overflow first":
+            members.reverse()
+        monkeypatch.setattr(hilbert, "_BLOCK_ENTRIES", 4)  # one member per block
+        for validate in (hilbert._validated_projectors, hilbert._validated_densities):
+            with pytest.raises(QuasilogicError):
+                validate(np.array(members, dtype=complex), hilbert.DEFAULT_TOL, hilbert.MAX_DIM)
+
+    @pytest.mark.parametrize("vector, ray", [
+        ([1e300, 1e300], [1.0, 1.0]), ([1e-170, 0.0], [1.0, 0.0]), ([3e-200j, -4e-200], [3j, -4.0]),
+    ], ids=["overflow", "underflow", "complex underflow"])
+    def test_rank_one_projector_rescales_extreme_vectors(self, vector, ray):
+        expected = hilbert.rank_one_projector(np.array(ray)).matrix
+        assert np.array_equal(hilbert.rank_one_projector(np.array(vector)).matrix, expected)
+        # the other rows of a stack keep their bits
+        stack = hilbert.rank_one_projectors(np.array([vector, [0.6, 0.8j]]))
+        assert np.array_equal(stack[0], expected)
+        assert np.array_equal(stack[1], hilbert.rank_one_projector(np.array([0.6, 0.8j])).matrix)
+
+    @pytest.mark.parametrize("vectors", [[[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    def test_zero_vector_has_no_ray(self, vectors):
+        with pytest.raises(BadRankError, match="zero vector"):
+            hilbert.rank_one_projectors(np.array(vectors))
+        with pytest.raises(BadRankError, match="zero vector"):
+            hilbert.rank_one_projector(np.array(vectors[-1]))
 
     def test_matrices_are_read_only(self):
         p = proj(1, 0)
@@ -400,27 +447,15 @@ class TestWeakValue:
 
 class TestNegativity:
     def test_fixed_example(self, tilted_example):
-        value, cell = hilbert.negativity_search(*tilted_example)
+        value, cell = hilbert.quasi_prob_table(*tilted_example, "jordan").min_cell()
         assert value == pytest.approx(-0.1, abs=ATOL)
         assert cell == (1, 1)
 
     def test_commuting_triples_stay_nonnegative(self):
         for seed in range(50):
             rho, a, b = hilbert.sample_commuting_triple(2 + seed % 5, seed=seed)
-            value, _ = hilbert.negativity_search(rho, a, b)
+            value, _ = hilbert.quasi_prob_table(rho, a, b, "jordan").min_cell()
             assert value >= -1e-12
-
-    def test_random_search_finds_deep_negativity(self):
-        result = hilbert.negativity_random_search(2, 10_000, seed=42)
-        assert result.min_value <= -0.09
-        # the winning triple reproduces its cell through the public table API
-        table = hilbert.quasi_prob_table(result.state, result.question_a, result.question_b)
-        assert table.cells[result.cell] == pytest.approx(result.min_value, abs=1e-9)
-
-    def test_search_is_deterministic(self):
-        r1 = hilbert.negativity_random_search(2, 500, seed=3)
-        r2 = hilbert.negativity_random_search(2, 500, seed=3)
-        assert r1.min_value == r2.min_value and r1.draw_index == r2.draw_index
 
 
 class TestOrderDependence:
@@ -626,13 +661,6 @@ class TestStackedSampling:
             hilbert.sample_states(3, ["pure", "thermal"], np.random.default_rng(0))
 
 
-class TestNegativitySearchArguments:
-    @pytest.mark.parametrize("draws", [0, -3])
-    def test_non_positive_draws_rejected(self, draws):
-        with pytest.raises(ValueError, match="draws"):
-            hilbert.negativity_random_search(2, draws)
-
-
 # ---------------------------------------------------------------------------
 # stacked kernels against the per-triple reference code
 
@@ -675,36 +703,6 @@ def reference_cells(rho, a, b, method):
     eye = np.eye(len(a))
     firsts, seconds = {1: a, 0: eye - a}, {1: b, 0: eye - b}
     return [reference_joint(rho, firsts[i], seconds[j], method) for i, j in reversed(hilbert.CELLS)]
-
-
-def reference_search(dim, draws, seed, purity):
-    """The per-draw search loop that the stacked search replaces: every draw's
-    two ranks first, then per draw the state's and both unitaries' Gaussians."""
-    rng = np.random.default_rng(seed)
-    ranks = [[int(rng.integers(1, dim)) for _ in range(2)] for _ in range(draws)]
-    best = None
-    for i in range(draws):
-        if purity == "pure":
-            v = complex_gaussian(rng, dim)
-            v /= np.linalg.norm(v)
-            rho = np.outer(v, v.conj())
-        else:
-            g = complex_gaussian(rng, (dim, dim))
-            rho = g @ g.conj().T
-            rho /= rho.trace().real
-        ops = []
-        for rank in ranks[i]:
-            u = haar_unitary(rng, dim)
-            ops.append(u[:, :rank] @ u[:, :rank].conj().T)
-        a, b = ops
-        value = np.trace(rho @ a @ b).real
-        pa, pb = np.trace(rho @ a).real, np.trace(rho @ b).real
-        cells = {(1, 1): value, (1, 0): pa - value, (0, 1): pb - value,
-                 (0, 0): 1.0 - pa - pb + value}
-        cell = min(cells, key=lambda k: cells[k])
-        if best is None or cells[cell] < best[0]:
-            best = (cells[cell], cell, i, rho, a, b)
-    return best
 
 
 def reference_commuting_triples(dim, n, rng):
@@ -789,28 +787,6 @@ class TestStackedKernels:
             for i, (r, p, q) in enumerate(zip(rho, a, b)):
                 assert sequential[i] == reference_re_trace(q @ p @ r @ p)
                 assert born[i] == reference_re_trace(r @ q)
-
-    @given(stack_dims, st.integers(min_value=1, max_value=40), stack_seeds,
-           st.sampled_from(["pure", "mixed"]), st.integers(min_value=1, max_value=9))
-    @settings(max_examples=30, deadline=None)
-    def test_negativity_search_equals_per_draw_loop(self, dim, draws, seed, purity, members):
-        ref_value, ref_cell, ref_index, ref_rho, ref_a, ref_b = reference_search(
-            dim, draws, seed, purity)
-        with pytest.MonkeyPatch.context() as mp:
-            # blocks of `members` draws, so most examples cross a block boundary
-            mp.setattr(hilbert, "_BLOCK_ENTRIES", members * dim * dim)
-            found = hilbert.negativity_random_search(dim, draws, seed, purity)
-        assert found.min_value == ref_value
-        assert found.cell == ref_cell
-        assert found.draw_index == ref_index
-        assert np.array_equal(found.state.matrix, (ref_rho + ref_rho.conj().T) / 2)
-        assert np.array_equal(found.question_a.matrix, (ref_a + ref_a.conj().T) / 2)
-        assert np.array_equal(found.question_b.matrix, (ref_b + ref_b.conj().T) / 2)
-
-    def test_default_search_keeps_its_winner(self):
-        """verify's 10k draws at d=2 span several blocks; seed 42 still wins at draw 765."""
-        assert hilbert._block_length(2) < 10_000
-        assert hilbert.negativity_random_search(2, 10_000, seed=42).draw_index == 765
 
     @given(st.integers(min_value=2, max_value=5), stack_seeds)
     @settings(max_examples=25, deadline=None)
@@ -1000,6 +976,7 @@ STACKED_KERNELS = {
     "hilbert.xor_expectations mapped_operator":
         lambda rho, a, b: hilbert.xor_expectations(rho, a, b, "mapped_operator"),
     "hilbert.quasi_prob_tables": hilbert.quasi_prob_tables,
+    "hilbert.min_cells_over_states": lambda rho, a, b: hilbert.min_cells_over_states(a, b),
     "jordan.jordan_product": lambda rho, a, b: jordan.jordan_product(a, b),
     "jordan.mapped_conjunction": lambda rho, a, b: jordan.mapped_conjunction(a, b),
     "jordan.formal_reality_residuals": lambda rho, a, b: jordan.formal_reality_residuals(a, b),
@@ -1020,15 +997,21 @@ def test_stacked_kernels_share_one_shape_rule(kernel, misfit):
 # exact negativity: the minimum cell over all states
 
 
-def question_pairs():
+def question_stacks(max_pairs=12):
+    """Two (n, d, d) question stacks of any ranks, n from 1 to ``max_pairs``, from one generator."""
     @st.composite
-    def pairs(draw):
-        dim = draw(stack_dims)
-        ranks = draw(st.lists(st.integers(1, dim - 1), min_size=2, max_size=2))
-        seed = draw(stack_seeds)
-        return (hilbert.sample_projector(dim, ranks[0], seed),
-                hilbert.sample_projector(dim, ranks[1], seed + 1))
-    return pairs()
+    def stacks(draw):
+        dim, n = draw(stack_dims), draw(st.integers(1, max_pairs))
+        ranks = draw(st.lists(st.integers(1, dim - 1), min_size=2 * n, max_size=2 * n))
+        rng = np.random.default_rng(draw(stack_seeds))
+        return (hilbert.sample_projectors(dim, ranks[:n], rng),
+                hilbert.sample_projectors(dim, ranks[n:], rng))
+    return stacks()
+
+
+def question_pairs():
+    """One pair of :class:`Projector` questions: the one-pair :func:`question_stacks`."""
+    return question_stacks(1).map(lambda ab: tuple(hilbert.Projector(q[0]) for q in ab))
 
 
 class TestMinCellOverStates:
@@ -1057,8 +1040,40 @@ class TestMinCellOverStates:
         value, _ = hilbert.min_cell_over_states(a, b)
         assert abs(value - (-1 / 8)) <= 1e-12
 
-    @pytest.mark.parametrize("seed", [0, 42, 7])
-    def test_bounds_the_random_search(self, seed):
-        found = hilbert.negativity_random_search(2, 2_000, seed=seed)
-        value, _ = hilbert.min_cell_over_states(found.question_a, found.question_b)
-        assert value <= found.min_value
+    @given(question_stacks(), block_members)
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_form_equals_scalar_and_per_cell_eigvalsh(self, stacks, members):
+        a, b = stacks
+        dim = a.shape[-1]
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of `members` pairs, so most examples cross a block boundary
+            mp.setattr(hilbert, "_BLOCK_ENTRIES", members * dim * dim)
+            lowest = hilbert.min_cells_over_states(a, b)
+            scalars = [hilbert.min_cell_over_states(hilbert.Projector(p), hilbert.Projector(q))
+                       for p, q in zip(a, b)]
+            broadcast = hilbert.min_cells_over_states(a[0], b)
+        assert lowest.shape == (len(a), 4)
+        cells = list(reversed(hilbert.CELLS))
+        for i, (p, q) in enumerate(zip(a, b)):
+            firsts, seconds = {1: p, 0: np.eye(dim) - p}, {1: q, 0: np.eye(dim) - q}
+            reference = [np.linalg.eigvalsh(jordan.jordan_product(firsts[x], seconds[y]))[0]
+                         for x, y in cells]
+            assert lowest[i].tolist() == reference
+            k = int(np.argmin(reference))
+            assert scalars[i] == (reference[k], cells[k])
+            assert broadcast[i].tolist() == hilbert.min_cells_over_states(a[0], q).tolist()
+
+    def test_non_projector_breaks_the_floor_and_fails_the_check(self):
+        """B = 1.2 |b><b| is no question: at overlap 1/2 its (1, 1) floor is -1.2/8 = -0.15."""
+        a = proj(1, 0).matrix[None]
+        b = 1.2 * hilbert.rank_one_projector(np.array([0.5, np.sqrt(3) / 2])).matrix[None]
+        lowest = hilbert.min_cells_over_states(a, b)
+        assert lowest[0, 0] == pytest.approx(-0.15, abs=1e-12)
+        assert lowest.min() < -0.15  # the (0, 0) cell, since 1 - B is no question either
+        check = verify._negativity_floor([(2, a, b)], (2,), hilbert.DEFAULT_TOL)
+        assert check.name == "hilbert.negativity_search_floor"
+        assert not check.passed and check.failure_kind == "violation"
+        assert check.residual == -1 / 8 - lowest.min()
+        assert "min cell over states -0.214575 at d=2, pair 0, cell (0, 0)" in check.detail
+        # the projector it scales stays within the floor
+        assert verify._negativity_floor([(2, a, b / 1.2)], (2,), hilbert.DEFAULT_TOL).passed
