@@ -9,6 +9,13 @@ They return residual norms and leave the verdict to the caller, as ``verify``
 does; formal reality is probed over random inputs, so its verdict is
 "consistent with", never a proof.
 
+The idempotency and XOR-symmetry kernels norm the defects of private builders,
+which ``verify`` reduces itself: its checks keep only the worst spectral norm
+of a stack, and σ₁² ≤ ‖MᴴM‖_F bounds every member, so ``hilbert._worst_norm``
+solves just the members whose Gram bound reaches the worst norm found.  The
+formal-reality sweep keeps one norm per member, as it reports the smallest
+residual and ratio over all pairs.
+
 Every kernel takes d x d matrices (giving floats) or (n, d, d) stacks and
 works memberwise, so a sweep costs one numpy call per dimension.  Operands
 follow the shape rule of the ``hilbert`` kernels, whose operand layer and
@@ -62,10 +69,14 @@ def idempotency_residuals(
     Asking a question twice is asking it once when both vanish.  Takes raw
     Hermitian matrices, so that a near-projector can be diagnosed.
     """
+    cubic, square = _idempotency_defects(a, tol)
+    return operator_norm(cubic), operator_norm(square)
+
+
+def _idempotency_defects(a: np.ndarray | Projector, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """A A A - A and A ∘ A - A, whose norms :func:`idempotency_residuals` returns."""
     m = _hermitian(*_operands(a), tol)
-    cubic = operator_norm(m @ m @ m - m)
-    square = operator_norm(m @ m - m)  # x ∘ x reduces to the ordinary square
-    return cubic, square
+    return m @ m @ m - m, m @ m - m  # x ∘ x reduces to the ordinary square
 
 
 def formal_reality_residuals(
@@ -92,11 +103,12 @@ def xor_symmetry_residuals(
     Takes projectors, or matrices and (n, d, d) stacks of validated projector
     matrices, and returns one residual of each kind per member.
     """
+    return tuple(operator_norm(defect) for defect in _xor_symmetry_defects(a, b))
+
+
+def _xor_symmetry_defects(a: Projector | np.ndarray, b: Projector | np.ndarray) -> tuple:
+    """The swap and both expansion defects whose norms :func:`xor_symmetry_residuals` returns."""
     am, bm = _operands(a, b)
     forward, backward = _mapped_xor(am, bm), _mapped_xor(bm, am)
     expansion = _xor_expansion(am, bm)
-    return (
-        operator_norm(forward - backward),
-        operator_norm(forward - expansion),
-        operator_norm(backward - expansion),
-    )
+    return forward - backward, forward - expansion, backward - expansion

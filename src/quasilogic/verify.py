@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import hilbert, jordan, logic, survey
+from .hilbert import _worst_norm
 
 __all__ = [
     "CheckResult",
@@ -170,13 +171,6 @@ def _sampled_stacks(dims: tuple[int, ...], trials_per_dim: int, seed: int, quest
         yield dim, states, questions_a, questions_b
 
 
-def _sampled_triples(dims: tuple[int, ...], trials_per_dim: int, seed: int):
-    """(dim, state, question_a, question_b) per trial, sliced from :func:`_sampled_stacks`."""
-    for dim, states, questions_a, questions_b in _sampled_stacks(dims, trials_per_dim, seed):
-        for rho, a, b in zip(states, questions_a, questions_b):
-            yield dim, hilbert.DensityState(rho), hilbert.Projector(a), hilbert.Projector(b)
-
-
 def hilbert_suite(
     dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     trials_per_dim: int = 100,
@@ -224,8 +218,8 @@ def hilbert_suite(
         max_xor_swap = _largest(
             max_xor_swap, np.abs(xor_op - hilbert.xor_expectations(rho, b, a, "operational"))
         )
-        swap, expansion_ab, _ = jordan.xor_symmetry_residuals(a, b)
-        max_xor_operator = _largest(max_xor_operator, expansion_ab, swap)
+        swap, expansion_ab, _ = jordan._xor_symmetry_defects(a, b)
+        max_xor_operator = max(max_xor_operator, _worst_norm(expansion_ab), _worst_norm(swap))
         cells, pa, pb = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
         marginality = hilbert.table_marginality_residuals(cells, pa, pb)
         # total, row a=1 and column b=1
@@ -422,23 +416,21 @@ def jordan_suite(
         x = hilbert.sample_hermitians(dim, len(a), rng)
         y = hilbert.sample_hermitians(dim, len(a), rng)
         xy = jordan.jordan_product(x, y)
-        max_commute = _largest(
-            max_commute, hilbert.operator_norm(xy - jordan.jordan_product(y, x)))
-        max_hermitian = _largest(
-            max_hermitian, hilbert.operator_norm(xy - xy.conj().transpose(0, 2, 1)))
+        max_commute = max(max_commute, _worst_norm(xy - jordan.jordan_product(y, x)))
+        max_hermitian = max(max_hermitian, _worst_norm(xy - xy.conj().transpose(0, 2, 1)))
         xx = jordan.jordan_product(x, x)
-        max_power = _largest(max_power, hilbert.operator_norm(
+        max_power = max(max_power, _worst_norm(
             jordan.jordan_product(xx, x) - jordan.jordan_product(x, xx)))
 
         identity = np.eye(dim)
         ab = jordan.mapped_conjunction(a, b)
-        max_marginality = _largest(
+        max_marginality = max(
             max_marginality,
-            hilbert.operator_norm(ab + jordan.mapped_conjunction(a, identity - b) - a),
-            hilbert.operator_norm(ab + jordan.mapped_conjunction(identity - a, b) - b),
+            _worst_norm(ab + jordan.mapped_conjunction(a, identity - b) - a),
+            _worst_norm(ab + jordan.mapped_conjunction(identity - a, b) - b),
         )
-        max_idem = _largest(max_idem, *jordan.idempotency_residuals(a, tol))
-        max_xor = _largest(max_xor, *jordan.xor_symmetry_residuals(a, b))
+        max_idem = max(max_idem, *map(_worst_norm, jordan._idempotency_defects(a, tol)))
+        max_xor = max(max_xor, *map(_worst_norm, jordan._xor_symmetry_defects(a, b)))
 
     detail = f"{count} samples over dims {dims}"
     results.append(_residual("jordan.product_commutativity", max_commute, tol, detail))

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import sampled_triples
 from quasilogic import hilbert, jordan, logic, survey, verify
 
 SWEEP_DIMS = (2, 3, 4, 5, 6, 7, 8)
@@ -40,7 +41,7 @@ def sweep():
         "xor_operator": 0.0,  # ||A B̄ A + Ā B Ā - (A + B - AB - BA)||
     }
     count = 0
-    for _, rho, a, b in verify._sampled_triples(SWEEP_DIMS, SWEEP_TRIALS_PER_DIM, SWEEP_SEED):
+    for _, rho, a, b in sampled_triples(SWEEP_DIMS, SWEEP_TRIALS_PER_DIM, SWEEP_SEED):
         operational = hilbert.logical_joint(rho, a, b, "operational")
         algebraic = hilbert.logical_joint(rho, a, b, "jordan")
         re_trace = float(np.trace(rho.matrix @ a.matrix @ b.matrix).real)

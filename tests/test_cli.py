@@ -476,6 +476,19 @@ class TestCallCounts:
         # valid input passes every check on its Frobenius norms alone
         assert calls["operator_norm"] == 0 and svd_calls == []
 
+    @pytest.mark.parametrize("command, most", [("verify", 1600), ("jordan-verify", 14200)])
+    def test_max_only_checks_solve_few_members(self, capsys, monkeypatch, command, most):
+        """Checks that keep only the worst spectral norm solve few members (10,507 for
+        verify and 28,007 for jordan-verify with one solve per member)."""
+        linalg = inspect.unwrap(np.linalg.norm).__globals__
+        svd, solved = linalg["svd"], []
+        monkeypatch.setitem(linalg, "svd", lambda a, *args, **kwargs: solved.append(
+            1 if a.ndim == 2 else len(a)) or svd(a, *args, **kwargs))
+        code, _, _ = run(capsys, command, "--format", "json", "--seed", "42")
+        assert code == 0
+        # jordan-verify keeps the 7 x 2,001 per-member norms of its formal-reality sweep
+        assert sum(solved) <= most
+
 
 def test_cli_import_loads_no_scipy(tmp_path):
     """numpy is the only runtime dependency: the CLI must not pull in scipy.

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import sampled_triples
 from quasilogic import hilbert, jordan, verify
 from quasilogic.errors import (
     BadDimensionError,
@@ -618,7 +619,7 @@ class TestStackedSampling:
     @given(stack_dims, st.integers(min_value=1, max_value=9), stack_seeds)
     @settings(max_examples=25, deadline=None)
     def test_verify_sampler_equals_per_trial_loop(self, dim, trials, seed):
-        stacked = list(verify._sampled_triples((dim,), trials, seed))
+        stacked = list(sampled_triples((dim,), trials, seed))
         assert len(stacked) == trials
         for (d, rho, a, b), (rho_ref, a_ref, b_ref) in zip(
             stacked, reference_triples(dim, trials, seed)
@@ -961,6 +962,57 @@ class TestNormGate:
         with pytest.raises(NotIdempotentError) as exc:
             hilbert.validate_projector(np.diag([0.5, 0.5]))
         assert str(exc.value) == "idempotency residual 2.500e-01 exceeds tol 1.000e-10"
+
+
+def unpruned_worst_norm(m):
+    return hilbert._worst(hilbert.operator_norm(m))
+
+
+def reduction_outcome(reduce, m):
+    """``reduce(m)`` in hex digits, which tell -0.0 from 0.0, or what it raised."""
+    try:
+        return reduce(m).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def norm_stacks(draw):
+    """(n, d, d) stacks: Gaussian members of spread scales, all zeros (either sign), one
+    outlier among zeros, or a decoy whose largest Gram bound is not the largest norm."""
+    dim = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 64]))
+    n = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(["gaussian", "zeros", "outlier", "decoy"]))
+    scale = draw(st.sampled_from([1.0, 1e-13, 1e-170, 1e150]))
+    rng = np.random.default_rng(draw(stack_seeds))
+    m = complex_gaussian(rng, (n, dim, dim)) * 10 ** rng.uniform(-3, 0, (n, 1, 1))
+    if kind != "gaussian":
+        m = np.zeros_like(m) * draw(st.sampled_from([1.0, -1.0]))
+    if kind == "outlier" and n:
+        m[rng.integers(n)] = complex_gaussian(rng, (dim, dim))
+    if kind == "decoy" and n >= 2:
+        # c·I has σ₁ = c and Gram bound c·d^¼ > 1.1c, the norm and bound of diag(1.1c, 0, ...)
+        first, second = rng.choice(n, 2, replace=False)
+        m[first] = np.eye(dim)
+        m[second, 0, 0] = 1.1
+    return m * scale
+
+
+class TestWorstNorm:
+    """The Gram-pruned worst spectral norm equals the unpruned reduction, bit for bit."""
+
+    @given(norm_stacks())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_unpruned_reduction(self, m):
+        assert (reduction_outcome(hilbert._worst_norm, m)
+                == reduction_outcome(unpruned_worst_norm, m))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_members_end_as_unpruned(self, bad):
+        m = complex_gaussian(np.random.default_rng(4), (9, 3, 3))
+        m[5, 1, 2] = bad
+        assert (reduction_outcome(hilbert._worst_norm, m)
+                == reduction_outcome(unpruned_worst_norm, m))
 
 
 # every stacked kernel of both modules, on (states, questions, questions) stacks
