@@ -109,7 +109,11 @@ XorMethod = Literal["operational", "mapped_operator"]
 
 
 def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
-    """Spectral norm (largest singular value); one per member of an (n, d, d) stack."""
+    """Spectral norm (largest singular value); one per member of an (n, d, d) stack.
+
+    A NaN or infinite entry raises :class:`NonFiniteError` before the solve, which LAPACK refuses.
+    """
+    _finite(matrix, "matrix")
     if np.ndim(matrix) == 2:
         return float(np.linalg.norm(matrix, 2))
     return np.linalg.norm(matrix, 2, axis=(-2, -1))
@@ -818,16 +822,13 @@ def table_marginality_residuals(
 def _validate_basis(
     vectors: Sequence[np.ndarray] | np.ndarray, dim: int, tol: float, name: str
 ) -> np.ndarray:
-    mat = np.asarray([np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors])
-    if mat.shape[0] != dim:
-        raise IncompleteBasisError(
-            f"{name}: expected {dim} vectors, got {mat.shape[0]}"
-        )
-    if mat.shape[1] != dim:
-        raise IncompleteBasisError(
-            f"{name}: vectors have length {mat.shape[1]}, expected {dim}"
-        )
-    _finite(mat, name)
+    rows = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
+    if len(rows) != dim:
+        raise IncompleteBasisError(f"{name}: expected {dim} vectors, got {len(rows)}")
+    for row in rows:
+        if len(row) != dim:
+            raise IncompleteBasisError(f"{name}: vectors have length {len(row)}, expected {dim}")
+    mat = _finite(np.array(rows), name)
     with np.errstate(all="ignore"):  # overflow leaves inf or NaN, which fails the check
         residual = _gate_norm(mat.conj() @ mat.T - np.eye(dim), tol)
     if not residual <= tol:

@@ -102,7 +102,7 @@ class SequentialCountTable:
             if set(counts) != set(CELLS):
                 raise MissingCellError(f"{name}: expected exactly cells {CELLS}")
             for cell, value in counts.items():
-                if not isinstance(value, (int, np.integer)):
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                     raise SchemaError(f"{name}{cell}: count {value!r} is not an integer")
                 if value < 0:
                     raise NegativeCountError(f"{name}{cell}: count {value} is negative")

@@ -72,9 +72,30 @@ def _residual(name: str, residual: float, tol: float, detail: str = "") -> Check
                        tol=tol, detail=detail)
 
 
-def _largest(*residuals: float | np.ndarray) -> float:
-    """Largest of residuals and residual stacks (0 when all are empty)."""
-    return max(float(np.max(r, initial=0.0)) for r in residuals)
+def _worst_residual(*residuals, initial: float = 0.0) -> float:
+    """Largest of ``initial``, residual values and the spectral norms of (n, d, d) residual stacks.
+
+    Unlike Python's ``max``, a NaN anywhere is the result, so the check it feeds
+    fails as a violation.  A finite matrix stack is reduced by
+    :func:`hilbert._worst_norm`; one with a NaN or inf entry gives its largest
+    Frobenius norm (NaN or inf) without the singular-value solve, which LAPACK
+    would refuse.  A -0.0 never replaces 0.0.
+    """
+    worst = initial
+    for r in residuals:
+        value = (float(np.max(r, initial=worst)) if np.ndim(r) < 3
+                 else _worst_norm(r) if np.isfinite(r).all()
+                 else float(np.max(np.linalg.norm(r, axis=(-2, -1)))))
+        if value > worst or value != value:
+            worst = value
+    return worst
+
+
+class _WorstByCheck(dict):
+    """The worst residual so far of each check, by name, in the order the checks first report."""
+
+    def add(self, name: str, *residuals) -> None:
+        self[name] = _worst_residual(*residuals, initial=self.get(name, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +205,7 @@ def hilbert_suite(
     ``questions`` maps each dimension to its :func:`_sampled_questions` result,
     so that a caller running :func:`jordan_suite` too samples them once.
     """
-    results: list[CheckResult] = []
-
-    max_method_gap = 0.0
-    max_kd_gap = 0.0
-    max_joint_swap = 0.0
-    max_xor_method_gap = 0.0
-    max_xor_swap = 0.0
-    max_xor_operator = 0.0
-    max_marginality = 0.0
-    max_repeat = 0.0
+    worst = _WorstByCheck()
     min_table_cell = np.inf
     question_pairs = []
     count = 0
@@ -203,46 +215,34 @@ def hilbert_suite(
         operational = hilbert.logical_joints(rho, a, b, "operational")
         algebraic = hilbert.logical_joints(rho, a, b, "jordan")
         kd_real = np.trace(rho @ a @ b, axis1=1, axis2=2).real
-        max_method_gap = _largest(max_method_gap, np.abs(operational - algebraic))
-        max_kd_gap = _largest(
-            max_kd_gap, np.abs(operational - kd_real), np.abs(algebraic - kd_real)
-        )
-        max_joint_swap = _largest(
-            max_joint_swap, np.abs(operational - hilbert.logical_joints(rho, b, a, "operational"))
-        )
+        worst.add("hilbert.joint_operational_vs_algebraic", np.abs(operational - algebraic))
+        worst.add("hilbert.joint_equals_re_trace",
+                  np.abs(operational - kd_real), np.abs(algebraic - kd_real))
+        worst.add("hilbert.joint_order_symmetry",
+                  np.abs(operational - hilbert.logical_joints(rho, b, a, "operational")))
         xor_op = hilbert.xor_expectations(rho, a, b, "operational")
         # the suite measures the operator residual itself (below); disable the
         # op-level contract check so impossible tolerances report, not crash
         xor_mapped = hilbert.xor_expectations(rho, a, b, "mapped_operator", tol=np.inf)
-        max_xor_method_gap = _largest(max_xor_method_gap, np.abs(xor_op - xor_mapped))
-        max_xor_swap = _largest(
-            max_xor_swap, np.abs(xor_op - hilbert.xor_expectations(rho, b, a, "operational"))
-        )
+        worst.add("hilbert.xor_operational_vs_mapped", np.abs(xor_op - xor_mapped))
+        worst.add("hilbert.xor_order_symmetry",
+                  np.abs(xor_op - hilbert.xor_expectations(rho, b, a, "operational")))
         swap, expansion_ab, _ = jordan._xor_symmetry_defects(a, b)
-        max_xor_operator = max(max_xor_operator, _worst_norm(expansion_ab), _worst_norm(swap))
+        worst.add("hilbert.xor_operator_expansion", expansion_ab, swap)
         cells, pa, pb = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
-        marginality = hilbert.table_marginality_residuals(cells, pa, pb)
         # total, row a=1 and column b=1
-        max_marginality = _largest(max_marginality, marginality[:, [0, 1, 3]])
-        min_table_cell = min(min_table_cell, float(np.min(cells, initial=np.inf)))
-        max_repeat = _largest(
-            max_repeat, np.abs(hilbert.sequential_probabilities(rho, a, a) - pa)
-        )
+        worst.add("hilbert.table_marginality",
+                  hilbert.table_marginality_residuals(cells, pa, pb)[:, [0, 1, 3]])
+        # Jordan's two-subspace lemma: no cell of any table is below -1/8
+        worst.add("hilbert.quasi_prob_floor", -1 / 8 - cells)
+        min_table_cell = float(np.min(cells, initial=min_table_cell))
+        worst.add("hilbert.repeated_question",
+                  np.abs(hilbert.sequential_probabilities(rho, a, a) - pa))
 
     detail = f"{count} triples over dims {dims}"
-    results.append(_residual("hilbert.joint_operational_vs_algebraic", max_method_gap, tol, detail))
-    results.append(_residual("hilbert.joint_equals_re_trace", max_kd_gap, tol, detail))
-    results.append(_residual("hilbert.joint_order_symmetry", max_joint_swap, tol, detail))
-    results.append(_residual("hilbert.xor_operational_vs_mapped", max_xor_method_gap, tol, detail))
-    results.append(_residual("hilbert.xor_order_symmetry", max_xor_swap, tol, detail))
-    results.append(_residual("hilbert.xor_operator_expansion", max_xor_operator, tol, detail))
-    results.append(_residual("hilbert.table_marginality", max_marginality, tol, detail))
-    # Jordan's two-subspace lemma: no cell of any table is below -1/8
-    results.append(_residual(
-        "hilbert.quasi_prob_floor", max(0.0, -1 / 8 - min_table_cell), tol,
-        f"{detail}, min cell {min_table_cell:.6f}",
-    ))
-    results.append(_residual("hilbert.repeated_question", max_repeat, tol, detail))
+    details = {"hilbert.quasi_prob_floor": f"{detail}, min cell {min_table_cell:.6f}"}
+    results = [_residual(name, residual, tol, details.get(name, detail))
+               for name, residual in worst.items()]
 
     # fixed worked example: negative cell, weak value, genuine order dependence
     rho, a, b = hilbert.worked_example()
@@ -272,16 +272,15 @@ def hilbert_suite(
 
     # classical baseline: commuting triples never go negative; trial t has
     # dimension 2 + t % 4, and each dimension's triples come from its own stream
-    min_cell = np.inf
+    negativity, min_cell = 0.0, np.inf
     for dim in range(2, 6):
         n = len(range(dim - 2, _CLASSICAL_TRIALS, 4))
         triples = hilbert.sample_commuting_triples(dim, n, _stream(seed, _CLASSICAL, dim))
         cells, _, _ = hilbert.quasi_prob_tables(*triples, "jordan")
-        min_cell = min(min_cell, float(cells.min()))
+        negativity = _worst_residual(-cells, initial=negativity)
+        min_cell = float(np.min(cells, initial=min_cell))
     results.append(_residual(
-        "hilbert.classical_triples_nonnegative",
-        max(0.0, -float(min_cell)),
-        1e-12,
+        "hilbert.classical_triples_nonnegative", negativity, 1e-12,
         f"{_CLASSICAL_TRIALS} commuting triples, min cell {min_cell:.3e}",
     ))
 
@@ -296,19 +295,15 @@ def hilbert_suite(
     joints, _, _ = hilbert.quasi_prob_tables(
         states, questions_a, questions_b, "operational", tol=np.inf
     )
-    max_roundtrip = 0.0
+    gaps = []
     for rho_m, a_m, b_m, model in zip(states, questions_a, questions_b, joints.tolist()):
         p_ab, p_ba = hilbert.model_sequential_probabilities(
             hilbert.DensityState(rho_m), hilbert.Projector(a_m), hilbert.Projector(b_m)
         )
-        logical_ab, logical_ba = survey.logical_tables_from_probs(p_ab, p_ba)
-        for cell, value in zip(reversed(survey.CELLS), model):
-            max_roundtrip = max(
-                max_roundtrip,
-                abs(logical_ab[cell] - value),
-                abs(logical_ba[cell] - value),
-            )
-    results.append(_residual("hilbert.survey_round_trip", max_roundtrip, tol, "20 seeded models at d=2"))
+        for table in survey.logical_tables_from_probs(p_ab, p_ba):
+            gaps += [abs(table[cell] - value) for cell, value in zip(reversed(survey.CELLS), model)]
+    results.append(_residual(
+        "hilbert.survey_round_trip", _worst_residual(gaps), tol, "20 seeded models at d=2"))
 
     return results
 
@@ -316,16 +311,17 @@ def hilbert_suite(
 def _negativity_floor(question_pairs, dims: tuple[int, ...], tol: float) -> CheckResult:
     """``hilbert.negativity_search_floor``: how far the exact minimum over all states of
     any pair's cells lies below -1/8, and that pair's dimension, index and cell."""
-    floor, at, count = np.inf, "", 0
+    residual, floor, at, count = 0.0, np.inf, "", 0
     for dim, a, b in question_pairs:
         count += len(a)
         lowest = hilbert.min_cells_over_states(a, b)
+        residual = _worst_residual(-1 / 8 - lowest, initial=residual)
         pair, cell = divmod(int(lowest.argmin()), 4)
-        if lowest[pair, cell] < floor:
+        if not lowest[pair, cell] >= floor:  # a NaN is kept and named
             floor = float(lowest[pair, cell])
             at = f"d={dim}, pair {pair}, cell {hilbert._TABLE_CELLS[cell]}"
     return _residual(
-        "hilbert.negativity_search_floor", max(0.0, -1 / 8 - floor), tol,
+        "hilbert.negativity_search_floor", residual, tol,
         f"{count} question pairs over dims {dims}, min cell over states {floor:.6f} at {at}",
     )
 
@@ -360,28 +356,29 @@ def jordan_sweep_report(
     matrix once.
     """
     records = []
-    min_ratio = np.inf
+    lowest_ratio = -np.inf  # minus the smallest ratio, so that a NaN ratio is kept
     violations = 0
     for dim in dims:
         matrices = hilbert.sample_hermitians(dim, trials_per_dim + 1, _stream(seed, _SWEEP, dim))
         norms = hilbert.operator_norm(matrices)
         residual, scale = jordan.formal_reality_residuals(
             matrices[:-1], matrices[1:], tol, norms=(norms[:-1], norms[1:]))
-        violated = (residual <= tol) & (scale > tol)
+        # a pair is violated unless its residual or its scale rules that out, as a NaN cannot
+        violated = ~((residual > tol) | (scale <= tol))
         violations += int(violated.sum())
         # Python float powers, so each floor equals the scalar 0.01 * max(||x||**2, ||y||**2)
-        min_ratio = min([min_ratio] + [
-            r / (0.01 * s**2) for r, s in zip(residual.tolist(), scale.tolist())
-        ])
+        lowest_ratio = _worst_residual([
+            -r / (0.01 * s**2) for r, s in zip(residual.tolist(), scale.tolist())
+        ], initial=lowest_ratio)
         records.append({
             "dim": dim,
             "trials": trials_per_dim,
             "seed": seed,
-            "max_residual": _largest(residual),
+            "max_residual": _worst_residual(residual),
             "min_residual": float(np.min(residual, initial=np.inf)),
             "verdict": "violated" if violated.any() else "consistent",
         })
-    return FormalRealitySweep(trials_per_dim, records, min_ratio, violations)
+    return FormalRealitySweep(trials_per_dim, records, -lowest_ratio, violations)
 
 
 def jordan_suite(
@@ -399,14 +396,7 @@ def jordan_suite(
     by the caller with the same dims, seed and tol.  ``questions`` is as in
     :func:`hilbert_suite`.
     """
-    results: list[CheckResult] = []
-
-    max_commute = 0.0
-    max_hermitian = 0.0
-    max_marginality = 0.0
-    max_power = 0.0
-    max_idem = 0.0
-    max_xor = 0.0
+    worst = _WorstByCheck()
     count = 0
     for dim in dims:
         a, b = _questions(dim, trials_per_dim, seed, questions)
@@ -416,30 +406,21 @@ def jordan_suite(
         x = hilbert.sample_hermitians(dim, len(a), rng)
         y = hilbert.sample_hermitians(dim, len(a), rng)
         xy = jordan.jordan_product(x, y)
-        max_commute = max(max_commute, _worst_norm(xy - jordan.jordan_product(y, x)))
-        max_hermitian = max(max_hermitian, _worst_norm(xy - xy.conj().transpose(0, 2, 1)))
-        xx = jordan.jordan_product(x, x)
-        max_power = max(max_power, _worst_norm(
-            jordan.jordan_product(xx, x) - jordan.jordan_product(x, xx)))
-
+        worst.add("jordan.product_commutativity", xy - jordan.jordan_product(y, x))
+        worst.add("jordan.product_hermiticity", xy - xy.conj().transpose(0, 2, 1))
         identity = np.eye(dim)
         ab = jordan.mapped_conjunction(a, b)
-        max_marginality = max(
-            max_marginality,
-            _worst_norm(ab + jordan.mapped_conjunction(a, identity - b) - a),
-            _worst_norm(ab + jordan.mapped_conjunction(identity - a, b) - b),
-        )
-        max_idem = max(max_idem, *map(_worst_norm, jordan._idempotency_defects(a, tol)))
-        max_xor = max(max_xor, *map(_worst_norm, jordan._xor_symmetry_defects(a, b)))
+        worst.add("jordan.operator_marginality",
+                  ab + jordan.mapped_conjunction(a, identity - b) - a,
+                  ab + jordan.mapped_conjunction(identity - a, b) - b)
+        xx = jordan.jordan_product(x, x)
+        worst.add("jordan.power_associativity",
+                  jordan.jordan_product(xx, x) - jordan.jordan_product(x, xx))
+        worst.add("jordan.idempotency_transfer", *jordan._idempotency_defects(a, tol))
+        worst.add("jordan.xor_operator_symmetry", *jordan._xor_symmetry_defects(a, b))
 
     detail = f"{count} samples over dims {dims}"
-    results.append(_residual("jordan.product_commutativity", max_commute, tol, detail))
-    results.append(_residual("jordan.product_hermiticity", max_hermitian, tol, detail))
-    results.append(_residual("jordan.operator_marginality", max_marginality, tol, detail))
-    results.append(_residual("jordan.power_associativity", max_power, tol, detail))
-    results.append(_residual("jordan.idempotency_transfer", max_idem, tol, detail))
-    results.append(_residual("jordan.xor_operator_symmetry", max_xor, tol, detail))
-
+    results = [_residual(name, residual, tol, detail) for name, residual in worst.items()]
     results.append(_exact(
         "jordan.formal_reality",
         reality.violations == 0 and reality.min_ratio > 1.0,

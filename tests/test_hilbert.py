@@ -88,8 +88,11 @@ class TestValidation:
         lambda m, v: hilbert.rank_one_projectors(np.stack([[1.0, 0.0], v])),
         lambda m, v: hilbert.kd_distribution(state(0.5, 0.5), [v, [0.0, 1.0]], np.eye(2)),
         lambda m, v: hilbert.kd_distribution(state(0.5, 0.5), np.eye(2), [[1.0, 0.0], v]),
+        lambda m, v: hilbert.operator_norm(m),
+        lambda m, v: hilbert.operator_norm(np.stack([np.eye(2), m])),
     ], ids=["validate_projector", "validate_density", "rank_one_projector",
-            "rank_one_projectors", "kd_basis_a", "kd_basis_b"])
+            "rank_one_projectors", "kd_basis_a", "kd_basis_b", "operator_norm",
+            "operator_norm_stack"])
     def test_non_finite_entry_is_rejected_before_any_arithmetic(self, call, bad):
         m = np.array([[0.5, bad], [bad, 0.5]])
         v = np.array([1.0, bad])
@@ -97,6 +100,13 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="NaN or infinite entry"):
                 call(m, v)
+
+    def test_residual_kernel_on_a_nan_matrix_raises_before_the_solve(self):
+        """The spectral norm raises the package's error, not LAPACK's ``LinAlgError``."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="NaN or infinite entry"):
+                jordan.xor_symmetry_residuals(np.full((2, 2), np.nan), np.eye(2))
 
     @pytest.mark.parametrize("call, error", [
         (lambda: hilbert.validate_projector(np.diag([1e200, 0.0])), NotIdempotentError),
@@ -422,6 +432,15 @@ class TestKdDistribution:
         skewed = [np.array([1.0, 0, 0]), np.array([1.0, 1.0, 0]) / np.sqrt(2), np.array([0, 0, 1.0])]
         with pytest.raises(NotOrthonormalError):
             hilbert.kd_distribution(rho, skewed, skewed)
+
+    @pytest.mark.parametrize("ragged", [[np.ones(2), np.ones(3)], [[1, 0], [0, 1, 0]]],
+                             ids=["arrays", "lists"])
+    def test_ragged_basis_names_the_basis_and_the_length(self, ragged):
+        rho = hilbert.sample_state(2, "mixed", seed=3)
+        with pytest.raises(IncompleteBasisError, match="basis_a: vectors have length 3, expected 2"):
+            hilbert.kd_distribution(rho, ragged, np.eye(2))
+        with pytest.raises(IncompleteBasisError, match="basis_b: vectors have length 3, expected 2"):
+            hilbert.kd_distribution(rho, np.eye(2), ragged)
 
 
 class TestWeakValue:

@@ -142,6 +142,12 @@ class TestParsing:
         with pytest.raises(SchemaError, match="counts_ba: group total"):
             survey.parse_counts(synthetic.to_csv().replace("BA,0,0,35", f"BA,0,0,{10**23}"))
 
+    def test_bool_counts_are_not_integers(self):
+        with pytest.raises(SchemaError, match=r"counts_ab\(0, 0\): count True is not an integer"):
+            make_table((True,) * 4, (1, 1, 1, 1))
+        with pytest.raises(SchemaError, match=r"counts_ba\(1, 1\): count False is not an integer"):
+            make_table((1, 1, 1, 1), (1, 1, 1, False))
+
     def test_count_past_the_digit_limit_names_the_limit(self, synthetic):
         for digits in (400, 5000):
             text = synthetic.to_csv().replace("AB,1,1,40", "AB,1,1," + "7" * digits)
