@@ -9,12 +9,14 @@ They return residual norms and leave the verdict to the caller, as ``verify``
 does; formal reality is probed over random inputs, so its verdict is
 "consistent with", never a proof.
 
-The idempotency and XOR-symmetry kernels norm the defects of private builders,
-which ``verify`` reduces itself: its checks keep only the worst spectral norm
-of a stack, and σ₁² ≤ ‖MᴴM‖_F bounds every member, so ``hilbert._worst_norm``
-solves just the members whose Gram bound reaches the worst norm found.  The
-formal-reality sweep keeps one norm per member, as it reports the smallest
-residual and ratio over all pairs.
+The residual kernels norm the defects of private builders, which ``verify``
+reduces itself: its checks keep only the worst spectral norm of a stack, and
+σ₁² ≤ ‖MᴴM‖_F bounds every member, so ``hilbert._worst_norm`` solves just the
+members whose Gram bound reaches the worst norm found.  The formal-reality
+sweep reports extremes over all pairs, so it bounds every member's norm from
+both sides and solves just the members that could set one.  The public kernels
+reject a NaN or infinite operand before any arithmetic; the builders do not,
+so that ``verify``'s NaN controls reach its checks.
 
 Every kernel takes d x d matrices (giving floats) or (n, d, d) stacks and
 works memberwise, so a sweep costs one numpy call per dimension.  Operands
@@ -27,8 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import (DEFAULT_TOL, Projector, _hermitian, _mapped_xor, _operands, _symmetrised,
-                      _xor_expansion, operator_norm)
+from .hilbert import (DEFAULT_TOL, Projector, _finite, _hermitian, _mapped_xor, _operands,
+                      _symmetrised, _xor_expansion, operator_norm)
 
 __all__ = [
     "jordan_product",
@@ -69,7 +71,7 @@ def idempotency_residuals(
     Asking a question twice is asking it once when both vanish.  Takes raw
     Hermitian matrices, so that a near-projector can be diagnosed.
     """
-    cubic, square = _idempotency_defects(a, tol)
+    cubic, square = _idempotency_defects(_finite_operands(a)[0], tol)
     return operator_norm(cubic), operator_norm(square)
 
 
@@ -80,19 +82,23 @@ def _idempotency_defects(a: np.ndarray | Projector, tol: float) -> tuple[np.ndar
 
 
 def formal_reality_residuals(
-    x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL, *, norms=None
+    x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Residual ||x∘x + y∘y|| and input scale max(||x||, ||y||), per member of two stacks.
 
     For Hermitian inputs the sum of squares is positive semidefinite, so the
     residual vanishes only when both inputs do; a vanishing residual at a
     nonzero scale would signal broken arithmetic.
-    ``norms`` is (||x||, ||y||) when the caller has them, as a sweep of overlapping pairs does.
     """
+    xm, ym = _finite_operands(x, y)
+    residual = operator_norm(_formal_reality_sums(xm, ym, tol))
+    return residual, np.maximum(operator_norm(xm), operator_norm(ym))
+
+
+def _formal_reality_sums(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """x∘x + y∘y, whose norm :func:`formal_reality_residuals` returns."""
     xm, ym = (_hermitian(m, tol) for m in _operands(x, y))
-    residual = operator_norm(xm @ xm + ym @ ym)  # x ∘ x reduces to the ordinary square
-    x_norms, y_norms = (operator_norm(xm), operator_norm(ym)) if norms is None else norms
-    return residual, np.maximum(x_norms, y_norms)
+    return xm @ xm + ym @ ym  # x ∘ x reduces to the ordinary square
 
 
 def xor_symmetry_residuals(
@@ -103,7 +109,8 @@ def xor_symmetry_residuals(
     Takes projectors, or matrices and (n, d, d) stacks of validated projector
     matrices, and returns one residual of each kind per member.
     """
-    return tuple(operator_norm(defect) for defect in _xor_symmetry_defects(a, b))
+    defects = _xor_symmetry_defects(*_finite_operands(a, b))
+    return tuple(operator_norm(defect) for defect in defects)
 
 
 def _xor_symmetry_defects(a: Projector | np.ndarray, b: Projector | np.ndarray) -> tuple:
@@ -112,3 +119,8 @@ def _xor_symmetry_defects(a: Projector | np.ndarray, b: Projector | np.ndarray) 
     forward, backward = _mapped_xor(am, bm), _mapped_xor(bm, am)
     expansion = _xor_expansion(am, bm)
     return forward - backward, forward - expansion, backward - expansion
+
+
+def _finite_operands(*operands) -> list[np.ndarray]:
+    """:func:`hilbert._operands` once every entry is finite, else :class:`NonFiniteError`."""
+    return [_finite(m, "matrix") for m in _operands(*operands)]

@@ -277,44 +277,76 @@ class TestStackedKernels:
         residuals, scales = jordan.formal_reality_residuals(xs, y)
         assert residuals.shape == scales.shape == (4,)
 
-    @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=30), seeds)
-    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=2, max_value=16),
+           st.integers(min_value=1, max_value=30) | st.integers(min_value=200, max_value=400),
+           seeds)
+    @settings(max_examples=20, deadline=None)
     def test_sweep_equals_per_pair_probe_loop(self, dim, trials, seed):
         sweep = verify.jordan_sweep_report((dim,), trials, seed)
-        residuals, ratios, any_violated = [], [], False
         # trials + 1 matrices drawn one at a time from the sweep's stream; pair t is (t, t + 1)
         rng = np.random.default_rng([seed, verify._SWEEP, dim])
         matrices = []
         for _ in range(trials + 1):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             matrices.append((g + g.conj().T) / 2)
-        for x, y in zip(matrices, matrices[1:]):
-            residual, scale = jordan.formal_reality_residuals(x, y)
-            floor = 0.01 * max(hilbert.operator_norm(x) ** 2, hilbert.operator_norm(y) ** 2)
-            residuals.append(residual)
-            ratios.append(residual / floor)
-            any_violated |= violated(residual, scale)
-        assert sweep.records == [{
-            "dim": dim,
-            "trials": trials,
-            "seed": seed,
-            "max_residual": max(residuals),
-            "min_residual": min(residuals),
-            "verdict": "violated" if any_violated else "consistent",
-        }]
-        assert sweep.min_ratio == min(ratios)
+        assert sweep == per_pair_sweep(matrices, seed)
         assert sweep.violations == 0
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    @pytest.mark.parametrize("planted", ["ties", "violations", "decoy"])
+    def test_planted_pairs_equal_per_pair_probe_loop(self, monkeypatch, planted, dim):
+        matrices = hilbert.sample_hermitians(dim, 301, np.random.default_rng(dim))
+        if planted == "ties":
+            # x = diag(1, 0, ...) and y = diag(0, 1, ...): ||x² + y²|| = 1 at scale 1, so
+            # ratio exactly 100, the least any pair can have
+            matrices[100:201] = np.diag(np.eye(dim)[0])
+            matrices[101:201:2] = np.diag(np.eye(dim)[1])
+        elif planted == "violations":
+            # residuals near 1e-12, below tol = 1e-10, at scales near 1e-6, above it
+            matrices[100:201] *= 1e-6
+        else:
+            # pair 150's residual of 200 has a looser lower bound than pair 190's rank-one
+            # residual of 199, so the largest lower bound is not on the largest residual
+            matrices[150:152] = 10 * np.diag([1.0] + [0.99] * (dim - 1))
+            matrices[190:192] = 10 * np.sqrt(199 / 200) * np.diag(np.eye(dim)[0])
+            sums = jordan._formal_reality_sums(matrices[:-1], matrices[1:], hilbert.DEFAULT_TOL)
+            assert hilbert._norm_bounds(sums)[0].argmax() == 190
+        monkeypatch.setattr(hilbert, "sample_hermitians", lambda *args: matrices)
+        sweep = verify.jordan_sweep_report((dim,), 300, seed=3)
+        assert sweep == per_pair_sweep(list(matrices), seed=3)
+        assert (sweep.min_ratio == 100.0) == (planted == "ties")
+        assert (sweep.violations == 100) == (planted == "violations")
 
     def test_sweep_norms_each_matrix_once(self, monkeypatch):
         normed = []
         original = hilbert.operator_norm
 
         def counting(m):
-            normed.append(1 if np.ndim(m) == 2 else len(m))
+            normed.extend(member.tobytes() for member in np.reshape(m, (-1, *np.shape(m)[-2:])))
             return original(m)
 
         monkeypatch.setattr(hilbert, "operator_norm", counting)
         monkeypatch.setattr(jordan, "operator_norm", counting)
         verify.jordan_sweep_report((2, 3), 40, seed=9)
-        # per dimension: the 41 matrices once, and the 40 residuals
-        assert sum(normed) == 2 * (41 + 40)
+        # no matrix or residual twice, and fewer than the 41 matrices and 40 residuals per
+        # dimension that solving every member takes
+        assert len(normed) == len(set(normed)) < 2 * (41 + 40)
+
+
+def per_pair_sweep(matrices, seed):
+    """The sweep of one dimension over ``matrices`` as a per-pair loop of the public kernels."""
+    residuals, ratios, violations = [], [], 0
+    for x, y in zip(matrices, matrices[1:]):
+        residual, scale = jordan.formal_reality_residuals(x, y)
+        floor = 0.01 * max(hilbert.operator_norm(x) ** 2, hilbert.operator_norm(y) ** 2)
+        residuals.append(residual)
+        ratios.append(residual / floor)
+        violations += violated(residual, scale)
+    return verify.FormalRealitySweep(len(residuals), [{
+        "dim": len(matrices[0]),
+        "trials": len(residuals),
+        "seed": seed,
+        "max_residual": max(residuals),
+        "min_residual": min(residuals),
+        "verdict": "violated" if violations else "consistent",
+    }], min(ratios), violations)

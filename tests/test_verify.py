@@ -42,7 +42,7 @@ CONTROLS = {
     "jordan.power_associativity": ("jordan", "jordan_product", None),
     "jordan.idempotency_transfer": ("jordan", "_idempotency_defects", None),
     "jordan.xor_operator_symmetry": ("jordan", "_xor_symmetry_defects", None),
-    "jordan.formal_reality": ("jordan", "formal_reality_residuals", None),
+    "jordan.formal_reality": ("jordan", "_formal_reality_sums", None),
 }
 
 
@@ -89,7 +89,7 @@ def test_nan_kernel_output_fails_the_check_as_a_violation(monkeypatch, capsys, c
 
 
 def test_nan_sweep_residual_makes_its_dimension_violated(monkeypatch, capsys):
-    patch_nan(monkeypatch, "jordan", "formal_reality_residuals")
+    patch_nan(monkeypatch, "jordan", "_formal_reality_sums")
     sweep = verify.jordan_sweep_report((2, 3), 10)
     assert [record["verdict"] for record in sweep.records] == ["violated", "violated"]
     assert all(math.isnan(record["max_residual"]) for record in sweep.records)
