@@ -159,44 +159,6 @@ def _worst_norm(m: np.ndarray) -> float:
     return max(worst, _worst(operator_norm(m[rest])))
 
 
-def _norm_bounds(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lower and upper bounds on the computed spectral norm of each member of an (n, d, d) stack.
-
-    With G = MᴴM and H = G / ‖G‖_F, whose eigenvalues μ lie in [0, 1], σ₁² =
-    ‖G‖_F μ_max and (Σ μ¹⁶ / Σ μ⁸)^⅛ ≤ μ_max ≤ (Σ μ⁸)^⅛, that is
-    (‖H⁸‖_F / ‖H⁴‖_F)^¼ ≤ μ_max ≤ ‖H⁴‖_F^¼: three squarings per member.
-
-    Both bounds are widened by 1e-8 relative.  With u the unit roundoff and
-    d <= 64, the computed G differs from G by at most d²u·λ_max(G), about
-    5e-13·λ_max(G), in norm; each squaring of H^k at most doubles that error,
-    relative to μ_max^k, and adds d²u, so the computed H⁸ is within
-    15·d²u·μ_max⁸ of H⁸.  ‖H^k‖_F ≥ μ_max^k, so the two Frobenius norms are
-    within √d·15·d²u ≈ 6e-11 relative, and the roots leave about 1e-11 in σ₁;
-    LAPACK's σ₁ is closer still.  None when d > 64, when a Gram norm is not
-    finite, or when a nonzero member's underflows towards the subnormals (as
-    in :func:`_worst_norm`): the caller then solves every member.
-    """
-    if m.shape[-1] > MAX_DIM:
-        return None
-
-    def norms(block):
-        h = _dagger(block) @ block  # G, then H, H² and H⁴ in place of each other
-        scale = np.linalg.norm(h, axis=(-2, -1))
-        h /= np.where(scale > 0, scale, 1)[:, None, None]
-        h = h @ h
-        h = h @ h
-        return scale, np.linalg.norm(h, axis=(-2, -1)), np.linalg.norm(h @ h, axis=(-2, -1))
-
-    with np.errstate(all="ignore"):
-        scale, n4, n8 = (np.concatenate(parts) for parts in zip(*_blockwise(norms, m)))
-        small = scale < 1e-140
-        if not np.isfinite(scale).all() or (small & m.any(axis=(-2, -1))).any():
-            return None
-        ratio = np.divide(n8, n4, out=np.zeros_like(n8), where=n4 > 0)  # 0 for a zero member
-        return (np.sqrt(scale * np.sqrt(np.sqrt(ratio))) * (1 - 1e-8),
-                np.sqrt(scale * np.sqrt(np.sqrt(n4))) * (1 + 1e-8))
-
-
 def _re_trace(m: np.ndarray) -> np.ndarray:
     """Real part of the trace of a matrix (0-d) or of every member of a stack."""
     return np.trace(m, axis1=-2, axis2=-1).real

@@ -12,11 +12,15 @@ does; formal reality is probed over random inputs, so its verdict is
 The residual kernels norm the defects of private builders, which ``verify``
 reduces itself: its checks keep only the worst spectral norm of a stack, and
 σ₁² ≤ ‖MᴴM‖_F bounds every member, so ``hilbert._worst_norm`` solves just the
-members whose Gram bound reaches the worst norm found.  The formal-reality
-sweep reports extremes over all pairs, so it bounds every member's norm from
-both sides and solves just the members that could set one.  The public kernels
-reject a NaN or infinite operand before any arithmetic; the builders do not,
-so that ``verify``'s NaN controls reach its checks.
+members whose Gram bound reaches the worst norm found.  Formal reality needs
+no solve: x∘x + y∘y = x² + y² and its inputs are Hermitian, so each spectral
+norm is the largest absolute eigenvalue, from one ``eigvalsh`` per stack
+(:func:`_hermitian_norm`), which the kernel and ``verify``'s sweep share.  By
+Weyl's inequality λ_max(x² + y²) ≥ max(‖x‖², ‖y‖²), so the residual is at
+least 100 times the sweep's floor 0.01 max(‖x‖², ‖y‖²).  The public kernels
+reject a NaN or infinite operand, then a non-Hermitian one, before any
+arithmetic; the builders check nothing, so that ``verify`` does not validate
+the stacks it sampled itself again, and its NaN controls reach its checks.
 
 Every kernel takes d x d matrices (giving floats) or (n, d, d) stacks and
 works memberwise, so a sweep costs one numpy call per dimension.  Operands
@@ -48,8 +52,8 @@ def jordan_product(
 
     Commutative and Hermitian by construction; non-associative in general.
     """
-    xm, ym = _operands(x, y)
-    return _symmetrised(_hermitian(xm, tol), _hermitian(ym, tol))
+    xm, ym = (_hermitian(m, tol) for m in _finite_operands(x, y))
+    return _symmetrised(xm, ym)
 
 
 def mapped_conjunction(
@@ -71,13 +75,12 @@ def idempotency_residuals(
     Asking a question twice is asking it once when both vanish.  Takes raw
     Hermitian matrices, so that a near-projector can be diagnosed.
     """
-    cubic, square = _idempotency_defects(_finite_operands(a)[0], tol)
+    cubic, square = _idempotency_defects(_hermitian(_finite_operands(a)[0], tol))
     return operator_norm(cubic), operator_norm(square)
 
 
-def _idempotency_defects(a: np.ndarray | Projector, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _idempotency_defects(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A A A - A and A ∘ A - A, whose norms :func:`idempotency_residuals` returns."""
-    m = _hermitian(*_operands(a), tol)
     return m @ m @ m - m, m @ m - m  # x ∘ x reduces to the ordinary square
 
 
@@ -88,17 +91,31 @@ def formal_reality_residuals(
 
     For Hermitian inputs the sum of squares is positive semidefinite, so the
     residual vanishes only when both inputs do; a vanishing residual at a
-    nonzero scale would signal broken arithmetic.
+    nonzero scale would signal broken arithmetic.  Every norm is the largest
+    absolute eigenvalue (:func:`_hermitian_norm`).
     """
-    xm, ym = _finite_operands(x, y)
-    residual = operator_norm(_formal_reality_sums(xm, ym, tol))
-    return residual, np.maximum(operator_norm(xm), operator_norm(ym))
+    xm, ym = (_hermitian(m, tol) for m in _finite_operands(x, y))
+    residual = _hermitian_norm(_formal_reality_sums(xm @ xm, ym @ ym))
+    return residual, np.maximum(_hermitian_norm(xm), _hermitian_norm(ym))
 
 
-def _formal_reality_sums(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
-    """x∘x + y∘y, whose norm :func:`formal_reality_residuals` returns."""
-    xm, ym = (_hermitian(m, tol) for m in _operands(x, y))
-    return xm @ xm + ym @ ym  # x ∘ x reduces to the ordinary square
+def _formal_reality_sums(x_squares: np.ndarray, y_squares: np.ndarray) -> np.ndarray:
+    """x∘x + y∘y from x² and y², whose norm :func:`formal_reality_residuals` returns.
+
+    x ∘ x reduces to the ordinary square, which a sweep over a chain of pairs
+    takes once per matrix.
+    """
+    return x_squares + y_squares
+
+
+def _hermitian_norm(m: np.ndarray) -> float | np.ndarray:
+    """Spectral norm max(−λ_min, λ_max) of a Hermitian matrix, or of each member of a stack.
+
+    Reads only the lower triangle.  A NaN or infinite entry raises
+    :class:`NonFiniteError` before the solve, as in :func:`hilbert.operator_norm`.
+    """
+    eigenvalues = np.linalg.eigvalsh(_finite(m, "matrix"))
+    return np.maximum(-eigenvalues[..., 0], eigenvalues[..., -1])
 
 
 def xor_symmetry_residuals(

@@ -33,11 +33,6 @@ DOUBLE_PRECISION_FLOOR = 1e-12
 
 _CLASSICAL_TRIALS = 1000  # commuting triples whose cells the hilbert suite checks
 
-# Largest d at which the formal-reality sweep bounds norms before it solves them.  The
-# norms of larger sampled matrices lie closer together than the bounds tell apart, so
-# bounding costs more than the solves it spares (no gain at d = 48, 40 % slower at 64).
-_BOUNDED_SWEEP_DIM = 40
-
 # Each suite draws its samples at dimension d from one stream, default_rng([seed, suite, d]).
 _QUESTIONS, _STATES, _PRODUCTS, _SWEEP, _CLASSICAL, _ROUND_TRIP = range(6)
 
@@ -357,82 +352,40 @@ def jordan_sweep_report(
 
     Each dimension draws trials_per_dim + 1 Hermitian matrices from its sweep
     stream, and pair t is (matrix t, matrix t + 1), so the y of pair t is the
-    x of pair t + 1; the pairs are probed in one stacked call, and only the
-    norms that can set a reported value are solved (:func:`_sweep_norms`).
-    A NaN or infinite sum fails every pair of its dimension, as a NaN residual.
+    x of pair t + 1.  Each matrix is squared once, and the pair sums and every
+    norm come from one stacked call per dimension; the norms are those of
+    ``jordan.formal_reality_residuals``, so each pair's residual and scale are
+    the kernel's, bit for bit.  A NaN or infinite sum fails every pair of its
+    dimension, as a NaN residual.
     """
     records = []
     lowest_ratio = -np.inf  # minus the smallest ratio, so that a NaN ratio is kept
     violations = 0
     for dim in dims:
         matrices = hilbert.sample_hermitians(dim, trials_per_dim + 1, _stream(seed, _SWEEP, dim))
-        sums = jordan._formal_reality_sums(matrices[:-1], matrices[1:], tol)
+        squares = matrices @ matrices
+        sums = jordan._formal_reality_sums(squares[:-1], squares[1:])
         if np.isfinite(sums).all():
-            residual, scale = _sweep_norms(matrices, sums, tol)
-            solved = ~np.isnan(residual)
-            priced = solved & ~np.isnan(scale)
+            norms = jordan._hermitian_norm(matrices)
+            residual, scale = jordan._hermitian_norm(sums), np.maximum(norms[:-1], norms[1:])
         else:  # no spectral norm: every pair reads as a NaN residual at a NaN scale
             residual = scale = np.full(len(sums), np.nan)
-            solved = priced = np.ones(len(sums), dtype=bool)
         # a pair is violated unless its residual or its scale rules that out, as a NaN cannot
-        violated = solved & ~((residual > tol) | (scale <= tol))
+        violated = ~((residual > tol) | (scale <= tol))
         violations += int(violated.sum())
         # Python float powers, so each floor equals the scalar 0.01 * max(||x||**2, ||y||**2)
         lowest_ratio = _worst_residual([
-            -r / (0.01 * s**2) for r, s in zip(residual[priced].tolist(), scale[priced].tolist())
+            -r / (0.01 * s**2) for r, s in zip(residual.tolist(), scale.tolist())
         ], initial=lowest_ratio)
         records.append({
             "dim": dim,
             "trials": trials_per_dim,
             "seed": seed,
-            "max_residual": _worst_residual(residual[solved]),
-            "min_residual": float(np.min(residual[solved], initial=np.inf)),
+            "max_residual": _worst_residual(residual),
+            "min_residual": float(np.min(residual, initial=np.inf)),
             "verdict": "violated" if violated.any() else "consistent",
         })
     return FormalRealitySweep(trials_per_dim, records, -lowest_ratio, violations)
-
-
-def _sweep_norms(matrices: np.ndarray, sums: np.ndarray, tol: float):
-    """The residuals ||x∘x + y∘y|| and scales max(||x||, ||y||) of the sweep's pairs that can
-    set a reported value, NaN elsewhere; ``sums`` is finite.
-
-    Each sum and matrix gets a two-sided bound on its spectral norm
-    (:func:`hilbert._norm_bounds`), and so each pair one on its ratio
-    r / (0.01 s²).  The pairs with the largest lower and the smallest upper
-    residual bound, and the smallest upper ratio bound, are solved first; then
-    every residual whose bounds reach the largest or smallest of those, and
-    every pair whose ratio bound reaches that pair's ratio or whose residual
-    may be at most ``tol`` (only those can be violated), with its scale.
-    Every norm is solved above ``_BOUNDED_SWEEP_DIM``, when a stack has no
-    bounds, or when a matrix may be zero.
-    """
-    n = len(sums)
-    residual, norms = np.full(n, np.nan), np.full(n + 1, np.nan)
-
-    def solve(stack, out, wanted):
-        wanted = wanted & np.isnan(out)  # no member is solved twice
-        if wanted.any():
-            out[wanted] = hilbert.operator_norm(stack[wanted])
-
-    def solve_pairs(pairs):
-        solve(sums, residual, pairs)
-        solve(matrices, norms, np.append(pairs, False) | np.insert(pairs, 0, False))
-
-    bounds = ((hilbert._norm_bounds(sums), hilbert._norm_bounds(matrices))
-              if n and sums.shape[-1] <= _BOUNDED_SWEEP_DIM else (None, None))
-    if None in bounds or not (bounds[1][0] > 0).all():  # a zero matrix bounds no ratio
-        solve_pairs(np.ones(n, dtype=bool))
-    else:
-        (low, high), (matrix_low, matrix_high) = bounds
-        ratio_low = low / (0.01 * np.maximum(matrix_high[:-1], matrix_high[1:]) ** 2)
-        ratio_high = high / (0.01 * np.maximum(matrix_low[:-1], matrix_low[1:]) ** 2)
-        top, bottom, lowest = int(low.argmax()), int(high.argmin()), int(ratio_high.argmin())
-        solve(sums, residual, np.isin(np.arange(n), (top, bottom)))
-        solve_pairs(np.arange(n) == lowest)
-        ratio = residual[lowest] / (0.01 * max(norms[lowest], norms[lowest + 1]) ** 2)
-        solve(sums, residual, (high >= residual[top]) | (low <= residual[bottom]))
-        solve_pairs((ratio_low <= ratio) | (low <= tol))
-    return residual, np.maximum(norms[:-1], norms[1:])
 
 
 def jordan_suite(
@@ -452,6 +405,9 @@ def jordan_suite(
     """
     worst = _WorstByCheck()
     count = 0
+    # the product jordan.jordan_product and mapped_conjunction take, unvalidated: the
+    # stacks below are sampled valid
+    product = hilbert._symmetrised
     for dim in dims:
         a, b = _questions(dim, trials_per_dim, seed, questions)
         count += len(a)
@@ -459,18 +415,16 @@ def jordan_suite(
         rng = _stream(seed, _PRODUCTS, dim)
         x = hilbert.sample_hermitians(dim, len(a), rng)
         y = hilbert.sample_hermitians(dim, len(a), rng)
-        xy = jordan.jordan_product(x, y)
-        worst.add("jordan.product_commutativity", xy - jordan.jordan_product(y, x))
+        xy = product(x, y)
+        worst.add("jordan.product_commutativity", xy - product(y, x))
         worst.add("jordan.product_hermiticity", xy - xy.conj().transpose(0, 2, 1))
         identity = np.eye(dim)
-        ab = jordan.mapped_conjunction(a, b)
+        ab = product(a, b)
         worst.add("jordan.operator_marginality",
-                  ab + jordan.mapped_conjunction(a, identity - b) - a,
-                  ab + jordan.mapped_conjunction(identity - a, b) - b)
-        xx = jordan.jordan_product(x, x)
-        worst.add("jordan.power_associativity",
-                  jordan.jordan_product(xx, x) - jordan.jordan_product(x, xx))
-        worst.add("jordan.idempotency_transfer", *jordan._idempotency_defects(a, tol))
+                  ab + product(a, identity - b) - a, ab + product(identity - a, b) - b)
+        xx = product(x, x)
+        worst.add("jordan.power_associativity", product(xx, x) - product(x, xx))
+        worst.add("jordan.idempotency_transfer", *jordan._idempotency_defects(a))
         worst.add("jordan.xor_operator_symmetry", *jordan._xor_symmetry_defects(a, b))
 
     detail = f"{count} samples over dims {dims}"

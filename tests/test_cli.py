@@ -302,10 +302,10 @@ class TestJordanVerify:
         calls, pairs = [], []
         stacked = jordan._formal_reality_sums
 
-        def counting_sums(x, y, tol):
-            calls.append(len(x))
-            pairs.extend(xi.tobytes() + yi.tobytes() for xi, yi in zip(x, y))
-            return stacked(x, y, tol)
+        def counting_sums(x_squares, y_squares):
+            calls.append(len(x_squares))
+            pairs.extend(xi.tobytes() + yi.tobytes() for xi, yi in zip(x_squares, y_squares))
+            return stacked(x_squares, y_squares)
 
         monkeypatch.setattr(jordan, "_formal_reality_sums", counting_sums)
         code, _, _ = run(
@@ -478,16 +478,14 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("command, most", [("verify", 250), ("jordan-verify", 400)])
     def test_max_only_checks_solve_few_members(self, capsys, monkeypatch, command, most):
-        """Checks that keep only the worst spectral norm, and the formal-reality sweep's
-        extremes, solve few members (10,507 for verify and 28,007 for jordan-verify with
-        one solve per member)."""
+        """Checks that keep only the worst spectral norm solve few members (10,507 for
+        verify and 28,007 for jordan-verify with one singular-value solve per member)."""
         linalg = inspect.unwrap(np.linalg.norm).__globals__
         svd, solved = linalg["svd"], []
         monkeypatch.setitem(linalg, "svd", lambda a, *args, **kwargs: solved.append(
             1 if a.ndim == 2 else len(a)) or svd(a, *args, **kwargs))
         code, _, _ = run(capsys, command, "--format", "json", "--seed", "42")
         assert code == 0
-        # the sweep solves only the members whose norm bounds could set a reported value
         assert sum(solved) <= most
 
 
@@ -797,6 +795,9 @@ def pinned(out: str, version: str, fields) -> str:
 KD_CHANGED = ("config.trials", "max_gap_to_logical_joint")
 CLASSICAL_CHANGED = ("hilbert.classical_triples_nonnegative:residual",
                      "hilbert.classical_triples_nonnegative:detail")
+# The field whose residuals 0.6.0 changed in their last bits: the formal-reality sweep
+# takes each norm as the largest absolute eigenvalue in place of the largest singular value.
+SWEEP_CHANGED = ("formal_reality_sweep",)
 # The fields of the check that 0.5.0 made exact: the lowest cell over all states
 # of the sampled question pairs in place of a random search's best draw.
 NEGATIVITY_CHANGED = ("hilbert.negativity_search_floor:residual",
@@ -839,7 +840,7 @@ SAMPLED_OUTPUTS = [
      "a0b806dedcb266defec83bd30d8d514226a052acce5db732435f2752acc6dc6c",
      ("hilbert.table_marginality:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED),
     (["jordan-verify", "--format", "json"],
-     "77cdb914395010da53363f4da736c6096e73cb2aac883392b20f01bf7cae32eb", ()),
+     "76958b6f8c554dfbcf48747222b55d13919331942c8b4dfa2f4717e5ac22a7f5", SWEEP_CHANGED),
     (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
      "3f281da4404638352b731bda2419697e902e233fe5c89001f23693a6129b7d2d",
      ("hilbert.joint_operational_vs_algebraic:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED),
@@ -889,6 +890,21 @@ def test_output_pinned_at_0_5_0(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(pinned(out, "0.5.0", ()).encode()).hexdigest() == digest
+
+
+# sha256 at 0.6.0, with its version string, of the output whose field above changed
+SWEEP_OUTPUTS = [
+    (["jordan-verify", "--format", "json"],
+     "2a23e7594db3146a8038165164add230931521c9b8722495238bef5d4b2b5c34"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SWEEP_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in SWEEP_OUTPUTS])
+def test_output_pinned_at_0_6_0(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(pinned(out, "0.6.0", ()).encode()).hexdigest() == digest
 
 
 # sha256 of kd's text output, which holds no version string and is unchanged

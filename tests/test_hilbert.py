@@ -94,10 +94,13 @@ class TestValidation:
         lambda m, v: jordan.xor_symmetry_residuals(m, np.eye(2)),
         lambda m, v: jordan.xor_symmetry_residuals(np.eye(2), m),
         lambda m, v: jordan.formal_reality_residuals(np.eye(2), m),
+        lambda m, v: jordan.jordan_product(m, np.eye(2)),
+        lambda m, v: jordan.mapped_conjunction(np.eye(2), m),
     ], ids=["validate_projector", "validate_density", "rank_one_projector",
             "rank_one_projectors", "kd_basis_a", "kd_basis_b", "operator_norm",
             "operator_norm_stack", "idempotency_residuals", "xor_symmetry_residuals_a",
-            "xor_symmetry_residuals_b", "formal_reality_residuals"])
+            "xor_symmetry_residuals_b", "formal_reality_residuals", "jordan_product",
+            "mapped_conjunction"])
     def test_non_finite_entry_is_rejected_before_any_arithmetic(self, call, bad):
         m = np.array([[0.5, bad], [bad, 0.5]])
         v = np.array([1.0, bad])
@@ -1046,63 +1049,6 @@ class TestWorstNorm:
         m[5, 1, 2] = bad
         assert (reduction_outcome(hilbert._worst_norm, m)
                 == reduction_outcome(unpruned_worst_norm, m))
-
-
-@st.composite
-def bound_stacks(draw):
-    """(n, d, d) stacks, d = 2-64: Hermitian and general Gaussian members, rank-one
-    members, members whose top singular values are equal, and zero members."""
-    dim = draw(st.sampled_from([2, 3, 4, 5, 8, 13, 16, 33, 64]))
-    kinds = draw(st.lists(st.sampled_from(["hermitian", "general", "rank one", "equal top",
-                                           "identity", "zero"]), min_size=1, max_size=12))
-    rng = np.random.default_rng(draw(stack_seeds))
-    members = []
-    for kind in kinds:
-        g = complex_gaussian(rng, (dim, dim))
-        if kind == "hermitian":
-            g = g + g.conj().T
-        elif kind == "rank one":
-            g = np.outer(g[0], g[1].conj())
-        elif kind == "equal top":
-            u, _ = np.linalg.qr(g)
-            v, _ = np.linalg.qr(complex_gaussian(rng, (dim, dim)))
-            values = np.sort(rng.uniform(0, 1, dim))[::-1]
-            values[1] = values[0]
-            g = (u * values) @ v.conj().T
-        elif kind == "identity":
-            g = np.eye(dim, dtype=complex)
-        elif kind == "zero":
-            g = np.zeros((dim, dim), dtype=complex)
-        members.append(g)
-    return np.array(members)
-
-
-class TestNormBounds:
-    @given(bound_stacks(), st.sampled_from([1.0, 1e50, 1e-50, 1e100, 1e-100]))
-    @settings(max_examples=150, deadline=None)
-    def test_bounds_hold_on_every_member(self, m, scale):
-        m = m * scale
-        bounds = hilbert._norm_bounds(m)
-        if bounds is None:
-            # a Gram norm overflows, or a nonzero member's underflows below 1e-140
-            assert scale in (1e100, 1e-100) and m.any()
-            return
-        low, high = bounds
-        norms = hilbert.operator_norm(m)
-        assert (0 <= low).all() and (low <= norms).all() and (norms <= high).all()
-        # σ₁ d^(-1/16) <= low and high <= σ₁ d^(1/16), up to the 1e-8 widening
-        assert (high <= low * m.shape[-1] ** (1 / 8) * (1 + 3e-8)).all()
-
-    def test_no_bounds_above_the_largest_dimension(self):
-        assert hilbert._norm_bounds(np.zeros((2, 65, 65))) is None
-
-    @pytest.mark.parametrize("bad", [np.inf, 1e200])
-    def test_non_finite_gram_norm_has_no_bounds(self, bad):
-        m = complex_gaussian(np.random.default_rng(6), (4, 3, 3))
-        m[2, 0, 1] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert hilbert._norm_bounds(m) is None
 
 
 # every stacked kernel of both modules, on (states, questions, questions) stacks

@@ -36,10 +36,10 @@ CONTROLS = {
     "hilbert.classical_triples_nonnegative": ("hilbert", "quasi_prob_tables", "jordan"),
     "hilbert.negativity_search_floor": ("hilbert", "min_cells_over_states", None),
     "hilbert.survey_round_trip": ("survey", "logical_tables_from_probs", None),
-    "jordan.product_commutativity": ("jordan", "jordan_product", None),
-    "jordan.product_hermiticity": ("jordan", "jordan_product", None),
-    "jordan.operator_marginality": ("jordan", "mapped_conjunction", None),
-    "jordan.power_associativity": ("jordan", "jordan_product", None),
+    "jordan.product_commutativity": ("hilbert", "_symmetrised", None),
+    "jordan.product_hermiticity": ("hilbert", "_symmetrised", None),
+    "jordan.operator_marginality": ("hilbert", "_symmetrised", None),
+    "jordan.power_associativity": ("hilbert", "_symmetrised", None),
     "jordan.idempotency_transfer": ("jordan", "_idempotency_defects", None),
     "jordan.xor_operator_symmetry": ("jordan", "_xor_symmetry_defects", None),
     "jordan.formal_reality": ("jordan", "_formal_reality_sums", None),
