@@ -31,7 +31,8 @@ print(f"  expansion residual: {expansion_ab:.2e}"
 
 print()
 print("idempotency transfers from A*A = A to the cubic A*A*A = A:")
-cubic, _ = jordan.idempotency_residuals(hilbert.sample_projector(6, 3, seed=0))
+cubic, _ = jordan.idempotency_residuals(
+    hilbert.sample_projectors(6, [3], np.random.default_rng(0))[0])
 print(f"  random rank-3 projector at d=6: cubic residual {cubic:.2e}")
 near = np.diag([1.0, 0.0]) + 1e-3 * np.diag([1.0, -1.0])
 near_cubic, near_square = jordan.idempotency_residuals(near)

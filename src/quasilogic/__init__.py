@@ -14,12 +14,11 @@ Four layers, usable independently:
   and bootstrap intervals.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .logic import (
     ALL_RECORDS,
     CounterfactualRecord,
-    complement,
     conjunction_value,
     identity_suite,
     or_value,
@@ -38,8 +37,6 @@ from .hilbert import (
     lueders_update,
     quasi_prob_table,
     rank_one_projector,
-    sample_projector,
-    sample_state,
     sequential_probability,
     validate_density,
     validate_projector,
@@ -50,7 +47,6 @@ from .jordan import jordan_product, mapped_conjunction
 from .survey import (
     ReconstructionReport,
     SequentialCountTable,
-    bootstrap_ci,
     classicality_report,
     load_counts,
     order_effect_stat,
@@ -65,7 +61,6 @@ __all__ = [
     # logic
     "ALL_RECORDS",
     "CounterfactualRecord",
-    "complement",
     "conjunction_value",
     "identity_suite",
     "or_value",
@@ -83,8 +78,6 @@ __all__ = [
     "lueders_update",
     "quasi_prob_table",
     "rank_one_projector",
-    "sample_projector",
-    "sample_state",
     "sequential_probability",
     "validate_density",
     "validate_projector",
@@ -96,7 +89,6 @@ __all__ = [
     # survey
     "ReconstructionReport",
     "SequentialCountTable",
-    "bootstrap_ci",
     "classicality_report",
     "load_counts",
     "order_effect_stat",

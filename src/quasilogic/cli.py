@@ -19,6 +19,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, hilbert, logic, survey, verify
 from .errors import QuasilogicError
 
@@ -289,9 +291,10 @@ def _cmd_kd(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: kd takes a single dimension, got {list(args.dims)}\n")
         return EXIT_INPUT_ERROR
     dim = args.dims[0]
-    rho = hilbert.sample_state(dim, "mixed", seed=args.seed)
-    basis_a = hilbert.sample_orthonormal_basis(dim, seed=args.seed + 1)
-    basis_b = hilbert.sample_orthonormal_basis(dim, seed=args.seed + 2)
+    rho = hilbert.DensityState(
+        hilbert.sample_states(dim, ["mixed"], np.random.default_rng(args.seed))[0])
+    basis_a, basis_b = (hilbert.sample_orthonormal_bases(dim, 1, np.random.default_rng(seed))[0]
+                        for seed in (args.seed + 1, args.seed + 2))
     table = hilbert.kd_distribution(rho, basis_a, basis_b, tol=args.tol)
 
     # row i compares Re table[i, :] with the logical joints of |a_i><a_i| and

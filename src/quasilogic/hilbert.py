@@ -22,8 +22,10 @@ one-matrix forms.  States the kernels build (post-measurement states) are
 validated once per stack, and long stacks are processed in blocks of bounded
 size.
 
-Apart from the stacked samplers, which advance the generator they are given,
-all functions are pure; stored matrices are marked read-only after validation.
+Every sampler is stacked: it draws n members from the ``numpy.random.Generator``
+it is given, which it advances, and one draw is member 0 of a one-member stack.
+All other functions are pure; stored matrices are marked read-only after
+validation.
 """
 
 from __future__ import annotations
@@ -61,14 +63,10 @@ __all__ = [
     "complement_projector",
     "rank_one_projector",
     "rank_one_projectors",
-    "sample_state",
     "sample_states",
-    "sample_projector",
     "sample_projectors",
-    "sample_hermitian",
     "sample_hermitians",
-    "sample_orthonormal_basis",
-    "sample_commuting_triple",
+    "sample_orthonormal_bases",
     "sample_commuting_triples",
     "born_probability",
     "born_probabilities",
@@ -412,8 +410,9 @@ def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling: a stacked sampler draws its n members from one Generator, one call per
-# stack; each per-seed sampler is its one-member form on ``default_rng(seed)``
+# sampling: each sampler draws its n members from one Generator, one call per
+# stack; a single draw from a seed is member 0 of a one-member stack on
+# ``default_rng(seed)``
 
 
 def _complex_gaussians(rng: np.random.Generator, n: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -429,17 +428,11 @@ def _haar_unitaries(g: np.ndarray) -> np.ndarray:
     return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
-def sample_state(
-    dim: int, purity: Literal["pure", "mixed"] = "pure", seed: int = 0
-) -> DensityState:
-    """Random state: Haar-uniform pure vector, or Hilbert-Schmidt mixed state."""
-    return DensityState(sample_states(dim, [purity], np.random.default_rng(seed))[0])
-
-
 def sample_states(
     dim: int, purities: Sequence[Literal["pure", "mixed"]], rng: np.random.Generator
 ) -> np.ndarray:
-    """Read-only (n, d, d) stack of random states, member i of purity ``purities[i]``.
+    """Read-only (n, d, d) stack of random states, member i of purity ``purities[i]``:
+    Haar-uniform pure vectors and Hilbert-Schmidt mixed states.
 
     The pure members' Gaussians are drawn first, then the mixed members', each
     in member order; the stack is validated once.
@@ -463,13 +456,9 @@ def _normalised_grams(g: np.ndarray) -> np.ndarray:
     return products / _re_trace(products)[:, None, None]
 
 
-def sample_projector(dim: int, rank: int, seed: int = 0) -> Projector:
-    """Random rank-``rank`` projector from a Haar-random orthonormal frame."""
-    return Projector(sample_projectors(dim, [rank], np.random.default_rng(seed))[0])
-
-
 def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Read-only (n, d, d) stack of random projectors, member i of rank ``ranks[i]``.
+    """Read-only (n, d, d) stack of random projectors, member i of rank ``ranks[i]``,
+    each onto a Haar-random orthonormal frame.
 
     Frames of equal rank are multiplied out together and the stack is
     validated once.
@@ -492,36 +481,22 @@ def _frame_projectors(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return p
 
 
-def sample_hermitian(dim: int, seed: int = 0, scale: float = 1.0) -> np.ndarray:
-    """Random Hermitian matrix with Gaussian entries of the given scale."""
-    return sample_hermitians(dim, 1, np.random.default_rng(seed), scale)[0]
-
-
-def sample_hermitians(dim: int, n: int, rng: np.random.Generator,
-                      scale: float = 1.0) -> np.ndarray:
-    """(n, d, d) stack of random Hermitian matrices with Gaussian entries of the given scale."""
+def sample_hermitians(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, d, d) stack of random Hermitian matrices with standard Gaussian entries."""
     g = _complex_gaussians(rng, n, (dim, dim))
-    return scale * (g + _dagger(g)) / 2
+    return (g + _dagger(g)) / 2
 
 
-def sample_orthonormal_basis(dim: int, seed: int = 0) -> np.ndarray:
-    """Haar-random orthonormal basis, returned as an array of row vectors."""
-    return _haar_unitaries(_complex_gaussians(np.random.default_rng(seed), 1, (dim, dim))[0]).T
-
-
-def sample_commuting_triple(
-    dim: int, seed: int = 0
-) -> tuple[DensityState, Projector, Projector]:
-    """State and two questions diagonal in one random basis (a classical triple)."""
-    rho, a, b = sample_commuting_triples(dim, 1, np.random.default_rng(seed))
-    return DensityState(rho[0]), Projector(a[0]), Projector(b[0])
+def sample_orthonormal_bases(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, d, d) stack of Haar-random orthonormal bases, the rows of member i its vectors."""
+    return _haar_unitaries(_complex_gaussians(rng, n, (dim, dim))).swapaxes(-1, -2)
 
 
 def sample_commuting_triples(
     dim: int, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (n, d, d) stacks of states and of both questions, each triple
-    diagonal in one Haar-random basis.
+    diagonal in one Haar-random basis (a classical triple).
 
     Drawn in turn for all members: the unitaries, Dirichlet eigenvalues for
     the states, and a proper 0/1 diagonal for question A, then for question B.

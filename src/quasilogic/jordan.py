@@ -19,8 +19,10 @@ norm is the largest absolute eigenvalue, from one ``eigvalsh`` per stack
 Weyl's inequality λ_max(x² + y²) ≥ max(‖x‖², ‖y‖²), so the residual is at
 least 100 times the sweep's floor 0.01 max(‖x‖², ‖y‖²).  The public kernels
 reject a NaN or infinite operand, then a non-Hermitian one, before any
-arithmetic; the builders check nothing, so that ``verify`` does not validate
-the stacks it sampled itself again, and its NaN controls reach its checks.
+arithmetic, and a finite operand whose products overflow with
+:class:`QuasilogicError` (:func:`_unless_overflowed`); the builders check
+nothing, so that ``verify`` does not validate the stacks it sampled itself
+again, and its NaN controls reach its checks.
 
 Every kernel takes d x d matrices (giving floats) or (n, d, d) stacks and
 works memberwise, so a sweep costs one numpy call per dimension.  Operands
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import QuasilogicError
 from .hilbert import (DEFAULT_TOL, Projector, _finite, _hermitian, _mapped_xor, _operands,
                       _symmetrised, _xor_expansion, operator_norm)
 
@@ -53,7 +56,8 @@ def jordan_product(
     Commutative and Hermitian by construction; non-associative in general.
     """
     xm, ym = (_hermitian(m, tol) for m in _finite_operands(x, y))
-    return _symmetrised(xm, ym)
+    with np.errstate(all="ignore"):
+        return _unless_overflowed(_symmetrised(xm, ym))[0]
 
 
 def mapped_conjunction(
@@ -75,7 +79,9 @@ def idempotency_residuals(
     Asking a question twice is asking it once when both vanish.  Takes raw
     Hermitian matrices, so that a near-projector can be diagnosed.
     """
-    cubic, square = _idempotency_defects(_hermitian(_finite_operands(a)[0], tol))
+    m = _hermitian(_finite_operands(a)[0], tol)
+    with np.errstate(all="ignore"):
+        cubic, square = _unless_overflowed(*_idempotency_defects(m))
     return operator_norm(cubic), operator_norm(square)
 
 
@@ -95,7 +101,9 @@ def formal_reality_residuals(
     absolute eigenvalue (:func:`_hermitian_norm`).
     """
     xm, ym = (_hermitian(m, tol) for m in _finite_operands(x, y))
-    residual = _hermitian_norm(_formal_reality_sums(xm @ xm, ym @ ym))
+    with np.errstate(all="ignore"):
+        sums = _unless_overflowed(_formal_reality_sums(xm @ xm, ym @ ym))[0]
+    residual = _hermitian_norm(sums)
     return residual, np.maximum(_hermitian_norm(xm), _hermitian_norm(ym))
 
 
@@ -126,7 +134,8 @@ def xor_symmetry_residuals(
     Takes projectors, or matrices and (n, d, d) stacks of validated projector
     matrices, and returns one residual of each kind per member.
     """
-    defects = _xor_symmetry_defects(*_finite_operands(a, b))
+    with np.errstate(all="ignore"):
+        defects = _unless_overflowed(*_xor_symmetry_defects(*_finite_operands(a, b)))
     return tuple(operator_norm(defect) for defect in defects)
 
 
@@ -136,6 +145,17 @@ def _xor_symmetry_defects(a: Projector | np.ndarray, b: Projector | np.ndarray) 
     forward, backward = _mapped_xor(am, bm), _mapped_xor(bm, am)
     expansion = _xor_expansion(am, bm)
     return forward - backward, forward - expansion, backward - expansion
+
+
+def _unless_overflowed(*results: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``results``, computed from finite operands, once every entry is finite.
+
+    A NaN or an infinity can then only come from an overflow, which raises
+    :class:`QuasilogicError` rather than misname the input as non-finite.
+    """
+    if not all(np.isfinite(m).all() for m in results):
+        raise QuasilogicError("the result overflowed: the finite input is too large")
+    return results
 
 
 def _finite_operands(*operands) -> list[np.ndarray]:

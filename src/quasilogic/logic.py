@@ -27,7 +27,6 @@ __all__ = [
     "ALL_RECORDS",
     "CONJUNCTION_REFERENCE",
     "INCLUSIVE_OR_REFERENCE",
-    "complement",
     "sequential_conjunction_value",
     "conjunction_value",
     "xor_value",
@@ -89,11 +88,6 @@ ALL_RECORDS: tuple[CounterfactualRecord, ...] = tuple(
     CounterfactualRecord(a, b, ba) for a, b, ba in itertools.product((0, 1), repeat=3)
 )
 """All eight records in lexicographic (a, b_alone, b_after) order."""
-
-
-def complement(answer: Answer) -> Answer:
-    """Answer to the complementary question: 0 <-> 1."""
-    return 1 - _check_answer(answer, "answer")
 
 
 def sequential_conjunction_value(a: Answer, b_after: Answer) -> Fraction:

@@ -26,7 +26,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -54,13 +54,11 @@ __all__ = [
     "xor_estimates",
     "qq_equality_stat",
     "order_effect_stat",
-    "bootstrap_ci",
     "ReconstructionReport",
     "classicality_report",
 ]
 
 Cell = tuple[int, int]
-BootstrapTarget = tuple[Literal["logical_ab", "logical_ba", "order_difference"], Cell]
 
 CSV_HEADER = ("order", "first", "second", "count")
 
@@ -406,47 +404,22 @@ def _marginal_shift(q_first: np.ndarray, q_second: np.ndarray, v: int) -> np.nda
 
 
 def _bootstrap_intervals(
-    table: SequentialCountTable, iterations: int, confidence: float, seed: int,
-    targets: tuple[str, ...] = _BOOTSTRAP_TARGETS, cells: tuple[Cell, ...] = CELLS,
+    table: SequentialCountTable, iterations: int, confidence: float, seed: int
 ) -> dict[str, dict[Cell, tuple[float, float]]]:
-    """Percentile intervals of ``targets`` at ``cells``: all from one resample and four shifts."""
+    """Percentile intervals of each target at each cell: all from one resample and four shifts."""
     q_ab, q_ba = _resample(table, iterations, seed)
     shift_b = [_marginal_shift(q_ba, q_ab, b) for b in (0, 1)]
     shift_a = [_marginal_shift(q_ab, q_ba, a) for a in (0, 1)]
-    intervals: dict[str, dict[Cell, tuple[float, float]]] = {which: {} for which in targets}
     columns = dict(zip(_BOOTSTRAP_TARGETS, np.empty((3, iterations))))
+    intervals: dict[str, dict[Cell, tuple[float, float]]] = {which: {} for which in columns}
     logical_ab, logical_ba, difference = columns.values()
-    for a, b in cells:
+    for a, b in CELLS:
         np.add(q_ab[:, 2 * a + b], shift_b[b], out=logical_ab)
         np.add(q_ba[:, 2 * b + a], shift_a[a], out=logical_ba)
         np.subtract(logical_ab, logical_ba, out=difference)
-        for which in targets:
-            intervals[which][(a, b)] = _percentile_interval(columns[which], confidence)
+        for which, column in columns.items():
+            intervals[which][(a, b)] = _percentile_interval(column, confidence)
     return intervals
-
-
-def bootstrap_ci(
-    table: SequentialCountTable,
-    target: BootstrapTarget,
-    iterations: int = 10_000,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for a reconstructed quantity.
-
-    The target is ``(which, (a, b))`` with ``which`` one of ``logical_ab``,
-    ``logical_ba``, ``order_difference``, checked before anything is drawn.
-    It is the one-column form of :func:`classicality_report`'s bootstrap:
-    one resample and one normalisation of each order group, and the shared
-    marginal shifts.  Deterministic given the seed.
-    """
-    _check_bootstrap(iterations, confidence)
-    which, cell = target
-    if cell not in CELLS:
-        raise ValueError(f"unknown cell {cell!r}")
-    if which not in _BOOTSTRAP_TARGETS:
-        raise ValueError(f"unknown bootstrap target {which!r}")
-    return _bootstrap_intervals(table, iterations, confidence, seed, (which,), (cell,))[which][cell]
 
 
 def _check_bootstrap(iterations: int, confidence: float) -> None:

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quasilogic
@@ -27,3 +28,27 @@ def sampled_triples(dims: tuple[int, ...], trials_per_dim: int, seed: int):
     for dim, states, questions_a, questions_b in verify._sampled_stacks(dims, trials_per_dim, seed):
         for rho, a, b in zip(states, questions_a, questions_b):
             yield dim, hilbert.DensityState(rho), hilbert.Projector(a), hilbert.Projector(b)
+
+
+# single draws: member 0 of a one-member stack of a hilbert sampler on default_rng(seed)
+
+
+def seeded_state(dim: int, purity: str, seed: int) -> hilbert.DensityState:
+    return hilbert.DensityState(hilbert.sample_states(dim, [purity], np.random.default_rng(seed))[0])
+
+
+def seeded_projector(dim: int, rank: int, seed: int) -> hilbert.Projector:
+    return hilbert.Projector(hilbert.sample_projectors(dim, [rank], np.random.default_rng(seed))[0])
+
+
+def seeded_hermitian(dim: int, seed: int) -> np.ndarray:
+    return hilbert.sample_hermitians(dim, 1, np.random.default_rng(seed))[0]
+
+
+def seeded_basis(dim: int, seed: int) -> np.ndarray:
+    return hilbert.sample_orthonormal_bases(dim, 1, np.random.default_rng(seed))[0]
+
+
+def seeded_commuting_triple(dim: int, seed: int):
+    rho, a, b = hilbert.sample_commuting_triples(dim, 1, np.random.default_rng(seed))
+    return hilbert.DensityState(rho[0]), hilbert.Projector(a[0]), hilbert.Projector(b[0])

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from conftest import sampled_triples
+from conftest import sampled_triples, seeded_commuting_triple, seeded_projector, seeded_state
 from quasilogic import hilbert, jordan, logic, survey, verify
 
 SWEEP_DIMS = (2, 3, 4, 5, 6, 7, 8)
@@ -160,7 +160,7 @@ def test_criterion_06_classical_baseline():
     min_cell = np.inf
     for trial in range(1000):
         dim = 2 + trial % 4
-        rho, a, b = hilbert.sample_commuting_triple(dim, seed=SWEEP_SEED + 17 * trial)
+        rho, a, b = seeded_commuting_triple(dim, SWEEP_SEED + 17 * trial)
         value, _ = hilbert.quasi_prob_table(rho, a, b, "jordan").min_cell()
         min_cell = min(min_cell, value)
     verdict(
@@ -237,10 +237,9 @@ def test_criterion_09_survey_clinton_gore(data_dir):
 def test_criterion_10_model_round_trip():
     max_gap = 0.0
     for trial in range(25):
-        rho = hilbert.sample_state(2, "pure" if trial % 2 == 0 else "mixed",
-                                   seed=SWEEP_SEED + 101 * trial)
-        a = hilbert.sample_projector(2, 1, seed=SWEEP_SEED + 101 * trial + 1)
-        b = hilbert.sample_projector(2, 1, seed=SWEEP_SEED + 101 * trial + 2)
+        rho = seeded_state(2, "pure" if trial % 2 == 0 else "mixed", SWEEP_SEED + 101 * trial)
+        a = seeded_projector(2, 1, SWEEP_SEED + 101 * trial + 1)
+        b = seeded_projector(2, 1, SWEEP_SEED + 101 * trial + 2)
         p_ab, p_ba = hilbert.model_sequential_probabilities(rho, a, b)
         logical_ab, logical_ba = survey.logical_tables_from_probs(p_ab, p_ba)
         ops_a = {1: a, 0: hilbert.complement_projector(a)}

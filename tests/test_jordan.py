@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import seeded_hermitian, seeded_projector
 from quasilogic import hilbert, jordan, verify
 from quasilogic.errors import DimensionMismatchError, NotHermitianError
 
@@ -24,7 +25,7 @@ class TestJordanProduct:
         assert_allclose(jordan.jordan_product(p, p), p.matrix, atol=ATOL)
 
     def test_identity_is_unit(self):
-        y = hilbert.sample_hermitian(3, seed=1)
+        y = seeded_hermitian(3, 1)
         assert_allclose(jordan.jordan_product(np.eye(3), y), y, atol=ATOL)
 
     def test_hand_expanded_example(self):
@@ -36,8 +37,8 @@ class TestJordanProduct:
     @given(dims, seeds)
     @settings(max_examples=50, deadline=None)
     def test_commutative_and_hermitian(self, dim, seed):
-        x = hilbert.sample_hermitian(dim, seed=seed)
-        y = hilbert.sample_hermitian(dim, seed=seed + 1)
+        x = seeded_hermitian(dim, seed)
+        y = seeded_hermitian(dim, seed + 1)
         xy = jordan.jordan_product(x, y)
         assert_allclose(xy, jordan.jordan_product(y, x), atol=ATOL)
         assert hilbert.operator_norm(xy - xy.conj().T) <= ATOL
@@ -45,7 +46,7 @@ class TestJordanProduct:
     @given(dims, seeds)
     @settings(max_examples=30, deadline=None)
     def test_power_associativity(self, dim, seed):
-        x = hilbert.sample_hermitian(dim, seed=seed)
+        x = seeded_hermitian(dim, seed)
         xx = jordan.jordan_product(x, x)
         left = jordan.jordan_product(xx, x)
         right = jordan.jordan_product(x, xx)
@@ -55,9 +56,9 @@ class TestJordanProduct:
 
     def test_non_associative_in_general(self):
         # (x ∘ y) ∘ z != x ∘ (y ∘ z) for generic inputs
-        x = hilbert.sample_hermitian(3, seed=5)
-        y = hilbert.sample_hermitian(3, seed=6)
-        z = hilbert.sample_hermitian(3, seed=7)
+        x = seeded_hermitian(3, 5)
+        y = seeded_hermitian(3, 6)
+        z = seeded_hermitian(3, 7)
         left = jordan.jordan_product(jordan.jordan_product(x, y), z)
         right = jordan.jordan_product(x, jordan.jordan_product(y, z))
         assert hilbert.operator_norm(left - right) > 1e-6
@@ -73,7 +74,7 @@ class TestJordanProduct:
 
 class TestMappedConjunction:
     def test_identity_second_question(self):
-        a = hilbert.sample_projector(4, 2, seed=11)
+        a = seeded_projector(4, 2, 11)
         i = hilbert.validate_projector(np.eye(4))
         assert_allclose(jordan.mapped_conjunction(a, i), a.matrix, atol=ATOL)
 
@@ -82,8 +83,8 @@ class TestMappedConjunction:
         assert_allclose(jordan.mapped_conjunction(a, b), a.matrix @ b.matrix, atol=ATOL)
 
     def test_matches_jordan_product(self):
-        a = hilbert.sample_projector(3, 1, seed=12)
-        b = hilbert.sample_projector(3, 2, seed=13)
+        a = seeded_projector(3, 1, 12)
+        b = seeded_projector(3, 2, 13)
         assert_allclose(
             jordan.mapped_conjunction(a, b), jordan.jordan_product(a, b), atol=ATOL
         )
@@ -92,8 +93,8 @@ class TestMappedConjunction:
     @settings(max_examples=40, deadline=None)
     def test_operator_marginality(self, dim, seed):
         rng = np.random.default_rng(seed)
-        a = hilbert.sample_projector(dim, int(rng.integers(1, dim)), seed=seed)
-        b = hilbert.sample_projector(dim, int(rng.integers(1, dim)), seed=seed + 1)
+        a = seeded_projector(dim, int(rng.integers(1, dim)), seed)
+        b = seeded_projector(dim, int(rng.integers(1, dim)), seed + 1)
         abar = hilbert.complement_projector(a)
         bbar = hilbert.complement_projector(b)
         left = jordan.mapped_conjunction(a, b) + jordan.mapped_conjunction(a, bbar)
@@ -108,7 +109,7 @@ class TestIdempotencyTransfer:
         assert cubic <= 1e-12 and square <= hilbert.DEFAULT_TOL
 
     def test_random_rank_k_projector_passes(self):
-        residuals = jordan.idempotency_residuals(hilbert.sample_projector(6, 3, seed=21))
+        residuals = jordan.idempotency_residuals(seeded_projector(6, 3, 21))
         assert max(residuals) <= hilbert.DEFAULT_TOL
 
     def test_near_projector_fails_with_residual(self):
@@ -158,8 +159,8 @@ class TestFormalReality:
     @given(dims, seeds)
     @settings(max_examples=60, deadline=None)
     def test_random_pairs_never_violate(self, dim, seed):
-        x = hilbert.sample_hermitian(dim, seed=seed)
-        y = hilbert.sample_hermitian(dim, seed=seed + 1)
+        x = seeded_hermitian(dim, seed)
+        y = seeded_hermitian(dim, seed + 1)
         residual, scale = jordan.formal_reality_residuals(x, y)
         assert not violated(residual, scale)
         floor = 0.01 * max(
@@ -187,8 +188,8 @@ class TestXorOperatorSymmetry:
     @settings(max_examples=50, deadline=None)
     def test_random_pairs(self, dim, seed):
         rng = np.random.default_rng(seed)
-        a = hilbert.sample_projector(dim, int(rng.integers(1, dim)), seed=seed)
-        b = hilbert.sample_projector(dim, int(rng.integers(1, dim)), seed=seed + 1)
+        a = seeded_projector(dim, int(rng.integers(1, dim)), seed)
+        b = seeded_projector(dim, int(rng.integers(1, dim)), seed + 1)
         swap, expansion_ab, expansion_ba = jordan.xor_symmetry_residuals(a, b)
         assert swap <= 1e-10
         assert expansion_ab <= 1e-10
@@ -274,7 +275,7 @@ class TestStackedKernels:
 
     def test_matrix_broadcasts_against_stack(self):
         xs = hilbert.sample_hermitians(3, 4, np.random.default_rng(2))
-        y = hilbert.sample_hermitian(3, seed=3)
+        y = seeded_hermitian(3, 3)
         for products in (jordan.jordan_product(xs, y), jordan.jordan_product(xs, y[None])):
             assert products.shape == xs.shape
             for x, product in zip(xs, products):
@@ -335,7 +336,7 @@ class TestStackedKernels:
         growing function of d (LAPACK Users' Guide, sections 4.7 and 4.9); with p(d) = 8d
         for each, the two agree within 16du relative (at most 19u on d = 64 samples).
         """
-        x = hilbert.sample_hermitians(dim, n + 1, np.random.default_rng(seed), scale)
+        x = scale * hilbert.sample_hermitians(dim, n + 1, np.random.default_rng(seed))
         squares = x @ x
         for m in (x, jordan._formal_reality_sums(squares[:-1], squares[1:])):
             eigen, singular = jordan._hermitian_norm(m), hilbert.operator_norm(m)

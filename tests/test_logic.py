@@ -18,7 +18,6 @@ from quasilogic.logic import (
     CONJUNCTION_REFERENCE,
     INCLUSIVE_OR_REFERENCE,
     CounterfactualRecord,
-    complement,
     conjunction_value,
     identity_suite,
     or_value,
@@ -28,7 +27,6 @@ from quasilogic.logic import (
 )
 
 records = st.sampled_from(ALL_RECORDS)
-bits = st.integers(min_value=0, max_value=1)
 
 
 def xor_oracle(r: CounterfactualRecord) -> Fraction:
@@ -39,20 +37,6 @@ def xor_oracle(r: CounterfactualRecord) -> Fraction:
     physical operation and disturbs the second answer identically.
     """
     return Fraction(r.a * (1 - r.b_after) + (1 - r.a) * r.b_after)
-
-
-class TestComplement:
-    def test_values(self):
-        assert complement(0) == 1
-        assert complement(1) == 0
-
-    @given(bits)
-    def test_involution(self, a):
-        assert complement(complement(a)) == a
-
-    def test_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            complement(2)
 
 
 class TestSequentialConjunction:

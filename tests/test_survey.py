@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import chi2, chi2_contingency, norm
 
+from conftest import seeded_projector, seeded_state
 from quasilogic import hilbert, logic, survey
 from quasilogic.errors import (
     BadConfidenceError,
@@ -132,7 +133,7 @@ class TestParsing:
         assert limit == 2**63 - 1
         at_limit = make_table((limit - 3, 1, 1, 1), (1, 1, 1, 1))
         assert at_limit.n_ab == limit
-        lo, hi = survey.bootstrap_ci(at_limit, ("logical_ab", (0, 0)), 100, 0.95, seed=0)
+        lo, hi = bootstrap_intervals(at_limit, 100, seed=0)["logical_ab"][(0, 0)]
         assert lo <= hi
         with pytest.raises(SchemaError, match="exceeds the limit 9223372036854775807"):
             make_table((limit - 2, 1, 1, 1), (1, 1, 1, 1))
@@ -248,9 +249,9 @@ class TestReconstruction:
 
     def test_round_trip_many_seeds(self):
         for seed in range(10):
-            rho = hilbert.sample_state(2, "pure" if seed % 2 else "mixed", seed=seed)
-            a = hilbert.sample_projector(2, 1, seed=seed + 100)
-            b = hilbert.sample_projector(2, 1, seed=seed + 200)
+            rho = seeded_state(2, "pure" if seed % 2 else "mixed", seed)
+            a = seeded_projector(2, 1, seed + 100)
+            b = seeded_projector(2, 1, seed + 200)
             p_ab, p_ba = hilbert.model_sequential_probabilities(rho, a, b)
             logical_ab, logical_ba = survey.logical_tables_from_probs(p_ab, p_ba)
             expected = hilbert.logical_joint(rho, a, b)
@@ -353,19 +354,22 @@ def resample_calls(monkeypatch) -> list:
     return calls
 
 
+def bootstrap_intervals(table, iterations, seed, confidence=0.95):
+    """The report's percentile intervals, ``[which][cell]``."""
+    return survey.classicality_report(table, iterations, seed, confidence).bootstrap_intervals
+
+
 class TestBootstrap:
     def test_deterministic(self, synthetic):
-        a = survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 500, 0.95, seed=9)
-        b = survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 500, 0.95, seed=9)
-        assert a == b
+        assert bootstrap_intervals(synthetic, 500, seed=9) == bootstrap_intervals(synthetic, 500, seed=9)
 
     def test_degenerate_table_zero_width(self):
         table = make_table((0, 0, 0, 50), (0, 0, 0, 50))
-        lo, hi = survey.bootstrap_ci(table, ("logical_ab", (1, 1)), 500, 0.95, seed=1)
+        lo, hi = bootstrap_intervals(table, 500, seed=1)["logical_ab"][(1, 1)]
         assert lo == hi == 1.0
 
     def test_interval_contains_point_estimate(self, synthetic):
-        lo, hi = survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 10_000, 0.95, seed=2)
+        lo, hi = bootstrap_intervals(synthetic, 10_000, seed=2)["logical_ab"][(1, 1)]
         assert lo < 0.40 < hi
 
     def test_width_shrinks_with_sample_size(self, synthetic):
@@ -373,31 +377,20 @@ class TestBootstrap:
             tuple(4 * synthetic.counts_ab[c] for c in CELLS),
             tuple(4 * synthetic.counts_ba[c] for c in CELLS),
         )
-        lo1, hi1 = survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 10_000, 0.95, seed=3)
-        lo4, hi4 = survey.bootstrap_ci(scaled, ("logical_ab", (1, 1)), 10_000, 0.95, seed=3)
+        lo1, hi1 = bootstrap_intervals(synthetic, 10_000, seed=3)["logical_ab"][(1, 1)]
+        lo4, hi4 = bootstrap_intervals(scaled, 10_000, seed=3)["logical_ab"][(1, 1)]
         ratio = (hi4 - lo4) / (hi1 - lo1)
         assert 0.35 < ratio < 0.65  # ~1/sqrt(4)
 
     def test_order_difference_target(self, synthetic):
-        lo, hi = survey.bootstrap_ci(synthetic, ("order_difference", (1, 1)), 1000, 0.95, seed=4)
+        lo, hi = bootstrap_intervals(synthetic, 1000, seed=4)["order_difference"][(1, 1)]
         assert lo < -0.05 < hi  # point estimate 0.40 - 0.45
 
     def test_validation(self, synthetic):
         with pytest.raises(TooFewIterationsError):
-            survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 50, 0.95, seed=0)
+            bootstrap_intervals(synthetic, 50, seed=0)
         with pytest.raises(BadConfidenceError):
-            survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 500, 1.5, seed=0)
-        with pytest.raises(ValueError):
-            survey.bootstrap_ci(synthetic, ("logical_ab", (1, 2)), 500, 0.95, seed=0)
-
-    def test_bad_target_draws_nothing(self, synthetic, resample_calls):
-        with pytest.raises(ValueError, match="unknown bootstrap target 'bogus'"):
-            survey.bootstrap_ci(synthetic, ("bogus", (1, 1)), 10**6)
-        with pytest.raises(ValueError, match=r"unknown cell \(1, 2\)"):
-            survey.bootstrap_ci(synthetic, ("logical_ab", (1, 2)), 10**6)
-        assert resample_calls == []
-        survey.bootstrap_ci(synthetic, ("logical_ab", (1, 1)), 100)
-        assert len(resample_calls) == 1
+            bootstrap_intervals(synthetic, 500, seed=0, confidence=1.5)
 
 
 # Reference bootstrap: the per-target formulas of the per-cell implementation,
@@ -472,9 +465,6 @@ class TestOnePassBootstrap:
         expected = reference_intervals(table, iterations, confidence, seed)
         report = survey.classicality_report(table, iterations, seed, confidence)
         assert report.bootstrap_intervals == expected
-        for which, cells in expected.items():
-            for cell, interval in cells.items():
-                assert survey.bootstrap_ci(table, (which, cell), iterations, confidence, seed) == interval
 
     def test_report_resamples_once(self, clinton_gore, resample_calls):
         survey.classicality_report(clinton_gore, iterations=500, seed=3)
