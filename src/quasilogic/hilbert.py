@@ -18,14 +18,18 @@ d x d matrices or (n, d, d) stacks of validated matrices, broadcast against
 each other under one shape rule (``_operands``, which ``jordan`` shares too),
 and works memberwise; the single-object functions
 (``born_probability``, ``lueders_update``, ``logical_joint``, ...) are their
-one-matrix forms.  States the kernels build (post-measurement states) are
-validated once per stack, and long stacks are processed in blocks of bounded
-size.
+one-matrix forms.  Long stacks are processed in blocks of bounded size.
 
-Every sampler is stacked: it draws n members from the ``numpy.random.Generator``
-it is given, which it advances, and one draw is member 0 of a one-member stack.
-All other functions are pure; stored matrices are marked read-only after
-validation.
+Validation is at the boundary: the ``validate_*`` functions,
+``rank_one_projectors`` and ``kd_distribution`` check what arrives from
+outside, and the kernels validate the post-measurement states they build
+from raw operands.
+
+Every sampler is stacked: it checks its arguments, then draws n members from
+the ``numpy.random.Generator`` it is given, which it advances; one draw is
+member 0 of a one-member stack.  Its states and projectors are valid by
+construction, so it freezes them unvalidated.  All other functions are pure;
+stored states and projectors are marked read-only.
 """
 
 from __future__ import annotations
@@ -138,8 +142,13 @@ def _worst_norm(m: np.ndarray) -> float:
     b below the computed norm of the largest-bound member cannot be the worst
     and is not solved.  A stack with an inf or NaN Gram norm, or a nonzero
     member whose Gram norm underflows towards the subnormals (where that
-    relative accuracy is lost), takes the full solve, and so fails as it would.
+    relative accuracy is lost), takes the full solve.  A NaN or inf entry
+    makes the result the largest Frobenius norm (NaN or inf), without the
+    singular-value solve, which LAPACK refuses.
     """
+    if not np.isfinite(m).all():
+        with np.errstate(invalid="ignore"):  # inf·0 in an imaginary part, which the norm drops
+            return _worst(np.linalg.norm(m, axis=(-2, -1)))
     if m.ndim == 2 or len(m) < 2:
         return _worst(operator_norm(m))
     with np.errstate(all="ignore"):
@@ -188,8 +197,6 @@ def _gate_norm(m: np.ndarray, tol: float) -> float:
     frobenius = _worst(np.linalg.norm(m, axis=(-2, -1)))
     if frobenius <= tol * (1 - 1e-12):
         return 0.0
-    if not np.isfinite(m).all():
-        return frobenius  # inf or NaN: LAPACK rejects a non-finite matrix
     return _worst_norm(m)
 
 
@@ -227,9 +234,9 @@ def _check_square(matrix: np.ndarray) -> np.ndarray:
     return _finite(m, "matrix")
 
 
-def _check_dim(d: int, max_dim: int) -> None:
-    if not 2 <= d <= max_dim:
-        raise BadDimensionError(f"dimension {d} outside supported range [2, {max_dim}]")
+def _check_dim(d: int) -> None:
+    if not 2 <= d <= MAX_DIM:
+        raise BadDimensionError(f"dimension {d} outside supported range [2, {MAX_DIM}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,23 +265,23 @@ class DensityState:
         return self.matrix.shape[0]
 
 
-def validate_projector(
-    matrix: np.ndarray, tol: float = DEFAULT_TOL, max_dim: int = MAX_DIM
-) -> Projector:
+def validate_projector(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> Projector:
     """Validate a candidate question operator; reject rather than repair.
 
     Raises :class:`NotHermitianError` or :class:`NotIdempotentError` with the
     violated operator-norm residual attached.
     """
-    return Projector(_validated_projectors(_check_square(matrix), tol, max_dim))
+    m = _check_square(matrix)
+    _check_dim(m.shape[0])
+    return Projector(_validated_projectors(m, tol))
 
 
-def _validated_projectors(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray:
-    """A complex matrix or (n, d, d) stack, frozen after the checks of :func:`validate_projector`.
+def _validated_projectors(m: np.ndarray, tol: float) -> np.ndarray:
+    """A complex matrix or (n, d, d) stack, frozen after the matrix checks of
+    :func:`validate_projector` (not its dimension check).
 
     A stack is checked block by block; an error carries the worst member's residual.
     """
-    _check_dim(m.shape[-1], max_dim)
     _hermitian(m, tol)
     with np.errstate(all="ignore"):
         idem = float(np.max(_blockwise(lambda p: _gate_norm(p @ p - p, tol), m)))
@@ -283,19 +290,19 @@ def _validated_projectors(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray
     return _freeze(m)
 
 
-def validate_density(
-    matrix: np.ndarray, tol: float = DEFAULT_TOL, max_dim: int = MAX_DIM
-) -> DensityState:
-    """Validate a candidate density matrix (Hermitian, PSD, unit trace)."""
-    return DensityState(_validated_densities(_check_square(matrix), tol, max_dim))
+def validate_density(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> DensityState:
+    """Validate a candidate density matrix (d in [2, ``MAX_DIM``], Hermitian, PSD, unit trace)."""
+    m = _check_square(matrix)
+    _check_dim(m.shape[0])
+    return DensityState(_validated_densities(m, tol))
 
 
-def _validated_densities(m: np.ndarray, tol: float, max_dim: int) -> np.ndarray:
-    """A complex matrix or (n, d, d) stack, frozen after the checks of :func:`validate_density`.
+def _validated_densities(m: np.ndarray, tol: float) -> np.ndarray:
+    """A complex matrix or (n, d, d) stack, frozen after the matrix checks of
+    :func:`validate_density` (not its dimension check).
 
     A stack is checked block by block; an error carries the worst member's value.
     """
-    _check_dim(m.shape[-1], max_dim)
     _hermitian(m, tol)
     with np.errstate(all="ignore"):  # r/2 + r^H/2, unlike (r + r^H)/2, cannot overflow
         lowest = float(np.min(_blockwise(
@@ -368,21 +375,23 @@ def complement_projector(p: Projector) -> Projector:
     return Projector(_freeze(_answers(p.matrix)[0]))
 
 
-def rank_one_projector(vector: np.ndarray, tol: float = DEFAULT_TOL) -> Projector:
+def rank_one_projector(vector: np.ndarray) -> Projector:
     """Projector onto the ray of a (not necessarily normalised) vector."""
-    return Projector(rank_one_projectors(np.reshape(vector, (1, -1)), tol)[0])
+    return Projector(rank_one_projectors(np.reshape(vector, (1, -1)))[0])
 
 
-def rank_one_projectors(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def rank_one_projectors(vectors: np.ndarray) -> np.ndarray:
     """Read-only (n, d, d) stack whose member i is ``rank_one_projector(vectors[i])``.
 
-    The stack is validated once, with the tolerance and errors of
-    :func:`validate_projector`.
+    The stack is validated once, with the errors of :func:`validate_projector`
+    at ``DEFAULT_TOL``.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         raise BadDimensionError(f"expected an (n, d) array of vectors, got shape {v.shape}")
-    return _validated_projectors(_ray_projectors(_finite(v, "vector")), tol, MAX_DIM)
+    p = _ray_projectors(_finite(v, "vector"))
+    _check_dim(p.shape[-1])
+    return _validated_projectors(p, DEFAULT_TOL)
 
 
 def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
@@ -410,9 +419,9 @@ def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling: each sampler draws its n members from one Generator, one call per
-# stack; a single draw from a seed is member 0 of a one-member stack on
-# ``default_rng(seed)``
+# sampling: each sampler checks its arguments, then draws its n members from
+# one Generator, one call per stack; a single draw from a seed is member 0 of a
+# one-member stack on ``default_rng(seed)``
 
 
 def _complex_gaussians(rng: np.random.Generator, n: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -435,8 +444,9 @@ def sample_states(
     Haar-uniform pure vectors and Hilbert-Schmidt mixed states.
 
     The pure members' Gaussians are drawn first, then the mixed members', each
-    in member order; the stack is validated once.
+    in member order.
     """
+    _check_dim(dim)
     for purity in purities:
         if purity not in ("pure", "mixed"):
             raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
@@ -447,7 +457,7 @@ def sample_states(
         rho[pure] = _ray_projectors(_complex_gaussians(rng, len(pure), (dim,)))
     if mixed:
         rho[mixed] = _normalised_grams(_complex_gaussians(rng, len(mixed), (dim, dim)))
-    return _validated_densities((rho + _dagger(rho)) / 2, DEFAULT_TOL, MAX_DIM)
+    return _freeze((rho + _dagger(rho)) / 2)
 
 
 def _normalised_grams(g: np.ndarray) -> np.ndarray:
@@ -460,15 +470,15 @@ def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) 
     """Read-only (n, d, d) stack of random projectors, member i of rank ``ranks[i]``,
     each onto a Haar-random orthonormal frame.
 
-    Frames of equal rank are multiplied out together and the stack is
-    validated once.
+    Frames of equal rank are multiplied out together.
     """
+    _check_dim(dim)
     ranks = np.asarray(ranks, dtype=int)
     for rank in ranks.tolist():
         if not 1 <= rank < dim:
             raise BadRankError(f"rank must satisfy 1 <= rank < dim, got rank={rank}, dim={dim}")
     p = _frame_projectors(_haar_unitaries(_complex_gaussians(rng, len(ranks), (dim, dim))), ranks)
-    return _validated_projectors((p + _dagger(p)) / 2, DEFAULT_TOL, MAX_DIM)
+    return _freeze((p + _dagger(p)) / 2)
 
 
 def _frame_projectors(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -483,12 +493,14 @@ def _frame_projectors(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 def sample_hermitians(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, d, d) stack of random Hermitian matrices with standard Gaussian entries."""
+    _check_dim(dim)
     g = _complex_gaussians(rng, n, (dim, dim))
     return (g + _dagger(g)) / 2
 
 
 def sample_orthonormal_bases(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, d, d) stack of Haar-random orthonormal bases, the rows of member i its vectors."""
+    _check_dim(dim)
     return _haar_unitaries(_complex_gaussians(rng, n, (dim, dim))).swapaxes(-1, -2)
 
 
@@ -500,20 +512,16 @@ def sample_commuting_triples(
 
     Drawn in turn for all members: the unitaries, Dirichlet eigenvalues for
     the states, and a proper 0/1 diagonal for question A, then for question B.
-    Each stack is validated once.
     """
+    _check_dim(dim)
     u = _haar_unitaries(_complex_gaussians(rng, n, (dim, dim)))
     diagonals = np.zeros((3, n, dim, dim), dtype=np.complex128)
     index = np.arange(dim)
     diagonals[0][:, index, index] = rng.dirichlet(np.ones(dim), size=n)
     for question in (1, 2):
         diagonals[question][:, index, index] = _proper_patterns(rng, n, dim)
-    rho, a, b = (u @ diagonal @ _dagger(u) for diagonal in diagonals)
-    return (
-        _validated_densities((rho + _dagger(rho)) / 2, DEFAULT_TOL, MAX_DIM),
-        _validated_projectors((a + _dagger(a)) / 2, DEFAULT_TOL, MAX_DIM),
-        _validated_projectors((b + _dagger(b)) / 2, DEFAULT_TOL, MAX_DIM),
-    )
+    products = (u @ diagonal @ _dagger(u) for diagonal in diagonals)
+    return tuple(_freeze((m + _dagger(m)) / 2) for m in products)
 
 
 def _proper_patterns(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -548,9 +556,7 @@ def clamp_probability(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def lueders_update(
-    rho: DensityState, p: Projector, mode: UpdateMode, tol: float = DEFAULT_TOL
-) -> tuple[float, DensityState]:
+def lueders_update(rho: DensityState, p: Projector, mode: UpdateMode) -> tuple[float, DensityState]:
     """Measurement update of a state by a question.
 
     ``selective_yes``/``selective_no`` condition on the answer and return
@@ -558,21 +564,22 @@ def lueders_update(
     the answer and returns (1, sum of both branches).
 
     Raises :class:`ZeroProbabilityBranchError` when a selective branch has
-    probability at or below ``tol``.
+    probability at or below ``DEFAULT_TOL``.
     """
-    probability, post = lueders_updates(rho.matrix, p.matrix, mode, tol)
+    probability, post = lueders_updates(rho.matrix, p.matrix, mode)
     return float(probability), DensityState(post)
 
 
 def lueders_updates(
-    rho: np.ndarray, p: np.ndarray, mode: UpdateMode, tol: float = DEFAULT_TOL
+    rho: np.ndarray, p: np.ndarray, mode: UpdateMode
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`lueders_update` per member of broadcast state and projector stacks.
 
-    Returns the branch probabilities and the read-only post-states, which are
-    validated once for the whole stack (an error carries the worst member's
-    value).  A selective branch at or below ``tol`` raises
-    :class:`ZeroProbabilityBranchError` with the smallest probability.
+    Returns the branch probabilities and the read-only post-states, validated as
+    states once per stack, since raw operands need not be states and projectors
+    (an error carries the worst member's value).  A selective branch at or below
+    ``DEFAULT_TOL`` raises :class:`ZeroProbabilityBranchError` with the smallest
+    probability.
     """
     rho, p = _operands(rho, p)
     answers = _answers(p)
@@ -586,16 +593,16 @@ def lueders_updates(
         branch = answers[answer] @ rho @ answers[answer]
         probability = _re_trace(branch)
         lowest = float(probability.min(initial=np.inf))
-        if lowest <= tol:
-            raise ZeroProbabilityBranchError(lowest, tol)
+        if lowest <= DEFAULT_TOL:
+            raise ZeroProbabilityBranchError(lowest, DEFAULT_TOL)
         post = branch / probability[..., None, None]
     post = (post + _dagger(post)) / 2
-    return probability, _validated_densities(post, max(tol, 1e-12), max(MAX_DIM, p.shape[-1]))
+    return probability, _validated_densities(post, DEFAULT_TOL)
 
 
-def nonselective_state(rho: DensityState, p: Projector, tol: float = DEFAULT_TOL) -> DensityState:
+def nonselective_state(rho: DensityState, p: Projector) -> DensityState:
     """State after asking a question and discarding the answer."""
-    _, post = lueders_update(rho, p, "nonselective", tol)
+    _, post = lueders_update(rho, p, "nonselective")
     return post
 
 
@@ -836,21 +843,19 @@ def kd_distribution(
     return overlap.T * sandwich
 
 
-def weak_value(
-    rho: DensityState, a: Projector, post: Projector, tol: float = DEFAULT_TOL
-) -> complex:
+def weak_value(rho: DensityState, a: Projector, post: Projector) -> complex:
     """Weak value of a question with post-selection: Tr(post A rho) / Tr(post rho).
 
     May lie outside [0, 1]; a negative real part at some input certifies a
     negative logical joint probability for the same triple.  Raises
     :class:`ZeroPostSelectionError` when the post-selection probability is at
-    or below ``tol``.
+    or below ``DEFAULT_TOL``.
     """
     rho, a, post = _operands(rho, a, post)
     denominator = float(np.trace(post @ rho).real)
-    if denominator <= tol:
+    if denominator <= DEFAULT_TOL:
         raise ZeroPostSelectionError(
-            f"post-selection probability {denominator:.3e} at or below tol {tol:.3e}"
+            f"post-selection probability {denominator:.3e} at or below tol {DEFAULT_TOL:.3e}"
         )
     numerator = complex(np.trace(post @ a @ rho))
     return numerator / denominator

@@ -18,11 +18,11 @@ norm is the largest absolute eigenvalue, from one ``eigvalsh`` per stack
 (:func:`_hermitian_norm`), which the kernel and ``verify``'s sweep share.  By
 Weyl's inequality λ_max(x² + y²) ≥ max(‖x‖², ‖y‖²), so the residual is at
 least 100 times the sweep's floor 0.01 max(‖x‖², ‖y‖²).  The public kernels
-reject a NaN or infinite operand, then a non-Hermitian one, before any
-arithmetic, and a finite operand whose products overflow with
-:class:`QuasilogicError` (:func:`_unless_overflowed`); the builders check
-nothing, so that ``verify`` does not validate the stacks it sampled itself
-again, and its NaN controls reach its checks.
+reject a NaN or infinite operand, then one not Hermitian within
+``DEFAULT_TOL``, before any arithmetic, and a finite operand whose products
+overflow with :class:`QuasilogicError` (:func:`_unless_overflowed`); the
+builders check nothing, so that ``verify`` does not validate the stacks it
+sampled, and its NaN controls reach its checks.
 
 Every kernel takes d x d matrices (giving floats) or (n, d, d) stacks and
 works memberwise, so a sweep costs one numpy call per dimension.  Operands
@@ -48,38 +48,34 @@ __all__ = [
 ]
 
 
-def jordan_product(
-    x: np.ndarray | Projector, y: np.ndarray | Projector, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def jordan_product(x: np.ndarray | Projector, y: np.ndarray | Projector) -> np.ndarray:
     """Symmetrised product (xy + yx)/2 of two Hermitian matrices, memberwise on stacks.
 
     Commutative and Hermitian by construction; non-associative in general.
     """
-    xm, ym = (_hermitian(m, tol) for m in _finite_operands(x, y))
+    xm, ym = (_hermitian(m, DEFAULT_TOL) for m in _finite_operands(x, y))
     with np.errstate(all="ignore"):
         return _unless_overflowed(_symmetrised(xm, ym))[0]
 
 
-def mapped_conjunction(
-    a: Projector | np.ndarray, b: Projector | np.ndarray, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def mapped_conjunction(a: Projector | np.ndarray, b: Projector | np.ndarray) -> np.ndarray:
     """Operator image of the logical conjunction of two questions (or two stacks of them).
 
     Identical to the symmetrised product of the projectors; satisfies the
     operator marginality  (A ∘ B) + (A ∘ B̄) = A.
     """
-    return jordan_product(a, b, tol)
+    return jordan_product(a, b)
 
 
 def idempotency_residuals(
-    a: np.ndarray | Projector, tol: float = DEFAULT_TOL
+    a: np.ndarray | Projector,
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Cubic ||A A A - A|| and square ||A ∘ A - A|| residuals, per member of a stack.
 
     Asking a question twice is asking it once when both vanish.  Takes raw
     Hermitian matrices, so that a near-projector can be diagnosed.
     """
-    m = _hermitian(_finite_operands(a)[0], tol)
+    m = _hermitian(_finite_operands(a)[0], DEFAULT_TOL)
     with np.errstate(all="ignore"):
         cubic, square = _unless_overflowed(*_idempotency_defects(m))
     return operator_norm(cubic), operator_norm(square)
@@ -91,7 +87,7 @@ def _idempotency_defects(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def formal_reality_residuals(
-    x: np.ndarray, y: np.ndarray, tol: float = DEFAULT_TOL
+    x: np.ndarray, y: np.ndarray
 ) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Residual ||x∘x + y∘y|| and input scale max(||x||, ||y||), per member of two stacks.
 
@@ -100,7 +96,7 @@ def formal_reality_residuals(
     nonzero scale would signal broken arithmetic.  Every norm is the largest
     absolute eigenvalue (:func:`_hermitian_norm`).
     """
-    xm, ym = (_hermitian(m, tol) for m in _finite_operands(x, y))
+    xm, ym = (_hermitian(m, DEFAULT_TOL) for m in _finite_operands(x, y))
     with np.errstate(all="ignore"):
         sums = _unless_overflowed(_formal_reality_sums(xm @ xm, ym @ ym))[0]
     residual = _hermitian_norm(sums)

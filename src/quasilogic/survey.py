@@ -131,14 +131,15 @@ class SequentialCountTable:
         return "\n".join(lines) + "\n"
 
 
-def parse_counts(text: str, label_a: str = "A", label_b: str = "B") -> SequentialCountTable:
+def parse_counts(text: str) -> SequentialCountTable:
     """Parse the canonical count CSV.
 
     Schema: header ``order,first,second,count``; ``order`` in {AB, BA};
     ``first``/``second`` in {0, 1}; exactly 8 data rows.  Blank lines and
     ``#`` comment lines are skipped; comments of the form ``# label_a = Name``
-    set the question labels.  Errors carry the offending line number.
+    set the question labels (else A and B).  Errors carry the offending line number.
     """
+    label_a, label_b = "A", "B"
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -214,10 +215,10 @@ def _parse_count(text: str, lineno: int) -> int:
     return count
 
 
-def load_counts(path: str, label_a: str = "A", label_b: str = "B") -> SequentialCountTable:
+def load_counts(path: str) -> SequentialCountTable:
     """Read and parse a count CSV file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_counts(handle.read(), label_a=label_a, label_b=label_b)
+        return parse_counts(handle.read())
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +581,8 @@ class ReconstructionReport:
             },
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     def plot_rows(self) -> list[tuple[str, str, float]]:
         """Grouped-bar data: (series, cell, value), cells keyed (a, b).

@@ -76,16 +76,13 @@ def _worst_residual(*residuals, initial: float = 0.0) -> float:
     """Largest of ``initial``, residual values and the spectral norms of (n, d, d) residual stacks.
 
     Unlike Python's ``max``, a NaN anywhere is the result, so the check it feeds
-    fails as a violation.  A finite matrix stack is reduced by
-    :func:`hilbert._worst_norm`; one with a NaN or inf entry gives its largest
-    Frobenius norm (NaN or inf) without the singular-value solve, which LAPACK
-    would refuse.  A -0.0 never replaces 0.0.
+    fails as a violation.  A matrix stack is reduced by :func:`hilbert._worst_norm`,
+    which gives a NaN or inf for a stack with such an entry.  A -0.0 never
+    replaces 0.0.
     """
     worst = initial
     for r in residuals:
-        value = (float(np.max(r, initial=worst)) if np.ndim(r) < 3
-                 else _worst_norm(r) if np.isfinite(r).all()
-                 else float(np.max(np.linalg.norm(r, axis=(-2, -1)))))
+        value = float(np.max(r, initial=worst)) if np.ndim(r) < 3 else _worst_norm(r)
         if value > worst or value != value:
             worst = value
     return worst

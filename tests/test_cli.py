@@ -432,8 +432,10 @@ class TestCallCounts:
         assert code == 0
         dims = 7
         # 700 triples, 700 question pairs and 1000 commuting triples: per-item work
-        # makes thousands of these calls; a stack longer than a block adds a few
-        assert calls["_validated_densities"] + calls["_validated_projectors"] <= 12 * dims + 10
+        # makes thousands of these calls.  The samplers validate nothing; the operational
+        # joints validate their disturbed states once per block, and the witnesses their
+        # rank-one questions
+        assert calls["_validated_densities"] + calls["_validated_projectors"] <= 3 * dims + 8
         assert calls["logical_joints"] <= 16 * dims + 10
         assert calls["logical_joint"] <= 2  # the worked example
         assert calls["validate_density"] + calls["validate_projector"] <= 2  # its state and A
@@ -741,6 +743,26 @@ def test_removed_names_stay_absent(version, count):
         for module in [classes[owner]] if owner in classes else (quasilogic,) + LAYERS:
             assert not hasattr(module, name), qualified
             assert name not in getattr(module, "__all__", ()), qualified
+
+
+RETIRED_PARAMETERS = [
+    (hilbert.validate_projector, "max_dim"), (hilbert.validate_density, "max_dim"),
+    (hilbert.rank_one_projector, "tol"), (hilbert.rank_one_projectors, "tol"),
+    (hilbert.lueders_update, "tol"), (hilbert.lueders_updates, "tol"),
+    (hilbert.nonselective_state, "tol"), (hilbert.weak_value, "tol"),
+    (jordan.jordan_product, "tol"), (jordan.mapped_conjunction, "tol"),
+    (jordan.idempotency_residuals, "tol"), (jordan.formal_reality_residuals, "tol"),
+    (survey.parse_counts, "label_a"), (survey.parse_counts, "label_b"),
+    (survey.load_counts, "label_a"), (survey.load_counts, "label_b"),
+    (survey.ReconstructionReport.to_json, "indent"),
+]
+
+
+@pytest.mark.parametrize("function, parameter", RETIRED_PARAMETERS,
+                         ids=[f"{f.__qualname__}-{p}" for f, p in RETIRED_PARAMETERS])
+def test_retired_parameters_stay_absent(function, parameter):
+    """Parameters no caller set, retired in 0.8.0 (README's "Since 0.8.0" note)."""
+    assert parameter not in inspect.signature(function).parameters
 
 
 def test_jordan_verify_builds_one_generator_per_stream(capsys, monkeypatch):

@@ -72,7 +72,6 @@ class TestValidation:
             hilbert.validate_projector(np.eye(1))
         with pytest.raises(BadDimensionError):
             hilbert.validate_projector(np.eye(65))
-        hilbert.validate_projector(np.eye(65), max_dim=128)
 
     def test_density_checks(self):
         with pytest.raises(TraceNotOneError):
@@ -156,7 +155,7 @@ class TestValidation:
         monkeypatch.setattr(hilbert, "_BLOCK_ENTRIES", 4)  # one member per block
         for validate in (hilbert._validated_projectors, hilbert._validated_densities):
             with pytest.raises(QuasilogicError):
-                validate(np.array(members, dtype=complex), hilbert.DEFAULT_TOL, hilbert.MAX_DIM)
+                validate(np.array(members, dtype=complex), hilbert.DEFAULT_TOL)
 
     @pytest.mark.parametrize("vector, ray", [
         ([1e300, 1e300], [1.0, 1.0]), ([1e-170, 0.0], [1.0, 0.0]), ([3e-200j, -4e-200], [3j, -4.0]),
@@ -668,18 +667,18 @@ class TestStackedSampling:
         stack[3, 1, 0] += 1e-8
         worst = hilbert.operator_norm(stack[1] - stack[1].conj().T)
         with pytest.raises(NotHermitianError) as exc:
-            hilbert._validated_projectors(stack, hilbert.DEFAULT_TOL, hilbert.MAX_DIM)
+            hilbert._validated_projectors(stack, hilbert.DEFAULT_TOL)
         assert exc.value.residual == worst
 
     def test_stack_density_validation_matches_scalar_errors(self):
         stack = np.array([np.diag([0.5, 0.5]), np.diag([1.5, -0.5])], dtype=complex)
         with pytest.raises(NotPositiveSemidefiniteError) as exc:
-            hilbert._validated_densities(stack, hilbert.DEFAULT_TOL, hilbert.MAX_DIM)
+            hilbert._validated_densities(stack, hilbert.DEFAULT_TOL)
         assert exc.value.min_eigenvalue == pytest.approx(-0.5)
         with pytest.raises(TraceNotOneError):
             hilbert._validated_densities(
                 np.array([np.diag([0.5, 0.5]), np.diag([0.7, 0.7])], dtype=complex),
-                hilbert.DEFAULT_TOL, hilbert.MAX_DIM,
+                hilbert.DEFAULT_TOL,
             )
 
     def test_exactly_hermitian_residual_is_zero(self):
@@ -693,6 +692,47 @@ class TestStackedSampling:
     def test_bad_purity_in_stack_rejected(self):
         with pytest.raises(ValueError):
             hilbert.sample_states(3, ["pure", "thermal"], np.random.default_rng(0))
+
+    @given(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 64]), st.integers(1, 4), stack_seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_stacks_pass_validation(self, dim, n, seed):
+        """The samplers validate nothing, so their states and questions are checked here."""
+        rng = np.random.default_rng(seed)
+        ranks = rng.integers(1, dim, size=n)
+        rho, a, b = hilbert.sample_commuting_triples(dim, n, rng)
+        for states in (hilbert.sample_states(dim, ["pure", "mixed"] * n, rng), rho):
+            hilbert._validated_densities(states, hilbert.DEFAULT_TOL)
+        for questions in (hilbert.sample_projectors(dim, ranks, rng), a, b):
+            hilbert._validated_projectors(questions, hilbert.DEFAULT_TOL)
+
+
+SAMPLERS = {
+    "states": lambda dim, rng: hilbert.sample_states(dim, ["pure", "mixed"], rng),
+    "projectors": lambda dim, rng: hilbert.sample_projectors(dim, [1, 1], rng),
+    "hermitians": lambda dim, rng: hilbert.sample_hermitians(dim, 2, rng),
+    "orthonormal_bases": lambda dim, rng: hilbert.sample_orthonormal_bases(dim, 2, rng),
+    "commuting_triples": lambda dim, rng: hilbert.sample_commuting_triples(dim, 2, rng),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 65])
+@pytest.mark.parametrize("sample", SAMPLERS.values(), ids=SAMPLERS.keys())
+def test_samplers_reject_a_dimension_before_drawing(sample, dim):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(BadDimensionError):
+        sample(dim, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_samplers_call_no_validator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sampler validated its own stack")
+
+    monkeypatch.setattr(hilbert, "_validated_densities", refuse)
+    monkeypatch.setattr(hilbert, "_validated_projectors", refuse)
+    for sample in SAMPLERS.values():
+        sample(3, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -864,7 +904,7 @@ class TestStackedKernels:
         worst = hilbert.operator_norm(stack[3] - stack[3].conj().T)
         monkeypatch.setattr(hilbert, "_BLOCK_ENTRIES", 9)  # one member per block
         with pytest.raises(NotHermitianError) as exc:
-            getattr(hilbert, validator)(stack, hilbert.DEFAULT_TOL, hilbert.MAX_DIM)
+            getattr(hilbert, validator)(stack, hilbert.DEFAULT_TOL)
         assert exc.value.residual == worst
 
     def test_zero_branch_in_stack_reports_smallest_probability(self):
@@ -1042,10 +1082,14 @@ class TestWorstNorm:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_members_end_as_unpruned(self, bad):
+        """A NaN or inf entry in a stack, a one-member stack or a matrix gives the largest
+        Frobenius norm, NaN or inf, where the singular-value solve would raise."""
         m = complex_gaussian(np.random.default_rng(4), (9, 3, 3))
         m[5, 1, 2] = bad
-        assert (reduction_outcome(hilbert._worst_norm, m)
-                == reduction_outcome(unpruned_worst_norm, m))
+        expected = "nan" if np.isnan(bad) else "inf"
+        for operand in (m, m[5:6], m[5]):
+            assert reduction_outcome(unpruned_worst_norm, operand)[0] is NonFiniteError
+            assert reduction_outcome(hilbert._worst_norm, operand) == expected
 
 
 # every stacked kernel of both modules, on (states, questions, questions) stacks

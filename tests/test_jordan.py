@@ -114,7 +114,7 @@ class TestIdempotencyTransfer:
 
     def test_near_projector_fails_with_residual(self):
         perturbed = np.diag([1.0, 0.0]) + 1e-3 * np.diag([1.0, -1.0])
-        cubic, square = jordan.idempotency_residuals(perturbed, tol=1e-10)
+        cubic, square = jordan.idempotency_residuals(perturbed)
         assert max(cubic, square) > 1e-10
         assert square == pytest.approx(1e-3, rel=0.1)
 
