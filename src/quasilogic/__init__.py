@@ -14,7 +14,7 @@ Four layers, usable independently:
   and bootstrap intervals.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .logic import (
     ALL_RECORDS,

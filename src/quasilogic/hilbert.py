@@ -82,6 +82,7 @@ __all__ = [
     "nonselective_state",
     "logical_joint",
     "logical_joints",
+    "logical_joint_table",
     "xor_expectation",
     "xor_expectations",
     "quasi_prob_table",
@@ -668,6 +669,29 @@ def logical_joints(
         return joints(rho, a, b)  # one rho∘A, and the contraction makes no (n, d, d) temporary
     blocks = _blockwise(joints, rho, a, b)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def logical_joint_table(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n_a, n_b) table of the ``jordan`` route's joints Re Tr((rho∘A_i) B_j).
+
+    ``rho`` is one d x d state; ``a`` and ``b`` are questions, each a d x d
+    matrix or an (n, d, d) stack, and their lengths may differ.  Row i equals
+    ``logical_joints(rho, a[i], b, "jordan")`` to rounding, and bit for bit on
+    stacks whose member axis is innermost in memory, as ``rank_one_projectors``
+    builds them from the rows of ``sample_orthonormal_bases``.  Bᵀ is copied once,
+    C-contiguous, and rho∘A is formed block by block over the rows, so the
+    temporaries are one block of rho∘A and that copy; no (n_a·n_b, d, d)
+    array is built.
+    """
+    (rho, a), (_, b) = _operands(rho, a), _operands(rho, b)
+    if rho.ndim != 2:
+        raise DimensionMismatchError(f"expected a single state, got shape {rho.shape}")
+    d = rho.shape[-1]
+    a, b = a.reshape(-1, d, d), b.reshape(-1, d, d)
+    b_transposed = np.ascontiguousarray(b.swapaxes(-1, -2))
+    rows = _blockwise(
+        lambda block: np.einsum("kij,nij->kn", _symmetrised(rho, block), b_transposed).real, a)
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def xor_expectation(

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -161,7 +162,7 @@ class TestKd:
                 cell["i"], cell["j"], cell["re"], cell["im"])
 
     @pytest.mark.parametrize("seed", [0, 5, 123456789])
-    @pytest.mark.parametrize("dim", [2, 3, 24, 64])
+    @pytest.mark.parametrize("dim", [2, 3, 24, 36, 48, 64])
     def test_json_is_the_indenting_encoders_output(self, capsys, dim, seed):
         # the payload as a list of per-cell dicts, rendered by json.dumps itself
         rho = seeded_state(dim, "mixed", seed)
@@ -211,6 +212,24 @@ class TestKd:
         assert "unrecognized arguments: --trials 7" in capsys.readouterr().err
         code, out, _ = run(capsys, "kd", "--dim", "2", "--format", "json")
         assert code == 0 and "trials" not in json.loads(out)["config"]
+
+    def test_nan_gap_is_reported(self, capsys, monkeypatch):
+        """A NaN joint in one cell reaches max_gap_to_logical_joint, not dropped by a max."""
+        table = hilbert.logical_joint_table
+
+        def with_a_nan(*args):
+            joints = table(*args)
+            joints[1, 2] = np.nan
+            return joints
+
+        monkeypatch.setattr(hilbert, "logical_joint_table", with_a_nan)
+        code, out, _ = run(capsys, "kd", "--dim", "4", "--format", "json")
+        assert code == 0
+        assert '"max_gap_to_logical_joint": NaN' in out
+        assert math.isnan(json.loads(out)["max_gap_to_logical_joint"])
+        code, out, _ = run(capsys, "kd", "--dim", "4")
+        assert code == 0
+        assert "max |Re cell - logical joint|: nan\n" in out
 
     def test_largest_dimension_matches_logical_joints(self, capsys):
         code, out, _ = run(capsys, "kd", "--dim", "64", "--format", "json")
@@ -467,7 +486,7 @@ class TestCallCounts:
     def test_kd_builds_each_question_once(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch, hilbert, [
             "rank_one_projector", "_validated_projectors", "validate_projector", "logical_joint",
-            "operator_norm"])
+            "logical_joints", "logical_joint_table", "operator_norm"])
         # np.linalg.norm(m, 2) calls the svd of the module that defines it
         linalg = inspect.unwrap(np.linalg.norm).__globals__
         svd, svd_calls = linalg["svd"], []
@@ -477,6 +496,7 @@ class TestCallCounts:
         assert calls["validate_projector"] == 0 and calls["logical_joint"] == 0
         assert calls["rank_one_projector"] == 0
         assert calls["_validated_projectors"] == 2    # one stack of d questions per basis
+        assert calls["logical_joints"] == 0 and calls["logical_joint_table"] == 1  # one table
         # valid input passes every check on its Frobenius norms alone
         assert calls["operator_norm"] == 0 and svd_calls == []
 

@@ -7,6 +7,7 @@ route agreement that the module is built around.
 """
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -849,7 +850,7 @@ class TestStackedKernels:
                     assert hilbert.logical_joint(*objects, method) == joints[i]
                     table = hilbert.quasi_prob_table(*objects, method)
                     assert list(table.cells.values()) == cells[i].tolist()
-            # one projector against a stack, as the kd check uses it
+            # one projector against a stack
             joints = hilbert.logical_joints(rho[0], a[0], b, "jordan")
             assert joints.tolist() == [reference_joint(rho[0], a[0], q, "jordan") for q in b]
             for method in ("operational", "mapped_operator"):
@@ -955,6 +956,86 @@ class TestJordanTraceForm:
         joints = hilbert.logical_joints(rho[0], a[0], b, "jordan")
         assert np.all(np.abs(joints - product_form(rho[0], a[0], b))
                       <= scale * rho_norm[0] * a_norm[0] * b_norm)
+
+
+def member_innermost(stack):
+    """The same (n, d, d) values laid out with the member axis innermost in memory."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1)).transpose(2, 0, 1)
+
+
+def joint_rows(rho, a, b):
+    """The table of Jordan-route joints, one ``logical_joints`` call per question of ``a``."""
+    return np.stack([hilbert.logical_joints(rho, question, b, "jordan") for question in a])
+
+
+def kd_operands(dim, seed):
+    """kd's state and rank-one question stacks, built as the command builds them."""
+    rho = seeded_state(dim, "mixed", seed).matrix
+    return rho, *(hilbert.rank_one_projectors(seeded_basis(dim, seed + k)) for k in (1, 2))
+
+
+class TestLogicalJointTable:
+    @given(st.integers(min_value=2, max_value=16), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=5), stack_seeds, st.booleans(), block_members)
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_row_loop_and_the_operational_route(
+            self, dim, n_a, extra, seed, innermost, members):
+        """Within 16·d·eps of the per-row loop (rho a state, every question a projector,
+        so every operator norm is at most 1), and within 1e-10 of the operational route."""
+        n_b = n_a + extra
+        rng = np.random.default_rng(seed)
+        rho = hilbert.sample_states(dim, ["mixed"], rng)[0]
+        a, b = (hilbert.sample_projectors(dim, rng.integers(1, dim, size=n), rng)
+                for n in (n_a, n_b))
+        if innermost:
+            a, b = member_innermost(a), member_innermost(b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hilbert, "_BLOCK_ENTRIES", members * dim * dim)
+            table = hilbert.logical_joint_table(rho, a, b)
+            transposed = hilbert.logical_joint_table(rho, b, a)
+        assert table.shape == (n_a, n_b) and transposed.shape == (n_b, n_a)
+        rounding = 16 * dim * np.finfo(float).eps
+        assert np.abs(table - joint_rows(rho, a, b)).max() <= rounding
+        operational = hilbert.logical_joints(
+            rho, np.repeat(a, n_b, axis=0), np.tile(b, (n_a, 1, 1)), "operational")
+        assert np.abs(table - operational.reshape(n_a, n_b)).max() <= 1e-10
+        # the joint is order-symmetric
+        assert np.abs(table - transposed.T).max() <= 2 * rounding
+
+    @pytest.mark.parametrize("seed", [0, 5, 123456789])
+    @pytest.mark.parametrize("dim", [2, 3, 24, 36, 48, 64])
+    def test_equals_the_row_loop_bit_for_bit_on_kd_stacks(self, dim, seed):
+        rho, a, b = kd_operands(dim, seed)
+        assert np.array_equal(hilbert.logical_joint_table(rho, a, b), joint_rows(rho, a, b))
+
+    def test_a_matrix_is_a_one_row_table(self):
+        rho, a, b = kd_operands(3, 1)
+        table = hilbert.logical_joint_table(hilbert.DensityState(rho), a[1], b)
+        assert table.shape == (1, 3)
+        assert table[0].tolist() == hilbert.logical_joints(rho, a[1], b, "jordan").tolist()
+
+    @pytest.mark.parametrize("rho, a, b", [
+        (np.stack([np.eye(2) / 2] * 2), np.eye(2)[None], np.eye(2)[None]),
+        (np.eye(2) / 2, np.eye(3)[None], np.eye(2)[None]),
+        (np.eye(2) / 2, np.eye(2)[None], np.eye(3)[None]),
+        (np.eye(2) / 2, np.eye(2)[None], np.ones((2, 3))),
+    ], ids=["stacked state", "a of another d", "b of another d", "non-square b"])
+    def test_rejects_mismatched_operands(self, rho, a, b):
+        with pytest.raises(DimensionMismatchError):
+            hilbert.logical_joint_table(rho, a, b)
+
+    def test_peak_memory_stays_below_three_stacks(self):
+        """At d = 64 the temporaries are one Bᵀ copy (4 MB) and one block of rho∘A;
+        a (d², d, d) product stack would take 268 MB."""
+        dim = 64
+        rho, a, b = kd_operands(dim, 42)
+        tracemalloc.start()
+        try:
+            hilbert.logical_joint_table(rho, a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * dim**3 * np.dtype(np.complex128).itemsize
 
 
 class TestNormGate:
