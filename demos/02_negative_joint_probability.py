@@ -9,7 +9,7 @@ real part of the Kirkwood-Dirac distribution is negative.
 
 import numpy as np
 
-from quasilogic import hilbert
+from quasilogic import hilbert, logic
 
 rho, a, b = hilbert.worked_example()
 
@@ -33,7 +33,7 @@ print(f"  arguments swapped: {hilbert.logical_joint(rho, b, a, 'operational'):+.
 print()
 print("full quasi-probability table:")
 table = hilbert.quasi_prob_table(rho, a, b)
-for cell in reversed(hilbert.CELLS):
+for cell in reversed(logic.CELLS):
     print(f"  P(A={cell[0]}, B={cell[1]}) = {table.cells[cell]:+.3f}")
 print(f"  sum = {table.total():.6f}, marginals ({table.marginal_a:.3f}, {table.marginal_b:.3f})")
 

@@ -19,7 +19,7 @@ print(np.round(jordan.jordan_product(a, b).real, 4))
 print()
 print("operator marginality, (A o B) + (A o not-B) = A:")
 bbar = hilbert.complement_projector(b)
-total = jordan.mapped_conjunction(a, b) + jordan.mapped_conjunction(a, bbar)
+total = jordan.jordan_product(a, b) + jordan.jordan_product(a, bbar)
 print(f"  residual: {hilbert.operator_norm(total - a.matrix):.2e}")
 
 print()

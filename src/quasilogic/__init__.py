@@ -12,88 +12,11 @@ Four layers, usable independently:
 * :mod:`quasilogic.survey`: reconstruction of order-invariant logical joint
   probabilities from two-order yes/no survey counts, with significance tests
   and bootstrap intervals.
+
+Import each layer, ``from quasilogic import hilbert``; the package imports
+none, so :mod:`quasilogic.logic` loads without numpy.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
-from .logic import (
-    ALL_RECORDS,
-    CounterfactualRecord,
-    conjunction_value,
-    identity_suite,
-    or_value,
-    sequential_conjunction_value,
-    truth_table,
-    xor_value,
-)
-from .hilbert import (
-    DensityState,
-    Projector,
-    QuasiProbTable,
-    born_probability,
-    complement_projector,
-    kd_distribution,
-    logical_joint,
-    lueders_update,
-    quasi_prob_table,
-    rank_one_projector,
-    sequential_probability,
-    validate_density,
-    validate_projector,
-    weak_value,
-    xor_expectation,
-)
-from .jordan import jordan_product, mapped_conjunction
-from .survey import (
-    ReconstructionReport,
-    SequentialCountTable,
-    classicality_report,
-    load_counts,
-    order_effect_stat,
-    parse_counts,
-    qq_equality_stat,
-    reconstruct_logical_joint,
-    sequential_probs,
-)
-
-__all__ = [
-    "__version__",
-    # logic
-    "ALL_RECORDS",
-    "CounterfactualRecord",
-    "conjunction_value",
-    "identity_suite",
-    "or_value",
-    "sequential_conjunction_value",
-    "truth_table",
-    "xor_value",
-    # hilbert
-    "DensityState",
-    "Projector",
-    "QuasiProbTable",
-    "born_probability",
-    "complement_projector",
-    "kd_distribution",
-    "logical_joint",
-    "lueders_update",
-    "quasi_prob_table",
-    "rank_one_projector",
-    "sequential_probability",
-    "validate_density",
-    "validate_projector",
-    "weak_value",
-    "xor_expectation",
-    # jordan
-    "jordan_product",
-    "mapped_conjunction",
-    # survey
-    "ReconstructionReport",
-    "SequentialCountTable",
-    "classicality_report",
-    "load_counts",
-    "order_effect_stat",
-    "parse_counts",
-    "qq_equality_stat",
-    "reconstruct_logical_joint",
-    "sequential_probs",
-]
+__all__ = ["__version__"]

@@ -270,7 +270,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         "",
         "quasi-probability table (raw values, negativity preserved):",
     ]
-    for cell in reversed(hilbert.CELLS):
+    for cell in reversed(logic.CELLS):
         lines.append(f"  P(A={cell[0]}, B={cell[1]}) = {table.cells[cell]:+.6f}")
     lines.append("")
     lines.append(f"cells sum to {table.total():.12f}")
@@ -298,7 +298,7 @@ def _cmd_kd(args: argparse.Namespace) -> int:
     table = hilbert.kd_distribution(rho, basis_a, basis_b, tol=args.tol)
 
     # cell (i, j) is compared with the logical joint of |a_i><a_i| and |b_j><b_j|;
-    # each basis's d questions are built and validated once, and a NaN gap is kept
+    # each basis's d questions are built once from its checked vectors, and a NaN gap is kept
     joints = hilbert.logical_joint_table(
         rho.matrix, hilbert.rank_one_projectors(basis_a), hilbert.rank_one_projectors(basis_b))
     max_gap = float(np.abs(table.real - joints).max())
@@ -392,7 +392,7 @@ def _survey_text(report: survey.ReconstructionReport) -> str:
         f"{'cell':>10s} {'seq ' + la + '-first':>14s} {'seq ' + lb + '-first':>14s}"
         f" {'logical (AB)':>13s} {'logical (BA)':>13s} {'gap':>8s} {'flag':>5s}",
     ]
-    for a, b in reversed(survey.CELLS):
+    for a, b in reversed(logic.CELLS):
         seq_ab = report.seq_probs_ab[(a, b)]
         seq_ba = report.seq_probs_ba[(b, a)]
         flag = report.classicality_flags_ab[(a, b)] or report.classicality_flags_ba[(a, b)]
@@ -412,7 +412,7 @@ def _survey_text(report: survey.ReconstructionReport) -> str:
         f" seed {report.seed}",
     ]
     for which in ("logical_ab", "logical_ba"):
-        for a, b in reversed(survey.CELLS):
+        for a, b in reversed(logic.CELLS):
             lo, hi = report.bootstrap_intervals[which][(a, b)]
             lines.append(f"  {which} ({la}={a},{lb}={b}): [{lo:+.4f}, {hi:+.4f}]")
     flagged = [

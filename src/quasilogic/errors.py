@@ -117,10 +117,6 @@ class DuplicateCellError(SchemaError):
     """A (order, first, second) cell appears more than once."""
 
 
-class ZeroVarianceError(QuasilogicError):
-    """Pooled variance of the two-proportion test is exactly zero while the estimates differ."""
-
-
 class BadConfidenceError(QuasilogicError):
     """Confidence level outside the open interval (0, 1)."""
 

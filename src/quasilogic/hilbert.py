@@ -384,15 +384,16 @@ def rank_one_projector(vector: np.ndarray) -> Projector:
 def rank_one_projectors(vectors: np.ndarray) -> np.ndarray:
     """Read-only (n, d, d) stack whose member i is ``rank_one_projector(vectors[i])``.
 
-    The stack is validated once, with the errors of :func:`validate_projector`
-    at ``DEFAULT_TOL``.
+    The vectors are checked (shape, finite entries, no zero vector, d in
+    [2, ``MAX_DIM``]); the stack built from them is a projector to rounding,
+    so it is not validated again.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         raise BadDimensionError(f"expected an (n, d) array of vectors, got shape {v.shape}")
     p = _ray_projectors(_finite(v, "vector"))
     _check_dim(p.shape[-1])
-    return _validated_projectors(p, DEFAULT_TOL)
+    return _freeze(p)
 
 
 def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
@@ -873,9 +874,12 @@ def weak_value(rho: DensityState, a: Projector, post: Projector) -> complex:
     May lie outside [0, 1]; a negative real part at some input certifies a
     negative logical joint probability for the same triple.  Raises
     :class:`ZeroPostSelectionError` when the post-selection probability is at
-    or below ``DEFAULT_TOL``.
+    or below ``DEFAULT_TOL``, and :class:`DimensionMismatchError` for a stack.
     """
-    rho, a, post = _operands(rho, a, post)
+    rho, a, post = operands = _operands(rho, a, post)
+    if any(m.ndim != 2 for m in operands):
+        raise DimensionMismatchError(
+            f"expected d x d matrices, got shapes {[m.shape for m in operands]}")
     denominator = float(np.trace(post @ rho).real)
     if denominator <= DEFAULT_TOL:
         raise ZeroPostSelectionError(

@@ -41,7 +41,6 @@ from .hilbert import (DEFAULT_TOL, Projector, _finite, _hermitian, _mapped_xor, 
 
 __all__ = [
     "jordan_product",
-    "mapped_conjunction",
     "idempotency_residuals",
     "formal_reality_residuals",
     "xor_symmetry_residuals",
@@ -51,20 +50,14 @@ __all__ = [
 def jordan_product(x: np.ndarray | Projector, y: np.ndarray | Projector) -> np.ndarray:
     """Symmetrised product (xy + yx)/2 of two Hermitian matrices, memberwise on stacks.
 
-    Commutative and Hermitian by construction; non-associative in general.
+    Commutative and Hermitian by construction; non-associative in general.  On
+    two questions (or two stacks of them) it is the operator image of their
+    logical conjunction, and satisfies the operator marginality
+    (A ∘ B) + (A ∘ B̄) = A.
     """
     xm, ym = (_hermitian(m, DEFAULT_TOL) for m in _finite_operands(x, y))
     with np.errstate(all="ignore"):
         return _unless_overflowed(_symmetrised(xm, ym))[0]
-
-
-def mapped_conjunction(a: Projector | np.ndarray, b: Projector | np.ndarray) -> np.ndarray:
-    """Operator image of the logical conjunction of two questions (or two stacks of them).
-
-    Identical to the symmetrised product of the projectors; satisfies the
-    operator marginality  (A ∘ B) + (A ∘ B̄) = A.
-    """
-    return jordan_product(a, b)
 
 
 def idempotency_residuals(

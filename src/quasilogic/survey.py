@@ -38,12 +38,10 @@ from .errors import (
     NegativeCountError,
     SchemaError,
     TooFewIterationsError,
-    ZeroVarianceError,
 )
 from .logic import CELLS
 
 __all__ = [
-    "CELLS",
     "MAX_GROUP_TOTAL",
     "SequentialCountTable",
     "parse_counts",
@@ -316,12 +314,10 @@ def qq_equality_stat(table: SequentialCountTable) -> tuple[float, float]:
     x2 = table.counts_ba[(1, 0)] + table.counts_ba[(0, 1)]
     pooled = Fraction(x1 + x2, n1 + n2)
     variance = float(pooled * (1 - pooled)) * (1 / n1 + 1 / n2)
+    # zero only when pooled is 0 or 1, where x1/n1 = x2/n2; any other pooled value
+    # keeps the variance above about 1e-38
     if variance == 0.0:
-        if x1 * n2 == x2 * n1:
-            return 0.0, 1.0
-        raise ZeroVarianceError(
-            "pooled variance is zero but the two estimates differ"
-        )
+        return 0.0, 1.0
     z = (float(xor_ab) - float(xor_ba)) / variance**0.5
     return z, _normal_two_sided_p(z)
 

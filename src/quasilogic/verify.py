@@ -298,7 +298,7 @@ def hilbert_suite(
             hilbert.DensityState(rho_m), hilbert.Projector(a_m), hilbert.Projector(b_m)
         )
         for table in survey.logical_tables_from_probs(p_ab, p_ba):
-            gaps += [abs(table[cell] - value) for cell, value in zip(reversed(survey.CELLS), model)]
+            gaps += [abs(table[cell] - value) for cell, value in zip(reversed(logic.CELLS), model)]
     results.append(_residual(
         "hilbert.survey_round_trip", _worst_residual(gaps), tol, "20 seeded models at d=2"))
 
@@ -402,8 +402,8 @@ def jordan_suite(
     """
     worst = _WorstByCheck()
     count = 0
-    # the product jordan.jordan_product and mapped_conjunction take, unvalidated: the
-    # stacks below are sampled valid
+    # the product jordan.jordan_product takes, unvalidated: the stacks below are
+    # sampled valid
     product = hilbert._symmetrised
     for dim in dims:
         a, b = _questions(dim, trials_per_dim, seed, questions)

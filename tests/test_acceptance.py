@@ -213,7 +213,7 @@ def test_criterion_09_survey_clinton_gore(data_dir):
         report.order_invariance_gap[cell]
         <= report.bootstrap_intervals["order_difference"][cell][1]
         - report.bootstrap_intervals["order_difference"][cell][0]
-        for cell in survey.CELLS
+        for cell in logic.CELLS
     )
     negative_cells = report.logical_ab[(1, 0)] < 0 and report.logical_ba[(1, 0)] < 0
     not_significant = (
@@ -244,7 +244,7 @@ def test_criterion_10_model_round_trip():
         logical_ab, logical_ba = survey.logical_tables_from_probs(p_ab, p_ba)
         ops_a = {1: a, 0: hilbert.complement_projector(a)}
         ops_b = {1: b, 0: hilbert.complement_projector(b)}
-        for cell in survey.CELLS:
+        for cell in logic.CELLS:
             model = hilbert.logical_joint(rho, ops_a[cell[0]], ops_b[cell[1]])
             max_gap = max(
                 max_gap, abs(logical_ab[cell] - model), abs(logical_ba[cell] - model)

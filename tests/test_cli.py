@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasilogic
+import quasilogic.errors
 from conftest import seeded_basis, seeded_state
 from quasilogic import cli, hilbert, jordan, logic, survey, verify
 from quasilogic.logic import CELLS
@@ -495,7 +496,7 @@ class TestCallCounts:
         assert code == 0
         assert calls["validate_projector"] == 0 and calls["logical_joint"] == 0
         assert calls["rank_one_projector"] == 0
-        assert calls["_validated_projectors"] == 2    # one stack of d questions per basis
+        assert calls["_validated_projectors"] == 0    # built from checked vectors
         assert calls["logical_joints"] == 0 and calls["logical_joint_table"] == 1  # one table
         # valid input passes every check on its Frobenius norms alone
         assert calls["operator_norm"] == 0 and svd_calls == []
@@ -513,22 +514,39 @@ class TestCallCounts:
         assert sum(solved) <= most
 
 
+def fresh_python(probe: str, *argv: str) -> list[str]:
+    """stdout lines of ``python -c probe argv...`` in a fresh interpreter on this package."""
+    src = str(Path(quasilogic.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe, *argv],
+                            env=env, capture_output=True, text=True, timeout=120, check=True)
+    return result.stdout.splitlines()
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     """numpy is the only runtime dependency: the CLI must not pull in scipy.
 
     In the same fresh interpreter, a jordan-verify run must not load
     ``numpy.ma`` either, which ``np.unique`` imports on first use.
     """
-    src = str(Path(quasilogic.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = ("import sys, quasilogic.cli; "
              "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
              "argv = ['jordan-verify', '--dim', '2', '--trials', '5', '--out', sys.argv[1]]; "
              "print(quasilogic.cli.main(argv), 'numpy.ma' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "sweep.json")],
-                            env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.splitlines() == ["[]", "0 False"]
+    assert fresh_python(probe, str(tmp_path / "sweep.json")) == ["[]", "0 False"]
+
+
+def test_logic_layer_loads_no_numpy():
+    """The logic is exact rational arithmetic: importing the package and its logic layer,
+    then running the truth-table demo, leaves numpy unloaded."""
+    demo = Path(__file__).resolve().parent.parent / "demos" / "01_truth_tables.py"
+    probe = ("import runpy, sys, quasilogic, quasilogic.logic; "
+             "print('numpy' in sys.modules); "
+             "runpy.run_path(sys.argv[1], run_name='__main__'); "
+             "print('numpy' in sys.modules)")
+    lines = fresh_python(probe, str(demo))
+    assert len(lines) > 2 and (lines[0], lines[-1]) == ("False", "False")
 
 
 class TestArgumentHandling:
@@ -716,20 +734,24 @@ def test_layer_all_lists_exactly_its_public_api(layer):
     assert len(set(layer.__all__)) == len(layer.__all__)
 
 
-def test_package_all_reexports_the_layer_objects():
-    for name in quasilogic.__all__:
-        if name == "__version__":
-            continue
-        owners = [layer for layer in LAYERS if name in layer.__all__]
-        assert len(owners) == 1, name
-        assert getattr(quasilogic, name) is getattr(owners[0], name), name
+def test_each_public_object_has_one_import_path():
+    """The package exports only its version and binds no layer's public name, and no
+    object is listed in two layers' ``__all__``."""
+    assert quasilogic.__all__ == ["__version__"]
+    public = {name for layer in LAYERS for name in layer.__all__}
+    assert sorted(public & set(vars(quasilogic))) == []
+    listed = {}
+    for layer in LAYERS:
+        for name in layer.__all__:
+            listed.setdefault(id(getattr(layer, name)), []).append(f"{layer.__name__}.{name}")
+    assert [paths for paths in listed.values() if len(paths) > 1] == []
 
 
 def test_every_layer_name_has_a_caller_in_the_package_or_the_demos():
     """Each name in a layer's ``__all__`` is loaded, as a name or an attribute, somewhere
     in ``src/quasilogic`` or ``demos`` outside its own top-level definition; so no public
-    name exists only for the tests.  ``__all__`` entries and docstrings are strings, and
-    the package re-exports are imports, so neither counts."""
+    name exists only for the tests.  ``__all__`` entries and docstrings are strings, so
+    they do not count."""
     root = Path(__file__).resolve().parent.parent
     loaded = set()
     for path in sorted((root / "src" / "quasilogic").glob("*.py")) + sorted((root / "demos").glob("*.py")):
@@ -750,17 +772,20 @@ def removed_names(version: str) -> set[str]:
     return {name.split("(")[0] for head in heads for name in re.findall(r"`([^`]+)`", head)}
 
 
-@pytest.mark.parametrize("version, count", [("0.4.0", 16), ("0.5.0", 5), ("0.7.0", 12)])
+@pytest.mark.parametrize("version, count",
+                         [("0.4.0", 16), ("0.5.0", 5), ("0.7.0", 12), ("0.10.0", 36)])
 def test_removed_names_stay_absent(version, count):
-    """A method named after its class is gone from that class; any other name from the
-    package and every layer."""
+    """A method named after its class is gone from that class; a name qualified by
+    ``quasilogic.`` from the package, whose layer may keep it; any other name from the
+    package, the errors module and every layer."""
     names = removed_names(version)
     assert len(names) == count, sorted(names)
     classes = {name: getattr(layer, name) for layer in LAYERS for name in layer.__all__
                if inspect.isclass(getattr(layer, name))}
+    owners = dict(classes, quasilogic=quasilogic)
     for qualified in names:
         owner, _, name = qualified.rpartition(".")
-        for module in [classes[owner]] if owner in classes else (quasilogic,) + LAYERS:
+        for module in [owners[owner]] if owner in owners else (quasilogic, quasilogic.errors, *LAYERS):
             assert not hasattr(module, name), qualified
             assert name not in getattr(module, "__all__", ()), qualified
 
@@ -770,7 +795,7 @@ RETIRED_PARAMETERS = [
     (hilbert.rank_one_projector, "tol"), (hilbert.rank_one_projectors, "tol"),
     (hilbert.lueders_update, "tol"), (hilbert.lueders_updates, "tol"),
     (hilbert.nonselective_state, "tol"), (hilbert.weak_value, "tol"),
-    (jordan.jordan_product, "tol"), (jordan.mapped_conjunction, "tol"),
+    (jordan.jordan_product, "tol"),
     (jordan.idempotency_residuals, "tol"), (jordan.formal_reality_residuals, "tol"),
     (survey.parse_counts, "label_a"), (survey.parse_counts, "label_b"),
     (survey.load_counts, "label_a"), (survey.load_counts, "label_b"),

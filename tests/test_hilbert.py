@@ -7,6 +7,7 @@ route agreement that the module is built around.
 """
 
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -17,7 +18,7 @@ from numpy.testing import assert_allclose
 
 from conftest import (sampled_triples, seeded_basis, seeded_commuting_triple, seeded_hermitian,
                       seeded_projector, seeded_state)
-from quasilogic import hilbert, jordan, verify
+from quasilogic import hilbert, jordan, logic, verify
 from quasilogic.errors import (
     BadDimensionError,
     BadRankError,
@@ -96,12 +97,12 @@ class TestValidation:
         lambda m, v: jordan.xor_symmetry_residuals(np.eye(2), m),
         lambda m, v: jordan.formal_reality_residuals(np.eye(2), m),
         lambda m, v: jordan.jordan_product(m, np.eye(2)),
-        lambda m, v: jordan.mapped_conjunction(np.eye(2), m),
+        lambda m, v: jordan.jordan_product(np.eye(2), m),
     ], ids=["validate_projector", "validate_density", "rank_one_projector",
             "rank_one_projectors", "kd_basis_a", "kd_basis_b", "operator_norm",
             "operator_norm_stack", "idempotency_residuals", "xor_symmetry_residuals_a",
             "xor_symmetry_residuals_b", "formal_reality_residuals", "jordan_product",
-            "mapped_conjunction"])
+            "jordan_product_second"])
     def test_non_finite_entry_is_rejected_before_any_arithmetic(self, call, bad):
         m = np.array([[0.5, bad], [bad, 0.5]])
         v = np.array([1.0, bad])
@@ -168,6 +169,19 @@ class TestValidation:
         stack = hilbert.rank_one_projectors(np.array([vector, [0.6, 0.8j]]))
         assert np.array_equal(stack[0], expected)
         assert np.array_equal(stack[1], hilbert.rank_one_projector(np.array([0.6, 0.8j])).matrix)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rank_one_projectors_are_projectors_to_rounding(self, data):
+        """Any finite nonzero vectors, of any magnitude, give projectors without validation."""
+        dim = data.draw(st.integers(min_value=2, max_value=64), label="dim")
+        entries = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=2 * dim, max_size=2 * dim).filter(any)
+        rows = np.array(data.draw(st.lists(entries, min_size=1, max_size=3), label="rows"))
+        for member in hilbert.rank_one_projectors(rows[:, :dim] + 1j * rows[:, dim:]):
+            hilbert.validate_projector(member)
+            assert hilbert.operator_norm(member - member.conj().T) <= 1e-13
+            assert hilbert.operator_norm(member @ member - member) <= 1e-13
 
     @pytest.mark.parametrize("vectors", [[[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
     def test_zero_vector_has_no_ray(self, vectors):
@@ -495,6 +509,15 @@ class TestWeakValue:
         with pytest.raises(ZeroPostSelectionError):
             hilbert.weak_value(state(1, 0), proj(1, 0), proj(0, 1))
 
+    def test_stacks_are_rejected_naming_the_shapes(self, tilted_example):
+        rho, a, b = tilted_example
+        one_member = rho.matrix[None]
+        posts = np.stack([b.matrix, np.eye(2) - b.matrix])
+        for args, shapes in (((one_member, a, b), "[(1, 2, 2), (2, 2), (2, 2)]"),
+                             ((rho, a, posts), "[(2, 2), (2, 2), (2, 2, 2)]")):
+            with pytest.raises(DimensionMismatchError, match=re.escape(shapes)):
+                hilbert.weak_value(*args)
+
 
 class TestNegativity:
     def test_fixed_example(self, tilted_example):
@@ -777,7 +800,7 @@ def reference_xor(rho, a, b, method):
 def reference_cells(rho, a, b, method):
     eye = np.eye(len(a))
     firsts, seconds = {1: a, 0: eye - a}, {1: b, 0: eye - b}
-    return [reference_joint(rho, firsts[i], seconds[j], method) for i, j in reversed(hilbert.CELLS)]
+    return [reference_joint(rho, firsts[i], seconds[j], method) for i, j in reversed(logic.CELLS)]
 
 
 def reference_commuting_triples(dim, n, rng):
@@ -1188,7 +1211,6 @@ STACKED_KERNELS = {
     "hilbert.quasi_prob_tables": hilbert.quasi_prob_tables,
     "hilbert.min_cells_over_states": lambda rho, a, b: hilbert.min_cells_over_states(a, b),
     "jordan.jordan_product": lambda rho, a, b: jordan.jordan_product(a, b),
-    "jordan.mapped_conjunction": lambda rho, a, b: jordan.mapped_conjunction(a, b),
     "jordan.formal_reality_residuals": lambda rho, a, b: jordan.formal_reality_residuals(a, b),
     "jordan.xor_symmetry_residuals": lambda rho, a, b: jordan.xor_symmetry_residuals(a, b),
 }
@@ -1236,7 +1258,7 @@ class TestMinCellOverStates:
         seconds = {1: b, 0: hilbert.complement_projector(b)}
         lowest = {
             (i, j): np.linalg.eigvalsh(jordan.jordan_product(firsts[i], seconds[j]))[0]
-            for i, j in hilbert.CELLS
+            for i, j in logic.CELLS
         }
         assert value == pytest.approx(min(lowest.values()), abs=1e-12)
         _, vectors = np.linalg.eigh(jordan.jordan_product(firsts[cell[0]], seconds[cell[1]]))
@@ -1263,7 +1285,7 @@ class TestMinCellOverStates:
                        for p, q in zip(a, b)]
             broadcast = hilbert.min_cells_over_states(a[0], b)
         assert lowest.shape == (len(a), 4)
-        cells = list(reversed(hilbert.CELLS))
+        cells = list(reversed(logic.CELLS))
         for i, (p, q) in enumerate(zip(a, b)):
             firsts, seconds = {1: p, 0: np.eye(dim) - p}, {1: q, 0: np.eye(dim) - q}
             reference = [np.linalg.eigvalsh(jordan.jordan_product(firsts[x], seconds[y]))[0]
@@ -1304,7 +1326,7 @@ class TestMinCellOverStates:
                                                (b + b.conj().swapaxes(1, 2)) / 2)
         oracle = [[min(c * (c - 1) / 2 for c in np.linalg.svd(fa[i].conj().T @ fb[j],
                                                                compute_uv=False))
-                   for i, j in reversed(hilbert.CELLS)] for fa, fb in frames]
+                   for i, j in reversed(logic.CELLS)] for fa, fb in frames]
         assert np.abs(lowest - oracle).max() <= 16 * dim * 2**-53
 
     def test_non_projector_breaks_the_floor_and_fails_the_check(self):

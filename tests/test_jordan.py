@@ -72,22 +72,17 @@ class TestJordanProduct:
             jordan.jordan_product(np.eye(2), np.eye(3))
 
 
-class TestMappedConjunction:
+class TestConjunctionImage:
+    """The product of two questions, the operator image of their logical conjunction."""
+
     def test_identity_second_question(self):
         a = seeded_projector(4, 2, 11)
         i = hilbert.validate_projector(np.eye(4))
-        assert_allclose(jordan.mapped_conjunction(a, i), a.matrix, atol=ATOL)
+        assert_allclose(jordan.jordan_product(a, i), a.matrix, atol=ATOL)
 
     def test_commuting_projectors_reduce_to_product(self):
         a, b = proj(1, 1, 0), proj(0, 1, 1)
-        assert_allclose(jordan.mapped_conjunction(a, b), a.matrix @ b.matrix, atol=ATOL)
-
-    def test_matches_jordan_product(self):
-        a = seeded_projector(3, 1, 12)
-        b = seeded_projector(3, 2, 13)
-        assert_allclose(
-            jordan.mapped_conjunction(a, b), jordan.jordan_product(a, b), atol=ATOL
-        )
+        assert_allclose(jordan.jordan_product(a, b), a.matrix @ b.matrix, atol=ATOL)
 
     @given(dims, seeds)
     @settings(max_examples=40, deadline=None)
@@ -97,9 +92,9 @@ class TestMappedConjunction:
         b = seeded_projector(dim, int(rng.integers(1, dim)), seed + 1)
         abar = hilbert.complement_projector(a)
         bbar = hilbert.complement_projector(b)
-        left = jordan.mapped_conjunction(a, b) + jordan.mapped_conjunction(a, bbar)
+        left = jordan.jordan_product(a, b) + jordan.jordan_product(a, bbar)
         assert hilbert.operator_norm(left - a.matrix) <= 1e-10
-        right = jordan.mapped_conjunction(a, b) + jordan.mapped_conjunction(abar, b)
+        right = jordan.jordan_product(a, b) + jordan.jordan_product(abar, b)
         assert hilbert.operator_norm(right - b.matrix) <= 1e-10
 
 

@@ -7,6 +7,7 @@ implementations.
 """
 
 import json
+import math
 import warnings
 from fractions import Fraction as F
 from xml.etree import ElementTree
@@ -28,7 +29,8 @@ from quasilogic.errors import (
     SchemaError,
     TooFewIterationsError,
 )
-from quasilogic.survey import CELLS, SequentialCountTable
+from quasilogic.logic import CELLS
+from quasilogic.survey import SequentialCountTable
 
 
 def make_table(ab, ba, **kwargs) -> SequentialCountTable:
@@ -54,6 +56,33 @@ def clinton_gore(data_dir) -> SequentialCountTable:
 
 
 count_arrays = st.lists(st.integers(min_value=0, max_value=500), min_size=4, max_size=4)
+
+
+@st.composite
+def group_counts(draw):
+    """Four counts whose total is anywhere in [1, 2**63 - 1], often above 2**53."""
+    total = draw(st.one_of(
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=2**53 + 1, max_value=survey.MAX_GROUP_TOTAL),
+        st.integers(min_value=1, max_value=survey.MAX_GROUP_TOTAL),
+    ))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=total), min_size=3, max_size=3)))
+    bounds = [0, *cuts, total]
+    return [high - low for low, high in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def unanimous_tables(draw):
+    """Tables in which the two answers agree for every respondent, or differ for every one."""
+    cells = draw(st.sampled_from([((0, 0), (1, 1)), ((0, 1), (1, 0))]))
+    groups = []
+    for _ in range(2):
+        n = draw(st.one_of(st.integers(min_value=1, max_value=100),
+                           st.integers(min_value=1, max_value=survey.MAX_GROUP_TOTAL)))
+        k = draw(st.integers(min_value=0, max_value=n))
+        groups.append(dict.fromkeys(CELLS, 0) | dict(zip(cells, (k, n - k))))
+    return SequentialCountTable(counts_ab=groups[0], counts_ba=groups[1])
+
 
 # lines built from the schema's own tokens, so documents get past the header;
 # runs of digits reach the csv module's field-size limit (131072 characters)
@@ -291,6 +320,19 @@ class TestQQEquality:
         statistic, p_value = survey.qq_equality_stat(table)
         assert (statistic, p_value) == (0.0, 1.0)
 
+    @given(unanimous_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_variance_tables_show_no_order_effect(self, table):
+        assert survey.qq_equality_stat(table) == (0.0, 1.0)
+
+    @given(group_counts(), group_counts())
+    # the smallest nonzero pooled variance, about 1e-38
+    @example([survey.MAX_GROUP_TOTAL - 1, 1, 0, 0], [survey.MAX_GROUP_TOTAL, 0, 0, 0])
+    @settings(max_examples=60, deadline=None)
+    def test_every_valid_table_has_a_statistic(self, ab, ba):
+        statistic, p_value = survey.qq_equality_stat(make_table(ab, ba))
+        assert math.isfinite(statistic) and 0.0 <= p_value <= 1.0
+
     def test_broken_balance_identity_raises(self, synthetic, monkeypatch):
         # an explicit raise, not an assert, so the defect check survives python -O
         xor_ab, xor_ba = survey.xor_estimates(synthetic)
@@ -437,19 +479,6 @@ def reference_intervals(table, iterations, confidence, seed):
             lower, upper = np.quantile(values, [alpha, 1.0 - alpha])
             intervals[which][cell] = (float(lower), float(upper))
     return intervals
-
-
-@st.composite
-def group_counts(draw):
-    """Four counts whose total is anywhere in [1, 2**63 - 1], often above 2**53."""
-    total = draw(st.one_of(
-        st.integers(min_value=1, max_value=10**4),
-        st.integers(min_value=2**53 + 1, max_value=survey.MAX_GROUP_TOTAL),
-        st.integers(min_value=1, max_value=survey.MAX_GROUP_TOTAL),
-    ))
-    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=total), min_size=3, max_size=3)))
-    bounds = [0, *cuts, total]
-    return [high - low for low, high in zip(bounds, bounds[1:])]
 
 
 class TestOnePassBootstrap:
