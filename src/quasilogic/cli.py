@@ -28,8 +28,9 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
-# Input limits that keep a command's memory near 1 GB: survey at 10**7 bootstrap
-# draws, and verify at trials x d² = 2**24 (--dim 64 --trials 4096), take 1.2 and 3.4 GB.
+# Input limits.  verify at trials x d² = 2**24 (--dim 64 --trials 4096) takes 3.4 GB,
+# so its sampled entries stay near 1 GB.  survey's --trials keeps the range it had when
+# the bootstrap drew that many resamples; since 0.11.0 it is only echoed.
 MAX_BOOTSTRAP_TRIALS = 10**7
 MAX_SAMPLED_ENTRIES = 2**22  # trials x d² of verify and jordan-verify at their largest d
 
@@ -409,7 +410,7 @@ def _survey_text(report: survey.ReconstructionReport) -> str:
         f" p = {report.order_p_value:.4g}",
         "",
         f"bootstrap: {report.iterations} iterations, {report.confidence:.0%} intervals,"
-        f" seed {report.seed}",
+        f" seed {report.seed} (exact quantiles; iterations and seed are echoed only)",
     ]
     for which in ("logical_ab", "logical_ba"):
         for a, b in reversed(logic.CELLS):
@@ -426,6 +427,7 @@ def _survey_text(report: survey.ReconstructionReport) -> str:
     lines.append(
         "non-classical cells: " + (", ".join(flagged) if flagged else "none")
     )
+    lines.append("diagnostics: " + ("; ".join(report.diagnostics) or "none"))
     return "\n".join(lines) + "\n"
 
 
@@ -485,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--trials", default=10_000,
                     type=_number(int, "trials", lambda value: value >= 100, "at least 100",
                                  at_most=MAX_BOOTSTRAP_TRIALS),
-                    help=f"bootstrap iterations, 100 to {MAX_BOOTSTRAP_TRIALS}"
-                    " (default 10000)")
+                    help=f"bootstrap iterations, 100 to {MAX_BOOTSTRAP_TRIALS} (default 10000);"
+                    " checked and echoed only, the intervals are exact")
     sv.add_argument("--confidence", default=0.95,
                     type=_number(float, "confidence", lambda value: 0 < value < 1, "in (0, 1)"),
                     help="bootstrap interval level, in (0, 1) (default 0.95)")

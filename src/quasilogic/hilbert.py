@@ -345,6 +345,16 @@ def _operands(*operands) -> list[np.ndarray]:
     return arrays
 
 
+def _matrices(*operands) -> list[np.ndarray]:
+    """:func:`_operands` for a kernel of single d x d operands: a stack raises
+    :class:`DimensionMismatchError` naming every operand's shape."""
+    arrays = _operands(*operands)
+    if any(m.ndim != 2 for m in arrays):
+        raise DimensionMismatchError(
+            f"expected d x d matrices, got shapes {[m.shape for m in arrays]}")
+    return arrays
+
+
 def _answers(p: np.ndarray) -> dict[int, np.ndarray]:
     """The question for answer 1 and its complement 1 - P for answer 0, memberwise."""
     return {1: p, 0: np.eye(p.shape[-1]) - p}
@@ -414,7 +424,8 @@ def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
         if not scales.all():
             raise BadRankError("cannot project onto the zero vector")
         vectors = vectors.copy()
-        vectors[rescale] /= scales[:, None]
+        # real division of the parts: complex division by a subnormal scale overflows
+        vectors.view(float)[rescale] /= scales[:, None]
         return _ray_projectors(vectors)  # every row's sum of squares is now normal
     v = vectors / np.sqrt(squares)[:, None]
     return v[:, :, None] * v.conj()[:, None, :]
@@ -876,10 +887,7 @@ def weak_value(rho: DensityState, a: Projector, post: Projector) -> complex:
     :class:`ZeroPostSelectionError` when the post-selection probability is at
     or below ``DEFAULT_TOL``, and :class:`DimensionMismatchError` for a stack.
     """
-    rho, a, post = operands = _operands(rho, a, post)
-    if any(m.ndim != 2 for m in operands):
-        raise DimensionMismatchError(
-            f"expected d x d matrices, got shapes {[m.shape for m in operands]}")
+    rho, a, post = _matrices(rho, a, post)
     denominator = float(np.trace(post @ rho).real)
     if denominator <= DEFAULT_TOL:
         raise ZeroPostSelectionError(
@@ -907,8 +915,11 @@ def worked_example() -> tuple[DensityState, Projector, Projector]:
 
 
 def min_cell_over_states(a: Projector, b: Projector) -> tuple[float, tuple[int, int]]:
-    """Most negative table cell over all states for fixed questions, and its cell."""
-    lowest = min_cells_over_states(a, b)
+    """Most negative table cell over all states for fixed questions, and its cell.
+
+    Raises :class:`DimensionMismatchError` for a stack; see :func:`min_cells_over_states`.
+    """
+    lowest = min_cells_over_states(*_matrices(a, b))
     k = int(lowest.argmin())
     return float(lowest[k]), _TABLE_CELLS[k]
 
@@ -947,9 +958,10 @@ def model_sequential_probabilities(
     Returns (p_ab, p_ba): ``p_ab[(first, second)]`` is the probability of
     answering ``first`` to A and then ``second`` to B; ``p_ba`` likewise with
     B asked first.  These are the infinite-sample expected frequencies of a
-    two-order survey run on this model.
+    two-order survey run on this model.  Raises :class:`DimensionMismatchError`
+    for a stack.
     """
-    rho, a, b = _operands(rho, a, b)
+    rho, a, b = _matrices(rho, a, b)
     firsts, seconds = _answers(a), _answers(b)
     p_ab = {(i, j): float(sequential_probabilities(rho, firsts[i], seconds[j])) for i, j in CELLS}
     p_ba = {(i, j): float(sequential_probabilities(rho, seconds[i], firsts[j])) for i, j in CELLS}

@@ -12,8 +12,9 @@ raw order effect, attaches bootstrap confidence intervals, and flags cells
 whose reconstructed probability is credibly negative (non-classical).
 
 All point estimates and their exact identities are computed in rational
-arithmetic on the raw counts; floats appear only in statistics, resampling and
-reports.
+arithmetic on the raw counts; floats appear only in statistics, the bootstrap
+distributions and reports.  The bootstrap draws nothing: its intervals are
+quantiles of the exact distribution of each resampled target.
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ Cell = tuple[int, int]
 
 CSV_HEADER = ("order", "first", "second", "count")
 
-MAX_GROUP_TOTAL = 2**63 - 1
-"""Largest respondent count per order group: the multinomial resampler's int64 limit."""
+MAX_GROUP_TOTAL = 10**8
+"""Largest respondent count per order group.  The exact bootstrap's cost grows as the
+square root of the group sizes, so the limit bounds the cost of one table; its lattice
+arithmetic stays inside int64 up to about 2 * 10**9."""
 
 _LABEL_DIRECTIVE = re.compile(r"#\s*label_([ab])\s*[=:]\s*(.+?)\s*$")
 
@@ -108,7 +111,7 @@ class SequentialCountTable:
             if total > MAX_GROUP_TOTAL:
                 raise SchemaError(
                     f"{name}: group total {_shown(str(total), quote=False)} exceeds the limit"
-                    f" {MAX_GROUP_TOTAL} (2**63 - 1)"
+                    f" {MAX_GROUP_TOTAL} (10**8)"
                 )
         object.__setattr__(self, "counts_ab", dict(self.counts_ab))
         object.__setattr__(self, "counts_ba", dict(self.counts_ba))
@@ -205,7 +208,7 @@ def _parse_count(text: str, lineno: int) -> int:
         significant = text.lstrip("0")
         if len(significant) > len(str(MAX_GROUP_TOTAL)):
             raise SchemaError(
-                f"line {lineno}: count {_shown(text)} exceeds the limit {MAX_GROUP_TOTAL} (2**63 - 1)"
+                f"line {lineno}: count {_shown(text)} exceeds the limit {MAX_GROUP_TOTAL} (10**8)"
             ) from None
         count = int(significant or "0")
     if count < 0:
@@ -362,60 +365,123 @@ def order_effect_stat(table: SequentialCountTable) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# bootstrap
-
-
-def _cells_vector(counts: Mapping[Cell, float]) -> np.ndarray:
-    return np.array([counts[cell] for cell in CELLS], dtype=float)
+# bootstrap: the exact distribution of the resampled targets
 
 
 _BOOTSTRAP_TARGETS = ("logical_ab", "logical_ba", "order_difference")
 
 
-def _resample(table: SequentialCountTable, iterations: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each order group's resampled frequencies, (iterations, 4) in :data:`CELLS` order.
+def _target_weights(a: int, b: int) -> dict[str, tuple[list[int], list[int]]]:
+    """Per target at cell (a, b), the {-1, 0, 1} weights of the A-first and of the B-first
+    counts, in :data:`CELLS` order, whose weighted sums S_ab and S_ba make the target
+    S_ab / (2 n_ab) + S_ba / (2 n_ba)."""
+    def weights(plus, minus=()):
+        return [(cell in plus) - (cell in minus) for cell in CELLS]
 
-    A group is normalised before the next is drawn.
+    # logical_ab = q_ab(a, b) + [B first (b) - B second (b)] / 2, and likewise logical_ba
+    logical_ab = weights([(a, b)], [(1 - a, b)]), weights([(b, 0), (b, 1)])
+    logical_ba = weights([(a, 0), (a, 1)]), weights([(b, a)], [(1 - b, a)])
+    difference = tuple([x - y for x, y in zip(*pair)] for pair in zip(logical_ab, logical_ba))
+    return dict(zip(_BOOTSTRAP_TARGETS, (logical_ab, logical_ba, difference)))
+
+
+def _sum_pmf(k_minus: int, k_zero: int, k_plus: int) -> tuple[int, int, np.ndarray]:
+    """``(step, start, pmf)``, P(S = start + step * j) = pmf[j], of S = X₊ - X₋ for one
+    group resampled as X ~ Multinomial(n, k / n).
+
+    The window holds the support within 10σ + 30 atoms of the mean k₊ - k₋ and leaves
+    out less than 1e-20 of the mass.  It is one inverse FFT of φ(ω)ⁿ, with |φ|² - 1
+    summed from squares so that |φ|ⁿ keeps its relative precision at n = 10**8; an
+    exact zero of φ is never passed to ``log``.
     """
-    rng = np.random.default_rng(seed)
-    return tuple(
-        _frequencies(rng.multinomial(n, _cells_vector(counts) / n, size=iterations), n)
-        for counts, n in ((table.counts_ab, table.n_ab), (table.counts_ba, table.n_ba))
-    )
+    n = k_minus + k_zero + k_plus
+    if max(k_minus, k_zero, k_plus) == n:
+        return 1, k_plus - k_minus, np.ones(1)
+    if k_zero == 0:  # S = 2X₊ - n takes every other value
+        _, start, pmf = _sum_pmf(0, k_minus, k_plus)
+        return 2, 2 * start - n, pmf
+    p_minus, p_zero, p_plus = k_minus / n, k_zero / n, k_plus / n
+    mean = k_plus - k_minus
+    half = math.ceil(10 * math.sqrt(n * (p_minus + p_plus) - mean * mean / n) + 30)
+    lo = max(mean - half, -n if k_minus else 0)
+    size = min(mean + half, n if k_plus else 0) - lo + 1
+    fft_size = 1 << (size - 1).bit_length()
+    omega = 2 * np.pi / fft_size * np.arange(fft_size // 2 + 1)
+    s = np.sin(omega / 2) ** 2
+    gap = -4 * s * ((p_minus + p_plus) * p_zero + 4 * p_minus * p_plus * (1 - s))
+    log_modulus = np.log1p(gap, out=np.full_like(gap, -np.inf), where=gap > -1)
+    phase = n * np.arctan2((p_plus - p_minus) * np.sin(omega),
+                           p_zero + (p_plus + p_minus) * np.cos(omega)) - lo * omega
+    spectrum = np.exp(n / 2 * log_modulus) * np.exp(-1j * phase)
+    return 1, lo, np.maximum(np.fft.irfft(spectrum, fft_size)[:size], 0.0)
 
 
-def _frequencies(draws: np.ndarray, n: int) -> np.ndarray:
-    """Multinomial ``draws`` of total ``n`` divided by their float row sums."""
-    if n <= 2**53:
-        # every count and partial sum up to 2**53 is an exact float, so each
-        # float row sum is exactly n and one division gives the same bits
-        return draws / n
-    q = draws.astype(float)
-    q /= q.sum(axis=1, keepdims=True)
-    return q
+def _group_pmf(key: tuple[int, int, int], pmfs: dict) -> tuple[int, int, np.ndarray]:
+    """:func:`_sum_pmf` of ``key`` from ``pmfs``: a negated sum, or the complement
+    n - X₊ of a one-signed sum, reuses its partner's pmf reversed."""
+    k_minus, k_zero, k_plus = key
+    if k_minus > k_plus or k_minus == 0 and k_plus > k_zero:
+        partner = (k_plus, k_zero, k_minus) if k_minus > k_plus else (0, k_plus, k_zero)
+        step, start, pmf = _group_pmf(partner, pmfs)
+        shift = 0 if k_minus > k_plus else sum(key)
+        return step, shift - start - step * (pmf.size - 1), pmf[::-1]
+    if key not in pmfs:
+        pmfs[key] = _sum_pmf(*key)
+    return pmfs[key]
 
 
-def _marginal_shift(q_first: np.ndarray, q_second: np.ndarray, v: int) -> np.ndarray:
-    """Per resample, half of (P(v) to the question ``q_first`` asks first - P(v) to it asked second)."""
-    return (q_first[:, 2 * v] + q_first[:, 2 * v + 1] - (q_second[:, v] + q_second[:, 2 + v])) / 2
+def _inverse_cdf(pmf_ab, pmf_ba, n_ab: int, n_ba: int, levels) -> list[float]:
+    """min{t : F(t) >= level} for each level, F the CDF of S_ab / (2 n_ab) + S_ba / (2 n_ba).
+
+    In lattice units T = S_ab n_ba + S_ba n_ab = origin + j_c u_c + j_f u_f, the finer
+    group (smaller step u_f) is ceil-rebinned onto the coarse steps, and one convolution
+    gives the CDF at each step's top.  Inside the step that first reaches a level, each
+    fine atom has exactly one coarse partner, and their order is that of the fine atom's
+    offset below the top, the same at every step: a cumulative sum from the step's base
+    gives the exact end.
+    """
+    (step_ab, start_ab, p_ab), (step_ba, start_ba, p_ba) = pmf_ab, pmf_ba
+    origin = start_ab * n_ba + start_ba * n_ab
+    (u_c, p_c), (u_f, p_f) = sorted([(step_ab * n_ba, p_ab), (step_ba * n_ab, p_ba)],
+                                    key=lambda group: -group[0])
+    j_f = np.arange(p_f.size)
+    k = -(-j_f * u_f // u_c)
+    offset = k * u_c - j_f * u_f
+    order = np.argsort(-offset, kind="stable")
+    size = p_c.size + int(k[-1])
+    fft_size = 1 << (size - 1).bit_length()
+    steps = np.fft.irfft(np.fft.rfft(p_c, fft_size) * np.fft.rfft(np.bincount(k, p_f), fft_size),
+                         fft_size)
+    cdf = np.cumsum(np.maximum(steps[:size], 0.0))
+    ends = []
+    for level in levels:
+        m = min(int(np.searchsorted(cdf, level)), size - 1)
+        j_c = m - k[order]
+        inside = (j_c >= 0) & (j_c < p_c.size)
+        members = order[inside]
+        cumulative = np.cumsum(p_f[members] * p_c[j_c[inside]]) + (cdf[m - 1] if m else 0.0)
+        i = min(int(np.searchsorted(cumulative, level)), members.size - 1)
+        ends.append((origin + m * u_c - int(offset[members[i]])) / (2 * n_ab * n_ba))
+    return ends
 
 
 def _bootstrap_intervals(
-    table: SequentialCountTable, iterations: int, confidence: float, seed: int
+    table: SequentialCountTable, confidence: float
 ) -> dict[str, dict[Cell, tuple[float, float]]]:
-    """Percentile intervals of each target at each cell: all from one resample and four shifts."""
-    q_ab, q_ba = _resample(table, iterations, seed)
-    shift_b = [_marginal_shift(q_ba, q_ab, b) for b in (0, 1)]
-    shift_a = [_marginal_shift(q_ab, q_ba, a) for a in (0, 1)]
-    columns = dict(zip(_BOOTSTRAP_TARGETS, np.empty((3, iterations))))
-    intervals: dict[str, dict[Cell, tuple[float, float]]] = {which: {} for which in columns}
-    logical_ab, logical_ba, difference = columns.values()
+    """Each target's inverse-CDF interval at each cell, from at most four pmfs per group."""
+    alpha = (1.0 - confidence) / 2.0
+    groups = (table.counts_ab, table.counts_ba)
+    pmfs: dict[tuple[int, int, int], tuple[int, int, np.ndarray]] = {}
+    intervals: dict[str, dict[Cell, tuple[float, float]]] = {t: {} for t in _BOOTSTRAP_TARGETS}
     for a, b in CELLS:
-        np.add(q_ab[:, 2 * a + b], shift_b[b], out=logical_ab)
-        np.add(q_ba[:, 2 * b + a], shift_a[a], out=logical_ba)
-        np.subtract(logical_ab, logical_ba, out=difference)
-        for which, column in columns.items():
-            intervals[which][(a, b)] = _percentile_interval(column, confidence)
+        for which, weights in _target_weights(a, b).items():
+            pair = []
+            for counts, group_weights in zip(groups, weights):
+                key = tuple(sum(int(counts[cell]) for cell, w in zip(CELLS, group_weights) if w == sign)
+                            for sign in (-1, 0, 1))
+                pair.append(_group_pmf(key, pmfs))
+            lo, hi = _inverse_cdf(*pair, table.n_ab, table.n_ba, (alpha, 1.0 - alpha))
+            intervals[which][(a, b)] = (lo, hi)
     return intervals
 
 
@@ -424,76 +490,6 @@ def _check_bootstrap(iterations: int, confidence: float) -> None:
         raise TooFewIterationsError(f"need >= 100 iterations, got {iterations}")
     if not 0.0 < confidence < 1.0:
         raise BadConfidenceError(f"confidence must be in (0, 1), got {confidence}")
-
-
-def _percentile_interval(values: np.ndarray, confidence: float) -> tuple[float, float]:
-    """Central ``confidence`` interval of the bootstrap values, which it may reorder.
-
-    Bit for bit ``np.quantile(values, [alpha, 1 - alpha])`` with alpha =
-    (1 - confidence) / 2: numpy's ``"linear"`` method (Hyndman & Fan type 7),
-    with numpy's virtual index, top-end clamp and two-sided interpolation.
-    """
-    n = values.size
-    alpha = (1.0 - confidence) / 2.0
-    ends = []
-    for q in (alpha, 1.0 - alpha):
-        virtual = (n - 1) * q
-        if virtual >= n - 1:
-            # numpy takes the last value through index -1, and gamma = virtual - (-1)
-            ends.append((n - 1, n - 1, virtual + 1))
-        else:
-            previous = math.floor(virtual)
-            ends.append((previous, previous + 1, virtual - previous))
-    order = _order_statistics(values, [ends[0][:2], ends[1][:2]])
-    interval = []
-    for previous, following, gamma in ends:
-        a, b = order[previous], order[following]
-        interval.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
-    return interval[0], interval[1]
-
-
-_TAIL_SAMPLE = 1024
-"""Least size of the strided sample whose order statistics set the tail thresholds."""
-
-
-def _order_statistics(values: np.ndarray, tails: list[tuple[int, int]]) -> dict[int, float]:
-    """``{rank: value}`` of ascending sorted ``values`` at a lower and an upper pair of ranks.
-
-    Each pair is selected among the values at or beyond a threshold read from a
-    sorted strided sample (Floyd & Rivest, CACM 18(3), 1975), four standard
-    deviations past the pair's rank.  Those values are the first (last) values
-    of the sorted column, ties included, so a rank inside them is exact.  When
-    the column is short or a candidate set cannot hold its ranks, the whole
-    column is partitioned in place instead.  No randomness is drawn.
-    """
-    n = values.size
-    step = n // _TAIL_SAMPLE
-    if step > 1:
-        sample = np.sort(values[::step])
-        m = sample.size
-        found: dict[int, float] = {}
-        for ranks, upper in zip(tails, (False, True)):
-            # how many values the candidates must hold, and its sample position:
-            # a tail holds at most about half the column, so r < m for m >= 1024
-            depth = n - min(ranks) if upper else max(ranks) + 1
-            share = depth / n
-            r = math.ceil(share * m + 4 * math.sqrt(m * share * (1 - share))) + 1
-            if upper:
-                candidates = values[values >= sample[m - 1 - r]]
-                offset = n - candidates.size
-            else:
-                candidates = values[values <= sample[r]]
-                offset = 0
-            if candidates.size < depth:
-                break
-            kth = [rank - offset for rank in ranks]
-            candidates.partition(kth)
-            found.update(zip(ranks, candidates[kth].tolist()))
-        else:
-            return found
-    ranks = [rank for pair in tails for rank in pair]
-    values.partition(ranks)
-    return dict(zip(ranks, values[ranks].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +508,8 @@ class ReconstructionReport:
     logical tables are keyed (a, b) = (answer to A, answer to B) and are
     directly comparable across orders.  A cell is flagged non-classical only
     when its point estimate is negative and its bootstrap interval excludes 0.
+    ``diagnostics`` names what a statistic could not show: a low expected count,
+    a question-order test with zero pooled variance, zero-width intervals.
     """
 
     label_a: str
@@ -535,6 +533,7 @@ class ReconstructionReport:
     classicality_flags_ab: dict[Cell, bool]
     classicality_flags_ba: dict[Cell, bool]
     order_invariance_gap: dict[Cell, float]
+    diagnostics: list[str]
     iterations: int
     confidence: float
     seed: int
@@ -569,6 +568,7 @@ class ReconstructionReport:
                 "logical_ba": cells(self.classicality_flags_ba),
             },
             "order_invariance_gap": cells(self.order_invariance_gap),
+            "diagnostics": self.diagnostics,
             "config": {
                 "iterations": self.iterations,
                 "confidence": self.confidence,
@@ -716,8 +716,10 @@ def classicality_report(
 ) -> ReconstructionReport:
     """Run the full pipeline and assemble a :class:`ReconstructionReport`.
 
-    The bootstrap resamples and normalises each order group once; all twelve
-    intervals (three targets, four cells) come from four shared marginal shifts.
+    Each bootstrap interval holds the ``alpha`` and ``1 - alpha`` quantiles,
+    alpha = (1 - confidence) / 2, of the exact distribution of its target under
+    multinomial resampling of both order groups; nothing is drawn.  ``iterations``
+    (at least 100) and ``seed`` are checked and echoed in the report only.
     """
     from . import __version__
 
@@ -727,11 +729,20 @@ def classicality_report(
     logical_ab, logical_ba = reconstruct_logical_joint(table)
     xor_ab, xor_ba = xor_estimates(table)
     qq_statistic, qq_p = qq_equality_stat(table)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowExpectedCountWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", LowExpectedCountWarning)
         order_statistic, order_p = order_effect_stat(table)
 
-    intervals = _bootstrap_intervals(table, iterations, confidence, seed)
+    intervals = _bootstrap_intervals(table, confidence)
+
+    diagnostics = [f"order-effect test: {w.category.__name__}: {w.message}" for w in caught]
+    if xor_ab == xor_ba and xor_ab in (0, 1):
+        diagnostics.append("question-order equality test: zero pooled variance, z = 0 and p = 1"
+                           " are set, not computed")
+    flat = [f"{which} {_cell_key(cell)}" for which, by_cell in intervals.items()
+            for cell, (lo, hi) in sorted(by_cell.items()) if lo == hi]
+    if flat:
+        diagnostics.append("zero-width bootstrap intervals: " + ", ".join(flat))
 
     def flags(estimates: Mapping[Cell, Fraction], which: str) -> dict[Cell, bool]:
         return {
@@ -764,6 +775,7 @@ def classicality_report(
             cell: abs(float(logical_ab[cell]) - float(logical_ba[cell]))
             for cell in logical_ab
         },
+        diagnostics=diagnostics,
         iterations=iterations,
         confidence=confidence,
         seed=seed,

@@ -407,7 +407,7 @@ class TestInputErrors:
         self.assert_input_error(code, err)
         assert out == "" and len(err) < 200
         if new.startswith("AB,1,1,"):
-            assert "exceeds the limit" in err and str(2**63 - 1) in err
+            assert "exceeds the limit" in err and str(survey.MAX_GROUP_TOTAL) in err
 
     @pytest.mark.parametrize("count", ["12.5", "many", "1e3", ""])
     def test_non_integer_counts_say_so(self, capsys, tmp_path, data_dir, count):
@@ -466,23 +466,22 @@ class TestCallCounts:
         assert code == 0
         assert calls["_sampled_questions"] == 7  # shared by the hilbert and jordan suites
 
-    def test_survey_reduces_each_interval_column_once(self, capsys, monkeypatch, data_dir):
-        iterations = 700
-        shapes = []
-        original = survey._percentile_interval
+    def test_survey_builds_each_group_pmf_once(self, capsys, monkeypatch, data_dir):
+        keys = []
+        original = survey._sum_pmf
 
-        def percentile_interval(values, *args, **kwargs):
-            shapes.append(np.shape(values))
-            return original(values, *args, **kwargs)
+        def sum_pmf(*key):
+            keys.append(key)
+            return original(*key)
 
-        monkeypatch.setattr(survey, "_percentile_interval", percentile_interval)
-        calls = self.count_calls(monkeypatch, survey, ["_resample", "_marginal_shift"])
+        monkeypatch.setattr(survey, "_sum_pmf", sum_pmf)
+        calls = self.count_calls(monkeypatch, survey, ["_inverse_cdf"])
         code, _, _ = run(capsys, "survey", str(data_dir / "clinton_gore_1997.csv"),
-                         "--trials", str(iterations), "--format", "json")
+                         "--trials", "700", "--format", "json")
         assert code == 0
-        # one resample, four shared marginal shifts, one interval per column
-        assert calls == {"_resample": 1, "_marginal_shift": 4}
-        assert shapes == [(iterations,)] * 12
+        # twelve intervals from four pmfs per order group, the others their reversals
+        assert calls == {"_inverse_cdf": 12}
+        assert len(keys) == len(set(keys)) == 8
 
     def test_kd_builds_each_question_once(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch, hilbert, [
@@ -888,6 +887,9 @@ SWEEP_CHANGED = ("formal_reality_sweep",)
 NEGATIVITY_CHANGED = ("hilbert.negativity_search_floor:residual",
                       "hilbert.negativity_search_floor:tol",
                       "hilbert.negativity_search_floor:detail")
+# The fields 0.11.0 changed in survey's JSON: the bootstrap intervals became exact
+# quantiles in place of percentiles of drawn resamples, and the diagnostics are new.
+BOOTSTRAP_CHANGED = ("bootstrap", "diagnostics")
 
 # sha256 of the output of quasilogic 0.1.0 with its version string, for
 # commands that draw nothing from the samplers that changed in 0.2.0; where
@@ -897,14 +899,10 @@ UNCHANGED_OUTPUTS = [
      "9abf817672f8c3a91f1deea0a4fd963e7230e81e35344992fdc24d16c2108e80", KD_CHANGED),
     (["demo", "--format", "json"],
      "f6a82446a44f41e996359356a22302b25f7662f3db0826d22dbd490621b23e8d", ()),
-    (["survey", "synthetic_n100.csv"],
-     "85cf8871739a95e381f77f081d036d393f540aba8513f0b45c530640f2e8571e", ()),
-    (["survey", "clinton_gore_1997.csv"],
-     "6a9663780868068d1854103d0176113d38c3afb326f2178dd66b6339aaa56f6f", ()),
     (["survey", "synthetic_n100.csv", "--format", "json"],
-     "7642a4966d11508758289fd14c879afc640aac32b9facb9a9dde324cc570a3a2", ()),
+     "52acfac2bbe889baa1f02d98ca951dda0c0e0607c524d083957fd90f3921048d", BOOTSTRAP_CHANGED),
     (["survey", "clinton_gore_1997.csv", "--format", "json"],
-     "fb7b28191e450dc70b630aa4671c4ba43fdca9860242f81a98ab944687a730e2", ()),
+     "727dd12cd5b7166c125fc26933bfebdbcca6de49a4db1ac87cb69974adf2b162", BOOTSTRAP_CHANGED),
 ]
 
 
@@ -990,6 +988,29 @@ def test_output_pinned_at_0_6_0(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(pinned(out, "0.6.0", ()).encode()).hexdigest() == digest
+
+
+# sha256 at 0.11.0, with its version string, of survey's output since its bootstrap
+# intervals became exact; the text output holds no version string
+SURVEY_OUTPUTS = [
+    (["survey", "synthetic_n100.csv"],
+     "900b0630bb9ca962bd3470bc9aaed830412b3d025be94b2b595da16965601d0c"),
+    (["survey", "clinton_gore_1997.csv"],
+     "e6f54d5e680b903d30ab276b660556be3203b9c2a55ed6f8aa802ef85f426600"),
+    (["survey", "synthetic_n100.csv", "--format", "json"],
+     "34b5d628c1426d822df910ff137b11bdcf7d0487b89d28645a554783e9f16e01"),
+    (["survey", "clinton_gore_1997.csv", "--format", "json"],
+     "e9f23032843dbb56c6d90ea0e588418a5e8d517644e70488877fa1761e9b6d13"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SURVEY_OUTPUTS,
+                         ids=[" ".join(argv) for argv, _ in SURVEY_OUTPUTS])
+def test_survey_output_pinned_at_0_11_0(capsys, data_dir, argv, digest):
+    argv = [str(data_dir / arg) if arg.endswith(".csv") else arg for arg in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(pinned(out, "0.11.0", ()).encode()).hexdigest() == digest
 
 
 # sha256 of kd's text output, which holds no version string and is unchanged

@@ -183,6 +183,16 @@ class TestValidation:
             assert hilbert.operator_norm(member - member.conj().T) <= 1e-13
             assert hilbert.operator_norm(member @ member - member) <= 1e-13
 
+    @pytest.mark.parametrize("vector, expected", [
+        ([0.0, 2.225073858507203e-309j], [[0, 0], [0, 1]]),
+        ([5e-324, 5e-324j], [[0.5, -0.5j], [0.5j, 0.5]]),
+    ])
+    def test_subnormal_vectors_are_rescaled_without_overflow(self, vector, expected):
+        # dividing by a subnormal scale as a complex number overflowed to inf and NaN
+        member = hilbert.rank_one_projectors(np.array([vector]))[0]
+        assert_allclose(member, np.array(expected, dtype=complex), rtol=0, atol=1e-15)
+        hilbert.validate_projector(member)
+
     @pytest.mark.parametrize("vectors", [[[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
     def test_zero_vector_has_no_ray(self, vectors):
         with pytest.raises(BadRankError, match="zero vector"):
@@ -517,6 +527,20 @@ class TestWeakValue:
                              ((rho, a, posts), "[(2, 2), (2, 2), (2, 2, 2)]")):
             with pytest.raises(DimensionMismatchError, match=re.escape(shapes)):
                 hilbert.weak_value(*args)
+
+    def test_single_operand_kernels_reject_stacks_naming_the_shapes(self):
+        rho, a, b = hilbert.worked_example()
+        twice = {name: np.stack([op.matrix] * 2) for name, op in (("rho", rho), ("a", a), ("b", b))}
+        for call, shapes in (
+            (lambda: hilbert.model_sequential_probabilities(twice["rho"], a, b),
+             "[(2, 2, 2), (2, 2), (2, 2)]"),
+            (lambda: hilbert.model_sequential_probabilities(rho, a, twice["b"]),
+             "[(2, 2), (2, 2), (2, 2, 2)]"),
+            (lambda: hilbert.min_cell_over_states(twice["a"], b), "[(2, 2, 2), (2, 2)]"),
+            (lambda: hilbert.min_cell_over_states(a, twice["b"][:1]), "[(2, 2), (1, 2, 2)]"),
+        ):
+            with pytest.raises(DimensionMismatchError, match=re.escape(shapes)):
+                call()
 
 
 class TestNegativity:

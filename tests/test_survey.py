@@ -3,9 +3,12 @@
 Point-estimate expectations for the synthetic 100-per-order table were
 computed by hand from the defining arithmetic and frozen here as exact
 rationals.  Statistical routes are cross-checked against scipy's independent
-implementations.
+implementations, and the exact bootstrap against a rational enumeration of
+both multinomials and against Monte Carlo resampling.
 """
 
+import inspect
+import itertools
 import json
 import math
 import warnings
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.stats import chi2, chi2_contingency, norm
+from scipy.stats import binom, chi2, chi2_contingency, norm
 
 from conftest import seeded_projector, seeded_state
 from quasilogic import hilbert, logic, survey
@@ -60,10 +63,9 @@ count_arrays = st.lists(st.integers(min_value=0, max_value=500), min_size=4, max
 
 @st.composite
 def group_counts(draw):
-    """Four counts whose total is anywhere in [1, 2**63 - 1], often above 2**53."""
+    """Four counts whose total is anywhere in [1, MAX_GROUP_TOTAL], often at most 10**4."""
     total = draw(st.one_of(
         st.integers(min_value=1, max_value=10**4),
-        st.integers(min_value=2**53 + 1, max_value=survey.MAX_GROUP_TOTAL),
         st.integers(min_value=1, max_value=survey.MAX_GROUP_TOTAL),
     ))
     cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=total), min_size=3, max_size=3)))
@@ -159,12 +161,16 @@ class TestParsing:
 
     def test_group_total_limit(self, synthetic):
         limit = survey.MAX_GROUP_TOTAL
-        assert limit == 2**63 - 1
+        assert limit == 10**8
         at_limit = make_table((limit - 3, 1, 1, 1), (1, 1, 1, 1))
         assert at_limit.n_ab == limit
         lo, hi = bootstrap_intervals(at_limit, 100, seed=0)["logical_ab"][(0, 0)]
         assert lo <= hi
-        with pytest.raises(SchemaError, match="exceeds the limit 9223372036854775807"):
+        # two balanced groups at the limit: the widest pmf windows the bootstrap builds
+        balanced = make_table((limit // 4,) * 4, (limit // 4,) * 4)
+        lo, hi = bootstrap_intervals(balanced, 100, seed=0)["logical_ab"][(1, 1)]
+        assert lo < 0.25 < hi and hi - 0.25 == pytest.approx(0.25 - lo, abs=1e-15)
+        with pytest.raises(SchemaError, match=r"exceeds the limit 100000000 \(10\*\*8\)"):
             make_table((limit - 2, 1, 1, 1), (1, 1, 1, 1))
         # int64 counts whose sum would wrap around are still rejected
         with pytest.raises(SchemaError, match="exceeds the limit"):
@@ -181,7 +187,7 @@ class TestParsing:
     def test_count_past_the_digit_limit_names_the_limit(self, synthetic):
         for digits in (400, 5000):
             text = synthetic.to_csv().replace("AB,1,1,40", "AB,1,1," + "7" * digits)
-            with pytest.raises(SchemaError, match="exceeds the limit 9223372036854775807") as err:
+            with pytest.raises(SchemaError, match=r"exceeds the limit 100000000 \(10\*\*8\)") as err:
                 survey.parse_counts(text)
             assert len(str(err.value)) < 200
         padded = synthetic.to_csv().replace("AB,1,1,40", "AB,1,1," + "0" * 5000 + "40")
@@ -326,7 +332,7 @@ class TestQQEquality:
         assert survey.qq_equality_stat(table) == (0.0, 1.0)
 
     @given(group_counts(), group_counts())
-    # the smallest nonzero pooled variance, about 1e-38
+    # the smallest nonzero pooled variance, about 1e-16
     @example([survey.MAX_GROUP_TOTAL - 1, 1, 0, 0], [survey.MAX_GROUP_TOTAL, 0, 0, 0])
     @settings(max_examples=60, deadline=None)
     def test_every_valid_table_has_a_statistic(self, ab, ba):
@@ -382,22 +388,8 @@ class TestOrderEffect:
         assert statistic > 0
 
 
-@pytest.fixture
-def resample_calls(monkeypatch) -> list:
-    """The arguments of every ``survey._resample`` call made during the test."""
-    calls = []
-    original = survey._resample
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(survey, "_resample", counting)
-    return calls
-
-
 def bootstrap_intervals(table, iterations, seed, confidence=0.95):
-    """The report's percentile intervals, ``[which][cell]``."""
+    """The report's bootstrap intervals, ``[which][cell]``."""
     return survey.classicality_report(table, iterations, seed, confidence).bootstrap_intervals
 
 
@@ -435,8 +427,8 @@ class TestBootstrap:
             bootstrap_intervals(synthetic, 500, seed=0, confidence=1.5)
 
 
-# Reference bootstrap: the per-target formulas of the per-cell implementation,
-# which re-normalised both resamples for every interval.
+# Monte Carlo reference bootstrap: type-7 percentiles of multinomial resamples, through
+# the per-target formulas of the 0.1.0 per-cell implementation.
 
 def reference_resample(table, iterations, seed):
     rng = np.random.default_rng(seed)
@@ -481,79 +473,166 @@ def reference_intervals(table, iterations, confidence, seed):
     return intervals
 
 
-class TestOnePassBootstrap:
-    @given(group_counts(), group_counts(), st.integers(min_value=100, max_value=5000),
-           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
-           st.integers(min_value=0, max_value=2**32 - 1))
-    # row sums of float counts above 2**53 round differently from the group total
-    @example([2**54 + 1, 3, 2**55, 7], [1, 2**60, 5, 2**53 + 3], 2345, 0.9, 0)
-    @example([2**61 - 1] * 3 + [2**61 + 2], [2**62 - 1, 12345, 2**60, 2**62 - 12345 - 2**60], 2345, 0.9, 0)
-    @settings(max_examples=40, deadline=None)
-    def test_intervals_equal_the_per_cell_reference(self, ab, ba, iterations, confidence, seed):
-        table = make_table(ab, ba)
-        expected = reference_intervals(table, iterations, confidence, seed)
-        report = survey.classicality_report(table, iterations, seed, confidence)
-        assert report.bootstrap_intervals == expected
+def multinomial_outcomes(counts):
+    """Every count vector of Multinomial(n, counts / n) with its probability, as a Fraction."""
+    n = sum(counts)
+    for head in itertools.product(range(n + 1), repeat=len(counts) - 1):
+        if sum(head) <= n:
+            outcome = (*head, n - sum(head))
+            p = F(math.factorial(n))
+            for x, k in zip(outcome, counts):
+                p *= F(k, n) ** x / math.factorial(x)
+            if p:
+                yield outcome, p
 
-    def test_report_resamples_once(self, clinton_gore, resample_calls):
-        survey.classicality_report(clinton_gore, iterations=500, seed=3)
-        assert len(resample_calls) == 1
 
-    # group totals 2**53 (divided by the total) and 2**53 + 1 (by float row sums)
-    @pytest.mark.parametrize("counts", [
-        [2**53 - 3, 1, 1, 1], [1, 1, 1, 2**53 - 3], [2**52, 2**51, 2**51 - 7, 7],
-        [2**53 - 2, 1, 1, 1], [1, 1, 1, 2**53 - 2], [2**52, 2**51, 2**51 - 6, 7],
-    ])
-    def test_resample_at_the_exact_float_boundary(self, counts):
-        table = make_table(counts, counts[::-1])
-        draws = reference_resample(table, 500, seed=11)
-        for q, expected in zip(survey._resample(table, 500, seed=11), draws):
-            expected /= expected.sum(axis=1, keepdims=True)
-            assert q.dtype == np.float64
-            assert q.tobytes() == expected.tobytes()
+def exact_bootstrap_distributions(table):
+    """{(target, cell): {value: probability}} of every bootstrap target, in Fraction.
+
+    Each group's outcomes go through the public formula, ``logical_tables_from_probs``,
+    with the other group's table zero: the targets are linear in the two tables, so
+    a target's value is the sum of its two groups' parts.
+    """
+    zero = dict.fromkeys(CELLS, 0)
+    parts = []
+    for counts, n, first in ((table.counts_ab, table.n_ab, True), (table.counts_ba, table.n_ba, False)):
+        part = {}
+        for outcome, p in multinomial_outcomes([counts[cell] for cell in CELLS]):
+            probs = {cell: F(x, n) for cell, x in zip(CELLS, outcome)}
+            logical_ab, logical_ba = survey.logical_tables_from_probs(
+                *((probs, zero) if first else (zero, probs)))
+            for cell in CELLS:
+                values = {"logical_ab": logical_ab[cell], "logical_ba": logical_ba[cell],
+                          "order_difference": logical_ab[cell] - logical_ba[cell]}
+                for which, value in values.items():
+                    target = part.setdefault((which, cell), {})
+                    target[value] = target.get(value, 0) + p
+        parts.append(part)
+    distributions = {}
+    for key, part_ab in parts[0].items():
+        total = distributions[key] = {}
+        for (u, p), (v, q) in itertools.product(part_ab.items(), parts[1][key].items()):
+            total[u + v] = total.get(u + v, 0) + p * q
+    return distributions
+
+
+def inverse_cdf_ends(distribution, level, band=F(0)):
+    """The floats of the atoms t with P(T <= t) >= level - band and P(T < t) < level + band:
+    with band 0, the one end min{t : F(t) >= level}."""
+    ends, below = set(), F(0)
+    for value in sorted(distribution):
+        upto = below + distribution[value]
+        if upto >= level - band and below < level + band:
+            ends.add(float(value))
+        below = upto
+    assert below == 1
+    return ends
+
+
+# how far from an exact CDF value a level must be for its end to be decided in double
+# precision; an exact tie, such as confidence 0.5 on dyadic probabilities, is inside it
+CDF_BAND = F(1, 10**12)
 
 
 @st.composite
-def bootstrap_columns(draw):
-    """Columns of 100 to 20,000 values: ties, sorted, reversed, constant, periodic."""
-    n = draw(st.integers(min_value=100, max_value=20_000))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    scale = draw(st.sampled_from([1.0, 1e-3, 1e300, 2.0**-1060, 5e-324]))
-    kind = draw(st.sampled_from(
-        ["spread", "ties", "sorted", "reversed", "constant", "near_constant", "periodic"]))
-    if kind == "ties":
-        values = rng.integers(0, draw(st.integers(min_value=1, max_value=6)), n) * scale
-    elif kind == "constant":
-        values = np.full(n, 0.25 * scale)
-    elif kind == "near_constant":
-        values = np.full(n, 0.25)
-        values[rng.integers(0, n, 3)] = np.nextafter(0.25, 1.0)
-        values *= scale
-    elif kind == "periodic":  # a period that divides the sample stride defeats the sample
-        values = np.tile(rng.normal(size=draw(st.integers(min_value=1, max_value=64))), n)[:n]
-        values *= scale
-    else:
-        values = rng.normal(size=n) * scale
-        if kind != "spread":
-            values.sort()
-            if kind == "reversed":
-                values = values[::-1].copy()
-    return values
+def small_group_counts(draw):
+    """Four counts of a group of 1 to 8 respondents."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=n), min_size=3, max_size=3)))
+    bounds = [0, *cuts, n]
+    return [high - low for low, high in zip(bounds, bounds[1:])]
 
 
-class TestPercentileInterval:
-    @given(bootstrap_columns(),
-           st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
-    @example(np.arange(100.0), 1 - 2**-53)
-    @example(np.arange(30_000.0)[::-1].copy(), 1 - 2**-53)
-    @example(np.arange(5000.0), 5e-324)
-    @example(np.arange(5000.0), 0.95)
-    @example(np.tile([3.0, 1.0, 2.0], 20_000)[:20_000].copy(), 0.95)
-    @settings(max_examples=300, deadline=None)
-    def test_equals_numpy_linear_quantile(self, values, confidence):
+class TestExactBootstrap:
+    @given(small_group_counts(), small_group_counts(),
+           st.one_of(st.sampled_from([0.95, 0.9, 0.99, 0.5]),
+                     st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)))
+    @example([1, 1, 0, 0], [1, 1, 0, 0], 0.5)      # exact dyadic ties at alpha = 1/4
+    @example([2, 0, 2, 0], [0, 4, 0, 4], 0.95)     # X00 - X10 takes every other value
+    @example([8, 0, 0, 0], [0, 0, 0, 1], 0.95)     # both groups unanimous
+    @example([3, 1, 2, 2], [1, 2, 4, 1], 1 - 2**-53)
+    @example([3, 1, 2, 2], [1, 2, 4, 1], 5e-324)
+    @settings(max_examples=80, deadline=None)
+    def test_ends_equal_the_rational_enumeration(self, ab, ba, confidence):
+        table = make_table(ab, ba)
+        intervals = bootstrap_intervals(table, 100, seed=0, confidence=confidence)
         alpha = (1.0 - confidence) / 2.0
-        expected = tuple(float(v) for v in np.quantile(values, [alpha, 1.0 - alpha]))
-        assert survey._percentile_interval(values.copy(), confidence) == expected
+        for (which, cell), distribution in exact_bootstrap_distributions(table).items():
+            for end, level in zip(intervals[which][cell], (alpha, 1.0 - alpha)):
+                admissible = inverse_cdf_ends(distribution, F(level), CDF_BAND)
+                # a single admissible atom, the exact end, unless a CDF value is within the band
+                assert end in admissible, (which, cell, level, sorted(admissible))
+
+    @pytest.mark.parametrize("name", ["clinton_gore_1997.csv", "synthetic_n100.csv"])
+    def test_million_draw_reference_lies_within_one_atom(self, data_dir, name):
+        table = survey.load_counts(str(data_dir / name))
+        exact = bootstrap_intervals(table, 100, seed=0)
+        reference = reference_intervals(table, 10**6, 0.95, seed=42)
+        atom = math.gcd(table.n_ab, table.n_ba) / (2 * table.n_ab * table.n_ba)
+        for which in exact:
+            for cell in CELLS:
+                for end, drawn in zip(exact[which][cell], reference[which][cell]):
+                    assert abs(end - drawn) <= atom, (which, cell, end, drawn)
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_unanimous_groups_give_zero_width_intervals_at_the_estimate(self, cell):
+        table = make_table(*[[50 * (c == cell) for c in CELLS]] * 2)
+        report = survey.classicality_report(table, 100, seed=0)
+        estimates = {"logical_ab": report.logical_ab, "logical_ba": report.logical_ba,
+                     "order_difference": {c: report.logical_ab[c] - report.logical_ba[c]
+                                          for c in CELLS}}
+        for which, by_cell in report.bootstrap_intervals.items():
+            for c, (lo, hi) in by_cell.items():
+                assert lo == hi == estimates[which][c]
+        assert report.diagnostics[-1].startswith("zero-width bootstrap intervals: logical_ab 00,")
+
+    # X00 - X10 at q₊ = q₋ = ½ with no other answer, and at (¼, ½, ¼): φ(π) = 0 exactly,
+    # which the tier-1 warnings-as-errors setting would report as a log(0)
+    @pytest.mark.parametrize("ab, ba", [
+        ((4, 0, 4, 0), (4, 4, 0, 0)), ((2, 4, 2, 0), (0, 0, 8, 8)),
+        ((10**6, 0, 10**6, 0), (10**6, 10**6, 0, 0)), ((10**6, 2 * 10**6, 10**6, 0), (1, 1, 1, 1)),
+    ])
+    def test_symmetric_groups_where_phi_vanishes(self, ab, ba):
+        table = make_table(ab, ba)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            intervals = bootstrap_intervals(table, 100, seed=0)
+        lo, hi = intervals["logical_ab"][(0, 0)]
+        estimate = survey.classicality_report(table, 100, seed=0).logical_ab[(0, 0)]
+        atom = math.gcd(table.n_ab, table.n_ba) / (2 * table.n_ab * table.n_ba)
+        assert lo < estimate < hi
+        assert abs((hi - estimate) - (estimate - lo)) <= 2 * atom
+        if table.n_ab <= 8:
+            for (which, cell), distribution in exact_bootstrap_distributions(table).items():
+                for end, level in zip(intervals[which][cell], (0.025, 0.975)):
+                    assert end in inverse_cdf_ends(distribution, F(level), CDF_BAND)
+
+    @pytest.mark.parametrize("n", [12, 10**4, 10**6])
+    def test_group_pmfs_equal_the_binomial(self, n):
+        for key, reference in (
+            ((0, n // 2, n // 2), lambda s: binom.pmf(s, n, 0.5)),
+            ((0, n - n // 3, n // 3), lambda s: binom.pmf(s, n, (n // 3) / n)),
+            ((0, n - 3, 3), lambda s: binom.pmf(s, n, 3 / n)),
+            # (z⁻¹/4 + 1/2 + z/4)ⁿ = z⁻ⁿ ((1 + z) / 2)²ⁿ
+            ((n // 4, n // 2, n // 4), lambda s: binom.pmf(s + n, 2 * n, 0.5)),
+        ):
+            step, start, pmf = survey._sum_pmf(*key)
+            expected = reference(start + step * np.arange(pmf.size))
+            assert_allclose(pmf, expected, rtol=0, atol=1e-14)
+            assert_allclose(np.cumsum(pmf), np.cumsum(expected), rtol=0, atol=1e-12)
+            assert 1 - expected.sum() < 1e-12
+
+    def test_draws_nothing_and_ignores_iterations_and_seed(self, clinton_gore, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the survey bootstrap drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        reports = [survey.classicality_report(clinton_gore, iterations, seed)
+                   for iterations, seed in ((100, 0), (10**7, 2**32 - 1), (12_345, 42))]
+        assert [(r.iterations, r.seed) for r in reports] == [(100, 0), (10**7, 2**32 - 1),
+                                                            (12_345, 42)]
+        assert all(r.bootstrap_intervals == reports[0].bootstrap_intervals for r in reports)
+        assert "random" not in inspect.getsource(survey)
 
 
 class TestClassicalityReport:
