@@ -517,10 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (QuasilogicError, OSError) as exc:
-        message = str(exc)
-    except UnicodeDecodeError as exc:
-        message = f"input is not UTF-8 text: {exc}"
-    sys.stderr.write(f"error: {message}\n")
+        sys.stderr.write(f"error: {exc}\n")
     return EXIT_INPUT_ERROR
 
 

@@ -14,7 +14,9 @@ whose reconstructed probability is credibly negative (non-classical).
 All point estimates and their exact identities are computed in rational
 arithmetic on the raw counts; floats appear only in statistics, the bootstrap
 distributions and reports.  The bootstrap draws nothing: its intervals are
-quantiles of the exact distribution of each resampled target.
+quantiles of the exact distribution of each resampled target, computed in one
+pass per table that shares each frequency grid and lattice ordering among the
+targets.
 """
 
 from __future__ import annotations
@@ -217,9 +219,13 @@ def _parse_count(text: str, lineno: int) -> int:
 
 
 def load_counts(path: str) -> SequentialCountTable:
-    """Read and parse a count CSV file."""
+    """Read and parse a count CSV file, which must be UTF-8 text."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_counts(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"input is not UTF-8 text: {exc}") from None
+    return parse_counts(text)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +291,11 @@ def reconstruct_logical_joint(
 
 def xor_estimates(table: SequentialCountTable) -> tuple[Fraction, Fraction]:
     """Exact estimates of the exclusive-disjunction expectation, one per order."""
-    p_ab, p_ba = sequential_probs(table)
-    return (
-        p_ab[(1, 0)] + p_ab[(0, 1)],
-        p_ba[(1, 0)] + p_ba[(0, 1)],
-    )
+    return _xor_from_probs(*sequential_probs(table))
+
+
+def _xor_from_probs(p_ab: Mapping[Cell, Fraction], p_ba: Mapping[Cell, Fraction]) -> tuple:
+    return p_ab[(1, 0)] + p_ab[(0, 1)], p_ba[(1, 0)] + p_ba[(0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +311,12 @@ def qq_equality_stat(table: SequentialCountTable) -> tuple[float, float]:
     -2 * conjunction difference`` is checked on the point estimates before
     testing.  Returns (z statistic, two-sided p-value).
     """
-    xor_ab, xor_ba = xor_estimates(table)
-    logical_ab, logical_ba = reconstruct_logical_joint(table)
+    return _qq_equality(table, xor_estimates(table), reconstruct_logical_joint(table))
+
+
+def _qq_equality(table: SequentialCountTable, xors: tuple, logical: tuple) -> tuple[float, float]:
+    """:func:`qq_equality_stat` from the table's exact xor estimates and logical tables."""
+    (xor_ab, xor_ba), (logical_ab, logical_ba) = xors, logical
     # exact bookkeeping identity on the estimates; failure is a defect
     imbalance = (xor_ab - xor_ba) + 2 * (logical_ab[(1, 1)] - logical_ba[(1, 1)])
     if imbalance != 0:
@@ -385,20 +395,32 @@ def _target_weights(a: int, b: int) -> dict[str, tuple[list[int], list[int]]]:
     return dict(zip(_BOOTSTRAP_TARGETS, (logical_ab, logical_ba, difference)))
 
 
-def _sum_pmf(k_minus: int, k_zero: int, k_plus: int) -> tuple[int, int, np.ndarray]:
+_TARGET_WEIGHTS = tuple(((a, b), which, weights) for a, b in CELLS
+                       for which, weights in _target_weights(a, b).items())
+"""(cell, target, weights) of every bootstrap target, in the report's order."""
+
+
+def _frequency_grid(fft_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """ω = 2πj / fft_size at each rfft bin j, with sin²(ω/2), sin ω and cos ω."""
+    omega = 2 * np.pi / fft_size * np.arange(fft_size // 2 + 1)
+    return omega, np.sin(omega / 2) ** 2, np.sin(omega), np.cos(omega)
+
+
+def _sum_pmf(k_minus: int, k_zero: int, k_plus: int, grids: dict) -> tuple[int, int, np.ndarray]:
     """``(step, start, pmf)``, P(S = start + step * j) = pmf[j], of S = X₊ - X₋ for one
     group resampled as X ~ Multinomial(n, k / n).
 
     The window holds the support within 10σ + 30 atoms of the mean k₊ - k₋ and leaves
     out less than 1e-20 of the mass.  It is one inverse FFT of φ(ω)ⁿ, with |φ|² - 1
     summed from squares so that |φ|ⁿ keeps its relative precision at n = 10**8; an
-    exact zero of φ is never passed to ``log``.
+    exact zero of φ is never passed to ``log``.  ``grids`` holds the table's
+    :func:`_frequency_grid` per FFT size.
     """
     n = k_minus + k_zero + k_plus
     if max(k_minus, k_zero, k_plus) == n:
         return 1, k_plus - k_minus, np.ones(1)
     if k_zero == 0:  # S = 2X₊ - n takes every other value
-        _, start, pmf = _sum_pmf(0, k_minus, k_plus)
+        _, start, pmf = _sum_pmf(0, k_minus, k_plus, grids)
         return 2, 2 * start - n, pmf
     p_minus, p_zero, p_plus = k_minus / n, k_zero / n, k_plus / n
     mean = k_plus - k_minus
@@ -406,82 +428,122 @@ def _sum_pmf(k_minus: int, k_zero: int, k_plus: int) -> tuple[int, int, np.ndarr
     lo = max(mean - half, -n if k_minus else 0)
     size = min(mean + half, n if k_plus else 0) - lo + 1
     fft_size = 1 << (size - 1).bit_length()
-    omega = 2 * np.pi / fft_size * np.arange(fft_size // 2 + 1)
-    s = np.sin(omega / 2) ** 2
+    if fft_size not in grids:
+        grids[fft_size] = _frequency_grid(fft_size)
+    omega, s, sin, cos = grids[fft_size]
     gap = -4 * s * ((p_minus + p_plus) * p_zero + 4 * p_minus * p_plus * (1 - s))
     log_modulus = np.log1p(gap, out=np.full_like(gap, -np.inf), where=gap > -1)
-    phase = n * np.arctan2((p_plus - p_minus) * np.sin(omega),
-                           p_zero + (p_plus + p_minus) * np.cos(omega)) - lo * omega
+    phase = n * np.arctan2((p_plus - p_minus) * sin, p_zero + (p_plus + p_minus) * cos) - lo * omega
     spectrum = np.exp(n / 2 * log_modulus) * np.exp(-1j * phase)
     return 1, lo, np.maximum(np.fft.irfft(spectrum, fft_size)[:size], 0.0)
 
 
-def _group_pmf(key: tuple[int, int, int], pmfs: dict) -> tuple[int, int, np.ndarray]:
+def _group_pmf(key: tuple[int, int, int], pmfs: dict, grids: dict) -> tuple[int, int, np.ndarray]:
     """:func:`_sum_pmf` of ``key`` from ``pmfs``: a negated sum, or the complement
     n - X₊ of a one-signed sum, reuses its partner's pmf reversed."""
     k_minus, k_zero, k_plus = key
     if k_minus > k_plus or k_minus == 0 and k_plus > k_zero:
         partner = (k_plus, k_zero, k_minus) if k_minus > k_plus else (0, k_plus, k_zero)
-        step, start, pmf = _group_pmf(partner, pmfs)
+        step, start, pmf = _group_pmf(partner, pmfs, grids)
         shift = 0 if k_minus > k_plus else sum(key)
         return step, shift - start - step * (pmf.size - 1), pmf[::-1]
     if key not in pmfs:
-        pmfs[key] = _sum_pmf(*key)
+        pmfs[key] = _sum_pmf(*key, grids)
     return pmfs[key]
 
 
-def _inverse_cdf(pmf_ab, pmf_ba, n_ab: int, n_ba: int, levels) -> list[float]:
-    """min{t : F(t) >= level} for each level, F the CDF of S_ab / (2 n_ab) + S_ba / (2 n_ba).
+def _fine_lattice(u_f: int, u_c: int, fine_pmfs: list[np.ndarray]) -> tuple:
+    """What every target on one fine lattice shares: ``(k, offsets, pieces)``.
 
-    In lattice units T = S_ab n_ba + S_ba n_ab = origin + j_c u_c + j_f u_f, the finer
-    group (smaller step u_f) is ceil-rebinned onto the coarse steps, and one convolution
-    gives the CDF at each step's top.  Inside the step that first reaches a level, each
-    fine atom has exactly one coarse partner, and their order is that of the fine atom's
-    offset below the top, the same at every step: a cumulative sum from the step's base
-    gives the exact end.
+    Fine atom j lies in coarse step k = ceil(j u_f / u_c), offset k u_c - j u_f below
+    that step's top.  ``k`` and ``offsets`` list the atoms by decreasing offset (a stable
+    sort), and ``pieces`` holds, per pmf in ``fine_pmfs``, its ceil-rebinned pmf and its
+    atoms in that order.
     """
-    (step_ab, start_ab, p_ab), (step_ba, start_ba, p_ba) = pmf_ab, pmf_ba
-    origin = start_ab * n_ba + start_ba * n_ab
-    (u_c, p_c), (u_f, p_f) = sorted([(step_ab * n_ba, p_ab), (step_ba * n_ab, p_ba)],
-                                    key=lambda group: -group[0])
-    j_f = np.arange(p_f.size)
+    j_f = np.arange(fine_pmfs[0].size)
     k = -(-j_f * u_f // u_c)
     offset = k * u_c - j_f * u_f
+    del j_f
     order = np.argsort(-offset, kind="stable")
-    size = p_c.size + int(k[-1])
+    offset = offset[order]
+    return k[order], offset, [(np.bincount(k, p_f), p_f[order]) for p_f in fine_pmfs]
+
+
+def _inverse_cdf(p_c: np.ndarray, fine: tuple, lattice: tuple, levels) -> list[int]:
+    """min{t : F(t) >= level} for each level, F the CDF of T - origin in lattice units.
+
+    T = S_ab n_ba + S_ba n_ab = origin + j_c u_c + j_f u_f.  The finer group (smaller
+    step u_f, pieces ``fine`` from :func:`_fine_lattice`) is ceil-rebinned onto the
+    coarse steps, and one convolution gives the CDF at each step's top.  Inside the step
+    m that first reaches a level, each fine atom has exactly one coarse partner m - k, and
+    their order is that of the fine atom's offset below the top, the same at every step:
+    a cumulative sum from the step's base gives the exact end.  The coarse pmf is read
+    with K = k[-1] zeros on each side, so an atom whose partner lies outside it adds an
+    exact +0.0, and the sum at every real partner is the sum over partners alone.
+    """
+    binned, p_sorted = fine
+    u_c, k_sorted, offsets = lattice
+    reach = binned.size - 1
+    size = p_c.size + reach
     fft_size = 1 << (size - 1).bit_length()
-    steps = np.fft.irfft(np.fft.rfft(p_c, fft_size) * np.fft.rfft(np.bincount(k, p_f), fft_size),
-                         fft_size)
+    steps = np.fft.irfft(np.fft.rfft(p_c, fft_size) * np.fft.rfft(binned, fft_size), fft_size)
     cdf = np.cumsum(np.maximum(steps[:size], 0.0))
+    padded = np.zeros(size + reach)
+    padded[reach:size] = p_c
     ends = []
     for level in levels:
         m = min(int(np.searchsorted(cdf, level)), size - 1)
-        j_c = m - k[order]
-        inside = (j_c >= 0) & (j_c < p_c.size)
-        members = order[inside]
-        cumulative = np.cumsum(p_f[members] * p_c[j_c[inside]]) + (cdf[m - 1] if m else 0.0)
-        i = min(int(np.searchsorted(cumulative, level)), members.size - 1)
-        ends.append((origin + m * u_c - int(offset[members[i]])) / (2 * n_ab * n_ba))
+        partner = (m + reach) - k_sorted
+        cumulative = padded[partner]
+        cumulative *= p_sorted
+        np.cumsum(cumulative, out=cumulative)
+        cumulative += cdf[m - 1] if m else 0.0
+        i = int(np.searchsorted(cumulative, level))
+        if i == cumulative.size:  # rounding left the level unreached: the step's last atom
+            i = np.flatnonzero((partner >= reach) & (partner < size))[-1]
+        ends.append(m * u_c - int(offsets[i]))
     return ends
 
 
 def _bootstrap_intervals(
     table: SequentialCountTable, confidence: float
 ) -> dict[str, dict[Cell, tuple[float, float]]]:
-    """Each target's inverse-CDF interval at each cell, from at most four pmfs per group."""
+    """Each target's inverse-CDF interval at each cell, in one pass over the table.
+
+    The pass builds at most four pmfs per group on one frequency grid per FFT size,
+    then takes the targets lattice by lattice: one ordering per fine lattice, one
+    rebinned and one reordered copy per fine pmf on it, released before the next.
+    """
     alpha = (1.0 - confidence) / 2.0
-    groups = (table.counts_ab, table.counts_ba)
+    n_ab, n_ba = table.n_ab, table.n_ba
     pmfs: dict[tuple[int, int, int], tuple[int, int, np.ndarray]] = {}
+    grids: dict[int, tuple] = {}
+    # (fine size, u_f, u_c) -> fine key -> (fine pmf, [(target index, origin, coarse pmf)])
+    lattices: dict[tuple[int, int, int], dict] = {}
+    for index, (_, _, weights) in enumerate(_TARGET_WEIGHTS):
+        groups = []
+        for counts, group_weights, n_other in zip((table.counts_ab, table.counts_ba), weights,
+                                                  (n_ba, n_ab)):
+            key = tuple(sum(int(counts[cell]) for cell, w in zip(CELLS, group_weights) if w == sign)
+                        for sign in (-1, 0, 1))
+            step, start, pmf = _group_pmf(key, pmfs, grids)
+            groups.append((step * n_other, start * n_other, key, pmf))
+        (u_c, origin_c, _, p_c), (u_f, origin_f, key_f, p_f) = sorted(groups, key=lambda g: -g[0])
+        targets = lattices.setdefault((p_f.size, u_f, u_c), {}).setdefault(key_f, (p_f, []))[1]
+        targets.append((index, origin_c + origin_f, p_c))
+    del grids
+    scale = 2 * n_ab * n_ba
+    ends: list[tuple[float, float]] = [None] * len(_TARGET_WEIGHTS)
+    for (_, u_f, u_c), by_fine in lattices.items():
+        k_sorted, offsets, pieces = _fine_lattice(u_f, u_c, [p_f for p_f, _ in by_fine.values()])
+        for fine, (_, targets) in zip(pieces, by_fine.values()):
+            for index, origin, p_c in targets:
+                lo, hi = _inverse_cdf(p_c, fine, (u_c, k_sorted, offsets), (alpha, 1.0 - alpha))
+                ends[index] = ((origin + lo) / scale, (origin + hi) / scale)
+        del k_sorted, offsets, pieces, fine
     intervals: dict[str, dict[Cell, tuple[float, float]]] = {t: {} for t in _BOOTSTRAP_TARGETS}
-    for a, b in CELLS:
-        for which, weights in _target_weights(a, b).items():
-            pair = []
-            for counts, group_weights in zip(groups, weights):
-                key = tuple(sum(int(counts[cell]) for cell, w in zip(CELLS, group_weights) if w == sign)
-                            for sign in (-1, 0, 1))
-                pair.append(_group_pmf(key, pmfs))
-            lo, hi = _inverse_cdf(*pair, table.n_ab, table.n_ba, (alpha, 1.0 - alpha))
-            intervals[which][(a, b)] = (lo, hi)
+    for (cell, which, _), interval in zip(_TARGET_WEIGHTS, ends):
+        intervals[which][cell] = interval
     return intervals
 
 
@@ -726,9 +788,9 @@ def classicality_report(
     _check_bootstrap(iterations, confidence)
 
     p_ab, p_ba = sequential_probs(table)
-    logical_ab, logical_ba = reconstruct_logical_joint(table)
-    xor_ab, xor_ba = xor_estimates(table)
-    qq_statistic, qq_p = qq_equality_stat(table)
+    logical_ab, logical_ba = logical_tables_from_probs(p_ab, p_ba)
+    xor_ab, xor_ba = _xor_from_probs(p_ab, p_ba)
+    qq_statistic, qq_p = _qq_equality(table, (xor_ab, xor_ba), (logical_ab, logical_ba))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", LowExpectedCountWarning)
         order_statistic, order_p = order_effect_stat(table)

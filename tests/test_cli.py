@@ -351,7 +351,8 @@ class TestInputErrors:
         path.write_bytes(b"# label_a = caf\xe9\n" + (data_dir / "synthetic_n100.csv").read_bytes())
         code, out, err = run(capsys, "survey", str(path))
         self.assert_input_error(code, err)
-        assert out == "" and "UTF-8" in err
+        assert out == "" and err == ("error: input is not UTF-8 text: 'utf-8' codec can't decode"
+                                     " byte 0xe9 in position 15: invalid continuation byte\n")
 
     def test_directory_as_input(self, capsys, tmp_path):
         code, out, err = run(capsys, "survey", str(tmp_path))
@@ -470,17 +471,19 @@ class TestCallCounts:
         keys = []
         original = survey._sum_pmf
 
-        def sum_pmf(*key):
-            keys.append(key)
-            return original(*key)
+        def sum_pmf(k_minus, k_zero, k_plus, grids):
+            keys.append((k_minus, k_zero, k_plus))
+            return original(k_minus, k_zero, k_plus, grids)
 
         monkeypatch.setattr(survey, "_sum_pmf", sum_pmf)
-        calls = self.count_calls(monkeypatch, survey, ["_inverse_cdf"])
+        calls = self.count_calls(monkeypatch, survey,
+                                 ["_inverse_cdf", "_fine_lattice", "_frequency_grid"])
         code, _, _ = run(capsys, "survey", str(data_dir / "clinton_gore_1997.csv"),
                          "--trials", "700", "--format", "json")
         assert code == 0
-        # twelve intervals from four pmfs per order group, the others their reversals
-        assert calls == {"_inverse_cdf": 12}
+        # twelve intervals from four pmfs per order group, the others their reversals;
+        # one ordering per fine lattice and one frequency grid per FFT size
+        assert calls == {"_inverse_cdf": 12, "_fine_lattice": 4, "_frequency_grid": 2}
         assert len(keys) == len(set(keys)) == 8
 
     def test_kd_builds_each_question_once(self, capsys, monkeypatch):
