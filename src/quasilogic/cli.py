@@ -236,9 +236,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "config": _config_dict(args),
-            "state": hilbert.matrix_to_json(rho.matrix),
-            "question_a": hilbert.matrix_to_json(a.matrix),
-            "question_b": hilbert.matrix_to_json(b.matrix),
+            "state": hilbert.matrix_to_json(rho),
+            "question_a": hilbert.matrix_to_json(a),
+            "question_b": hilbert.matrix_to_json(b),
             "p_a": p_a,
             "p_b": p_b,
             "p_b_after_nonselective_a": p_b_after,
@@ -292,8 +292,7 @@ def _cmd_kd(args: argparse.Namespace) -> int:
         sys.stderr.write(f"error: kd takes a single dimension, got {list(args.dims)}\n")
         return EXIT_INPUT_ERROR
     dim = args.dims[0]
-    rho = hilbert.DensityState(
-        hilbert.sample_states(dim, ["mixed"], np.random.default_rng(args.seed))[0])
+    rho = hilbert.sample_states(dim, ["mixed"], np.random.default_rng(args.seed))[0]
     basis_a, basis_b = (hilbert.sample_orthonormal_bases(dim, 1, np.random.default_rng(seed))[0]
                         for seed in (args.seed + 1, args.seed + 2))
     table = hilbert.kd_distribution(rho, basis_a, basis_b, tol=args.tol)
@@ -301,7 +300,7 @@ def _cmd_kd(args: argparse.Namespace) -> int:
     # cell (i, j) is compared with the logical joint of |a_i><a_i| and |b_j><b_j|;
     # each basis's d questions are built once from its checked vectors, and a NaN gap is kept
     joints = hilbert.logical_joint_table(
-        rho.matrix, hilbert.rank_one_projectors(basis_a), hilbert.rank_one_projectors(basis_b))
+        rho, hilbert.rank_one_projectors(basis_a), hilbert.rank_one_projectors(basis_b))
     max_gap = float(np.abs(table.real - joints).max())
 
     total = complex(table.sum())

@@ -16,9 +16,10 @@ Every evaluation has a stacked kernel (``born_probabilities``,
 ``lueders_updates``, ``logical_joints``, ``quasi_prob_tables``, ...) that takes
 d x d matrices or (n, d, d) stacks of validated matrices, broadcast against
 each other under one shape rule (``_operands``, which ``jordan`` shares too),
-and works memberwise; the single-object functions
-(``born_probability``, ``lueders_update``, ``logical_joint``, ...) are their
-one-matrix forms.  Long stacks are processed in blocks of bounded size.
+and works memberwise; the single-matrix functions (``born_probability``,
+``logical_joint``, ``matrix_to_json``, ...) are their one-matrix forms, each
+taking a typed object or a raw d x d array (``_matrices``).  Every table
+follows ``logic.CELLS``.  Long stacks are processed in blocks of bounded size.
 
 Validation is at the boundary: the ``validate_*`` functions,
 ``rank_one_projectors`` and ``kd_distribution`` check what arrives from
@@ -103,23 +104,25 @@ MAX_DIM = 64
 _BLOCK_ENTRIES = 1 << 12
 """Matrix entries per member stack in one block of a long stack, which bounds temporaries."""
 
-_TABLE_CELLS = tuple(reversed(CELLS))
-"""Cell order of quasi-probability tables: (1, 1), (1, 0), (0, 1), (0, 0)."""
-
 UpdateMode = Literal["selective_yes", "selective_no", "nonselective"]
 JointMethod = Literal["operational", "jordan"]
 XorMethod = Literal["operational", "mapped_operator"]
 
 
-def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
+def operator_norm(matrix: _State | _Question) -> float | np.ndarray:
     """Spectral norm (largest singular value); one per member of an (n, d, d) stack.
 
     A NaN or infinite entry raises :class:`NonFiniteError` before the solve, which LAPACK refuses.
     """
-    _finite(matrix, "matrix")
-    if np.ndim(matrix) == 2:
-        return float(np.linalg.norm(matrix, 2))
-    return np.linalg.norm(matrix, 2, axis=(-2, -1))
+    return _norm(_operands(matrix)[0])
+
+
+def _norm(m: np.ndarray) -> float | np.ndarray:
+    """:func:`operator_norm` of a complex matrix or stack, as the kernels hold it."""
+    _finite(m, "matrix")
+    if m.ndim == 2:
+        return float(np.linalg.norm(m, 2))
+    return np.linalg.norm(m, 2, axis=(-2, -1))
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -151,20 +154,20 @@ def _worst_norm(m: np.ndarray) -> float:
         with np.errstate(invalid="ignore"):  # inf·0 in an imaginary part, which the norm drops
             return _worst(np.linalg.norm(m, axis=(-2, -1)))
     if m.ndim == 2 or len(m) < 2:
-        return _worst(operator_norm(m))
+        return _worst(_norm(m))
     with np.errstate(all="ignore"):
         gram = np.concatenate(_blockwise(
             lambda block: np.linalg.norm(_dagger(block) @ block, axis=(-2, -1)), m))
     small = gram < 1e-140
     if not np.isfinite(gram).all() or (small.any() and (small & m.any(axis=(-2, -1))).any()):
-        return _worst(operator_norm(m))
+        return _worst(_norm(m))
     first = int(gram.argmax())
     if gram[first] == 0:
         return 0.0  # every member is zero
-    worst = operator_norm(m[first])
+    worst = _norm(m[first])
     rest = np.sqrt(gram * (1 + 1e-10)) >= worst
     rest[first] = False
-    return max(worst, _worst(operator_norm(m[rest])))
+    return max(worst, _worst(_norm(m[rest])))
 
 
 def _re_trace(m: np.ndarray) -> np.ndarray:
@@ -247,10 +250,6 @@ class Projector:
     matrix: np.ndarray
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def rank(self) -> int:
         return int(round(self.matrix.trace().real))
 
@@ -260,10 +259,6 @@ class DensityState:
     """Validated unit-trace positive-semidefinite matrix."""
 
     matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def validate_projector(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> Projector:
@@ -346,13 +341,16 @@ def _operands(*operands) -> list[np.ndarray]:
 
 
 def _matrices(*operands) -> list[np.ndarray]:
-    """:func:`_operands` for a kernel of single d x d operands: a stack raises
-    :class:`DimensionMismatchError` naming every operand's shape."""
+    """:func:`_operands` for a kernel of single d x d operands (a ``_State`` or a
+    ``_Question``): a stack raises :class:`DimensionMismatchError` naming every shape."""
     arrays = _operands(*operands)
     if any(m.ndim != 2 for m in arrays):
         raise DimensionMismatchError(
             f"expected d x d matrices, got shapes {[m.shape for m in arrays]}")
     return arrays
+
+
+_State, _Question = DensityState | np.ndarray, Projector | np.ndarray
 
 
 def _answers(p: np.ndarray) -> dict[int, np.ndarray]:
@@ -381,9 +379,9 @@ def _xor_expansion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b - a @ b - b @ a
 
 
-def complement_projector(p: Projector) -> Projector:
+def complement_projector(p: _Question) -> Projector:
     """The 'no' question: identity minus the projector."""
-    return Projector(_freeze(_answers(p.matrix)[0]))
+    return Projector(_freeze(_answers(*_matrices(p))[0]))
 
 
 def rank_one_projector(vector: np.ndarray) -> Projector:
@@ -549,13 +547,13 @@ def _proper_patterns(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 # probabilities and updates
 
 
-def born_probability(rho: DensityState, p: Projector) -> float:
+def born_probability(rho: _State, p: _Question) -> float:
     """Probability of the answer 'yes': Re Tr(rho P).
 
     The raw value is returned unclamped (it may sit at -1e-16 from round-off);
     use :func:`clamp_probability` for human-readable reporting.
     """
-    return float(born_probabilities(rho.matrix, p.matrix))
+    return float(born_probabilities(*_matrices(rho, p)))
 
 
 def born_probabilities(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -569,7 +567,7 @@ def clamp_probability(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def lueders_update(rho: DensityState, p: Projector, mode: UpdateMode) -> tuple[float, DensityState]:
+def lueders_update(rho: _State, p: _Question, mode: UpdateMode) -> tuple[float, DensityState]:
     """Measurement update of a state by a question.
 
     ``selective_yes``/``selective_no`` condition on the answer and return
@@ -579,7 +577,7 @@ def lueders_update(rho: DensityState, p: Projector, mode: UpdateMode) -> tuple[f
     Raises :class:`ZeroProbabilityBranchError` when a selective branch has
     probability at or below ``DEFAULT_TOL``.
     """
-    probability, post = lueders_updates(rho.matrix, p.matrix, mode)
+    probability, post = lueders_updates(*_matrices(rho, p), mode)
     return float(probability), DensityState(post)
 
 
@@ -608,23 +606,24 @@ def lueders_updates(
         lowest = float(probability.min(initial=np.inf))
         if lowest <= DEFAULT_TOL:
             raise ZeroProbabilityBranchError(lowest, DEFAULT_TOL)
-        post = branch / probability[..., None, None]
+        with np.errstate(invalid="ignore"):  # a NaN operand fails the state check below
+            post = branch / probability[..., None, None]
     post = (post + _dagger(post)) / 2
     return probability, _validated_densities(post, DEFAULT_TOL)
 
 
-def nonselective_state(rho: DensityState, p: Projector) -> DensityState:
+def nonselective_state(rho: _State, p: _Question) -> DensityState:
     """State after asking a question and discarding the answer."""
     _, post = lueders_update(rho, p, "nonselective")
     return post
 
 
-def sequential_probability(rho: DensityState, a: Projector, b: Projector) -> float:
+def sequential_probability(rho: _State, a: _Question, b: _Question) -> float:
     """Probability of 'yes' to A and then 'yes' to B: Tr(B A rho A).
 
     Generally order-dependent; swapping the arguments changes the value.
     """
-    return float(sequential_probabilities(rho.matrix, a.matrix, b.matrix))
+    return float(sequential_probabilities(*_matrices(rho, a, b)))
 
 
 def sequential_probabilities(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -634,7 +633,7 @@ def sequential_probabilities(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
 
 
 def logical_joint(
-    rho: DensityState, a: Projector, b: Projector, method: JointMethod = "operational"
+    rho: _State, a: _Question, b: _Question, method: JointMethod = "operational"
 ) -> float:
     """Logical joint probability of 'yes' to both questions.
 
@@ -650,7 +649,7 @@ def logical_joint(
     they agree to round-off, and the value may be negative.  Order-symmetric in
     (a, b) by construction.
     """
-    return float(logical_joints(rho.matrix, a.matrix, b.matrix, method))
+    return float(logical_joints(*_matrices(rho, a, b), method))
 
 
 def logical_joints(
@@ -661,8 +660,10 @@ def logical_joints(
     The operational route composes Lüders updates and validates the disturbed
     states once per block; a stack longer than a block is evaluated block by
     block, so temporaries stay bounded.  The ``jordan`` route contracts rho∘A
-    with B entrywise; when rho and A are single matrices (or one-member
-    stacks), rho∘A is formed once for the whole stack of B.
+    with B entrywise; its last bits can depend on how ``_blockwise`` cuts stacks
+    whose member axis is innermost in memory (kd's layout).  So when rho and A are
+    single matrices (or one-member stacks), rho∘A is formed once and contracted
+    with the whole stack of B, uncut: only this path is bit for bit at any block size.
     """
     rho, a, b = _operands(rho, a, b)
     if method not in ("operational", "jordan"):
@@ -707,9 +708,9 @@ def logical_joint_table(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def xor_expectation(
-    rho: DensityState,
-    a: Projector,
-    b: Projector,
+    rho: _State,
+    a: _Question,
+    b: _Question,
     method: XorMethod = "operational",
     tol: float = DEFAULT_TOL,
 ) -> float:
@@ -720,7 +721,7 @@ def xor_expectation(
     Tr(rho (A B̄ A + Ā B Ā)) after verifying that the operator expands to the
     manifestly order-symmetric form A + B - AB - BA within ``tol``.
     """
-    return float(xor_expectations(rho.matrix, a.matrix, b.matrix, method, tol))
+    return float(xor_expectations(*_matrices(rho, a, b), method, tol))
 
 
 def xor_expectations(
@@ -774,9 +775,9 @@ class QuasiProbTable:
 
 
 def quasi_prob_table(
-    rho: DensityState,
-    a: Projector,
-    b: Projector,
+    rho: _State,
+    a: _Question,
+    b: _Question,
     method: JointMethod = "operational",
     tol: float = DEFAULT_TOL,
 ) -> QuasiProbTable:
@@ -786,10 +787,8 @@ def quasi_prob_table(
     (B or its complement).  Normalisation and both marginality relations are
     verified within ``tol``; a violation raises, since it would be a defect.
     """
-    cells, pa, pb = quasi_prob_tables(rho.matrix, a.matrix, b.matrix, method, tol)
-    return QuasiProbTable(
-        cells=dict(zip(_TABLE_CELLS, cells.tolist())), marginal_a=float(pa), marginal_b=float(pb)
-    )
+    cells, pa, pb = quasi_prob_tables(*_matrices(rho, a, b), method, tol)
+    return QuasiProbTable(dict(zip(CELLS, cells.tolist())), float(pa), float(pb))
 
 
 def quasi_prob_tables(
@@ -801,18 +800,14 @@ def quasi_prob_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`quasi_prob_table` per member of broadcast state and projector stacks.
 
-    Returns the cells, shape (..., 4) in the order (1, 1), (1, 0), (0, 1),
-    (0, 0), and the marginals P(A) and P(B).  The worst marginality residual
-    of the stack (see :func:`table_marginality_residuals`) must be within ``tol``.
+    Returns the cells, shape (..., 4) in the order of ``logic.CELLS``: (0, 0),
+    (0, 1), (1, 0), (1, 1); and the marginals P(A) and P(B).  The worst marginality
+    residual of the stack (see :func:`table_marginality_residuals`) must be within ``tol``.
     """
     rho, a, b = _operands(rho, a, b)
     firsts, seconds = _answers(a), _answers(b)
-    cells = np.stack(
-        [logical_joints(rho, firsts[ia], seconds[ib], method) for ia, ib in _TABLE_CELLS],
-        axis=-1,
-    )
-    pa = born_probabilities(rho, a)
-    pb = born_probabilities(rho, b)
+    cells = np.stack([logical_joints(rho, firsts[i], seconds[j], method) for i, j in CELLS], -1)
+    pa, pb = born_probabilities(rho, a), born_probabilities(rho, b)
     worst = float(table_marginality_residuals(cells, pa, pb).max(initial=0.0))
     if worst > tol:
         raise ArithmeticError(f"table marginality residual {worst:.3e} exceeds tol {tol:.3e}")
@@ -827,7 +822,7 @@ def table_marginality_residuals(
     In order: |total - 1|, |row a=1 - P(A)|, |row a=0 - (1 - P(A))|,
     |column b=1 - P(B)| and |column b=0 - (1 - P(B))|.
     """
-    c11, c10, c01, c00 = np.moveaxis(cells, -1, 0)
+    c00, c01, c10, c11 = np.moveaxis(cells, -1, 0)
     return np.abs(np.stack([
         c11 + c10 + c01 + c00 - 1.0,
         c11 + c10 - pa,
@@ -860,7 +855,7 @@ def _validate_basis(
 
 
 def kd_distribution(
-    rho: DensityState,
+    rho: _State,
     basis_a: Sequence[np.ndarray] | np.ndarray,
     basis_b: Sequence[np.ndarray] | np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -871,15 +866,15 @@ def kd_distribution(
     The real part of entry (i, j) equals the logical joint probability of the
     rank-one questions |a_i><a_i| and |b_j><b_j|.
     """
-    d = rho.dim
-    av = _validate_basis(basis_a, d, tol, "basis_a")
-    bv = _validate_basis(basis_b, d, tol, "basis_b")
+    (rho,) = _matrices(rho)
+    av = _validate_basis(basis_a, len(rho), tol, "basis_a")
+    bv = _validate_basis(basis_b, len(rho), tol, "basis_b")
     overlap = bv.conj() @ av.T          # (j, i) = <b_j|a_i>
-    sandwich = av.conj() @ rho.matrix @ bv.T  # (i, j) = <a_i|rho|b_j>
+    sandwich = av.conj() @ rho @ bv.T   # (i, j) = <a_i|rho|b_j>
     return overlap.T * sandwich
 
 
-def weak_value(rho: DensityState, a: Projector, post: Projector) -> complex:
+def weak_value(rho: _State, a: _Question, post: _Question) -> complex:
     """Weak value of a question with post-selection: Tr(post A rho) / Tr(post rho).
 
     May lie outside [0, 1]; a negative real part at some input certifies a
@@ -914,14 +909,14 @@ def worked_example() -> tuple[DensityState, Projector, Projector]:
     return rho, a, b
 
 
-def min_cell_over_states(a: Projector, b: Projector) -> tuple[float, tuple[int, int]]:
+def min_cell_over_states(a: _Question, b: _Question) -> tuple[float, tuple[int, int]]:
     """Most negative table cell over all states for fixed questions, and its cell.
 
     Raises :class:`DimensionMismatchError` for a stack; see :func:`min_cells_over_states`.
     """
     lowest = min_cells_over_states(*_matrices(a, b))
     k = int(lowest.argmin())
-    return float(lowest[k]), _TABLE_CELLS[k]
+    return float(lowest[k]), CELLS[k]
 
 
 def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -937,8 +932,8 @@ def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     def lowest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         firsts, seconds = _answers(a), _answers(b)
         products = _symmetrised(
-            np.stack([firsts[i] for i, _ in _TABLE_CELLS], axis=-3),
-            np.stack([seconds[j] for _, j in _TABLE_CELLS], axis=-3),
+            np.stack([firsts[i] for i, _ in CELLS], axis=-3),
+            np.stack([seconds[j] for _, j in CELLS], axis=-3),
         )
         return np.linalg.eigvalsh(products)[..., 0]
 
@@ -951,7 +946,7 @@ def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def model_sequential_probabilities(
-    rho: DensityState, a: Projector, b: Projector
+    rho: _State, a: _Question, b: _Question
 ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
     """Sequential outcome distributions for both question orders.
 
@@ -972,9 +967,14 @@ def model_sequential_probabilities(
 # serialization
 
 
-def matrix_to_json(matrix: np.ndarray) -> dict:
-    """JSON-ready dict { "dim": d, "re": [[...]], "im": [[...]] }."""
-    m = _check_square(matrix)
+def matrix_to_json(matrix: _State | _Question) -> dict:
+    """JSON-ready dict { "dim": d, "re": [[...]], "im": [[...]] } of one d x d operand.
+
+    A stack raises :class:`DimensionMismatchError`, any other array that is not a square
+    matrix :class:`BadDimensionError`, and a NaN or infinite entry :class:`NonFiniteError`.
+    """
+    # a typed operand (of ndim 0) or a stack goes through _matrices, any other array straight on
+    m = _check_square(_matrices(matrix)[0] if np.ndim(matrix) in (0, 3) else matrix)
     return {
         "dim": int(m.shape[0]),
         "re": m.real.tolist(),

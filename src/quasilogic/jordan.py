@@ -36,8 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QuasilogicError
-from .hilbert import (DEFAULT_TOL, Projector, _finite, _hermitian, _mapped_xor, _operands,
-                      _symmetrised, _xor_expansion, operator_norm)
+from .hilbert import (DEFAULT_TOL, Projector, _finite, _hermitian, _mapped_xor, _norm, _operands,
+                      _symmetrised, _xor_expansion)
 
 __all__ = [
     "jordan_product",
@@ -71,7 +71,7 @@ def idempotency_residuals(
     m = _hermitian(_finite_operands(a)[0], DEFAULT_TOL)
     with np.errstate(all="ignore"):
         cubic, square = _unless_overflowed(*_idempotency_defects(m))
-    return operator_norm(cubic), operator_norm(square)
+    return _norm(cubic), _norm(square)
 
 
 def _idempotency_defects(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +125,7 @@ def xor_symmetry_residuals(
     """
     with np.errstate(all="ignore"):
         defects = _unless_overflowed(*_xor_symmetry_defects(*_finite_operands(a, b)))
-    return tuple(operator_norm(defect) for defect in defects)
+    return tuple(_norm(defect) for defect in defects)
 
 
 def _xor_symmetry_defects(a: Projector | np.ndarray, b: Projector | np.ndarray) -> tuple:

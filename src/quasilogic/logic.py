@@ -48,8 +48,8 @@ CONNECTIVES: tuple[Connective, ...] = ("conjunction", "xor", "inclusive_or")
 CELLS: tuple[tuple[Answer, Answer], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 """Answer pairs (first, second) in ascending order, so index = 2*first + second.
 
-The one cell order of the package: survey indexes count vectors and orders
-bootstrap draws by it, and the Hilbert layer displays it reversed.
+The one cell order of the package: survey's count vectors and bootstrap draws and
+the Hilbert layer's tables follow it; the renderers list yes-yes first, for reading.
 """
 
 

@@ -294,11 +294,9 @@ def hilbert_suite(
     )
     gaps = []
     for rho_m, a_m, b_m, model in zip(states, questions_a, questions_b, joints.tolist()):
-        p_ab, p_ba = hilbert.model_sequential_probabilities(
-            hilbert.DensityState(rho_m), hilbert.Projector(a_m), hilbert.Projector(b_m)
-        )
+        p_ab, p_ba = hilbert.model_sequential_probabilities(rho_m, a_m, b_m)
         for table in survey.logical_tables_from_probs(p_ab, p_ba):
-            gaps += [abs(table[cell] - value) for cell, value in zip(reversed(logic.CELLS), model)]
+            gaps += [abs(table[cell] - value) for cell, value in zip(logic.CELLS, model)]
     results.append(_residual(
         "hilbert.survey_round_trip", _worst_residual(gaps), tol, "20 seeded models at d=2"))
 
@@ -316,7 +314,7 @@ def _negativity_floor(question_pairs, dims: tuple[int, ...], tol: float) -> Chec
         pair, cell = divmod(int(lowest.argmin()), 4)
         if not lowest[pair, cell] >= floor:  # a NaN is kept and named
             floor = float(lowest[pair, cell])
-            at = f"d={dim}, pair {pair}, cell {hilbert._TABLE_CELLS[cell]}"
+            at = f"d={dim}, pair {pair}, cell {logic.CELLS[cell]}"
     return _residual(
         "hilbert.negativity_search_floor", residual, tol,
         f"{count} question pairs over dims {dims}, min cell over states {floor:.6f} at {at}",

@@ -489,7 +489,7 @@ class TestCallCounts:
     def test_kd_builds_each_question_once(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch, hilbert, [
             "rank_one_projector", "_validated_projectors", "validate_projector", "logical_joint",
-            "logical_joints", "logical_joint_table", "operator_norm"])
+            "logical_joints", "logical_joint_table", "operator_norm", "_norm"])
         # np.linalg.norm(m, 2) calls the svd of the module that defines it
         linalg = inspect.unwrap(np.linalg.norm).__globals__
         svd, svd_calls = linalg["svd"], []
@@ -501,7 +501,7 @@ class TestCallCounts:
         assert calls["_validated_projectors"] == 0    # built from checked vectors
         assert calls["logical_joints"] == 0 and calls["logical_joint_table"] == 1  # one table
         # valid input passes every check on its Frobenius norms alone
-        assert calls["operator_norm"] == 0 and svd_calls == []
+        assert calls["operator_norm"] == calls["_norm"] == 0 and svd_calls == []
 
     @pytest.mark.parametrize("command, most", [("verify", 250), ("jordan-verify", 400)])
     def test_max_only_checks_solve_few_members(self, capsys, monkeypatch, command, most):
@@ -763,6 +763,28 @@ def test_every_layer_name_has_a_caller_in_the_package_or_the_demos():
                        if isinstance(node, (ast.Name, ast.Attribute))
                        and isinstance(node.ctx, ast.Load)} - {getattr(top, "name", None)}
     assert sorted(name for layer in LAYERS for name in layer.__all__ if name not in loaded) == []
+
+
+def test_operands_and_cell_order_are_each_decided_in_one_place():
+    """In ``src/quasilogic``, ``.matrix`` is loaded only in ``hilbert._operands`` and in the
+    ``Projector`` and ``DensityState`` bodies, so ``_operands`` alone decides which operands a
+    function takes; and ``hilbert`` and ``verify`` call no ``reversed(...CELLS)``, so every
+    table, kernel and tie-break there follows ``logic.CELLS``."""
+    root = Path(__file__).resolve().parent.parent / "src" / "quasilogic"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None) if path.name == "hilbert.py" else None
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "matrix"
+                        and isinstance(node.ctx, ast.Load)
+                        and owner not in ("_operands", "Projector", "DensityState")):
+                    found.append(f"{path.name}:{node.lineno} reads .matrix")
+                if (path.name in ("hilbert.py", "verify.py") and isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name) and node.func.id == "reversed"
+                        and "CELLS" in ast.unparse(node)):
+                    found.append(f"{path.name}:{node.lineno} reverses the cell order")
+    assert found == []
 
 
 def removed_names(version: str) -> set[str]:

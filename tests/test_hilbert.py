@@ -548,6 +548,12 @@ class TestNegativity:
         value, cell = hilbert.quasi_prob_table(*tilted_example, "jordan").min_cell()
         assert value == pytest.approx(-0.1, abs=ATOL)
         assert cell == (1, 1)
+        # over all states its four cells tie at (1 - √2)/4; the first in logic.CELLS is named
+        _, a, b = tilted_example
+        lowest = hilbert.min_cells_over_states(a, b).tolist()
+        assert lowest == [lowest[0]] * 4
+        assert lowest[0] == pytest.approx((1 - np.sqrt(2)) / 4, abs=ATOL)
+        assert hilbert.min_cell_over_states(a, b) == (lowest[0], (0, 0))
 
     def test_commuting_triples_stay_nonnegative(self):
         for seed in range(50):
@@ -598,6 +604,15 @@ class TestSerialization:
         rho = seeded_state(3, "mixed", 72)
         recovered = hilbert.validate_density(from_json(hilbert.matrix_to_json(rho.matrix)))
         assert_allclose(recovered.matrix, rho.matrix)
+
+    def test_shape_errors(self):
+        """A stack is a :class:`DimensionMismatchError`, like every one-matrix form's;
+        any other array that is no square matrix stays a :class:`BadDimensionError`."""
+        for bad in (np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 3, 3))):
+            with pytest.raises(BadDimensionError):
+                hilbert.matrix_to_json(bad)
+        with pytest.raises(DimensionMismatchError):
+            hilbert.matrix_to_json(np.zeros((2, 3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +839,7 @@ def reference_xor(rho, a, b, method):
 def reference_cells(rho, a, b, method):
     eye = np.eye(len(a))
     firsts, seconds = {1: a, 0: eye - a}, {1: b, 0: eye - b}
-    return [reference_joint(rho, firsts[i], seconds[j], method) for i, j in reversed(logic.CELLS)]
+    return [reference_joint(rho, firsts[i], seconds[j], method) for i, j in logic.CELLS]
 
 
 def reference_commuting_triples(dim, n, rng):
@@ -1049,6 +1064,39 @@ class TestLogicalJointTable:
         # the joint is order-symmetric
         assert np.abs(table - transposed.T).max() <= 2 * rounding
 
+    @given(st.sampled_from([2, 3, 8, 24, 48, 64]), st.integers(min_value=2, max_value=4),
+           stack_seeds, block_members)
+    @settings(max_examples=40, deadline=None)
+    def test_block_size_moves_only_last_bits_on_member_innermost_stacks(
+            self, dim, n, seed, members):
+        """On stacks whose member axis is innermost in memory, the ``jordan`` route's last
+        bits can depend on how ``_blockwise`` cuts them: blocked and whole-stack joints agree
+        within 16·d·eps (every operator norm is at most 1).  One rho∘A against a stack of B
+        is contracted uncut, the same bit for bit at any block size; cut, it would not be."""
+        rng = np.random.default_rng(seed)
+        rho = member_innermost(hilbert.sample_states(dim, ["mixed"] * n, rng))
+        a, b = (member_innermost(hilbert.sample_projectors(dim, rng.integers(1, dim, size=n), rng))
+                for _ in "ab")
+        rounding = 16 * dim * np.finfo(float).eps
+        whole, cut = n * dim * dim, members * dim * dim
+
+        def blocked(entries, fn, *operands):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hilbert, "_BLOCK_ENTRIES", entries)
+                return fn(*operands)
+
+        def joints(entries, *operands):
+            return blocked(entries, hilbert.logical_joints, *operands, "jordan")
+
+        for operands in ((rho, a, b), (rho[0], a, b), (rho, a[0], b)):
+            assert np.abs(joints(cut, *operands) - joints(whole, *operands)).max() <= rounding
+        single = joints(whole, rho[0], a[0], b)
+        assert np.array_equal(joints(cut, rho[0], a[0], b), single)
+        product = hilbert._symmetrised(rho[0], a[0])
+        rows = blocked(cut, hilbert._blockwise,
+                       lambda block: hilbert._re_trace_product(product, block), b)
+        assert np.abs(np.concatenate(rows) - single).max() <= rounding
+
     @pytest.mark.parametrize("seed", [0, 5, 123456789])
     @pytest.mark.parametrize("dim", [2, 3, 24, 36, 48, 64])
     def test_equals_the_row_loop_bit_for_bit_on_kd_stacks(self, dim, seed):
@@ -1220,33 +1268,117 @@ class TestWorstNorm:
             assert reduction_outcome(hilbert._worst_norm, operand) == expected
 
 
-# every stacked kernel of both modules, on (states, questions, questions) stacks
-STACKED_KERNELS = {
+# ---------------------------------------------------------------------------
+# the library boundary: every public hilbert and jordan name on every operand class
+
+SAMPLER = "a sampler: takes a dimension, member counts or kinds, and a Generator"
+# each public name (with its route, where it has two): its call on operands (rho, a, b),
+# or why it takes no matrix operand; a kernel with one question takes b, the misfit below
+BOUNDARY = {
+    "hilbert.DEFAULT_TOL": "a constant",
+    "hilbert.MAX_DIM": "a constant",
+    "hilbert.Projector": "a class that stores a validated matrix (validate_projector)",
+    "hilbert.DensityState": "a class that stores a validated matrix (validate_density)",
+    "hilbert.QuasiProbTable": "a class of table cells and marginals",
+    "hilbert.operator_norm": lambda rho, a, b: hilbert.operator_norm(a),
+    "hilbert.validate_projector": "a validator: checks outside input and builds the typed object",
+    "hilbert.validate_density": "a validator: checks outside input and builds the typed object",
+    "hilbert.complement_projector": lambda rho, a, b: hilbert.complement_projector(a),
+    "hilbert.rank_one_projector": "takes a vector, not a matrix",
+    "hilbert.rank_one_projectors": "takes an (n, d) array of vectors, not matrices",
+    "hilbert.sample_states": SAMPLER,
+    "hilbert.sample_projectors": SAMPLER,
+    "hilbert.sample_hermitians": SAMPLER,
+    "hilbert.sample_orthonormal_bases": SAMPLER,
+    "hilbert.sample_commuting_triples": SAMPLER,
+    "hilbert.born_probability": lambda rho, a, b: hilbert.born_probability(rho, a),
     "hilbert.born_probabilities": lambda rho, a, b: hilbert.born_probabilities(rho, b),
-    "hilbert.lueders_updates": lambda rho, a, b: hilbert.lueders_updates(rho, b, "nonselective"),
+    "hilbert.clamp_probability": "takes one probability, a float",
+    "hilbert.lueders_update": lambda rho, a, b: hilbert.lueders_update(rho, a, "nonselective"),
+    "hilbert.lueders_updates": lambda rho, a, b: hilbert.lueders_updates(rho, b, "selective_yes"),
+    "hilbert.sequential_probability": hilbert.sequential_probability,
     "hilbert.sequential_probabilities": hilbert.sequential_probabilities,
+    "hilbert.nonselective_state": lambda rho, a, b: hilbert.nonselective_state(rho, a),
+    "hilbert.logical_joint": hilbert.logical_joint,
     "hilbert.logical_joints operational":
         lambda rho, a, b: hilbert.logical_joints(rho, a, b, "operational"),
     "hilbert.logical_joints jordan": lambda rho, a, b: hilbert.logical_joints(rho, a, b, "jordan"),
+    "hilbert.logical_joint_table": hilbert.logical_joint_table,
+    "hilbert.xor_expectation": lambda rho, a, b: hilbert.xor_expectation(
+        rho, a, b, "mapped_operator"),
     "hilbert.xor_expectations operational":
         lambda rho, a, b: hilbert.xor_expectations(rho, a, b, "operational"),
     "hilbert.xor_expectations mapped_operator":
         lambda rho, a, b: hilbert.xor_expectations(rho, a, b, "mapped_operator"),
+    "hilbert.quasi_prob_table": hilbert.quasi_prob_table,
     "hilbert.quasi_prob_tables": hilbert.quasi_prob_tables,
+    "hilbert.table_marginality_residuals": "takes table cells and marginals, not matrices",
+    "hilbert.kd_distribution": lambda rho, a, b: hilbert.kd_distribution(
+        rho, np.eye(2), [[1.0, 1.0], [1.0, -1.0]] / np.sqrt(2)),
+    "hilbert.weak_value": hilbert.weak_value,
+    "hilbert.worked_example": "takes no argument",
+    "hilbert.min_cell_over_states": lambda rho, a, b: hilbert.min_cell_over_states(a, b),
     "hilbert.min_cells_over_states": lambda rho, a, b: hilbert.min_cells_over_states(a, b),
+    "hilbert.model_sequential_probabilities": hilbert.model_sequential_probabilities,
+    "hilbert.matrix_to_json": lambda rho, a, b: hilbert.matrix_to_json(rho),
     "jordan.jordan_product": lambda rho, a, b: jordan.jordan_product(a, b),
+    "jordan.idempotency_residuals": lambda rho, a, b: jordan.idempotency_residuals(a),
     "jordan.formal_reality_residuals": lambda rho, a, b: jordan.formal_reality_residuals(a, b),
     "jordan.xor_symmetry_residuals": lambda rho, a, b: jordan.xor_symmetry_residuals(a, b),
 }
 
+STACKED_KERNELS = [name for name in BOUNDARY if name.partition(" ")[0] in (
+    "hilbert.born_probabilities", "hilbert.lueders_updates", "hilbert.sequential_probabilities",
+    "hilbert.logical_joints", "hilbert.xor_expectations", "hilbert.quasi_prob_tables",
+    "hilbert.min_cells_over_states", "jordan.jordan_product", "jordan.formal_reality_residuals",
+    "jordan.xor_symmetry_residuals")]
+"""The kernels that broadcast two or more matrix operands under one shape rule."""
+
+
+def operand_class(kind):
+    """The worked example's (rho, a, b) as one operand class.  Two classes put b out of
+    line: "mixed d" at d = 3, and "stack lengths 3 and 5" in a longer stack than rho's and
+    a's; "NaN entry" puts a NaN in every operand."""
+    typed = hilbert.worked_example()
+    raw = [op.matrix for op in typed]
+    if kind == "typed":
+        return typed
+    if kind == "one-member stack":
+        return [m[None] for m in raw]
+    if kind == "two-member stack":
+        return [np.stack([m, m]) for m in raw]
+    if kind == "mixed d":
+        return raw[0], raw[1], np.diag([1.0, 0.0, 0.0])
+    if kind == "stack lengths 3 and 5":
+        return [np.stack([m] * n) for m, n in zip(raw, (3, 3, 5))]
+    if kind == "NaN entry":
+        return [np.where(np.eye(2) == 1, m, np.nan) for m in raw]
+    return raw
+
 
 @pytest.mark.parametrize("misfit", ["mixed d", "stack lengths 3 and 5"])
-@pytest.mark.parametrize("kernel", STACKED_KERNELS.values(), ids=STACKED_KERNELS.keys())
+@pytest.mark.parametrize("kernel", STACKED_KERNELS)
 def test_stacked_kernels_share_one_shape_rule(kernel, misfit):
-    rho, a, _ = sampled_stack(2, 3, seed=0)
-    _, _, b = sampled_stack(3, 3, seed=0) if misfit == "mixed d" else sampled_stack(2, 5, seed=0)
     with pytest.raises(DimensionMismatchError):
-        kernel(rho, a, b)
+        BOUNDARY[kernel](*operand_class(misfit))
+
+
+def test_every_public_hilbert_and_jordan_name_has_a_boundary_row():
+    public = {f"{layer.__name__.rpartition('.')[2]}.{name}"
+              for layer in (hilbert, jordan) for name in layer.__all__}
+    assert sorted(public ^ {name.partition(" ")[0] for name in BOUNDARY}) == []
+
+
+@pytest.mark.parametrize("kind", ["typed", "raw d x d", "one-member stack", "two-member stack",
+                                  "mixed d", "NaN entry"])
+@pytest.mark.parametrize("name", [name for name, row in BOUNDARY.items() if callable(row)])
+def test_every_operand_class_returns_or_raises_a_package_error(name, kind):
+    """A public function returns, or raises a :class:`QuasilogicError`, on every operand
+    class; any other exception fails the test."""
+    try:
+        BOUNDARY[name](*operand_class(kind))
+    except QuasilogicError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -1309,7 +1441,7 @@ class TestMinCellOverStates:
                        for p, q in zip(a, b)]
             broadcast = hilbert.min_cells_over_states(a[0], b)
         assert lowest.shape == (len(a), 4)
-        cells = list(reversed(logic.CELLS))
+        cells = list(logic.CELLS)
         for i, (p, q) in enumerate(zip(a, b)):
             firsts, seconds = {1: p, 0: np.eye(dim) - p}, {1: q, 0: np.eye(dim) - q}
             reference = [np.linalg.eigvalsh(jordan.jordan_product(firsts[x], seconds[y]))[0]
@@ -1350,7 +1482,7 @@ class TestMinCellOverStates:
                                                (b + b.conj().swapaxes(1, 2)) / 2)
         oracle = [[min(c * (c - 1) / 2 for c in np.linalg.svd(fa[i].conj().T @ fb[j],
                                                                compute_uv=False))
-                   for i, j in reversed(logic.CELLS)] for fa, fb in frames]
+                   for i, j in logic.CELLS] for fa, fb in frames]
         assert np.abs(lowest - oracle).max() <= 16 * dim * 2**-53
 
     def test_non_projector_breaks_the_floor_and_fails_the_check(self):
@@ -1358,7 +1490,7 @@ class TestMinCellOverStates:
         a = proj(1, 0).matrix[None]
         b = 1.2 * hilbert.rank_one_projector(np.array([0.5, np.sqrt(3) / 2])).matrix[None]
         lowest = hilbert.min_cells_over_states(a, b)
-        assert lowest[0, 0] == pytest.approx(-0.15, abs=1e-12)
+        assert lowest[0, logic.CELLS.index((1, 1))] == pytest.approx(-0.15, abs=1e-12)
         assert lowest.min() < -0.15  # the (0, 0) cell, since 1 - B is no question either
         check = verify._negativity_floor([(2, a, b)], (2,), hilbert.DEFAULT_TOL)
         assert check.name == "hilbert.negativity_search_floor"
