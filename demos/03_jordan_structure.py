@@ -20,7 +20,7 @@ print()
 print("operator marginality, (A o B) + (A o not-B) = A:")
 bbar = hilbert.complement_projector(b)
 total = jordan.jordan_product(a, b) + jordan.jordan_product(a, bbar)
-print(f"  residual: {hilbert.operator_norm(total - a.matrix):.2e}")
+print(f"  residual: {hilbert.operator_norm(total - a):.2e}")
 
 print()
 print("the mapped exclusive disjunction is order-symmetric:")

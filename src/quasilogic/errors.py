@@ -97,6 +97,11 @@ class IncompleteBasisError(QuasilogicError):
     """Supplied vector list does not span the full space."""
 
 
+class IdentityCheckError(QuasilogicError, ArithmeticError):
+    """An identity a result must meet (table marginality, the mapped XOR expansion,
+    survey's xor/conjunction balance) fails beyond tolerance or is NaN."""
+
+
 # ---------------------------------------------------------------------------
 # survey input and statistics
 

@@ -12,25 +12,28 @@ one that takes the expectation of the symmetrised operator product.  Their
 agreement is the central consistency check of the module and is enforced by
 the test suite rather than assumed.
 
-Every evaluation has a stacked kernel (``born_probabilities``,
-``lueders_updates``, ``logical_joints``, ``quasi_prob_tables``, ...) that takes
-d x d matrices or (n, d, d) stacks of validated matrices, broadcast against
-each other under one shape rule (``_operands``, which ``jordan`` shares too),
-and works memberwise; the single-matrix functions (``born_probability``,
-``logical_joint``, ``matrix_to_json``, ...) are their one-matrix forms, each
-taking a typed object or a raw d x d array (``_matrices``).  Every table
-follows ``logic.CELLS``.  Long stacks are processed in blocks of bounded size.
+States and questions are plain complex arrays.  Every evaluation has a
+stacked kernel (``born_probabilities``, ``lueders_updates``, ``logical_joints``,
+``quasi_prob_tables``, ...) that takes d x d matrices or (n, d, d) stacks,
+broadcast against each other under one shape rule (``_operands``, which
+``jordan`` shares too), and works memberwise; the single-matrix functions
+(``born_probability``, ``logical_joint``, ``matrix_to_json``, ...) are their
+one-matrix forms, which reject a stack (``_matrices``).  Every table follows
+``logic.CELLS``.  Long stacks are processed in blocks of bounded size.
 
-Validation is at the boundary: the ``validate_*`` functions,
-``rank_one_projectors`` and ``kd_distribution`` check what arrives from
-outside, and the kernels validate the post-measurement states they build
-from raw operands.
+Only the ``validate_*`` functions, ``rank_one_projectors`` and
+``kd_distribution``'s bases check that an operand is a state, a projector or
+an orthonormal basis.  The kernels trust their operands to be states and
+projectors, and check their shapes (``_operands``) and their own results: the
+Lüders updates validate the post-measurement states they build, and the tables
+and the mapped XOR operator check their identities, which a NaN fails.
 
 Every sampler is stacked: it checks its arguments, then draws n members from
 the ``numpy.random.Generator`` it is given, which it advances; one draw is
 member 0 of a one-member stack.  Its states and projectors are valid by
-construction, so it freezes them unvalidated.  All other functions are pure;
-stored states and projectors are marked read-only.
+construction, so it freezes them unvalidated.  All other functions are pure.
+Every state or projector the module returns, validated, sampled or built, is a
+read-only array.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .errors import (
     BadDimensionError,
     BadRankError,
     DimensionMismatchError,
+    IdentityCheckError,
     IncompleteBasisError,
     NonFiniteError,
     NotHermitianError,
@@ -59,8 +63,6 @@ from .logic import CELLS
 __all__ = [
     "DEFAULT_TOL",
     "MAX_DIM",
-    "Projector",
-    "DensityState",
     "QuasiProbTable",
     "operator_norm",
     "validate_projector",
@@ -109,7 +111,7 @@ JointMethod = Literal["operational", "jordan"]
 XorMethod = Literal["operational", "mapped_operator"]
 
 
-def operator_norm(matrix: _State | _Question) -> float | np.ndarray:
+def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
     """Spectral norm (largest singular value); one per member of an (n, d, d) stack.
 
     A NaN or infinite entry raises :class:`NonFiniteError` before the solve, which LAPACK refuses.
@@ -243,33 +245,15 @@ def _check_dim(d: int) -> None:
         raise BadDimensionError(f"dimension {d} outside supported range [2, {MAX_DIM}]")
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Validated Hermitian idempotent matrix (a yes-no question operator)."""
-
-    matrix: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return int(round(self.matrix.trace().real))
-
-
-@dataclass(frozen=True, eq=False)
-class DensityState:
-    """Validated unit-trace positive-semidefinite matrix."""
-
-    matrix: np.ndarray
-
-
-def validate_projector(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> Projector:
-    """Validate a candidate question operator; reject rather than repair.
+def validate_projector(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A read-only complex copy of a candidate question operator; reject rather than repair.
 
     Raises :class:`NotHermitianError` or :class:`NotIdempotentError` with the
     violated operator-norm residual attached.
     """
     m = _check_square(matrix)
     _check_dim(m.shape[0])
-    return Projector(_validated_projectors(m, tol))
+    return _validated_projectors(m, tol)
 
 
 def _validated_projectors(m: np.ndarray, tol: float) -> np.ndarray:
@@ -286,11 +270,12 @@ def _validated_projectors(m: np.ndarray, tol: float) -> np.ndarray:
     return _freeze(m)
 
 
-def validate_density(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> DensityState:
-    """Validate a candidate density matrix (d in [2, ``MAX_DIM``], Hermitian, PSD, unit trace)."""
+def validate_density(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """A read-only complex copy of a candidate density matrix, once it is Hermitian, PSD and
+    of unit trace with d in [2, ``MAX_DIM``]."""
     m = _check_square(matrix)
     _check_dim(m.shape[0])
-    return DensityState(_validated_densities(m, tol))
+    return _validated_densities(m, tol)
 
 
 def _validated_densities(m: np.ndarray, tol: float) -> np.ndarray:
@@ -319,13 +304,11 @@ def _validated_densities(m: np.ndarray, tol: float) -> np.ndarray:
 def _operands(*operands) -> list[np.ndarray]:
     """Complex arrays of kernel operands, checked against one shape rule.
 
-    An operand is a d x d matrix, an (n, d, d) stack, a :class:`Projector` or
-    a :class:`DensityState`.  All share d, and all stacks of more than one
-    member share n, so a matrix or a one-member stack broadcasts against a
-    stack; anything else raises :class:`DimensionMismatchError`.
+    An operand is a d x d matrix or an (n, d, d) stack.  All share d, and all
+    stacks of more than one member share n, so a matrix or a one-member stack
+    broadcasts against a stack; anything else raises :class:`DimensionMismatchError`.
     """
-    arrays = [op.matrix if isinstance(op, (Projector, DensityState))
-              else np.asarray(op, dtype=np.complex128) for op in operands]
+    arrays = [np.asarray(op, dtype=np.complex128) for op in operands]
     for m in arrays:
         if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
             raise DimensionMismatchError(
@@ -341,16 +324,13 @@ def _operands(*operands) -> list[np.ndarray]:
 
 
 def _matrices(*operands) -> list[np.ndarray]:
-    """:func:`_operands` for a kernel of single d x d operands (a ``_State`` or a
-    ``_Question``): a stack raises :class:`DimensionMismatchError` naming every shape."""
+    """:func:`_operands` for a kernel of single d x d operands: a stack raises
+    :class:`DimensionMismatchError` naming every shape."""
     arrays = _operands(*operands)
     if any(m.ndim != 2 for m in arrays):
         raise DimensionMismatchError(
             f"expected d x d matrices, got shapes {[m.shape for m in arrays]}")
     return arrays
-
-
-_State, _Question = DensityState | np.ndarray, Projector | np.ndarray
 
 
 def _answers(p: np.ndarray) -> dict[int, np.ndarray]:
@@ -379,14 +359,14 @@ def _xor_expansion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b - a @ b - b @ a
 
 
-def complement_projector(p: _Question) -> Projector:
-    """The 'no' question: identity minus the projector."""
-    return Projector(_freeze(_answers(*_matrices(p))[0]))
+def complement_projector(p: np.ndarray) -> np.ndarray:
+    """The 'no' question: identity minus the projector, read-only."""
+    return _freeze(_answers(*_matrices(p))[0])
 
 
-def rank_one_projector(vector: np.ndarray) -> Projector:
-    """Projector onto the ray of a (not necessarily normalised) vector."""
-    return Projector(rank_one_projectors(np.reshape(vector, (1, -1)))[0])
+def rank_one_projector(vector: np.ndarray) -> np.ndarray:
+    """Read-only projector onto the ray of a (not necessarily normalised) vector."""
+    return rank_one_projectors(np.reshape(vector, (1, -1)))[0]
 
 
 def rank_one_projectors(vectors: np.ndarray) -> np.ndarray:
@@ -547,7 +527,7 @@ def _proper_patterns(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
 # probabilities and updates
 
 
-def born_probability(rho: _State, p: _Question) -> float:
+def born_probability(rho: np.ndarray, p: np.ndarray) -> float:
     """Probability of the answer 'yes': Re Tr(rho P).
 
     The raw value is returned unclamped (it may sit at -1e-16 from round-off);
@@ -567,18 +547,19 @@ def clamp_probability(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def lueders_update(rho: _State, p: _Question, mode: UpdateMode) -> tuple[float, DensityState]:
+def lueders_update(rho: np.ndarray, p: np.ndarray, mode: UpdateMode) -> tuple[float, np.ndarray]:
     """Measurement update of a state by a question.
 
     ``selective_yes``/``selective_no`` condition on the answer and return
     (branch probability, renormalised post-state); ``nonselective`` discards
-    the answer and returns (1, sum of both branches).
+    the answer and returns (1, sum of both branches).  The post-state is a
+    read-only array, validated as a state.
 
     Raises :class:`ZeroProbabilityBranchError` when a selective branch has
     probability at or below ``DEFAULT_TOL``.
     """
     probability, post = lueders_updates(*_matrices(rho, p), mode)
-    return float(probability), DensityState(post)
+    return float(probability), post
 
 
 def lueders_updates(
@@ -612,13 +593,13 @@ def lueders_updates(
     return probability, _validated_densities(post, DEFAULT_TOL)
 
 
-def nonselective_state(rho: _State, p: _Question) -> DensityState:
-    """State after asking a question and discarding the answer."""
+def nonselective_state(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Read-only state after asking a question and discarding the answer."""
     _, post = lueders_update(rho, p, "nonselective")
     return post
 
 
-def sequential_probability(rho: _State, a: _Question, b: _Question) -> float:
+def sequential_probability(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Probability of 'yes' to A and then 'yes' to B: Tr(B A rho A).
 
     Generally order-dependent; swapping the arguments changes the value.
@@ -633,7 +614,7 @@ def sequential_probabilities(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> n
 
 
 def logical_joint(
-    rho: _State, a: _Question, b: _Question, method: JointMethod = "operational"
+    rho: np.ndarray, a: np.ndarray, b: np.ndarray, method: JointMethod = "operational"
 ) -> float:
     """Logical joint probability of 'yes' to both questions.
 
@@ -708,9 +689,9 @@ def logical_joint_table(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def xor_expectation(
-    rho: _State,
-    a: _Question,
-    b: _Question,
+    rho: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     method: XorMethod = "operational",
     tol: float = DEFAULT_TOL,
 ) -> float:
@@ -742,8 +723,8 @@ def xor_expectations(
     if method == "mapped_operator":
         mapped = _mapped_xor(a, b)
         residual = _gate_norm(mapped - _xor_expansion(a, b), tol)
-        if residual > tol:
-            raise ArithmeticError(
+        if not residual <= tol:
+            raise IdentityCheckError(
                 f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
             )
         return _re_trace(rho @ mapped)
@@ -775,9 +756,9 @@ class QuasiProbTable:
 
 
 def quasi_prob_table(
-    rho: _State,
-    a: _Question,
-    b: _Question,
+    rho: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     method: JointMethod = "operational",
     tol: float = DEFAULT_TOL,
 ) -> QuasiProbTable:
@@ -809,8 +790,8 @@ def quasi_prob_tables(
     cells = np.stack([logical_joints(rho, firsts[i], seconds[j], method) for i, j in CELLS], -1)
     pa, pb = born_probabilities(rho, a), born_probabilities(rho, b)
     worst = float(table_marginality_residuals(cells, pa, pb).max(initial=0.0))
-    if worst > tol:
-        raise ArithmeticError(f"table marginality residual {worst:.3e} exceeds tol {tol:.3e}")
+    if not worst <= tol:
+        raise IdentityCheckError(f"table marginality residual {worst:.3e} exceeds tol {tol:.3e}")
     return cells, pa, pb
 
 
@@ -855,7 +836,7 @@ def _validate_basis(
 
 
 def kd_distribution(
-    rho: _State,
+    rho: np.ndarray,
     basis_a: Sequence[np.ndarray] | np.ndarray,
     basis_b: Sequence[np.ndarray] | np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -874,7 +855,7 @@ def kd_distribution(
     return overlap.T * sandwich
 
 
-def weak_value(rho: _State, a: _Question, post: _Question) -> complex:
+def weak_value(rho: np.ndarray, a: np.ndarray, post: np.ndarray) -> complex:
     """Weak value of a question with post-selection: Tr(post A rho) / Tr(post rho).
 
     May lie outside [0, 1]; a negative real part at some input certifies a
@@ -896,8 +877,8 @@ def weak_value(rho: _State, a: _Question, post: _Question) -> complex:
 # negativity witnesses
 
 
-def worked_example() -> tuple[DensityState, Projector, Projector]:
-    """The two-level (state, A, B) whose logical joint table has a -0.1 cell.
+def worked_example() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two-level (state, A, B), read-only, whose logical joint table has a -0.1 cell.
 
     State (|0> - 3|1>)/sqrt(10), A = |0><0|, B = |+><+|: the (1, 1) cell is
     -0.1 and the weak value of A post-selected on B is -0.5.
@@ -909,7 +890,7 @@ def worked_example() -> tuple[DensityState, Projector, Projector]:
     return rho, a, b
 
 
-def min_cell_over_states(a: _Question, b: _Question) -> tuple[float, tuple[int, int]]:
+def min_cell_over_states(a: np.ndarray, b: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Most negative table cell over all states for fixed questions, and its cell.
 
     Raises :class:`DimensionMismatchError` for a stack; see :func:`min_cells_over_states`.
@@ -946,7 +927,7 @@ def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def model_sequential_probabilities(
-    rho: _State, a: _Question, b: _Question
+    rho: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
     """Sequential outcome distributions for both question orders.
 
@@ -967,14 +948,13 @@ def model_sequential_probabilities(
 # serialization
 
 
-def matrix_to_json(matrix: _State | _Question) -> dict:
+def matrix_to_json(matrix: np.ndarray) -> dict:
     """JSON-ready dict { "dim": d, "re": [[...]], "im": [[...]] } of one d x d operand.
 
     A stack raises :class:`DimensionMismatchError`, any other array that is not a square
     matrix :class:`BadDimensionError`, and a NaN or infinite entry :class:`NonFiniteError`.
     """
-    # a typed operand (of ndim 0) or a stack goes through _matrices, any other array straight on
-    m = _check_square(_matrices(matrix)[0] if np.ndim(matrix) in (0, 3) else matrix)
+    m = _check_square(_matrices(matrix)[0] if np.ndim(matrix) == 3 else matrix)
     return {
         "dim": int(m.shape[0]),
         "re": m.real.tolist(),

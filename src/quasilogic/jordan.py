@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QuasilogicError
-from .hilbert import (DEFAULT_TOL, Projector, _finite, _hermitian, _mapped_xor, _norm, _operands,
+from .hilbert import (DEFAULT_TOL, _finite, _hermitian, _mapped_xor, _norm, _operands,
                       _symmetrised, _xor_expansion)
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 
-def jordan_product(x: np.ndarray | Projector, y: np.ndarray | Projector) -> np.ndarray:
+def jordan_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Symmetrised product (xy + yx)/2 of two Hermitian matrices, memberwise on stacks.
 
     Commutative and Hermitian by construction; non-associative in general.  On
@@ -60,9 +60,7 @@ def jordan_product(x: np.ndarray | Projector, y: np.ndarray | Projector) -> np.n
         return _unless_overflowed(_symmetrised(xm, ym))[0]
 
 
-def idempotency_residuals(
-    a: np.ndarray | Projector,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+def idempotency_residuals(a: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Cubic ||A A A - A|| and square ||A ∘ A - A|| residuals, per member of a stack.
 
     Asking a question twice is asking it once when both vanish.  Takes raw
@@ -115,20 +113,18 @@ def _hermitian_norm(m: np.ndarray) -> float | np.ndarray:
     return np.maximum(-eigenvalues[..., 0], eigenvalues[..., -1])
 
 
-def xor_symmetry_residuals(
-    a: Projector | np.ndarray, b: Projector | np.ndarray
-) -> tuple[float | np.ndarray, ...]:
+def xor_symmetry_residuals(a: np.ndarray, b: np.ndarray) -> tuple[float | np.ndarray, ...]:
     """Swap and both expansion residuals of the mapped exclusive disjunction.
 
-    Takes projectors, or matrices and (n, d, d) stacks of validated projector
-    matrices, and returns one residual of each kind per member.
+    Takes projectors, as d x d matrices or (n, d, d) stacks, and returns one
+    residual of each kind per member.
     """
     with np.errstate(all="ignore"):
         defects = _unless_overflowed(*_xor_symmetry_defects(*_finite_operands(a, b)))
     return tuple(_norm(defect) for defect in defects)
 
 
-def _xor_symmetry_defects(a: Projector | np.ndarray, b: Projector | np.ndarray) -> tuple:
+def _xor_symmetry_defects(a: np.ndarray, b: np.ndarray) -> tuple:
     """The swap and both expansion defects whose norms :func:`xor_symmetry_residuals` returns."""
     am, bm = _operands(a, b)
     forward, backward = _mapped_xor(am, bm), _mapped_xor(bm, am)

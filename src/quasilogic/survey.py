@@ -36,6 +36,7 @@ import numpy as np
 from .errors import (
     BadConfidenceError,
     DuplicateCellError,
+    IdentityCheckError,
     LowExpectedCountWarning,
     MissingCellError,
     NegativeCountError,
@@ -320,7 +321,7 @@ def _qq_equality(table: SequentialCountTable, xors: tuple, logical: tuple) -> tu
     # exact bookkeeping identity on the estimates; failure is a defect
     imbalance = (xor_ab - xor_ba) + 2 * (logical_ab[(1, 1)] - logical_ba[(1, 1)])
     if imbalance != 0:
-        raise ArithmeticError(f"xor/conjunction balance identity off by {imbalance}")
+        raise IdentityCheckError(f"xor/conjunction balance identity off by {imbalance}")
 
     n1, n2 = table.n_ab, table.n_ba
     x1 = table.counts_ab[(1, 0)] + table.counts_ab[(0, 1)]

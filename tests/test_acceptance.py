@@ -44,7 +44,7 @@ def sweep():
     for _, rho, a, b in sampled_triples(SWEEP_DIMS, SWEEP_TRIALS_PER_DIM, SWEEP_SEED):
         operational = hilbert.logical_joint(rho, a, b, "operational")
         algebraic = hilbert.logical_joint(rho, a, b, "jordan")
-        re_trace = float(np.trace(rho.matrix @ a.matrix @ b.matrix).real)
+        re_trace = float(np.trace(rho @ a @ b).real)
         gaps["method"] = max(gaps["method"], abs(operational - algebraic))
         gaps["re_trace"] = max(
             gaps["re_trace"], abs(operational - re_trace), abs(algebraic - re_trace)

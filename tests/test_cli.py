@@ -173,7 +173,7 @@ class TestKd:
         questions_b = hilbert.rank_one_projectors(basis_b)
         max_gap = 0.0
         for i, question in enumerate(hilbert.rank_one_projectors(basis_a)):
-            joints = hilbert.logical_joints(rho.matrix, question, questions_b, "jordan")
+            joints = hilbert.logical_joints(rho, question, questions_b, "jordan")
             max_gap = max(max_gap, float(abs(table[i].real - joints).max()))
         total = complex(table.sum())
         reference = {
@@ -766,24 +766,24 @@ def test_every_layer_name_has_a_caller_in_the_package_or_the_demos():
 
 
 def test_operands_and_cell_order_are_each_decided_in_one_place():
-    """In ``src/quasilogic``, ``.matrix`` is loaded only in ``hilbert._operands`` and in the
-    ``Projector`` and ``DensityState`` bodies, so ``_operands`` alone decides which operands a
-    function takes; and ``hilbert`` and ``verify`` call no ``reversed(...CELLS)``, so every
+    """``src/quasilogic`` and ``demos`` read no ``.matrix`` and name no ``Projector`` or
+    ``DensityState``, so states and questions are plain arrays whose shape ``_operands``
+    alone checks; and ``hilbert`` and ``verify`` call no ``reversed(...CELLS)``, so every
     table, kernel and tie-break there follows ``logic.CELLS``."""
-    root = Path(__file__).resolve().parent.parent / "src" / "quasilogic"
+    root = Path(__file__).resolve().parent.parent
     found = []
-    for path in sorted(root.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = getattr(top, "name", None) if path.name == "hilbert.py" else None
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Attribute) and node.attr == "matrix"
-                        and isinstance(node.ctx, ast.Load)
-                        and owner not in ("_operands", "Projector", "DensityState")):
-                    found.append(f"{path.name}:{node.lineno} reads .matrix")
-                if (path.name in ("hilbert.py", "verify.py") and isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name) and node.func.id == "reversed"
-                        and "CELLS" in ast.unparse(node)):
-                    found.append(f"{path.name}:{node.lineno} reverses the cell order")
+    for path in sorted((root / "src" / "quasilogic").glob("*.py")) + sorted((root / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "matrix"
+                    and isinstance(node.ctx, ast.Load)):
+                found.append(f"{path.name}:{node.lineno} reads .matrix")
+            names = {getattr(node, key, None) for key in ("id", "attr", "name")}
+            if names & {"Projector", "DensityState"}:
+                found.append(f"{path.name}:{node.lineno} names a retired operand class")
+            if (path.name in ("hilbert.py", "verify.py") and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "reversed"
+                    and "CELLS" in ast.unparse(node)):
+                found.append(f"{path.name}:{node.lineno} reverses the cell order")
     assert found == []
 
 
@@ -797,7 +797,8 @@ def removed_names(version: str) -> set[str]:
 
 
 @pytest.mark.parametrize("version, count",
-                         [("0.4.0", 16), ("0.5.0", 5), ("0.7.0", 12), ("0.10.0", 36)])
+                         [("0.4.0", 16), ("0.5.0", 5), ("0.7.0", 12), ("0.10.0", 36),
+                          ("0.14.0", 2)])
 def test_removed_names_stay_absent(version, count):
     """A method named after its class is gone from that class; a name qualified by
     ``quasilogic.`` from the package, whose layer may keep it; any other name from the

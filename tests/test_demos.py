@@ -1,4 +1,4 @@
-"""Smoke test: every narrative demo runs to completion in a fresh interpreter."""
+"""Smoke test: every narrative demo runs to completion, warning-free, in a fresh interpreter."""
 
 import os
 import subprocess
@@ -21,7 +21,8 @@ def test_demo_exits_0(demo):
     src = str(Path(quasilogic.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                            text=True, timeout=300)
+    # -W error, as pytest's filterwarnings = error in pyproject.toml: a demo's warning fails it
+    result = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env,
+                            capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout

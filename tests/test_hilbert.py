@@ -49,10 +49,10 @@ def state(*diag):
 class TestValidation:
     def test_identity_is_a_projector(self):
         p = hilbert.validate_projector(np.eye(3))
-        assert p.rank == 3
+        assert round(p.trace().real) == 3
 
     def test_diag_projector(self):
-        assert proj(1, 0).rank == 1
+        assert round(proj(1, 0).trace().real) == 1
 
     def test_half_identity_rejected(self):
         with pytest.raises(NotIdempotentError) as err:
@@ -163,12 +163,12 @@ class TestValidation:
         ([1e300, 1e300], [1.0, 1.0]), ([1e-170, 0.0], [1.0, 0.0]), ([3e-200j, -4e-200], [3j, -4.0]),
     ], ids=["overflow", "underflow", "complex underflow"])
     def test_rank_one_projector_rescales_extreme_vectors(self, vector, ray):
-        expected = hilbert.rank_one_projector(np.array(ray)).matrix
-        assert np.array_equal(hilbert.rank_one_projector(np.array(vector)).matrix, expected)
+        expected = hilbert.rank_one_projector(np.array(ray))
+        assert np.array_equal(hilbert.rank_one_projector(np.array(vector)), expected)
         # the other rows of a stack keep their bits
         stack = hilbert.rank_one_projectors(np.array([vector, [0.6, 0.8j]]))
         assert np.array_equal(stack[0], expected)
-        assert np.array_equal(stack[1], hilbert.rank_one_projector(np.array([0.6, 0.8j])).matrix)
+        assert np.array_equal(stack[1], hilbert.rank_one_projector(np.array([0.6, 0.8j])))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -203,25 +203,25 @@ class TestValidation:
     def test_matrices_are_read_only(self):
         p = proj(1, 0)
         with pytest.raises(ValueError):
-            p.matrix[0, 0] = 5.0
+            p[0, 0] = 5.0
 
 
 class TestComplement:
     def test_diagonal(self):
-        assert_allclose(hilbert.complement_projector(proj(1, 0)).matrix, np.diag([0.0, 1.0]))
+        assert_allclose(hilbert.complement_projector(proj(1, 0)), np.diag([0.0, 1.0]))
 
     def test_identity_gives_zero(self):
         c = hilbert.complement_projector(hilbert.validate_projector(np.eye(2)))
-        assert_allclose(c.matrix, np.zeros((2, 2)))
+        assert_allclose(c, np.zeros((2, 2)))
 
     def test_plus_goes_to_minus(self):
         plus = hilbert.rank_one_projector(np.array([1.0, 1.0]))
         minus = hilbert.rank_one_projector(np.array([1.0, -1.0]))
-        assert_allclose(hilbert.complement_projector(plus).matrix, minus.matrix, atol=ATOL)
+        assert_allclose(hilbert.complement_projector(plus), minus, atol=ATOL)
 
     def test_sums_to_identity(self):
         p = seeded_projector(5, 2, 3)
-        total = p.matrix + hilbert.complement_projector(p).matrix
+        total = p + hilbert.complement_projector(p)
         assert_allclose(total, np.eye(5), atol=ATOL)
 
 
@@ -229,16 +229,16 @@ class TestSampling:
     def test_state_deterministic(self):
         s1 = seeded_state(2, "pure", 7)
         s2 = seeded_state(2, "pure", 7)
-        assert_allclose(s1.matrix, s2.matrix)
+        assert_allclose(s1, s2)
 
     def test_projector_rank_is_trace(self):
         p = seeded_projector(4, 2, 1)
-        assert abs(p.matrix.trace().real - 2.0) < ATOL
+        assert abs(p.trace().real - 2.0) < ATOL
 
     def test_state_psd(self):
         for seed in range(5):
             s = seeded_state(6, "mixed", seed)
-            assert np.linalg.eigvalsh(s.matrix).min() >= -1e-12
+            assert np.linalg.eigvalsh(s).min() >= -1e-12
 
     def test_bad_rank(self):
         with pytest.raises(BadRankError):
@@ -248,7 +248,7 @@ class TestSampling:
 
     def test_pure_state_is_rank_one(self):
         s = seeded_state(4, "pure", 11)
-        eigenvalues = np.sort(np.linalg.eigvalsh(s.matrix))
+        eigenvalues = np.sort(np.linalg.eigvalsh(s))
         assert abs(eigenvalues[-1] - 1.0) < 1e-10
 
     def test_orthonormal_basis(self):
@@ -280,7 +280,7 @@ class TestLuedersUpdate:
     def test_eigenstate_unchanged(self):
         prob, post = hilbert.lueders_update(state(1, 0), proj(1, 0), "selective_yes")
         assert prob == pytest.approx(1.0)
-        assert_allclose(post.matrix, np.diag([1.0, 0.0]), atol=ATOL)
+        assert_allclose(post, np.diag([1.0, 0.0]), atol=ATOL)
 
     def test_zero_branch_raises(self):
         with pytest.raises(ZeroProbabilityBranchError):
@@ -289,21 +289,21 @@ class TestLuedersUpdate:
     def test_selective_no_is_complement_branch(self):
         prob, post = hilbert.lueders_update(state(0.25, 0.75), proj(1, 0), "selective_no")
         assert prob == pytest.approx(0.75)
-        assert_allclose(post.matrix, np.diag([0.0, 1.0]), atol=ATOL)
+        assert_allclose(post, np.diag([0.0, 1.0]), atol=ATOL)
 
     def test_nonselective_decoheres_plus_state(self):
         plus = hilbert.rank_one_projector(np.array([1.0, 1.0]))
-        rho = hilbert.validate_density(plus.matrix)
+        rho = hilbert.validate_density(plus)
         prob, post = hilbert.lueders_update(rho, proj(1, 0), "nonselective")
         assert prob == 1.0
-        assert_allclose(post.matrix, np.diag([0.5, 0.5]), atol=ATOL)
+        assert_allclose(post, np.diag([0.5, 0.5]), atol=ATOL)
 
     def test_post_state_valid_for_random_inputs(self):
         rho = seeded_state(5, "mixed", 8)
         p = seeded_projector(5, 2, 9)
         for mode in ("selective_yes", "selective_no", "nonselective"):
             _, post = hilbert.lueders_update(rho, p, mode)
-            assert abs(post.matrix.trace().real - 1.0) < 1e-10
+            assert abs(post.trace().real - 1.0) < 1e-10
 
 
 class TestSequentialProbability:
@@ -359,7 +359,7 @@ class TestLogicalJoint:
             b = seeded_projector(dim, 1 + (trial + 1) % (dim - 1), seed + 2)
             operational = hilbert.logical_joint(rho, a, b, "operational")
             algebraic = hilbert.logical_joint(rho, a, b, "jordan")
-            re_trace = np.trace(rho.matrix @ a.matrix @ b.matrix).real
+            re_trace = np.trace(rho @ a @ b).real
             assert operational == pytest.approx(algebraic, abs=1e-10)
             assert operational == pytest.approx(re_trace, abs=1e-10)
 
@@ -434,7 +434,7 @@ class TestQuasiProbTable:
 class TestKdDistribution:
     def test_eigenbasis_gives_diagonal_spectrum(self):
         rho = seeded_state(3, "mixed", 51)
-        eigenvalues, vectors = np.linalg.eigh(rho.matrix)
+        eigenvalues, vectors = np.linalg.eigh(rho)
         basis = list(vectors.T)
         table = hilbert.kd_distribution(rho, basis, basis)
         assert_allclose(np.diag(table).real, eigenvalues, atol=1e-10)
@@ -521,8 +521,8 @@ class TestWeakValue:
 
     def test_stacks_are_rejected_naming_the_shapes(self, tilted_example):
         rho, a, b = tilted_example
-        one_member = rho.matrix[None]
-        posts = np.stack([b.matrix, np.eye(2) - b.matrix])
+        one_member = rho[None]
+        posts = np.stack([b, np.eye(2) - b])
         for args, shapes in (((one_member, a, b), "[(1, 2, 2), (2, 2), (2, 2)]"),
                              ((rho, a, posts), "[(2, 2), (2, 2), (2, 2, 2)]")):
             with pytest.raises(DimensionMismatchError, match=re.escape(shapes)):
@@ -530,7 +530,7 @@ class TestWeakValue:
 
     def test_single_operand_kernels_reject_stacks_naming_the_shapes(self):
         rho, a, b = hilbert.worked_example()
-        twice = {name: np.stack([op.matrix] * 2) for name, op in (("rho", rho), ("a", a), ("b", b))}
+        twice = {name: np.stack([op] * 2) for name, op in (("rho", rho), ("a", a), ("b", b))}
         for call, shapes in (
             (lambda: hilbert.model_sequential_probabilities(twice["rho"], a, b),
              "[(2, 2, 2), (2, 2), (2, 2)]"),
@@ -602,8 +602,8 @@ class TestSerialization:
 
     def test_state_round_trip_revalidates(self):
         rho = seeded_state(3, "mixed", 72)
-        recovered = hilbert.validate_density(from_json(hilbert.matrix_to_json(rho.matrix)))
-        assert_allclose(recovered.matrix, rho.matrix)
+        recovered = hilbert.validate_density(from_json(hilbert.matrix_to_json(rho)))
+        assert_allclose(recovered, rho)
 
     def test_shape_errors(self):
         """A stack is a :class:`DimensionMismatchError`, like every one-matrix form's;
@@ -720,9 +720,9 @@ class TestStackedSampling:
             stacked, reference_triples(dim, trials, seed)
         ):
             assert d == dim
-            assert np.array_equal(rho.matrix, rho_ref)
-            assert np.array_equal(a.matrix, a_ref)
-            assert np.array_equal(b.matrix, b_ref)
+            assert np.array_equal(rho, rho_ref)
+            assert np.array_equal(a, a_ref)
+            assert np.array_equal(b, b_ref)
 
     def test_stack_validation_reports_worst_member(self):
         stack = np.array(hilbert.sample_projectors(3, [1, 2, 1, 2], np.random.default_rng(1)))
@@ -888,10 +888,9 @@ class TestStackedKernels:
                     ref_probability, ref_post = reference_lueders(r, p, mode)
                     assert probability == ref_probability
                     assert np.array_equal(post, ref_post)
-                    scalar = hilbert.lueders_update(
-                        hilbert.DensityState(r), hilbert.Projector(p), mode)
+                    scalar = hilbert.lueders_update(r, p, mode)
                     assert scalar[0] == probability
-                    assert np.array_equal(scalar[1].matrix, post)
+                    assert np.array_equal(scalar[1], post)
 
     @given(stack_dims, stack_trials, stack_seeds, block_members)
     @settings(max_examples=25, deadline=None)
@@ -908,7 +907,7 @@ class TestStackedKernels:
                     assert cells[i].tolist() == reference_cells(r, p, q, method)
                     assert pa[i] == reference_re_trace(r @ p)
                     assert pb[i] == reference_re_trace(r @ q)
-                    objects = hilbert.DensityState(r), hilbert.Projector(p), hilbert.Projector(q)
+                    objects = r, p, q
                     assert hilbert.logical_joint(*objects, method) == joints[i]
                     table = hilbert.quasi_prob_table(*objects, method)
                     assert list(table.cells.values()) == cells[i].tolist()
@@ -944,19 +943,19 @@ class TestStackedKernels:
         for v, member in zip(vectors, stack):
             unit = v / np.linalg.norm(v)
             assert np.array_equal(member, np.outer(unit, unit.conj()))
-            assert np.array_equal(hilbert.rank_one_projector(v).matrix, member)
+            assert np.array_equal(hilbert.rank_one_projector(v), member)
 
     def test_bad_post_state_in_stack_reports_worst_member(self, monkeypatch):
         # not states: the disturbed "states" keep these diagonals, two of them negative
         rho = np.array([np.diag(d) for d in ([0.5, 0.5], [1.3, -0.3], [1.1, -0.1], [1.0, 0.0])],
                        dtype=complex)
-        p = proj(1, 0).matrix
+        p = proj(1, 0)
         monkeypatch.setattr(hilbert, "_BLOCK_ENTRIES", 4)  # one member per block
         with pytest.raises(NotPositiveSemidefiniteError) as exc:
             hilbert.lueders_updates(rho, p, "nonselective")
         assert exc.value.min_eigenvalue == pytest.approx(-0.3, abs=1e-15)
         with pytest.raises(NotPositiveSemidefiniteError) as exc:
-            hilbert.logical_joints(rho, p, proj(0, 1).matrix, "operational")
+            hilbert.logical_joints(rho, p, proj(0, 1), "operational")
         assert exc.value.min_eigenvalue == pytest.approx(-0.3, abs=1e-15)
 
     @pytest.mark.parametrize("validator", ["_validated_projectors", "_validated_densities"])
@@ -974,7 +973,7 @@ class TestStackedKernels:
         rho = np.array([np.diag([0.5, 0.5]), np.diag([1.0, 0.0]), np.diag([0.9, 0.1])],
                        dtype=complex)
         with pytest.raises(ZeroProbabilityBranchError) as exc:
-            hilbert.lueders_updates(rho, proj(0, 1).matrix, "selective_yes")
+            hilbert.lueders_updates(rho, proj(0, 1), "selective_yes")
         assert exc.value.probability == 0.0
 
     def test_mismatched_stacks_rejected(self):
@@ -1032,7 +1031,7 @@ def joint_rows(rho, a, b):
 
 def kd_operands(dim, seed):
     """kd's state and rank-one question stacks, built as the command builds them."""
-    rho = seeded_state(dim, "mixed", seed).matrix
+    rho = seeded_state(dim, "mixed", seed)
     return rho, *(hilbert.rank_one_projectors(seeded_basis(dim, seed + k)) for k in (1, 2))
 
 
@@ -1105,7 +1104,7 @@ class TestLogicalJointTable:
 
     def test_a_matrix_is_a_one_row_table(self):
         rho, a, b = kd_operands(3, 1)
-        table = hilbert.logical_joint_table(hilbert.DensityState(rho), a[1], b)
+        table = hilbert.logical_joint_table(rho, a[1], b)
         assert table.shape == (1, 3)
         assert table[0].tolist() == hilbert.logical_joints(rho, a[1], b, "jordan").tolist()
 
@@ -1277,12 +1276,10 @@ SAMPLER = "a sampler: takes a dimension, member counts or kinds, and a Generator
 BOUNDARY = {
     "hilbert.DEFAULT_TOL": "a constant",
     "hilbert.MAX_DIM": "a constant",
-    "hilbert.Projector": "a class that stores a validated matrix (validate_projector)",
-    "hilbert.DensityState": "a class that stores a validated matrix (validate_density)",
     "hilbert.QuasiProbTable": "a class of table cells and marginals",
     "hilbert.operator_norm": lambda rho, a, b: hilbert.operator_norm(a),
-    "hilbert.validate_projector": "a validator: checks outside input and builds the typed object",
-    "hilbert.validate_density": "a validator: checks outside input and builds the typed object",
+    "hilbert.validate_projector": "a validator: checks outside input and returns a read-only copy",
+    "hilbert.validate_density": "a validator: checks outside input and returns a read-only copy",
     "hilbert.complement_projector": lambda rho, a, b: hilbert.complement_projector(a),
     "hilbert.rank_one_projector": "takes a vector, not a matrix",
     "hilbert.rank_one_projectors": "takes an (n, d) array of vectors, not matrices",
@@ -1310,8 +1307,11 @@ BOUNDARY = {
         lambda rho, a, b: hilbert.xor_expectations(rho, a, b, "operational"),
     "hilbert.xor_expectations mapped_operator":
         lambda rho, a, b: hilbert.xor_expectations(rho, a, b, "mapped_operator"),
-    "hilbert.quasi_prob_table": hilbert.quasi_prob_table,
-    "hilbert.quasi_prob_tables": hilbert.quasi_prob_tables,
+    "hilbert.quasi_prob_table": lambda rho, a, b: hilbert.quasi_prob_table(rho, a, b, "jordan"),
+    "hilbert.quasi_prob_tables operational":
+        lambda rho, a, b: hilbert.quasi_prob_tables(rho, a, b, "operational"),
+    "hilbert.quasi_prob_tables jordan":
+        lambda rho, a, b: hilbert.quasi_prob_tables(rho, a, b, "jordan"),
     "hilbert.table_marginality_residuals": "takes table cells and marginals, not matrices",
     "hilbert.kd_distribution": lambda rho, a, b: hilbert.kd_distribution(
         rho, np.eye(2), [[1.0, 1.0], [1.0, -1.0]] / np.sqrt(2)),
@@ -1335,14 +1335,23 @@ STACKED_KERNELS = [name for name in BOUNDARY if name.partition(" ")[0] in (
 """The kernels that broadcast two or more matrix operands under one shape rule."""
 
 
+IDENTITY_CHECKS = ["hilbert.quasi_prob_table", "hilbert.quasi_prob_tables operational",
+                   "hilbert.quasi_prob_tables jordan", "hilbert.xor_expectation",
+                   "hilbert.xor_expectations mapped_operator"]
+"""The rows whose result must meet an identity (table marginality, the mapped XOR
+expansion), which a NaN operand fails."""
+
+
 def operand_class(kind):
     """The worked example's (rho, a, b) as one operand class.  Two classes put b out of
     line: "mixed d" at d = 3, and "stack lengths 3 and 5" in a longer stack than rho's and
-    a's; "NaN entry" puts a NaN in every operand."""
-    typed = hilbert.worked_example()
-    raw = [op.matrix for op in typed]
-    if kind == "typed":
-        return typed
+    a's; "NaN entry" puts a NaN in every operand; "non-projector" makes a diag(0.7, 0.2)
+    and "non-state" makes rho diag(0.9, 0.4)."""
+    raw = list(hilbert.worked_example())
+    if kind == "non-projector":
+        return raw[0], np.diag([0.7, 0.2]), raw[2]
+    if kind == "non-state":
+        return np.diag([0.9, 0.4]), raw[1], raw[2]
     if kind == "one-member stack":
         return [m[None] for m in raw]
     if kind == "two-member stack":
@@ -1369,12 +1378,16 @@ def test_every_public_hilbert_and_jordan_name_has_a_boundary_row():
     assert sorted(public ^ {name.partition(" ")[0] for name in BOUNDARY}) == []
 
 
-@pytest.mark.parametrize("kind", ["typed", "raw d x d", "one-member stack", "two-member stack",
-                                  "mixed d", "NaN entry"])
+@pytest.mark.parametrize("kind", ["raw d x d", "one-member stack", "two-member stack",
+                                  "mixed d", "NaN entry", "non-projector", "non-state"])
 @pytest.mark.parametrize("name", [name for name, row in BOUNDARY.items() if callable(row)])
 def test_every_operand_class_returns_or_raises_a_package_error(name, kind):
     """A public function returns, or raises a :class:`QuasilogicError`, on every operand
-    class; any other exception fails the test."""
+    class; any other exception fails the test.  An identity check raises on a NaN."""
+    if kind == "NaN entry" and name in IDENTITY_CHECKS:
+        with pytest.raises(QuasilogicError):
+            BOUNDARY[name](*operand_class(kind))
+        return
     try:
         BOUNDARY[name](*operand_class(kind))
     except QuasilogicError:
@@ -1398,8 +1411,8 @@ def question_stacks(max_pairs=12):
 
 
 def question_pairs():
-    """One pair of :class:`Projector` questions: the one-pair :func:`question_stacks`."""
-    return question_stacks(1).map(lambda ab: tuple(hilbert.Projector(q[0]) for q in ab))
+    """One pair of questions: the one-pair :func:`question_stacks`."""
+    return question_stacks(1).map(lambda ab: tuple(q[0] for q in ab))
 
 
 class TestMinCellOverStates:
@@ -1437,8 +1450,7 @@ class TestMinCellOverStates:
             # blocks of `members` pairs, so most examples cross a block boundary
             mp.setattr(hilbert, "_BLOCK_ENTRIES", members * dim * dim)
             lowest = hilbert.min_cells_over_states(a, b)
-            scalars = [hilbert.min_cell_over_states(hilbert.Projector(p), hilbert.Projector(q))
-                       for p, q in zip(a, b)]
+            scalars = [hilbert.min_cell_over_states(p, q) for p, q in zip(a, b)]
             broadcast = hilbert.min_cells_over_states(a[0], b)
         assert lowest.shape == (len(a), 4)
         cells = list(logic.CELLS)
@@ -1487,8 +1499,8 @@ class TestMinCellOverStates:
 
     def test_non_projector_breaks_the_floor_and_fails_the_check(self):
         """B = 1.2 |b><b| is no question: at overlap 1/2 its (1, 1) floor is -1.2/8 = -0.15."""
-        a = proj(1, 0).matrix[None]
-        b = 1.2 * hilbert.rank_one_projector(np.array([0.5, np.sqrt(3) / 2])).matrix[None]
+        a = proj(1, 0)[None]
+        b = 1.2 * hilbert.rank_one_projector(np.array([0.5, np.sqrt(3) / 2]))[None]
         lowest = hilbert.min_cells_over_states(a, b)
         assert lowest[0, logic.CELLS.index((1, 1))] == pytest.approx(-0.15, abs=1e-12)
         assert lowest.min() < -0.15  # the (0, 0) cell, since 1 - B is no question either

@@ -27,6 +27,7 @@ from quasilogic import hilbert, logic, survey
 from quasilogic.errors import (
     BadConfidenceError,
     DuplicateCellError,
+    IdentityCheckError,
     LowExpectedCountWarning,
     MissingCellError,
     NegativeCountError,
@@ -352,8 +353,9 @@ class TestQQEquality:
         # an explicit raise, not an assert, so the defect check survives python -O
         xor_ab, xor_ba = survey.xor_estimates(synthetic)
         monkeypatch.setattr(survey, "xor_estimates", lambda table: (xor_ab + F(1, 100), xor_ba))
-        with pytest.raises(ArithmeticError, match="balance"):
+        with pytest.raises(ArithmeticError, match="balance") as exc:
             survey.qq_equality_stat(synthetic)
+        assert isinstance(exc.value, IdentityCheckError)  # a package error, which the CLI reports
 
 
 class TestClosedFormPValues:
