@@ -233,8 +233,19 @@ def _finite(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def _check_square(matrix: np.ndarray) -> np.ndarray:
-    """A complex copy of a finite square matrix (validation freezes it, not the caller's array)."""
-    m = np.array(matrix, dtype=np.complex128)
+    """A complex copy of a finite square matrix (validation freezes it, not the caller's array).
+
+    A three-dimensional array, a stack, raises :class:`DimensionMismatchError` like every
+    one-matrix form's; anything else that is not a square matrix of numbers
+    :class:`BadDimensionError`.
+    """
+    try:
+        m = np.array(matrix, dtype=np.complex128)
+    except (TypeError, ValueError):  # a string, a ragged list, an object
+        raise BadDimensionError(
+            f"expected a square matrix of numbers, got a {type(matrix).__name__}") from None
+    if m.ndim == 3:
+        raise DimensionMismatchError(f"expected a d x d matrix, got a stack of shape {m.shape}")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise BadDimensionError(f"expected a square matrix, got shape {m.shape}")
     return _finite(m, "matrix")
@@ -306,9 +317,15 @@ def _operands(*operands) -> list[np.ndarray]:
 
     An operand is a d x d matrix or an (n, d, d) stack.  All share d, and all
     stacks of more than one member share n, so a matrix or a one-member stack
-    broadcasts against a stack; anything else raises :class:`DimensionMismatchError`.
+    broadcasts against a stack; anything else, an operand that is not a rectangular
+    array of numbers among them, raises :class:`DimensionMismatchError`.
     """
-    arrays = [np.asarray(op, dtype=np.complex128) for op in operands]
+    try:
+        arrays = [np.asarray(op, dtype=np.complex128) for op in operands]
+    except (TypeError, ValueError):  # a string, a ragged list, an object
+        raise DimensionMismatchError(
+            f"expected a square matrix or an (n, d, d) stack of numbers, got operands of types"
+            f" {[type(op).__name__ for op in operands]}") from None
     for m in arrays:
         if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
             raise DimensionMismatchError(
@@ -954,7 +971,7 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
     A stack raises :class:`DimensionMismatchError`, any other array that is not a square
     matrix :class:`BadDimensionError`, and a NaN or infinite entry :class:`NonFiniteError`.
     """
-    m = _check_square(_matrices(matrix)[0] if np.ndim(matrix) == 3 else matrix)
+    m = _check_square(matrix)
     return {
         "dim": int(m.shape[0]),
         "re": m.real.tolist(),

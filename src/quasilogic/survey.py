@@ -16,7 +16,9 @@ arithmetic on the raw counts; floats appear only in statistics, the bootstrap
 distributions and reports.  The bootstrap draws nothing: its intervals are
 quantiles of the exact distribution of each resampled target, computed in one
 pass per table that shares each frequency grid and lattice ordering among the
-targets.
+targets.  It skips the work whose result is known: twelve intervals take ten
+searches, since two order differences always equal two others, and each pmf's
+spectrum is evaluated only where it has not underflowed to zero.
 """
 
 from __future__ import annotations
@@ -401,10 +403,17 @@ _TARGET_WEIGHTS = tuple(((a, b), which, weights) for a, b in CELLS
 """(cell, target, weights) of every bootstrap target, in the report's order."""
 
 
-def _frequency_grid(fft_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """ω = 2πj / fft_size at each rfft bin j, with sin²(ω/2), sin ω and cos ω."""
+_SEARCHED_AS = tuple(next(index for index, (_, _, first) in enumerate(_TARGET_WEIGHTS)
+                         if first == weights) for _, _, weights in _TARGET_WEIGHTS)
+"""Per bootstrap target, the target whose search gives its interval.  Every row and column
+of a resampled order-difference table sums to zero, so the order differences at (1, 1) and
+(1, 0) have the weights of those at (0, 0) and (0, 1): ten searches give twelve intervals."""
+
+
+def _frequency_grid(fft_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """ω = 2πj / fft_size at each rfft bin j, with sin²(ω/2)."""
     omega = 2 * np.pi / fft_size * np.arange(fft_size // 2 + 1)
-    return omega, np.sin(omega / 2) ** 2, np.sin(omega), np.cos(omega)
+    return omega, np.sin(omega / 2) ** 2
 
 
 def _sum_pmf(k_minus: int, k_zero: int, k_plus: int, grids: dict) -> tuple[int, int, np.ndarray]:
@@ -414,7 +423,9 @@ def _sum_pmf(k_minus: int, k_zero: int, k_plus: int, grids: dict) -> tuple[int, 
     The window holds the support within 10σ + 30 atoms of the mean k₊ - k₋ and leaves
     out less than 1e-20 of the mass.  It is one inverse FFT of φ(ω)ⁿ, with |φ|² - 1
     summed from squares so that |φ|ⁿ keeps its relative precision at n = 10**8; an
-    exact zero of φ is never passed to ``log``.  ``grids`` holds the table's
+    exact zero of φ is never passed to ``log``.  The phase of φⁿ is evaluated only at
+    the bins where |φ|ⁿ has not underflowed to 0, usually a small fraction of them; the
+    others stay exact zeros of the spectrum.  ``grids`` holds the table's
     :func:`_frequency_grid` per FFT size.
     """
     n = k_minus + k_zero + k_plus
@@ -431,11 +442,16 @@ def _sum_pmf(k_minus: int, k_zero: int, k_plus: int, grids: dict) -> tuple[int, 
     fft_size = 1 << (size - 1).bit_length()
     if fft_size not in grids:
         grids[fft_size] = _frequency_grid(fft_size)
-    omega, s, sin, cos = grids[fft_size]
+    omega, s = grids[fft_size]
     gap = -4 * s * ((p_minus + p_plus) * p_zero + 4 * p_minus * p_plus * (1 - s))
     log_modulus = np.log1p(gap, out=np.full_like(gap, -np.inf), where=gap > -1)
-    phase = n * np.arctan2((p_plus - p_minus) * sin, p_zero + (p_plus + p_minus) * cos) - lo * omega
-    spectrum = np.exp(n / 2 * log_modulus) * np.exp(-1j * phase)
+    modulus = np.exp(n / 2 * log_modulus)
+    live = np.flatnonzero(modulus)
+    omega = omega[live]
+    phase = n * np.arctan2((p_plus - p_minus) * np.sin(omega),
+                           p_zero + (p_plus + p_minus) * np.cos(omega)) - lo * omega
+    spectrum = np.zeros(modulus.size, dtype=complex)
+    spectrum[live] = modulus[live] * np.exp(-1j * phase)
     return 1, lo, np.maximum(np.fft.irfft(spectrum, fft_size)[:size], 0.0)
 
 
@@ -514,6 +530,8 @@ def _bootstrap_intervals(
     The pass builds at most four pmfs per group on one frequency grid per FFT size,
     then takes the targets lattice by lattice: one ordering per fine lattice, one
     rebinned and one reordered copy per fine pmf on it, released before the next.
+    A target whose weights repeat an earlier target's (:data:`_SEARCHED_AS`) is not
+    searched again but shares that target's interval.
     """
     alpha = (1.0 - confidence) / 2.0
     n_ab, n_ba = table.n_ab, table.n_ba
@@ -522,6 +540,8 @@ def _bootstrap_intervals(
     # (fine size, u_f, u_c) -> fine key -> (fine pmf, [(target index, origin, coarse pmf)])
     lattices: dict[tuple[int, int, int], dict] = {}
     for index, (_, _, weights) in enumerate(_TARGET_WEIGHTS):
+        if _SEARCHED_AS[index] != index:
+            continue
         groups = []
         for counts, group_weights, n_other in zip((table.counts_ab, table.counts_ba), weights,
                                                   (n_ba, n_ab)):
@@ -543,14 +563,21 @@ def _bootstrap_intervals(
                 ends[index] = ((origin + lo) / scale, (origin + hi) / scale)
         del k_sorted, offsets, pieces, fine
     intervals: dict[str, dict[Cell, tuple[float, float]]] = {t: {} for t in _BOOTSTRAP_TARGETS}
-    for (cell, which, _), interval in zip(_TARGET_WEIGHTS, ends):
-        intervals[which][cell] = interval
+    for (cell, which, _), searched in zip(_TARGET_WEIGHTS, _SEARCHED_AS):
+        intervals[which][cell] = ends[searched]
     return intervals
 
 
 def _check_bootstrap(iterations: int, confidence: float) -> None:
-    if iterations < 100:
+    """An ``int`` of at least 100 iterations and a ``float`` or ``int`` confidence in (0, 1),
+    the types a JSON report echoes; another type, a ``bool`` among them, raises a
+    ``TypeError`` that names the parameter, and a NaN confidence fails the range check."""
+    if isinstance(iterations, bool) or not isinstance(iterations, int):
+        raise TypeError(f"iterations must be an int, got {_shown(repr(iterations), quote=False)}")
+    if not iterations >= 100:
         raise TooFewIterationsError(f"need >= 100 iterations, got {iterations}")
+    if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+        raise TypeError(f"confidence must be a float, got {_shown(repr(confidence), quote=False)}")
     if not 0.0 < confidence < 1.0:
         raise BadConfidenceError(f"confidence must be in (0, 1), got {confidence}")
 
@@ -782,7 +809,8 @@ def classicality_report(
     Each bootstrap interval holds the ``alpha`` and ``1 - alpha`` quantiles,
     alpha = (1 - confidence) / 2, of the exact distribution of its target under
     multinomial resampling of both order groups; nothing is drawn.  ``iterations``
-    (at least 100) and ``seed`` are checked and echoed in the report only.
+    (an ``int`` of at least 100) and ``seed`` are echoed in the report only;
+    ``iterations`` and ``confidence`` of another type raise a ``TypeError``.
     """
     from . import __version__
 

@@ -481,9 +481,10 @@ class TestCallCounts:
         code, _, _ = run(capsys, "survey", str(data_dir / "clinton_gore_1997.csv"),
                          "--trials", "700", "--format", "json")
         assert code == 0
-        # twelve intervals from four pmfs per order group, the others their reversals;
-        # one ordering per fine lattice and one frequency grid per FFT size
-        assert calls == {"_inverse_cdf": 12, "_fine_lattice": 4, "_frequency_grid": 2}
+        # ten searches for the twelve intervals, the order differences at (1, 1) and (1, 0)
+        # being those at (0, 0) and (0, 1); four pmfs per order group, the others their
+        # reversals; one ordering per fine lattice and one frequency grid per FFT size
+        assert calls == {"_inverse_cdf": 10, "_fine_lattice": 4, "_frequency_grid": 2}
         assert len(keys) == len(set(keys)) == 8
 
     def test_kd_builds_each_question_once(self, capsys, monkeypatch):
@@ -1037,6 +1038,29 @@ def test_survey_output_pinned_at_0_11_0(capsys, data_dir, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(pinned(out, "0.11.0", ()).encode()).hexdigest() == digest
+
+
+# sha256 at 0.14.0, with its version string, of survey's JSON on two tables past the
+# bundled files' few hundred atoms: 250,000 per cell in both groups, whose group pmfs
+# take FFTs of 16,384 bins, and a group of 34 beside one of 10**6, a fine lattice about
+# 30,000 times finer than the coarse one
+LARGE_SURVEY_OUTPUTS = [
+    (((250_000,) * 4, (250_000,) * 4),
+     "3e880913004064cdbe13be07c24e3f256bf24c19e6261cc0303af9a8c5b5f3e7"),
+    (((20, 5, 0, 9), (10**6 - 3, 1, 1, 1)),
+     "4f8bb03c46aebbdf3f91ff8fed4abfcbcd43d8d1f09252db0d30baf6568892c0"),
+]
+
+
+@pytest.mark.parametrize("counts, digest", LARGE_SURVEY_OUTPUTS,
+                         ids=["250000 per cell", "34 and 10**6 respondents"])
+def test_large_survey_output_pinned_at_0_14_0(capsys, tmp_path, counts, digest):
+    table = survey.SequentialCountTable(*(dict(zip(CELLS, group)) for group in counts))
+    path = tmp_path / "counts.csv"
+    path.write_text(table.to_csv(), encoding="utf-8")
+    code, out, _ = run(capsys, "survey", str(path), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(pinned(out, "0.14.0", ()).encode()).hexdigest() == digest
 
 
 # sha256 of kd's text output, which holds no version string and is unchanged

@@ -1342,12 +1342,19 @@ IDENTITY_CHECKS = ["hilbert.quasi_prob_table", "hilbert.quasi_prob_tables operat
 expansion), which a NaN operand fails."""
 
 
+NON_NUMERIC = {"non-numeric string": "x", "non-numeric ragged list": [[1, 2], [3]],
+               "non-numeric object": object()}
+
+
 def operand_class(kind):
     """The worked example's (rho, a, b) as one operand class.  Two classes put b out of
     line: "mixed d" at d = 3, and "stack lengths 3 and 5" in a longer stack than rho's and
     a's; "NaN entry" puts a NaN in every operand; "non-projector" makes a diag(0.7, 0.2)
-    and "non-state" makes rho diag(0.9, 0.4)."""
+    and "non-state" makes rho diag(0.9, 0.4); a "non-numeric" class makes every operand a
+    string, a ragged list or an ``object()``."""
     raw = list(hilbert.worked_example())
+    if kind in NON_NUMERIC:
+        return [NON_NUMERIC[kind]] * 3
     if kind == "non-projector":
         return raw[0], np.diag([0.7, 0.2]), raw[2]
     if kind == "non-state":
@@ -1379,12 +1386,14 @@ def test_every_public_hilbert_and_jordan_name_has_a_boundary_row():
 
 
 @pytest.mark.parametrize("kind", ["raw d x d", "one-member stack", "two-member stack",
-                                  "mixed d", "NaN entry", "non-projector", "non-state"])
+                                  "mixed d", "NaN entry", "non-projector", "non-state",
+                                  *NON_NUMERIC])
 @pytest.mark.parametrize("name", [name for name, row in BOUNDARY.items() if callable(row)])
 def test_every_operand_class_returns_or_raises_a_package_error(name, kind):
     """A public function returns, or raises a :class:`QuasilogicError`, on every operand
-    class; any other exception fails the test.  An identity check raises on a NaN."""
-    if kind == "NaN entry" and name in IDENTITY_CHECKS:
+    class; any other exception fails the test.  An identity check raises on a NaN, and
+    every function raises on a non-numeric operand."""
+    if kind == "NaN entry" and name in IDENTITY_CHECKS or kind in NON_NUMERIC:
         with pytest.raises(QuasilogicError):
             BOUNDARY[name](*operand_class(kind))
         return
@@ -1392,6 +1401,18 @@ def test_every_operand_class_returns_or_raises_a_package_error(name, kind):
         BOUNDARY[name](*operand_class(kind))
     except QuasilogicError:
         pass
+
+
+@pytest.mark.parametrize("validate", [hilbert.validate_projector, hilbert.validate_density])
+def test_validators_raise_a_package_error_on_a_stack_or_a_non_numeric_operand(validate):
+    """The validators read their operand through ``_check_square``, as ``matrix_to_json``
+    does: a stack is a :class:`DimensionMismatchError`, like every one-matrix form's, and
+    an operand that is not an array of numbers a :class:`BadDimensionError`."""
+    with pytest.raises(DimensionMismatchError):
+        validate(np.stack([np.eye(2)] * 2))
+    for operand in NON_NUMERIC.values():
+        with pytest.raises(BadDimensionError, match="expected a square matrix of numbers"):
+            validate(operand)
 
 
 # ---------------------------------------------------------------------------

@@ -574,6 +574,25 @@ class TestExactBootstrap:
                 # a single admissible atom, the exact end, unless a CDF value is within the band
                 assert end in admissible, (which, cell, level, sorted(admissible))
 
+    @given(small_group_counts(), small_group_counts(),
+           st.one_of(st.sampled_from([0.95, 0.5]),
+                     st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)))
+    @settings(max_examples=40, deadline=None)
+    def test_twin_order_differences_share_their_weights_and_intervals(self, ab, ba, confidence):
+        """Each row and column of a resampled order-difference table sums to 0, so the
+        differences at (1, 1) and (1, 0) equal those at (0, 0) and (0, 1), which the search
+        uses to take ten searches for twelve intervals."""
+        weights = {(cell, which): w for cell, which, w in survey._TARGET_WEIGHTS}
+        table = make_table(ab, ba)
+        intervals = bootstrap_intervals(table, 100, seed=0, confidence=confidence)
+        distributions = exact_bootstrap_distributions(table)
+        for cell, twin in (((1, 1), (0, 0)), ((1, 0), (0, 1))):
+            assert weights[(cell, "order_difference")] == weights[(twin, "order_difference")]
+            assert intervals["order_difference"][cell] == intervals["order_difference"][twin]
+            assert (distributions[("order_difference", cell)]
+                    == distributions[("order_difference", twin)])
+        assert sorted(set(survey._SEARCHED_AS)) == [0, 1, 2, 3, 4, 5, 6, 7, 9, 10]
+
     @pytest.mark.parametrize("name", ["clinton_gore_1997.csv", "synthetic_n100.csv"])
     def test_million_draw_reference_lies_within_one_atom(self, data_dir, name):
         table = survey.load_counts(str(data_dir / name))
@@ -749,6 +768,29 @@ def traced_peak(function, *args):
         tracemalloc.stop()
 
 
+@st.composite
+def pmf_keys(draw):
+    """(k₋, k₀, k₊) of one group of 1 to 10**8 respondents: any split, often at most 10**4;
+    a unanimous group; no k₀; or k₀ and one sign far below n."""
+    n = draw(st.one_of(st.integers(min_value=1, max_value=10**4),
+                       st.integers(min_value=1, max_value=survey.MAX_GROUP_TOTAL)))
+    kind = draw(st.sampled_from(["any", "unanimous", "no zero", "few zeros", "few minus"]))
+    if kind == "unanimous":
+        answer = draw(st.integers(min_value=0, max_value=2))
+        return tuple(n * (i == answer) for i in range(3))
+    if kind == "any":
+        low, high = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+        return low, high - low, n - high
+    rare = draw(st.integers(min_value=0, max_value=min(n, 40)))
+    if kind == "no zero":
+        return rare, 0, n - rare
+    if kind == "few minus":
+        k_zero = draw(st.integers(min_value=0, max_value=n - rare))
+        return rare, k_zero, n - rare - k_zero
+    k_minus = draw(st.integers(min_value=0, max_value=n - rare))
+    return k_minus, rare, n - rare - k_minus
+
+
 class TestOnePassBootstrap:
     @given(group_counts(10**6), group_counts(10**6),
            st.one_of(st.sampled_from([0.95, 0.5, 0.999999, 1 - 2**-53, 5e-324]),
@@ -772,6 +814,37 @@ class TestOnePassBootstrap:
         # the same values in the same (target, cell) order
         assert [(which, list(by_cell.items())) for which, by_cell in intervals.items()] == [
             (which, list(by_cell.items())) for which, by_cell in reference.items()]
+
+    @given(pmf_keys())
+    @example((0, 1, 0))                                  # unanimous groups
+    @example((0, 0, 7))
+    @example((2, 0, 5))                                  # k_zero = 0
+    @example((3, 0, 10**8 - 3))
+    @example((499_998, 4, 499_998))                      # |φ| climbs back near ω = π
+    @example((10**8 // 4 - 1, 3, 3 * 10**8 // 4 - 2))
+    @example((10**8 // 4, 10**8 // 2, 10**8 // 4))       # the widest window
+    @example((1, 10**8 - 2, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_pmfs_equal_the_reference_bit_for_bit(self, key):
+        """Skipping the phase where |φ|ⁿ underflows must change no bit of any pmf, which
+        the interval oracles cannot see when a changed pmf moves no interval end."""
+        step, start, pmf = survey._sum_pmf(*key, {})
+        reference_step, reference_start, reference = reference_sum_pmf(*key)
+        assert (step, start) == (reference_step, reference_start)
+        assert pmf.dtype == reference.dtype and pmf.tobytes() == reference.tobytes()
+
+    def test_nonzero_bins_form_two_runs_when_phi_returns_near_pi(self, monkeypatch):
+        """The (499998, 4, 499998) example above: |φ(π)| = 1 - 2 k₀ / n, so |φ|ⁿ is nonzero
+        near ω = 0 and near ω = π and underflows to 0 between."""
+        spectra = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: spectra.append(a) or irfft(a, n))
+        survey._sum_pmf(499_998, 4, 499_998, {})
+        (spectrum,) = spectra
+        live = np.flatnonzero(spectrum)
+        runs = np.split(live, np.flatnonzero(np.diff(live) > 1) + 1)
+        assert len(runs) == 2 and runs[0][0] == 0 and runs[1][-1] == spectrum.size - 1
+        assert live.size < spectrum.size / 10
 
     @pytest.mark.parametrize("n", [10**6, 10**8])
     def test_peak_memory_stays_near_the_per_target_reference(self, n):
@@ -869,3 +942,17 @@ class TestClassicalityReport:
             survey.classicality_report(synthetic, iterations=10)
         with pytest.raises(BadConfidenceError):
             survey.classicality_report(synthetic, iterations=200, confidence=0.0)
+
+    @pytest.mark.parametrize("iterations", [float("nan"), 100.5, True, "1000", None])
+    def test_iterations_must_be_an_int(self, synthetic, iterations):
+        with pytest.raises(TypeError, match=r"^iterations must be an int, got "):
+            survey.classicality_report(synthetic, iterations=iterations)
+
+    @pytest.mark.parametrize("confidence, error", [
+        (float("nan"), BadConfidenceError), (True, TypeError), ("0.95", TypeError),
+        (None, TypeError),
+    ])
+    def test_confidence_must_be_a_float_in_the_open_unit_interval(self, synthetic, confidence,
+                                                                  error):
+        with pytest.raises(error, match="confidence"):
+            survey.classicality_report(synthetic, iterations=200, confidence=confidence)
