@@ -68,6 +68,10 @@ class BadRankError(QuasilogicError):
     """Requested projector rank is not in 1 <= rank < dim."""
 
 
+class TooFewTrialsError(QuasilogicError):
+    """A sampled check was asked for fewer than one trial per dimension."""
+
+
 class ZeroProbabilityBranchError(QuasilogicError):
     """Selective update conditioned on an outcome of (numerically) zero probability."""
 

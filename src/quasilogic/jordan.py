@@ -13,11 +13,13 @@ The residual kernels norm the defects of private builders, which ``verify``
 reduces itself: its checks keep only the worst spectral norm of a stack, and
 σ₁² ≤ ‖MᴴM‖_F bounds every member, so ``hilbert._worst_norm`` solves just the
 members whose Gram bound reaches the worst norm found.  Formal reality needs
-no solve: x∘x + y∘y = x² + y² and its inputs are Hermitian, so each spectral
-norm is the largest absolute eigenvalue, from one ``eigvalsh`` per stack
-(:func:`_hermitian_norm`), which the kernel and ``verify``'s sweep share.  By
-Weyl's inequality λ_max(x² + y²) ≥ max(‖x‖², ‖y‖²), so the residual is at
-least 100 times the sweep's floor 0.01 max(‖x‖², ‖y‖²).  The public kernels
+no singular values: x∘x + y∘y = x² + y² and its inputs are Hermitian, so each
+spectral norm is the largest absolute eigenvalue, from ``eigvalsh``
+(:func:`_hermitian_norm`), which the kernel and ``verify``'s sweep share; the
+sweep solves its sums one stack per dimension, and a sampled matrix only where
+its pair can set the minimum ratio or a verdict.  By Weyl's inequality
+λ_max(x² + y²) ≥ max(‖x‖², ‖y‖²), so the residual is at least 100 times the
+sweep's floor 0.01 max(‖x‖², ‖y‖²).  The public kernels
 reject a NaN or infinite operand, then one not Hermitian within
 ``DEFAULT_TOL``, before any arithmetic, and a finite operand whose products
 overflow with :class:`QuasilogicError` (:func:`_unless_overflowed`); the

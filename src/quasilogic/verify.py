@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import hilbert, jordan, logic, survey
+from .errors import BadDimensionError, TooFewTrialsError
 from .hilbert import _worst_norm
 
 __all__ = [
@@ -39,6 +40,22 @@ _QUESTIONS, _STATES, _PRODUCTS, _SWEEP, _CLASSICAL, _ROUND_TRIP = range(6)
 
 def _stream(seed: int, suite: int, dim: int) -> np.random.Generator:
     return np.random.default_rng([seed, suite, dim])
+
+
+def _check_sampling(dims: tuple[int, ...], trials_per_dim: int) -> None:
+    """Reject, before any sampling, a trial count that is not an ``int`` of at least 1
+    and dimensions that are none or outside [2, ``hilbert.MAX_DIM``].
+
+    A ``bool`` or another type raises a ``TypeError`` that names the parameter.
+    """
+    if isinstance(trials_per_dim, bool) or not isinstance(trials_per_dim, int):
+        raise TypeError(f"trials_per_dim must be an int, got {trials_per_dim!r}")
+    if trials_per_dim < 1:
+        raise TooFewTrialsError(f"trials_per_dim must be at least 1, got {trials_per_dim}")
+    if not dims:
+        raise BadDimensionError("dims names no dimension")
+    for dim in dims:
+        hilbert._check_dim(dim)
 
 
 @dataclass(frozen=True)
@@ -202,6 +219,7 @@ def hilbert_suite(
     ``questions`` maps each dimension to its :func:`_sampled_questions` result,
     so that a caller running :func:`jordan_suite` too samples them once.
     """
+    _check_sampling(dims, trials_per_dim)
     worst = _WorstByCheck()
     min_table_cell = np.inf
     question_pairs = []
@@ -347,30 +365,26 @@ def jordan_sweep_report(
 
     Each dimension draws trials_per_dim + 1 Hermitian matrices from its sweep
     stream, and pair t is (matrix t, matrix t + 1), so the y of pair t is the
-    x of pair t + 1.  Each matrix is squared once, and the pair sums and every
-    norm come from one stacked call per dimension; the norms are those of
-    ``jordan.formal_reality_residuals``, so each pair's residual and scale are
-    the kernel's, bit for bit.  A NaN or infinite sum fails every pair of its
-    dimension, as a NaN residual.
+    x of pair t + 1.  Each matrix is squared once, and every pair sum is solved
+    in one stacked call per dimension; the sampled matrices are solved only
+    where their pair can set the minimum ratio or a verdict (:func:`_sweep_norms`).
+    The norms are those of ``jordan.formal_reality_residuals``, so each pair's
+    residual, and every scale the report reads, are the kernel's, bit for bit.
+    A NaN or infinite sum fails every pair of its dimension, as a NaN residual.
     """
+    _check_sampling(dims, trials_per_dim)
     records = []
     lowest_ratio = -np.inf  # minus the smallest ratio, so that a NaN ratio is kept
     violations = 0
     for dim in dims:
         matrices = hilbert.sample_hermitians(dim, trials_per_dim + 1, _stream(seed, _SWEEP, dim))
-        squares = matrices @ matrices
-        sums = jordan._formal_reality_sums(squares[:-1], squares[1:])
-        if np.isfinite(sums).all():
-            norms = jordan._hermitian_norm(matrices)
-            residual, scale = jordan._hermitian_norm(sums), np.maximum(norms[:-1], norms[1:])
-        else:  # no spectral norm: every pair reads as a NaN residual at a NaN scale
-            residual = scale = np.full(len(sums), np.nan)
+        residual, scale, solved = _sweep_norms(matrices, tol)
         # a pair is violated unless its residual or its scale rules that out, as a NaN cannot
         violated = ~((residual > tol) | (scale <= tol))
         violations += int(violated.sum())
         # Python float powers, so each floor equals the scalar 0.01 * max(||x||**2, ||y||**2)
         lowest_ratio = _worst_residual([
-            -r / (0.01 * s**2) for r, s in zip(residual.tolist(), scale.tolist())
+            -r / (0.01 * s**2) for r, s in zip(residual[solved].tolist(), scale[solved].tolist())
         ], initial=lowest_ratio)
         records.append({
             "dim": dim,
@@ -381,6 +395,85 @@ def jordan_sweep_report(
             "verdict": "violated" if violated.any() else "consistent",
         })
     return FormalRealitySweep(trials_per_dim, records, -lowest_ratio, violations)
+
+
+def _sweep_norms(matrices: np.ndarray, tol: float):
+    """Residual and scale of each pair (t, t + 1) of ``matrices``, and the mask of
+    pairs whose scale is solved: those that can set a verdict or the least ratio.
+
+    The scale is needed only where the residual is not above ``tol`` (the
+    verdict) or the ratio r / (0.01 s²) can be the least.  Each matrix bounds
+    its s² from above (:func:`_squared_power_bounds`), which bounds each pair's
+    ratio from below.  Up to three times, the bounds of the matrices still in
+    play are tightened by one more squaring, the pair with the least bound is
+    solved, so that the least ratio is at most its ratio, and every pair whose
+    bound is above the least ratio found drops out.  Then the matrices of the
+    pairs left are solved; none is solved twice, and a pair not solved reads a
+    NaN scale.  A NaN or infinite sum leaves every residual and scale NaN, and
+    every pair solved.
+    """
+    power = matrices @ matrices  # x², then x^(2^k) of each matrix still in play
+    sums = jordan._formal_reality_sums(power[:-1], power[1:])
+    if not np.isfinite(sums).all():  # no spectral norm: NaN residuals at NaN scales
+        residual = np.full(len(sums), np.nan)
+        return residual, residual, np.ones(len(sums), dtype=bool)
+    residual = jordan._hermitian_norm(sums)
+    del sums  # the bound passes below take its place
+    norms = np.full(len(matrices), np.nan)
+    bounds = np.full(len(matrices), np.inf)
+    members = np.ones(len(matrices), dtype=bool)
+    least = np.inf  # the least ratio found
+    for squarings in (1, 2, 3):
+        power, tighter = _squared_power_bounds(power, squarings)
+        bounds[members] = np.minimum(bounds[members], tighter)
+        lower = residual / (0.01 * np.maximum(bounds[:-1], bounds[1:])) * (1 - 1e-10)
+        first = int(lower.argmin())
+        if lower[first] <= least:
+            pair = np.zeros(len(matrices), dtype=bool)
+            pair[first:first + 2] = True
+            _fill_norms(norms, matrices, pair)
+            scale = float(norms[first:first + 2].max())
+            least = min(least, float(residual[first]) / (0.01 * scale**2))
+        solved = ~((lower > least) & (residual > tol))
+        kept = _pair_members(solved)
+        members, power = kept, power[kept[members]]
+        if not np.isnan(norms[members]).any():
+            break
+    _fill_norms(norms, matrices, members)
+    return residual, np.maximum(norms[:-1], norms[1:]), solved
+
+
+def _pair_members(pairs: np.ndarray) -> np.ndarray:
+    """Mask of the matrices t and t + 1 of every pair t in the mask ``pairs``."""
+    members = np.zeros(len(pairs) + 1, dtype=bool)
+    members[:-1] |= pairs
+    members[1:] |= pairs
+    return members
+
+
+def _fill_norms(norms: np.ndarray, matrices: np.ndarray, members: np.ndarray) -> None:
+    """Fill in the NaN ``norms`` of ``members`` with their spectral norms, in one stacked call."""
+    todo = members & np.isnan(norms)
+    if todo.any():
+        norms[todo] = jordan._hermitian_norm(matrices[todo])
+
+
+def _squared_power_bounds(power: np.ndarray, squarings: int):
+    """Square each member x^(2^k) of ``power``, k = ``squarings``, and bound ‖x‖² from its square.
+
+    ‖x^(2m)‖_F = (Σλᵢ^(4m))^½ ≥ ‖x‖^(2m) for Hermitian x, so with 2m = 2^(k+1)
+    b = ‖x^(2m)‖_F^(1/m) (1 + 1e-10) bounds the computed ‖x‖²: at d <= 64 and
+    k <= 3 both are within far less than 1e-10 relative of their exact values,
+    as in ``hilbert._worst_norm``.  A member whose ‖x^(2m)‖_F overflows, is NaN
+    or falls below 1e-140 (where that relative accuracy is lost) gets an
+    infinite bound.  Returns the squared stack and the bounds.
+    """
+    with np.errstate(all="ignore"):
+        power = power @ power
+        frobenius = np.sqrt(np.einsum("nij,nij->n", power.real, power.real)
+                            + np.einsum("nij,nij->n", power.imag, power.imag))
+    usable = (frobenius >= 1e-140) & (frobenius < np.inf)
+    return power, np.where(usable, frobenius ** 0.5**squarings * (1 + 1e-10), np.inf)
 
 
 def jordan_suite(
@@ -398,6 +491,7 @@ def jordan_suite(
     by the caller with the same dims, seed and tol.  ``questions`` is as in
     :func:`hilbert_suite`.
     """
+    _check_sampling(dims, trials_per_dim)
     worst = _WorstByCheck()
     count = 0
     # the product jordan.jordan_product takes, unvalidated: the stacks below are
@@ -439,6 +533,7 @@ def run_all(
     tol: float = hilbert.DEFAULT_TOL,
 ) -> list[CheckResult]:
     """Every invariant suite in one flat list; the questions are sampled once for both suites."""
+    _check_sampling(dims, trials_per_dim)
     questions = {dim: _sampled_questions(dim, trials_per_dim, seed) for dim in dims}
     results = logic_suite()
     results += hilbert_suite(dims, trials_per_dim, seed, tol, questions=questions)

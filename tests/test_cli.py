@@ -516,6 +516,17 @@ class TestCallCounts:
         assert code == 0
         assert sum(solved) <= most
 
+    def test_formal_reality_sweep_solves_few_sampled_matrices(self, capsys, monkeypatch):
+        """The sweep solves all 7,000 pair sums, but a sampled matrix only where its pair can
+        set the minimum ratio or a verdict: 14,007 members in all at 0.15.0, which solved
+        every matrix; 7,028 at 0.16.0 (7,038 at seed 7, 7,028 at seed 1)."""
+        solved, norm = [], jordan._hermitian_norm
+        monkeypatch.setattr(jordan, "_hermitian_norm", lambda m: solved.append(len(m)) or norm(m))
+        code, _, _ = run(capsys, "jordan-verify", "--format", "json", "--seed", "42")
+        assert code == 0
+        assert solved.count(1000) == 7  # one stack of pair sums per dimension
+        assert sum(solved) <= 7_100
+
 
 def fresh_python(probe: str, *argv: str) -> list[str]:
     """stdout lines of ``python -c probe argv...`` in a fresh interpreter on this package."""

@@ -299,7 +299,7 @@ class TestStackedKernels:
         assert sweep.min_ratio >= 100 * (1 - 1e-12)
 
     @pytest.mark.parametrize("dim", [2, 5])
-    @pytest.mark.parametrize("planted", ["ties", "violations", "decoy"])
+    @pytest.mark.parametrize("planted", ["ties", "violations", "decoy", "tiny", "huge"])
     def test_planted_pairs_equal_per_pair_probe_loop(self, monkeypatch, planted, dim):
         matrices = hilbert.sample_hermitians(dim, 301, np.random.default_rng(dim))
         if planted == "ties":
@@ -310,15 +310,55 @@ class TestStackedKernels:
         elif planted == "violations":
             # residuals near 1e-12, below tol = 1e-10, at scales near 1e-6, above it
             matrices[100:201] *= 1e-6
-        else:
+        elif planted == "decoy":
             # a full-rank residual of 200 at pair 150 beside a rank-one residual of 199 at pair 190
             matrices[150:152] = 10 * np.diag([1.0] + [0.99] * (dim - 1))
             matrices[190:192] = 10 * np.sqrt(199 / 200) * np.diag(np.eye(dim)[0])
+        else:
+            # fourth powers that underflow or overflow, so that no matrix bounds its norm
+            matrices *= 1e-80 if planted == "tiny" else 1e75
         monkeypatch.setattr(hilbert, "sample_hermitians", lambda *args: matrices)
         sweep = verify.jordan_sweep_report((dim,), 300, seed=3)
         assert sweep == per_pair_sweep(list(matrices), seed=3)
         assert (sweep.min_ratio == 100.0) == (planted == "ties")
         assert (sweep.violations == 100) == (planted == "violations")
+
+    @given(st.integers(min_value=24, max_value=64), st.integers(min_value=1, max_value=40), seeds)
+    @settings(max_examples=5, deadline=None)
+    def test_large_dimension_sweep_equals_per_pair_probe_loop(self, dim, trials, seed):
+        # equality only: the Weyl rounding bound of the test above holds at d <= 16
+        matrices = hilbert.sample_hermitians(dim, trials + 1, verify._stream(seed, verify._SWEEP, dim))
+        assert verify.jordan_sweep_report((dim,), trials, seed) == per_pair_sweep(list(matrices), seed)
+
+    @given(st.integers(min_value=2, max_value=64), st.integers(min_value=2, max_value=6), seeds,
+           st.sampled_from([1.0, 1e-60, 1e-30, 1e30, 1e60]))
+    @settings(max_examples=40, deadline=None)
+    def test_power_bounds_hold(self, dim, n, seed, scale):
+        """Each bound the sweep prunes with is at least the computed ||x||², finite at scale 1."""
+        x = scale * hilbert.sample_hermitians(dim, n, np.random.default_rng(seed))
+        norms_squared = np.array([float(norm) ** 2 for norm in jordan._hermitian_norm(x)])
+        power = x @ x
+        for squarings in (1, 2, 3):
+            power, bounds = verify._squared_power_bounds(power, squarings)
+            assert (bounds >= norms_squared).all()
+            assert np.isfinite(bounds).all() or scale != 1.0
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e75])
+    def test_matrices_without_power_bounds_are_solved(self, monkeypatch, scale):
+        """Where x⁴ underflows or overflows the bound is infinite: a stack of such matrices is
+        solved whole, and a run of them among ordinary ones gives the per-pair sweep."""
+        matrices = hilbert.sample_hermitians(4, 51, np.random.default_rng(0))
+        monkeypatch.setattr(hilbert, "sample_hermitians", lambda *args: matrices)
+        solved, norm = [], jordan._hermitian_norm
+        monkeypatch.setattr(jordan, "_hermitian_norm", lambda m: solved.append(len(m)) or norm(m))
+        matrices[20:31] *= scale
+        assert verify.jordan_sweep_report((4,), 50, seed=0) == per_pair_sweep(list(matrices), 0)
+        matrices[:20] *= scale
+        matrices[31:] *= scale
+        solved.clear()
+        sweep = verify.jordan_sweep_report((4,), 50, seed=0)
+        assert sum(solved) == 50 + 51
+        assert sweep == per_pair_sweep(list(matrices), 0)
 
     @given(st.integers(min_value=2, max_value=64), st.integers(min_value=1, max_value=6), seeds,
            st.sampled_from([1.0, 1e-100, 1e100]))

@@ -3,6 +3,7 @@
 Each control swaps one kernel for a NaN-returning copy in the namespace ``verify``
 calls it through, so only that call sees NaN; the check must then fail as a
 violation, and the command must exit 1 with nothing on stderr (no traceback).
+The sampled suites' input boundary is checked at the end.
 """
 
 import json
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from quasilogic import cli, verify
+from quasilogic.errors import BadDimensionError, QuasilogicError, TooFewTrialsError
 
 # checks on fixed inputs rather than samples; every other non-logic check needs a control
 FIXED_INPUT_CHECKS = {
@@ -111,3 +113,42 @@ def test_every_sampled_check_has_a_nan_control(capsys):
     assert FIXED_INPUT_CHECKS <= names
     assert {name for name in names if not name.startswith("logic.")} - FIXED_INPUT_CHECKS \
         == set(CONTROLS)
+
+
+SAMPLED_SUITES = {
+    "hilbert_suite": verify.hilbert_suite,
+    "jordan_sweep_report": verify.jordan_sweep_report,
+    "jordan_suite": lambda *args: verify.jordan_suite(
+        *args, reality=verify.FormalRealitySweep(1, [], 200.0, 0)),
+    "run_all": verify.run_all,
+}
+
+
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+@pytest.mark.parametrize("dims, trials, error", [
+    ((2,), 0, TooFewTrialsError),
+    ((2,), -3, TooFewTrialsError),
+    ((2,), True, TypeError),
+    ((2,), 2.5, TypeError),
+    ((2,), "10", TypeError),
+    ((2,), None, TypeError),
+    ((1,), 5, BadDimensionError),
+    ((2, 65), 5, BadDimensionError),
+    ((), 5, BadDimensionError),
+])
+def test_sampled_suites_reject_bad_trials_and_dims_before_sampling(
+        monkeypatch, suite, dims, trials, error):
+    streams = []
+    monkeypatch.setattr(verify, "_stream", lambda *args: streams.append(args))
+    with pytest.raises(error) as exc:
+        SAMPLED_SUITES[suite](dims, trials)
+    assert streams == []
+    if error is TypeError:
+        assert "trials_per_dim" in str(exc.value)
+    else:
+        assert isinstance(exc.value, QuasilogicError)
+
+
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+def test_sampled_suites_accept_one_trial(suite):
+    assert SAMPLED_SUITES[suite]((2,), 1)
