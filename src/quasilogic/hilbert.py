@@ -252,6 +252,8 @@ def _check_square(matrix: np.ndarray) -> np.ndarray:
 
 
 def _check_dim(d: int) -> None:
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+        raise TypeError(f"dimension must be an int, got {d!r}")
     if not 2 <= d <= MAX_DIM:
         raise BadDimensionError(f"dimension {d} outside supported range [2, {MAX_DIM}]")
 

@@ -568,14 +568,17 @@ def _bootstrap_intervals(
     return intervals
 
 
-def _check_bootstrap(iterations: int, confidence: float) -> None:
-    """An ``int`` of at least 100 iterations and a ``float`` or ``int`` confidence in (0, 1),
-    the types a JSON report echoes; another type, a ``bool`` among them, raises a
-    ``TypeError`` that names the parameter, and a NaN confidence fails the range check."""
+def _check_bootstrap(iterations: int, seed: int, confidence: float) -> None:
+    """An ``int`` of at least 100 iterations, an ``int`` seed and a ``float`` or ``int``
+    confidence in (0, 1), the types a JSON report echoes; another type, a ``bool`` among
+    them, raises a ``TypeError`` that names the parameter, and a NaN confidence fails the
+    range check."""
     if isinstance(iterations, bool) or not isinstance(iterations, int):
         raise TypeError(f"iterations must be an int, got {_shown(repr(iterations), quote=False)}")
     if not iterations >= 100:
         raise TooFewIterationsError(f"need >= 100 iterations, got {iterations}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {_shown(repr(seed), quote=False)}")
     if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
         raise TypeError(f"confidence must be a float, got {_shown(repr(confidence), quote=False)}")
     if not 0.0 < confidence < 1.0:
@@ -809,12 +812,12 @@ def classicality_report(
     Each bootstrap interval holds the ``alpha`` and ``1 - alpha`` quantiles,
     alpha = (1 - confidence) / 2, of the exact distribution of its target under
     multinomial resampling of both order groups; nothing is drawn.  ``iterations``
-    (an ``int`` of at least 100) and ``seed`` are echoed in the report only;
-    ``iterations`` and ``confidence`` of another type raise a ``TypeError``.
+    (an ``int`` of at least 100) and ``seed`` (an ``int``) are echoed in the report
+    only; ``iterations``, ``seed`` and ``confidence`` of another type raise a ``TypeError``.
     """
     from . import __version__
 
-    _check_bootstrap(iterations, confidence)
+    _check_bootstrap(iterations, seed, confidence)
 
     p_ab, p_ba = sequential_probs(table)
     logical_ab, logical_ba = logical_tables_from_probs(p_ab, p_ba)

@@ -44,9 +44,10 @@ def _stream(seed: int, suite: int, dim: int) -> np.random.Generator:
 
 def _check_sampling(dims: tuple[int, ...], trials_per_dim: int) -> None:
     """Reject, before any sampling, a trial count that is not an ``int`` of at least 1
-    and dimensions that are none or outside [2, ``hilbert.MAX_DIM``].
+    and dimensions that are none, not ``int``, or outside [2, ``hilbert.MAX_DIM``].
 
-    A ``bool`` or another type raises a ``TypeError`` that names the parameter.
+    A ``bool`` or another type raises a ``TypeError`` that names the trial count or
+    the dimension.
     """
     if isinstance(trials_per_dim, bool) or not isinstance(trials_per_dim, int):
         raise TypeError(f"trials_per_dim must be an int, got {trials_per_dim!r}")
@@ -349,7 +350,7 @@ class FormalRealitySweep:
 
     trials_per_dim: int
     records: list[dict]  # one JSON record per dimension
-    min_ratio: float     # smallest residual / (0.01 max(||x||², ||y||²)) over all pairs
+    min_ratio: float     # smallest residual / (0.01 max(||x||², ||y||²)) over pairs with a floor
     violations: int
 
 
@@ -371,6 +372,8 @@ def jordan_sweep_report(
     The norms are those of ``jordan.formal_reality_residuals``, so each pair's
     residual, and every scale the report reads, are the kernel's, bit for bit.
     A NaN or infinite sum fails every pair of its dimension, as a NaN residual.
+    A pair whose floor 0.01 max(||x||², ||y||²) is 0, such as two zero matrices,
+    is consistent and is left out of the minimum ratio.
     """
     _check_sampling(dims, trials_per_dim)
     records = []
@@ -382,9 +385,8 @@ def jordan_sweep_report(
         # a pair is violated unless its residual or its scale rules that out, as a NaN cannot
         violated = ~((residual > tol) | (scale <= tol))
         violations += int(violated.sum())
-        # Python float powers, so each floor equals the scalar 0.01 * max(||x||**2, ||y||**2)
         lowest_ratio = _worst_residual([
-            -r / (0.01 * s**2) for r, s in zip(residual[solved].tolist(), scale[solved].tolist())
+            -_ratio(r, s) for r, s in zip(residual[solved].tolist(), scale[solved].tolist())
         ], initial=lowest_ratio)
         records.append({
             "dim": dim,
@@ -432,8 +434,7 @@ def _sweep_norms(matrices: np.ndarray, tol: float):
             pair = np.zeros(len(matrices), dtype=bool)
             pair[first:first + 2] = True
             _fill_norms(norms, matrices, pair)
-            scale = float(norms[first:first + 2].max())
-            least = min(least, float(residual[first]) / (0.01 * scale**2))
+            least = min(least, _ratio(float(residual[first]), float(norms[first:first + 2].max())))
         solved = ~((lower > least) & (residual > tol))
         kept = _pair_members(solved)
         members, power = kept, power[kept[members]]
@@ -441,6 +442,14 @@ def _sweep_norms(matrices: np.ndarray, tol: float):
             break
     _fill_norms(norms, matrices, members)
     return residual, np.maximum(norms[:-1], norms[1:]), solved
+
+
+def _ratio(residual: float, scale: float) -> float:
+    """A pair's residual / (0.01 scale²) in Python floats, so that the floor equals the scalar
+    0.01 * max(||x||**2, ||y||**2); infinite where the floor is 0, as for a pair of zero
+    matrices, which is consistent and has no ratio."""
+    floor = 0.01 * scale**2
+    return residual / floor if floor else np.inf
 
 
 def _pair_members(pairs: np.ndarray) -> np.ndarray:

@@ -1,0 +1,230 @@
+"""sha256 pins of command output, keyed by host profile: the kernel numpy's bundled OpenBLAS
+picks for the CPU, and whether numpy dispatches its X86_V3 (AVX2) loops.  Both change the
+last bits of sampled output.  A digest under ``"*"`` holds on every profile, and
+``python tests/take_pins.py`` prints the digests the table lacks.
+"""
+
+import contextlib
+import ctypes
+import functools
+import hashlib
+import io
+import json
+from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+
+import quasilogic
+from quasilogic import cli, survey
+from quasilogic.logic import CELLS
+
+# the environment of each profile a row needs a digest for, on an AVX-512 host; Zen reads Haswell
+PROFILES = {
+    "SkylakeX/X86_V3": {},
+    "Haswell/X86_V3": {"OPENBLAS_CORETYPE": "Haswell"},
+    "Sandybridge/X86_V2": {"OPENBLAS_CORETYPE": "Sandybridge",
+                           "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+@functools.cache
+def profile() -> str:
+    """This process's host profile, such as ``"SkylakeX/X86_V3"``."""
+    core = "unknown BLAS"
+    for library in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*.so"):
+        corename = ctypes.CDLL(str(library)).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return f"{core}/{'X86_V3' if __cpu_features__.get('X86_V3') else 'X86_V2'}"
+
+
+class Pin(NamedTuple):
+    """``argv``'s output at ``version``, without ``fields`` if any.  An argument ending in
+    ``.csv`` names a bundled data file; a tuple of two count groups, a count file of them."""
+
+    argv: list
+    version: str
+    fields: tuple
+    digests: dict
+
+
+def label(pin: Pin) -> str:
+    """The row's version and command line, a count file shown by its number of respondents."""
+    shown = [f"<{sum(map(sum, arg))} respondents>" if isinstance(arg, tuple) else arg
+             for arg in pin.argv]
+    return " ".join([pin.version, *shown])
+
+
+def output(pin: Pin, directory: Path) -> str:
+    """stdout of the row's command, run in this process with its count files in ``directory``."""
+    argv = []
+    for index, arg in enumerate(pin.argv):
+        if isinstance(arg, tuple):
+            path = directory / f"counts_{index}.csv"
+            table = survey.SequentialCountTable(*(dict(zip(CELLS, group)) for group in arg))
+            path.write_text(table.to_csv(), encoding="utf-8")
+            arg = path
+        elif arg.endswith(".csv"):
+            arg = Path(quasilogic.__file__).parent / "data" / arg
+        argv.append(str(arg))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    assert code == 0, f"{label(pin)} exited {code}"
+    return out.getvalue()
+
+
+def without(out: str, fields) -> str:
+    """JSON output re-serialised as the CLI writes it, without its version and ``fields``:
+    top-level keys, ``config.KEY`` (dropped if present) or ``CHECK NAME:KEY``."""
+    data = json.loads(out)
+    del data["config"]["version"]
+    checks = {check["name"]: check for check in data.get("checks", [])}
+    for field in fields:
+        if field.startswith("config."):
+            data["config"].pop(field.removeprefix("config."), None)
+        elif ":" in field:
+            name, key = field.split(":")
+            del checks[name][key]
+        else:
+            del data[field]
+    return json.dumps(data, indent=2) + "\n"
+
+
+def digest(pin: Pin, out: str) -> str:
+    """sha256 of ``out`` at the row's version, or without its version and fields if any."""
+    if pin.fields:
+        out = without(out, pin.fields)
+    else:
+        out = out.replace(f'"version": "{quasilogic.__version__}"', f'"version": "{pin.version}"')
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def expected(pin: Pin, host: str) -> str | None:
+    return pin.digests.get(host, pin.digests.get("*"))
+
+
+# The fields that 0.3.0 changed in their last bits, where kd and verify read the
+# Jordan route, Tr((rho∘A)B) since 0.3.0 (and kd no longer takes --trials).
+KD_CHANGED = ("config.trials", "max_gap_to_logical_joint")
+CLASSICAL_CHANGED = ("hilbert.classical_triples_nonnegative:residual",
+                     "hilbert.classical_triples_nonnegative:detail")
+# The field whose residuals 0.6.0 changed in their last bits: the formal-reality sweep
+# takes each norm as the largest absolute eigenvalue in place of the largest singular value.
+SWEEP_CHANGED = ("formal_reality_sweep",)
+# The fields of the check that 0.5.0 made exact: the lowest cell over all states
+# of the sampled question pairs in place of a random search's best draw.
+NEGATIVITY_CHANGED = ("hilbert.negativity_search_floor:residual",
+                      "hilbert.negativity_search_floor:tol",
+                      "hilbert.negativity_search_floor:detail")
+# The fields 0.11.0 changed in survey's JSON: the bootstrap intervals became exact
+# quantiles in place of percentiles of drawn resamples, and the diagnostics are new.
+BOOTSTRAP_CHANGED = ("bootstrap", "diagnostics")
+
+KD = ["kd", "--dim", "24", "--seed", "5"]
+VERIFY_37 = ["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"]
+JSON = ["--format", "json"]
+
+PINS = [
+    # 0.1.0: commands that draw nothing from the samplers that changed in 0.2.0
+    Pin(KD + JSON, "0.1.0", KD_CHANGED, {
+        "SkylakeX/X86_V3": "9abf817672f8c3a91f1deea0a4fd963e7230e81e35344992fdc24d16c2108e80",
+        "Haswell/X86_V3": "0d322d9353ed37566c73a1ca7ef7b757705ecb2b86d5472ac8ecd163a9427980",
+        "Sandybridge/X86_V2": "73f3b699228aac599656cc058120505bbdc2020603a0b75ff591094c8053e0be",
+    }),
+    Pin(["demo"] + JSON, "0.1.0", (), {
+        "SkylakeX/X86_V3": "f6a82446a44f41e996359356a22302b25f7662f3db0826d22dbd490621b23e8d",
+        "Haswell/X86_V3": "f6a82446a44f41e996359356a22302b25f7662f3db0826d22dbd490621b23e8d",
+        "Sandybridge/X86_V2": "5c8cbb95d1d362ca37d4fd323617a76cf85920742bca75868ec9f3ee2d617d03",
+    }),
+    Pin(["survey", "synthetic_n100.csv"] + JSON, "0.1.0", BOOTSTRAP_CHANGED, {
+        "*": "52acfac2bbe889baa1f02d98ca951dda0c0e0607c524d083957fd90f3921048d",
+    }),
+    Pin(["survey", "clinton_gore_1997.csv"] + JSON, "0.1.0", BOOTSTRAP_CHANGED, {
+        "*": "727dd12cd5b7166c125fc26933bfebdbcca6de49a4db1ac87cb69974adf2b162",
+    }),
+    # 0.2.0: sampled output, every float of which depends on the samplers and the kernels
+    Pin(["verify"] + JSON, "0.2.0",
+        ("hilbert.table_marginality:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED, {
+            "SkylakeX/X86_V3": "a0b806dedcb266defec83bd30d8d514226a052acce5db732435f2752acc6dc6c",
+            "Haswell/X86_V3": "0562aefd8c52b1288bca245a42b0e41b8e6c0d9367db8111680142d64a7dd47f",
+            "Sandybridge/X86_V2": "abc397aa7a1fe8227525f2267c26c3fadfa5543294b97d4662c343b58d438532",
+        }),
+    Pin(["jordan-verify"] + JSON, "0.2.0", SWEEP_CHANGED, {
+        "SkylakeX/X86_V3": "76958b6f8c554dfbcf48747222b55d13919331942c8b4dfa2f4717e5ac22a7f5",
+        "Haswell/X86_V3": "cdf17b2d5789dab29ad09cd2def10e165f5b550b805dfa5af59a1d70968dbfb4",
+        "Sandybridge/X86_V2": "cd62fbdd0e050b8b2ad3ef757917df85a3872189c1c4307b7159fbe5a2ad63fd",
+    }),
+    Pin(VERIFY_37, "0.2.0",
+        ("hilbert.joint_operational_vs_algebraic:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED, {
+            "SkylakeX/X86_V3": "3f281da4404638352b731bda2419697e902e233fe5c89001f23693a6129b7d2d",
+            "Haswell/X86_V3": "9d01753e18e4bee1e5ae18216a79a9694cce8a01e4fcbb37f433af1a1c9574d2",
+            "Sandybridge/X86_V2": "fc553cfcf1d9f4644a9070072d44c46d86f423e8ed9a15a2386fd1c1eb50020d",
+        }),
+    # 0.3.0, 0.5.0 and 0.6.0: the outputs whose fields above changed
+    Pin(KD + JSON, "0.3.0", (), {
+        "SkylakeX/X86_V3": "3552163b0f6b31173dd381e8c8a7b72f4aea7bb773f3dc064f39429fe9106cc3",
+        "Haswell/X86_V3": "863f9832d38773b05fb71ca3a9666fb6e6c5b7df970f7b340bdd17b60c76960f",
+        "Sandybridge/X86_V2": "17b11247ba374833e0645bf020efc5faf868b458decc79023cc2518f0f2a83e2",
+    }),
+    Pin(["verify"] + JSON, "0.3.0", NEGATIVITY_CHANGED, {
+        "SkylakeX/X86_V3": "f63fec87fe048a1aeb84fa8f6a92703d40c02cb8879ed05130e720b1bfcadbbf",
+        "Haswell/X86_V3": "ca4fdc62e190af4a5447501c44468761e850dc56326ab7991b38339c2cd3bd20",
+        "Sandybridge/X86_V2": "cdf413e2584c622c3011a754e8876ca58925655630fa618349ce5b9f38627d22",
+    }),
+    Pin(VERIFY_37, "0.3.0", NEGATIVITY_CHANGED, {
+        "SkylakeX/X86_V3": "583bfd29ac6f422a497f4f0e4ef7f319a8857d4e840fcc82f02b83fe33b20d53",
+        "Haswell/X86_V3": "1d628599a880fa80e931f7bb8dde581c30907bf8fbc7cb3cf91c94d46fc4d100",
+        "Sandybridge/X86_V2": "5caf67dbf4ee17066437e4a9392289205e42a25fa95cf85fd5ce2d6cf4a3ebdf",
+    }),
+    Pin(["verify"] + JSON, "0.5.0", (), {
+        "SkylakeX/X86_V3": "16e2bb283493b3de10abd507a633c189d6136345e4228a5ead951ce62f0580bb",
+        "Haswell/X86_V3": "b01ee9ab78b0ce3b822f9ddf5822bbeffdeb00116e2a90a3df4a39ecb2f0e57c",
+        "Sandybridge/X86_V2": "ccc8973fc838907c9d5f46c1ba9addb9700468a8b8d3cfb856c1d947758312a1",
+    }),
+    Pin(VERIFY_37, "0.5.0", (), {
+        "SkylakeX/X86_V3": "550d8894bcf829d0341a7c8f7ae2c04c9058813ae70c0b6157c61ee824f3564d",
+        "Haswell/X86_V3": "b458c1a0ffd68ade6ef9bb12c15d44cb4c6f70fbec688a62d5e1fa0947aad781",
+        "Sandybridge/X86_V2": "73b1de09d42b7ba2f6287a7df7173e3c40ecbd64fb5a0c8a7062cf9b18a5f0c8",
+    }),
+    Pin(["jordan-verify"] + JSON, "0.6.0", (), {
+        "SkylakeX/X86_V3": "2a23e7594db3146a8038165164add230931521c9b8722495238bef5d4b2b5c34",
+        "Haswell/X86_V3": "dbd5807c718ad86b274328bb236552ea79b814db19a6692fe51cb2768eeb59b6",
+        "Sandybridge/X86_V2": "2ea36e66da5ee36ec1ab9d662054b326183e854082686743b2b3d80725c22a48",
+    }),
+    # 0.11.0: survey's output since its bootstrap intervals became exact
+    Pin(["survey", "synthetic_n100.csv"], "0.11.0", (), {
+        "*": "900b0630bb9ca962bd3470bc9aaed830412b3d025be94b2b595da16965601d0c",
+    }),
+    Pin(["survey", "clinton_gore_1997.csv"], "0.11.0", (), {
+        "*": "e6f54d5e680b903d30ab276b660556be3203b9c2a55ed6f8aa802ef85f426600",
+    }),
+    Pin(["survey", "synthetic_n100.csv"] + JSON, "0.11.0", (), {
+        "*": "34b5d628c1426d822df910ff137b11bdcf7d0487b89d28645a554783e9f16e01",
+    }),
+    Pin(["survey", "clinton_gore_1997.csv"] + JSON, "0.11.0", (), {
+        "*": "e9f23032843dbb56c6d90ea0e588418a5e8d517644e70488877fa1761e9b6d13",
+    }),
+    # 0.14.0: survey's JSON past the bundled files' few hundred atoms: 250,000 per cell in
+    # both groups, whose group pmfs take FFTs of 16,384 bins, and a group of 34 beside one
+    # of 10**6, a fine lattice about 30,000 times finer than the coarse one
+    Pin(["survey", ((250_000,) * 4, (250_000,) * 4)] + JSON, "0.14.0", (), {
+        "*": "3e880913004064cdbe13be07c24e3f256bf24c19e6261cc0303af9a8c5b5f3e7",
+    }),
+    Pin(["survey", ((20, 5, 0, 9), (10**6 - 3, 1, 1, 1))] + JSON, "0.14.0", (), {
+        "*": "4f8bb03c46aebbdf3f91ff8fed4abfcbcd43d8d1f09252db0d30baf6568892c0",
+    }),
+    # kd's text output, which holds no version string and is unchanged since 0.3.0,
+    # and its CSV output, whose fields are plain floats since 0.3.1
+    Pin(KD, "0.3.0", (), {
+        "SkylakeX/X86_V3": "b985507ae676a915b34e4af5c73878bf2484e35b77b9838da31e0a24a0545934",
+        "Haswell/X86_V3": "12c3c68f051f8ae6325c2b78338c477079dc86408adb6e4e5dcbe7803892482d",
+        "Sandybridge/X86_V2": "6f718c9c6208b1396a023588fd2a4a02681f16f5b06959969306890572061a18",
+    }),
+    Pin(KD + ["--format", "csv"], "0.3.1", (), {
+        "SkylakeX/X86_V3": "ae2ba5e4c189408c9616afd27211bad69c228a5b57639d2e5eff72cfa80d164c",
+        "Haswell/X86_V3": "a01d8759f16436cf5b7bc3904a58d61e5a5a099db4c56293252761f30f742416",
+        "Sandybridge/X86_V2": "96b2746a6a8b6929a2692355b6db4e8190c65d08935d80a5ce79b8004ae7f9fe",
+    }),
+]

@@ -1,7 +1,6 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
 import ast
-import hashlib
 import inspect
 import json
 import math
@@ -17,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import quasilogic
 import quasilogic.errors
+import pins
 from conftest import seeded_basis, seeded_state
 from quasilogic import cli, hilbert, jordan, logic, survey, verify
 from quasilogic.logic import CELLS
@@ -528,10 +528,11 @@ class TestCallCounts:
         assert sum(solved) <= 7_100
 
 
-def fresh_python(probe: str, *argv: str) -> list[str]:
-    """stdout lines of ``python -c probe argv...`` in a fresh interpreter on this package."""
+def fresh_python(probe: str, *argv: str, env: dict | None = None) -> list[str]:
+    """stdout lines of ``python -c probe argv...`` in a fresh interpreter on this package,
+    with ``env`` added to this process's environment."""
     src = str(Path(quasilogic.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = os.environ | (env or {})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", probe, *argv],
                             env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -885,207 +886,35 @@ def test_one_process_builds_the_parser_once(capsys, monkeypatch, data_dir):
     assert len(built) == 1
 
 
-def without(out: str, fields) -> str:
-    """JSON output re-serialised as the CLI writes it, without its version and ``fields``.
-
-    A field is a top-level key, ``config.KEY`` (dropped if present) or
-    ``CHECK NAME:KEY`` for a key of one check.
-    """
-    data = json.loads(out)
-    del data["config"]["version"]
-    checks = {check["name"]: check for check in data.get("checks", [])}
-    for field in fields:
-        if field.startswith("config."):
-            data["config"].pop(field.removeprefix("config."), None)
-        elif ":" in field:
-            name, key = field.split(":")
-            del checks[name][key]
-        else:
-            del data[field]
-    return json.dumps(data, indent=2) + "\n"
+@pytest.mark.parametrize("pin", pins.PINS, ids=pins.label)
+def test_output_pinned(tmp_path, pin):
+    host = pins.profile()
+    if pins.expected(pin, host) is None:
+        pytest.fail(f"no pin for host profile {host}: take it with python tests/take_pins.py",
+                    pytrace=False)
+    assert pins.digest(pin, pins.output(pin, tmp_path)) == pins.expected(pin, host)
 
 
-def pinned(out: str, version: str, fields) -> str:
-    """What a pin hashes: ``out`` at ``version``, or without its fields that changed since."""
-    if fields:
-        return without(out, fields)
-    return out.replace(f'"version": "{quasilogic.__version__}"', f'"version": "{version}"')
+def test_every_pin_has_a_digest_per_profile():
+    for pin in pins.PINS:
+        assert set(pin.digests) in ({"*"}, set(pins.PROFILES)), pins.label(pin)
 
 
-# The fields that 0.3.0 changed in their last bits, where kd and verify read the
-# Jordan route, Tr((rho∘A)B) since 0.3.0 (and kd no longer takes --trials).
-KD_CHANGED = ("config.trials", "max_gap_to_logical_joint")
-CLASSICAL_CHANGED = ("hilbert.classical_triples_nonnegative:residual",
-                     "hilbert.classical_triples_nonnegative:detail")
-# The field whose residuals 0.6.0 changed in their last bits: the formal-reality sweep
-# takes each norm as the largest absolute eigenvalue in place of the largest singular value.
-SWEEP_CHANGED = ("formal_reality_sweep",)
-# The fields of the check that 0.5.0 made exact: the lowest cell over all states
-# of the sampled question pairs in place of a random search's best draw.
-NEGATIVITY_CHANGED = ("hilbert.negativity_search_floor:residual",
-                      "hilbert.negativity_search_floor:tol",
-                      "hilbert.negativity_search_floor:detail")
-# The fields 0.11.0 changed in survey's JSON: the bootstrap intervals became exact
-# quantiles in place of percentiles of drawn resamples, and the diagnostics are new.
-BOOTSTRAP_CHANGED = ("bootstrap", "diagnostics")
-
-# sha256 of the output of quasilogic 0.1.0 with its version string, for
-# commands that draw nothing from the samplers that changed in 0.2.0; where
-# fields are listed, of the output without them and without its version
-UNCHANGED_OUTPUTS = [
-    (["kd", "--dim", "24", "--seed", "5", "--format", "json"],
-     "9abf817672f8c3a91f1deea0a4fd963e7230e81e35344992fdc24d16c2108e80", KD_CHANGED),
-    (["demo", "--format", "json"],
-     "f6a82446a44f41e996359356a22302b25f7662f3db0826d22dbd490621b23e8d", ()),
-    (["survey", "synthetic_n100.csv", "--format", "json"],
-     "52acfac2bbe889baa1f02d98ca951dda0c0e0607c524d083957fd90f3921048d", BOOTSTRAP_CHANGED),
-    (["survey", "clinton_gore_1997.csv", "--format", "json"],
-     "727dd12cd5b7166c125fc26933bfebdbcca6de49a4db1ac87cb69974adf2b162", BOOTSTRAP_CHANGED),
-]
-
-
-@pytest.mark.parametrize("argv, digest, fields", UNCHANGED_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _, _ in UNCHANGED_OUTPUTS])
-def test_output_unchanged_since_0_1_0(capsys, data_dir, argv, digest, fields):
-    argv = [str(data_dir / arg) if arg.endswith(".csv") else arg for arg in argv]
-    code, out, _ = run(capsys, *argv)
+@pytest.mark.parametrize("command", ["verify", "jordan-verify"])
+def test_verdicts_and_residuals_agree_across_profiles(capsys, command):
+    """Under the AVX-only profile, in a fresh interpreter, the output is the host's but for
+    each residual, which is within its check's tol of the host's, and each check's detail."""
+    code, out, _ = run(capsys, command, "--format", "json")
     assert code == 0
-    assert hashlib.sha256(pinned(out, "0.1.0", fields).encode()).hexdigest() == digest
-
-
-# sha256 of sampled output at 0.2.0 with its version string; every float of it
-# depends on the samplers and the kernels, so a refactor must leave them alone;
-# where fields are listed, of the output without them and without its version
-SAMPLED_OUTPUTS = [
-    (["verify", "--format", "json"],
-     "a0b806dedcb266defec83bd30d8d514226a052acce5db732435f2752acc6dc6c",
-     ("hilbert.table_marginality:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED),
-    (["jordan-verify", "--format", "json"],
-     "76958b6f8c554dfbcf48747222b55d13919331942c8b4dfa2f4717e5ac22a7f5", SWEEP_CHANGED),
-    (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
-     "3f281da4404638352b731bda2419697e902e233fe5c89001f23693a6129b7d2d",
-     ("hilbert.joint_operational_vs_algebraic:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED),
-]
-
-
-@pytest.mark.parametrize("argv, digest, fields", SAMPLED_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _, _ in SAMPLED_OUTPUTS])
-def test_sampled_output_unchanged_since_0_2_0(capsys, argv, digest, fields):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(pinned(out, "0.2.0", fields).encode()).hexdigest() == digest
-
-
-# sha256 at 0.3.0, with its version string, of the outputs whose fields above changed;
-# where fields are listed, of the output without them and without its version
-CHANGED_OUTPUTS = [
-    (["kd", "--dim", "24", "--seed", "5", "--format", "json"],
-     "3552163b0f6b31173dd381e8c8a7b72f4aea7bb773f3dc064f39429fe9106cc3", ()),
-    (["verify", "--format", "json"],
-     "f63fec87fe048a1aeb84fa8f6a92703d40c02cb8879ed05130e720b1bfcadbbf", NEGATIVITY_CHANGED),
-    (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
-     "583bfd29ac6f422a497f4f0e4ef7f319a8857d4e840fcc82f02b83fe33b20d53", NEGATIVITY_CHANGED),
-]
-
-
-@pytest.mark.parametrize("argv, digest, fields", CHANGED_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _, _ in CHANGED_OUTPUTS])
-def test_output_pinned_at_0_3_0(capsys, argv, digest, fields):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(pinned(out, "0.3.0", fields).encode()).hexdigest() == digest
-
-
-# sha256 at 0.5.0, with its version string, of the outputs whose fields above changed
-NEGATIVITY_OUTPUTS = [
-    (["verify", "--format", "json"],
-     "16e2bb283493b3de10abd507a633c189d6136345e4228a5ead951ce62f0580bb"),
-    (["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"],
-     "550d8894bcf829d0341a7c8f7ae2c04c9058813ae70c0b6157c61ee824f3564d"),
-]
-
-
-@pytest.mark.parametrize("argv, digest", NEGATIVITY_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _ in NEGATIVITY_OUTPUTS])
-def test_output_pinned_at_0_5_0(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(pinned(out, "0.5.0", ()).encode()).hexdigest() == digest
-
-
-# sha256 at 0.6.0, with its version string, of the output whose field above changed
-SWEEP_OUTPUTS = [
-    (["jordan-verify", "--format", "json"],
-     "2a23e7594db3146a8038165164add230931521c9b8722495238bef5d4b2b5c34"),
-]
-
-
-@pytest.mark.parametrize("argv, digest", SWEEP_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _ in SWEEP_OUTPUTS])
-def test_output_pinned_at_0_6_0(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(pinned(out, "0.6.0", ()).encode()).hexdigest() == digest
-
-
-# sha256 at 0.11.0, with its version string, of survey's output since its bootstrap
-# intervals became exact; the text output holds no version string
-SURVEY_OUTPUTS = [
-    (["survey", "synthetic_n100.csv"],
-     "900b0630bb9ca962bd3470bc9aaed830412b3d025be94b2b595da16965601d0c"),
-    (["survey", "clinton_gore_1997.csv"],
-     "e6f54d5e680b903d30ab276b660556be3203b9c2a55ed6f8aa802ef85f426600"),
-    (["survey", "synthetic_n100.csv", "--format", "json"],
-     "34b5d628c1426d822df910ff137b11bdcf7d0487b89d28645a554783e9f16e01"),
-    (["survey", "clinton_gore_1997.csv", "--format", "json"],
-     "e9f23032843dbb56c6d90ea0e588418a5e8d517644e70488877fa1761e9b6d13"),
-]
-
-
-@pytest.mark.parametrize("argv, digest", SURVEY_OUTPUTS,
-                         ids=[" ".join(argv) for argv, _ in SURVEY_OUTPUTS])
-def test_survey_output_pinned_at_0_11_0(capsys, data_dir, argv, digest):
-    argv = [str(data_dir / arg) if arg.endswith(".csv") else arg for arg in argv]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(pinned(out, "0.11.0", ()).encode()).hexdigest() == digest
-
-
-# sha256 at 0.14.0, with its version string, of survey's JSON on two tables past the
-# bundled files' few hundred atoms: 250,000 per cell in both groups, whose group pmfs
-# take FFTs of 16,384 bins, and a group of 34 beside one of 10**6, a fine lattice about
-# 30,000 times finer than the coarse one
-LARGE_SURVEY_OUTPUTS = [
-    (((250_000,) * 4, (250_000,) * 4),
-     "3e880913004064cdbe13be07c24e3f256bf24c19e6261cc0303af9a8c5b5f3e7"),
-    (((20, 5, 0, 9), (10**6 - 3, 1, 1, 1)),
-     "4f8bb03c46aebbdf3f91ff8fed4abfcbcd43d8d1f09252db0d30baf6568892c0"),
-]
-
-
-@pytest.mark.parametrize("counts, digest", LARGE_SURVEY_OUTPUTS,
-                         ids=["250000 per cell", "34 and 10**6 respondents"])
-def test_large_survey_output_pinned_at_0_14_0(capsys, tmp_path, counts, digest):
-    table = survey.SequentialCountTable(*(dict(zip(CELLS, group)) for group in counts))
-    path = tmp_path / "counts.csv"
-    path.write_text(table.to_csv(), encoding="utf-8")
-    code, out, _ = run(capsys, "survey", str(path), "--format", "json")
-    assert code == 0
-    assert hashlib.sha256(pinned(out, "0.14.0", ()).encode()).hexdigest() == digest
-
-
-# sha256 of kd's text output, which holds no version string and is unchanged
-# since 0.3.0, and of its CSV output, whose fields are plain floats since 0.3.1
-KD_OUTPUTS = [
-    (["kd", "--dim", "24", "--seed", "5"],
-     "b985507ae676a915b34e4af5c73878bf2484e35b77b9838da31e0a24a0545934"),
-    (["kd", "--dim", "24", "--seed", "5", "--format", "csv"],
-     "ae2ba5e4c189408c9616afd27211bad69c228a5b57639d2e5eff72cfa80d164c"),
-]
-
-
-@pytest.mark.parametrize("argv, digest", KD_OUTPUTS, ids=[" ".join(argv) for argv, _ in KD_OUTPUTS])
-def test_kd_output_pinned(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    probe = "import sys, quasilogic.cli; quasilogic.cli.main(sys.argv[1:])"
+    host, other = json.loads(out), json.loads("\n".join(
+        fresh_python(probe, command, "--format", "json", env=pins.PROFILES["Sandybridge/X86_V2"])))
+    for mine, theirs in zip(host["checks"], other["checks"]):
+        assert abs(theirs["residual"] - mine["residual"]) <= mine["tol"], mine["name"]
+        theirs["residual"], theirs["detail"] = mine["residual"], mine["detail"]
+    sweeps = (side.get("formal_reality_sweep", []) for side in (host, other))
+    for mine, theirs in zip(*sweeps):
+        for key in ("max_residual", "min_residual"):
+            assert abs(theirs[key] - mine[key]) <= host["config"]["tol"], (mine["dim"], key)
+            theirs[key] = mine[key]
+    assert other == host

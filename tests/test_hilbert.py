@@ -778,12 +778,15 @@ SAMPLERS = {
 }
 
 
-@pytest.mark.parametrize("dim", [1, 65])
+@pytest.mark.parametrize("dim, error", [
+    (1, BadDimensionError), (65, BadDimensionError),
+    (True, TypeError), (2.5, TypeError), ("3", TypeError),
+], ids=["1", "65", "True", "2.5", "'3'"])
 @pytest.mark.parametrize("sample", SAMPLERS.values(), ids=SAMPLERS.keys())
-def test_samplers_reject_a_dimension_before_drawing(sample, dim):
+def test_samplers_reject_a_dimension_before_drawing(sample, dim, error):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(BadDimensionError):
+    with pytest.raises(error, match="dimension"):
         sample(dim, rng)
     assert rng.bit_generator.state == state
 

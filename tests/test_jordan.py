@@ -360,6 +360,23 @@ class TestStackedKernels:
         assert sum(solved) == 50 + 51
         assert sweep == per_pair_sweep(list(matrices), 0)
 
+    def test_zero_matrices_are_consistent_without_a_ratio(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "sample_hermitians",
+                            lambda dim, n, rng: np.zeros((n, dim, dim), dtype=complex))
+        sweep = verify.jordan_sweep_report((2, 3), 5)
+        assert (sweep.min_ratio, sweep.violations) == (np.inf, 0)
+        assert [(r["max_residual"], r["verdict"]) for r in sweep.records] == [(0.0, "consistent")] * 2
+
+    def test_a_zero_pair_leaves_the_minimum_ratio_to_the_other_pairs(self, monkeypatch):
+        matrices = hilbert.sample_hermitians(3, 301, np.random.default_rng(3))
+        matrices[150:152] = 0
+        monkeypatch.setattr(hilbert, "sample_hermitians", lambda *args: matrices)
+        sweep = verify.jordan_sweep_report((3,), 300, seed=0)
+        # every pair but (150, 151), from the two chains on either side of it
+        others = [per_pair_sweep(list(chain), 0) for chain in (matrices[:151], matrices[151:])]
+        assert sweep.min_ratio == min(other.min_ratio for other in others)
+        assert sweep.violations == 0
+
     @given(st.integers(min_value=2, max_value=64), st.integers(min_value=1, max_value=6), seeds,
            st.sampled_from([1.0, 1e-100, 1e100]))
     @settings(max_examples=40, deadline=None)

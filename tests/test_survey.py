@@ -948,6 +948,11 @@ class TestClassicalityReport:
         with pytest.raises(TypeError, match=r"^iterations must be an int, got "):
             survey.classicality_report(synthetic, iterations=iterations)
 
+    @pytest.mark.parametrize("seed", [float("nan"), 1.5, True, "0", None])
+    def test_seed_must_be_an_int(self, synthetic, seed):
+        with pytest.raises(TypeError, match=r"^seed must be an int, got "):
+            survey.classicality_report(synthetic, iterations=200, seed=seed)
+
     @pytest.mark.parametrize("confidence, error", [
         (float("nan"), BadConfidenceError), (True, TypeError), ("0.95", TypeError),
         (None, TypeError),

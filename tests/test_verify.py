@@ -135,6 +135,9 @@ SAMPLED_SUITES = {
     ((1,), 5, BadDimensionError),
     ((2, 65), 5, BadDimensionError),
     ((), 5, BadDimensionError),
+    ((2.5,), 5, TypeError),
+    (("3",), 5, TypeError),
+    ((True,), 5, TypeError),
 ])
 def test_sampled_suites_reject_bad_trials_and_dims_before_sampling(
         monkeypatch, suite, dims, trials, error):
@@ -144,7 +147,7 @@ def test_sampled_suites_reject_bad_trials_and_dims_before_sampling(
         SAMPLED_SUITES[suite](dims, trials)
     assert streams == []
     if error is TypeError:
-        assert "trials_per_dim" in str(exc.value)
+        assert ("trials_per_dim" if dims == (2,) else "dimension") in str(exc.value)
     else:
         assert isinstance(exc.value, QuasilogicError)
 
