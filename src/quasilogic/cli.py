@@ -28,9 +28,11 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
-# Input limits.  verify at trials x d² = 2**24 (--dim 64 --trials 4096) takes 3.4 GB,
-# so its sampled entries stay near 1 GB.  survey's --trials keeps the range it had when
-# the bootstrap drew that many resamples; since 0.11.0 it is only echoed.
+# Input limits.  At trials x d² = 2**22 (--dim 64 --trials 1024) one sampled stack is
+# U = 64 MiB: verify peaks at about 5 U (325 MiB traced by tracemalloc, 366 MB RSS) and
+# jordan-verify at its sweep's 3 U (197 MiB traced, 235 MB RSS).  survey's --trials keeps
+# the range it had when the bootstrap drew that many resamples; since 0.11.0 it is only
+# echoed.
 MAX_BOOTSTRAP_TRIALS = 10**7
 MAX_SAMPLED_ENTRIES = 2**22  # trials x d² of verify and jordan-verify at their largest d
 

@@ -72,6 +72,10 @@ class TooFewTrialsError(QuasilogicError):
     """A sampled check was asked for fewer than one trial per dimension."""
 
 
+class BadSeedError(QuasilogicError):
+    """A sampled check was given a negative seed."""
+
+
 class ZeroProbabilityBranchError(QuasilogicError):
     """Selective update conditioned on an outcome of (numerically) zero probability."""
 
@@ -104,6 +108,14 @@ class IncompleteBasisError(QuasilogicError):
 class IdentityCheckError(QuasilogicError, ArithmeticError):
     """An identity a result must meet (table marginality, the mapped XOR expansion,
     survey's xor/conjunction balance) fails beyond tolerance or is NaN."""
+
+
+# ---------------------------------------------------------------------------
+# logic
+
+
+class UnknownConnectiveError(QuasilogicError, ValueError):
+    """A truth table was asked for a connective the logic layer does not define."""
 
 
 # ---------------------------------------------------------------------------

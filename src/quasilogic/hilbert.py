@@ -30,8 +30,10 @@ and the mapped XOR operator check their identities, which a NaN fails.
 
 Every sampler is stacked: it checks its arguments, then draws n members from
 the ``numpy.random.Generator`` it is given, which it advances; one draw is
-member 0 of a one-member stack.  Its states and projectors are valid by
-construction, so it freezes them unvalidated.  All other functions are pure.
+member 0 of a one-member stack.  It draws its Gaussians whole and builds its
+result in their place, block by block, so its working memory is its result
+plus one stack.  Its states and projectors are valid by construction, so it
+freezes them unvalidated.  All other functions are pure.
 Every state or projector the module returns, validated, sampled or built, is a
 read-only array.
 """
@@ -142,6 +144,11 @@ def _worst(residuals: float | np.ndarray) -> float:
 def _worst_norm(m: np.ndarray) -> float:
     """``_worst(operator_norm(m))``, bit for bit, solving only the members that could be the largest.
 
+    An all-zero stack gives 0 at once.  σ₁ ≥ F/√d for a member of Frobenius
+    norm F, so the largest member's σ₁ is at least max F/√d, and a member
+    with F² below (max F)²/d (1 - 1e-10) cannot be the worst: it is dropped
+    before any product, unless (max F)² overflows or is below 1e-200, where
+    the squares of the entries lose that relative accuracy.  Then
     σ₁² ≤ (Σ σᵢ⁴)^½ = ‖MᴴM‖_F, so b = (‖MᴴM‖_F (1 + 1e-10))^½ bounds each
     member's computed spectral norm: at d <= 64 the computed Gram norm is
     within about 5e-13 relative and LAPACK's σ₁ far closer, so a member with
@@ -157,15 +164,21 @@ def _worst_norm(m: np.ndarray) -> float:
             return _worst(np.linalg.norm(m, axis=(-2, -1)))
     if m.ndim == 2 or len(m) < 2:
         return _worst(_norm(m))
+    if not m.any():
+        return 0.0
     with np.errstate(all="ignore"):
+        squares = np.einsum("nij,nij->n", m.real, m.real) + np.einsum("nij,nij->n", m.imag, m.imag)
+        top = squares.max()
+        if 1e-200 <= top < np.inf:  # an overflowed square leaves the stack to the Gram pass
+            m = m[squares >= top / m.shape[-1] * (1 - 1e-10)]
+        if len(m) < 2:
+            return _worst(_norm(m))
         gram = np.concatenate(_blockwise(
             lambda block: np.linalg.norm(_dagger(block) @ block, axis=(-2, -1)), m))
     small = gram < 1e-140
     if not np.isfinite(gram).all() or (small.any() and (small & m.any(axis=(-2, -1))).any()):
         return _worst(_norm(m))
     first = int(gram.argmax())
-    if gram[first] == 0:
-        return 0.0  # every member is zero
     worst = _norm(m[first])
     rest = np.sqrt(gram * (1 + 1e-10)) >= worst
     rest[first] = False
@@ -184,11 +197,17 @@ def _blockwise(fn, *operands: np.ndarray) -> list:
     fit in one block give ``[fn(*operands)]``.
     """
     n = max((len(m) for m in operands if m.ndim == 3), default=0)
-    step = max(1, _BLOCK_ENTRIES // operands[0].shape[-1] ** 2)
-    if n <= step:
+    blocks = _blocks(n, operands[0].shape[-1], _BLOCK_ENTRIES)
+    if len(blocks) <= 1:
         return [fn(*operands)]
-    return [fn(*(m[i:i + step] if m.ndim == 3 and len(m) == n else m for m in operands))
-            for i in range(0, n, step)]
+    return [fn(*(m[block] if m.ndim == 3 and len(m) == n else m for m in operands))
+            for block in blocks]
+
+
+def _blocks(n: int, dim: int, entries: int) -> list[slice]:
+    """Slices of at most ``entries // dim²`` members (at least one) that cover n members in order."""
+    step = max(1, entries // dim**2)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _gate_norm(m: np.ndarray, tol: float) -> float:
@@ -358,8 +377,11 @@ def _answers(p: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def _symmetrised(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Jordan product (AB + BA)/2, memberwise on stacks."""
-    return (a @ b + b @ a) / 2
+    """Jordan product (AB + BA)/2, memberwise on stacks, with one temporary: BA."""
+    p = a @ b
+    p += b @ a
+    p /= 2
+    return p
 
 
 def _re_trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -435,9 +457,28 @@ def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
 
 
 def _complex_gaussians(rng: np.random.Generator, n: int, shape: tuple[int, ...]) -> np.ndarray:
-    """n complex Gaussian arrays of ``shape``, each drawn as its real, then its imaginary parts."""
+    """n complex Gaussian arrays of ``shape``, each drawn as its real, then its imaginary parts.
+
+    The imaginary parts are multiplied by 1j into the result and the real parts added in
+    place: the bits of ``real + 1j * imag``, without its complex temporary.
+    """
     parts = rng.standard_normal((n, 2, *shape))
-    return parts[:, 0] + 1j * parts[:, 1]
+    g = np.multiply(1j, parts[:, 1], out=np.empty((n, *shape), dtype=np.complex128))
+    g += parts[:, 0]
+    return g
+
+
+def _hermitian_parts(m: np.ndarray) -> np.ndarray:
+    """(M + Mᴴ)/2 of a complex matrix or of each member of a stack, as a new C-contiguous array.
+
+    The real and imaginary parts are summed through views, which is the complex sum
+    M + Mᴴ bit for bit, so the conjugate is never copied.
+    """
+    h = np.empty(m.shape, dtype=np.complex128)
+    np.add(m.real, m.real.swapaxes(-1, -2), out=h.real)
+    np.subtract(m.imag, m.imag.swapaxes(-1, -2), out=h.imag)
+    h /= 2
+    return h
 
 
 def _haar_unitaries(g: np.ndarray) -> np.ndarray:
@@ -445,6 +486,14 @@ def _haar_unitaries(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diagonal / np.abs(diagonal))[..., None, :]
+
+
+def _in_place(fn, m: np.ndarray, *others: np.ndarray) -> np.ndarray:
+    """``m`` with each block of members replaced by ``fn`` of that block (and of the same
+    members of ``others``), so that ``fn``'s temporaries are a block's; ``fn`` works memberwise."""
+    for block in _blocks(len(m), m.shape[-1], _BLOCK_ENTRIES):
+        m[block] = fn(m[block], *(other[block] for other in others))
+    return m
 
 
 def sample_states(
@@ -460,20 +509,23 @@ def sample_states(
     for purity in purities:
         if purity not in ("pure", "mixed"):
             raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
-    rho = np.empty((len(purities), dim, dim), dtype=np.complex128)
     pure = [i for i, purity in enumerate(purities) if purity == "pure"]
     mixed = [i for i, purity in enumerate(purities) if purity == "mixed"]
-    if pure:
-        rho[pure] = _ray_projectors(_complex_gaussians(rng, len(pure), (dim,)))
-    if mixed:
-        rho[mixed] = _normalised_grams(_complex_gaussians(rng, len(mixed), (dim, dim)))
-    return _freeze((rho + _dagger(rho)) / 2)
+    vectors = _complex_gaussians(rng, len(pure), (dim,))
+    grams = _in_place(_normalised_grams, _complex_gaussians(rng, len(mixed), (dim, dim)))
+    rho = np.empty((len(purities), dim, dim), dtype=np.complex128)
+    rho[mixed] = grams
+    del grams
+    for block in _blocks(len(pure), dim, _BLOCK_ENTRIES):
+        rho[pure[block]] = _ray_projectors(vectors[block])
+    return _freeze(_in_place(_hermitian_parts, rho))
 
 
 def _normalised_grams(g: np.ndarray) -> np.ndarray:
     """Hilbert-Schmidt states g g^H / Tr(g g^H), one per member of an (n, d, d) stack."""
     products = g @ _dagger(g)
-    return products / _re_trace(products)[:, None, None]
+    products /= _re_trace(products)[:, None, None]
+    return products
 
 
 def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) -> np.ndarray:
@@ -487,8 +539,9 @@ def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) 
     for rank in ranks.tolist():
         if not 1 <= rank < dim:
             raise BadRankError(f"rank must satisfy 1 <= rank < dim, got rank={rank}, dim={dim}")
-    p = _frame_projectors(_haar_unitaries(_complex_gaussians(rng, len(ranks), (dim, dim))), ranks)
-    return _freeze((p + _dagger(p)) / 2)
+    p = _complex_gaussians(rng, len(ranks), (dim, dim))
+    return _freeze(_in_place(
+        lambda g, r: _hermitian_parts(_frame_projectors(_haar_unitaries(g), r)), p, ranks))
 
 
 def _frame_projectors(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -504,14 +557,13 @@ def _frame_projectors(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 def sample_hermitians(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, d, d) stack of random Hermitian matrices with standard Gaussian entries."""
     _check_dim(dim)
-    g = _complex_gaussians(rng, n, (dim, dim))
-    return (g + _dagger(g)) / 2
+    return _hermitian_parts(_complex_gaussians(rng, n, (dim, dim)))
 
 
 def sample_orthonormal_bases(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, d, d) stack of Haar-random orthonormal bases, the rows of member i its vectors."""
     _check_dim(dim)
-    return _haar_unitaries(_complex_gaussians(rng, n, (dim, dim))).swapaxes(-1, -2)
+    return _in_place(_haar_unitaries, _complex_gaussians(rng, n, (dim, dim))).swapaxes(-1, -2)
 
 
 def sample_commuting_triples(
@@ -522,16 +574,22 @@ def sample_commuting_triples(
 
     Drawn in turn for all members: the unitaries, Dirichlet eigenvalues for
     the states, and a proper 0/1 diagonal for question A, then for question B.
+    The stack of question B is built in place of the unitaries.
     """
     _check_dim(dim)
-    u = _haar_unitaries(_complex_gaussians(rng, n, (dim, dim)))
-    diagonals = np.zeros((3, n, dim, dim), dtype=np.complex128)
+    u = _complex_gaussians(rng, n, (dim, dim))
+    eigenvalues = rng.dirichlet(np.ones(dim), size=n)
+    patterns_a = _proper_patterns(rng, n, dim)
+    patterns_b = _proper_patterns(rng, n, dim)
+    rho, a = np.empty_like(u), np.empty_like(u)
     index = np.arange(dim)
-    diagonals[0][:, index, index] = rng.dirichlet(np.ones(dim), size=n)
-    for question in (1, 2):
-        diagonals[question][:, index, index] = _proper_patterns(rng, n, dim)
-    products = (u @ diagonal @ _dagger(u) for diagonal in diagonals)
-    return tuple(_freeze((m + _dagger(m)) / 2) for m in products)
+    for block in _blocks(n, dim, _BLOCK_ENTRIES):
+        unitaries = _haar_unitaries(u[block])
+        for out, values in ((rho, eigenvalues), (a, patterns_a), (u, patterns_b)):
+            diagonal = np.zeros_like(unitaries)
+            diagonal[:, index, index] = values[block]
+            out[block] = _hermitian_parts(unitaries @ diagonal @ _dagger(unitaries))
+    return _freeze(rho), _freeze(a), _freeze(u)
 
 
 def _proper_patterns(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
@@ -608,8 +666,7 @@ def lueders_updates(
             raise ZeroProbabilityBranchError(lowest, DEFAULT_TOL)
         with np.errstate(invalid="ignore"):  # a NaN operand fails the state check below
             post = branch / probability[..., None, None]
-    post = (post + _dagger(post)) / 2
-    return probability, _validated_densities(post, DEFAULT_TOL)
+    return probability, _validated_densities(_hermitian_parts(post), DEFAULT_TOL)
 
 
 def nonselective_state(rho: np.ndarray, p: np.ndarray) -> np.ndarray:

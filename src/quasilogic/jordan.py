@@ -10,8 +10,9 @@ does; formal reality is probed over random inputs, so its verdict is
 "consistent with", never a proof.
 
 The residual kernels norm the defects of private builders, which ``verify``
-reduces itself: its checks keep only the worst spectral norm of a stack, and
-σ₁² ≤ ‖MᴴM‖_F bounds every member, so ``hilbert._worst_norm`` solves just the
+reduces itself: its checks keep only the worst spectral norm of a stack, so
+``hilbert._worst_norm`` drops the members whose Frobenius norm lies below the
+largest over √d, bounds the others by σ₁² ≤ ‖MᴴM‖_F, and solves just the
 members whose Gram bound reaches the worst norm found.  Formal reality needs
 no singular values: x∘x + y∘y = x² + y² and its inputs are Hermitian, so each
 spectral norm is the largest absolute eigenvalue, from ``eigvalsh``
@@ -75,8 +76,12 @@ def idempotency_residuals(a: np.ndarray) -> tuple[float | np.ndarray, float | np
 
 
 def _idempotency_defects(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A A A - A and A ∘ A - A, whose norms :func:`idempotency_residuals` returns."""
-    return m @ m @ m - m, m @ m - m  # x ∘ x reduces to the ordinary square
+    """A A A - A and A ∘ A - A, whose norms :func:`idempotency_residuals` returns.
+
+    A ∘ A reduces to the ordinary square, which is formed once: A A A is (A A) A.
+    """
+    square = m @ m
+    return square @ m - m, square - m
 
 
 def formal_reality_residuals(

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal
 
+from .errors import UnknownConnectiveError
+
 __all__ = [
     "Answer",
     "CELLS",
@@ -139,13 +141,18 @@ _VALUE_FUNCTIONS = {
 
 
 def truth_table(connective: Connective) -> list[tuple[CounterfactualRecord, Fraction]]:
-    """All eight (record, value) rows in lexicographic (a, b_alone, b_after) order."""
-    try:
-        fn = _VALUE_FUNCTIONS[connective]
-    except KeyError:
-        raise ValueError(
+    """All eight (record, value) rows in lexicographic (a, b_alone, b_after) order.
+
+    A connective that is not a ``str`` raises a ``TypeError``; an unknown name
+    :class:`UnknownConnectiveError`, which is also a ``ValueError``.
+    """
+    if not isinstance(connective, str):
+        raise TypeError(f"connective must be a str, got {connective!r}")
+    fn = _VALUE_FUNCTIONS.get(connective)
+    if fn is None:
+        raise UnknownConnectiveError(
             f"unknown connective {connective!r}; expected one of {CONNECTIVES}"
-        ) from None
+        )
     return [(record, fn(record)) for record in ALL_RECORDS]
 
 

@@ -143,8 +143,11 @@ def parse_counts(text: str) -> SequentialCountTable:
     Schema: header ``order,first,second,count``; ``order`` in {AB, BA};
     ``first``/``second`` in {0, 1}; exactly 8 data rows.  Blank lines and
     ``#`` comment lines are skipped; comments of the form ``# label_a = Name``
-    set the question labels (else A and B).  Errors carry the offending line number.
+    set the question labels (else A and B).  Errors carry the offending line number;
+    ``text`` that is not a ``str`` raises a ``TypeError``.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, got {_shown(repr(text), quote=False)}")
     label_a, label_b = "A", "B"
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -813,10 +816,14 @@ def classicality_report(
     alpha = (1 - confidence) / 2, of the exact distribution of its target under
     multinomial resampling of both order groups; nothing is drawn.  ``iterations``
     (an ``int`` of at least 100) and ``seed`` (an ``int``) are echoed in the report
-    only; ``iterations``, ``seed`` and ``confidence`` of another type raise a ``TypeError``.
+    only; ``iterations``, ``seed`` and ``confidence`` of another type raise a ``TypeError``,
+    as does a ``table`` that is not a :class:`SequentialCountTable`.
     """
     from . import __version__
 
+    if not isinstance(table, SequentialCountTable):
+        raise TypeError(
+            f"table must be a SequentialCountTable, got {_shown(repr(table), quote=False)}")
     _check_bootstrap(iterations, seed, confidence)
 
     p_ab, p_ba = sequential_probs(table)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import hilbert, jordan, logic, survey
-from .errors import BadDimensionError, TooFewTrialsError
+from .errors import BadDimensionError, BadSeedError, TooFewTrialsError
 from .hilbert import _worst_norm
 
 __all__ = [
@@ -34,6 +34,10 @@ DOUBLE_PRECISION_FLOOR = 1e-12
 
 _CLASSICAL_TRIALS = 1000  # commuting triples whose cells the hilbert suite checks
 
+_SUITE_BLOCK_ENTRIES = 1 << 16
+"""Matrix entries per sampled stack in one block of a dimension's checks: each check's
+temporaries are a block's, and every dimension the commands sample by default is one block."""
+
 # Each suite draws its samples at dimension d from one stream, default_rng([seed, suite, d]).
 _QUESTIONS, _STATES, _PRODUCTS, _SWEEP, _CLASSICAL, _ROUND_TRIP = range(6)
 
@@ -42,13 +46,18 @@ def _stream(seed: int, suite: int, dim: int) -> np.random.Generator:
     return np.random.default_rng([seed, suite, dim])
 
 
-def _check_sampling(dims: tuple[int, ...], trials_per_dim: int) -> None:
-    """Reject, before any sampling, a trial count that is not an ``int`` of at least 1
-    and dimensions that are none, not ``int``, or outside [2, ``hilbert.MAX_DIM``].
+def _check_sampling(dims: tuple[int, ...], trials_per_dim: int, seed: int) -> None:
+    """Reject, before any sampling, a trial count that is not an ``int`` of at least 1,
+    dimensions that are none, not ``int``, or outside [2, ``hilbert.MAX_DIM``], and a
+    seed that is not an ``int`` of at least 0 (the sweep's records echo it into JSON).
 
-    A ``bool`` or another type raises a ``TypeError`` that names the trial count or
-    the dimension.
+    A ``bool`` or another type raises a ``TypeError`` that names the trial count, the
+    dimension or the seed; a negative seed raises :class:`BadSeedError`.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    if seed < 0:
+        raise BadSeedError(f"seed must be at least 0, got {seed}")
     if isinstance(trials_per_dim, bool) or not isinstance(trials_per_dim, int):
         raise TypeError(f"trials_per_dim must be an int, got {trials_per_dim!r}")
     if trials_per_dim < 1:
@@ -218,42 +227,20 @@ def hilbert_suite(
     """Hilbert-semantics checks on sampled triples, a worked example and baselines.
 
     ``questions`` maps each dimension to its :func:`_sampled_questions` result,
-    so that a caller running :func:`jordan_suite` too samples them once.
+    so that a caller running :func:`jordan_suite` too samples them once.  Each
+    dimension's checks run on member blocks of at most ``_SUITE_BLOCK_ENTRIES``
+    entries per stack, as in :func:`jordan_suite`.
     """
-    _check_sampling(dims, trials_per_dim)
+    _check_sampling(dims, trials_per_dim, seed)
     worst = _WorstByCheck()
     min_table_cell = np.inf
-    question_pairs = []
+    lowest_cells = []  # (dim, the least cell over all states of each question pair)
     count = 0
     for dim, rho, a, b in _sampled_stacks(dims, trials_per_dim, seed, questions):
         count += len(rho)
-        question_pairs.append((dim, a, b))
-        operational = hilbert.logical_joints(rho, a, b, "operational")
-        algebraic = hilbert.logical_joints(rho, a, b, "jordan")
-        kd_real = np.trace(rho @ a @ b, axis1=1, axis2=2).real
-        worst.add("hilbert.joint_operational_vs_algebraic", np.abs(operational - algebraic))
-        worst.add("hilbert.joint_equals_re_trace",
-                  np.abs(operational - kd_real), np.abs(algebraic - kd_real))
-        worst.add("hilbert.joint_order_symmetry",
-                  np.abs(operational - hilbert.logical_joints(rho, b, a, "operational")))
-        xor_op = hilbert.xor_expectations(rho, a, b, "operational")
-        # the suite measures the operator residual itself (below); disable the
-        # op-level contract check so impossible tolerances report, not crash
-        xor_mapped = hilbert.xor_expectations(rho, a, b, "mapped_operator", tol=np.inf)
-        worst.add("hilbert.xor_operational_vs_mapped", np.abs(xor_op - xor_mapped))
-        worst.add("hilbert.xor_order_symmetry",
-                  np.abs(xor_op - hilbert.xor_expectations(rho, b, a, "operational")))
-        swap, expansion_ab, _ = jordan._xor_symmetry_defects(a, b)
-        worst.add("hilbert.xor_operator_expansion", expansion_ab, swap)
-        cells, pa, pb = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
-        # total, row a=1 and column b=1
-        worst.add("hilbert.table_marginality",
-                  hilbert.table_marginality_residuals(cells, pa, pb)[:, [0, 1, 3]])
-        # Jordan's two-subspace lemma: no cell of any table is below -1/8
-        worst.add("hilbert.quasi_prob_floor", -1 / 8 - cells)
-        min_table_cell = float(np.min(cells, initial=min_table_cell))
-        worst.add("hilbert.repeated_question",
-                  np.abs(hilbert.sequential_probabilities(rho, a, a) - pa))
+        lowest_cells.append((dim, hilbert.min_cells_over_states(a, b)))
+        for block in hilbert._blocks(len(rho), dim, _SUITE_BLOCK_ENTRIES):
+            min_table_cell = _triple_checks(worst, rho[block], a[block], b[block], min_table_cell)
 
     detail = f"{count} triples over dims {dims}"
     details = {"hilbert.quasi_prob_floor": f"{detail}, min cell {min_table_cell:.6f}"}
@@ -300,7 +287,7 @@ def hilbert_suite(
         f"{_CLASSICAL_TRIALS} commuting triples, min cell {min_cell:.3e}",
     ))
 
-    results.append(_negativity_floor(question_pairs, dims, tol))
+    results.append(_negativity_floor(lowest_cells, dims, tol))
 
     # survey round trip: model probabilities reconstruct the model's joints;
     # one stream gives the 20 states (pure for even t), then the A and the B questions
@@ -322,13 +309,45 @@ def hilbert_suite(
     return results
 
 
-def _negativity_floor(question_pairs, dims: tuple[int, ...], tol: float) -> CheckResult:
+def _triple_checks(worst: _WorstByCheck, rho, a, b, min_table_cell: float) -> float:
+    """Fold the checks on sampled triples, member blocks of (n, d, d) stacks, into ``worst``;
+    returns the least table cell among ``min_table_cell`` and the block's (NaN if any is)."""
+    operational = hilbert.logical_joints(rho, a, b, "operational")
+    algebraic = hilbert.logical_joints(rho, a, b, "jordan")
+    kd_real = np.trace(rho @ a @ b, axis1=1, axis2=2).real
+    worst.add("hilbert.joint_operational_vs_algebraic", np.abs(operational - algebraic))
+    worst.add("hilbert.joint_equals_re_trace",
+              np.abs(operational - kd_real), np.abs(algebraic - kd_real))
+    worst.add("hilbert.joint_order_symmetry",
+              np.abs(operational - hilbert.logical_joints(rho, b, a, "operational")))
+    xor_op = hilbert.xor_expectations(rho, a, b, "operational")
+    # the suite measures the operator residual itself (below); disable the
+    # op-level contract check so impossible tolerances report, not crash
+    xor_mapped = hilbert.xor_expectations(rho, a, b, "mapped_operator", tol=np.inf)
+    worst.add("hilbert.xor_operational_vs_mapped", np.abs(xor_op - xor_mapped))
+    worst.add("hilbert.xor_order_symmetry",
+              np.abs(xor_op - hilbert.xor_expectations(rho, b, a, "operational")))
+    swap, expansion_ab, _ = jordan._xor_symmetry_defects(a, b)
+    worst.add("hilbert.xor_operator_expansion", expansion_ab, swap)
+    del swap, expansion_ab, _
+    cells, pa, pb = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
+    # total, row a=1 and column b=1
+    worst.add("hilbert.table_marginality",
+              hilbert.table_marginality_residuals(cells, pa, pb)[:, [0, 1, 3]])
+    # Jordan's two-subspace lemma: no cell of any table is below -1/8
+    worst.add("hilbert.quasi_prob_floor", -1 / 8 - cells)
+    worst.add("hilbert.repeated_question",
+              np.abs(hilbert.sequential_probabilities(rho, a, a) - pa))
+    return float(np.min(cells, initial=min_table_cell))
+
+
+def _negativity_floor(lowest_cells, dims: tuple[int, ...], tol: float) -> CheckResult:
     """``hilbert.negativity_search_floor``: how far the exact minimum over all states of
-    any pair's cells lies below -1/8, and that pair's dimension, index and cell."""
+    any pair's cells (``lowest_cells``, by dimension) lies below -1/8, and that pair's
+    dimension, index and cell."""
     residual, floor, at, count = 0.0, np.inf, "", 0
-    for dim, a, b in question_pairs:
-        count += len(a)
-        lowest = hilbert.min_cells_over_states(a, b)
+    for dim, lowest in lowest_cells:
+        count += len(lowest)
         residual = _worst_residual(-1 / 8 - lowest, initial=residual)
         pair, cell = divmod(int(lowest.argmin()), 4)
         if not lowest[pair, cell] >= floor:  # a NaN is kept and named
@@ -375,7 +394,7 @@ def jordan_sweep_report(
     A pair whose floor 0.01 max(||x||², ||y||²) is 0, such as two zero matrices,
     is consistent and is left out of the minimum ratio.
     """
-    _check_sampling(dims, trials_per_dim)
+    _check_sampling(dims, trials_per_dim, seed)
     records = []
     lowest_ratio = -np.inf  # minus the smallest ratio, so that a NaN ratio is kept
     violations = 0
@@ -500,12 +519,9 @@ def jordan_suite(
     by the caller with the same dims, seed and tol.  ``questions`` is as in
     :func:`hilbert_suite`.
     """
-    _check_sampling(dims, trials_per_dim)
+    _check_sampling(dims, trials_per_dim, seed)
     worst = _WorstByCheck()
     count = 0
-    # the product jordan.jordan_product takes, unvalidated: the stacks below are
-    # sampled valid
-    product = hilbert._symmetrised
     for dim in dims:
         a, b = _questions(dim, trials_per_dim, seed, questions)
         count += len(a)
@@ -513,17 +529,9 @@ def jordan_suite(
         rng = _stream(seed, _PRODUCTS, dim)
         x = hilbert.sample_hermitians(dim, len(a), rng)
         y = hilbert.sample_hermitians(dim, len(a), rng)
-        xy = product(x, y)
-        worst.add("jordan.product_commutativity", xy - product(y, x))
-        worst.add("jordan.product_hermiticity", xy - xy.conj().transpose(0, 2, 1))
-        identity = np.eye(dim)
-        ab = product(a, b)
-        worst.add("jordan.operator_marginality",
-                  ab + product(a, identity - b) - a, ab + product(identity - a, b) - b)
-        xx = product(x, x)
-        worst.add("jordan.power_associativity", product(xx, x) - product(x, xx))
-        worst.add("jordan.idempotency_transfer", *jordan._idempotency_defects(a))
-        worst.add("jordan.xor_operator_symmetry", *jordan._xor_symmetry_defects(a, b))
+        for block in hilbert._blocks(len(a), dim, _SUITE_BLOCK_ENTRIES):
+            _product_checks(worst, a[block], b[block], x[block], y[block])
+        del a, b, x, y  # before the next dimension draws its own
 
     detail = f"{count} samples over dims {dims}"
     results = [_residual(name, residual, tol, detail) for name, residual in worst.items()]
@@ -535,6 +543,27 @@ def jordan_suite(
     return results
 
 
+def _product_checks(worst: _WorstByCheck, a, b, x, y) -> None:
+    """Fold the Jordan-product checks on member blocks of sampled question stacks ``a``, ``b``
+    and Hermitian stacks ``x``, ``y`` into ``worst``, dropping each product once it is read."""
+    # the product jordan.jordan_product takes, unvalidated: the stacks are sampled valid
+    product = hilbert._symmetrised
+    xy = product(x, y)
+    worst.add("jordan.product_commutativity", xy - product(y, x))
+    worst.add("jordan.product_hermiticity", xy - xy.conj().transpose(0, 2, 1))
+    del xy
+    identity = np.eye(a.shape[-1])
+    ab = product(a, b)
+    worst.add("jordan.operator_marginality",
+              ab + product(a, identity - b) - a, ab + product(identity - a, b) - b)
+    del ab
+    xx = product(x, x)
+    worst.add("jordan.power_associativity", product(xx, x) - product(x, xx))
+    del xx
+    worst.add("jordan.idempotency_transfer", *jordan._idempotency_defects(a))
+    worst.add("jordan.xor_operator_symmetry", *jordan._xor_symmetry_defects(a, b))
+
+
 def run_all(
     dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     trials_per_dim: int = 100,
@@ -542,7 +571,7 @@ def run_all(
     tol: float = hilbert.DEFAULT_TOL,
 ) -> list[CheckResult]:
     """Every invariant suite in one flat list; the questions are sampled once for both suites."""
-    _check_sampling(dims, trials_per_dim)
+    _check_sampling(dims, trials_per_dim, seed)
     questions = {dim: _sampled_questions(dim, trials_per_dim, seed) for dim in dims}
     results = logic_suite()
     results += hilbert_suite(dims, trials_per_dim, seed, tol, questions=questions)

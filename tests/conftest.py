@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,3 +53,17 @@ def seeded_basis(dim: int, seed: int) -> np.ndarray:
 def seeded_commuting_triple(dim: int, seed: int):
     rho, a, b = hilbert.sample_commuting_triples(dim, 1, np.random.default_rng(seed))
     return rho[0], a[0], b[0]
+
+
+def traced_peak(function, *args) -> int:
+    """The tracemalloc peak, in bytes, of one call: what it allocates beyond what is live.
+
+    numpy's first use of a routine (LAPACK's, for one) allocates once; call the
+    function untraced on a small input first where that would count.
+    """
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

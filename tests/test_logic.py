@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quasilogic import logic
+from quasilogic.errors import QuasilogicError, UnknownConnectiveError
 from quasilogic.logic import (
     ALL_RECORDS,
     CONJUNCTION_REFERENCE,
@@ -139,6 +140,16 @@ class TestTruthTable:
     def test_rejects_unknown_connective(self):
         with pytest.raises(ValueError):
             truth_table("nand")
+
+    def test_unknown_connective_is_a_package_error(self):
+        with pytest.raises(UnknownConnectiveError, match="unknown connective 'nand'") as exc:
+            truth_table("nand")
+        assert isinstance(exc.value, QuasilogicError) and isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("connective", [None, ["xor"], 1])
+    def test_connective_must_be_a_str(self, connective):
+        with pytest.raises(TypeError, match=r"^connective must be a str, got "):
+            truth_table(connective)
 
 
 class TestIdentitySuite:

@@ -11,7 +11,6 @@ import inspect
 import itertools
 import json
 import math
-import tracemalloc
 import warnings
 from fractions import Fraction as F
 from xml.etree import ElementTree
@@ -22,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import binom, chi2, chi2_contingency, norm
 
-from conftest import seeded_projector, seeded_state
+from conftest import seeded_projector, seeded_state, traced_peak
 from quasilogic import hilbert, logic, survey
 from quasilogic.errors import (
     BadConfidenceError,
@@ -102,6 +101,11 @@ csv_documents = st.lists(csv_rows, max_size=10).map(
 
 
 class TestParsing:
+    @pytest.mark.parametrize("text", [None, b"order,first,second,count", 3])
+    def test_text_must_be_a_str(self, text):
+        with pytest.raises(TypeError, match=r"^text must be a str, got "):
+            survey.parse_counts(text)
+
     def test_well_formed(self, synthetic):
         text = synthetic.to_csv()
         parsed = survey.parse_counts(text)
@@ -758,16 +762,6 @@ def reference_bootstrap_intervals(table, confidence):
     return intervals
 
 
-def traced_peak(function, *args):
-    """The tracemalloc peak, in bytes, of one call."""
-    tracemalloc.start()
-    try:
-        function(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @st.composite
 def pmf_keys(draw):
     """(k₋, k₀, k₊) of one group of 1 to 10**8 respondents: any split, often at most 10**4;
@@ -947,6 +941,11 @@ class TestClassicalityReport:
     def test_iterations_must_be_an_int(self, synthetic, iterations):
         with pytest.raises(TypeError, match=r"^iterations must be an int, got "):
             survey.classicality_report(synthetic, iterations=iterations)
+
+    @pytest.mark.parametrize("table", ["x", None, {"AB": {}}])
+    def test_table_must_be_a_count_table(self, table):
+        with pytest.raises(TypeError, match=r"^table must be a SequentialCountTable, got "):
+            survey.classicality_report(table)
 
     @pytest.mark.parametrize("seed", [float("nan"), 1.5, True, "0", None])
     def test_seed_must_be_an_int(self, synthetic, seed):

@@ -3,7 +3,8 @@
 Each control swaps one kernel for a NaN-returning copy in the namespace ``verify``
 calls it through, so only that call sees NaN; the check must then fail as a
 violation, and the command must exit 1 with nothing on stderr (no traceback).
-The sampled suites' input boundary is checked at the end.
+The sampled suites' input boundary, their working memory and the bits of their
+block cuts are checked at the end.
 """
 
 import json
@@ -13,8 +14,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from quasilogic import cli, verify
-from quasilogic.errors import BadDimensionError, QuasilogicError, TooFewTrialsError
+from conftest import traced_peak
+from quasilogic import cli, hilbert, verify
+from quasilogic.errors import BadDimensionError, BadSeedError, QuasilogicError, TooFewTrialsError
 
 # checks on fixed inputs rather than samples; every other non-logic check needs a control
 FIXED_INPUT_CHECKS = {
@@ -153,5 +155,81 @@ def test_sampled_suites_reject_bad_trials_and_dims_before_sampling(
 
 
 @pytest.mark.parametrize("suite", SAMPLED_SUITES)
+@pytest.mark.parametrize("seed, error", [
+    (-1, BadSeedError),
+    (True, TypeError),
+    (2.5, TypeError),
+    ("42", TypeError),
+    (None, TypeError),
+    (np.int64(7), TypeError),  # the sweep's records echo the seed into JSON
+])
+def test_sampled_suites_reject_a_bad_seed_before_sampling(monkeypatch, suite, seed, error):
+    streams = []
+    monkeypatch.setattr(verify, "_stream", lambda *args: streams.append(args))
+    with pytest.raises(error, match="seed") as exc:
+        SAMPLED_SUITES[suite]((2,), 1, seed)
+    assert streams == []
+    assert error is TypeError or isinstance(exc.value, QuasilogicError)
+
+
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
 def test_sampled_suites_accept_one_trial(suite):
     assert SAMPLED_SUITES[suite]((2,), 1)
+
+
+# ---------------------------------------------------------------------------
+# working memory in units of U, the bytes of one sampled (n, d, d) complex stack;
+# a tenth of U covers numpy's cast buffer, boolean masks and index lists
+
+
+def stack_bytes(dim: int, members: int) -> int:
+    return members * dim * dim * np.dtype(np.complex128).itemsize
+
+
+def test_sampled_questions_peak_at_their_two_stacks_plus_one():
+    """5 U at 0.17.0."""
+    u = stack_bytes(32, 512)
+    verify._sampled_questions(32, 2, 42)
+    assert traced_peak(verify._sampled_questions, 32, 512, 42) <= 3.1 * u
+
+
+def test_hilbert_suite_peaks_at_three_stacks_given_its_questions():
+    """The states are one stack and each check's temporaries a block's; 7 U at 0.17.0."""
+    u = stack_bytes(32, 512)
+    questions = {32: verify._sampled_questions(32, 512, 42)}
+    verify.hilbert_suite((32,), 2)
+    assert traced_peak(lambda: verify.hilbert_suite((32,), 512, questions=questions)) <= 3.1 * u
+
+
+def test_jordan_suite_peaks_at_six_stacks():
+    """Four sampled stacks (the questions, x and y), one more while y is drawn, and a block's
+    temporaries; 13 U (208 MiB) at 0.17.0."""
+    u = stack_bytes(32, 1024)
+    reality = verify.FormalRealitySweep(1, [], 200.0, 0)
+    verify.jordan_suite((32,), 2, reality=reality)
+    assert traced_peak(lambda: verify.jordan_suite((32,), 1024, reality=reality)) <= 6.1 * u
+
+
+def test_formal_reality_sweep_peaks_at_three_stacks():
+    """The sampled matrices, their squares and the pair sums, as at 0.17.0."""
+    u = stack_bytes(32, 513)  # trials + 1 sampled matrices
+    verify.jordan_sweep_report((32,), 2)
+    assert traced_peak(verify.jordan_sweep_report, (32,), 512) <= 3.1 * u
+
+
+@pytest.mark.parametrize("seed", ["1", "42"])
+@pytest.mark.parametrize("command", ["verify", "jordan-verify"])
+def test_block_cuts_leave_the_output_unchanged(monkeypatch, capsys, command, seed):
+    """Every check works memberwise, so cutting every sampled stack into blocks of a few
+    members, in the suites and in hilbert's samplers and kernels, changes no bit."""
+    whole = cli.main([command, "--format", "json", "--seed", seed]), capsys.readouterr()
+    blocks = []
+    for name in ("_triple_checks", "_product_checks"):
+        checks = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda worst, *stacks, _checks=checks: (
+            blocks.append(len(stacks[0])) or _checks(worst, *stacks)))
+    monkeypatch.setattr(verify, "_SUITE_BLOCK_ENTRIES", 150)  # 37 members at d = 2, 2 at d = 8
+    monkeypatch.setattr(hilbert, "_BLOCK_ENTRIES", 50)  # 12 members at d = 2, 1 at d = 8
+    cut = cli.main([command, "--format", "json", "--seed", seed]), capsys.readouterr()
+    assert cut == whole
+    assert max(blocks) == 37 and blocks.count(2) >= 50
