@@ -123,6 +123,9 @@ NEGATIVITY_CHANGED = ("hilbert.negativity_search_floor:residual",
 BOOTSTRAP_CHANGED = ("bootstrap", "diagnostics")
 
 KD = ["kd", "--dim", "24", "--seed", "5"]
+# two count files past the bundled files' few hundred atoms (the 0.14.0 rows below)
+EVEN_QUARTER_MILLIONS = ((250_000,) * 4, (250_000,) * 4)
+LOPSIDED = ((20, 5, 0, 9), (10**6 - 3, 1, 1, 1))
 VERIFY_37 = ["verify", "--dim", "2-4", "--trials", "37", "--seed", "7", "--format", "json"]
 JSON = ["--format", "json"]
 
@@ -209,10 +212,10 @@ PINS = [
     # 0.14.0: survey's JSON past the bundled files' few hundred atoms: 250,000 per cell in
     # both groups, whose group pmfs take FFTs of 16,384 bins, and a group of 34 beside one
     # of 10**6, a fine lattice about 30,000 times finer than the coarse one
-    Pin(["survey", ((250_000,) * 4, (250_000,) * 4)] + JSON, "0.14.0", (), {
+    Pin(["survey", EVEN_QUARTER_MILLIONS] + JSON, "0.14.0", (), {
         "*": "3e880913004064cdbe13be07c24e3f256bf24c19e6261cc0303af9a8c5b5f3e7",
     }),
-    Pin(["survey", ((20, 5, 0, 9), (10**6 - 3, 1, 1, 1))] + JSON, "0.14.0", (), {
+    Pin(["survey", LOPSIDED] + JSON, "0.14.0", (), {
         "*": "4f8bb03c46aebbdf3f91ff8fed4abfcbcd43d8d1f09252db0d30baf6568892c0",
     }),
     # kd's text output, which holds no version string and is unchanged since 0.3.0,
@@ -226,5 +229,48 @@ PINS = [
         "SkylakeX/X86_V3": "ae2ba5e4c189408c9616afd27211bad69c228a5b57639d2e5eff72cfa80d164c",
         "Haswell/X86_V3": "a01d8759f16436cf5b7bc3904a58d61e5a5a099db4c56293252761f30f742416",
         "Sandybridge/X86_V2": "96b2746a6a8b6929a2692355b6db4e8190c65d08935d80a5ce79b8004ae7f9fe",
+    }),
+    # 0.18.0: survey's CSV, which prints only point estimates, and its text past the bundled
+    # files, whose flags and diagnostics read the intervals
+    Pin(["survey", "synthetic_n100.csv", "--format", "csv"], "0.18.0", (), {
+        "*": "3a74d8538f584c813ed7d812e81c2bd473ed1a90c882b3eb24cd022c50aa3370",
+    }),
+    Pin(["survey", "clinton_gore_1997.csv", "--format", "csv"], "0.18.0", (), {
+        "*": "1f91f415144f5f8ac705ce1ef2727e21a08afdc59880f7ff602abf777403b4dc",
+    }),
+    Pin(["survey", EVEN_QUARTER_MILLIONS, "--format", "csv"], "0.18.0", (), {
+        "*": "8ed192c33bb74db3d564f916d5d1d5172661ec97b7fa2ef6340fc49bcdec6dea",
+    }),
+    Pin(["survey", LOPSIDED, "--format", "csv"], "0.18.0", (), {
+        "*": "1ab385a19f1ba5207412cc44cf37010cb44048d86fd75c9dbaf95ee4758aaa0c",
+    }),
+    Pin(["survey", EVEN_QUARTER_MILLIONS], "0.18.0", (), {
+        "*": "8a714274ec4725d4d3bf05fc9d9142052eaf88fecb266ebbd8d84b4a9d6cbc98",
+    }),
+    Pin(["survey", LOPSIDED], "0.18.0", (), {
+        "*": "b2d6745b39333fad9a0e876ca36a855935cb31e7bc7b7562406a2b43d7474d9d",
+    }),
+    # 0.18.0: the formats no row above covers
+    Pin(["truth-table"], "0.18.0", (), {
+        "*": "20ef10a24b4fc82dcfb9ca809b4b3de09ff4e1c477fad18cb56e191a7abd4899",
+    }),
+    Pin(["truth-table"] + JSON, "0.18.0", (), {
+        "*": "b28b0293427fab5cd0be790795c2d7063fca5d926f954cecf531e2921bf8256c",
+    }),
+    Pin(["truth-table", "--format", "csv"], "0.18.0", (), {
+        "*": "9f30daf0da18c4b64be2c98311357ad18eca81a43abf06c2e4c70bb03942e241",
+    }),
+    Pin(["demo"], "0.18.0", (), {
+        "*": "09a284f67f7ce3f57ba1a3a4b08173319c1eaedce81a4b0ec4c559fef0f7d036",
+    }),
+    Pin(["verify"], "0.18.0", (), {
+        "SkylakeX/X86_V3": "1960395144e44ddc37e3fd4b30486e03c864b06bbc799c1451b4bef19a57c89c",
+        "Haswell/X86_V3": "45abfe9fecbcfabf6119ba0a41ae3d64f18cdfb9ea0b789aca7f2ea4b8124e5d",
+        "Sandybridge/X86_V2": "3a45e7c6d17f14377beb84981a86c2b08ec2fdc1bf443420607b0a85bb74282d",
+    }),
+    Pin(["jordan-verify", "--format", "text"], "0.18.0", (), {
+        "SkylakeX/X86_V3": "d11fde2051c99ae3d28c96d29571f8469b913fcb3e35e4858b21a44268052b4a",
+        "Haswell/X86_V3": "4b2d845ee4993319f06b6251a4db8797562019a7e8dceb2710bfbef2f0037d4f",
+        "Sandybridge/X86_V2": "8b322bfaca7f080c53582894ccd37d1856538fa6cb7473ff05f596a80c497c65",
     }),
 ]

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
+import argparse
 import ast
 import inspect
 import json
@@ -898,6 +899,21 @@ def test_output_pinned(tmp_path, pin):
 def test_every_pin_has_a_digest_per_profile():
     for pin in pins.PINS:
         assert set(pin.digests) in ({"*"}, set(pins.PROFILES)), pins.label(pin)
+
+
+def test_every_command_and_format_has_a_pin():
+    """Each --format choice of each subcommand, its default included, has a pinned row."""
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    offered = {(name, form) for name, command in commands.items()
+               for action in command._actions if action.dest == "format"
+               for form in action.choices}
+    pinned = set()
+    for pin in pins.PINS:
+        argv = pin.argv
+        form = argv[argv.index("--format") + 1] if "--format" in argv else None
+        pinned.add((argv[0], form or commands[argv[0]].get_default("format")))
+    assert offered - pinned == set()
 
 
 @pytest.mark.parametrize("command", ["verify", "jordan-verify"])
