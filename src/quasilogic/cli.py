@@ -298,15 +298,6 @@ def _cmd_kd(args: argparse.Namespace) -> int:
     basis_a, basis_b = (hilbert.sample_orthonormal_bases(dim, 1, np.random.default_rng(seed))[0]
                         for seed in (args.seed + 1, args.seed + 2))
     table = hilbert.kd_distribution(rho, basis_a, basis_b, tol=args.tol)
-
-    # cell (i, j) is compared with the logical joint of |a_i><a_i| and |b_j><b_j|;
-    # each basis's d questions are built once from its checked vectors, and a NaN gap is kept
-    joints = hilbert.logical_joint_table(
-        rho, hilbert.rank_one_projectors(basis_a), hilbert.rank_one_projectors(basis_b))
-    max_gap = float(np.abs(table.real - joints).max())
-
-    total = complex(table.sum())
-    min_real = float(table.real.min())
     # the cells in row order as Python floats, read once for every format
     cells = [
         (i, j, re, im)
@@ -316,6 +307,18 @@ def _cmd_kd(args: argparse.Namespace) -> int:
             table.imag.ravel().tolist(),
         )
     ]
+    if args.format == "csv":  # the cells alone
+        lines = ["i,j,re,im"] + ["%d,%d,%r,%r" % cell for cell in cells]
+        _emit("\n".join(lines) + "\n", args.out)
+        return EXIT_OK
+
+    # cell (i, j) is compared with the logical joint of |a_i><a_i| and |b_j><b_j|;
+    # each basis's d questions are built once from its checked vectors, and a NaN gap is kept
+    joints = hilbert.logical_joint_table(
+        rho, hilbert.rank_one_projectors(basis_a), hilbert.rank_one_projectors(basis_b))
+    max_gap = float(np.abs(table.real - joints).max())
+    total = complex(table.sum())
+    min_real = float(table.real.min())
     if args.format == "json":
         payload = {
             "config": _config_dict(args),
@@ -330,9 +333,6 @@ def _cmd_kd(args: argparse.Namespace) -> int:
         array = ",\n".join(_KD_CELL_JSON % cell for cell in cells)
         text = json.dumps(payload, indent=2).replace('"cells": []', f'"cells": [\n{array}\n  ]', 1)
         _emit(text, args.out)
-    elif args.format == "csv":
-        lines = ["i,j,re,im"] + ["%d,%d,%r,%r" % cell for cell in cells]
-        _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [
             f"Kirkwood-Dirac distribution, dim={dim}, seed={args.seed}",

@@ -30,6 +30,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -606,8 +607,13 @@ class ReconstructionReport:
     when its point estimate is negative and its bootstrap interval excludes 0.
     ``diagnostics`` names what a statistic could not show: a low expected count,
     a question-order test with zero pooled variance, zero-width intervals.
+
+    ``table`` is the input.  ``bootstrap_intervals``, the classicality flags and
+    ``diagnostics`` are computed from it on first read and kept, so output that
+    prints only point estimates (:meth:`plot_csv`, :meth:`to_svg`) runs no bootstrap.
     """
 
+    table: SequentialCountTable
     label_a: str
     label_b: str
     n_ab: int
@@ -625,15 +631,46 @@ class ReconstructionReport:
     order_statistic: float
     order_p_value: float
     order_df: int
-    bootstrap_intervals: dict[str, dict[Cell, tuple[float, float]]]
-    classicality_flags_ab: dict[Cell, bool]
-    classicality_flags_ba: dict[Cell, bool]
     order_invariance_gap: dict[Cell, float]
-    diagnostics: list[str]
     iterations: int
     confidence: float
     seed: int
     version: str
+
+    # cached_property stores its value in the instance __dict__, which a frozen
+    # dataclass leaves writable
+
+    @cached_property
+    def bootstrap_intervals(self) -> dict[str, dict[Cell, tuple[float, float]]]:
+        return _bootstrap_intervals(self.table, self.confidence)
+
+    @cached_property
+    def classicality_flags_ab(self) -> dict[Cell, bool]:
+        return self._flags(self.logical_ab_exact, "logical_ab")
+
+    @cached_property
+    def classicality_flags_ba(self) -> dict[Cell, bool]:
+        return self._flags(self.logical_ba_exact, "logical_ba")
+
+    def _flags(self, estimates: Mapping[Cell, Fraction], which: str) -> dict[Cell, bool]:
+        intervals = self.bootstrap_intervals[which]
+        return {cell: estimates[cell] < 0 and intervals[cell][1] < 0 for cell in estimates}
+
+    @cached_property
+    def diagnostics(self) -> list[str]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", LowExpectedCountWarning)
+            order_effect_stat(self.table)
+        diagnostics = [f"order-effect test: {w.category.__name__}: {w.message}" for w in caught]
+        xor_ab, xor_ba = xor_estimates(self.table)
+        if xor_ab == xor_ba and xor_ab in (0, 1):
+            diagnostics.append("question-order equality test: zero pooled variance, z = 0 and"
+                               " p = 1 are set, not computed")
+        flat = [f"{which} {_cell_key(cell)}" for which, by_cell in self.bootstrap_intervals.items()
+                for cell, (lo, hi) in sorted(by_cell.items()) if lo == hi]
+        if flat:
+            diagnostics.append("zero-width bootstrap intervals: " + ", ".join(flat))
+        return diagnostics
 
     def to_json_dict(self) -> dict:
         def cells(values: Mapping[Cell, object]) -> dict[str, object]:
@@ -817,7 +854,9 @@ def classicality_report(
     multinomial resampling of both order groups; nothing is drawn.  ``iterations``
     (an ``int`` of at least 100) and ``seed`` (an ``int``) are echoed in the report
     only; ``iterations``, ``seed`` and ``confidence`` of another type raise a ``TypeError``,
-    as does a ``table`` that is not a :class:`SequentialCountTable`.
+    as does a ``table`` that is not a :class:`SequentialCountTable`.  Every argument is
+    checked here, and the point estimates and tests are computed here; the intervals, and
+    the flags and diagnostics that read them, on their first read from the report.
     """
     from . import __version__
 
@@ -830,28 +869,12 @@ def classicality_report(
     logical_ab, logical_ba = logical_tables_from_probs(p_ab, p_ba)
     xor_ab, xor_ba = _xor_from_probs(p_ab, p_ba)
     qq_statistic, qq_p = _qq_equality(table, (xor_ab, xor_ba), (logical_ab, logical_ba))
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True):  # the report's diagnostics name them
         warnings.simplefilter("always", LowExpectedCountWarning)
         order_statistic, order_p = order_effect_stat(table)
 
-    intervals = _bootstrap_intervals(table, confidence)
-
-    diagnostics = [f"order-effect test: {w.category.__name__}: {w.message}" for w in caught]
-    if xor_ab == xor_ba and xor_ab in (0, 1):
-        diagnostics.append("question-order equality test: zero pooled variance, z = 0 and p = 1"
-                           " are set, not computed")
-    flat = [f"{which} {_cell_key(cell)}" for which, by_cell in intervals.items()
-            for cell, (lo, hi) in sorted(by_cell.items()) if lo == hi]
-    if flat:
-        diagnostics.append("zero-width bootstrap intervals: " + ", ".join(flat))
-
-    def flags(estimates: Mapping[Cell, Fraction], which: str) -> dict[Cell, bool]:
-        return {
-            cell: estimates[cell] < 0 and intervals[which][cell][1] < 0
-            for cell in estimates
-        }
-
     return ReconstructionReport(
+        table=table,
         label_a=table.label_a,
         label_b=table.label_b,
         n_ab=table.n_ab,
@@ -869,14 +892,10 @@ def classicality_report(
         order_statistic=order_statistic,
         order_p_value=order_p,
         order_df=3,
-        bootstrap_intervals=intervals,
-        classicality_flags_ab=flags(logical_ab, "logical_ab"),
-        classicality_flags_ba=flags(logical_ba, "logical_ba"),
         order_invariance_gap={
             cell: abs(float(logical_ab[cell]) - float(logical_ba[cell]))
             for cell in logical_ab
         },
-        diagnostics=diagnostics,
         iterations=iterations,
         confidence=confidence,
         seed=seed,

@@ -214,6 +214,7 @@ def _sampled_stacks(dims: tuple[int, ...], trials_per_dim: int, seed: int, quest
         questions_a, questions_b = _questions(dim, trials_per_dim, seed, questions)
         states = hilbert.sample_states(dim, purities, _stream(seed, _STATES, dim))
         yield dim, states, questions_a, questions_b
+        del questions_a, questions_b, states  # before the next dimension draws its own
 
 
 def hilbert_suite(
@@ -241,6 +242,7 @@ def hilbert_suite(
         lowest_cells.append((dim, hilbert.min_cells_over_states(a, b)))
         for block in hilbert._blocks(len(rho), dim, _SUITE_BLOCK_ENTRIES):
             min_table_cell = _triple_checks(worst, rho[block], a[block], b[block], min_table_cell)
+        del rho, a, b  # before the next dimension draws its own
 
     detail = f"{count} triples over dims {dims}"
     details = {"hilbert.quasi_prob_floor": f"{detail}, min cell {min_table_cell:.6f}"}

@@ -468,7 +468,18 @@ class TestCallCounts:
         assert code == 0
         assert calls["_sampled_questions"] == 7  # shared by the hilbert and jordan suites
 
-    def test_survey_builds_each_group_pmf_once(self, capsys, monkeypatch, data_dir):
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_survey_csv_runs_no_bootstrap(self, capsys, monkeypatch, tmp_path, data_dir, svg):
+        """CSV and SVG output print point estimates only."""
+        calls = self.count_calls(monkeypatch, survey, ["_bootstrap_intervals"])
+        chart = ["--svg", str(tmp_path / "chart.svg")] if svg else []
+        code, _, _ = run(capsys, "survey", str(data_dir / "clinton_gore_1997.csv"),
+                         "--format", "csv", *chart)
+        assert code == 0
+        assert calls == {"_bootstrap_intervals": 0}
+
+    @pytest.mark.parametrize("form", ["json", "text"])
+    def test_survey_builds_each_group_pmf_once(self, capsys, monkeypatch, data_dir, form):
         keys = []
         original = survey._sum_pmf
 
@@ -480,7 +491,7 @@ class TestCallCounts:
         calls = self.count_calls(monkeypatch, survey,
                                  ["_inverse_cdf", "_fine_lattice", "_frequency_grid"])
         code, _, _ = run(capsys, "survey", str(data_dir / "clinton_gore_1997.csv"),
-                         "--trials", "700", "--format", "json")
+                         "--trials", "700", "--format", form)
         assert code == 0
         # ten searches for the twelve intervals, the order differences at (1, 1) and (1, 0)
         # being those at (0, 0) and (0, 1); four pmfs per order group, the others their
@@ -488,20 +499,24 @@ class TestCallCounts:
         assert calls == {"_inverse_cdf": 10, "_fine_lattice": 4, "_frequency_grid": 2}
         assert len(keys) == len(set(keys)) == 8
 
-    def test_kd_builds_each_question_once(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("form, tables", [("json", 1), ("text", 1), ("csv", 0)])
+    def test_kd_builds_each_question_once(self, capsys, monkeypatch, form, tables):
         calls = self.count_calls(monkeypatch, hilbert, [
-            "rank_one_projector", "_validated_projectors", "validate_projector", "logical_joint",
-            "logical_joints", "logical_joint_table", "operator_norm", "_norm"])
+            "rank_one_projector", "rank_one_projectors", "_validated_projectors",
+            "validate_projector", "logical_joint", "logical_joints", "logical_joint_table",
+            "operator_norm", "_norm"])
         # np.linalg.norm(m, 2) calls the svd of the module that defines it
         linalg = inspect.unwrap(np.linalg.norm).__globals__
         svd, svd_calls = linalg["svd"], []
         monkeypatch.setitem(linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
-        code, _, _ = run(capsys, "kd", "--dim", "24", "--format", "json")
+        code, _, _ = run(capsys, "kd", "--dim", "24", "--format", form)
         assert code == 0
         assert calls["validate_projector"] == 0 and calls["logical_joint"] == 0
         assert calls["rank_one_projector"] == 0
         assert calls["_validated_projectors"] == 0    # built from checked vectors
-        assert calls["logical_joints"] == 0 and calls["logical_joint_table"] == 1  # one table
+        # one table of one question stack per basis, built only where the gap is printed
+        assert calls["logical_joints"] == 0 and calls["logical_joint_table"] == tables
+        assert calls["rank_one_projectors"] == 2 * tables
         # valid input passes every check on its Frobenius norms alone
         assert calls["operator_norm"] == calls["_norm"] == 0 and svd_calls == []
 

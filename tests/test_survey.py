@@ -893,6 +893,35 @@ class TestClassicalityReport:
         assert report.classicality_flags_ab[(1, 1)]
         assert report.classicality_flags_ba[(1, 1)]
 
+    def test_intervals_flags_and_diagnostics_run_the_bootstrap_once(self, clinton_gore,
+                                                                    monkeypatch):
+        """They are computed on their first read, not when the report is built, and kept."""
+        calls, original = [], survey._bootstrap_intervals
+        monkeypatch.setattr(survey, "_bootstrap_intervals",
+                            lambda *args: calls.append(args) or original(*args))
+        report = survey.classicality_report(clinton_gore, iterations=200, seed=3)
+        report.plot_csv(), report.to_svg()
+        assert calls == []
+        names = ("bootstrap_intervals", "classicality_flags_ab", "classicality_flags_ba",
+                 "diagnostics")
+        first = [getattr(report, name) for name in names]
+        assert all(getattr(report, name) is value for name, value in zip(names, first))
+        assert calls == [(clinton_gore, 0.95)]
+        assert first[0] == original(clinton_gore, 0.95)
+
+    def test_diagnostics_name_each_statistic_that_shows_nothing(self):
+        table = make_table((3, 0, 0, 0), (3, 0, 0, 0))
+        report = survey.classicality_report(table, iterations=200, seed=3)
+        flat = ", ".join(f"{which} {a}{b}" for which in ("logical_ab", "logical_ba",
+                                                         "order_difference") for a, b in CELLS)
+        assert report.diagnostics == [
+            "order-effect test: LowExpectedCountWarning: expected cell count below 5;"
+            " chi-square approximation may be poor",
+            "question-order equality test: zero pooled variance, z = 0 and p = 1 are set,"
+            " not computed",
+            f"zero-width bootstrap intervals: {flat}",
+        ]
+
     def test_json_report_is_deterministic_and_complete(self, synthetic):
         r1 = survey.classicality_report(synthetic, iterations=200, seed=3).to_json()
         r2 = survey.classicality_report(synthetic, iterations=200, seed=3).to_json()
