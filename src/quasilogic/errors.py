@@ -76,6 +76,10 @@ class BadSeedError(QuasilogicError):
     """A sampled check was given a negative seed."""
 
 
+class BadToleranceError(QuasilogicError):
+    """A sampled check was given a tolerance that is not positive and finite."""
+
+
 class ZeroProbabilityBranchError(QuasilogicError):
     """Selective update conditioned on an outcome of (numerically) zero probability."""
 

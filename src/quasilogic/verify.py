@@ -9,13 +9,15 @@ is an identity violation (a defect).  The suites are what the ``verify`` and
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 import numpy as np
 
 from . import hilbert, jordan, logic, survey
-from .errors import BadDimensionError, BadSeedError, TooFewTrialsError
+from .errors import BadDimensionError, BadSeedError, BadToleranceError, TooFewTrialsError
 from .hilbert import _worst_norm
 
 __all__ = [
@@ -38,6 +40,13 @@ _SUITE_BLOCK_ENTRIES = 1 << 16
 """Matrix entries per sampled stack in one block of a dimension's checks: each check's
 temporaries are a block's, and every dimension the commands sample by default is one block."""
 
+_BOUNDED_SUM_DIMS = range(3, 17)
+"""Dimensions at which the formal-reality sweep bounds its pair sums before it solves them:
+at d = 2 a squaring costs half a solve, and above d = 16 few sums drop out before the third."""
+
+_BOUNDED_SUM_ENTRIES = 1 << 12
+"""Least entries of a dimension's pair sums for bounding them to save more than its calls cost."""
+
 # Each suite draws its samples at dimension d from one stream, default_rng([seed, suite, d]).
 _QUESTIONS, _STATES, _PRODUCTS, _SWEEP, _CLASSICAL, _ROUND_TRIP = range(6)
 
@@ -46,13 +55,15 @@ def _stream(seed: int, suite: int, dim: int) -> np.random.Generator:
     return np.random.default_rng([seed, suite, dim])
 
 
-def _check_sampling(dims: tuple[int, ...], trials_per_dim: int, seed: int) -> None:
+def _check_sampling(dims: tuple[int, ...], trials_per_dim: int, seed: int, tol: float) -> None:
     """Reject, before any sampling, a trial count that is not an ``int`` of at least 1,
-    dimensions that are none, not ``int``, or outside [2, ``hilbert.MAX_DIM``], and a
-    seed that is not an ``int`` of at least 0 (the sweep's records echo it into JSON).
+    dimensions that are none, not ``int``, or outside [2, ``hilbert.MAX_DIM``], a seed
+    that is not an ``int`` of at least 0 (the sweep's records echo it into JSON), and a
+    ``tol`` that is not a positive and finite real number.
 
     A ``bool`` or another type raises a ``TypeError`` that names the trial count, the
-    dimension or the seed; a negative seed raises :class:`BadSeedError`.
+    dimension, the seed or ``tol``; a negative seed raises :class:`BadSeedError`, and a
+    NaN, infinite or non-positive ``tol`` :class:`BadToleranceError`.
     """
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {seed!r}")
@@ -66,6 +77,10 @@ def _check_sampling(dims: tuple[int, ...], trials_per_dim: int, seed: int) -> No
         raise BadDimensionError("dims names no dimension")
     for dim in dims:
         hilbert._check_dim(dim)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise TypeError(f"tol must be a real number, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise BadToleranceError(f"tol must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -197,10 +212,13 @@ def _sampled_questions(dim: int, trials_per_dim: int, seed: int):
 
 
 def _questions(dim: int, trials_per_dim: int, seed: int, questions=None):
-    """``questions[dim]`` when given, else :func:`_sampled_questions` of the dimension."""
-    if questions is not None:
-        return questions[dim]
-    return _sampled_questions(dim, trials_per_dim, seed)
+    """``questions[dim]`` when given, else :func:`_sampled_questions` of the dimension;
+    :class:`BadDimensionError` where the given ``questions`` lack the dimension."""
+    if questions is None:
+        return _sampled_questions(dim, trials_per_dim, seed)
+    if dim not in questions:
+        raise BadDimensionError(f"questions holds no question stacks for dimension {dim}")
+    return questions[dim]
 
 
 def _sampled_stacks(dims: tuple[int, ...], trials_per_dim: int, seed: int, questions=None):
@@ -228,11 +246,12 @@ def hilbert_suite(
     """Hilbert-semantics checks on sampled triples, a worked example and baselines.
 
     ``questions`` maps each dimension to its :func:`_sampled_questions` result,
-    so that a caller running :func:`jordan_suite` too samples them once.  Each
-    dimension's checks run on member blocks of at most ``_SUITE_BLOCK_ENTRIES``
-    entries per stack, as in :func:`jordan_suite`.
+    so that a caller running :func:`jordan_suite` too samples them once; a
+    dimension it lacks raises :class:`BadDimensionError`.  Each dimension's
+    checks run on member blocks of at most ``_SUITE_BLOCK_ENTRIES`` entries per
+    stack, as in :func:`jordan_suite`.
     """
-    _check_sampling(dims, trials_per_dim, seed)
+    _check_sampling(dims, trials_per_dim, seed, tol)
     worst = _WorstByCheck()
     min_table_cell = np.inf
     lowest_cells = []  # (dim, the least cell over all states of each question pair)
@@ -367,7 +386,7 @@ def _negativity_floor(lowest_cells, dims: tuple[int, ...], tol: float) -> CheckR
 
 @dataclass(frozen=True)
 class FormalRealitySweep:
-    """Formal-reality probes over several dimensions, from one stacked pass each."""
+    """Formal-reality probes over several dimensions, as far as the report reads them."""
 
     trials_per_dim: int
     records: list[dict]  # one JSON record per dimension
@@ -387,22 +406,21 @@ def jordan_sweep_report(
 
     Each dimension draws trials_per_dim + 1 Hermitian matrices from its sweep
     stream, and pair t is (matrix t, matrix t + 1), so the y of pair t is the
-    x of pair t + 1.  Each matrix is squared once, and every pair sum is solved
-    in one stacked call per dimension; the sampled matrices are solved only
-    where their pair can set the minimum ratio or a verdict (:func:`_sweep_norms`).
-    The norms are those of ``jordan.formal_reality_residuals``, so each pair's
-    residual, and every scale the report reads, are the kernel's, bit for bit.
-    A NaN or infinite sum fails every pair of its dimension, as a NaN residual.
-    A pair whose floor 0.01 max(||x||², ||y||²) is 0, such as two zero matrices,
-    is consistent and is left out of the minimum ratio.
+    x of pair t + 1.  A pair sum or a sampled matrix is solved only where it can
+    set a reported value, given the least ratio of the dimensions before
+    (:func:`_sweep_norms`).  The norms are those of
+    ``jordan.formal_reality_residuals``, so the residuals and scales the report
+    reads are the kernel's, bit for bit.  A NaN or infinite sum fails every pair
+    of its dimension, as a NaN residual.  A pair whose floor 0.01 max(||x||², ||y||²)
+    is 0, such as two zero matrices, is consistent and is left out of the minimum ratio.
     """
-    _check_sampling(dims, trials_per_dim, seed)
+    _check_sampling(dims, trials_per_dim, seed, tol)
     records = []
     lowest_ratio = -np.inf  # minus the smallest ratio, so that a NaN ratio is kept
     violations = 0
     for dim in dims:
         matrices = hilbert.sample_hermitians(dim, trials_per_dim + 1, _stream(seed, _SWEEP, dim))
-        residual, scale, solved = _sweep_norms(matrices, tol)
+        residual, scale, solved = _sweep_norms(matrices, tol, -lowest_ratio)
         # a pair is violated unless its residual or its scale rules that out, as a NaN cannot
         violated = ~((residual > tol) | (scale <= tol))
         violations += int(violated.sum())
@@ -420,49 +438,169 @@ def jordan_sweep_report(
     return FormalRealitySweep(trials_per_dim, records, -lowest_ratio, violations)
 
 
-def _sweep_norms(matrices: np.ndarray, tol: float):
-    """Residual and scale of each pair (t, t + 1) of ``matrices``, and the mask of
-    pairs whose scale is solved: those that can set a verdict or the least ratio.
+def _sweep_norms(matrices: np.ndarray, tol: float, least: float = np.inf):
+    """Residual and scale of each pair (t, t + 1) of ``matrices``, and the mask of pairs
+    whose ratio is exact: those that can set a verdict or a ratio not above ``least``, the
+    least ratio found before (NaN: none is needed).
 
-    The scale is needed only where the residual is not above ``tol`` (the
-    verdict) or the ratio r / (0.01 s²) can be the least.  Each matrix bounds
-    its s² from above (:func:`_squared_power_bounds`), which bounds each pair's
-    ratio from below.  Up to three times, the bounds of the matrices still in
-    play are tightened by one more squaring, the pair with the least bound is
-    solved, so that the least ratio is at most its ratio, and every pair whose
-    bound is above the least ratio found drops out.  Then the matrices of the
-    pairs left are solved; none is solved twice, and a pair not solved reads a
-    NaN scale.  A NaN or infinite sum leaves every residual and scale NaN, and
-    every pair solved.
+    In ``_BOUNDED_SUM_DIMS``, where a dimension has at least
+    ``_BOUNDED_SUM_ENTRIES`` sum entries, the sums are bounded before any is
+    solved (:func:`_bounded_sweep_norms`).  Elsewhere every sum is solved, in
+    one call, and a sampled matrix only where its pair can set a verdict (a
+    residual not above ``tol``) or the least ratio r / (0.01 s²).  Each matrix
+    bounds its s² from above (:func:`_squared_power_bounds`), which bounds each
+    pair's ratio from below.  Up to three times, the bounds of the matrices
+    still in play are tightened by one more squaring, the pair with the least
+    bound is solved, so that the least ratio is at most its ratio, and every
+    pair whose bound is above the least ratio found drops out.  Then the
+    matrices of the pairs left are solved; none is solved twice, and a pair not
+    solved reads a NaN scale.  A NaN or infinite sum leaves every residual and
+    scale NaN, and every pair solved.
     """
+    n, dim = len(matrices) - 1, matrices.shape[-1]
+    if dim in _BOUNDED_SUM_DIMS and n * dim * dim >= _BOUNDED_SUM_ENTRIES:
+        return _bounded_sweep_norms(matrices, tol, least)
     power = matrices @ matrices  # x², then x^(2^k) of each matrix still in play
     sums = jordan._formal_reality_sums(power[:-1], power[1:])
     if not np.isfinite(sums).all():  # no spectral norm: NaN residuals at NaN scales
-        residual = np.full(len(sums), np.nan)
-        return residual, residual, np.ones(len(sums), dtype=bool)
+        residual = np.full(n, np.nan)
+        return residual, residual, np.ones(n, dtype=bool)
     residual = jordan._hermitian_norm(sums)
     del sums  # the bound passes below take its place
-    norms = np.full(len(matrices), np.nan)
-    bounds = np.full(len(matrices), np.inf)
-    members = np.ones(len(matrices), dtype=bool)
-    least = np.inf  # the least ratio found
+    norms = np.full(n + 1, np.nan)
+    bounds = np.full(n + 1, np.inf)
+    members = np.ones(n + 1, dtype=bool)
     for squarings in (1, 2, 3):
         power, tighter = _squared_power_bounds(power, squarings)
         bounds[members] = np.minimum(bounds[members], tighter)
-        lower = residual / (0.01 * np.maximum(bounds[:-1], bounds[1:])) * (1 - 1e-10)
+        lower = _ratio_bounds(residual, bounds)
         first = int(lower.argmin())
         if lower[first] <= least:
-            pair = np.zeros(len(matrices), dtype=bool)
+            pair = np.zeros(n + 1, dtype=bool)
             pair[first:first + 2] = True
             _fill_norms(norms, matrices, pair)
             least = min(least, _ratio(float(residual[first]), float(norms[first:first + 2].max())))
-        solved = ~((lower > least) & (residual > tol))
+        solved = (lower <= least) | (residual <= tol)
         kept = _pair_members(solved)
         members, power = kept, power[kept[members]]
         if not np.isnan(norms[members]).any():
             break
     _fill_norms(norms, matrices, members)
     return residual, np.maximum(norms[:-1], norms[1:]), solved
+
+
+def _bounded_sweep_norms(matrices: np.ndarray, tol: float, least: float):
+    """:func:`_sweep_norms` with the pair sums bounded before any is solved.
+
+    Each ‖x‖² and residual lies between bounds (:func:`_power_bounds`) that meet
+    once it is solved.  The x² and the sums of a block of pairs (half the
+    sampled entries, or 2**14 if more, so that the sweep holds 3 U) are squared
+    together, m = 1, 2, 4, keeping what can still set a reported value
+    (:func:`_in_play`); after each squaring the block's pair with the least lower
+    bound on its ratio is solved, where that bound is not above the least ratio
+    found.  What is left in play is solved at the end, each x² formed again from
+    ``matrices``.  An unsolved pair reads its lower bound as its residual, which
+    sets no reported value, and a NaN scale.
+    """
+    n, dim = len(matrices) - 1, matrices.shape[-1]
+    # the n + 1 values ‖x‖², then the n residuals, each between bounds that meet once solved
+    lower, upper = np.zeros(2 * n + 1), np.full(2 * n + 1, np.inf)
+    residual, norms = lower[n + 1:], np.full(n + 1, np.nan)
+
+    def solve(todo: np.ndarray) -> None:
+        """Solve the matrices and the sums of the mask ``todo`` of the 2n + 1 values in one
+        call, forming each x² again as ``jordan.formal_reality_residuals`` forms it."""
+        members, pairs = todo[:n + 1], todo[n + 1:]
+        x, y = matrices[:-1][pairs], matrices[1:][pairs]
+        values = jordan._hermitian_norm(np.concatenate(
+            (matrices[members], jordan._formal_reality_sums(x @ x, y @ y))))
+        norms[members] = values[:len(values) - len(x)]
+        values[:len(values) - len(x)] **= 2
+        lower[todo] = upper[todo] = values
+
+    unsolved = False
+    for block in hilbert._blocks(n, dim, max(1 << 14, n * dim * dim // 2)):
+        start, stop = block.start, min(block.stop, n)
+        k = stop - start  # the block's k + 1 squares x², then its k sums, in one stack
+        power = np.empty((2 * k + 1, dim, dim), dtype=complex)
+        np.matmul(matrices[start:stop + 1], matrices[start:stop + 1], out=power[:k + 1])
+        sums = power[k + 1:]
+        sums[...] = jordan._formal_reality_sums(power[:k], power[1:k + 1])
+        frobenius = np.full(2 * k + 1, np.inf)  # only the sums need lower bounds
+        frobenius[k + 1:] = _frobenius(sums)
+        if not np.isfinite(frobenius[k + 1:]).all() and not np.isfinite(sums).all():
+            residual = np.full(n, np.nan)  # no spectral norm: NaN residuals at NaN scales
+            return residual, residual, np.ones(n, dtype=bool)
+        del sums
+        index = np.append(np.arange(start, stop + 1), np.arange(start, stop) + n + 1)
+        for m in (1, 2, 4):
+            with np.errstate(all="ignore"):
+                power = power @ power
+                gram = _frobenius(power)
+            low, high = _power_bounds(gram, frobenius, m)
+            lower[index] = np.maximum(lower[index], low)
+            upper[index] = np.minimum(upper[index], high)
+            ratio_low = _ratio_bounds(lower[n + 1:], upper[:n + 1])
+            first = start + int(ratio_low[start:stop].argmin())
+            if ratio_low[first] <= least:
+                todo = np.zeros(2 * n + 1, dtype=bool)
+                todo[[first, first + 1, n + 1 + first]] = True
+                if (todo := todo & (lower < upper)).any():
+                    solve(todo)
+                    scale = float(norms[first:first + 2].max())
+                    least = min(least, _ratio(float(residual[first]), scale))
+            play, solved = _in_play(lower, upper, tol, least, ratio_low)
+            kept = (play & (lower < upper))[index]
+            index, power, frobenius = index[kept], power[kept], gram[kept]
+            if not len(index):
+                break
+        else:  # what is still in play is solved at the end
+            unsolved = True
+    if unsolved:
+        ratio_low = _ratio_bounds(lower[n + 1:], upper[:n + 1])
+        play, solved = _in_play(lower, upper, tol, least, ratio_low)
+        if (play := play & (lower < upper)).any():
+            solve(play)
+    return residual, np.maximum(norms[:-1], norms[1:]), solved
+
+
+def _power_bounds(gram: np.ndarray, frobenius, m: int):
+    """Lower and upper bounds on λ_max of each positive semidefinite P, x² or x² + y², from
+    gram = ‖P²ᵐ‖_F and frobenius = ‖Pᵐ‖_F; 0 and inf where they give none.
+
+    For the Hermitian H that ``eigvalsh`` reads of P, Σλ⁴ᵐ <= λ_max²ᵐ Σλ²ᵐ and
+    λ_max⁴ᵐ <= Σλ⁴ᵐ give (‖H²ᵐ‖_F / ‖Hᵐ‖_F)^(1/m) <= λ_max <= ‖H²ᵐ‖_F^(1/2m).  P
+    departs from H, and each computed norm from its exact value, by far less
+    than 1e-10 relative to λ_max at d <= 64 and m <= 4 (r >= ‖x‖² by Weyl's
+    inequality), so a 1e-10 relative margin widens both bounds, as in
+    ``hilbert._worst_norm``.  A gram below 1e-140 (where that accuracy is lost)
+    or NaN gives neither bound, and an infinite one no lower bound.
+    """
+    with np.errstate(all="ignore"):
+        usable = gram >= 1e-140
+        lower = (gram / frobenius) ** (1 / m) * (1 - 1e-10)
+        return (np.where(usable & (gram < np.inf), lower, 0.0),
+                np.where(usable, gram ** (0.5 / m) * (1 + 1e-10), np.inf))
+
+
+def _in_play(lower: np.ndarray, upper: np.ndarray, tol: float, least: float, ratio_low: np.ndarray):
+    """The mask of the matrices and pairs that can still set a reported value, given the
+    bounds of :func:`_bounded_sweep_norms` and lower bounds ``ratio_low`` on the ratios,
+    and the mask of the pairs whose ratio can: a pair can have the largest or the least
+    residual, a residual not above ``tol``, or a ratio not above ``least`` (none if NaN),
+    and its matrices the last two.
+    """
+    low, high = lower[len(lower) // 2 + 1:], upper[len(lower) // 2 + 1:]
+    ratios = (low <= tol) | (ratio_low <= least)
+    pairs = ratios | (high >= low.max()) | (low <= high.min())
+    return np.concatenate((_pair_members(ratios), pairs)), ratios
+
+
+def _ratio_bounds(residual: np.ndarray, norm_bounds: np.ndarray) -> np.ndarray:
+    """Lower bounds on the ratio r / (0.01 s²) of each pair, from lower bounds on its residual r
+    and upper bounds on ‖x‖² of each matrix, widened by 1e-10 relative for the rounding."""
+    with np.errstate(all="ignore"):
+        return residual / (0.01 * np.maximum(norm_bounds[:-1], norm_bounds[1:])) * (1 - 1e-10)
 
 
 def _ratio(residual: float, scale: float) -> float:
@@ -491,19 +629,22 @@ def _fill_norms(norms: np.ndarray, matrices: np.ndarray, members: np.ndarray) ->
 def _squared_power_bounds(power: np.ndarray, squarings: int):
     """Square each member x^(2^k) of ``power``, k = ``squarings``, and bound ‖x‖² from its square.
 
-    ‖x^(2m)‖_F = (Σλᵢ^(4m))^½ ≥ ‖x‖^(2m) for Hermitian x, so with 2m = 2^(k+1)
-    b = ‖x^(2m)‖_F^(1/m) (1 + 1e-10) bounds the computed ‖x‖²: at d <= 64 and
-    k <= 3 both are within far less than 1e-10 relative of their exact values,
-    as in ``hilbert._worst_norm``.  A member whose ‖x^(2m)‖_F overflows, is NaN
-    or falls below 1e-140 (where that relative accuracy is lost) gets an
-    infinite bound.  Returns the squared stack and the bounds.
+    The upper bounds of :func:`_power_bounds`, without its lower ones: with
+    2m = 2^(k+1), b = ‖x^(2m)‖_F^(1/m) (1 + 1e-10) bounds the computed ‖x‖², and
+    is infinite where ‖x^(2m)‖_F overflows, is NaN or falls below 1e-140.
+    Returns the squared stack and the bounds.
     """
     with np.errstate(all="ignore"):
         power = power @ power
-        frobenius = np.sqrt(np.einsum("nij,nij->n", power.real, power.real)
-                            + np.einsum("nij,nij->n", power.imag, power.imag))
+        frobenius = _frobenius(power)
     usable = (frobenius >= 1e-140) & (frobenius < np.inf)
     return power, np.where(usable, frobenius ** 0.5**squarings * (1 + 1e-10), np.inf)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of an (n, d, d) stack."""
+    flat = np.ascontiguousarray(m).reshape(len(m), -1).view(np.float64)
+    return np.sqrt(np.einsum("ni,ni->n", flat, flat))
 
 
 def jordan_suite(
@@ -518,10 +659,12 @@ def jordan_suite(
     """Jordan-product checks on the sampled questions plus the formal-reality check.
 
     ``reality`` is the :func:`jordan_sweep_report` the last check reads, run
-    by the caller with the same dims, seed and tol.  ``questions`` is as in
-    :func:`hilbert_suite`.
+    by the caller with the same dims, seed and tol; anything else raises a
+    ``TypeError`` before any sampling.  ``questions`` is as in :func:`hilbert_suite`.
     """
-    _check_sampling(dims, trials_per_dim, seed)
+    _check_sampling(dims, trials_per_dim, seed, tol)
+    if not isinstance(reality, FormalRealitySweep):
+        raise TypeError(f"reality must be a FormalRealitySweep, got {reality!r}")
     worst = _WorstByCheck()
     count = 0
     for dim in dims:
@@ -573,7 +716,7 @@ def run_all(
     tol: float = hilbert.DEFAULT_TOL,
 ) -> list[CheckResult]:
     """Every invariant suite in one flat list; the questions are sampled once for both suites."""
-    _check_sampling(dims, trials_per_dim, seed)
+    _check_sampling(dims, trials_per_dim, seed, tol)
     questions = {dim: _sampled_questions(dim, trials_per_dim, seed) for dim in dims}
     results = logic_suite()
     results += hilbert_suite(dims, trials_per_dim, seed, tol, questions=questions)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import quasilogic
-from quasilogic import hilbert, verify
+from quasilogic import hilbert, jordan, verify
 
 DATA_DIR = Path(quasilogic.__file__).parent / "data"
 
@@ -22,6 +22,15 @@ def tilted_example():
     state = (|0> - 3|1>)/sqrt(10), A = |0><0|, B = |+><+|.
     """
     return hilbert.worked_example()
+
+
+@pytest.fixture
+def hermitian_solves(monkeypatch) -> list[int]:
+    """The stack length of each ``jordan._hermitian_norm`` call, the formal-reality eigen-solve,
+    made while the test runs, in call order."""
+    solved, norm = [], jordan._hermitian_norm
+    monkeypatch.setattr(jordan, "_hermitian_norm", lambda m: solved.append(len(m)) or norm(m))
+    return solved
 
 
 def sampled_triples(dims: tuple[int, ...], trials_per_dim: int, seed: int):

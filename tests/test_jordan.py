@@ -1,8 +1,10 @@
 """Tests for the symmetrised-product algebra checks."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import seeded_hermitian, seeded_projector
@@ -344,20 +346,18 @@ class TestStackedKernels:
             assert np.isfinite(bounds).all() or scale != 1.0
 
     @pytest.mark.parametrize("scale", [1e-80, 1e75])
-    def test_matrices_without_power_bounds_are_solved(self, monkeypatch, scale):
+    def test_matrices_without_power_bounds_are_solved(self, monkeypatch, hermitian_solves, scale):
         """Where x⁴ underflows or overflows the bound is infinite: a stack of such matrices is
         solved whole, and a run of them among ordinary ones gives the per-pair sweep."""
         matrices = hilbert.sample_hermitians(4, 51, np.random.default_rng(0))
         monkeypatch.setattr(hilbert, "sample_hermitians", lambda *args: matrices)
-        solved, norm = [], jordan._hermitian_norm
-        monkeypatch.setattr(jordan, "_hermitian_norm", lambda m: solved.append(len(m)) or norm(m))
         matrices[20:31] *= scale
         assert verify.jordan_sweep_report((4,), 50, seed=0) == per_pair_sweep(list(matrices), 0)
         matrices[:20] *= scale
         matrices[31:] *= scale
-        solved.clear()
+        hermitian_solves.clear()
         sweep = verify.jordan_sweep_report((4,), 50, seed=0)
-        assert sum(solved) == 50 + 51
+        assert sum(hermitian_solves) == 50 + 51
         assert sweep == per_pair_sweep(list(matrices), 0)
 
     def test_zero_matrices_are_consistent_without_a_ratio(self, monkeypatch):
@@ -393,6 +393,117 @@ class TestStackedKernels:
         for m in (x, jordan._formal_reality_sums(squares[:-1], squares[1:])):
             eigen, singular = jordan._hermitian_norm(m), hilbert.operator_norm(m)
             assert (np.abs(eigen - singular) <= 16 * dim * 2**-53 * singular).all()
+
+
+PLANTS = ["none", "zeros", "tiny", "huge", "near_tol", "nan", "ties"]
+
+
+def plant(matrices, kind, start, stop):
+    """``matrices`` with ``kind`` planted in members start to stop - 1."""
+    matrices = np.array(matrices)
+    dim = matrices.shape[-1]
+    if kind == "zeros":
+        matrices[start:stop] = 0
+    elif kind in ("tiny", "huge"):
+        # fourth powers and sums whose norms underflow or overflow, so that they bound nothing
+        matrices[start:stop] *= 1e-80 if kind == "tiny" else 1e75
+    elif kind == "near_tol":
+        # ||x||² = tol = 1e-10 at member start: residuals on either side of tol, at scales
+        # above it, whose verdicts the bounds settle only near the end
+        matrices[start:stop] *= 1e-5 / np.linalg.norm(matrices[start], 2)
+    elif kind == "nan":
+        matrices[start, 0, 0] = np.nan
+    elif kind == "ties":
+        # diag(1, 0, ...) beside diag(0, 1, ...): ratio exactly 100, the least any pair can have
+        matrices[start:stop] = np.diag(np.eye(dim)[0])
+        matrices[start + 1:stop:2] = np.diag(np.eye(dim)[1])
+    return matrices
+
+
+def per_pair_sweeps(stacks, seed):
+    """The sweep over the dimensions of ``stacks`` (dim -> matrices) from :func:`per_pair_sweep`
+    on each run of pairs with a nonzero floor; a pair of zero matrices has residual 0 and no
+    ratio, and a dimension with a NaN matrix NaN residuals, all violated."""
+    records, ratios, violations, nan = [], [], 0, float("nan")
+    for dim, matrices in stacks.items():
+        n = len(matrices) - 1
+        if not np.isfinite(matrices).all():
+            records.append({"dim": dim, "trials": n, "seed": seed, "max_residual": nan,
+                            "min_residual": nan, "verdict": "violated"})
+            ratios.append(nan)
+            violations += n
+            continue
+        zero = [not matrices[t].any() and not matrices[t + 1].any() for t in range(n)]
+        cuts = [-1] + [t for t in range(n) if zero[t]] + [n]
+        runs = [per_pair_sweep(list(matrices[a + 1:b + 1]), seed)
+                for a, b in zip(cuts, cuts[1:]) if b > a + 1]
+        residuals = [r.records[0][key] for r in runs for key in ("max_residual", "min_residual")]
+        residuals += [0.0] * any(zero)
+        violated = sum(r.violations for r in runs)
+        records.append({"dim": dim, "trials": n, "seed": seed, "max_residual": max(residuals),
+                        "min_residual": min(residuals),
+                        "verdict": "violated" if violated else "consistent"})
+        ratios.append(min((r.min_ratio for r in runs), default=np.inf))
+        violations += violated
+    least = nan if any(math.isnan(r) for r in ratios) else min(ratios)
+    return verify.FormalRealitySweep(n, records, least, violations)
+
+
+def comparable(sweep):
+    """``sweep`` with each NaN replaced by a string, so that equal sweeps compare equal."""
+    def value(v):
+        return "nan" if isinstance(v, float) and math.isnan(v) else v
+    return (sweep.trials_per_dim, [{k: value(v) for k, v in r.items()} for r in sweep.records],
+            value(sweep.min_ratio), sweep.violations)
+
+
+def sweep_of(monkeypatch, stacks, seed):
+    """``verify.jordan_sweep_report`` over the dimensions of ``stacks`` (dim -> matrices)."""
+    with monkeypatch.context() as patched:
+        patched.setattr(hilbert, "sample_hermitians", lambda dim, n, rng: stacks[dim])
+        return verify.jordan_sweep_report(tuple(stacks), len(next(iter(stacks.values()))) - 1, seed)
+
+
+class TestPrunedSweep:
+    """The pruned sweep against the per-pair loop, bit for bit, on planted inputs."""
+
+    @given(st.data(), st.lists(dims, min_size=1, max_size=3, unique=True),
+           st.integers(min_value=1, max_value=30) | st.integers(min_value=500, max_value=700),
+           seeds)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_pruned_sweep_equals_per_pair_probe_loop(self, monkeypatch, data, sweep_dims,
+                                                     trials, seed):
+        stacks = {}
+        for dim in sweep_dims:
+            start = data.draw(st.integers(min_value=0, max_value=trials), label="start")
+            stop = data.draw(st.integers(min_value=start + 1, max_value=trials + 1), label="stop")
+            kind = data.draw(st.sampled_from(PLANTS), label=f"plant at d={dim}")
+            stacks[dim] = plant(hilbert.sample_hermitians(dim, trials + 1,
+                                                          np.random.default_rng([seed, dim])),
+                                kind, start, stop)
+        sweep = sweep_of(monkeypatch, stacks, seed)
+        assert comparable(sweep) == comparable(per_pair_sweeps(stacks, seed))
+
+    def test_bounded_zero_matrices_are_consistent_without_a_ratio(self, monkeypatch):
+        """As ``test_zero_matrices_are_consistent_without_a_ratio``, at 600 pairs, where the
+        sweep bounds its sums before it solves any."""
+        stacks = {dim: np.zeros((601, dim, dim), dtype=complex) for dim in (3, 8)}
+        sweep = sweep_of(monkeypatch, stacks, 0)
+        assert sweep == per_pair_sweeps(stacks, 0)
+        assert (sweep.min_ratio, sweep.violations) == (np.inf, 0)
+
+    @pytest.mark.parametrize("least_at", [0, 1, 2])
+    def test_least_ratio_in_any_dimension(self, monkeypatch, least_at):
+        """Ties planted in an earlier, a middle or a later dimension hold the least ratio, 100,
+        which the dimensions before reach and those after are pruned against."""
+        stacks = {dim: hilbert.sample_hermitians(dim, 601, np.random.default_rng(dim))
+                  for dim in (2, 5, 8)}
+        tied = list(stacks)[least_at]
+        stacks[tied] = plant(stacks[tied], "ties", 300, 311)
+        sweep = sweep_of(monkeypatch, stacks, 0)
+        assert sweep == per_pair_sweeps(stacks, 0)
+        assert sweep.min_ratio == 100.0
 
 
 def per_pair_sweep(matrices, seed):

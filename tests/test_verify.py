@@ -16,7 +16,8 @@ import pytest
 
 from conftest import traced_peak
 from quasilogic import cli, hilbert, verify
-from quasilogic.errors import BadDimensionError, BadSeedError, QuasilogicError, TooFewTrialsError
+from quasilogic.errors import (BadDimensionError, BadSeedError, BadToleranceError, QuasilogicError,
+                               TooFewTrialsError)
 
 # checks on fixed inputs rather than samples; every other non-logic check needs a control
 FIXED_INPUT_CHECKS = {
@@ -105,6 +106,14 @@ def test_nan_sweep_residual_makes_its_dimension_violated(monkeypatch, capsys):
     assert report["checks"][-1]["failure_kind"] == "violation"
 
 
+def test_nan_sweep_residual_fails_bounded_dimensions_too(monkeypatch):
+    """At d = 5 and 8 with 600 pairs the sweep bounds its sums before it solves any."""
+    patch_nan(monkeypatch, "jordan", "_formal_reality_sums")
+    sweep = verify.jordan_sweep_report((5, 8), 600)
+    assert [record["verdict"] for record in sweep.records] == ["violated", "violated"]
+    assert sweep.violations == 1200 and math.isnan(sweep.min_ratio)
+
+
 def test_every_sampled_check_has_a_nan_control(capsys):
     """A sampled check added to either command fails here until CONTROLS covers it."""
     names = set()
@@ -170,6 +179,54 @@ def test_sampled_suites_reject_a_bad_seed_before_sampling(monkeypatch, suite, se
         SAMPLED_SUITES[suite]((2,), 1, seed)
     assert streams == []
     assert error is TypeError or isinstance(exc.value, QuasilogicError)
+
+
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+@pytest.mark.parametrize("tol, error", [
+    (0.0, BadToleranceError),
+    (-1e-10, BadToleranceError),
+    (math.nan, BadToleranceError),
+    (math.inf, BadToleranceError),
+    (True, TypeError),
+    ("x", TypeError),
+    (None, TypeError),
+    (1e-10j, TypeError),
+])
+def test_sampled_suites_reject_a_bad_tol_before_sampling(monkeypatch, suite, tol, error):
+    streams = []
+    monkeypatch.setattr(verify, "_stream", lambda *args: streams.append(args))
+    with pytest.raises(error, match="tol") as exc:
+        SAMPLED_SUITES[suite]((2,), 1, 42, tol)
+    assert streams == []
+    assert error is TypeError or isinstance(exc.value, QuasilogicError)
+
+
+@pytest.mark.parametrize("tol", [1, 1e-300, np.float64(1e-10)])
+def test_sampled_suites_accept_a_positive_finite_tol(tol):
+    assert verify.jordan_sweep_report((2,), 1, 42, tol).violations == 0
+
+
+def test_jordan_suite_rejects_a_reality_that_is_not_a_sweep_before_sampling(monkeypatch):
+    streams = []
+    monkeypatch.setattr(verify, "_stream", lambda *args: streams.append(args))
+    with pytest.raises(TypeError, match="reality"):
+        verify.jordan_suite((2,), 3, 0, reality=None)
+    assert streams == []
+
+
+@pytest.mark.parametrize("suite", ["hilbert_suite", "jordan_suite"])
+def test_given_questions_must_hold_every_dimension(suite, monkeypatch):
+    questions = {2: verify._sampled_questions(2, 3, 0)}
+    reality = verify.FormalRealitySweep(1, [], 200.0, 0)
+    kwargs = {"reality": reality} if suite == "jordan_suite" else {}
+    streams = []
+    monkeypatch.setattr(verify, "_stream", lambda *args: streams.append(args))
+    with pytest.raises(BadDimensionError, match="dimension 2"):
+        getattr(verify, suite)((2,), 3, 0, questions={}, **kwargs)
+    assert streams == []
+    monkeypatch.undo()
+    with pytest.raises(BadDimensionError, match="dimension 3"):
+        getattr(verify, suite)((2, 3), 3, 0, questions=questions, **kwargs)
 
 
 @pytest.mark.parametrize("suite", SAMPLED_SUITES)
