@@ -17,12 +17,12 @@ members whose Gram bound reaches the worst norm found.  Formal reality needs
 no singular values: x∘x + y∘y = x² + y² and its inputs are Hermitian, so each
 spectral norm is the largest absolute eigenvalue, from ``eigvalsh``
 (:func:`_hermitian_norm`), which the kernel and ``verify``'s sweep share; the
-sweep bounds each sum and sampled matrix by the Frobenius norms of its powers,
-and solves one only where it can set a reported value.  By Weyl's inequality
-λ_max(x² + y²) ≥ max(‖x‖², ‖y‖²), so the residual is at least 100 times the
-sweep's floor 0.01 max(‖x‖², ‖y‖²).  The public kernels
-reject a NaN or infinite operand, then one not Hermitian within
-``DEFAULT_TOL``, before any arithmetic, and a finite operand whose products
+sweep bounds each sampled matrix, and each sum where it does not solve the sums
+at once, by the Frobenius norms of its powers, and solves one only where it can
+set a reported value.  By Weyl's inequality λ_max(x² + y²) ≥ max(‖x‖², ‖y‖²),
+so the residual is at least 100 times the sweep's floor 0.01 max(‖x‖², ‖y‖²).
+The public kernels reject a NaN or infinite operand, then one not Hermitian
+within ``DEFAULT_TOL``, before any arithmetic, and a finite operand whose products
 overflow with :class:`QuasilogicError` (:func:`_unless_overflowed`); the
 builders check nothing, so that ``verify`` does not validate the stacks it
 sampled, and its NaN controls reach its checks.

@@ -300,7 +300,8 @@ def hilbert_suite(
     for dim in range(2, 6):
         n = len(range(dim - 2, _CLASSICAL_TRIALS, 4))
         triples = hilbert.sample_commuting_triples(dim, n, _stream(seed, _CLASSICAL, dim))
-        cells, _, _ = hilbert.quasi_prob_tables(*triples, "jordan")
+        # tol=np.inf: a marginality defect fails hilbert.table_marginality, not the command
+        cells, _, _ = hilbert.quasi_prob_tables(*triples, "jordan", tol=np.inf)
         negativity = _worst_residual(-cells, initial=negativity)
         min_cell = float(np.min(cells, initial=min_cell))
     results.append(_residual(
@@ -406,11 +407,11 @@ def jordan_sweep_report(
 
     Each dimension draws trials_per_dim + 1 Hermitian matrices from its sweep
     stream, and pair t is (matrix t, matrix t + 1), so the y of pair t is the
-    x of pair t + 1.  A pair sum or a sampled matrix is solved only where it can
-    set a reported value, given the least ratio of the dimensions before
-    (:func:`_sweep_norms`).  The norms are those of
-    ``jordan.formal_reality_residuals``, so the residuals and scales the report
-    reads are the kernel's, bit for bit.  A NaN or infinite sum fails every pair
+    x of pair t + 1.  A sampled matrix, and a pair sum where the dimension's sums
+    are bounded first, is solved only where it can set a reported value, given
+    the least ratio of the dimensions before (:func:`_sweep_norms`).  The norms
+    are those of ``jordan.formal_reality_residuals``, so the residuals and scales
+    the report reads are the kernel's, bit for bit.  A NaN or infinite sum fails every pair
     of its dimension, as a NaN residual.  A pair whose floor 0.01 max(||x||², ||y||²)
     is 0, such as two zero matrices, is consistent and is left out of the minimum ratio.
     """
@@ -438,71 +439,29 @@ def jordan_sweep_report(
     return FormalRealitySweep(trials_per_dim, records, -lowest_ratio, violations)
 
 
+@np.errstate(all="ignore")  # powers that overflow or underflow bound nothing
 def _sweep_norms(matrices: np.ndarray, tol: float, least: float = np.inf):
     """Residual and scale of each pair (t, t + 1) of ``matrices``, and the mask of pairs
     whose ratio is exact: those that can set a verdict or a ratio not above ``least``, the
     least ratio found before (NaN: none is needed).
 
-    In ``_BOUNDED_SUM_DIMS``, where a dimension has at least
-    ``_BOUNDED_SUM_ENTRIES`` sum entries, the sums are bounded before any is
-    solved (:func:`_bounded_sweep_norms`).  Elsewhere every sum is solved, in
-    one call, and a sampled matrix only where its pair can set a verdict (a
-    residual not above ``tol``) or the least ratio r / (0.01 s²).  Each matrix
-    bounds its s² from above (:func:`_squared_power_bounds`), which bounds each
-    pair's ratio from below.  Up to three times, the bounds of the matrices
-    still in play are tightened by one more squaring, the pair with the least
-    bound is solved, so that the least ratio is at most its ratio, and every
-    pair whose bound is above the least ratio found drops out.  Then the
-    matrices of the pairs left are solved; none is solved twice, and a pair not
-    solved reads a NaN scale.  A NaN or infinite sum leaves every residual and
-    scale NaN, and every pair solved.
-    """
-    n, dim = len(matrices) - 1, matrices.shape[-1]
-    if dim in _BOUNDED_SUM_DIMS and n * dim * dim >= _BOUNDED_SUM_ENTRIES:
-        return _bounded_sweep_norms(matrices, tol, least)
-    power = matrices @ matrices  # x², then x^(2^k) of each matrix still in play
-    sums = jordan._formal_reality_sums(power[:-1], power[1:])
-    if not np.isfinite(sums).all():  # no spectral norm: NaN residuals at NaN scales
-        residual = np.full(n, np.nan)
-        return residual, residual, np.ones(n, dtype=bool)
-    residual = jordan._hermitian_norm(sums)
-    del sums  # the bound passes below take its place
-    norms = np.full(n + 1, np.nan)
-    bounds = np.full(n + 1, np.inf)
-    members = np.ones(n + 1, dtype=bool)
-    for squarings in (1, 2, 3):
-        power, tighter = _squared_power_bounds(power, squarings)
-        bounds[members] = np.minimum(bounds[members], tighter)
-        lower = _ratio_bounds(residual, bounds)
-        first = int(lower.argmin())
-        if lower[first] <= least:
-            pair = np.zeros(n + 1, dtype=bool)
-            pair[first:first + 2] = True
-            _fill_norms(norms, matrices, pair)
-            least = min(least, _ratio(float(residual[first]), float(norms[first:first + 2].max())))
-        solved = (lower <= least) | (residual <= tol)
-        kept = _pair_members(solved)
-        members, power = kept, power[kept[members]]
-        if not np.isnan(norms[members]).any():
-            break
-    _fill_norms(norms, matrices, members)
-    return residual, np.maximum(norms[:-1], norms[1:]), solved
-
-
-def _bounded_sweep_norms(matrices: np.ndarray, tol: float, least: float):
-    """:func:`_sweep_norms` with the pair sums bounded before any is solved.
-
     Each ‖x‖² and residual lies between bounds (:func:`_power_bounds`) that meet
-    once it is solved.  The x² and the sums of a block of pairs (half the
-    sampled entries, or 2**14 if more, so that the sweep holds 3 U) are squared
-    together, m = 1, 2, 4, keeping what can still set a reported value
-    (:func:`_in_play`); after each squaring the block's pair with the least lower
-    bound on its ratio is solved, where that bound is not above the least ratio
-    found.  What is left in play is solved at the end, each x² formed again from
-    ``matrices``.  An unsolved pair reads its lower bound as its residual, which
-    sets no reported value, and a NaN scale.
+    once it is solved.  In ``_BOUNDED_SUM_DIMS``, where a dimension has at least
+    ``_BOUNDED_SUM_ENTRIES`` sum entries, the sums start unsolved; elsewhere the
+    sums of each block of pairs are solved in one call as soon as they are
+    formed.  A block's sums hold half the sampled entries, or all of them where
+    they are solved at once (2**14 if more), so that its x² and its unsolved
+    sums, one stack, hold about U, and the sweep 3 U.  The stack is squared,
+    m = 1, 2, 4, keeping what can still set a reported value (:func:`_in_play`);
+    after each squaring the block's pair with the least lower bound on its ratio
+    is solved, where that bound is not above the least ratio found.  What is
+    left in play is solved at the end, each x² formed again from ``matrices``;
+    nothing is solved twice.  An unsolved pair reads its lower bound as its
+    residual, which sets no reported value, and a NaN scale.  A NaN or infinite
+    sum leaves every residual and scale NaN, and every pair solved.
     """
     n, dim = len(matrices) - 1, matrices.shape[-1]
+    bounded = dim in _BOUNDED_SUM_DIMS and n * dim * dim >= _BOUNDED_SUM_ENTRIES
     # the n + 1 values ‖x‖², then the n residuals, each between bounds that meet once solved
     lower, upper = np.zeros(2 * n + 1), np.full(2 * n + 1, np.inf)
     residual, norms = lower[n + 1:], np.full(n + 1, np.nan)
@@ -511,32 +470,39 @@ def _bounded_sweep_norms(matrices: np.ndarray, tol: float, least: float):
         """Solve the matrices and the sums of the mask ``todo`` of the 2n + 1 values in one
         call, forming each x² again as ``jordan.formal_reality_residuals`` forms it."""
         members, pairs = todo[:n + 1], todo[n + 1:]
-        x, y = matrices[:-1][pairs], matrices[1:][pairs]
-        values = jordan._hermitian_norm(np.concatenate(
-            (matrices[members], jordan._formal_reality_sums(x @ x, y @ y))))
-        norms[members] = values[:len(values) - len(x)]
-        values[:len(values) - len(x)] **= 2
+        stack = matrices[members]
+        count = len(stack)
+        if pairs.any():
+            x, y = matrices[:-1][pairs], matrices[1:][pairs]
+            stack = np.concatenate((stack, jordan._formal_reality_sums(x @ x, y @ y)))
+        values = jordan._hermitian_norm(stack)
+        norms[members] = values[:count]
+        values[:count] **= 2
         lower[todo] = upper[todo] = values
 
     unsolved = False
-    for block in hilbert._blocks(n, dim, max(1 << 14, n * dim * dim // 2)):
+    for block in hilbert._blocks(n, dim, max(1 << 14, n * dim * dim // (1 + bounded))):
         start, stop = block.start, min(block.stop, n)
-        k = stop - start  # the block's k + 1 squares x², then its k sums, in one stack
-        power = np.empty((2 * k + 1, dim, dim), dtype=complex)
+        k = stop - start  # the block's k + 1 squares x², then its k sums if unsolved, in one stack
+        power = np.empty((2 * k + 1 if bounded else k + 1, dim, dim), dtype=complex)
         np.matmul(matrices[start:stop + 1], matrices[start:stop + 1], out=power[:k + 1])
-        sums = power[k + 1:]
-        sums[...] = jordan._formal_reality_sums(power[:k], power[1:k + 1])
-        frobenius = np.full(2 * k + 1, np.inf)  # only the sums need lower bounds
-        frobenius[k + 1:] = _frobenius(sums)
+        sums = jordan._formal_reality_sums(power[:k], power[1:k + 1])
+        frobenius = np.full(2 * k + 1, np.inf)  # inf: no lower bound, nor a sum known finite
+        index = np.arange(start, stop + 1)
+        if bounded:
+            power[k + 1:] = sums
+            frobenius[k + 1:] = _frobenius(sums)
+            index = np.append(index, np.arange(start, stop) + n + 1)
         if not np.isfinite(frobenius[k + 1:]).all() and not np.isfinite(sums).all():
             residual = np.full(n, np.nan)  # no spectral norm: NaN residuals at NaN scales
             return residual, residual, np.ones(n, dtype=bool)
+        if not bounded:
+            residual[block] = upper[n + 1 + start:n + 1 + stop] = jordan._hermitian_norm(sums)
+        frobenius = frobenius[:len(power)]
         del sums
-        index = np.append(np.arange(start, stop + 1), np.arange(start, stop) + n + 1)
         for m in (1, 2, 4):
-            with np.errstate(all="ignore"):
-                power = power @ power
-                gram = _frobenius(power)
+            power = power @ power
+            gram = _frobenius(power)
             low, high = _power_bounds(gram, frobenius, m)
             lower[index] = np.maximum(lower[index], low)
             upper[index] = np.minimum(upper[index], high)
@@ -544,13 +510,13 @@ def _bounded_sweep_norms(matrices: np.ndarray, tol: float, least: float):
             first = start + int(ratio_low[start:stop].argmin())
             if ratio_low[first] <= least:
                 todo = np.zeros(2 * n + 1, dtype=bool)
-                todo[[first, first + 1, n + 1 + first]] = True
+                todo[first:first + 2] = todo[n + 1 + first] = True
                 if (todo := todo & (lower < upper)).any():
                     solve(todo)
                     scale = float(norms[first:first + 2].max())
                     least = min(least, _ratio(float(residual[first]), scale))
             play, solved = _in_play(lower, upper, tol, least, ratio_low)
-            kept = (play & (lower < upper))[index]
+            kept = play[index]
             index, power, frobenius = index[kept], power[kept], gram[kept]
             if not len(index):
                 break
@@ -559,7 +525,7 @@ def _bounded_sweep_norms(matrices: np.ndarray, tol: float, least: float):
     if unsolved:
         ratio_low = _ratio_bounds(lower[n + 1:], upper[:n + 1])
         play, solved = _in_play(lower, upper, tol, least, ratio_low)
-        if (play := play & (lower < upper)).any():
+        if play.any():
             solve(play)
     return residual, np.maximum(norms[:-1], norms[1:]), solved
 
@@ -574,33 +540,37 @@ def _power_bounds(gram: np.ndarray, frobenius, m: int):
     than 1e-10 relative to λ_max at d <= 64 and m <= 4 (r >= ‖x‖² by Weyl's
     inequality), so a 1e-10 relative margin widens both bounds, as in
     ``hilbert._worst_norm``.  A gram below 1e-140 (where that accuracy is lost)
-    or NaN gives neither bound, and an infinite one no lower bound.
+    or NaN gives neither bound, and an infinite one no lower bound.  Call it where numpy's
+    floating-point errors are ignored, as :func:`_sweep_norms` does.
     """
-    with np.errstate(all="ignore"):
-        usable = gram >= 1e-140
-        lower = (gram / frobenius) ** (1 / m) * (1 - 1e-10)
-        return (np.where(usable & (gram < np.inf), lower, 0.0),
-                np.where(usable, gram ** (0.5 / m) * (1 + 1e-10), np.inf))
+    usable = gram >= 1e-140
+    lower = (gram / frobenius) ** (1 / m) * (1 - 1e-10)
+    return (np.where(usable & (gram < np.inf), lower, 0.0),
+            np.where(usable, gram ** (0.5 / m) * (1 + 1e-10), np.inf))
 
 
 def _in_play(lower: np.ndarray, upper: np.ndarray, tol: float, least: float, ratio_low: np.ndarray):
-    """The mask of the matrices and pairs that can still set a reported value, given the
-    bounds of :func:`_bounded_sweep_norms` and lower bounds ``ratio_low`` on the ratios,
+    """The mask of the unsolved matrices and pairs that can still set a reported value,
+    given the bounds of :func:`_sweep_norms` and lower bounds ``ratio_low`` on the ratios,
     and the mask of the pairs whose ratio can: a pair can have the largest or the least
     residual, a residual not above ``tol``, or a ratio not above ``least`` (none if NaN),
     and its matrices the last two.
     """
-    low, high = lower[len(lower) // 2 + 1:], upper[len(lower) // 2 + 1:]
+    n = len(ratio_low)
+    low, high = lower[n + 1:], upper[n + 1:]
     ratios = (low <= tol) | (ratio_low <= least)
-    pairs = ratios | (high >= low.max()) | (low <= high.min())
-    return np.concatenate((_pair_members(ratios), pairs)), ratios
+    play = np.zeros(2 * n + 1, dtype=bool)
+    play[:n] = ratios  # the matrices t and t + 1 of each such pair t
+    play[1:n + 1] |= ratios
+    play[n + 1:] = ratios | (high >= low.max()) | (low <= high.min())
+    return play & (lower < upper), ratios
 
 
 def _ratio_bounds(residual: np.ndarray, norm_bounds: np.ndarray) -> np.ndarray:
     """Lower bounds on the ratio r / (0.01 s²) of each pair, from lower bounds on its residual r
-    and upper bounds on ‖x‖² of each matrix, widened by 1e-10 relative for the rounding."""
-    with np.errstate(all="ignore"):
-        return residual / (0.01 * np.maximum(norm_bounds[:-1], norm_bounds[1:])) * (1 - 1e-10)
+    and upper bounds on ‖x‖² of each matrix, widened by 1e-10 relative for the rounding; as
+    :func:`_power_bounds`, where floating-point errors are ignored."""
+    return residual / (0.01 * np.maximum(norm_bounds[:-1], norm_bounds[1:])) * (1 - 1e-10)
 
 
 def _ratio(residual: float, scale: float) -> float:
@@ -609,36 +579,6 @@ def _ratio(residual: float, scale: float) -> float:
     matrices, which is consistent and has no ratio."""
     floor = 0.01 * scale**2
     return residual / floor if floor else np.inf
-
-
-def _pair_members(pairs: np.ndarray) -> np.ndarray:
-    """Mask of the matrices t and t + 1 of every pair t in the mask ``pairs``."""
-    members = np.zeros(len(pairs) + 1, dtype=bool)
-    members[:-1] |= pairs
-    members[1:] |= pairs
-    return members
-
-
-def _fill_norms(norms: np.ndarray, matrices: np.ndarray, members: np.ndarray) -> None:
-    """Fill in the NaN ``norms`` of ``members`` with their spectral norms, in one stacked call."""
-    todo = members & np.isnan(norms)
-    if todo.any():
-        norms[todo] = jordan._hermitian_norm(matrices[todo])
-
-
-def _squared_power_bounds(power: np.ndarray, squarings: int):
-    """Square each member x^(2^k) of ``power``, k = ``squarings``, and bound ‖x‖² from its square.
-
-    The upper bounds of :func:`_power_bounds`, without its lower ones: with
-    2m = 2^(k+1), b = ‖x^(2m)‖_F^(1/m) (1 + 1e-10) bounds the computed ‖x‖², and
-    is infinite where ‖x^(2m)‖_F overflows, is NaN or falls below 1e-140.
-    Returns the squared stack and the bounds.
-    """
-    with np.errstate(all="ignore"):
-        power = power @ power
-        frobenius = _frobenius(power)
-    usable = (frobenius >= 1e-140) & (frobenius < np.inf)
-    return power, np.where(usable, frobenius ** 0.5**squarings * (1 + 1e-10), np.inf)
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:

@@ -532,16 +532,25 @@ class TestCallCounts:
         assert code == 0
         assert sum(solved) <= most
 
-    def test_formal_reality_sweep_solves_few_sampled_matrices(self, capsys, hermitian_solves):
+    @pytest.mark.parametrize("command, trials, solved_first, most", [
+        pytest.param("jordan-verify", 1000, 1, 1_300, id="jordan-verify"),  # d = 2 of 2-8
+        pytest.param("verify", 100, 5, 600, id="verify"),  # d = 2-6 of 2-8, at 100 trials
+    ])
+    def test_formal_reality_sweep_solves_few_sampled_matrices(
+            self, capsys, hermitian_solves, command, trials, solved_first, most):
         """The sweep solves a pair sum or a sampled matrix only where it can set a reported
-        value: 14,007 solves in all at 0.15.0, which solved every matrix; 7,028 at 0.16.0,
-        which solved every sum; 1,060 at 0.20.0 (1,057 at seeds 1 and 7), which bounds the
-        sums at d = 3-8 and carries the least ratio from one dimension to the next."""
-        code, _, _ = run(capsys, "jordan-verify", "--format", "json", "--seed", "42")
+        value.  jordan-verify: 14,007 solves in all at 0.15.0, which solved every matrix;
+        7,028 at 0.16.0, which solved every sum; 1,060 at 0.20.0 (1,057 at seeds 1 and 7),
+        which bounds the sums at d = 3-8 and carries the least ratio from one dimension to
+        the next; 1,062 in 22 calls at 0.21.0, where a solved matrix carries exact bounds.
+        verify: 720 before 0.20.0, and 517 since."""
+        code, _, _ = run(capsys, command, "--format", "json", "--seed", "42")
         assert code == 0
-        # d = 2 solves its 1,000 sums in one call, and every later call at most ten matrices
-        assert hermitian_solves[0] == 1000 and max(hermitian_solves[1:]) <= 10
-        assert sum(hermitian_solves) <= 1_300
+        # each dimension that solves its sums first does so in one call, and d = 2 in the
+        # first; every other call solves at most ten matrices
+        assert hermitian_solves[0] == trials
+        assert [n for n in hermitian_solves if n > 10] == [trials] * solved_first
+        assert sum(hermitian_solves) <= most
 
 
 def fresh_python(probe: str, *argv: str, env: dict | None = None) -> list[str]:

@@ -3,8 +3,9 @@
 Each control swaps one kernel for a NaN-returning copy in the namespace ``verify``
 calls it through, so only that call sees NaN; the check must then fail as a
 violation, and the command must exit 1 with nothing on stderr (no traceback).
-The sampled suites' input boundary, their working memory and the bits of their
-block cuts are checked at the end.
+Perturbation controls make a kernel slightly wrong and name the checks that must
+fail.  The sampled suites' input boundary, their working memory and the bits of
+their block cuts are checked at the end.
 """
 
 import json
@@ -124,6 +125,26 @@ def test_every_sampled_check_has_a_nan_control(capsys):
     assert FIXED_INPUT_CHECKS <= names
     assert {name for name in names if not name.startswith("logic.")} - FIXED_INPUT_CHECKS \
         == set(CONTROLS)
+
+
+# Perturbation controls: name -> (hilbert kernel, its perturbed copy from the real one, and the
+# checks of each command that must then fail).  A defect must exit 1 naming them, never 2 or 0.
+PERTURBATIONS = {
+    "product_scaled_by_1.001": ("_symmetrised", lambda real: lambda a, b: 1.001 * real(a, b), {
+        "verify": {"hilbert.table_marginality"},
+        "jordan-verify": {"jordan.operator_marginality"},
+    }),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "jordan-verify"])
+@pytest.mark.parametrize("perturbation", PERTURBATIONS)
+def test_perturbed_kernel_fails_its_named_checks(monkeypatch, capsys, perturbation, command):
+    kernel, perturbed, must_fail = PERTURBATIONS[perturbation]
+    monkeypatch.setattr(hilbert, kernel, perturbed(getattr(hilbert, kernel)))
+    code, report, err = json_run(capsys, command)
+    assert (code, err) == (1, "")
+    assert must_fail[command] <= {check["name"] for check in report["checks"] if not check["passed"]}
 
 
 SAMPLED_SUITES = {
