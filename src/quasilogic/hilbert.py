@@ -30,10 +30,11 @@ and the mapped XOR operator check their identities, which a NaN fails.
 
 Every sampler is stacked: it checks its arguments, then draws n members from
 the ``numpy.random.Generator`` it is given, which it advances; one draw is
-member 0 of a one-member stack.  It draws its Gaussians whole and builds its
-result in their place, block by block, so its working memory is its result
-plus one stack.  Its states and projectors are valid by construction, so it
-freezes them unvalidated.  All other functions are pure.
+member 0 of a one-member stack.  It draws its normals in one call, member by
+member (for a Hermitian matrix or a projector, one per parameter), and builds
+its result block by block, in their place or beside them, so its working
+memory is its result plus at most one stack.  Its states and projectors are
+valid by construction, so it freezes them unvalidated.  All other functions are pure.
 Every state or projector the module returns, validated, sampled or built, is a
 read-only array.
 """
@@ -451,9 +452,7 @@ def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling: each sampler checks its arguments, then draws its n members from
-# one Generator, one call per stack; a single draw from a seed is member 0 of a
-# one-member stack on ``default_rng(seed)``
+# sampling (see the module docstring)
 
 
 def _complex_gaussians(rng: np.random.Generator, n: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -488,11 +487,11 @@ def _haar_unitaries(g: np.ndarray) -> np.ndarray:
     return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
-def _in_place(fn, m: np.ndarray, *others: np.ndarray) -> np.ndarray:
-    """``m`` with each block of members replaced by ``fn`` of that block (and of the same
-    members of ``others``), so that ``fn``'s temporaries are a block's; ``fn`` works memberwise."""
+def _in_place(fn, m: np.ndarray) -> np.ndarray:
+    """``m`` with each block of members replaced by ``fn`` of that block, so that ``fn``'s
+    temporaries are a block's; ``fn`` works memberwise."""
     for block in _blocks(len(m), m.shape[-1], _BLOCK_ENTRIES):
-        m[block] = fn(m[block], *(other[block] for other in others))
+        m[block] = fn(m[block])
     return m
 
 
@@ -530,34 +529,52 @@ def _normalised_grams(g: np.ndarray) -> np.ndarray:
 
 def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """Read-only (n, d, d) stack of random projectors, member i of rank ``ranks[i]``,
-    each onto a Haar-random orthonormal frame.
+    each onto a Haar-random subspace.
 
-    Frames of equal rank are multiplied out together.
+    Member i draws the real, then the imaginary parts of a d × k complex Gaussian G,
+    k = min(rank, d - rank), in member order.  Its projector is QQᴴ of G's reduced
+    QR, or I - QQᴴ where k < rank: the span of Q is Haar-random, and so is its
+    complement.  Members of equal k are factorised together.
     """
     _check_dim(dim)
     ranks = np.asarray(ranks, dtype=int)
     for rank in ranks.tolist():
         if not 1 <= rank < dim:
             raise BadRankError(f"rank must satisfy 1 <= rank < dim, got rank={rank}, dim={dim}")
-    p = _complex_gaussians(rng, len(ranks), (dim, dim))
-    return _freeze(_in_place(
-        lambda g, r: _hermitian_parts(_frame_projectors(_haar_unitaries(g), r)), p, ranks))
-
-
-def _frame_projectors(u: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Projector onto the first ``ranks[i]`` columns of unitary ``u[i]``; equal ranks go together."""
-    p = np.empty_like(u)
-    for rank in sorted(set(ranks.tolist())):
-        members = ranks == rank
-        frame = u[members][:, :, :rank]
-        p[members] = frame @ _dagger(frame)
-    return p
+    widths = np.minimum(ranks, dim - ranks)
+    normals = rng.standard_normal(2 * dim * int(widths.sum()))
+    starts = 2 * dim * (np.cumsum(widths) - widths)
+    p = np.empty((len(ranks), dim, dim), dtype=np.complex128)
+    for width in sorted(set(widths.tolist())):
+        members = np.flatnonzero(widths == width)
+        for block in _blocks(len(members), dim, _BLOCK_ENTRIES):
+            m = members[block]
+            g = normals[starts[m, None] + np.arange(2 * dim * width)].reshape(len(m), 2, dim, width)
+            q = np.linalg.qr(g[:, 0] + 1j * g[:, 1]).Q
+            frames = q @ _dagger(q)
+            np.subtract(np.eye(dim), frames, out=frames, where=(ranks[m] > width)[:, None, None])
+            p[m] = _hermitian_parts(frames)
+    return _freeze(p)
 
 
 def sample_hermitians(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, d, d) stack of random Hermitian matrices with standard Gaussian entries."""
+    """(n, d, d) stack of random Hermitian matrices: N(0, 1) diagonal entries, and N(0, ½)
+    real and imaginary parts above the diagonal, as (M + Mᴴ)/2 of a standard complex Gaussian M.
+
+    Member i draws d² normals: its diagonal, then the real parts of the entries above
+    the diagonal, row by row, then their imaginary parts, the last two scaled by √½.
+    """
     _check_dim(dim)
-    return _hermitian_parts(_complex_gaussians(rng, n, (dim, dim)))
+    normals = rng.standard_normal((n, dim * dim))
+    normals[:, dim:] *= np.sqrt(0.5)
+    upper = np.triu(np.ones((dim, dim), dtype=bool), 1)  # a mask reads its entries row by row
+    h = np.zeros((n, dim, dim), dtype=np.complex128)
+    h.real[:, np.eye(dim, dtype=bool)] = normals[:, :dim]
+    h.real[:, upper], h.imag[:, upper] = np.split(normals[:, dim:], 2, axis=1)
+    del normals
+    lower = h[:, upper]
+    h.swapaxes(1, 2)[:, upper] = np.conj(lower, out=lower)
+    return h
 
 
 def sample_orthonormal_bases(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -776,7 +793,8 @@ def xor_expectation(
     ``operational`` sums the two disjoint sequential branches
     P(A then not-B) + P(not-A then B).  ``mapped_operator`` evaluates
     Tr(rho (A B̄ A + Ā B Ā)) after verifying that the operator expands to the
-    manifestly order-symmetric form A + B - AB - BA within ``tol``.
+    manifestly order-symmetric form A + B - AB - BA within ``tol``, unless ``tol``
+    is infinite.
     """
     return float(xor_expectations(*_matrices(rho, a, b), method, tol))
 
@@ -799,7 +817,7 @@ def xor_expectations(
     if method == "mapped_operator":
         mapped = _mapped_xor(a, b)
         residual = _gate_norm(mapped - _xor_expansion(a, b), tol)
-        if not residual <= tol:
+        if not residual <= tol and tol != np.inf:
             raise IdentityCheckError(
                 f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
             )
@@ -859,14 +877,15 @@ def quasi_prob_tables(
 
     Returns the cells, shape (..., 4) in the order of ``logic.CELLS``: (0, 0),
     (0, 1), (1, 0), (1, 1); and the marginals P(A) and P(B).  The worst marginality
-    residual of the stack (see :func:`table_marginality_residuals`) must be within ``tol``.
+    residual of the stack (see :func:`table_marginality_residuals`) must be within ``tol``;
+    at an infinite ``tol`` it is not checked, so that a NaN residual is the caller's to report.
     """
     rho, a, b = _operands(rho, a, b)
     firsts, seconds = _answers(a), _answers(b)
     cells = np.stack([logical_joints(rho, firsts[i], seconds[j], method) for i, j in CELLS], -1)
     pa, pb = born_probabilities(rho, a), born_probabilities(rho, b)
     worst = float(table_marginality_residuals(cells, pa, pb).max(initial=0.0))
-    if not worst <= tol:
+    if not worst <= tol and tol != np.inf:
         raise IdentityCheckError(f"table marginality residual {worst:.3e} exceeds tol {tol:.3e}")
     return cells, pa, pb
 
@@ -985,6 +1004,7 @@ def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lowest eigenvalue of the Jordan product A_i ∘ B_j, one ``eigvalsh`` per block
     for all four products of every member.  Jordan's two-subspace lemma bounds
     it below by -1/8, reached by rank-one questions with overlap |<a|b>| = 1/2.
+    A product with a NaN or infinite entry has no eigenvalues, and its cell is NaN.
     """
     def lowest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         firsts, seconds = _answers(a), _answers(b)
@@ -992,7 +1012,9 @@ def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.stack([firsts[i] for i, _ in CELLS], axis=-3),
             np.stack([seconds[j] for _, j in CELLS], axis=-3),
         )
-        return np.linalg.eigvalsh(products)[..., 0]
+        finite = np.isfinite(products).all(axis=(-2, -1))
+        products[~finite] = 0
+        return np.where(finite, np.linalg.eigvalsh(products)[..., 0], np.nan)
 
     blocks = _blockwise(lowest, *_operands(a, b))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)

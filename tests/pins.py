@@ -108,16 +108,6 @@ def expected(pin: Pin, host: str) -> str | None:
 # The fields that 0.3.0 changed in their last bits, where kd and verify read the
 # Jordan route, Tr((rho∘A)B) since 0.3.0 (and kd no longer takes --trials).
 KD_CHANGED = ("config.trials", "max_gap_to_logical_joint")
-CLASSICAL_CHANGED = ("hilbert.classical_triples_nonnegative:residual",
-                     "hilbert.classical_triples_nonnegative:detail")
-# The field whose residuals 0.6.0 changed in their last bits: the formal-reality sweep
-# takes each norm as the largest absolute eigenvalue in place of the largest singular value.
-SWEEP_CHANGED = ("formal_reality_sweep",)
-# The fields of the check that 0.5.0 made exact: the lowest cell over all states
-# of the sampled question pairs in place of a random search's best draw.
-NEGATIVITY_CHANGED = ("hilbert.negativity_search_floor:residual",
-                      "hilbert.negativity_search_floor:tol",
-                      "hilbert.negativity_search_floor:detail")
 # The fields 0.11.0 changed in survey's JSON: the bootstrap intervals became exact
 # quantiles in place of percentiles of drawn resamples, and the diagnostics are new.
 BOOTSTRAP_CHANGED = ("bootstrap", "diagnostics")
@@ -147,54 +137,11 @@ PINS = [
     Pin(["survey", "clinton_gore_1997.csv"] + JSON, "0.1.0", BOOTSTRAP_CHANGED, {
         "*": "727dd12cd5b7166c125fc26933bfebdbcca6de49a4db1ac87cb69974adf2b162",
     }),
-    # 0.2.0: sampled output, every float of which depends on the samplers and the kernels
-    Pin(["verify"] + JSON, "0.2.0",
-        ("hilbert.table_marginality:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED, {
-            "SkylakeX/X86_V3": "a0b806dedcb266defec83bd30d8d514226a052acce5db732435f2752acc6dc6c",
-            "Haswell/X86_V3": "0562aefd8c52b1288bca245a42b0e41b8e6c0d9367db8111680142d64a7dd47f",
-            "Sandybridge/X86_V2": "abc397aa7a1fe8227525f2267c26c3fadfa5543294b97d4662c343b58d438532",
-        }),
-    Pin(["jordan-verify"] + JSON, "0.2.0", SWEEP_CHANGED, {
-        "SkylakeX/X86_V3": "76958b6f8c554dfbcf48747222b55d13919331942c8b4dfa2f4717e5ac22a7f5",
-        "Haswell/X86_V3": "cdf17b2d5789dab29ad09cd2def10e165f5b550b805dfa5af59a1d70968dbfb4",
-        "Sandybridge/X86_V2": "cd62fbdd0e050b8b2ad3ef757917df85a3872189c1c4307b7159fbe5a2ad63fd",
-    }),
-    Pin(VERIFY_37, "0.2.0",
-        ("hilbert.joint_operational_vs_algebraic:residual",) + CLASSICAL_CHANGED + NEGATIVITY_CHANGED, {
-            "SkylakeX/X86_V3": "3f281da4404638352b731bda2419697e902e233fe5c89001f23693a6129b7d2d",
-            "Haswell/X86_V3": "9d01753e18e4bee1e5ae18216a79a9694cce8a01e4fcbb37f433af1a1c9574d2",
-            "Sandybridge/X86_V2": "fc553cfcf1d9f4644a9070072d44c46d86f423e8ed9a15a2386fd1c1eb50020d",
-        }),
-    # 0.3.0, 0.5.0 and 0.6.0: the outputs whose fields above changed
+    # 0.3.0: the kd output whose fields above changed
     Pin(KD + JSON, "0.3.0", (), {
         "SkylakeX/X86_V3": "3552163b0f6b31173dd381e8c8a7b72f4aea7bb773f3dc064f39429fe9106cc3",
         "Haswell/X86_V3": "863f9832d38773b05fb71ca3a9666fb6e6c5b7df970f7b340bdd17b60c76960f",
         "Sandybridge/X86_V2": "17b11247ba374833e0645bf020efc5faf868b458decc79023cc2518f0f2a83e2",
-    }),
-    Pin(["verify"] + JSON, "0.3.0", NEGATIVITY_CHANGED, {
-        "SkylakeX/X86_V3": "f63fec87fe048a1aeb84fa8f6a92703d40c02cb8879ed05130e720b1bfcadbbf",
-        "Haswell/X86_V3": "ca4fdc62e190af4a5447501c44468761e850dc56326ab7991b38339c2cd3bd20",
-        "Sandybridge/X86_V2": "cdf413e2584c622c3011a754e8876ca58925655630fa618349ce5b9f38627d22",
-    }),
-    Pin(VERIFY_37, "0.3.0", NEGATIVITY_CHANGED, {
-        "SkylakeX/X86_V3": "583bfd29ac6f422a497f4f0e4ef7f319a8857d4e840fcc82f02b83fe33b20d53",
-        "Haswell/X86_V3": "1d628599a880fa80e931f7bb8dde581c30907bf8fbc7cb3cf91c94d46fc4d100",
-        "Sandybridge/X86_V2": "5caf67dbf4ee17066437e4a9392289205e42a25fa95cf85fd5ce2d6cf4a3ebdf",
-    }),
-    Pin(["verify"] + JSON, "0.5.0", (), {
-        "SkylakeX/X86_V3": "16e2bb283493b3de10abd507a633c189d6136345e4228a5ead951ce62f0580bb",
-        "Haswell/X86_V3": "b01ee9ab78b0ce3b822f9ddf5822bbeffdeb00116e2a90a3df4a39ecb2f0e57c",
-        "Sandybridge/X86_V2": "ccc8973fc838907c9d5f46c1ba9addb9700468a8b8d3cfb856c1d947758312a1",
-    }),
-    Pin(VERIFY_37, "0.5.0", (), {
-        "SkylakeX/X86_V3": "550d8894bcf829d0341a7c8f7ae2c04c9058813ae70c0b6157c61ee824f3564d",
-        "Haswell/X86_V3": "b458c1a0ffd68ade6ef9bb12c15d44cb4c6f70fbec688a62d5e1fa0947aad781",
-        "Sandybridge/X86_V2": "73b1de09d42b7ba2f6287a7df7173e3c40ecbd64fb5a0c8a7062cf9b18a5f0c8",
-    }),
-    Pin(["jordan-verify"] + JSON, "0.6.0", (), {
-        "SkylakeX/X86_V3": "2a23e7594db3146a8038165164add230931521c9b8722495238bef5d4b2b5c34",
-        "Haswell/X86_V3": "dbd5807c718ad86b274328bb236552ea79b814db19a6692fe51cb2768eeb59b6",
-        "Sandybridge/X86_V2": "2ea36e66da5ee36ec1ab9d662054b326183e854082686743b2b3d80725c22a48",
     }),
     # 0.11.0: survey's output since its bootstrap intervals became exact
     Pin(["survey", "synthetic_n100.csv"], "0.11.0", (), {
@@ -263,14 +210,31 @@ PINS = [
     Pin(["demo"], "0.18.0", (), {
         "*": "09a284f67f7ce3f57ba1a3a4b08173319c1eaedce81a4b0ec4c559fef0f7d036",
     }),
-    Pin(["verify"], "0.18.0", (), {
-        "SkylakeX/X86_V3": "1960395144e44ddc37e3fd4b30486e03c864b06bbc799c1451b4bef19a57c89c",
-        "Haswell/X86_V3": "45abfe9fecbcfabf6119ba0a41ae3d64f18cdfb9ea0b789aca7f2ea4b8124e5d",
-        "Sandybridge/X86_V2": "3a45e7c6d17f14377beb84981a86c2b08ec2fdc1bf443420607b0a85bb74282d",
+    # 0.22.0: verify's and jordan-verify's output since the samplers draw only the parameters
+    # they use, every float of which depends on the samplers and the kernels
+    Pin(["verify"], "0.22.0", (), {
+        "SkylakeX/X86_V3": "596bb43e24dd4505b2ff59b4d0a6178722280fd971cfb6cfeef85885e2efcc85",
+        "Haswell/X86_V3": "a9db6fa500e34df4df38d82ac654d3c5340ebb83bc22b67c1219355fc29c3ef5",
+        "Sandybridge/X86_V2": "fc80dde5aedb70f318cfc883e246960a41acf0c697d67ae2eee1b46ff081c590",
     }),
-    Pin(["jordan-verify", "--format", "text"], "0.18.0", (), {
-        "SkylakeX/X86_V3": "d11fde2051c99ae3d28c96d29571f8469b913fcb3e35e4858b21a44268052b4a",
-        "Haswell/X86_V3": "4b2d845ee4993319f06b6251a4db8797562019a7e8dceb2710bfbef2f0037d4f",
-        "Sandybridge/X86_V2": "8b322bfaca7f080c53582894ccd37d1856538fa6cb7473ff05f596a80c497c65",
+    Pin(["verify"] + JSON, "0.22.0", (), {
+        "SkylakeX/X86_V3": "b916161847dbc39cd657e4a9c4180171e68d42def5e2638ebe81d57c98ad27c8",
+        "Haswell/X86_V3": "6cf0446aed0e8e3e9d3279097d528e5b63f7a4375bd002b05d36df73c5962c4f",
+        "Sandybridge/X86_V2": "e6d1015a353527b867ef12bc7e5a10b86ca0d2218026db3bc14a48f9ba408be0",
+    }),
+    Pin(VERIFY_37, "0.22.0", (), {
+        "SkylakeX/X86_V3": "a893c680d95ac5e5872aeb397cc12921ee99ab40cc3735871e71971d0473e1a1",
+        "Haswell/X86_V3": "9a2aabf86db83a949989be7c9ea9c10ab5b4a7a249fd519b7ae784a65cf4cbd8",
+        "Sandybridge/X86_V2": "38b6f474ef473ffb0a731fd0704a0844a8c5edd5342bfce973a79cd0a9ed2eb0",
+    }),
+    Pin(["jordan-verify"] + JSON, "0.22.0", (), {
+        "SkylakeX/X86_V3": "8070d82486cfb66b87b50fc964f14bd54bdfe017a13446e5916e79eb1b3e665c",
+        "Haswell/X86_V3": "f1a5a07ccbc346316a0bbcfd4fd0a8d4847e23a00742ab679ef14580ce39ebe7",
+        "Sandybridge/X86_V2": "60ec25d3a62adced6e734cd49a8e16412238acd726963832870826a3690ab800",
+    }),
+    Pin(["jordan-verify", "--format", "text"], "0.22.0", (), {
+        "SkylakeX/X86_V3": "fba34d114d11e052e5ab57df6648fdcf08a23ed0ba9b21a4364168b368a2ca19",
+        "Haswell/X86_V3": "496f40930b0fa79b9e02aea6614790bedbb35ca1de8ef3411731fc1140222819",
+        "Sandybridge/X86_V2": "55e5542ac7b48802556048c786c6be49714fd0c96776e27885396171ee059703",
     }),
 ]

@@ -542,8 +542,9 @@ class TestCallCounts:
         value.  jordan-verify: 14,007 solves in all at 0.15.0, which solved every matrix;
         7,028 at 0.16.0, which solved every sum; 1,060 at 0.20.0 (1,057 at seeds 1 and 7),
         which bounds the sums at d = 3-8 and carries the least ratio from one dimension to
-        the next; 1,062 in 22 calls at 0.21.0, where a solved matrix carries exact bounds.
-        verify: 720 before 0.20.0, and 517 since."""
+        the next; 1,062 in 22 calls at 0.21.0, where a solved matrix carries exact bounds;
+        1,053 in 21 calls at 0.22.0, whose samples are new (1,056 and 1,054 at seeds 1 and 7).
+        verify: 720 before 0.20.0, 517 since, and 514 in 11 calls at 0.22.0."""
         code, _, _ = run(capsys, command, "--format", "json", "--seed", "42")
         assert code == 0
         # each dimension that solves its sums first does so in one call, and d = 2 in the

@@ -23,6 +23,7 @@ from quasilogic.errors import (
     BadDimensionError,
     BadRankError,
     DimensionMismatchError,
+    IdentityCheckError,
     IncompleteBasisError,
     NonFiniteError,
     NotHermitianError,
@@ -431,6 +432,23 @@ class TestQuasiProbTable:
             hilbert.born_probability(rho, b), abs=1e-10)
 
 
+class TestInfiniteTolerance:
+    """At an infinite ``tol`` a kernel's own identity check is left to its caller, so that
+    ``verify`` reports a NaN residual as a failed check rather than an input error."""
+
+    def test_nan_operand_gives_nan_at_infinite_tol_and_raises_at_finite_tol(self):
+        rho, a, b = hilbert.worked_example()
+        a = np.array(a)
+        a[0, 1] = np.nan
+        cells, _, _ = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
+        assert np.isnan(cells).any()
+        assert np.isnan(hilbert.xor_expectations(rho, a, b, "mapped_operator", tol=np.inf))
+        with pytest.raises(IdentityCheckError):
+            hilbert.quasi_prob_tables(rho, a, b, "jordan")
+        with pytest.raises(IdentityCheckError):
+            hilbert.xor_expectations(rho, a, b, "mapped_operator")
+
+
 class TestKdDistribution:
     def test_eigenbasis_gives_diagonal_spectrum(self):
         rho = seeded_state(3, "mixed", 51)
@@ -655,18 +673,30 @@ def reference_states(dim, purities, rng):
 
 
 def reference_projector(dim, rank, rng):
-    frame = haar_unitary(rng, dim)[:, :rank]
-    p = frame @ frame.conj().T
+    """QQᴴ of a d × k Gaussian's reduced QR, k = min(rank, d - rank), or I - QQᴴ where k < rank."""
+    width = min(rank, dim - rank)
+    q = np.linalg.qr(complex_gaussian(rng, (dim, width))).Q
+    p = q @ q.conj().T
+    if width < rank:
+        p = np.eye(dim) - p
     return (p + p.conj().T) / 2
 
 
 def reference_hermitian(dim, rng):
-    g = complex_gaussian(rng, (dim, dim))
-    return (g + g.conj().T) / 2
+    """d² normals: the diagonal, then the real and then the imaginary parts above it, scaled by √½."""
+    x = rng.standard_normal(dim * dim)
+    x[dim:] *= np.sqrt(0.5)
+    re, im = np.split(x[dim:], 2)
+    h = np.diag(x[:dim]).astype(complex)
+    rows, cols = np.triu_indices(dim, 1)
+    h[rows, cols] = re + 1j * im
+    h[cols, rows] = re - 1j * im
+    return h
 
 
 def reference_triples(dim, trials, seed):
-    """Verify's triples of one dimension, drawn one member at a time from its two streams."""
+    """Verify's triples of one dimension, drawn one member at a time from its two streams:
+    every rank, then each question's Gaussian frame in trial order, A's before B's."""
     rng = np.random.default_rng([seed, verify._QUESTIONS, dim])
     ranks = [[int(rng.integers(1, dim)) for _ in range(trials)] for _ in "ab"]
     questions_a, questions_b = ([reference_projector(dim, r, rng) for r in rs] for rs in ranks)
@@ -789,6 +819,61 @@ def test_samplers_reject_a_dimension_before_drawing(sample, dim, error):
     with pytest.raises(error, match="dimension"):
         sample(dim, rng)
     assert rng.bit_generator.state == state
+
+
+@given(stack_dims, st.integers(min_value=0, max_value=9), stack_seeds)
+@settings(max_examples=25, deadline=None)
+def test_samplers_draw_only_the_parameters_they_use(dim, n, seed):
+    """A Hermitian matrix has d² real parameters, and a rank-r projector's frame 2·d·min(r, d - r):
+    each sampler leaves its generator where drawing that many normals leaves a twin."""
+    ranks = np.random.default_rng(seed).integers(1, dim, size=n)
+    for sample, count in (
+        (lambda rng: hilbert.sample_hermitians(dim, n, rng), n * dim**2),
+        (lambda rng: hilbert.sample_projectors(dim, ranks, rng),
+         sum(2 * dim * min(rank, dim - rank) for rank in ranks.tolist())),
+    ):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        sample(rng)
+        twin.standard_normal(count)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+MOMENT_MEMBERS = 20_000
+MOMENT_STANDARD_ERRORS = 5
+
+
+def assert_moments(samples, expected):
+    """Each column mean of ``samples``, (n, k), is within ``MOMENT_STANDARD_ERRORS`` standard
+    errors of ``expected``; a column without spread must equal it."""
+    samples = samples.reshape(len(samples), -1)
+    error = samples.std(axis=0) / np.sqrt(len(samples))
+    gap = np.abs(samples.mean(axis=0) - np.reshape(expected, -1))
+    assert (gap <= MOMENT_STANDARD_ERRORS * error).all(), (gap / error).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_sampled_moments_match_their_closed_forms(dim):
+    """Hermitian: E H = 0, E H_ii² = 1 and E (Re H_ij)² = E (Im H_ij)² = ½ for i ≠ j, the
+    variances of (M + Mᴴ)/2 for a standard complex Gaussian M.  Rank-r projector, Haar-random:
+    E P = (r/d) I, E |P_ij|² = β for i ≠ j and E P_ii² = r/d - β(d - 1), β = r(d-r)/(d(d²-1)),
+    for every rank on both sides of d/2, so that the complement I - QQᴴ is covered."""
+    rng = np.random.default_rng([2026, dim])
+    off = ~np.eye(dim, dtype=bool)
+    h = hilbert.sample_hermitians(dim, MOMENT_MEMBERS, rng)
+    assert_moments(h.view(float), np.zeros(2 * dim * dim))
+    assert_moments(np.diagonal(h.real, axis1=1, axis2=2) ** 2, np.ones(dim))
+    assert_moments(h.real[:, off] ** 2, np.full(dim * dim - dim, 0.5))
+    assert_moments(h.imag[:, off] ** 2, np.full(dim * dim - dim, 0.5))
+    del h
+    ranks = np.arange(MOMENT_MEMBERS) % (dim - 1) + 1
+    p = hilbert.sample_projectors(dim, ranks, rng)
+    for rank in range(1, dim):
+        members = p[ranks == rank]
+        beta = rank * (dim - rank) / (dim * (dim**2 - 1))
+        assert_moments(members.view(float), (rank / dim * np.eye(dim)).astype(complex).view(float))
+        assert_moments(np.abs(members[:, off]) ** 2, np.full(dim * dim - dim, beta))
+        assert_moments(np.diagonal(members.real, axis1=1, axis2=2) ** 2,
+                       np.full(dim, rank / dim - beta * (dim - 1)))
 
 
 def test_samplers_call_no_validator(monkeypatch):
@@ -1512,6 +1597,14 @@ class TestMinCellOverStates:
         witness = hilbert.validate_density(np.outer(vectors[:, 0], vectors[:, 0].conj()))
         table = hilbert.quasi_prob_table(witness, a, b, "jordan")
         assert table.cells[cell] == pytest.approx(value, abs=1e-12)
+
+    def test_member_with_non_finite_products_gives_nan_cells(self):
+        rng = np.random.default_rng(8)
+        a, b = (np.array(hilbert.sample_projectors(3, [1, 2, 1], rng)) for _ in "ab")
+        a[1, 0, 2] = np.nan
+        lowest = hilbert.min_cells_over_states(a, b)
+        assert np.isnan(lowest[1]).all()
+        assert lowest[[0, 2]].tolist() == hilbert.min_cells_over_states(a[[0, 2]], b[[0, 2]]).tolist()
 
     def test_overlap_one_half_attains_minus_one_eighth(self):
         a = proj(1, 0)

@@ -134,6 +134,10 @@ PERTURBATIONS = {
         "verify": {"hilbert.table_marginality"},
         "jordan-verify": {"jordan.operator_marginality"},
     }),
+    "product_returns_nan": ("_symmetrised", lambda real: lambda a, b: np.full_like(real(a, b), np.nan), {
+        "verify": {"hilbert.table_marginality", "jordan.product_commutativity"},
+        "jordan-verify": {"jordan.product_commutativity"},
+    }),
 }
 
 
