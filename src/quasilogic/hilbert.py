@@ -30,11 +30,10 @@ and the mapped XOR operator check their identities, which a NaN fails.
 
 Every sampler is stacked: it checks its arguments, then draws n members from
 the ``numpy.random.Generator`` it is given, which it advances; one draw is
-member 0 of a one-member stack.  It draws its normals in one call, member by
-member (for a Hermitian matrix or a projector, one per parameter), and builds
-its result block by block, in their place or beside them, so its working
-memory is its result plus at most one stack.  Its states and projectors are
-valid by construction, so it freezes them unvalidated.  All other functions are pure.
+member 0 of a one-member stack.  It draws its Gaussians whole and builds its
+result in their place or beside them, block by block, so its working memory is
+its result plus one stack.  Its states and projectors are valid by construction,
+so it freezes them unvalidated.  All other functions are pure.
 Every state or projector the module returns, validated, sampled or built, is a
 read-only array.
 """
@@ -452,7 +451,9 @@ def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sampling (see the module docstring)
+# sampling: each sampler checks its arguments, then draws its n members from
+# one Generator, one call per stack; a single draw from a seed is member 0 of a
+# one-member stack on ``default_rng(seed)``
 
 
 def _complex_gaussians(rng: np.random.Generator, n: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -532,9 +533,8 @@ def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) 
     each onto a Haar-random subspace.
 
     Member i draws the real, then the imaginary parts of a d × k complex Gaussian G,
-    k = min(rank, d - rank), in member order.  Its projector is QQᴴ of G's reduced
-    QR, or I - QQᴴ where k < rank: the span of Q is Haar-random, and so is its
-    complement.  Members of equal k are factorised together.
+    k = min(rank, d - rank); its projector is QQᴴ of G's reduced QR, or I - QQᴴ where
+    k < rank, as the complement of a Haar-random subspace is one too.
     """
     _check_dim(dim)
     ranks = np.asarray(ranks, dtype=int)
@@ -550,7 +550,7 @@ def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) 
         for block in _blocks(len(members), dim, _BLOCK_ENTRIES):
             m = members[block]
             g = normals[starts[m, None] + np.arange(2 * dim * width)].reshape(len(m), 2, dim, width)
-            q = np.linalg.qr(g[:, 0] + 1j * g[:, 1]).Q
+            q, _ = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
             frames = q @ _dagger(q)
             np.subtract(np.eye(dim), frames, out=frames, where=(ranks[m] > width)[:, None, None])
             p[m] = _hermitian_parts(frames)
@@ -558,22 +558,19 @@ def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) 
 
 
 def sample_hermitians(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, d, d) stack of random Hermitian matrices: N(0, 1) diagonal entries, and N(0, ½)
-    real and imaginary parts above the diagonal, as (M + Mᴴ)/2 of a standard complex Gaussian M.
-
-    Member i draws d² normals: its diagonal, then the real parts of the entries above
-    the diagonal, row by row, then their imaginary parts, the last two scaled by √½.
-    """
+    """(n, d, d) stack of random Hermitian matrices, distributed as (M + Mᴴ)/2 of standard
+    complex Gaussians M: member i draws d² normals, its diagonal, then the real and then the
+    imaginary parts of the entries above it, row by row, those scaled by √½."""
     _check_dim(dim)
     normals = rng.standard_normal((n, dim * dim))
     normals[:, dim:] *= np.sqrt(0.5)
+    re, im = np.split(normals[:, dim:], 2, axis=1)
     upper = np.triu(np.ones((dim, dim), dtype=bool), 1)  # a mask reads its entries row by row
     h = np.zeros((n, dim, dim), dtype=np.complex128)
     h.real[:, np.eye(dim, dtype=bool)] = normals[:, :dim]
-    h.real[:, upper], h.imag[:, upper] = np.split(normals[:, dim:], 2, axis=1)
-    del normals
-    lower = h[:, upper]
-    h.swapaxes(1, 2)[:, upper] = np.conj(lower, out=lower)
+    h.real[:, upper] = h.real.swapaxes(1, 2)[:, upper] = re
+    h.imag[:, upper] = im
+    h.imag.swapaxes(1, 2)[:, upper] = np.negative(im, out=im)
     return h
 
 
@@ -793,8 +790,7 @@ def xor_expectation(
     ``operational`` sums the two disjoint sequential branches
     P(A then not-B) + P(not-A then B).  ``mapped_operator`` evaluates
     Tr(rho (A B̄ A + Ā B Ā)) after verifying that the operator expands to the
-    manifestly order-symmetric form A + B - AB - BA within ``tol``, unless ``tol``
-    is infinite.
+    manifestly order-symmetric form A + B - AB - BA within ``tol``.
     """
     return float(xor_expectations(*_matrices(rho, a, b), method, tol))
 
@@ -817,7 +813,7 @@ def xor_expectations(
     if method == "mapped_operator":
         mapped = _mapped_xor(a, b)
         residual = _gate_norm(mapped - _xor_expansion(a, b), tol)
-        if not residual <= tol and tol != np.inf:
+        if not residual <= tol:
             raise IdentityCheckError(
                 f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
             )
@@ -876,9 +872,8 @@ def quasi_prob_tables(
     """:func:`quasi_prob_table` per member of broadcast state and projector stacks.
 
     Returns the cells, shape (..., 4) in the order of ``logic.CELLS``: (0, 0),
-    (0, 1), (1, 0), (1, 1); and the marginals P(A) and P(B).  The worst marginality
-    residual of the stack (see :func:`table_marginality_residuals`) must be within ``tol``;
-    at an infinite ``tol`` it is not checked, so that a NaN residual is the caller's to report.
+    (0, 1), (1, 0), (1, 1); and the marginals P(A) and P(B).  The worst marginality residual
+    of the stack (see :func:`table_marginality_residuals`) must be within ``tol``, if finite.
     """
     rho, a, b = _operands(rho, a, b)
     firsts, seconds = _answers(a), _answers(b)
@@ -1013,7 +1008,8 @@ def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.stack([seconds[j] for _, j in CELLS], axis=-3),
         )
         finite = np.isfinite(products).all(axis=(-2, -1))
-        products[~finite] = 0
+        if not finite.all():
+            products[~finite] = 0
         return np.where(finite, np.linalg.eigvalsh(products)[..., 0], np.nan)
 
     blocks = _blockwise(lowest, *_operands(a, b))

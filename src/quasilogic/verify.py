@@ -203,10 +203,9 @@ def logic_suite() -> list[CheckResult]:
 def _sampled_questions(dim: int, trials_per_dim: int, seed: int):
     """The two read-only (n, d, d) question stacks of one dimension.
 
-    The questions stream of the dimension gives the ranks of every A, then of
-    every B, then the A stack, then the B stack: each question of rank r draws
-    the real, then the imaginary parts of a d × min(r, d - r) complex Gaussian,
-    in trial order (:func:`hilbert.sample_projectors`).
+    The questions stream of the dimension gives the ranks of every A, then of every
+    B, then the d × min(r, d - r) complex Gaussian of each A, then of each B, in trial
+    order, real parts first (:func:`hilbert.sample_projectors`).
     """
     rng = _stream(seed, _QUESTIONS, dim)
     ranks = rng.integers(1, dim, size=(2, trials_per_dim))

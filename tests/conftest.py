@@ -64,6 +64,19 @@ def seeded_commuting_triple(dim: int, seed: int):
     return rho[0], a[0], b[0]
 
 
+def reference_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``sample_hermitians``' member, drawn alone: d² normals, the diagonal, then the real and
+    then the imaginary parts above it, those scaled by √½."""
+    x = rng.standard_normal(dim * dim)
+    x[dim:] *= np.sqrt(0.5)
+    re, im = np.split(x[dim:], 2)
+    h = np.diag(x[:dim]).astype(complex)
+    rows, cols = np.triu_indices(dim, 1)
+    h[rows, cols] = re + 1j * im
+    h[cols, rows] = re - 1j * im
+    return h
+
+
 def traced_peak(function, *args) -> int:
     """The tracemalloc peak, in bytes, of one call: what it allocates beyond what is live.
 

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import (sampled_triples, seeded_basis, seeded_commuting_triple, seeded_hermitian,
-                      seeded_projector, seeded_state, traced_peak)
+from conftest import (reference_hermitian, sampled_triples, seeded_basis, seeded_commuting_triple,
+                      seeded_hermitian, seeded_projector, seeded_state, traced_peak)
 from quasilogic import hilbert, jordan, logic, verify
 from quasilogic.errors import (
     BadDimensionError,
@@ -431,22 +431,15 @@ class TestQuasiProbTable:
         assert cells[(1, 1)] + cells[(0, 1)] == pytest.approx(
             hilbert.born_probability(rho, b), abs=1e-10)
 
-
-class TestInfiniteTolerance:
-    """At an infinite ``tol`` a kernel's own identity check is left to its caller, so that
-    ``verify`` reports a NaN residual as a failed check rather than an input error."""
-
-    def test_nan_operand_gives_nan_at_infinite_tol_and_raises_at_finite_tol(self):
+    def test_nan_residual_is_left_to_the_caller_at_infinite_tol(self):
+        """So that ``verify`` reports a NaN marginality residual as a failed check."""
         rho, a, b = hilbert.worked_example()
         a = np.array(a)
         a[0, 1] = np.nan
         cells, _, _ = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
         assert np.isnan(cells).any()
-        assert np.isnan(hilbert.xor_expectations(rho, a, b, "mapped_operator", tol=np.inf))
         with pytest.raises(IdentityCheckError):
             hilbert.quasi_prob_tables(rho, a, b, "jordan")
-        with pytest.raises(IdentityCheckError):
-            hilbert.xor_expectations(rho, a, b, "mapped_operator")
 
 
 class TestKdDistribution:
@@ -675,23 +668,11 @@ def reference_states(dim, purities, rng):
 def reference_projector(dim, rank, rng):
     """QQᴴ of a d × k Gaussian's reduced QR, k = min(rank, d - rank), or I - QQᴴ where k < rank."""
     width = min(rank, dim - rank)
-    q = np.linalg.qr(complex_gaussian(rng, (dim, width))).Q
+    q, _ = np.linalg.qr(complex_gaussian(rng, (dim, width)))
     p = q @ q.conj().T
     if width < rank:
         p = np.eye(dim) - p
     return (p + p.conj().T) / 2
-
-
-def reference_hermitian(dim, rng):
-    """d² normals: the diagonal, then the real and then the imaginary parts above it, scaled by √½."""
-    x = rng.standard_normal(dim * dim)
-    x[dim:] *= np.sqrt(0.5)
-    re, im = np.split(x[dim:], 2)
-    h = np.diag(x[:dim]).astype(complex)
-    rows, cols = np.triu_indices(dim, 1)
-    h[rows, cols] = re + 1j * im
-    h[cols, rows] = re - 1j * im
-    return h
 
 
 def reference_triples(dim, trials, seed):
@@ -1604,7 +1585,8 @@ class TestMinCellOverStates:
         a[1, 0, 2] = np.nan
         lowest = hilbert.min_cells_over_states(a, b)
         assert np.isnan(lowest[1]).all()
-        assert lowest[[0, 2]].tolist() == hilbert.min_cells_over_states(a[[0, 2]], b[[0, 2]]).tolist()
+        rest = hilbert.min_cells_over_states(a[[0, 2]], b[[0, 2]])
+        assert lowest[[0, 2]].tolist() == rest.tolist()
 
     def test_overlap_one_half_attains_minus_one_eighth(self):
         a = proj(1, 0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import seeded_hermitian, seeded_projector
+from conftest import reference_hermitian, seeded_hermitian, seeded_projector
 from quasilogic import hilbert, jordan, verify
 from quasilogic.errors import DimensionMismatchError, NotHermitianError
 
@@ -286,18 +286,9 @@ class TestStackedKernels:
     @settings(max_examples=20, deadline=None)
     def test_sweep_equals_per_pair_probe_loop(self, dim, trials, seed):
         sweep = verify.jordan_sweep_report((dim,), trials, seed)
-        # trials + 1 matrices drawn one at a time from the sweep's stream, each from d² normals:
-        # the diagonal, then the real and then the imaginary parts above it; pair t is (t, t + 1)
+        # trials + 1 matrices drawn one at a time from the sweep's stream; pair t is (t, t + 1)
         rng = np.random.default_rng([seed, verify._SWEEP, dim])
-        rows, cols = np.triu_indices(dim, 1)
-        matrices = []
-        for _ in range(trials + 1):
-            x = rng.standard_normal(dim * dim)
-            x[dim:] *= np.sqrt(0.5)
-            re, im = np.split(x[dim:], 2)
-            h = np.diag(x[:dim]).astype(complex)
-            h[rows, cols], h[cols, rows] = re + 1j * im, re - 1j * im
-            matrices.append(h)
+        matrices = [reference_hermitian(dim, rng) for _ in range(trials + 1)]
         assert sweep == per_pair_sweep(matrices, seed)
         assert sweep.violations == 0
         # Weyl: λ_max(x² + y²) >= max(||x||², ||y||²), so every exact ratio is at least 100.
