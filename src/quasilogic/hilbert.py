@@ -385,8 +385,17 @@ def _symmetrised(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _re_trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Re Tr(XY) = Re Σᵢⱼ Xᵢⱼ Yⱼᵢ, memberwise on broadcast stacks, without forming XY."""
-    return np.einsum("...ij,...ji->...", x, y).real
+    """Re Tr(XY) = Re Σᵢⱼ Xᵢⱼ Yⱼᵢ, memberwise on broadcast stacks, without forming XY.
+
+    Each pair is one BLAS dot product of X flattened row by row with Yᵀ flattened
+    row by row, through numpy's broadcasting matmul, so a pair's value depends on
+    its two members only, not on the stacks around them or their layout.  Yᵀ is
+    copied unless Y is a transposed view of a C-contiguous stack.
+    """
+    entries = x.shape[-2] * x.shape[-1]
+    rows = x.reshape(*x.shape[:-2], 1, entries)
+    columns = y.swapaxes(-1, -2).reshape(*y.shape[:-2], entries, 1)
+    return (rows @ columns)[..., 0, 0].real
 
 
 def _mapped_xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -731,10 +740,10 @@ def logical_joints(
     The operational route composes Lüders updates and validates the disturbed
     states once per block; a stack longer than a block is evaluated block by
     block, so temporaries stay bounded.  The ``jordan`` route contracts rho∘A
-    with B entrywise; its last bits can depend on how ``_blockwise`` cuts stacks
-    whose member axis is innermost in memory (kd's layout).  So when rho and A are
-    single matrices (or one-member stacks), rho∘A is formed once and contracted
-    with the whole stack of B, uncut: only this path is bit for bit at any block size.
+    with B entrywise, one dot product per member (:func:`_re_trace_product`), so
+    its bits do not depend on how ``_blockwise`` cuts the stacks or on their layout.
+    When rho and A are single matrices (or one-member stacks), rho∘A is formed
+    once and contracted with B block by block.
     """
     rho, a, b = _operands(rho, a, b)
     if method not in ("operational", "jordan"):
@@ -750,8 +759,9 @@ def logical_joints(
         ) / 2
 
     if method == "jordan" and all(m.ndim == 2 or len(m) == 1 for m in (rho, a)):
-        return joints(rho, a, b)  # one rho∘A, and the contraction makes no (n, d, d) temporary
-    blocks = _blockwise(joints, rho, a, b)
+        blocks = _blockwise(_re_trace_product, _symmetrised(rho, a), b)
+    else:
+        blocks = _blockwise(joints, rho, a, b)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -760,21 +770,19 @@ def logical_joint_table(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 
     ``rho`` is one d x d state; ``a`` and ``b`` are questions, each a d x d
     matrix or an (n, d, d) stack, and their lengths may differ.  Row i equals
-    ``logical_joints(rho, a[i], b, "jordan")`` to rounding, and bit for bit on
-    stacks whose member axis is innermost in memory, as ``rank_one_projectors``
-    builds them from the rows of ``sample_orthonormal_bases``.  Bᵀ is copied once,
-    C-contiguous, and rho∘A is formed block by block over the rows, so the
-    temporaries are one block of rho∘A and that copy; no (n_a·n_b, d, d)
-    array is built.
+    ``logical_joints(rho, a[i], b, "jordan")`` bit for bit: every entry is the
+    same per-pair dot product (:func:`_re_trace_product`), broadcast over the
+    rows.  Bᵀ is copied once, C-contiguous, for all the row blocks to share, and
+    rho∘A is formed block by block over the rows, so the temporaries are one
+    block of rho∘A and that copy; no (n_a·n_b, d, d) array is built.
     """
     (rho, a), (_, b) = _operands(rho, a), _operands(rho, b)
     if rho.ndim != 2:
         raise DimensionMismatchError(f"expected a single state, got shape {rho.shape}")
     d = rho.shape[-1]
     a, b = a.reshape(-1, d, d), b.reshape(-1, d, d)
-    b_transposed = np.ascontiguousarray(b.swapaxes(-1, -2))
-    rows = _blockwise(
-        lambda block: np.einsum("kij,nij->kn", _symmetrised(rho, block), b_transposed).real, a)
+    b = np.ascontiguousarray(b.swapaxes(-1, -2)).swapaxes(-1, -2)  # Bᵀ C-contiguous, read as B
+    rows = _blockwise(lambda block: _re_trace_product(_symmetrised(rho, block)[:, None], b), a)
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
@@ -804,7 +812,8 @@ def xor_expectations(
 ) -> np.ndarray:
     """:func:`xor_expectation` per member of broadcast state and projector stacks.
 
-    The ``mapped_operator`` error carries the worst member's expansion residual.
+    The ``mapped_operator`` error carries the worst member's expansion residual;
+    at an infinite ``tol`` the residual is neither formed nor checked.
     """
     rho, a, b = _operands(rho, a, b)
     if method == "operational":
@@ -812,11 +821,12 @@ def xor_expectations(
                 + sequential_probabilities(rho, _answers(a)[0], b))
     if method == "mapped_operator":
         mapped = _mapped_xor(a, b)
-        residual = _gate_norm(mapped - _xor_expansion(a, b), tol)
-        if not residual <= tol:
-            raise IdentityCheckError(
-                f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
-            )
+        if tol != np.inf:  # at an infinite tol the caller checks the residual itself
+            residual = _gate_norm(mapped - _xor_expansion(a, b), tol)
+            if not residual <= tol:
+                raise IdentityCheckError(
+                    f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
+                )
         return _re_trace(rho @ mapped)
     raise ValueError(f"unknown method {method!r}")
 

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import hilbert
 from .errors import QuasilogicError
-from .hilbert import (DEFAULT_TOL, _finite, _hermitian, _mapped_xor, _norm, _operands,
-                      _symmetrised, _xor_expansion)
+from .hilbert import DEFAULT_TOL
 
 __all__ = [
     "jordan_product",
@@ -58,9 +58,9 @@ def jordan_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     logical conjunction, and satisfies the operator marginality
     (A ∘ B) + (A ∘ B̄) = A.
     """
-    xm, ym = (_hermitian(m, DEFAULT_TOL) for m in _finite_operands(x, y))
+    xm, ym = (hilbert._hermitian(m, DEFAULT_TOL) for m in _finite_operands(x, y))
     with np.errstate(all="ignore"):
-        return _unless_overflowed(_symmetrised(xm, ym))[0]
+        return _unless_overflowed(hilbert._symmetrised(xm, ym))[0]
 
 
 def idempotency_residuals(a: np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
@@ -69,10 +69,10 @@ def idempotency_residuals(a: np.ndarray) -> tuple[float | np.ndarray, float | np
     Asking a question twice is asking it once when both vanish.  Takes raw
     Hermitian matrices, so that a near-projector can be diagnosed.
     """
-    m = _hermitian(_finite_operands(a)[0], DEFAULT_TOL)
+    m = hilbert._hermitian(_finite_operands(a)[0], DEFAULT_TOL)
     with np.errstate(all="ignore"):
         cubic, square = _unless_overflowed(*_idempotency_defects(m))
-    return _norm(cubic), _norm(square)
+    return hilbert._norm(cubic), hilbert._norm(square)
 
 
 def _idempotency_defects(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +94,7 @@ def formal_reality_residuals(
     nonzero scale would signal broken arithmetic.  Every norm is the largest
     absolute eigenvalue (:func:`_hermitian_norm`).
     """
-    xm, ym = (_hermitian(m, DEFAULT_TOL) for m in _finite_operands(x, y))
+    xm, ym = (hilbert._hermitian(m, DEFAULT_TOL) for m in _finite_operands(x, y))
     with np.errstate(all="ignore"):
         sums = _unless_overflowed(_formal_reality_sums(xm @ xm, ym @ ym))[0]
     residual = _hermitian_norm(sums)
@@ -116,7 +116,7 @@ def _hermitian_norm(m: np.ndarray) -> float | np.ndarray:
     Reads only the lower triangle.  A NaN or infinite entry raises
     :class:`NonFiniteError` before the solve, as in :func:`hilbert.operator_norm`.
     """
-    eigenvalues = np.linalg.eigvalsh(_finite(m, "matrix"))
+    eigenvalues = np.linalg.eigvalsh(hilbert._finite(m, "matrix"))
     return np.maximum(-eigenvalues[..., 0], eigenvalues[..., -1])
 
 
@@ -128,14 +128,14 @@ def xor_symmetry_residuals(a: np.ndarray, b: np.ndarray) -> tuple[float | np.nda
     """
     with np.errstate(all="ignore"):
         defects = _unless_overflowed(*_xor_symmetry_defects(*_finite_operands(a, b)))
-    return tuple(_norm(defect) for defect in defects)
+    return tuple(hilbert._norm(defect) for defect in defects)
 
 
 def _xor_symmetry_defects(a: np.ndarray, b: np.ndarray) -> tuple:
     """The swap and both expansion defects whose norms :func:`xor_symmetry_residuals` returns."""
-    am, bm = _operands(a, b)
-    forward, backward = _mapped_xor(am, bm), _mapped_xor(bm, am)
-    expansion = _xor_expansion(am, bm)
+    am, bm = hilbert._operands(a, b)
+    forward, backward = hilbert._mapped_xor(am, bm), hilbert._mapped_xor(bm, am)
+    expansion = hilbert._xor_expansion(am, bm)
     return forward - backward, forward - expansion, backward - expansion
 
 
@@ -152,4 +152,4 @@ def _unless_overflowed(*results: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _finite_operands(*operands) -> list[np.ndarray]:
     """:func:`hilbert._operands` once every entry is finite, else :class:`NonFiniteError`."""
-    return [_finite(m, "matrix") for m in _operands(*operands)]
+    return [hilbert._finite(m, "matrix") for m in hilbert._operands(*operands)]

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import hilbert, jordan, logic, survey
 from .errors import BadDimensionError, BadSeedError, BadToleranceError, TooFewTrialsError
-from .hilbert import _worst_norm
 
 __all__ = [
     "CheckResult",
@@ -124,7 +123,7 @@ def _worst_residual(*residuals, initial: float = 0.0) -> float:
     """
     worst = initial
     for r in residuals:
-        value = float(np.max(r, initial=worst)) if np.ndim(r) < 3 else _worst_norm(r)
+        value = float(np.max(r, initial=worst)) if np.ndim(r) < 3 else hilbert._worst_norm(r)
         if value > worst or value != value:
             worst = value
     return worst

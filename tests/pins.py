@@ -137,12 +137,6 @@ PINS = [
     Pin(["survey", "clinton_gore_1997.csv"] + JSON, "0.1.0", BOOTSTRAP_CHANGED, {
         "*": "727dd12cd5b7166c125fc26933bfebdbcca6de49a4db1ac87cb69974adf2b162",
     }),
-    # 0.3.0: the kd output whose fields above changed
-    Pin(KD + JSON, "0.3.0", (), {
-        "SkylakeX/X86_V3": "3552163b0f6b31173dd381e8c8a7b72f4aea7bb773f3dc064f39429fe9106cc3",
-        "Haswell/X86_V3": "863f9832d38773b05fb71ca3a9666fb6e6c5b7df970f7b340bdd17b60c76960f",
-        "Sandybridge/X86_V2": "17b11247ba374833e0645bf020efc5faf868b458decc79023cc2518f0f2a83e2",
-    }),
     # 0.11.0: survey's output since its bootstrap intervals became exact
     Pin(["survey", "synthetic_n100.csv"], "0.11.0", (), {
         "*": "900b0630bb9ca962bd3470bc9aaed830412b3d025be94b2b595da16965601d0c",
@@ -165,13 +159,7 @@ PINS = [
     Pin(["survey", LOPSIDED] + JSON, "0.14.0", (), {
         "*": "4f8bb03c46aebbdf3f91ff8fed4abfcbcd43d8d1f09252db0d30baf6568892c0",
     }),
-    # kd's text output, which holds no version string and is unchanged since 0.3.0,
-    # and its CSV output, whose fields are plain floats since 0.3.1
-    Pin(KD, "0.3.0", (), {
-        "SkylakeX/X86_V3": "b985507ae676a915b34e4af5c73878bf2484e35b77b9838da31e0a24a0545934",
-        "Haswell/X86_V3": "12c3c68f051f8ae6325c2b78338c477079dc86408adb6e4e5dcbe7803892482d",
-        "Sandybridge/X86_V2": "6f718c9c6208b1396a023588fd2a4a02681f16f5b06959969306890572061a18",
-    }),
+    # kd's CSV output, whose fields are plain floats since 0.3.1
     Pin(KD + ["--format", "csv"], "0.3.1", (), {
         "SkylakeX/X86_V3": "ae2ba5e4c189408c9616afd27211bad69c228a5b57639d2e5eff72cfa80d164c",
         "Haswell/X86_V3": "a01d8759f16436cf5b7bc3904a58d61e5a5a099db4c56293252761f30f742416",
@@ -210,23 +198,8 @@ PINS = [
     Pin(["demo"], "0.18.0", (), {
         "*": "09a284f67f7ce3f57ba1a3a4b08173319c1eaedce81a4b0ec4c559fef0f7d036",
     }),
-    # 0.22.0: verify's and jordan-verify's output since the samplers draw only the parameters
-    # they use, every float of which depends on the samplers and the kernels
-    Pin(["verify"], "0.22.0", (), {
-        "SkylakeX/X86_V3": "596bb43e24dd4505b2ff59b4d0a6178722280fd971cfb6cfeef85885e2efcc85",
-        "Haswell/X86_V3": "a9db6fa500e34df4df38d82ac654d3c5340ebb83bc22b67c1219355fc29c3ef5",
-        "Sandybridge/X86_V2": "fc80dde5aedb70f318cfc883e246960a41acf0c697d67ae2eee1b46ff081c590",
-    }),
-    Pin(["verify"] + JSON, "0.22.0", (), {
-        "SkylakeX/X86_V3": "b916161847dbc39cd657e4a9c4180171e68d42def5e2638ebe81d57c98ad27c8",
-        "Haswell/X86_V3": "6cf0446aed0e8e3e9d3279097d528e5b63f7a4375bd002b05d36df73c5962c4f",
-        "Sandybridge/X86_V2": "e6d1015a353527b867ef12bc7e5a10b86ca0d2218026db3bc14a48f9ba408be0",
-    }),
-    Pin(VERIFY_37, "0.22.0", (), {
-        "SkylakeX/X86_V3": "a893c680d95ac5e5872aeb397cc12921ee99ab40cc3735871e71971d0473e1a1",
-        "Haswell/X86_V3": "9a2aabf86db83a949989be7c9ea9c10ab5b4a7a249fd519b7ae784a65cf4cbd8",
-        "Sandybridge/X86_V2": "38b6f474ef473ffb0a731fd0704a0844a8c5edd5342bfce973a79cd0a9ed2eb0",
-    }),
+    # 0.22.0: jordan-verify's output since the samplers draw only the parameters they use,
+    # every float of which depends on the samplers and the kernels
     Pin(["jordan-verify"] + JSON, "0.22.0", (), {
         "SkylakeX/X86_V3": "8070d82486cfb66b87b50fc964f14bd54bdfe017a13446e5916e79eb1b3e665c",
         "Haswell/X86_V3": "f1a5a07ccbc346316a0bbcfd4fd0a8d4847e23a00742ab679ef14580ce39ebe7",
@@ -236,5 +209,33 @@ PINS = [
         "SkylakeX/X86_V3": "fba34d114d11e052e5ab57df6648fdcf08a23ed0ba9b21a4364168b368a2ca19",
         "Haswell/X86_V3": "496f40930b0fa79b9e02aea6614790bedbb35ca1de8ef3411731fc1140222819",
         "Sandybridge/X86_V2": "55e5542ac7b48802556048c786c6be49714fd0c96776e27885396171ee059703",
+    }),
+    # 0.23.0: kd's JSON and text output (kd's text holds no version string) and verify's output
+    # since the Jordan route contracts each pair with one BLAS dot product, which moves the last
+    # bits of kd's max_gap_to_logical_joint and of verify's Jordan-route residuals
+    Pin(KD + JSON, "0.23.0", (), {
+        "SkylakeX/X86_V3": "786f16a3ab6e665206c12246493b92101eb96b520e412a6d0bdc83bcbc80adbd",
+        "Haswell/X86_V3": "e6e9d4304d3187b393fd0d66bacfc955a92a2e4609e92759aced08e546ad9830",
+        "Sandybridge/X86_V2": "f1ff8c159f79278c46a017d5263ee321eb927a503751c4dc5d9a6bebf40fcdda",
+    }),
+    Pin(KD, "0.23.0", (), {
+        "SkylakeX/X86_V3": "bf84e3fbc2112a3b2cfb451582b8ac51aec81fcc97e3288d3397be7930d5ce05",
+        "Haswell/X86_V3": "614a265131a99a09dc10b0dc440ccc42507e17ed23c92ef0fc269c2d0ab35ca4",
+        "Sandybridge/X86_V2": "9d884dbce4df0f72ed4fc03eeeb368429cf4e5c235d5061796e9edeed020f725",
+    }),
+    Pin(["verify"], "0.23.0", (), {
+        "SkylakeX/X86_V3": "e38ca3fc1483cb555a47402bd7d1d222b724c0d6c4078dcd8393a5970da78259",
+        "Haswell/X86_V3": "bcb5d9a755c348fb334a30cd0e916c122b007480bc3a854264c950190539bb9d",
+        "Sandybridge/X86_V2": "965840d4a188d88d55c7b37386fe0af1cce678fa0c1ae78d4ef6f80b34204ee8",
+    }),
+    Pin(["verify"] + JSON, "0.23.0", (), {
+        "SkylakeX/X86_V3": "de326f64522ad5f671e8c24e37fad4f785a1a3570af769f8eca8a24fc0891dce",
+        "Haswell/X86_V3": "a01dd24a98c941a1746222219feb99326d11e5de05dacc456f629b1daa17eddb",
+        "Sandybridge/X86_V2": "e2a752ea5344b9d65fe28e90c3faf02da4df24a175402e8c2c1096dd47f69857",
+    }),
+    Pin(VERIFY_37, "0.23.0", (), {
+        "SkylakeX/X86_V3": "ec16d8a072409a93e12748545a262ad8770a3969a186aa2fdd9f4254f08a886e",
+        "Haswell/X86_V3": "88c8d0fbb8f47bac31a632ad70e5073c3bef405746797006b7b0d0d9e87f757f",
+        "Sandybridge/X86_V2": "e3600b88e8d3628311a65ec046c1784c9ec053176bb78fa0579500b0b7aadd9b",
     }),
 ]

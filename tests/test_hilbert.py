@@ -929,8 +929,8 @@ def reference_lueders(rho, p, mode):
 
 def reference_joint(rho, a, b, method):
     if method == "jordan":
-        # Re Tr((rho∘A) B) = Re Σᵢⱼ (rho∘A)ᵢⱼ Bⱼᵢ
-        return float(np.einsum("ij,ji->", (rho @ a + a @ rho) / 2, b).real)
+        # Re Tr((rho∘A) B) = Re Σᵢⱼ (rho∘A)ᵢⱼ Bⱼᵢ, one dot product of rho∘A and Bᵀ flattened
+        return float(np.dot(((rho @ a + a @ rho) / 2).ravel(), b.T.ravel()).real)
     seq = reference_re_trace(b @ a @ rho @ a)
     _, disturbed = reference_lueders(rho, a, "nonselective")
     return seq + (reference_re_trace(rho @ b) - reference_re_trace(disturbed @ b)) / 2
@@ -1174,35 +1174,49 @@ class TestLogicalJointTable:
     @given(st.sampled_from([2, 3, 8, 24, 48, 64]), st.integers(min_value=2, max_value=4),
            stack_seeds, block_members)
     @settings(max_examples=40, deadline=None)
-    def test_block_size_moves_only_last_bits_on_member_innermost_stacks(
-            self, dim, n, seed, members):
-        """On stacks whose member axis is innermost in memory, the ``jordan`` route's last
-        bits can depend on how ``_blockwise`` cuts them: blocked and whole-stack joints agree
-        within 16·d·eps (every operator norm is at most 1).  One rho∘A against a stack of B
-        is contracted uncut, the same bit for bit at any block size; cut, it would not be."""
+    def test_block_size_moves_no_bits_on_member_innermost_stacks(self, dim, n, seed, members):
+        """On stacks whose member axis is innermost in memory, the ``jordan`` route is the same
+        bit for bit however ``_blockwise`` cuts them: each joint is one dot product of its
+        own members, memberwise and with one rho∘A against a stack of B alike."""
         rng = np.random.default_rng(seed)
         rho = member_innermost(hilbert.sample_states(dim, ["mixed"] * n, rng))
         a, b = (member_innermost(hilbert.sample_projectors(dim, rng.integers(1, dim, size=n), rng))
                 for _ in "ab")
-        rounding = 16 * dim * np.finfo(float).eps
         whole, cut = n * dim * dim, members * dim * dim
 
-        def blocked(entries, fn, *operands):
+        def joints(entries, *operands):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(hilbert, "_BLOCK_ENTRIES", entries)
-                return fn(*operands)
+                return hilbert.logical_joints(*operands, "jordan")
 
-        def joints(entries, *operands):
-            return blocked(entries, hilbert.logical_joints, *operands, "jordan")
+        for operands in ((rho, a, b), (rho[0], a, b), (rho, a[0], b), (rho[0], a[0], b)):
+            assert np.array_equal(joints(cut, *operands), joints(whole, *operands))
 
-        for operands in ((rho, a, b), (rho[0], a, b), (rho, a[0], b)):
-            assert np.abs(joints(cut, *operands) - joints(whole, *operands)).max() <= rounding
-        single = joints(whole, rho[0], a[0], b)
-        assert np.array_equal(joints(cut, rho[0], a[0], b), single)
-        product = hilbert._symmetrised(rho[0], a[0])
-        rows = blocked(cut, hilbert._blockwise,
-                       lambda block: hilbert._re_trace_product(product, block), b)
-        assert np.abs(np.concatenate(rows) - single).max() <= rounding
+    @given(st.sampled_from([2, 3, 8, 24, 48, 64]), st.integers(min_value=1, max_value=4),
+           stack_seeds, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_every_jordan_path_agrees_with_the_einsum_contraction(self, dim, n, seed, innermost):
+        """Memberwise, one rho∘A against a stack, and tabled, each ``jordan`` joint is within
+        16·d·eps of einsum's Re Σᵢⱼ (rho∘A)ᵢⱼ Bⱼᵢ, which shares no arithmetic with the
+        per-pair dot products (rho a state, every question a projector, so every operator
+        norm is at most 1), on C-contiguous and on member-innermost stacks."""
+        rng = np.random.default_rng(seed)
+        rho = hilbert.sample_states(dim, ["mixed"] * n, rng)
+        a, b = (hilbert.sample_projectors(dim, rng.integers(1, dim, size=n), rng) for _ in "ab")
+        if innermost:
+            rho, a, b = map(member_innermost, (rho, a, b))
+        rounding = 16 * dim * np.finfo(float).eps
+
+        def contraction(rho, a, b):
+            return np.einsum("...ij,...ji->...", (rho @ a + a @ rho) / 2, b).real
+
+        for joints, expected in [
+            (hilbert.logical_joints(rho, a, b, "jordan"), contraction(rho, a, b)),
+            (hilbert.logical_joints(rho[0], a[0], b, "jordan"), contraction(rho[0], a[0], b)),
+            (hilbert.logical_joint_table(rho[0], a, b), contraction(rho[0], a[:, None], b)),
+        ]:
+            assert joints.shape == expected.shape
+            assert np.abs(joints - expected).max() <= rounding
 
     @pytest.mark.parametrize("seed", [0, 5, 123456789])
     @pytest.mark.parametrize("dim", [2, 3, 24, 36, 48, 64])

@@ -8,8 +8,10 @@ fail.  The sampled suites' input boundary, their working memory and the bits of
 their block cuts are checked at the end.
 """
 
+import ast
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -138,6 +140,11 @@ PERTURBATIONS = {
         "verify": {"hilbert.table_marginality", "jordan.product_commutativity"},
         "jordan-verify": {"jordan.product_commutativity"},
     }),
+    "mapped_xor_returns_nan": ("_mapped_xor", lambda real: lambda a, b: np.full_like(real(a, b), np.nan), {
+        "verify": {"hilbert.xor_operational_vs_mapped", "hilbert.xor_operator_expansion",
+                   "jordan.xor_operator_symmetry"},
+        "jordan-verify": {"jordan.xor_operator_symmetry"},
+    }),
 }
 
 
@@ -149,6 +156,19 @@ def test_perturbed_kernel_fails_its_named_checks(monkeypatch, capsys, perturbati
     code, report, err = json_run(capsys, command)
     assert (code, err) == (1, "")
     assert must_fail[command] <= {check["name"] for check in report["checks"] if not check["passed"]}
+
+
+def test_no_module_binds_a_private_hilbert_name():
+    """Every module reads hilbert's private kernels through the module, so that a patched
+    kernel, as in PERTURBATIONS, reaches every caller."""
+    bound = []
+    for path in sorted(Path(hilbert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level, node.module) in ((1, "hilbert"), (0, "quasilogic.hilbert"))):
+                bound += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert bound == []
 
 
 SAMPLED_SUITES = {
