@@ -9,7 +9,7 @@ real part of the Kirkwood-Dirac distribution is negative.
 
 import numpy as np
 
-from quasilogic import hilbert, logic
+from quasilogic import hilbert, logic, survey
 
 rho, a, b = hilbert.worked_example()
 
@@ -36,6 +36,12 @@ table = hilbert.quasi_prob_table(rho, a, b)
 for cell in reversed(logic.CELLS):
     print(f"  P(A={cell[0]}, B={cell[1]}) = {table.cells[cell]:+.3f}")
 print(f"  sum = {table.total():.6f}, marginals ({table.marginal_a:.3f}, {table.marginal_b:.3f})")
+
+print()
+print("a two-order survey of this model gives the same -0.1 back from either order:")
+p_ab, p_ba = hilbert.model_sequential_probabilities(rho, a, b)
+for order, logical in zip(("A first", "B first"), survey.logical_tables_from_probs(p_ab, p_ba)):
+    print(f"  {order}: P(A=1, B=1) = {logical[(1, 1)]:+.3f}")
 
 print()
 wv = hilbert.weak_value(rho, a, b)

@@ -144,18 +144,19 @@ def _worst(residuals: float | np.ndarray) -> float:
 def _worst_norm(m: np.ndarray) -> float:
     """``_worst(operator_norm(m))``, bit for bit, solving only the members that could be the largest.
 
-    An all-zero stack gives 0 at once.  σ₁ ≥ F/√d for a member of Frobenius
-    norm F, so the largest member's σ₁ is at least max F/√d, and a member
-    with F² below (max F)²/d (1 - 1e-10) cannot be the worst: it is dropped
-    before any product, unless (max F)² overflows or is below 1e-200, where
-    the squares of the entries lose that relative accuracy.  Then
-    σ₁² ≤ (Σ σᵢ⁴)^½ = ‖MᴴM‖_F, so b = (‖MᴴM‖_F (1 + 1e-10))^½ bounds each
-    member's computed spectral norm: at d <= 64 the computed Gram norm is
-    within about 5e-13 relative and LAPACK's σ₁ far closer, so a member with
-    b below the computed norm of the largest-bound member cannot be the worst
-    and is not solved.  A stack with an inf or NaN Gram norm, or a nonzero
-    member whose Gram norm underflows towards the subnormals (where that
-    relative accuracy is lost), takes the full solve.  A NaN or inf entry
+    An all-zero stack gives 0 at once.  The member of the largest Frobenius
+    norm is solved first, and its σ₁ is a lower bound w on the result.  Each
+    member's σ₁ is at most its Frobenius norm F, so a member with
+    F² (1 + 1e-10) below w² cannot be the worst: it is dropped before any
+    product, unless (max F)² overflows or is below 1e-200, where the squares
+    of the entries lose that relative accuracy.  Then σ₁² ≤ (Σ σᵢ⁴)^½ = ‖MᴴM‖_F,
+    so b = (‖MᴴM‖_F (1 + 1e-10))^½ bounds each member's computed spectral norm:
+    at d <= 64 the computed Gram norm is within about 5e-13 relative and
+    LAPACK's σ₁ far closer, so a member with b below w cannot be the worst and
+    is not solved.  Where the Frobenius pass is skipped, w is the computed norm
+    of the largest-bound member.  A stack with an inf or NaN Gram norm, or a
+    nonzero member whose Gram norm underflows towards the subnormals (where
+    that relative accuracy is lost), takes the full solve.  A NaN or inf entry
     makes the result the largest Frobenius norm (NaN or inf), without the
     singular-value solve, which LAPACK refuses.
     """
@@ -166,23 +167,34 @@ def _worst_norm(m: np.ndarray) -> float:
         return _worst(_norm(m))
     if not m.any():
         return 0.0
+    worst = 0.0
     with np.errstate(all="ignore"):
         squares = np.einsum("nij,nij->n", m.real, m.real) + np.einsum("nij,nij->n", m.imag, m.imag)
-        top = squares.max()
-        if 1e-200 <= top < np.inf:  # an overflowed square leaves the stack to the Gram pass
-            m = m[squares >= top / m.shape[-1] * (1 - 1e-10)]
+        first = int(squares.argmax())
+        frobenius_pass = 1e-200 <= squares[first] < np.inf  # else the Gram pass takes the stack
+        if frobenius_pass:
+            worst = _norm(m[first])
+            rest = squares * (1 + 1e-10) >= worst * worst
+            rest[first] = False
+            m = m[rest]
         if len(m) < 2:
-            return _worst(_norm(m))
-        gram = np.concatenate(_blockwise(
-            lambda block: np.linalg.norm(_dagger(block) @ block, axis=(-2, -1)), m))
+            return max(worst, _worst(_norm(m))) if len(m) else worst
+        gram = _gram_norms(m)
     small = gram < 1e-140
     if not np.isfinite(gram).all() or (small.any() and (small & m.any(axis=(-2, -1))).any()):
-        return _worst(_norm(m))
-    first = int(gram.argmax())
-    worst = _norm(m[first])
+        return max(worst, _worst(_norm(m)))
+    if not frobenius_pass:  # the largest-bound member sets w
+        first = int(gram.argmax())
+        worst = _norm(m[first])
+        m, gram = np.delete(m, first, axis=0), np.delete(gram, first)
     rest = np.sqrt(gram * (1 + 1e-10)) >= worst
-    rest[first] = False
-    return max(worst, _worst(_norm(m[rest])))
+    return max(worst, _worst(_norm(m[rest]))) if rest.any() else worst
+
+
+def _gram_norms(m: np.ndarray) -> np.ndarray:
+    """‖MᴴM‖_F of each member of an (n, d, d) stack, block by block."""
+    return np.concatenate(_blockwise(
+        lambda block: np.linalg.norm(_dagger(block) @ block, axis=(-2, -1)), m))
 
 
 def _re_trace(m: np.ndarray) -> np.ndarray:
@@ -315,11 +327,14 @@ def _validated_densities(m: np.ndarray, tol: float) -> np.ndarray:
     :func:`validate_density` (not its dimension check).
 
     A stack is checked block by block; an error carries the worst member's value.
+    Each block is first certified positive semidefinite within ``tol`` by
+    :func:`_certified_psd`; only a block that fails the certificate takes
+    ``eigvalsh``, whose least eigenvalue decides and names the failure as before.
     """
     _hermitian(m, tol)
     with np.errstate(all="ignore"):  # r/2 + r^H/2, unlike (r + r^H)/2, cannot overflow
         lowest = float(np.min(_blockwise(
-            lambda r: np.linalg.eigvalsh(r / 2 + _dagger(r) / 2).min(initial=np.inf), m)))
+            lambda r: _least_eigenvalue(r / 2 + _dagger(r) / 2, tol), m)))
         traces = np.ravel(np.trace(m, axis1=-2, axis2=-1))
         gaps = np.abs(traces - 1.0)
     if not lowest >= -tol:
@@ -327,6 +342,43 @@ def _validated_densities(m: np.ndarray, tol: float) -> np.ndarray:
     if not gaps.max(initial=0.0) <= tol:
         raise TraceNotOneError(complex(traces[gaps.argmax()]), tol)
     return _freeze(m)
+
+
+def _least_eigenvalue(h: np.ndarray, tol: float) -> float:
+    """Least eigenvalue, from ``eigvalsh``, of an exactly Hermitian matrix or stack (inf when
+    empty), or inf where :func:`_certified_psd` shows that it is at least -tol."""
+    if _certified_psd(h, tol):
+        return np.inf
+    return np.linalg.eigvalsh(h).min(initial=np.inf)
+
+
+def _certified_psd(h: np.ndarray, tol: float) -> bool:
+    """Whether one Cholesky factorisation proves that ``eigvalsh`` finds no eigenvalue of the
+    exactly Hermitian matrix or stack h below -tol.
+
+    A factorisation that completes on A = fl(h + (tol/2) I) gives L with
+    LLᴴ = A + ΔA, |ΔA| ≤ γ_{d+1} |L||Lᴴ|, so ‖ΔA‖₂ ≤ γ_{d+1} ‖L‖_F² (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3; Demmel,
+    LAPACK Working Note 14); LLᴴ is positive semidefinite, and the shift's rounding
+    is at most ε‖L‖_F², so λ_min(h) ≥ -tol/2 - (γ_{d+1} + ε) ‖L‖_F².  ``eigvalsh``
+    returns the eigenvalues of h + E with ‖E‖₂ ≤ p(d) ε ‖h‖₂ and
+    ‖h‖₂ ≤ ‖L‖_F² + tol.  With γ = 8 (d + 2)² ε, which covers γ_{d+1} and p(d) with
+    the constants of complex arithmetic and the O(d²) backward error of the
+    Householder reduction, every computed eigenvalue is at least -tol when
+    γ (max ‖L‖_F² + tol) + tiny ≤ tol/2, where tiny, the least normal double,
+    covers the absolute error of underflowed products and sends a subnormal
+    ``tol`` to ``eigvalsh``.  A factorisation that fails (a pivot at or below 0,
+    or a NaN), or an infinite ‖L‖_F², proves nothing.
+    """
+    d = h.shape[-1]
+    try:
+        factor = np.linalg.cholesky(h + np.diag(np.full(d, tol / 2)))
+    except np.linalg.LinAlgError:
+        return False
+    flat = factor.reshape(-1, d * d).view(np.float64)
+    squares = float(np.einsum("ni,ni->n", flat, flat).max(initial=0.0))
+    gamma = 8 * (d + 2) ** 2 * np.finfo(float).eps
+    return squares < np.inf and gamma * (squares + tol) + np.finfo(float).tiny <= tol / 2
 
 
 # ---------------------------------------------------------------------------
@@ -884,10 +936,22 @@ def quasi_prob_tables(
     Returns the cells, shape (..., 4) in the order of ``logic.CELLS``: (0, 0),
     (0, 1), (1, 0), (1, 1); and the marginals P(A) and P(B).  The worst marginality residual
     of the stack (see :func:`table_marginality_residuals`) must be within ``tol``, if finite.
+    The ``jordan`` route forms rho∘A and rho∘Ā once per block and contracts each with
+    B and B̄, so every cell equals its :func:`logical_joints` value bit for bit.
     """
     rho, a, b = _operands(rho, a, b)
-    firsts, seconds = _answers(a), _answers(b)
-    cells = np.stack([logical_joints(rho, firsts[i], seconds[j], method) for i, j in CELLS], -1)
+    if method == "jordan":
+        def jordan_cells(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            firsts, seconds = _answers(a), _answers(b)
+            products = {i: _symmetrised(rho, firsts[i]) for i in (0, 1)}
+            return np.stack([_re_trace_product(products[i], seconds[j]) for i, j in CELLS], -1)
+
+        blocks = _blockwise(jordan_cells, rho, a, b)
+        cells = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    else:
+        firsts, seconds = _answers(a), _answers(b)
+        cells = np.stack([logical_joints(rho, firsts[i], seconds[j], method)
+                          for i, j in CELLS], -1)
     pa, pb = born_probabilities(rho, a), born_probabilities(rho, b)
     worst = float(table_marginality_residuals(cells, pa, pb).max(initial=0.0))
     if not worst <= tol and tol != np.inf:

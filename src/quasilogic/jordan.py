@@ -11,12 +11,12 @@ does; formal reality is probed over random inputs, so its verdict is
 
 The residual kernels norm the defects of private builders, which ``verify``
 reduces itself: its checks keep only the worst spectral norm of a stack, so
-``hilbert._worst_norm`` drops the members whose Frobenius norm lies below the
-largest over √d, bounds the others by σ₁² ≤ ‖MᴴM‖_F, and solves just the
-members whose Gram bound reaches the worst norm found.  Formal reality needs
-no singular values: x∘x + y∘y = x² + y² and its inputs are Hermitian, so each
-spectral norm is the largest absolute eigenvalue, from ``eigvalsh``
-(:func:`_hermitian_norm`), which the kernel and ``verify``'s sweep share; the
+``hilbert._worst_norm`` solves the member of the largest Frobenius norm, drops
+the members whose Frobenius norm cannot reach its spectral norm, bounds the
+others by σ₁² ≤ ‖MᴴM‖_F, and solves just those whose Gram bound reaches it.
+Formal reality needs no singular values: x∘x + y∘y = x² + y² and its inputs
+are Hermitian, so each spectral norm is the largest absolute eigenvalue, from
+``eigvalsh`` (:func:`_hermitian_norm`), which the kernel and ``verify``'s sweep share; the
 sweep bounds each sampled matrix, and each sum where it does not solve the sums
 at once, by the Frobenius norms of its powers, and solves one only where it can
 set a reported value.  By Weyl's inequality λ_max(x² + y²) ≥ max(‖x‖², ‖y‖²),

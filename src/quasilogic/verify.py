@@ -320,10 +320,16 @@ def hilbert_suite(
     joints, _, _ = hilbert.quasi_prob_tables(
         states, questions_a, questions_b, "operational", tol=np.inf
     )
+    # every model's hilbert.model_sequential_probabilities, one stack per order and cell
+    firsts, seconds = hilbert._answers(questions_a), hilbert._answers(questions_b)
+    p_ab = {(i, j): hilbert.sequential_probabilities(states, firsts[i], seconds[j]).tolist()
+            for i, j in logic.CELLS}
+    p_ba = {(i, j): hilbert.sequential_probabilities(states, seconds[i], firsts[j]).tolist()
+            for i, j in logic.CELLS}
     gaps = []
-    for rho_m, a_m, b_m, model in zip(states, questions_a, questions_b, joints.tolist()):
-        p_ab, p_ba = hilbert.model_sequential_probabilities(rho_m, a_m, b_m)
-        for table in survey.logical_tables_from_probs(p_ab, p_ba):
+    for m, model in enumerate(joints.tolist()):
+        for table in survey.logical_tables_from_probs({cell: p[m] for cell, p in p_ab.items()},
+                                                      {cell: p[m] for cell, p in p_ba.items()}):
             gaps += [abs(table[cell] - value) for cell, value in zip(logic.CELLS, model)]
     results.append(_residual(
         "hilbert.survey_round_trip", _worst_residual(gaps), tol, "20 seeded models at d=2"))

@@ -455,12 +455,62 @@ class TestCallCounts:
         dims = 7
         # 700 triples, 700 question pairs and 1000 commuting triples: per-item work
         # makes thousands of these calls.  The samplers validate nothing; the operational
-        # joints validate their disturbed states once per block, and the witnesses their
-        # rank-one questions
+        # joints validate their disturbed states once per block, each block certified by
+        # one Cholesky factorisation (test_verify_certifies_its_post_states), and the
+        # witnesses their rank-one questions
         assert calls["_validated_densities"] + calls["_validated_projectors"] <= 3 * dims + 8
         assert calls["logical_joints"] <= 16 * dims + 10
         assert calls["logical_joint"] <= 2  # the worked example
         assert calls["validate_density"] + calls["validate_projector"] <= 2  # its state and A
+
+    def test_verify_certifies_its_post_states(self, capsys, monkeypatch):
+        """Every post-state block is certified by Cholesky: no ``eigvalsh`` from the state check."""
+        eigvalsh, validated = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame and frame.f_code.co_name != "_validated_densities":
+                frame = frame.f_back
+            validated.append(frame is not None)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "100", "--format", "json")
+        assert code == 0
+        assert validated and not any(validated)  # min_cells_over_states and the sweep solve
+
+    def test_verify_forms_each_table_product_once_per_block(self, capsys, monkeypatch):
+        """A Jordan table forms rho∘A and rho∘Ā once per block, not once per cell; the survey
+        round trip stacks its sequential probabilities, one call per order and cell."""
+        tables, symmetrised = hilbert.quasi_prob_tables, hilbert._symmetrised
+        count = {"blocks": 0, "products": 0, "inside": False}
+
+        def counting_tables(rho, a, b, method="operational", tol=hilbert.DEFAULT_TOL):
+            if method != "jordan":
+                return tables(rho, a, b, method, tol)
+            n = max(len(m) if np.ndim(m) == 3 else 1 for m in (rho, a, b))
+            count["blocks"] += len(hilbert._blocks(n, np.shape(a)[-1], hilbert._BLOCK_ENTRIES))
+            count["inside"] = True
+            try:
+                return tables(rho, a, b, method, tol)
+            finally:
+                count["inside"] = False
+
+        def counting_symmetrised(x, y):
+            count["products"] += count["inside"]
+            return symmetrised(x, y)
+
+        monkeypatch.setattr(hilbert, "quasi_prob_tables", counting_tables)
+        monkeypatch.setattr(hilbert, "_symmetrised", counting_symmetrised)
+        calls = self.count_calls(monkeypatch, hilbert, ["model_sequential_probabilities",
+                                                        "sequential_probabilities"])
+        code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "100", "--format", "json")
+        assert code == 0
+        # 7 dimensions of sampled triples, one or two blocks each, and 4 of commuting triples
+        assert count["blocks"] >= 11 and count["products"] <= 2 * count["blocks"]
+        assert calls["model_sequential_probabilities"] == 0
+        # 69, the round trip's 8 among them; 8 calls for each of its 20 models made 221
+        assert calls["sequential_probabilities"] <= 80
 
     def test_verify_samples_each_dimension_once(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch, verify, ["_sampled_questions"])
@@ -520,17 +570,25 @@ class TestCallCounts:
         # valid input passes every check on its Frobenius norms alone
         assert calls["operator_norm"] == calls["_norm"] == 0 and svd_calls == []
 
-    @pytest.mark.parametrize("command, most", [("verify", 250), ("jordan-verify", 400)])
-    def test_max_only_checks_solve_few_members(self, capsys, monkeypatch, command, most):
-        """Checks that keep only the worst spectral norm solve few members (10,507 for
-        verify and 28,007 for jordan-verify with one singular-value solve per member)."""
+    @pytest.mark.parametrize("command, most, most_grams", [
+        ("verify", 200, 300), ("jordan-verify", 180, 360)])
+    def test_max_only_checks_solve_few_members(self, capsys, monkeypatch, command, most,
+                                               most_grams):
+        """Checks that keep only the worst spectral norm solve few members and form few Gram
+        products (10,507 solves for verify and 28,007 for jordan-verify with one singular-
+        value solve per member).  At seed 42, 0.23.0 solved 106 and 92 members and formed
+        2,948 and 3,881 Gram products; 0.24.0, which solves the member of the largest
+        Frobenius norm before it bounds the others, solves 153 and 139 and forms 236 and 283."""
         linalg = inspect.unwrap(np.linalg.norm).__globals__
         svd, solved = linalg["svd"], []
         monkeypatch.setitem(linalg, "svd", lambda a, *args, **kwargs: solved.append(
             1 if a.ndim == 2 else len(a)) or svd(a, *args, **kwargs))
+        gram_norms, grams = hilbert._gram_norms, []
+        monkeypatch.setattr(hilbert, "_gram_norms", lambda m: grams.append(len(m)) or gram_norms(m))
         code, _, _ = run(capsys, command, "--format", "json", "--seed", "42")
         assert code == 0
         assert sum(solved) <= most
+        assert sum(grams) <= most_grams
 
     @pytest.mark.parametrize("command, trials, solved_first, most", [
         pytest.param("jordan-verify", 1000, 1, 1_300, id="jordan-verify"),  # d = 2 of 2-8

@@ -10,10 +10,11 @@ import json
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (reference_hermitian, sampled_triples, seeded_basis, seeded_commuting_triple,
@@ -1350,11 +1351,14 @@ def reduction_outcome(reduce, m):
 def norm_stacks(draw):
     """(n, d, d) stacks: Gaussian members of spread scales, all zeros (either sign), one
     outlier among zeros, a decoy whose largest Gram bound is not the largest norm, or
-    Gaussian members among zero members, subnormal members or one NaN or inf entry."""
+    Gaussian members among zero members, subnormal members or one NaN or inf entry, a
+    flat-spectrum member of the largest Frobenius norm beside a rank-one member of the
+    largest spectral norm, or copies of the member of the largest Frobenius norm."""
     dim = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 64]))
     n = draw(st.integers(0, 300))
     kind = draw(st.sampled_from(["gaussian", "zeros", "outlier", "decoy", "zero members",
-                                 "subnormal members", "non-finite member"]))
+                                 "subnormal members", "non-finite member",
+                                 "flat beside rank one", "ties"]))
     scale = draw(st.sampled_from([1.0, 1e-13, 1e-158, 1e-170, 1e150, 1e-310]))
     rng = np.random.default_rng(draw(stack_seeds))
     m = complex_gaussian(rng, (n, dim, dim)) * 10 ** rng.uniform(-3, 0, (n, 1, 1))
@@ -1369,6 +1373,13 @@ def norm_stacks(draw):
         m = np.zeros_like(m) * draw(st.sampled_from([1.0, -1.0]))
     if kind == "outlier" and n:
         m[rng.integers(n)] = complex_gaussian(rng, (dim, dim))
+    if kind == "flat beside rank one" and n >= 2:
+        # 100·I has F = 100√d > 120, the σ₁ = F of 120 e₀e₀ᵀ, above any Gaussian member's
+        first, second = rng.choice(n, 2, replace=False)
+        m[first], m[second] = 100 * np.eye(dim), 0
+        m[second, 0, 0] = 120
+    if kind == "ties" and n:
+        m[rng.integers(n, size=3)] = m[np.linalg.norm(m, axis=(-2, -1)).argmax()]
     if kind == "decoy" and n >= 2:
         # c·I has σ₁ = c and Gram bound c·d^¼ > 1.1c, the norm and bound of diag(1.1c, 0, ...)
         first, second = rng.choice(n, 2, replace=False)
@@ -1402,6 +1413,160 @@ class TestWorstNorm:
         for operand in (m, m[5:6], m[5]):
             assert reduction_outcome(unpruned_worst_norm, operand)[0] is NonFiniteError
             assert reduction_outcome(hilbert._worst_norm, operand) == expected
+
+    @staticmethod
+    def solved_members(monkeypatch) -> list[int]:
+        """The members each singular-value solve of ``hilbert._norm`` takes, while the test runs."""
+        solved, norm = [], hilbert._norm
+        monkeypatch.setattr(hilbert, "_norm", lambda m: solved.append(
+            1 if m.ndim == 2 else len(m)) or norm(m))
+        return solved
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_largest_frobenius_norm_is_not_the_largest_spectral_norm(self, monkeypatch, dim, seed):
+        """A flat spectrum, a rotated identity (σ₁ = 1, F = √d), beside a rank-one member
+        of σ₁ = F = 1.2 among smaller Gaussian members: the member solved first is not
+        the worst, and the rank-one member must still be found."""
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(rng, dim)
+        v, w = complex_gaussian(rng, (2, dim))
+        m = complex_gaussian(rng, (40, dim, dim)) * 0.01
+        m[7] = u @ u.conj().T
+        m[23] = 1.2 * np.outer(v, w.conj()) / (np.linalg.norm(v) * np.linalg.norm(w))
+        frobenius = np.linalg.norm(m, axis=(-2, -1))
+        spectral = hilbert.operator_norm(m)
+        assert frobenius.argmax() == 7 and spectral.argmax() == 23
+        unpruned = reduction_outcome(unpruned_worst_norm, m)
+        solved = self.solved_members(monkeypatch)
+        assert reduction_outcome(hilbert._worst_norm, m) == unpruned
+        assert sum(solved) == 2  # the flat member, then the rank-one one; the rest drop out
+
+    @pytest.mark.parametrize("dim", [2, 5, 64])
+    def test_exact_ties_equal_the_unpruned_reduction(self, dim):
+        """Copies of one member, in tie for the largest Frobenius and spectral norms, with or
+        without smaller members; and members of equal Frobenius norm, one of them rank one."""
+        rng = np.random.default_rng(dim)
+        top = complex_gaussian(rng, (dim, dim))
+        ties = np.stack([top] * 6)
+        mixed = np.concatenate([ties, complex_gaussian(rng, (6, dim, dim)) * 0.1])[
+            rng.permutation(12)]
+        v = complex_gaussian(rng, dim)
+        flat = np.eye(dim, dtype=complex) / np.sqrt(dim)  # F = 1, σ₁ = 1/√d
+        rank_one = np.outer(v, v.conj()) / np.vdot(v, v).real  # F = σ₁ = 1
+        equal_frobenius = np.stack([flat, rank_one, flat, rank_one])
+        for m in (ties, mixed, equal_frobenius, -equal_frobenius):
+            assert (reduction_outcome(hilbert._worst_norm, m)
+                    == reduction_outcome(unpruned_worst_norm, m))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 64])
+    def test_every_member_survives(self, monkeypatch, dim):
+        """Scaled unitaries of one scale, whose σ₁ = F/√d and Gram bound c·d^¼ reach every
+        other member's σ₁: each member is solved, and the worst is still the unpruned one."""
+        rng = np.random.default_rng(dim)
+        m = np.stack([haar_unitary(rng, dim) * 3.0 for _ in range(9)])
+        unpruned = reduction_outcome(unpruned_worst_norm, m)
+        solved = self.solved_members(monkeypatch)
+        assert reduction_outcome(hilbert._worst_norm, m) == unpruned
+        assert sum(solved) == len(m)
+
+
+def eigvalsh_validated_densities(m, tol):
+    """The state check of ``hilbert._validated_densities`` with ``eigvalsh`` alone, as it
+    read before its Cholesky certificate: the reference its certificate must not change."""
+    hilbert._hermitian(m, tol)
+    with np.errstate(all="ignore"):
+        lowest = float(np.min(hilbert._blockwise(
+            lambda r: np.linalg.eigvalsh(r / 2 + hilbert._dagger(r) / 2).min(initial=np.inf), m)))
+        traces = np.ravel(np.trace(m, axis1=-2, axis2=-1))
+        gaps = np.abs(traces - 1.0)
+    if not lowest >= -tol:
+        raise NotPositiveSemidefiniteError(lowest, tol)
+    if not gaps.max(initial=0.0) <= tol:
+        raise TraceNotOneError(complex(traces[gaps.argmax()]), tol)
+    return hilbert._freeze(m)
+
+
+def check_outcome(check, *operands):
+    """What ``check(*operands)`` returns, as bytes and flags, or the class of what it
+    raised with every value the error carries, in round-trip reprs."""
+    operands = [np.array(m) if isinstance(m, np.ndarray) else m for m in operands]  # fresh
+    try:
+        result = check(*operands)
+    except Exception as exc:
+        return type(exc), repr(sorted(vars(exc).items())), str(exc)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [(a.tobytes(), a.shape, a.flags.writeable) for a in arrays]
+
+
+LEAST_EIGENVALUES = [-2.0, -(1 + 1e-6), -(1 - 1e-6), -0.5, 0.0, 1.0]
+"""Least eigenvalues of the members of a boundary stack, in units of tol."""
+
+
+def boundary_stack(dim, members, tol, leasts, scale, bad, seed):
+    """An exactly Hermitian matrix (``members`` None) or (n, d, d) stack whose member k has
+    least eigenvalue ``leasts[k]``·tol; its other eigenvalues are uniform on [0, scale], or
+    sum to 1 - leasts[k]·tol (a trace-one member) where ``scale`` is None.  ``bad`` (NaN or
+    inf) replaces one entry of the last member."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for least in leasts[:members or 1]:
+        rest = rng.uniform(0, 1, dim - 1)
+        rest *= (1 - least * tol) / rest.sum() if scale is None else scale
+        u = haar_unitary(rng, dim)
+        stack.append((u * np.concatenate([[least * tol], rest])) @ u.conj().T)
+    m = hilbert._hermitian_parts(np.array(stack))
+    if bad is not None:
+        m[-1, rng.integers(dim), rng.integers(dim)] = bad
+    return m if members else m[0]
+
+
+boundary_stacks = dict(
+    dim=st.sampled_from([2, 3, 8, 64]), members=st.sampled_from([None, 1, 2, 4]),
+    tol=st.sampled_from([1e-10, 1e-15, 1e-300]),
+    leasts=st.lists(st.sampled_from(LEAST_EIGENVALUES), min_size=4, max_size=4),
+    scale=st.sampled_from([None, 1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    bad=st.sampled_from([None, None, None, np.nan, np.inf]), seed=stack_seeds)
+
+
+class TestCholeskyCertificate:
+    """The Cholesky certificate changes no state check: every accept, error class and
+    carried value equals that of the ``eigvalsh``-only reference."""
+
+    @given(**boundary_stacks)
+    # a member a shift of the whole tol, with no rounding budget, would pass
+    @example(dim=2, members=None, tol=1e-15, leasts=[-1.000001, -2.0, -2.0, -2.0], scale=None,
+             bad=None, seed=1594662)
+    @settings(max_examples=300, deadline=None)
+    def test_validated_densities_decide_as_eigvalsh(self, dim, members, tol, leasts, scale, bad,
+                                                    seed):
+        m = boundary_stack(dim, members, tol, leasts, scale, bad, seed)
+        assert (check_outcome(hilbert._validated_densities, m, tol)
+                == check_outcome(eigvalsh_validated_densities, m, tol))
+
+    @given(mode=st.sampled_from(["selective_yes", "selective_no", "nonselective"]),
+           **boundary_stacks)
+    @settings(max_examples=150, deadline=None)
+    def test_lueders_updates_decide_as_eigvalsh(self, mode, dim, members, tol, leasts, scale,
+                                                bad, seed):
+        """Post-states of boundary "states" (and of trace-one ones) under sampled questions."""
+        rho = boundary_stack(dim, members, tol, leasts, scale, bad, seed)
+        ranks = np.random.default_rng(seed).integers(1, dim, size=members or 1)
+        p = hilbert.sample_projectors(dim, ranks, np.random.default_rng(seed + 1))
+        p = p if members else p[0]
+        outcome = check_outcome(hilbert.lueders_updates, rho, p, mode)
+        with mock.patch.object(hilbert, "_validated_densities", eigvalsh_validated_densities):
+            assert outcome == check_outcome(hilbert.lueders_updates, rho, p, mode)
+
+    def test_post_states_are_certified(self, monkeypatch):
+        """Sampled states' post-states at the default tol take no ``eigvalsh``."""
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        rng = np.random.default_rng(3)
+        for dim in (2, 3, 8, 64):
+            rho = hilbert.sample_states(dim, ["pure", "mixed"] * 3, rng)
+            p = hilbert.sample_projectors(dim, [1, dim - 1] * 3, rng)
+            for mode in ("selective_yes", "selective_no", "nonselective"):
+                hilbert.lueders_updates(rho, p, mode)
 
 
 # ---------------------------------------------------------------------------
