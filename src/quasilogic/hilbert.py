@@ -148,47 +148,42 @@ def _worst_norm(m: np.ndarray) -> float:
     norm is solved first, and its σ₁ is a lower bound w on the result.  Each
     member's σ₁ is at most its Frobenius norm F, so a member with
     F² (1 + 1e-10) below w² cannot be the worst: it is dropped before any
-    product, unless (max F)² overflows or is below 1e-200, where the squares
-    of the entries lose that relative accuracy.  Then σ₁² ≤ (Σ σᵢ⁴)^½ = ‖MᴴM‖_F,
-    so b = (‖MᴴM‖_F (1 + 1e-10))^½ bounds each member's computed spectral norm:
-    at d <= 64 the computed Gram norm is within about 5e-13 relative and
-    LAPACK's σ₁ far closer, so a member with b below w cannot be the worst and
-    is not solved.  Where the Frobenius pass is skipped, w is the computed norm
-    of the largest-bound member.  A stack with an inf or NaN Gram norm, or a
-    nonzero member whose Gram norm underflows towards the subnormals (where
-    that relative accuracy is lost), takes the full solve.  A NaN or inf entry
-    makes the result the largest Frobenius norm (NaN or inf), without the
-    singular-value solve, which LAPACK refuses.
+    product.  Where (max F)² overflows or is below 1e-200, the squares of the
+    entries lose that relative accuracy and the stack takes the full solve.
+    Then σ₁² ≤ (Σ σᵢ⁴)^½ = ‖MᴴM‖_F, so b = (‖MᴴM‖_F (1 + 1e-10))^½ bounds each
+    member's computed spectral norm: at d <= 64 the computed Gram norm is within
+    about 5e-13 relative and LAPACK's σ₁ far closer, so a member with b below w
+    cannot be the worst and is not solved.  The members left take the full
+    solve where a Gram norm is inf or NaN, or a nonzero member's Gram norm
+    underflows towards the subnormals (where that relative accuracy is lost).
+    A NaN or inf entry makes the result the largest Frobenius norm (NaN or
+    inf), without the singular-value solve, which LAPACK refuses.
     """
     if not np.isfinite(m).all():
-        with np.errstate(invalid="ignore"):  # inf·0 in an imaginary part, which the norm drops
+        # inf·0 in an imaginary part, which the norm drops; an overflowing square of a
+        # finite entry can only give the NaN or inf the result already is
+        with np.errstate(invalid="ignore", over="ignore"):
             return _worst(np.linalg.norm(m, axis=(-2, -1)))
     if m.ndim == 2 or len(m) < 2:
         return _worst(_norm(m))
     if not m.any():
         return 0.0
-    worst = 0.0
     with np.errstate(all="ignore"):
         squares = np.einsum("nij,nij->n", m.real, m.real) + np.einsum("nij,nij->n", m.imag, m.imag)
         first = int(squares.argmax())
-        frobenius_pass = 1e-200 <= squares[first] < np.inf  # else the Gram pass takes the stack
-        if frobenius_pass:
-            worst = _norm(m[first])
-            rest = squares * (1 + 1e-10) >= worst * worst
-            rest[first] = False
-            m = m[rest]
-        if len(m) < 2:
-            return max(worst, _worst(_norm(m))) if len(m) else worst
-        gram = _gram_norms(m)
-    small = gram < 1e-140
-    if not np.isfinite(gram).all() or (small.any() and (small & m.any(axis=(-2, -1))).any()):
-        return max(worst, _worst(_norm(m)))
-    if not frobenius_pass:  # the largest-bound member sets w
-        first = int(gram.argmax())
+        if not 1e-200 <= squares[first] < np.inf:
+            return _worst(_norm(m))
         worst = _norm(m[first])
-        m, gram = np.delete(m, first, axis=0), np.delete(gram, first)
-    rest = np.sqrt(gram * (1 + 1e-10)) >= worst
-    return max(worst, _worst(_norm(m[rest]))) if rest.any() else worst
+        rest = squares * (1 + 1e-10) >= worst * worst
+        rest[first] = False
+        m = m[rest]
+        if len(m) > 1:
+            gram = _gram_norms(m)
+            small = gram < 1e-140
+            lost = small.any() and (small & m.any(axis=(-2, -1))).any()
+            if np.isfinite(gram).all() and not lost:
+                m = m[np.sqrt(gram * (1 + 1e-10)) >= worst]
+    return max(worst, _worst(_norm(m))) if len(m) else worst
 
 
 def _gram_norms(m: np.ndarray) -> np.ndarray:
@@ -327,9 +322,10 @@ def _validated_densities(m: np.ndarray, tol: float) -> np.ndarray:
     :func:`validate_density` (not its dimension check).
 
     A stack is checked block by block; an error carries the worst member's value.
-    Each block is first certified positive semidefinite within ``tol`` by
-    :func:`_certified_psd`; only a block that fails the certificate takes
-    ``eigvalsh``, whose least eigenvalue decides and names the failure as before.
+    Each block is first certified positive semidefinite within ``tol`` by one
+    Cholesky factorisation (:func:`_least_eigenvalue`); only a block that fails the
+    certificate takes ``eigvalsh``, whose least eigenvalue decides and names the
+    failure as before.
     """
     _hermitian(m, tol)
     with np.errstate(all="ignore"):  # r/2 + r^H/2, unlike (r + r^H)/2, cannot overflow
@@ -345,40 +341,39 @@ def _validated_densities(m: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _least_eigenvalue(h: np.ndarray, tol: float) -> float:
-    """Least eigenvalue, from ``eigvalsh``, of an exactly Hermitian matrix or stack (inf when
-    empty), or inf where :func:`_certified_psd` shows that it is at least -tol."""
-    if _certified_psd(h, tol):
-        return np.inf
-    return np.linalg.eigvalsh(h).min(initial=np.inf)
-
-
-def _certified_psd(h: np.ndarray, tol: float) -> bool:
-    """Whether one Cholesky factorisation proves that ``eigvalsh`` finds no eigenvalue of the
-    exactly Hermitian matrix or stack h below -tol.
+    """Least eigenvalue, from ``eigvalsh``, of an exactly Hermitian matrix or stack h (inf when
+    empty), or inf where one Cholesky factorisation certifies that ``eigvalsh`` finds none
+    below -tol.
 
     A factorisation that completes on A = fl(h + (tol/2) I) gives L with
     LLᴴ = A + ΔA, |ΔA| ≤ γ_{d+1} |L||Lᴴ|, so ‖ΔA‖₂ ≤ γ_{d+1} ‖L‖_F² (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3; Demmel,
     LAPACK Working Note 14); LLᴴ is positive semidefinite, and the shift's rounding
     is at most ε‖L‖_F², so λ_min(h) ≥ -tol/2 - (γ_{d+1} + ε) ‖L‖_F².  ``eigvalsh``
-    returns the eigenvalues of h + E with ‖E‖₂ ≤ p(d) ε ‖h‖₂ and
-    ‖h‖₂ ≤ ‖L‖_F² + tol.  With γ = 8 (d + 2)² ε, which covers γ_{d+1} and p(d) with
-    the constants of complex arithmetic and the O(d²) backward error of the
-    Householder reduction, every computed eigenvalue is at least -tol when
+    returns the eigenvalues of h + E with ‖E‖₂ ≤ p(d) ε ‖h‖₂ for a modestly growing
+    p(d) that LAPACK does not state, and ‖h‖₂ ≤ ‖L‖_F² + tol.  The budget
+    γ = 8 (d + 2)² ε covers γ_{d+1}, with the constants of complex arithmetic, and
+    assumes that p(d) ε stays within it too: a generous constant for the O(d²)
+    backward error of the Householder reduction, not a published bound
+    (``TestCholeskyCertificate`` holds the certificate to ``eigvalsh``).  So every
+    computed eigenvalue is taken to be at least -tol when
     γ (max ‖L‖_F² + tol) + tiny ≤ tol/2, where tiny, the least normal double,
     covers the absolute error of underflowed products and sends a subnormal
     ``tol`` to ``eigvalsh``.  A factorisation that fails (a pivot at or below 0,
-    or a NaN), or an infinite ‖L‖_F², proves nothing.
+    or a NaN), an infinite ‖L‖_F² or a missed budget certifies nothing.
     """
     d = h.shape[-1]
     try:
         factor = np.linalg.cholesky(h + np.diag(np.full(d, tol / 2)))
-    except np.linalg.LinAlgError:
-        return False
-    flat = factor.reshape(-1, d * d).view(np.float64)
-    squares = float(np.einsum("ni,ni->n", flat, flat).max(initial=0.0))
-    gamma = 8 * (d + 2) ** 2 * np.finfo(float).eps
-    return squares < np.inf and gamma * (squares + tol) + np.finfo(float).tiny <= tol / 2
+    except np.linalg.LinAlgError:  # a pivot at or below 0, or a NaN
+        pass
+    else:
+        flat = factor.reshape(-1, d * d).view(np.float64)
+        squares = float(np.einsum("ni,ni->n", flat, flat).max(initial=0.0))
+        gamma = 8 * (d + 2) ** 2 * np.finfo(float).eps
+        if squares < np.inf and gamma * (squares + tol) + np.finfo(float).tiny <= tol / 2:
+            return np.inf
+    return np.linalg.eigvalsh(h).min(initial=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -1105,10 +1100,18 @@ def model_sequential_probabilities(
     two-order survey run on this model.  Raises :class:`DimensionMismatchError`
     for a stack.
     """
-    rho, a, b = _matrices(rho, a, b)
+    return tuple({cell: float(p) for cell, p in order.items()}
+                 for order in _sequential_tables(*_matrices(rho, a, b)))
+
+
+def _sequential_tables(
+    rho: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[dict[tuple[int, int], np.ndarray], dict[tuple[int, int], np.ndarray]]:
+    """:func:`model_sequential_probabilities` per member of broadcast state and projector
+    stacks: (p_ab, p_ba), one :func:`sequential_probabilities` result per order and cell."""
     firsts, seconds = _answers(a), _answers(b)
-    p_ab = {(i, j): float(sequential_probabilities(rho, firsts[i], seconds[j])) for i, j in CELLS}
-    p_ba = {(i, j): float(sequential_probabilities(rho, seconds[i], firsts[j])) for i, j in CELLS}
+    p_ab = {(i, j): sequential_probabilities(rho, firsts[i], seconds[j]) for i, j in CELLS}
+    p_ba = {(i, j): sequential_probabilities(rho, seconds[i], firsts[j]) for i, j in CELLS}
     return p_ab, p_ba
 
 

@@ -320,12 +320,8 @@ def hilbert_suite(
     joints, _, _ = hilbert.quasi_prob_tables(
         states, questions_a, questions_b, "operational", tol=np.inf
     )
-    # every model's hilbert.model_sequential_probabilities, one stack per order and cell
-    firsts, seconds = hilbert._answers(questions_a), hilbert._answers(questions_b)
-    p_ab = {(i, j): hilbert.sequential_probabilities(states, firsts[i], seconds[j]).tolist()
-            for i, j in logic.CELLS}
-    p_ba = {(i, j): hilbert.sequential_probabilities(states, seconds[i], firsts[j]).tolist()
-            for i, j in logic.CELLS}
+    p_ab, p_ba = ({cell: p.tolist() for cell, p in order.items()}
+                  for order in hilbert._sequential_tables(states, questions_a, questions_b))
     gaps = []
     for m, model in enumerate(joints.tolist()):
         for table in survey.logical_tables_from_probs({cell: p[m] for cell, p in p_ab.items()},

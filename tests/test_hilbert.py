@@ -1359,7 +1359,7 @@ def norm_stacks(draw):
     kind = draw(st.sampled_from(["gaussian", "zeros", "outlier", "decoy", "zero members",
                                  "subnormal members", "non-finite member",
                                  "flat beside rank one", "ties"]))
-    scale = draw(st.sampled_from([1.0, 1e-13, 1e-158, 1e-170, 1e150, 1e-310]))
+    scale = draw(st.sampled_from([1.0, 1e-13, 1e-158, 1e-170, 1e150, 1e155, 1e-310]))
     rng = np.random.default_rng(draw(stack_seeds))
     m = complex_gaussian(rng, (n, dim, dim)) * 10 ** rng.uniform(-3, 0, (n, 1, 1))
     if kind == "zero members":
