@@ -7,10 +7,11 @@ module computes sequential probabilities, logical joint (quasi-)probabilities,
 Kirkwood-Dirac distributions, weak values, and negativity witnesses.
 
 The logical joint probability is computed by two deliberately independent
-routes: an operational one that composes measurement updates, and an algebraic
-one that takes the expectation of the symmetrised operator product.  Their
-agreement is the central consistency check of the module and is enforced by
-the test suite rather than assumed.
+routes: an operational one that sums sequential probabilities, each a
+composition of Lüders updates, and an algebraic one that takes the expectation
+of the symmetrised operator product.  Their agreement is the central
+consistency check of the module and is enforced by the test suite rather than
+assumed.
 
 States and questions are plain complex arrays.  Every evaluation has a
 stacked kernel (``born_probabilities``, ``lueders_updates``, ``logical_joints``,
@@ -25,8 +26,10 @@ Only the ``validate_*`` functions, ``rank_one_projectors`` and
 ``kd_distribution``'s bases check that an operand is a state, a projector or
 an orthonormal basis.  The kernels trust their operands to be states and
 projectors, and check their shapes (``_operands``) and their own results: the
-Lüders updates validate the post-measurement states they build, and the tables
-and the mapped XOR operator check their identities, which a NaN fails.
+Lüders updates validate the post-measurement states they return, and the tables
+and the mapped XOR operator check their identities, which a NaN fails.  Both
+joint routes build no state and return a value for any operands of the right
+shape.
 
 Every sampler is stacked: it checks its arguments, then draws n members from
 the ``numpy.random.Generator`` it is given, which it advances; one draw is
@@ -321,16 +324,13 @@ def _validated_densities(m: np.ndarray, tol: float) -> np.ndarray:
     """A complex matrix or (n, d, d) stack, frozen after the matrix checks of
     :func:`validate_density` (not its dimension check).
 
-    A stack is checked block by block; an error carries the worst member's value.
-    Each block is first certified positive semidefinite within ``tol`` by one
-    Cholesky factorisation (:func:`_least_eigenvalue`); only a block that fails the
-    certificate takes ``eigvalsh``, whose least eigenvalue decides and names the
-    failure as before.
+    A stack is checked block by block, one ``eigvalsh`` per block; an error carries the
+    worst member's value.
     """
     _hermitian(m, tol)
     with np.errstate(all="ignore"):  # r/2 + r^H/2, unlike (r + r^H)/2, cannot overflow
         lowest = float(np.min(_blockwise(
-            lambda r: _least_eigenvalue(r / 2 + _dagger(r) / 2, tol), m)))
+            lambda r: np.linalg.eigvalsh(r / 2 + _dagger(r) / 2).min(initial=np.inf), m)))
         traces = np.ravel(np.trace(m, axis1=-2, axis2=-1))
         gaps = np.abs(traces - 1.0)
     if not lowest >= -tol:
@@ -338,42 +338,6 @@ def _validated_densities(m: np.ndarray, tol: float) -> np.ndarray:
     if not gaps.max(initial=0.0) <= tol:
         raise TraceNotOneError(complex(traces[gaps.argmax()]), tol)
     return _freeze(m)
-
-
-def _least_eigenvalue(h: np.ndarray, tol: float) -> float:
-    """Least eigenvalue, from ``eigvalsh``, of an exactly Hermitian matrix or stack h (inf when
-    empty), or inf where one Cholesky factorisation certifies that ``eigvalsh`` finds none
-    below -tol.
-
-    A factorisation that completes on A = fl(h + (tol/2) I) gives L with
-    LLᴴ = A + ΔA, |ΔA| ≤ γ_{d+1} |L||Lᴴ|, so ‖ΔA‖₂ ≤ γ_{d+1} ‖L‖_F² (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3; Demmel,
-    LAPACK Working Note 14); LLᴴ is positive semidefinite, and the shift's rounding
-    is at most ε‖L‖_F², so λ_min(h) ≥ -tol/2 - (γ_{d+1} + ε) ‖L‖_F².  ``eigvalsh``
-    returns the eigenvalues of h + E with ‖E‖₂ ≤ p(d) ε ‖h‖₂ for a modestly growing
-    p(d) that LAPACK does not state, and ‖h‖₂ ≤ ‖L‖_F² + tol.  The budget
-    γ = 8 (d + 2)² ε covers γ_{d+1}, with the constants of complex arithmetic, and
-    assumes that p(d) ε stays within it too: a generous constant for the O(d²)
-    backward error of the Householder reduction, not a published bound
-    (``TestCholeskyCertificate`` holds the certificate to ``eigvalsh``).  So every
-    computed eigenvalue is taken to be at least -tol when
-    γ (max ‖L‖_F² + tol) + tiny ≤ tol/2, where tiny, the least normal double,
-    covers the absolute error of underflowed products and sends a subnormal
-    ``tol`` to ``eigvalsh``.  A factorisation that fails (a pivot at or below 0,
-    or a NaN), an infinite ‖L‖_F² or a missed budget certifies nothing.
-    """
-    d = h.shape[-1]
-    try:
-        factor = np.linalg.cholesky(h + np.diag(np.full(d, tol / 2)))
-    except np.linalg.LinAlgError:  # a pivot at or below 0, or a NaN
-        pass
-    else:
-        flat = factor.reshape(-1, d * d).view(np.float64)
-        squares = float(np.einsum("ni,ni->n", flat, flat).max(initial=0.0))
-        gamma = 8 * (d + 2) ** 2 * np.finfo(float).eps
-        if squares < np.inf and gamma * (squares + tol) + np.finfo(float).tiny <= tol / 2:
-            return np.inf
-    return np.linalg.eigvalsh(h).min(initial=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +732,10 @@ def logical_joint(
     half the difference between the undisturbed and the nonselectively
     disturbed single-question probability of B,
 
-        P(A then B) + [P(B) - P(B after nonselective A)] / 2.
+        P(A then B) + [P(B) - P(B after nonselective A)] / 2,
+
+    where the disturbance is linear in the state, so P(B after nonselective A) is
+    the sum P(A then B) + P(Ā then B) of its two sequential branches.
 
     ``jordan`` evaluates the expectation of the Jordan product A∘B = (AB + BA)/2
     as Tr((rho∘A) B), which equals Tr(rho (A∘B)) because the trace form is
@@ -784,13 +751,15 @@ def logical_joints(
 ) -> np.ndarray:
     """:func:`logical_joint` per member of broadcast state and projector stacks.
 
-    The operational route composes Lüders updates and validates the disturbed
-    states once per block; a stack longer than a block is evaluated block by
-    block, so temporaries stay bounded.  The ``jordan`` route contracts rho∘A
-    with B entrywise, one dot product per member (:func:`_re_trace_product`), so
-    its bits do not depend on how ``_blockwise`` cuts the stacks or on their layout.
-    When rho and A are single matrices (or one-member stacks), rho∘A is formed
-    once and contracted with B block by block.
+    The operational route sums Lüders compositions, Tr(B A rho A) and Tr(B Ā rho Ā) for
+    the disturbed term; it builds no post-state and validates none, so, like the
+    ``jordan`` route, it returns a value for operands that are not states or
+    projectors.  A stack longer than a block is evaluated block by block, so
+    temporaries stay bounded.  The ``jordan`` route contracts rho∘A with B
+    entrywise, one dot product per member (:func:`_re_trace_product`), so its bits
+    do not depend on how ``_blockwise`` cuts the stacks or on their layout.  When
+    rho and A are single matrices (or one-member stacks), rho∘A is formed once and
+    contracted with B block by block.
     """
     rho, a, b = _operands(rho, a, b)
     if method not in ("operational", "jordan"):
@@ -799,11 +768,9 @@ def logical_joints(
     def joints(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if method == "jordan":
             return _re_trace_product(_symmetrised(rho, a), b)
-        _, disturbed = lueders_updates(rho, a, "nonselective")
-        undisturbed_b = born_probabilities(rho, b)
-        return sequential_probabilities(rho, a, b) + (
-            undisturbed_b - born_probabilities(disturbed, b)
-        ) / 2
+        sequential = sequential_probabilities(rho, a, b)
+        disturbed_b = sequential + sequential_probabilities(rho, _answers(a)[0], b)
+        return sequential + (born_probabilities(rho, b) - disturbed_b) / 2
 
     if method == "jordan" and all(m.ndim == 2 or len(m) == 1 for m in (rho, a)):
         blocks = _blockwise(_re_trace_product, _symmetrised(rho, a), b)

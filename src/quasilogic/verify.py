@@ -320,15 +320,12 @@ def hilbert_suite(
     joints, _, _ = hilbert.quasi_prob_tables(
         states, questions_a, questions_b, "operational", tol=np.inf
     )
-    p_ab, p_ba = ({cell: p.tolist() for cell, p in order.items()}
-                  for order in hilbert._sequential_tables(states, questions_a, questions_b))
-    gaps = []
-    for m, model in enumerate(joints.tolist()):
-        for table in survey.logical_tables_from_probs({cell: p[m] for cell, p in p_ab.items()},
-                                                      {cell: p[m] for cell, p in p_ba.items()}):
-            gaps += [abs(table[cell] - value) for cell, value in zip(logic.CELLS, model)]
+    tables = survey.logical_tables_from_probs(
+        *hilbert._sequential_tables(states, questions_a, questions_b))
+    gaps = [np.abs(np.stack([table[cell] for cell in logic.CELLS], -1) - joints)
+            for table in tables]
     results.append(_residual(
-        "hilbert.survey_round_trip", _worst_residual(gaps), tol, "20 seeded models at d=2"))
+        "hilbert.survey_round_trip", _worst_residual(*gaps), tol, "20 seeded models at d=2"))
 
     return results
 

@@ -210,9 +210,9 @@ PINS = [
         "Haswell/X86_V3": "496f40930b0fa79b9e02aea6614790bedbb35ca1de8ef3411731fc1140222819",
         "Sandybridge/X86_V2": "55e5542ac7b48802556048c786c6be49714fd0c96776e27885396171ee059703",
     }),
-    # 0.23.0: kd's JSON and text output (kd's text holds no version string) and verify's output
-    # since the Jordan route contracts each pair with one BLAS dot product, which moves the last
-    # bits of kd's max_gap_to_logical_joint and of verify's Jordan-route residuals
+    # 0.23.0: kd's JSON and text output (kd's text holds no version string) since the Jordan
+    # route contracts each pair with one BLAS dot product, which moves the last bits of kd's
+    # max_gap_to_logical_joint
     Pin(KD + JSON, "0.23.0", (), {
         "SkylakeX/X86_V3": "786f16a3ab6e665206c12246493b92101eb96b520e412a6d0bdc83bcbc80adbd",
         "Haswell/X86_V3": "e6e9d4304d3187b393fd0d66bacfc955a92a2e4609e92759aced08e546ad9830",
@@ -223,19 +223,21 @@ PINS = [
         "Haswell/X86_V3": "614a265131a99a09dc10b0dc440ccc42507e17ed23c92ef0fc269c2d0ab35ca4",
         "Sandybridge/X86_V2": "9d884dbce4df0f72ed4fc03eeeb368429cf4e5c235d5061796e9edeed020f725",
     }),
-    Pin(["verify"], "0.23.0", (), {
-        "SkylakeX/X86_V3": "e38ca3fc1483cb555a47402bd7d1d222b724c0d6c4078dcd8393a5970da78259",
-        "Haswell/X86_V3": "bcb5d9a755c348fb334a30cd0e916c122b007480bc3a854264c950190539bb9d",
-        "Sandybridge/X86_V2": "965840d4a188d88d55c7b37386fe0af1cce678fa0c1ae78d4ef6f80b34204ee8",
+    # 0.25.0: verify's output since the operational route sums the two sequential branches of
+    # the disturbed probability, which moves the last bits of its operational-route residuals
+    Pin(["verify"], "0.25.0", (), {
+        "SkylakeX/X86_V3": "097415a2b88685c50af49247c7fc2a850df9977e64294d8d0ab0e23f59226b08",
+        "Haswell/X86_V3": "759c0fc5faa9a26adb07585cc4eda640ed646660579377b21796fab0e8443a69",
+        "Sandybridge/X86_V2": "383b3fe23e2086fc281ec02261b3810585f5577bb7accead95858f6514b29b90",
     }),
-    Pin(["verify"] + JSON, "0.23.0", (), {
-        "SkylakeX/X86_V3": "de326f64522ad5f671e8c24e37fad4f785a1a3570af769f8eca8a24fc0891dce",
-        "Haswell/X86_V3": "a01dd24a98c941a1746222219feb99326d11e5de05dacc456f629b1daa17eddb",
-        "Sandybridge/X86_V2": "e2a752ea5344b9d65fe28e90c3faf02da4df24a175402e8c2c1096dd47f69857",
+    Pin(["verify"] + JSON, "0.25.0", (), {
+        "SkylakeX/X86_V3": "4190f65cc7dbcbad5207342f977290d8a2a603f3bd5f27c61b3c4ea9fdbec397",
+        "Haswell/X86_V3": "a69d319122cd711f3eadaf1bc9094b98f45e6339e60c01fd89b71a2790168ae9",
+        "Sandybridge/X86_V2": "16a9ec4710912e7161027adaa7efc193d0896b5e37e216922808cd98ae0200ff",
     }),
-    Pin(VERIFY_37, "0.23.0", (), {
-        "SkylakeX/X86_V3": "ec16d8a072409a93e12748545a262ad8770a3969a186aa2fdd9f4254f08a886e",
-        "Haswell/X86_V3": "88c8d0fbb8f47bac31a632ad70e5073c3bef405746797006b7b0d0d9e87f757f",
-        "Sandybridge/X86_V2": "e3600b88e8d3628311a65ec046c1784c9ec053176bb78fa0579500b0b7aadd9b",
+    Pin(VERIFY_37, "0.25.0", (), {
+        "SkylakeX/X86_V3": "1b0362893ec68d2a03f1bd859192b6097b763750c21ca41ce7505b11db74bb02",
+        "Haswell/X86_V3": "b5b251af1d3245a8f7e7cdd0202d3141b4d6ebe693176730193308a0e62854d5",
+        "Sandybridge/X86_V2": "00c896f0dda018ef3a6318c4c7fc48a6c80ef9fac2b71a876ec6388534c98f00",
     }),
 ]

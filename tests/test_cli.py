@@ -454,30 +454,20 @@ class TestCallCounts:
         assert code == 0
         dims = 7
         # 700 triples, 700 question pairs and 1000 commuting triples: per-item work
-        # makes thousands of these calls.  The samplers validate nothing; the operational
-        # joints validate their disturbed states once per block, each block certified by
-        # one Cholesky factorisation (test_verify_certifies_its_post_states), and the
-        # witnesses their rank-one questions
-        assert calls["_validated_densities"] + calls["_validated_projectors"] <= 3 * dims + 8
+        # makes thousands of these calls.  The samplers and the kernels validate nothing
+        # (test_verify_builds_no_post_state); the worked example validates its state and A
+        assert calls["_validated_densities"] + calls["_validated_projectors"] == 2
         assert calls["logical_joints"] <= 16 * dims + 10
         assert calls["logical_joint"] <= 2  # the worked example
         assert calls["validate_density"] + calls["validate_projector"] <= 2  # its state and A
 
-    def test_verify_certifies_its_post_states(self, capsys, monkeypatch):
-        """Every post-state block is certified by Cholesky: no ``eigvalsh`` from the state check."""
-        eigvalsh, validated = np.linalg.eigvalsh, []
-
-        def counting(a, *args, **kwargs):
-            frame = sys._getframe(1)
-            while frame and frame.f_code.co_name != "_validated_densities":
-                frame = frame.f_back
-            validated.append(frame is not None)
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    def test_verify_builds_no_post_state(self, capsys, monkeypatch):
+        """The operational joints sum sequential branches: no Lüders update, and no state
+        check but the worked example's."""
+        calls = self.count_calls(monkeypatch, hilbert, ["lueders_updates", "_validated_densities"])
         code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "100", "--format", "json")
         assert code == 0
-        assert validated and not any(validated)  # min_cells_over_states and the sweep solve
+        assert calls == {"lueders_updates": 0, "_validated_densities": 1}
 
     def test_verify_forms_each_table_product_once_per_block(self, capsys, monkeypatch):
         """A Jordan table forms rho∘A and rho∘Ā once per block, not once per cell; the survey
@@ -502,15 +492,20 @@ class TestCallCounts:
 
         monkeypatch.setattr(hilbert, "quasi_prob_tables", counting_tables)
         monkeypatch.setattr(hilbert, "_symmetrised", counting_symmetrised)
-        calls = self.count_calls(monkeypatch, hilbert, ["model_sequential_probabilities",
-                                                        "sequential_probabilities"])
+        calls = self.count_calls(monkeypatch, hilbert, [
+            "model_sequential_probabilities", "sequential_probabilities", "born_probabilities",
+            "lueders_updates"])
         code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "100", "--format", "json")
         assert code == 0
         # 7 dimensions of sampled triples, one or two blocks each, and 4 of commuting triples
         assert count["blocks"] >= 11 and count["products"] <= 2 * count["blocks"]
-        assert calls["model_sequential_probabilities"] == 0
-        # 69, the round trip's 8 among them; 8 calls for each of its 20 models made 221
-        assert calls["sequential_probabilities"] <= 80
+        # 24 operational joint blocks (two per dimension and block, the worked example's two
+        # and the round trip's four cells) make 2 sequential and 1 Born call each; the
+        # operational XORs 28, the repeated question 7, the round trip's tables 8 (8 calls
+        # for each of its 20 models made 221) and the worked example 2 more sequential
+        # calls; the 12 tables' marginals 24 more Born calls
+        assert calls == {"model_sequential_probabilities": 0, "sequential_probabilities": 93,
+                         "born_probabilities": 48, "lueders_updates": 0}
 
     def test_verify_samples_each_dimension_once(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch, verify, ["_sampled_questions"])

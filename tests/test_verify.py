@@ -145,6 +145,11 @@ PERTURBATIONS = {
                    "jordan.xor_operator_symmetry"},
         "jordan-verify": {"jordan.xor_operator_symmetry"},
     }),
+    "complement_scaled_by_1.001": (
+        "_answers", lambda real: lambda p: {1: p, 0: np.eye(p.shape[-1]) - 1.001 * p}, {
+            "verify": {"hilbert.joint_operational_vs_algebraic", "hilbert.table_marginality"},
+            "jordan-verify": {"jordan.xor_operator_symmetry"},
+        }),
 }
 
 
