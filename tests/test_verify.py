@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from quasilogic import cli, hilbert, verify
+from quasilogic import cli, hilbert, survey, verify
 from quasilogic.errors import (BadDimensionError, BadSeedError, BadToleranceError, QuasilogicError,
                                TooFewTrialsError)
 
@@ -129,26 +129,62 @@ def test_every_sampled_check_has_a_nan_control(capsys):
         == set(CONTROLS)
 
 
-# Perturbation controls: name -> (hilbert kernel, its perturbed copy from the real one, and the
-# checks of each command that must then fail).  A defect must exit 1 naming them, never 2 or 0.
+def product_without_unit(real):
+    """x⋆y = x∘y + 10⁻³(D(x)∘y + x∘D(y)), with D(x) = i[K, x] and K = diag(0, 1, …, d − 1):
+    bilinear, commutative and Hermitian, but I⋆y ≠ y."""
+    def derivation(x):
+        k = np.arange(x.shape[-1])
+        return 1j * (k[:, None] * x - x * k)
+
+    return lambda x, y: real(x, y) + 1e-3 * (real(derivation(x), y) + real(x, derivation(y)))
+
+
+# Perturbation controls: name -> (patches, each a module, a name bound in it and its perturbed
+# copy from the real one; and the checks of each command that must then fail).  A defect must
+# exit 1 naming them, never 2 or 0; a command the row does not name must still exit 0.
 PERTURBATIONS = {
-    "product_scaled_by_1.001": ("_symmetrised", lambda real: lambda a, b: 1.001 * real(a, b), {
-        "verify": {"hilbert.table_marginality"},
+    "product_scaled_by_1.001": (
+        [(hilbert, "_symmetrised", lambda real: lambda a, b: 1.001 * real(a, b))], {
+            "verify": {"hilbert.table_marginality"},
+            "jordan-verify": {"jordan.operator_marginality"},
+        }),
+    "product_returns_nan": (
+        [(hilbert, "_symmetrised", lambda real: lambda a, b: np.full_like(real(a, b), np.nan))], {
+            "verify": {"hilbert.table_marginality", "jordan.product_commutativity"},
+            "jordan-verify": {"jordan.product_commutativity"},
+        }),
+    "product_without_unit": ([(hilbert, "_symmetrised", product_without_unit)], {
+        "verify": {"hilbert.joint_equals_re_trace", "hilbert.joint_operational_vs_algebraic",
+                   "hilbert.negativity_search_floor", "hilbert.quasi_prob_floor_witness",
+                   "hilbert.table_marginality", "jordan.operator_marginality"},
         "jordan-verify": {"jordan.operator_marginality"},
     }),
-    "product_returns_nan": ("_symmetrised", lambda real: lambda a, b: np.full_like(real(a, b), np.nan), {
-        "verify": {"hilbert.table_marginality", "jordan.product_commutativity"},
-        "jordan-verify": {"jordan.product_commutativity"},
-    }),
-    "mapped_xor_returns_nan": ("_mapped_xor", lambda real: lambda a, b: np.full_like(real(a, b), np.nan), {
-        "verify": {"hilbert.xor_operational_vs_mapped", "hilbert.xor_operator_expansion",
-                   "jordan.xor_operator_symmetry"},
-        "jordan-verify": {"jordan.xor_operator_symmetry"},
-    }),
+    "mapped_xor_returns_nan": (
+        [(hilbert, "_mapped_xor", lambda real: lambda a, b: np.full_like(real(a, b), np.nan))], {
+            "verify": {"hilbert.xor_operational_vs_mapped", "hilbert.xor_operator_expansion",
+                       "jordan.xor_operator_symmetry"},
+            "jordan-verify": {"jordan.xor_operator_symmetry"},
+        }),
+    "xor_expansion_with_one_sign_flipped": (
+        [(hilbert, "_xor_expansion", lambda real: lambda a, b: a + b - a @ b + b @ a)], {
+            "verify": {"hilbert.xor_operator_expansion", "jordan.xor_operator_symmetry"},
+            "jordan-verify": {"jordan.xor_operator_symmetry"},
+        }),
     "complement_scaled_by_1.001": (
-        "_answers", lambda real: lambda p: {1: p, 0: np.eye(p.shape[-1]) - 1.001 * p}, {
+        [(hilbert, "_answers", lambda real: lambda p: {1: p, 0: np.eye(p.shape[-1]) - 1.001 * p})], {
             "verify": {"hilbert.joint_operational_vs_algebraic", "hilbert.table_marginality"},
             "jordan-verify": {"jordan.xor_operator_symmetry"},
+        }),
+    "yes_answer_shifted_by_1e-6": (
+        [(hilbert, "_answers", lambda real: lambda p: {
+            1: p + 1e-6 * np.eye(p.shape[-1]), 0: np.eye(p.shape[-1]) - p})], {
+            "verify": {"hilbert.table_marginality", "hilbert.survey_round_trip"},
+        }),
+    # hilbert and survey bind logic.CELLS by name, so the row rebinds it in both
+    "cells_in_column_order": (
+        [(module, "CELLS", lambda real: ((0, 0), (1, 0), (0, 1), (1, 1)))
+         for module in (hilbert, survey)], {
+            "verify": {"hilbert.table_marginality", "hilbert.survey_round_trip"},
         }),
 }
 
@@ -156,11 +192,16 @@ PERTURBATIONS = {
 @pytest.mark.parametrize("command", ["verify", "jordan-verify"])
 @pytest.mark.parametrize("perturbation", PERTURBATIONS)
 def test_perturbed_kernel_fails_its_named_checks(monkeypatch, capsys, perturbation, command):
-    kernel, perturbed, must_fail = PERTURBATIONS[perturbation]
-    monkeypatch.setattr(hilbert, kernel, perturbed(getattr(hilbert, kernel)))
+    patches, must_fail = PERTURBATIONS[perturbation]
+    for module, name, perturbed in patches:
+        monkeypatch.setattr(module, name, perturbed(getattr(module, name)))
     code, report, err = json_run(capsys, command)
-    assert (code, err) == (1, "")
-    assert must_fail[command] <= {check["name"] for check in report["checks"] if not check["passed"]}
+    failed = {check["name"] for check in report["checks"] if not check["passed"]}
+    if command not in must_fail:
+        assert (code, err, failed) == (0, "", set())
+    else:
+        assert (code, err) == (1, "")
+        assert must_fail[command] <= failed
 
 
 def test_no_module_binds_a_private_hilbert_name():
