@@ -409,6 +409,11 @@ def _re_trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (rows @ columns)[..., 0, 0].real
 
 
+def _operational_joint(sequential, other, born):
+    """P(A then B) + [P(B) - P(B after nonselective A)] / 2 from P(A then B), P(Ā then B), P(B)."""
+    return sequential + (born - (sequential + other)) / 2
+
+
 def _mapped_xor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mapped exclusive disjunction A B̄ A + Ā B Ā of two questions, memberwise."""
     abar, bbar = _answers(a)[0], _answers(b)[0]
@@ -759,7 +764,7 @@ def logical_joints(
     entrywise, one dot product per member (:func:`_re_trace_product`), so its bits
     do not depend on how ``_blockwise`` cuts the stacks or on their layout.  When
     rho and A are single matrices (or one-member stacks), rho∘A is formed once and
-    contracted with B block by block.
+    contracted with one C-contiguous copy of Bᵀ, as in :func:`logical_joint_table`.
     """
     rho, a, b = _operands(rho, a, b)
     if method not in ("operational", "jordan"):
@@ -768,14 +773,13 @@ def logical_joints(
     def joints(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if method == "jordan":
             return _re_trace_product(_symmetrised(rho, a), b)
-        sequential = sequential_probabilities(rho, a, b)
-        disturbed_b = sequential + sequential_probabilities(rho, _answers(a)[0], b)
-        return sequential + (born_probabilities(rho, b) - disturbed_b) / 2
+        return _operational_joint(sequential_probabilities(rho, a, b),
+                                  sequential_probabilities(rho, _answers(a)[0], b),
+                                  born_probabilities(rho, b))
 
     if method == "jordan" and all(m.ndim == 2 or len(m) == 1 for m in (rho, a)):
-        blocks = _blockwise(_re_trace_product, _symmetrised(rho, a), b)
-    else:
-        blocks = _blockwise(joints, rho, a, b)
+        return _re_trace_product(_symmetrised(rho, a), b)  # one Bᵀ copy, not one per block
+    blocks = _blockwise(joints, rho, a, b)
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
@@ -826,8 +830,7 @@ def xor_expectations(
 ) -> np.ndarray:
     """:func:`xor_expectation` per member of broadcast state and projector stacks.
 
-    The ``mapped_operator`` error carries the worst member's expansion residual;
-    at an infinite ``tol`` the residual is neither formed nor checked.
+    The ``mapped_operator`` error carries the worst member's expansion residual.
     """
     rho, a, b = _operands(rho, a, b)
     if method == "operational":
@@ -835,12 +838,11 @@ def xor_expectations(
                 + sequential_probabilities(rho, _answers(a)[0], b))
     if method == "mapped_operator":
         mapped = _mapped_xor(a, b)
-        if tol != np.inf:  # at an infinite tol the caller checks the residual itself
-            residual = _gate_norm(mapped - _xor_expansion(a, b), tol)
-            if not residual <= tol:
-                raise IdentityCheckError(
-                    f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
-                )
+        residual = _gate_norm(mapped - _xor_expansion(a, b), tol)
+        if not residual <= tol:
+            raise IdentityCheckError(
+                f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
+            )
         return _re_trace(rho @ mapped)
     raise ValueError(f"unknown method {method!r}")
 
@@ -898,22 +900,25 @@ def quasi_prob_tables(
     Returns the cells, shape (..., 4) in the order of ``logic.CELLS``: (0, 0),
     (0, 1), (1, 0), (1, 1); and the marginals P(A) and P(B).  The worst marginality residual
     of the stack (see :func:`table_marginality_residuals`) must be within ``tol``, if finite.
-    The ``jordan`` route forms rho∘A and rho∘Ā once per block and contracts each with
-    B and B̄, so every cell equals its :func:`logical_joints` value bit for bit.
+    Each block forms each product once: the ``jordan`` route rho∘A and rho∘Ā, so every cell
+    equals its :func:`logical_joints` value bit for bit, and the ``operational`` route the four
+    branches Tr(B_j A_i rho A_i) and P(B_j), cells (1, j) and (0, j) sharing their disturbed term.
     """
-    rho, a, b = _operands(rho, a, b)
-    if method == "jordan":
-        def jordan_cells(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-            firsts, seconds = _answers(a), _answers(b)
+    def table(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        firsts, seconds = _answers(a), _answers(b)
+        if method == "jordan":
             products = {i: _symmetrised(rho, firsts[i]) for i in (0, 1)}
             return np.stack([_re_trace_product(products[i], seconds[j]) for i, j in CELLS], -1)
+        if method != "operational":
+            raise ValueError(f"unknown method {method!r}")
+        branches = {(i, j): sequential_probabilities(rho, firsts[i], seconds[j]) for i, j in CELLS}
+        born = {j: born_probabilities(rho, seconds[j]) for j in (0, 1)}
+        return np.stack([_operational_joint(branches[i, j], branches[1 - i, j], born[j])
+                         for i, j in CELLS], -1)
 
-        blocks = _blockwise(jordan_cells, rho, a, b)
-        cells = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    else:
-        firsts, seconds = _answers(a), _answers(b)
-        cells = np.stack([logical_joints(rho, firsts[i], seconds[j], method)
-                          for i, j in CELLS], -1)
+    rho, a, b = _operands(rho, a, b)
+    blocks = _blockwise(table, rho, a, b)
+    cells = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     pa, pb = born_probabilities(rho, a), born_probabilities(rho, b)
     worst = float(table_marginality_residuals(cells, pa, pb).max(initial=0.0))
     if not worst <= tol and tol != np.inf:

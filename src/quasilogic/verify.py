@@ -333,32 +333,33 @@ def hilbert_suite(
 def _triple_checks(worst: _WorstByCheck, rho, a, b, min_table_cell: float) -> float:
     """Fold the checks on sampled triples, member blocks of (n, d, d) stacks, into ``worst``;
     returns the least table cell among ``min_table_cell`` and the block's (NaN if any is)."""
-    operational = hilbert.logical_joints(rho, a, b, "operational")
-    algebraic = hilbert.logical_joints(rho, a, b, "jordan")
+    cells, pa, pb = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
+    abar, bbar = hilbert._answers(a)[0], hilbert._answers(b)[0]
+    # the seven distinct sequential branches, each formed once: ab is Tr(B A rho A)
+    ab, abar_b, a_bbar, ba, bbar_a, b_abar, aa = (
+        hilbert.sequential_probabilities(rho, first, second) for first, second in
+        ((a, b), (abar, b), (a, bbar), (b, a), (bbar, a), (b, abar), (a, a)))
+    operational = hilbert._operational_joint(ab, abar_b, pb)
+    algebraic = cells[:, 3]
     kd_real = np.trace(rho @ a @ b, axis1=1, axis2=2).real
     worst.add("hilbert.joint_operational_vs_algebraic", np.abs(operational - algebraic))
     worst.add("hilbert.joint_equals_re_trace",
               np.abs(operational - kd_real), np.abs(algebraic - kd_real))
     worst.add("hilbert.joint_order_symmetry",
-              np.abs(operational - hilbert.logical_joints(rho, b, a, "operational")))
-    xor_op = hilbert.xor_expectations(rho, a, b, "operational")
-    # the suite measures the operator residual itself (below); disable the
-    # op-level contract check so impossible tolerances report, not crash
-    xor_mapped = hilbert.xor_expectations(rho, a, b, "mapped_operator", tol=np.inf)
-    worst.add("hilbert.xor_operational_vs_mapped", np.abs(xor_op - xor_mapped))
-    worst.add("hilbert.xor_order_symmetry",
-              np.abs(xor_op - hilbert.xor_expectations(rho, b, a, "operational")))
-    swap, expansion_ab, _ = jordan._xor_symmetry_defects(a, b)
-    worst.add("hilbert.xor_operator_expansion", expansion_ab, swap)
-    del swap, expansion_ab, _
-    cells, pa, pb = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
+              np.abs(operational - hilbert._operational_joint(ba, bbar_a, pa)))
+    xor_op = a_bbar + abar_b
+    forward, backward = hilbert._mapped_xor(a, b), hilbert._mapped_xor(b, a)
+    worst.add("hilbert.xor_operational_vs_mapped",
+              np.abs(xor_op - hilbert._re_trace(rho @ forward)))
+    worst.add("hilbert.xor_order_symmetry", np.abs(xor_op - (b_abar + bbar_a)))
+    worst.add("hilbert.xor_operator_expansion",
+              forward - hilbert._xor_expansion(a, b), forward - backward)
     # total, row a=1 and column b=1
     worst.add("hilbert.table_marginality",
               hilbert.table_marginality_residuals(cells, pa, pb)[:, [0, 1, 3]])
     # Jordan's two-subspace lemma: no cell of any table is below -1/8
     worst.add("hilbert.quasi_prob_floor", -1 / 8 - cells)
-    worst.add("hilbert.repeated_question",
-              np.abs(hilbert.sequential_probabilities(rho, a, a) - pa))
+    worst.add("hilbert.repeated_question", np.abs(aa - pa))
     return float(np.min(cells, initial=min_table_cell))
 
 

@@ -949,7 +949,14 @@ def reference_xor(rho, a, b, method):
 def reference_cells(rho, a, b, method):
     eye = np.eye(len(a))
     firsts, seconds = {1: a, 0: eye - a}, {1: b, 0: eye - b}
-    return [reference_joint(rho, firsts[i], seconds[j], method) for i, j in logic.CELLS]
+    if method == "jordan":
+        return [reference_joint(rho, firsts[i], seconds[j], method) for i, j in logic.CELLS]
+    # A and Ā leave one nonselective state, so the two rows of a column share its branch sum
+    branches = {(i, j): reference_re_trace(seconds[j] @ firsts[i] @ rho @ firsts[i])
+                for i, j in logic.CELLS}
+    return [branches[i, j] + (reference_re_trace(rho @ seconds[j])
+                              - (branches[i, j] + branches[1 - i, j])) / 2
+            for i, j in logic.CELLS]
 
 
 def reference_commuting_triples(dim, n, rng):
@@ -1045,6 +1052,22 @@ class TestStackedKernels:
             composed = reference_re_trace(q @ p @ r @ p) + (
                 reference_re_trace(r @ q) - reference_re_trace(disturbed @ q)) / 2
             assert joint == pytest.approx(composed, abs=1e-12)
+
+    @given(stack_dims, stack_trials, stack_seeds)
+    @settings(max_examples=25, deadline=None)
+    def test_operational_table_cells_are_the_logical_joints(self, dim, trials, seed):
+        """Cell (i, j) of an operational table is within 1e-14 of logical_joints(rho, A_i, B_j),
+        which forms Ā's branch from Ā, not from the complement of Ā."""
+        rho, a, b = sampled_stack(dim, trials, seed)
+        cells, _, _ = hilbert.quasi_prob_tables(rho, a, b, "operational")
+        firsts, seconds = hilbert._answers(a), hilbert._answers(b)
+        for k, (i, j) in enumerate(logic.CELLS):
+            joints = hilbert.logical_joints(rho, firsts[i], seconds[j], "operational")
+            assert np.abs(cells[:, k] - joints).max() <= 1e-14
+
+    def test_tables_reject_an_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'kd'"):
+            hilbert.quasi_prob_tables(*hilbert.worked_example(), "kd")
 
     @given(st.integers(min_value=2, max_value=5), stack_seeds)
     @settings(max_examples=25, deadline=None)
@@ -1234,6 +1257,17 @@ class TestLogicalJointTable:
     def test_equals_the_row_loop_bit_for_bit_on_kd_stacks(self, dim, seed):
         rho, a, b = kd_operands(dim, seed)
         assert np.array_equal(hilbert.logical_joint_table(rho, a, b), joint_rows(rho, a, b))
+
+    @pytest.mark.parametrize("innermost", [False, True])
+    def test_rows_equal_the_joints_against_a_stack_at_d_64(self, innermost):
+        """One rho∘A against 128 questions at d = 64, many blocks of ``_BLOCK_ENTRIES``, is the
+        table's row bit for bit, on C-contiguous and on member-innermost stacks."""
+        rng = np.random.default_rng(64)
+        rho = hilbert.sample_states(64, ["mixed"], rng)[0]
+        a, b = (hilbert.sample_projectors(64, rng.integers(1, 64, size=n), rng) for n in (2, 128))
+        if innermost:
+            b = member_innermost(b)
+        assert np.array_equal(joint_rows(rho, a, b), hilbert.logical_joint_table(rho, a, b))
 
     def test_a_matrix_is_a_one_row_table(self):
         rho, a, b = kd_operands(3, 1)

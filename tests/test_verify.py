@@ -3,9 +3,9 @@
 Each control swaps one kernel for a NaN-returning copy in the namespace ``verify``
 calls it through, so only that call sees NaN; the check must then fail as a
 violation, and the command must exit 1 with nothing on stderr (no traceback).
-Perturbation controls make a kernel slightly wrong and name the checks that must
-fail.  The sampled suites' input boundary, their working memory and the bits of
-their block cuts are checked at the end.
+Perturbation controls make a kernel or the cell order slightly wrong and name the checks
+that must fail; a command they do not reach must still pass.  The sampled suites' input
+boundary, their working memory and the bits of their block cuts are checked at the end.
 """
 
 import ast
@@ -32,12 +32,12 @@ FIXED_INPUT_CHECKS = {
 
 # check -> (layer verify calls, kernel, method argument the NaN is limited to, or None)
 CONTROLS = {
-    "hilbert.joint_operational_vs_algebraic": ("hilbert", "logical_joints", "jordan"),
-    "hilbert.joint_equals_re_trace": ("hilbert", "logical_joints", "jordan"),
-    "hilbert.joint_order_symmetry": ("hilbert", "logical_joints", "operational"),
-    "hilbert.xor_operational_vs_mapped": ("hilbert", "xor_expectations", "mapped_operator"),
-    "hilbert.xor_order_symmetry": ("hilbert", "xor_expectations", "operational"),
-    "hilbert.xor_operator_expansion": ("jordan", "_xor_symmetry_defects", None),
+    "hilbert.joint_operational_vs_algebraic": ("hilbert", "quasi_prob_tables", "jordan"),
+    "hilbert.joint_equals_re_trace": ("hilbert", "quasi_prob_tables", "jordan"),
+    "hilbert.joint_order_symmetry": ("hilbert", "_operational_joint", None),
+    "hilbert.xor_operational_vs_mapped": ("hilbert", "_mapped_xor", None),
+    "hilbert.xor_order_symmetry": ("hilbert", "sequential_probabilities", None),
+    "hilbert.xor_operator_expansion": ("hilbert", "_mapped_xor", None),
     "hilbert.table_marginality": ("hilbert", "table_marginality_residuals", None),
     "hilbert.quasi_prob_floor": ("hilbert", "quasi_prob_tables", "jordan"),
     "hilbert.repeated_question": ("hilbert", "sequential_probabilities", None),
@@ -174,6 +174,13 @@ PERTURBATIONS = {
         [(hilbert, "_answers", lambda real: lambda p: {1: p, 0: np.eye(p.shape[-1]) - 1.001 * p})], {
             "verify": {"hilbert.joint_operational_vs_algebraic", "hilbert.table_marginality"},
             "jordan-verify": {"jordan.xor_operator_symmetry"},
+        }),
+    "other_branch_scaled_by_1.001": (
+        [(hilbert, "_operational_joint",
+          lambda real: lambda sequential, other, born: real(sequential, 1.001 * other, born))], {
+            "verify": {"hilbert.joint_operational_vs_algebraic", "hilbert.joint_equals_re_trace",
+                       "hilbert.joint_order_symmetry", "hilbert.example_negative_cell",
+                       "hilbert.sequential_order_dependence", "hilbert.survey_round_trip"},
         }),
     "yes_answer_shifted_by_1e-6": (
         [(hilbert, "_answers", lambda real: lambda p: {
