@@ -35,9 +35,7 @@ print("  (logical* = reconstructed from the reversed order)")
 
 print()
 print(f"raw order effect: chi2(3) = {report.order_statistic:.2f}, p = {report.order_p_value:.4f}")
-# the question-order equality test also runs on its own, from the counts alone
-z, p = survey.qq_equality_stat(table)
-print(f"question-order equality: z = {z:+.3f}, p = {p:.3f}")
+print(f"question-order equality: z = {report.qq_statistic:+.3f}, p = {report.qq_p_value:.3f}")
 print(f"largest cross-order gap in the logical tables: "
       f"{max(report.order_invariance_gap.values()):.4f}")
 

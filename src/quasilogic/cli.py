@@ -29,7 +29,8 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 
 # Input limits.  At trials x d² = 2**22 (--dim 64 --trials 1024) one sampled stack is
-# U = 64 MiB: verify peaks at about 5 U (325 MiB traced by tracemalloc, 366 MB RSS) and
+# U = 64 MiB.  verify holds one dimension's stacks at a time, so for any --dim list it
+# peaks at about 5 U of the largest (288 MiB traced by tracemalloc, 362 MB RSS), and
 # jordan-verify at its sweep's 3 U (197 MiB traced, 235 MB RSS).  survey's --trials keeps
 # the range it had when the bootstrap drew that many resamples; since 0.11.0 it is only
 # echoed.

@@ -54,10 +54,7 @@ __all__ = [
     "parse_counts",
     "load_counts",
     "sequential_probs",
-    "reconstruct_logical_joint",
     "logical_tables_from_probs",
-    "xor_estimates",
-    "qq_equality_stat",
     "order_effect_stat",
     "ReconstructionReport",
     "classicality_report",
@@ -283,24 +280,6 @@ def logical_tables_from_probs(
     return logical_ab, logical_ba
 
 
-def reconstruct_logical_joint(
-    table: SequentialCountTable,
-) -> tuple[dict[Cell, Fraction], dict[Cell, Fraction]]:
-    """Exact logical joint tables for both orders, keyed (a, b).
-
-    Each table sums to exactly 1; row sums equal the A-first marginals of the
-    A-first group and column sums equal the B-first marginals of the B-first
-    group, exactly in rational arithmetic.
-    """
-    p_ab, p_ba = sequential_probs(table)
-    return logical_tables_from_probs(p_ab, p_ba)
-
-
-def xor_estimates(table: SequentialCountTable) -> tuple[Fraction, Fraction]:
-    """Exact estimates of the exclusive-disjunction expectation, one per order."""
-    return _xor_from_probs(*sequential_probs(table))
-
-
 def _xor_from_probs(p_ab: Mapping[Cell, Fraction], p_ba: Mapping[Cell, Fraction]) -> tuple:
     return p_ab[(1, 0)] + p_ab[(0, 1)], p_ba[(1, 0)] + p_ba[(0, 1)]
 
@@ -309,20 +288,16 @@ def _xor_from_probs(p_ab: Mapping[Cell, Fraction], p_ba: Mapping[Cell, Fraction]
 # hypothesis tests
 
 
-def qq_equality_stat(table: SequentialCountTable) -> tuple[float, float]:
+def _qq_equality(table: SequentialCountTable, xors: tuple, logical: tuple) -> tuple[float, float]:
     """Two-proportion z-test of the question-order equality.
 
     Null hypothesis: the exclusive-disjunction probability (answers differ)
     is the same in both orders.  Equivalent to order invariance of the
     logical joint probability; the exact balance ``xor difference =
-    -2 * conjunction difference`` is checked on the point estimates before
-    testing.  Returns (z statistic, two-sided p-value).
+    -2 * conjunction difference`` is checked on the point estimates
+    ``xors`` and ``logical`` (each a pair, one per order) before testing.
+    Returns (z statistic, two-sided p-value).
     """
-    return _qq_equality(table, xor_estimates(table), reconstruct_logical_joint(table))
-
-
-def _qq_equality(table: SequentialCountTable, xors: tuple, logical: tuple) -> tuple[float, float]:
-    """:func:`qq_equality_stat` from the table's exact xor estimates and logical tables."""
     (xor_ab, xor_ba), (logical_ab, logical_ba) = xors, logical
     # exact bookkeeping identity on the estimates; failure is a defect
     imbalance = (xor_ab - xor_ba) + 2 * (logical_ab[(1, 1)] - logical_ba[(1, 1)])
@@ -662,8 +637,7 @@ class ReconstructionReport:
             warnings.simplefilter("always", LowExpectedCountWarning)
             order_effect_stat(self.table)
         diagnostics = [f"order-effect test: {w.category.__name__}: {w.message}" for w in caught]
-        xor_ab, xor_ba = xor_estimates(self.table)
-        if xor_ab == xor_ba and xor_ab in (0, 1):
+        if self.xor_ab == self.xor_ba and self.xor_ab in (0.0, 1.0):
             diagnostics.append("question-order equality test: zero pooled variance, z = 0 and"
                                " p = 1 are set, not computed")
         flat = [f"{which} {_cell_key(cell)}" for which, by_cell in self.bootstrap_intervals.items()

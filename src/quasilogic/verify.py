@@ -23,7 +23,6 @@ __all__ = [
     "CheckResult",
     "DOUBLE_PRECISION_FLOOR",
     "logic_suite",
-    "hilbert_suite",
     "FormalRealitySweep",
     "jordan_sweep_report",
     "jordan_suite",
@@ -211,59 +210,19 @@ def _sampled_questions(dim: int, trials_per_dim: int, seed: int):
     return tuple(hilbert.sample_projectors(dim, r, rng) for r in ranks)
 
 
-def _questions(dim: int, trials_per_dim: int, seed: int, questions=None):
-    """``questions[dim]`` when given, else :func:`_sampled_questions` of the dimension;
-    :class:`BadDimensionError` where the given ``questions`` lack the dimension."""
-    if questions is None:
-        return _sampled_questions(dim, trials_per_dim, seed)
-    if dim not in questions:
-        raise BadDimensionError(f"questions holds no question stacks for dimension {dim}")
-    return questions[dim]
-
-
-def _sampled_stacks(dims: tuple[int, ...], trials_per_dim: int, seed: int, questions=None):
-    """(dim, states, questions_a, questions_b) per dimension: read-only (n, d, d) stacks.
-
-    The state of trial t is pure for even t, else mixed, drawn from the
-    states stream of the dimension; the questions are :func:`_sampled_questions`.
-    """
+def _sampled_states(dim: int, trials_per_dim: int, seed: int):
+    """The read-only (n, d, d) state stack of one dimension: the state of trial t is
+    pure for even t, else mixed, drawn from the states stream of the dimension."""
     purities = ["pure" if t % 2 == 0 else "mixed" for t in range(trials_per_dim)]
-    for dim in dims:
-        questions_a, questions_b = _questions(dim, trials_per_dim, seed, questions)
-        states = hilbert.sample_states(dim, purities, _stream(seed, _STATES, dim))
-        yield dim, states, questions_a, questions_b
-        del questions_a, questions_b, states  # before the next dimension draws its own
+    return hilbert.sample_states(dim, purities, _stream(seed, _STATES, dim))
 
 
-def hilbert_suite(
-    dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
-    trials_per_dim: int = 100,
-    seed: int = 42,
-    tol: float = hilbert.DEFAULT_TOL,
-    *,
-    questions: dict | None = None,
-) -> list[CheckResult]:
-    """Hilbert-semantics checks on sampled triples, a worked example and baselines.
-
-    ``questions`` maps each dimension to its :func:`_sampled_questions` result,
-    so that a caller running :func:`jordan_suite` too samples them once; a
-    dimension it lacks raises :class:`BadDimensionError`.  Each dimension's
-    checks run on member blocks of at most ``_SUITE_BLOCK_ENTRIES`` entries per
-    stack, as in :func:`jordan_suite`.
-    """
-    _check_sampling(dims, trials_per_dim, seed, tol)
-    worst = _WorstByCheck()
-    min_table_cell = np.inf
-    lowest_cells = []  # (dim, the least cell over all states of each question pair)
-    count = 0
-    for dim, rho, a, b in _sampled_stacks(dims, trials_per_dim, seed, questions):
-        count += len(rho)
-        lowest_cells.append((dim, hilbert.min_cells_over_states(a, b)))
-        for block in hilbert._blocks(len(rho), dim, _SUITE_BLOCK_ENTRIES):
-            min_table_cell = _triple_checks(worst, rho[block], a[block], b[block], min_table_cell)
-        del rho, a, b  # before the next dimension draws its own
-
-    detail = f"{count} triples over dims {dims}"
+def _hilbert_results(worst: _WorstByCheck, min_table_cell: float, lowest_cells,
+                     dims: tuple[int, ...], trials_per_dim: int, seed: int,
+                     tol: float) -> list[CheckResult]:
+    """Hilbert-semantics results: the checks on sampled triples folded into ``worst``, a
+    worked example, baselines, the negativity floor of ``lowest_cells`` and a round trip."""
+    detail = f"{len(dims) * trials_per_dim} triples over dims {dims}"
     details = {"hilbert.quasi_prob_floor": f"{detail}, min cell {min_table_cell:.6f}"}
     results = [_residual(name, residual, tol, details.get(name, detail))
                for name, residual in worst.items()]
@@ -594,31 +553,38 @@ def jordan_suite(
     tol: float = hilbert.DEFAULT_TOL,
     *,
     reality: FormalRealitySweep,
-    questions: dict | None = None,
 ) -> list[CheckResult]:
     """Jordan-product checks on the sampled questions plus the formal-reality check.
 
     ``reality`` is the :func:`jordan_sweep_report` the last check reads, run
     by the caller with the same dims, seed and tol; anything else raises a
-    ``TypeError`` before any sampling.  ``questions`` is as in :func:`hilbert_suite`.
+    ``TypeError`` before any sampling.
     """
     _check_sampling(dims, trials_per_dim, seed, tol)
     if not isinstance(reality, FormalRealitySweep):
         raise TypeError(f"reality must be a FormalRealitySweep, got {reality!r}")
     worst = _WorstByCheck()
-    count = 0
     for dim in dims:
-        a, b = _questions(dim, trials_per_dim, seed, questions)
-        count += len(a)
-        # the products stream of the dimension gives every x, then every y
-        rng = _stream(seed, _PRODUCTS, dim)
-        x = hilbert.sample_hermitians(dim, len(a), rng)
-        y = hilbert.sample_hermitians(dim, len(a), rng)
-        for block in hilbert._blocks(len(a), dim, _SUITE_BLOCK_ENTRIES):
-            _product_checks(worst, a[block], b[block], x[block], y[block])
-        del a, b, x, y  # before the next dimension draws its own
+        _dimension_products(worst, seed, *_sampled_questions(dim, trials_per_dim, seed))
+    return _jordan_results(worst, dims, trials_per_dim, tol, reality)
 
-    detail = f"{count} samples over dims {dims}"
+
+def _dimension_products(worst: _WorstByCheck, seed: int, a, b) -> None:
+    """Fold the Jordan-product checks on one dimension's question stacks ``a`` and ``b``
+    into ``worst``, on member blocks of at most ``_SUITE_BLOCK_ENTRIES`` entries per stack."""
+    dim = a.shape[-1]
+    # the products stream of the dimension gives every x, then every y
+    rng = _stream(seed, _PRODUCTS, dim)
+    x = hilbert.sample_hermitians(dim, len(a), rng)
+    y = hilbert.sample_hermitians(dim, len(a), rng)
+    for block in hilbert._blocks(len(a), dim, _SUITE_BLOCK_ENTRIES):
+        _product_checks(worst, a[block], b[block], x[block], y[block])
+
+
+def _jordan_results(worst: _WorstByCheck, dims: tuple[int, ...], trials_per_dim: int,
+                    tol: float, reality: FormalRealitySweep) -> list[CheckResult]:
+    """The Jordan-product results folded into ``worst``, then ``jordan.formal_reality``."""
+    detail = f"{len(dims) * trials_per_dim} samples over dims {dims}"
     results = [_residual(name, residual, tol, detail) for name, residual in worst.items()]
     results.append(_exact(
         "jordan.formal_reality",
@@ -655,11 +621,27 @@ def run_all(
     seed: int = 42,
     tol: float = hilbert.DEFAULT_TOL,
 ) -> list[CheckResult]:
-    """Every invariant suite in one flat list; the questions are sampled once for both suites."""
+    """Every invariant suite in one flat list.
+
+    Each dimension draws its questions once, for its checks on sampled triples and then
+    its Jordan-product checks, and drops its stacks before the next dimension draws its
+    own; the checks on fixed inputs and the formal-reality sweep follow.
+    """
     _check_sampling(dims, trials_per_dim, seed, tol)
-    questions = {dim: _sampled_questions(dim, trials_per_dim, seed) for dim in dims}
+    triples, products = _WorstByCheck(), _WorstByCheck()
+    min_table_cell = np.inf
+    lowest_cells = []  # (dim, the least cell over all states of each question pair)
+    for dim in dims:
+        a, b = _sampled_questions(dim, trials_per_dim, seed)
+        rho = _sampled_states(dim, trials_per_dim, seed)
+        lowest_cells.append((dim, hilbert.min_cells_over_states(a, b)))
+        for block in hilbert._blocks(trials_per_dim, dim, _SUITE_BLOCK_ENTRIES):
+            min_table_cell = _triple_checks(triples, rho[block], a[block], b[block], min_table_cell)
+        del rho  # before the products draw theirs
+        _dimension_products(products, seed, a, b)
+        del a, b  # before the next dimension draws its own
     results = logic_suite()
-    results += hilbert_suite(dims, trials_per_dim, seed, tol, questions=questions)
+    results += _hilbert_results(triples, min_table_cell, lowest_cells, dims, trials_per_dim,
+                                seed, tol)
     reality = jordan_sweep_report(dims, max(100, trials_per_dim), seed, tol)
-    results += jordan_suite(dims, trials_per_dim, seed, tol, reality=reality, questions=questions)
-    return results
+    return results + _jordan_results(products, dims, trials_per_dim, tol, reality)

@@ -35,7 +35,9 @@ def hermitian_solves(monkeypatch) -> list[int]:
 
 def sampled_triples(dims: tuple[int, ...], trials_per_dim: int, seed: int):
     """(dim, state, question_a, question_b) per trial of ``verify``, sliced from its stacks."""
-    for dim, states, questions_a, questions_b in verify._sampled_stacks(dims, trials_per_dim, seed):
+    for dim in dims:
+        questions_a, questions_b = verify._sampled_questions(dim, trials_per_dim, seed)
+        states = verify._sampled_states(dim, trials_per_dim, seed)
         for rho, a, b in zip(states, questions_a, questions_b):
             yield dim, rho, a, b
 

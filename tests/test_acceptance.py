@@ -183,9 +183,9 @@ def test_criterion_07_formal_reality():
 
 def test_criterion_08_survey_synthetic_exact(data_dir):
     table = survey.load_counts(str(data_dir / "synthetic_n100.csv"))
-    logical_ab, logical_ba = survey.reconstruct_logical_joint(table)
-    xor_ab, xor_ba = survey.xor_estimates(table)
     p_ab, p_ba = survey.sequential_probs(table)
+    logical_ab, logical_ba = survey.logical_tables_from_probs(p_ab, p_ba)
+    xor_ab, xor_ba = survey._xor_from_probs(p_ab, p_ba)
     marginal_sum = (p_ab[(1, 0)] + p_ab[(1, 1)]) + (p_ba[(1, 0)] + p_ba[(1, 1)])
     ok = (
         logical_ab[(1, 1)] == F(2, 5)

@@ -528,7 +528,7 @@ class TestCallCounts:
         calls = self.count_calls(monkeypatch, verify, ["_sampled_questions"])
         code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "5", "--format", "json")
         assert code == 0
-        assert calls["_sampled_questions"] == 7  # shared by the hilbert and jordan suites
+        assert calls["_sampled_questions"] == 7  # each shared by hilbert and jordan checks
 
     @pytest.mark.parametrize("svg", [False, True])
     def test_survey_csv_runs_no_bootstrap(self, capsys, monkeypatch, tmp_path, data_dir, svg):
@@ -907,7 +907,7 @@ def removed_names(version: str) -> set[str]:
 
 @pytest.mark.parametrize("version, count",
                          [("0.4.0", 16), ("0.5.0", 5), ("0.7.0", 12), ("0.10.0", 36),
-                          ("0.14.0", 2)])
+                          ("0.14.0", 2), ("0.27.0", 4)])
 def test_removed_names_stay_absent(version, count):
     """A method named after its class is gone from that class; a name qualified by
     ``quasilogic.`` from the package, whose layer may keep it; any other name from the
@@ -934,13 +934,15 @@ RETIRED_PARAMETERS = [
     (survey.parse_counts, "label_a"), (survey.parse_counts, "label_b"),
     (survey.load_counts, "label_a"), (survey.load_counts, "label_b"),
     (survey.ReconstructionReport.to_json, "indent"),
+    (verify.jordan_suite, "questions"),
 ]
 
 
 @pytest.mark.parametrize("function, parameter", RETIRED_PARAMETERS,
                          ids=[f"{f.__qualname__}-{p}" for f, p in RETIRED_PARAMETERS])
 def test_retired_parameters_stay_absent(function, parameter):
-    """Parameters no caller set, retired in 0.8.0 (README's "Since 0.8.0" note)."""
+    """Parameters no caller set, retired in 0.8.0 (README's "Since 0.8.0" note), and
+    ``jordan_suite``'s ``questions``, retired in 0.27.0 when ``run_all`` stopped setting it."""
     assert parameter not in inspect.signature(function).parameters
 
 

@@ -983,8 +983,8 @@ def reference_commuting_triples(dim, n, rng):
 
 
 def sampled_stack(dim, trials, seed):
-    (_, rho, a, b), = verify._sampled_stacks((dim,), trials, seed)
-    return rho, a, b
+    return (verify._sampled_states(dim, trials, seed),
+            *verify._sampled_questions(dim, trials, seed))
 
 
 stack_trials = st.integers(min_value=1, max_value=12)

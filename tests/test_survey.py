@@ -233,24 +233,35 @@ class TestSequentialProbs:
         assert all(v == F(1, 4) for v in p_ab.values())
 
 
+def logical_tables(table):
+    """The exact logical tables of both orders, keyed (a, b), as the report takes them."""
+    return survey.logical_tables_from_probs(*survey.sequential_probs(table))
+
+
+def qq_equality(table):
+    """The question-order equality test's (z statistic, two-sided p-value) in the report."""
+    report = survey.classicality_report(table)
+    return report.qq_statistic, report.qq_p_value
+
+
 class TestReconstruction:
     def test_synthetic_point_estimates(self, synthetic):
-        logical_ab, logical_ba = survey.reconstruct_logical_joint(synthetic)
+        logical_ab, logical_ba = logical_tables(synthetic)
         assert logical_ab[(1, 1)] == F(2, 5)     # 0.40
         assert logical_ba[(1, 1)] == F(9, 20)    # 0.45
         assert sum(logical_ab.values()) == 1
         assert sum(logical_ba.values()) == 1
 
     def test_synthetic_xor_estimates(self, synthetic):
-        xor_ab, xor_ba = survey.xor_estimates(synthetic)
+        xor_ab, xor_ba = survey._xor_from_probs(*survey.sequential_probs(synthetic))
         assert xor_ab == F(3, 10)
         assert xor_ba == F(1, 5)
 
     def test_balance_identity_on_estimates(self, synthetic):
         # xor + 2*conjunction equals the sum of the two first-question marginals
         p_ab, p_ba = survey.sequential_probs(synthetic)
-        logical_ab, logical_ba = survey.reconstruct_logical_joint(synthetic)
-        xor_ab, xor_ba = survey.xor_estimates(synthetic)
+        logical_ab, logical_ba = survey.logical_tables_from_probs(p_ab, p_ba)
+        xor_ab, xor_ba = survey._xor_from_probs(p_ab, p_ba)
         rhs = (p_ab[(1, 0)] + p_ab[(1, 1)]) + (p_ba[(1, 0)] + p_ba[(1, 1)])
         assert xor_ab + 2 * logical_ab[(1, 1)] == rhs == F(11, 10)
         assert xor_ba + 2 * logical_ba[(1, 1)] == rhs
@@ -262,7 +273,7 @@ class TestReconstruction:
             return
         table = make_table(ab, ba)
         p_ab, p_ba = survey.sequential_probs(table)
-        logical_ab, logical_ba = survey.reconstruct_logical_joint(table)
+        logical_ab, logical_ba = survey.logical_tables_from_probs(p_ab, p_ba)
         for a in (0, 1):
             row = logical_ab[(a, 0)] + logical_ab[(a, 1)]
             assert row == p_ab[(a, 0)] + p_ab[(a, 1)]
@@ -272,7 +283,7 @@ class TestReconstruction:
         assert sum(logical_ab.values()) == 1
         assert sum(logical_ba.values()) == 1
         # the xor/conjunction balance holds for every table, both orders
-        xor_ab, xor_ba = survey.xor_estimates(table)
+        xor_ab, xor_ba = survey._xor_from_probs(p_ab, p_ba)
         rhs = (p_ab[(1, 0)] + p_ab[(1, 1)]) + (p_ba[(1, 0)] + p_ba[(1, 1)])
         assert xor_ab + 2 * logical_ab[(1, 1)] == rhs
         assert xor_ba + 2 * logical_ba[(1, 1)] == rhs
@@ -280,8 +291,8 @@ class TestReconstruction:
     def test_boolean_reduction(self):
         # both orders drawn from one product-form joint: correction vanishes
         table = make_table((30, 30, 20, 20), (30, 20, 30, 20))
-        p_ab, _ = survey.sequential_probs(table)
-        logical_ab, logical_ba = survey.reconstruct_logical_joint(table)
+        p_ab, p_ba = survey.sequential_probs(table)
+        logical_ab, _ = survey.logical_tables_from_probs(p_ab, p_ba)
         for cell in CELLS:
             assert logical_ab[cell] == p_ab[cell]
 
@@ -311,21 +322,21 @@ class TestReconstruction:
 class TestQQEquality:
     def test_identical_distributions(self):
         table = make_table((30, 20, 10, 40), (30, 10, 20, 40))
-        statistic, p_value = survey.qq_equality_stat(table)
+        statistic, p_value = qq_equality(table)
         assert statistic == 0.0
         assert p_value == 1.0
 
     def test_synthetic_example(self, synthetic):
-        statistic, p_value = survey.qq_equality_stat(synthetic)
-        xor_ab, xor_ba = survey.xor_estimates(synthetic)
+        statistic, p_value = qq_equality(synthetic)
+        xor_ab, xor_ba = survey._xor_from_probs(*survey.sequential_probs(synthetic))
         assert float(xor_ab - xor_ba) == pytest.approx(0.10)
-        logical_ab, logical_ba = survey.reconstruct_logical_joint(synthetic)
+        logical_ab, logical_ba = logical_tables(synthetic)
         assert logical_ab[(1, 1)] - logical_ba[(1, 1)] == F(-1, 20)
         assert statistic > 0
         assert 0 < p_value < 1
 
     def test_z_squared_matches_chi2_contingency(self, synthetic):
-        statistic, _ = survey.qq_equality_stat(synthetic)
+        statistic, _ = qq_equality(synthetic)
         x1 = synthetic.counts_ab[(1, 0)] + synthetic.counts_ab[(0, 1)]
         x2 = synthetic.counts_ba[(1, 0)] + synthetic.counts_ba[(0, 1)]
         contingency = [
@@ -337,28 +348,28 @@ class TestQQEquality:
 
     def test_degenerate_equal_tables(self):
         table = make_table((100, 0, 0, 0), (100, 0, 0, 0))
-        statistic, p_value = survey.qq_equality_stat(table)
+        statistic, p_value = qq_equality(table)
         assert (statistic, p_value) == (0.0, 1.0)
 
     @given(unanimous_tables())
     @settings(max_examples=60, deadline=None)
     def test_zero_variance_tables_show_no_order_effect(self, table):
-        assert survey.qq_equality_stat(table) == (0.0, 1.0)
+        assert qq_equality(table) == (0.0, 1.0)
 
     @given(group_counts(), group_counts())
     # the smallest nonzero pooled variance, about 1e-16
     @example([survey.MAX_GROUP_TOTAL - 1, 1, 0, 0], [survey.MAX_GROUP_TOTAL, 0, 0, 0])
     @settings(max_examples=60, deadline=None)
     def test_every_valid_table_has_a_statistic(self, ab, ba):
-        statistic, p_value = survey.qq_equality_stat(make_table(ab, ba))
+        statistic, p_value = qq_equality(make_table(ab, ba))
         assert math.isfinite(statistic) and 0.0 <= p_value <= 1.0
 
     def test_broken_balance_identity_raises(self, synthetic, monkeypatch):
         # an explicit raise, not an assert, so the defect check survives python -O
-        xor_ab, xor_ba = survey.xor_estimates(synthetic)
-        monkeypatch.setattr(survey, "xor_estimates", lambda table: (xor_ab + F(1, 100), xor_ba))
+        xor_ab, xor_ba = survey._xor_from_probs(*survey.sequential_probs(synthetic))
+        monkeypatch.setattr(survey, "_xor_from_probs", lambda *probs: (xor_ab + F(1, 100), xor_ba))
         with pytest.raises(ArithmeticError, match="balance") as exc:
-            survey.qq_equality_stat(synthetic)
+            survey.classicality_report(synthetic)
         assert isinstance(exc.value, IdentityCheckError)  # a package error, which the CLI reports
 
 
@@ -921,6 +932,19 @@ class TestClassicalityReport:
             " not computed",
             f"zero-width bootstrap intervals: {flat}",
         ]
+
+    @given(unanimous_tables())
+    @example(make_table((survey.MAX_GROUP_TOTAL - 1, 1, 0, 0), (survey.MAX_GROUP_TOTAL, 0, 0, 0)))
+    @example(make_table((0, survey.MAX_GROUP_TOTAL - 1, 0, 1), (0, survey.MAX_GROUP_TOTAL, 0, 0)))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_pooled_variance_is_named_where_the_exact_estimates_show_it(self, table):
+        """The report's float xor estimates are 0.0 or 1.0 exactly where the fractions are:
+        a count k over a total n of at most 10**8, 0 < k < n, is a float inside (0, 1)."""
+        report = survey.classicality_report(table)
+        xor_ab, xor_ba = survey._xor_from_probs(*survey.sequential_probs(table))
+        named = any(line.startswith("question-order equality test: zero pooled variance")
+                    for line in report.diagnostics)
+        assert named == (xor_ab == xor_ba and xor_ab in (0, 1))
 
     def test_json_report_is_deterministic_and_complete(self, synthetic):
         r1 = survey.classicality_report(synthetic, iterations=200, seed=3).to_json()

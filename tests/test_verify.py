@@ -225,7 +225,6 @@ def test_no_module_binds_a_private_hilbert_name():
 
 
 SAMPLED_SUITES = {
-    "hilbert_suite": verify.hilbert_suite,
     "jordan_sweep_report": verify.jordan_sweep_report,
     "jordan_suite": lambda *args: verify.jordan_suite(
         *args, reality=verify.FormalRealitySweep(1, [], 200.0, 0)),
@@ -312,24 +311,40 @@ def test_jordan_suite_rejects_a_reality_that_is_not_a_sweep_before_sampling(monk
     assert streams == []
 
 
-@pytest.mark.parametrize("suite", ["hilbert_suite", "jordan_suite"])
-def test_given_questions_must_hold_every_dimension(suite, monkeypatch):
-    questions = {2: verify._sampled_questions(2, 3, 0)}
-    reality = verify.FormalRealitySweep(1, [], 200.0, 0)
-    kwargs = {"reality": reality} if suite == "jordan_suite" else {}
-    streams = []
-    monkeypatch.setattr(verify, "_stream", lambda *args: streams.append(args))
-    with pytest.raises(BadDimensionError, match="dimension 2"):
-        getattr(verify, suite)((2,), 3, 0, questions={}, **kwargs)
-    assert streams == []
-    monkeypatch.undo()
-    with pytest.raises(BadDimensionError, match="dimension 3"):
-        getattr(verify, suite)((2, 3), 3, 0, questions=questions, **kwargs)
-
-
 @pytest.mark.parametrize("suite", SAMPLED_SUITES)
 def test_sampled_suites_accept_one_trial(suite):
     assert SAMPLED_SUITES[suite]((2,), 1)
+
+
+@pytest.mark.parametrize("dims, trials, seed, tol", [
+    ((2, 3, 4, 5, 6, 7, 8), 100, 42, hilbert.DEFAULT_TOL),
+    ((2, 5, 9), 37, 7, 1e-10),
+    ((3,), 1, 1, 1e-16),
+])
+def test_run_all_jordan_results_are_jordan_suites(dims, trials, seed, tol):
+    """``run_all`` shares each dimension's questions with its Jordan-product checks, which
+    read them as ``jordan_suite`` does, bit for bit."""
+    reality = verify.jordan_sweep_report(dims, max(100, trials), seed, tol)
+    alone = verify.jordan_suite(dims, trials, seed, tol, reality=reality)
+    shared = [r for r in verify.run_all(dims, trials, seed, tol) if r.name.startswith("jordan.")]
+    assert shared == alone
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (5, 2, 4)])
+def test_run_all_checks_each_dimension_before_the_next_draws(monkeypatch, dims):
+    """Each dimension's questions are drawn once, and its checks on sampled triples and
+    then its Jordan-product checks read them, before the next dimension draws its own."""
+    events = []
+    questions = verify._sampled_questions
+    monkeypatch.setattr(verify, "_sampled_questions", lambda dim, *args: (
+        events.append(("draw", dim)) or questions(dim, *args)))
+    for name in ("_triple_checks", "_product_checks"):
+        checks = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda worst, *stacks, _name=name, _checks=checks: (
+            events.append((_name, stacks[0].shape[-1])) or _checks(worst, *stacks)))
+    verify.run_all(dims, 3)
+    order = ("draw", "_triple_checks", "_product_checks")
+    assert events == [(event, dim) for dim in dims for event in order]
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +363,20 @@ def test_sampled_questions_peak_at_their_two_stacks_plus_one():
     assert traced_peak(verify._sampled_questions, 32, 512, 42) <= 3.1 * u
 
 
-def test_hilbert_suite_peaks_at_three_stacks_given_its_questions():
-    """The states are one stack and each check's temporaries a block's; 7 U at 0.17.0."""
+def test_run_all_peaks_at_five_stacks():
+    """One dimension's questions and x and y, half a stack more while y is drawn, and a
+    block's temporaries: the states are dropped before x and y are drawn."""
     u = stack_bytes(32, 512)
-    questions = {32: verify._sampled_questions(32, 512, 42)}
-    verify.hilbert_suite((32,), 2)
-    assert traced_peak(lambda: verify.hilbert_suite((32,), 512, questions=questions)) <= 3.1 * u
+    verify.run_all((32,), 2)
+    assert traced_peak(verify.run_all, (32,), 512) <= 5.1 * u
 
 
-def test_hilbert_suite_holds_one_dimension_at_a_time():
-    """The stacks of d = 32 are dropped before those of d = 31 are drawn: 6.3 U at 0.18.0,
-    against 3.8 U for d = 32 alone."""
-    verify.hilbert_suite((32,), 2)
-    alone = traced_peak(verify.hilbert_suite, (32,), 512)
-    assert traced_peak(verify.hilbert_suite, (32, 31), 512) <= 1.05 * alone
+def test_run_all_holds_one_dimension_at_a_time():
+    """The stacks of d = 32 are dropped before those of d = 31 are drawn: 1.37 times the
+    peak of d = 32 alone at 0.26.0, which drew every dimension's questions first."""
+    verify.run_all((32,), 2)
+    alone = traced_peak(verify.run_all, (32,), 512)
+    assert traced_peak(verify.run_all, (32, 31), 512) <= 1.05 * alone
 
 
 def test_jordan_suite_peaks_at_six_stacks():
