@@ -347,6 +347,26 @@ def test_run_all_checks_each_dimension_before_the_next_draws(monkeypatch, dims):
     assert events == [(event, dim) for dim in dims for event in order]
 
 
+FOLDED_DIMS = (2, 5, 3)
+
+
+@pytest.fixture(scope="module")
+def folded_runs():
+    """``run_all`` over FOLDED_DIMS and over each of them alone, by check name."""
+    def by_name(dims):
+        return {r.name: r for r in verify.run_all(dims, 20, 3)}
+    return by_name(FOLDED_DIMS), [by_name((dim,)) for dim in FOLDED_DIMS]
+
+
+@pytest.mark.parametrize("check", sorted(CONTROLS.keys() | FIXED_INPUT_CHECKS))
+def test_run_all_folds_each_check_over_its_dimensions(folded_runs, check):
+    """Each dimension's draws depend on that dimension alone, so over several dimensions a
+    check reads the worst residual of its runs at each one, and passes where all of them do."""
+    together, alone = folded_runs
+    assert together[check].residual == max(run[check].residual for run in alone)
+    assert together[check].passed == all(run[check].passed for run in alone)
+
+
 # ---------------------------------------------------------------------------
 # working memory in units of U, the bytes of one sampled (n, d, d) complex stack;
 # a tenth of U covers numpy's cast buffer, boolean masks and index lists
