@@ -17,6 +17,6 @@ Import each layer, ``from quasilogic import hilbert``; the package imports
 none, so :mod:`quasilogic.logic` loads without numpy.
 """
 
-__version__ = "0.27.0"
+__version__ = "0.28.0"
 
 __all__ = ["__version__"]

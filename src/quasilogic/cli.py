@@ -232,7 +232,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     seq_ba = hilbert.sequential_probability(rho, b, a)
     joint_op = hilbert.logical_joint(rho, a, b, "operational")
     joint_alg = hilbert.logical_joint(rho, a, b, "jordan")
-    xor = hilbert.xor_expectation(rho, a, b, "operational")
+    xor = hilbert.xor_expectation(rho, a, b)
     table = hilbert.quasi_prob_table(rho, a, b)
     wv = hilbert.weak_value(rho, a, b)
 

@@ -69,7 +69,8 @@ class BadRankError(QuasilogicError):
 
 
 class TooFewTrialsError(QuasilogicError):
-    """A sampled check was asked for fewer than one trial per dimension."""
+    """A sampled check was asked for fewer than one trial per dimension, or a sampler
+    for a negative number of members."""
 
 
 class BadSeedError(QuasilogicError):
@@ -78,18 +79,6 @@ class BadSeedError(QuasilogicError):
 
 class BadToleranceError(QuasilogicError):
     """A sampled check was given a tolerance that is not positive and finite."""
-
-
-class ZeroProbabilityBranchError(QuasilogicError):
-    """Selective update conditioned on an outcome of (numerically) zero probability."""
-
-    def __init__(self, probability: float, tol: float):
-        self.probability = probability
-        self.tol = tol
-        super().__init__(
-            f"branch probability {probability:.3e} is at or below tol {tol:.3e}; "
-            "the post-measurement state is undefined"
-        )
 
 
 class ZeroPostSelectionError(QuasilogicError):
@@ -110,8 +99,8 @@ class IncompleteBasisError(QuasilogicError):
 
 
 class IdentityCheckError(QuasilogicError, ArithmeticError):
-    """An identity a result must meet (table marginality, the mapped XOR expansion,
-    survey's xor/conjunction balance) fails beyond tolerance or is NaN."""
+    """An identity a result must meet (table marginality, survey's xor/conjunction
+    balance) fails beyond tolerance or is NaN."""
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ consistency check of the module and is enforced by the test suite rather than
 assumed.
 
 States and questions are plain complex arrays.  Every evaluation has a
-stacked kernel (``born_probabilities``, ``lueders_updates``, ``logical_joints``,
+stacked kernel (``born_probabilities``, ``nonselective_states``, ``logical_joints``,
 ``quasi_prob_tables``, ...) that takes d x d matrices or (n, d, d) stacks,
 broadcast against each other under one shape rule (``_operands``, which
 ``jordan`` shares too), and works memberwise; the single-matrix functions
@@ -25,11 +25,11 @@ one-matrix forms, which reject a stack (``_matrices``).  Every table follows
 Only the ``validate_*`` functions, ``rank_one_projectors`` and
 ``kd_distribution``'s bases check that an operand is a state, a projector or
 an orthonormal basis.  The kernels trust their operands to be states and
-projectors, and check their shapes (``_operands``) and their own results: the
-Lüders updates validate the post-measurement states they return, and the tables
-and the mapped XOR operator check their identities, which a NaN fails.  Both
-joint routes build no state and return a value for any operands of the right
-shape.
+projectors, and check their shapes (``_operands``) and their own results:
+``nonselective_states`` validates the post-measurement states it returns, and
+the tables check their marginality identities, which a NaN fails.  Both joint
+routes and the exclusive disjunction build no state and return a value for any
+operands of the right shape.
 
 Every sampler is stacked: it checks its arguments, then draws n members from
 the ``numpy.random.Generator`` it is given, which it advances; one draw is
@@ -59,9 +59,9 @@ from .errors import (
     NotIdempotentError,
     NotOrthonormalError,
     NotPositiveSemidefiniteError,
+    TooFewTrialsError,
     TraceNotOneError,
     ZeroPostSelectionError,
-    ZeroProbabilityBranchError,
 )
 from .logic import CELLS
 
@@ -83,11 +83,10 @@ __all__ = [
     "born_probability",
     "born_probabilities",
     "clamp_probability",
-    "lueders_update",
-    "lueders_updates",
     "sequential_probability",
     "sequential_probabilities",
     "nonselective_state",
+    "nonselective_states",
     "logical_joint",
     "logical_joints",
     "logical_joint_table",
@@ -111,9 +110,7 @@ MAX_DIM = 64
 _BLOCK_ENTRIES = 1 << 12
 """Matrix entries per member stack in one block of a long stack, which bounds temporaries."""
 
-UpdateMode = Literal["selective_yes", "selective_no", "nonselective"]
 JointMethod = Literal["operational", "jordan"]
-XorMethod = Literal["operational", "mapped_operator"]
 
 
 def operator_norm(matrix: np.ndarray) -> float | np.ndarray:
@@ -438,16 +435,15 @@ def rank_one_projector(vector: np.ndarray) -> np.ndarray:
 def rank_one_projectors(vectors: np.ndarray) -> np.ndarray:
     """Read-only (n, d, d) stack whose member i is ``rank_one_projector(vectors[i])``.
 
-    The vectors are checked (shape, finite entries, no zero vector, d in
-    [2, ``MAX_DIM``]); the stack built from them is a projector to rounding,
-    so it is not validated again.
+    The vectors are checked (shape, d in [2, ``MAX_DIM``] before the stack is
+    built, finite entries, no zero vector); the stack built from them is a
+    projector to rounding, so it is not validated again.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2:
         raise BadDimensionError(f"expected an (n, d) array of vectors, got shape {v.shape}")
-    p = _ray_projectors(_finite(v, "vector"))
-    _check_dim(p.shape[-1])
-    return _freeze(p)
+    _check_dim(v.shape[-1])
+    return _freeze(_ray_projectors(_finite(v, "vector")))
 
 
 def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
@@ -479,6 +475,19 @@ def _ray_projectors(vectors: np.ndarray) -> np.ndarray:
 # sampling: each sampler checks its arguments, then draws its n members from
 # one Generator, one call per stack; a single draw from a seed is member 0 of a
 # one-member stack on ``default_rng(seed)``
+
+
+def _check_sampler(dim: int, rng: np.random.Generator, n: int = 0) -> None:
+    """Reject, before any draw, a bad dimension (:func:`_check_dim`), a member count ``n``
+    that is not an int of at least 0 (:class:`TooFewTrialsError` if negative) and an ``rng``
+    that is not a ``numpy.random.Generator``; a wrong type raises a ``TypeError`` naming it."""
+    _check_dim(dim)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise TooFewTrialsError(f"n must be at least 0, got {n}")
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {rng!r}")
 
 
 def _complex_gaussians(rng: np.random.Generator, n: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -530,7 +539,9 @@ def sample_states(
     The pure members' Gaussians are drawn first, then the mixed members', each
     in member order.
     """
-    _check_dim(dim)
+    _check_sampler(dim, rng)
+    if isinstance(purities, str):
+        raise TypeError(f"purities must be a sequence of 'pure' or 'mixed', got {purities!r}")
     for purity in purities:
         if purity not in ("pure", "mixed"):
             raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
@@ -561,11 +572,13 @@ def sample_projectors(dim: int, ranks: Sequence[int], rng: np.random.Generator) 
     k = min(rank, d - rank); its projector is QQᴴ of G's reduced QR, or I - QQᴴ where
     k < rank, as the complement of a Haar-random subspace is one too.
     """
-    _check_dim(dim)
-    ranks = np.asarray(ranks, dtype=int)
-    for rank in ranks.tolist():
+    _check_sampler(dim, rng)
+    for rank in ranks:
+        if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
+            raise TypeError(f"ranks must be ints, got {rank!r}")
         if not 1 <= rank < dim:
             raise BadRankError(f"rank must satisfy 1 <= rank < dim, got rank={rank}, dim={dim}")
+    ranks = np.asarray(ranks, dtype=int)
     widths = np.minimum(ranks, dim - ranks)
     normals = rng.standard_normal(2 * dim * int(widths.sum()))
     starts = 2 * dim * (np.cumsum(widths) - widths)
@@ -586,7 +599,7 @@ def sample_hermitians(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, d, d) stack of random Hermitian matrices, distributed as (M + Mᴴ)/2 of standard
     complex Gaussians M: member i draws d² normals, its diagonal, then the real and then the
     imaginary parts of the entries above it, row by row, those scaled by √½."""
-    _check_dim(dim)
+    _check_sampler(dim, rng, n)
     normals = rng.standard_normal((n, dim * dim))
     normals[:, dim:] *= np.sqrt(0.5)
     re, im = np.split(normals[:, dim:], 2, axis=1)
@@ -601,7 +614,7 @@ def sample_hermitians(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_orthonormal_bases(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, d, d) stack of Haar-random orthonormal bases, the rows of member i its vectors."""
-    _check_dim(dim)
+    _check_sampler(dim, rng, n)
     return _in_place(_haar_unitaries, _complex_gaussians(rng, n, (dim, dim))).swapaxes(-1, -2)
 
 
@@ -615,7 +628,7 @@ def sample_commuting_triples(
     the states, and a proper 0/1 diagonal for question A, then for question B.
     The stack of question B is built in place of the unitaries.
     """
-    _check_dim(dim)
+    _check_sampler(dim, rng, n)
     u = _complex_gaussians(rng, n, (dim, dim))
     eigenvalues = rng.dirichlet(np.ones(dim), size=n)
     patterns_a = _proper_patterns(rng, n, dim)
@@ -663,55 +676,21 @@ def clamp_probability(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def lueders_update(rho: np.ndarray, p: np.ndarray, mode: UpdateMode) -> tuple[float, np.ndarray]:
-    """Measurement update of a state by a question.
-
-    ``selective_yes``/``selective_no`` condition on the answer and return
-    (branch probability, renormalised post-state); ``nonselective`` discards
-    the answer and returns (1, sum of both branches).  The post-state is a
-    read-only array, validated as a state.
-
-    Raises :class:`ZeroProbabilityBranchError` when a selective branch has
-    probability at or below ``DEFAULT_TOL``.
-    """
-    probability, post = lueders_updates(*_matrices(rho, p), mode)
-    return float(probability), post
+def nonselective_state(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Read-only state after asking a question and discarding the answer: P rho P + P̄ rho P̄."""
+    return nonselective_states(*_matrices(rho, p))
 
 
-def lueders_updates(
-    rho: np.ndarray, p: np.ndarray, mode: UpdateMode
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`lueders_update` per member of broadcast state and projector stacks.
+def nonselective_states(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """:func:`nonselective_state` per member of broadcast state and projector stacks.
 
-    Returns the branch probabilities and the read-only post-states, validated as
-    states once per stack, since raw operands need not be states and projectors
-    (an error carries the worst member's value).  A selective branch at or below
-    ``DEFAULT_TOL`` raises :class:`ZeroProbabilityBranchError` with the smallest
-    probability.
+    The read-only post-states are validated as states once per stack, since raw
+    operands need not be states and projectors (an error carries the worst
+    member's value).
     """
     rho, p = _operands(rho, p)
-    answers = _answers(p)
-    if mode == "nonselective":
-        post = p @ rho @ p + answers[0] @ rho @ answers[0]
-        probability = np.ones(post.shape[:-2])
-    else:
-        answer = {"selective_yes": 1, "selective_no": 0}.get(mode)
-        if answer is None:
-            raise ValueError(f"unknown update mode {mode!r}")
-        branch = answers[answer] @ rho @ answers[answer]
-        probability = _re_trace(branch)
-        lowest = float(probability.min(initial=np.inf))
-        if lowest <= DEFAULT_TOL:
-            raise ZeroProbabilityBranchError(lowest, DEFAULT_TOL)
-        with np.errstate(invalid="ignore"):  # a NaN operand fails the state check below
-            post = branch / probability[..., None, None]
-    return probability, _validated_densities(_hermitian_parts(post), DEFAULT_TOL)
-
-
-def nonselective_state(rho: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Read-only state after asking a question and discarding the answer."""
-    _, post = lueders_update(rho, p, "nonselective")
-    return post
+    no = _answers(p)[0]
+    return _validated_densities(_hermitian_parts(p @ rho @ p + no @ rho @ no), DEFAULT_TOL)
 
 
 def sequential_probability(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -804,47 +783,17 @@ def logical_joint_table(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
-def xor_expectation(
-    rho: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    method: XorMethod = "operational",
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Expectation of the exclusive disjunction of two questions.
-
-    ``operational`` sums the two disjoint sequential branches
-    P(A then not-B) + P(not-A then B).  ``mapped_operator`` evaluates
-    Tr(rho (A B̄ A + Ā B Ā)) after verifying that the operator expands to the
-    manifestly order-symmetric form A + B - AB - BA within ``tol``.
-    """
-    return float(xor_expectations(*_matrices(rho, a, b), method, tol))
+def xor_expectation(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Expectation of the exclusive disjunction of two questions: the sum
+    P(A then not-B) + P(not-A then B) of its two disjoint sequential branches."""
+    return float(xor_expectations(*_matrices(rho, a, b)))
 
 
-def xor_expectations(
-    rho: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    method: XorMethod = "operational",
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """:func:`xor_expectation` per member of broadcast state and projector stacks.
-
-    The ``mapped_operator`` error carries the worst member's expansion residual.
-    """
+def xor_expectations(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`xor_expectation` per member of broadcast state and projector stacks."""
     rho, a, b = _operands(rho, a, b)
-    if method == "operational":
-        return (sequential_probabilities(rho, a, _answers(b)[0])
-                + sequential_probabilities(rho, _answers(a)[0], b))
-    if method == "mapped_operator":
-        mapped = _mapped_xor(a, b)
-        residual = _gate_norm(mapped - _xor_expansion(a, b), tol)
-        if not residual <= tol:
-            raise IdentityCheckError(
-                f"mapped XOR operator deviates from its symmetric expansion by {residual:.3e}"
-            )
-        return _re_trace(rho @ mapped)
-    raise ValueError(f"unknown method {method!r}")
+    return (sequential_probabilities(rho, a, _answers(b)[0])
+            + sequential_probabilities(rho, _answers(a)[0], b))
 
 
 # ---------------------------------------------------------------------------

@@ -132,10 +132,10 @@ def xor_symmetry_residuals(a: np.ndarray, b: np.ndarray) -> tuple[float | np.nda
 
 
 def _xor_symmetry_defects(a: np.ndarray, b: np.ndarray) -> tuple:
-    """The swap and both expansion defects whose norms :func:`xor_symmetry_residuals` returns."""
-    am, bm = hilbert._operands(a, b)
-    forward, backward = hilbert._mapped_xor(am, bm), hilbert._mapped_xor(bm, am)
-    expansion = hilbert._xor_expansion(am, bm)
+    """The swap and both expansion defects whose norms :func:`xor_symmetry_residuals` returns,
+    of complex operands its caller has shaped (``_finite_operands``, or ``verify``'s sampler)."""
+    forward, backward = hilbert._mapped_xor(a, b), hilbert._mapped_xor(b, a)
+    expansion = hilbert._xor_expansion(a, b)
     return forward - backward, forward - expansion, backward - expansion
 
 

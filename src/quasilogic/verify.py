@@ -59,9 +59,9 @@ def _check_sampling(dims: tuple[int, ...], trials_per_dim: int, seed: int, tol: 
     that is not an ``int`` of at least 0 (the sweep's records echo it into JSON), and a
     ``tol`` that is not a positive and finite real number.
 
-    A ``bool`` or another type raises a ``TypeError`` that names the trial count, the
-    dimension, the seed or ``tol``; a negative seed raises :class:`BadSeedError`, and a
-    NaN, infinite or non-positive ``tol`` :class:`BadToleranceError`.
+    A ``bool``, another type or an iterator for ``dims`` raises a ``TypeError`` that names
+    the trial count, the dimension, ``dims``, the seed or ``tol``; a negative seed raises
+    :class:`BadSeedError`, and a NaN, infinite or non-positive ``tol`` :class:`BadToleranceError`.
     """
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TypeError(f"seed must be an int, got {seed!r}")
@@ -73,6 +73,8 @@ def _check_sampling(dims: tuple[int, ...], trials_per_dim: int, seed: int, tol: 
         raise TooFewTrialsError(f"trials_per_dim must be at least 1, got {trials_per_dim}")
     if not dims:
         raise BadDimensionError("dims names no dimension")
+    if iter(dims) is dims:  # every suite reads dims more than once
+        raise TypeError(f"dims must be a sequence, not a one-shot {type(dims).__name__}")
     for dim in dims:
         hilbert._check_dim(dim)
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real):

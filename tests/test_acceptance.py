@@ -56,8 +56,8 @@ def sweep():
         gaps["xor_swap"] = max(
             gaps["xor_swap"],
             abs(
-                hilbert.xor_expectation(rho, a, b, "operational")
-                - hilbert.xor_expectation(rho, b, a, "operational")
+                hilbert.xor_expectation(rho, a, b)
+                - hilbert.xor_expectation(rho, b, a)
             ),
         )
         _, expansion_ab, expansion_ba = jordan.xor_symmetry_residuals(a, b)

@@ -462,10 +462,10 @@ class TestCallCounts:
     def test_verify_builds_no_post_state(self, capsys, monkeypatch):
         """The operational joints sum sequential branches: no Lüders update, and no state
         check but the worked example's."""
-        calls = self.count_calls(monkeypatch, hilbert, ["lueders_updates", "_validated_densities"])
+        calls = self.count_calls(monkeypatch, hilbert, ["nonselective_states", "_validated_densities"])
         code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "100", "--format", "json")
         assert code == 0
-        assert calls == {"lueders_updates": 0, "_validated_densities": 1}
+        assert calls == {"nonselective_states": 0, "_validated_densities": 1}
 
     def test_verify_forms_each_table_product_once_per_block(self, capsys, monkeypatch):
         """A Jordan table forms rho∘A and rho∘Ā once per block, not once per cell; the survey
@@ -492,12 +492,12 @@ class TestCallCounts:
         monkeypatch.setattr(hilbert, "quasi_prob_tables", counting_tables)
         monkeypatch.setattr(hilbert, "_symmetrised", counting_symmetrised)
         calls = self.count_calls(monkeypatch, hilbert, [
-            "model_sequential_probabilities", "lueders_updates"])
+            "model_sequential_probabilities", "nonselective_states"])
         code, _, _ = run(capsys, "verify", "--dim", "2-8", "--trials", "100", "--format", "json")
         assert code == 0
         # 7 dimensions of sampled triples, one or two blocks each, and 4 of commuting triples
         assert count["blocks"] >= 11 and count["products"] <= 2 * count["blocks"]
-        assert calls == {"model_sequential_probabilities": 0, "lueders_updates": 0}
+        assert calls == {"model_sequential_probabilities": 0, "nonselective_states": 0}
 
     # Calls at verify's and jordan-verify's defaults (--dim 2-8, 100 and 1000 trials), where
     # each dimension is one block of the suites; 0.25.0's verify counts in brackets.
@@ -907,7 +907,7 @@ def removed_names(version: str) -> set[str]:
 
 @pytest.mark.parametrize("version, count",
                          [("0.4.0", 16), ("0.5.0", 5), ("0.7.0", 12), ("0.10.0", 36),
-                          ("0.14.0", 2), ("0.27.0", 4)])
+                          ("0.14.0", 2), ("0.27.0", 4), ("0.28.0", 5)])
 def test_removed_names_stay_absent(version, count):
     """A method named after its class is gone from that class; a name qualified by
     ``quasilogic.`` from the package, whose layer may keep it; any other name from the
@@ -927,8 +927,10 @@ def test_removed_names_stay_absent(version, count):
 RETIRED_PARAMETERS = [
     (hilbert.validate_projector, "max_dim"), (hilbert.validate_density, "max_dim"),
     (hilbert.rank_one_projector, "tol"), (hilbert.rank_one_projectors, "tol"),
-    (hilbert.lueders_update, "tol"), (hilbert.lueders_updates, "tol"),
-    (hilbert.nonselective_state, "tol"), (hilbert.weak_value, "tol"),
+    (hilbert.nonselective_state, "tol"), (hilbert.nonselective_states, "tol"),
+    (hilbert.weak_value, "tol"),
+    (hilbert.xor_expectation, "method"), (hilbert.xor_expectation, "tol"),
+    (hilbert.xor_expectations, "method"), (hilbert.xor_expectations, "tol"),
     (jordan.jordan_product, "tol"),
     (jordan.idempotency_residuals, "tol"), (jordan.formal_reality_residuals, "tol"),
     (survey.parse_counts, "label_a"), (survey.parse_counts, "label_b"),
@@ -941,8 +943,10 @@ RETIRED_PARAMETERS = [
 @pytest.mark.parametrize("function, parameter", RETIRED_PARAMETERS,
                          ids=[f"{f.__qualname__}-{p}" for f, p in RETIRED_PARAMETERS])
 def test_retired_parameters_stay_absent(function, parameter):
-    """Parameters no caller set, retired in 0.8.0 (README's "Since 0.8.0" note), and
-    ``jordan_suite``'s ``questions``, retired in 0.27.0 when ``run_all`` stopped setting it."""
+    """Parameters no caller set, retired in 0.8.0 (README's "Since 0.8.0" note),
+    ``jordan_suite``'s ``questions``, retired in 0.27.0 when ``run_all`` stopped setting it,
+    and the route and tolerance of ``xor_expectation(s)``, retired in 0.28.0 with the
+    mapped-operator route."""
     assert parameter not in inspect.signature(function).parameters
 
 

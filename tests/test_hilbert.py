@@ -32,8 +32,8 @@ from quasilogic.errors import (
     NotPositiveSemidefiniteError,
     TraceNotOneError,
     QuasilogicError,
+    TooFewTrialsError,
     ZeroPostSelectionError,
-    ZeroProbabilityBranchError,
 )
 
 ATOL = 1e-12
@@ -201,6 +201,14 @@ class TestValidation:
         with pytest.raises(BadRankError, match="zero vector"):
             hilbert.rank_one_projector(np.array(vectors[-1]))
 
+    def test_dimension_is_checked_before_the_stack_is_built(self):
+        """A 1024-entry vector raises before its 16 MB (1, d, d) projector is formed."""
+        def rejected():
+            with pytest.raises(BadDimensionError, match="dimension 1024 outside"):
+                hilbert.rank_one_projector(np.ones(1024))
+
+        assert traced_peak(rejected) < 2**20
+
     def test_matrices_are_read_only(self):
         p = proj(1, 0)
         with pytest.raises(ValueError):
@@ -278,33 +286,17 @@ class TestBornProbability:
 
 
 class TestLuedersUpdate:
-    def test_eigenstate_unchanged(self):
-        prob, post = hilbert.lueders_update(state(1, 0), proj(1, 0), "selective_yes")
-        assert prob == pytest.approx(1.0)
-        assert_allclose(post, np.diag([1.0, 0.0]), atol=ATOL)
-
-    def test_zero_branch_raises(self):
-        with pytest.raises(ZeroProbabilityBranchError):
-            hilbert.lueders_update(state(1, 0), proj(0, 1), "selective_yes")
-
-    def test_selective_no_is_complement_branch(self):
-        prob, post = hilbert.lueders_update(state(0.25, 0.75), proj(1, 0), "selective_no")
-        assert prob == pytest.approx(0.75)
-        assert_allclose(post, np.diag([0.0, 1.0]), atol=ATOL)
-
     def test_nonselective_decoheres_plus_state(self):
         plus = hilbert.rank_one_projector(np.array([1.0, 1.0]))
         rho = hilbert.validate_density(plus)
-        prob, post = hilbert.lueders_update(rho, proj(1, 0), "nonselective")
-        assert prob == 1.0
+        post = hilbert.nonselective_state(rho, proj(1, 0))
         assert_allclose(post, np.diag([0.5, 0.5]), atol=ATOL)
 
     def test_post_state_valid_for_random_inputs(self):
         rho = seeded_state(5, "mixed", 8)
         p = seeded_projector(5, 2, 9)
-        for mode in ("selective_yes", "selective_no", "nonselective"):
-            _, post = hilbert.lueders_update(rho, p, mode)
-            assert abs(post.trace().real - 1.0) < 1e-10
+        post = hilbert.nonselective_state(rho, p)
+        assert abs(post.trace().real - 1.0) < 1e-10
 
 
 class TestSequentialProbability:
@@ -326,7 +318,7 @@ class TestSequentialProbability:
 
     def test_factorises_through_selective_update(self, tilted_example):
         rho, a, b = tilted_example
-        prob, post = hilbert.lueders_update(rho, a, "selective_yes")
+        prob, post = reference_lueders(rho, a, "selective_yes")
         assert hilbert.sequential_probability(rho, a, b) == pytest.approx(
             prob * hilbert.born_probability(post, b), abs=ATOL
         )
@@ -386,22 +378,16 @@ class TestXorExpectation:
     def test_tilted_example(self, tilted_example):
         rho, a, b = tilted_example
         expected = 0.1 + 0.2 - 2 * (-0.1)
-        for method in ("operational", "mapped_operator"):
-            assert hilbert.xor_expectation(rho, a, b, method) == pytest.approx(
-                expected, abs=ATOL
-            )
+        assert hilbert.xor_expectation(rho, a, b) == pytest.approx(expected, abs=ATOL)
 
     def test_methods_agree_and_are_order_symmetric(self):
+        """The branch sum equals Tr(rho (A B̄ A + Ā B Ā)), the mapped operator's expectation."""
         rho = seeded_state(6, "mixed", 34)
         a = seeded_projector(6, 2, 35)
         b = seeded_projector(6, 4, 36)
-        forward = hilbert.xor_expectation(rho, a, b, "operational")
-        assert forward == pytest.approx(
-            hilbert.xor_expectation(rho, a, b, "mapped_operator"), abs=1e-10
-        )
-        assert forward == pytest.approx(
-            hilbert.xor_expectation(rho, b, a, "operational"), abs=1e-10
-        )
+        forward = hilbert.xor_expectation(rho, a, b)
+        assert forward == pytest.approx(reference_xor(rho, a, b, "mapped_operator"), abs=1e-10)
+        assert forward == pytest.approx(hilbert.xor_expectation(rho, b, a), abs=1e-10)
 
 
 class TestQuasiProbTable:
@@ -802,6 +788,54 @@ def test_samplers_reject_a_dimension_before_drawing(sample, dim, error):
     assert rng.bit_generator.state == state
 
 
+COUNTED_SAMPLERS = {
+    "hermitians": hilbert.sample_hermitians,
+    "orthonormal_bases": hilbert.sample_orthonormal_bases,
+    "commuting_triples": hilbert.sample_commuting_triples,
+}
+
+
+@pytest.mark.parametrize("n, error", [
+    (-1, TooFewTrialsError), (True, TypeError), (2.0, TypeError), ("2", TypeError), (None, TypeError),
+], ids=["-1", "True", "2.0", "'2'", "None"])
+@pytest.mark.parametrize("sample", COUNTED_SAMPLERS.values(), ids=COUNTED_SAMPLERS.keys())
+def test_samplers_reject_a_member_count_before_drawing(sample, n, error):
+    """A count is an int of at least 0: a negative one is too few, and numpy's ``ValueError``
+    or a silent conversion never decides it; 0 gives an empty stack."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match="^n must be"):
+        sample(2, n, rng)
+    assert rng.bit_generator.state == state
+    result = sample(2, 0, rng)
+    assert all(m.shape == (0, 2, 2) for m in (result if isinstance(result, tuple) else (result,)))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda rng: hilbert.sample_projectors(3, [1.5], rng), "ranks must be ints, got 1.5"),
+    (lambda rng: hilbert.sample_projectors(3, [True], rng), "ranks must be ints, got True"),
+    (lambda rng: hilbert.sample_projectors(3, np.array([1.0]), rng), "ranks must be ints"),
+    (lambda rng: hilbert.sample_projectors(3, ["1"], rng), "ranks must be ints"),
+    (lambda rng: hilbert.sample_states(2, "pure", rng), "purities must be a sequence"),
+], ids=["rank 1.5", "rank True", "float array", "rank '1'", "purities 'pure'"])
+def test_samplers_reject_ranks_and_purities_before_drawing(call, match):
+    """A rank is an integer, not a float or a bool that would be read as rank 1, and the
+    purities are a sequence, not a string read letter by letter."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError, match=match):
+        call(rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("rng", [None, 42, np.random.RandomState(0), np.random.PCG64(0)],
+                         ids=["None", "42", "RandomState", "PCG64"])
+@pytest.mark.parametrize("sample", SAMPLERS.values(), ids=SAMPLERS.keys())
+def test_samplers_take_only_a_generator(sample, rng):
+    with pytest.raises(TypeError, match="rng must be a numpy.random.Generator"):
+        sample(2, rng)
+
+
 @given(stack_dims, st.integers(min_value=0, max_value=9), stack_seeds)
 @settings(max_examples=25, deadline=None)
 def test_samplers_draw_only_the_parameters_they_use(dim, n, seed):
@@ -994,20 +1028,15 @@ block_members = st.integers(min_value=1, max_value=5)
 class TestStackedKernels:
     @given(stack_dims, stack_trials, stack_seeds, block_members)
     @settings(max_examples=25, deadline=None)
-    def test_lueders_updates_equal_per_triple(self, dim, trials, seed, members):
+    def test_nonselective_states_equal_per_triple(self, dim, trials, seed, members):
         rho, a, _ = sampled_stack(dim, trials, seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hilbert, "_BLOCK_ENTRIES", members * dim * dim)
-            for mode in ("nonselective", "selective_yes", "selective_no"):
-                probabilities, posts = hilbert.lueders_updates(rho, a, mode)
-                assert posts.shape == rho.shape and not posts.flags.writeable
-                for r, p, probability, post in zip(rho, a, probabilities, posts):
-                    ref_probability, ref_post = reference_lueders(r, p, mode)
-                    assert probability == ref_probability
-                    assert np.array_equal(post, ref_post)
-                    scalar = hilbert.lueders_update(r, p, mode)
-                    assert scalar[0] == probability
-                    assert np.array_equal(scalar[1], post)
+            posts = hilbert.nonselective_states(rho, a)
+            assert posts.shape == rho.shape and not posts.flags.writeable
+            for r, p, post in zip(rho, a, posts):
+                assert np.array_equal(post, reference_lueders(r, p, "nonselective")[1])
+                assert np.array_equal(hilbert.nonselective_state(r, p), post)
 
     @given(stack_dims, stack_trials, stack_seeds, block_members)
     @settings(max_examples=25, deadline=None)
@@ -1031,10 +1060,10 @@ class TestStackedKernels:
             # one projector against a stack
             joints = hilbert.logical_joints(rho[0], a[0], b, "jordan")
             assert joints.tolist() == [reference_joint(rho[0], a[0], q, "jordan") for q in b]
-            for method in ("operational", "mapped_operator"):
-                xors = hilbert.xor_expectations(rho, a, b, method)
-                for i, (r, p, q) in enumerate(zip(rho, a, b)):
-                    assert xors[i] == reference_xor(r, p, q, method)
+            xors = hilbert.xor_expectations(rho, a, b)
+            for i, (r, p, q) in enumerate(zip(rho, a, b)):
+                assert xors[i] == reference_xor(r, p, q, "operational")
+                assert hilbert.xor_expectation(r, p, q) == xors[i]
             sequential = hilbert.sequential_probabilities(rho, a, b)
             born = hilbert.born_probabilities(rho, b)
             for i, (r, p, q) in enumerate(zip(rho, a, b)):
@@ -1097,7 +1126,7 @@ class TestStackedKernels:
         p = proj(1, 0)
         monkeypatch.setattr(hilbert, "_BLOCK_ENTRIES", 4)  # one member per block
         with pytest.raises(NotPositiveSemidefiniteError) as exc:
-            hilbert.lueders_updates(rho, p, "nonselective")
+            hilbert.nonselective_states(rho, p)
         assert exc.value.min_eigenvalue == pytest.approx(-0.3, abs=1e-15)
 
     @pytest.mark.parametrize("validator", ["_validated_projectors", "_validated_densities"])
@@ -1110,13 +1139,6 @@ class TestStackedKernels:
         with pytest.raises(NotHermitianError) as exc:
             getattr(hilbert, validator)(stack, hilbert.DEFAULT_TOL)
         assert exc.value.residual == worst
-
-    def test_zero_branch_in_stack_reports_smallest_probability(self):
-        rho = np.array([np.diag([0.5, 0.5]), np.diag([1.0, 0.0]), np.diag([0.9, 0.1])],
-                       dtype=complex)
-        with pytest.raises(ZeroProbabilityBranchError) as exc:
-            hilbert.lueders_updates(rho, proj(0, 1), "selective_yes")
-        assert exc.value.probability == 0.0
 
     def test_mismatched_stacks_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -1328,12 +1350,10 @@ class TestNormGate:
         skewed = np.diag([0.25] * 4) + 0.5j * c * np.diag([1.0, -1.0, 1.0, -1.0])
         stretched = np.diag([1.0 + delta, 1.0 + delta, 0.0, 0.0])
         basis = np.sqrt(1.0 + c) * np.eye(4, dtype=complex)
-        a, b = np.diag([1.0 + delta, 0.0, 1.0 + delta, 0.0]), np.diag([1.0, 0.0, 1.0, 0.0])
         return {
             "hermitian": (skewed, skewed - skewed.conj().T),
             "idempotent": (stretched, stretched @ stretched - stretched),
             "orthonormal": (basis, basis.conj() @ basis.T - np.eye(4)),
-            "xor": ((a, b), hilbert._mapped_xor(a, b) - hilbert._xor_expansion(a, b)),
         }
 
     def check(self, site, operand):
@@ -1342,12 +1362,10 @@ class TestNormGate:
             return hilbert.validate_density(operand, tol)
         if site == "idempotent":
             return hilbert.validate_projector(operand, tol)
-        if site == "orthonormal":
-            return hilbert.kd_distribution(hilbert.validate_density(np.eye(4) / 4),
-                                           operand, operand, tol)
-        return hilbert.xor_expectations(np.eye(4) / 4, *operand, "mapped_operator", tol)
+        return hilbert.kd_distribution(hilbert.validate_density(np.eye(4) / 4),
+                                       operand, operand, tol)
 
-    @pytest.mark.parametrize("site", ["hermitian", "idempotent", "orthonormal", "xor"])
+    @pytest.mark.parametrize("site", ["hermitian", "idempotent", "orthonormal"])
     def test_spectral_within_tol_passes_beyond_frobenius(self, site):
         operand, residual = self.residuals(0.9)[site]
         assert hilbert.operator_norm(residual) <= hilbert.DEFAULT_TOL
@@ -1356,7 +1374,7 @@ class TestNormGate:
 
     @pytest.mark.parametrize("site, error", [
         ("hermitian", NotHermitianError), ("idempotent", NotIdempotentError),
-        ("orthonormal", NotOrthonormalError), ("xor", ArithmeticError),
+        ("orthonormal", NotOrthonormalError),
     ])
     def test_spectral_just_beyond_tol_raises_its_value(self, site, error):
         operand, residual = self.residuals(1 + 1e-4)[site]
@@ -1364,11 +1382,7 @@ class TestNormGate:
         assert spectral > hilbert.DEFAULT_TOL
         with pytest.raises(error) as exc:
             self.check(site, operand)
-        if site == "xor":
-            assert str(exc.value) == (
-                f"mapped XOR operator deviates from its symmetric expansion by {spectral:.3e}")
-        else:
-            assert exc.value.residual == spectral
+        assert exc.value.residual == spectral
 
     def test_messages_unchanged(self):
         with pytest.raises(NotHermitianError) as exc:
@@ -1518,7 +1532,7 @@ class TestWorstNorm:
 # ---------------------------------------------------------------------------
 # the library boundary: every public hilbert and jordan name on every operand class
 
-SAMPLER = "a sampler: takes a dimension, member counts or kinds, and a Generator"
+SAMPLER = "a sampler: takes a dimension, member counts or kinds, and a Generator, checked above"
 # each public name (with its route, where it has two): its call on operands (rho, a, b),
 # or why it takes no matrix operand; a kernel with one question takes b, the misfit below
 BOUNDARY = {
@@ -1539,22 +1553,17 @@ BOUNDARY = {
     "hilbert.born_probability": lambda rho, a, b: hilbert.born_probability(rho, a),
     "hilbert.born_probabilities": lambda rho, a, b: hilbert.born_probabilities(rho, b),
     "hilbert.clamp_probability": "takes one probability, a float",
-    "hilbert.lueders_update": lambda rho, a, b: hilbert.lueders_update(rho, a, "nonselective"),
-    "hilbert.lueders_updates": lambda rho, a, b: hilbert.lueders_updates(rho, b, "selective_yes"),
     "hilbert.sequential_probability": hilbert.sequential_probability,
     "hilbert.sequential_probabilities": hilbert.sequential_probabilities,
     "hilbert.nonselective_state": lambda rho, a, b: hilbert.nonselective_state(rho, a),
+    "hilbert.nonselective_states": lambda rho, a, b: hilbert.nonselective_states(rho, b),
     "hilbert.logical_joint": hilbert.logical_joint,
     "hilbert.logical_joints operational":
         lambda rho, a, b: hilbert.logical_joints(rho, a, b, "operational"),
     "hilbert.logical_joints jordan": lambda rho, a, b: hilbert.logical_joints(rho, a, b, "jordan"),
     "hilbert.logical_joint_table": hilbert.logical_joint_table,
-    "hilbert.xor_expectation": lambda rho, a, b: hilbert.xor_expectation(
-        rho, a, b, "mapped_operator"),
-    "hilbert.xor_expectations operational":
-        lambda rho, a, b: hilbert.xor_expectations(rho, a, b, "operational"),
-    "hilbert.xor_expectations mapped_operator":
-        lambda rho, a, b: hilbert.xor_expectations(rho, a, b, "mapped_operator"),
+    "hilbert.xor_expectation": hilbert.xor_expectation,
+    "hilbert.xor_expectations": hilbert.xor_expectations,
     "hilbert.quasi_prob_table": lambda rho, a, b: hilbert.quasi_prob_table(rho, a, b, "jordan"),
     "hilbert.quasi_prob_tables operational":
         lambda rho, a, b: hilbert.quasi_prob_tables(rho, a, b, "operational"),
@@ -1576,7 +1585,7 @@ BOUNDARY = {
 }
 
 STACKED_KERNELS = [name for name in BOUNDARY if name.partition(" ")[0] in (
-    "hilbert.born_probabilities", "hilbert.lueders_updates", "hilbert.sequential_probabilities",
+    "hilbert.born_probabilities", "hilbert.nonselective_states", "hilbert.sequential_probabilities",
     "hilbert.logical_joints", "hilbert.xor_expectations", "hilbert.quasi_prob_tables",
     "hilbert.min_cells_over_states", "jordan.jordan_product", "jordan.formal_reality_residuals",
     "jordan.xor_symmetry_residuals")]
@@ -1584,10 +1593,9 @@ STACKED_KERNELS = [name for name in BOUNDARY if name.partition(" ")[0] in (
 
 
 IDENTITY_CHECKS = ["hilbert.quasi_prob_table", "hilbert.quasi_prob_tables operational",
-                   "hilbert.quasi_prob_tables jordan", "hilbert.xor_expectation",
-                   "hilbert.xor_expectations mapped_operator"]
-"""The rows whose result must meet an identity (table marginality, the mapped XOR
-expansion), which a NaN operand fails."""
+                   "hilbert.quasi_prob_tables jordan"]
+"""The rows whose result must meet an identity (table marginality), which a NaN operand
+fails."""
 
 
 NON_NUMERIC = {"non-numeric string": "x", "non-numeric ragged list": [[1, 2], [3]],

@@ -316,6 +316,26 @@ def test_sampled_suites_accept_one_trial(suite):
     assert SAMPLED_SUITES[suite]((2,), 1)
 
 
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+@pytest.mark.parametrize("one_shot", [iter, lambda dims: (d for d in dims), lambda dims: map(int, dims)],
+                         ids=["iter", "generator", "map"])
+def test_sampled_suites_reject_one_shot_dims_before_sampling(monkeypatch, suite, one_shot):
+    """The argument check would spend a one-shot iterator, leaving the sweep empty (and
+    ``jordan.formal_reality`` passed) or the suite a bare ``TypeError`` after its draws."""
+    streams = []
+    monkeypatch.setattr(verify, "_stream", lambda *args: streams.append(args))
+    with pytest.raises(TypeError, match="dims must be a sequence, not a one-shot"):
+        SAMPLED_SUITES[suite](one_shot((2, 3)), 5)
+    assert streams == []
+
+
+def test_sequence_dims_keep_their_detail_text():
+    details = {r.name: r.detail for r in verify.run_all((2, 3), 5)}
+    assert details["hilbert.joint_equals_re_trace"] == "10 triples over dims (2, 3)"
+    assert details["jordan.product_commutativity"] == "10 samples over dims (2, 3)"
+    assert verify.jordan_sweep_report([2, 3], 5) == verify.jordan_sweep_report((2, 3), 5)
+
+
 @pytest.mark.parametrize("dims, trials, seed, tol", [
     ((2, 3, 4, 5, 6, 7, 8), 100, 42, hilbert.DEFAULT_TOL),
     ((2, 5, 9), 37, 7, 1e-10),
