@@ -14,9 +14,10 @@ Four layers, usable independently:
   and bootstrap intervals.
 
 Import each layer, ``from quasilogic import hilbert``; the package imports
-none, so :mod:`quasilogic.logic` loads without numpy.
+none, so :mod:`quasilogic.logic` loads without numpy.  Nor does
+:mod:`quasilogic.cli` until a subcommand computes.
 """
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 __all__ = ["__version__"]

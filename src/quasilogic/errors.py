@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the dimension limit one of them names.
 
 Validation never repairs its input: a matrix that misses an invariant, or a
 survey file that misses the schema, is rejected with the violated quantity
@@ -60,8 +60,12 @@ class TraceNotOneError(QuasilogicError):
         super().__init__(f"trace {trace} differs from 1 beyond tol {tol:.3e}")
 
 
+MAX_DIM = 64
+"""Largest supported dimension, ``hilbert.MAX_DIM``; kept here so the CLI reads it without numpy."""
+
+
 class BadDimensionError(QuasilogicError):
-    """Matrix is not square, or its dimension is outside the supported range."""
+    """Matrix is not square, or its dimension is outside [2, :data:`MAX_DIM`]."""
 
 
 class BadRankError(QuasilogicError):
@@ -79,6 +83,10 @@ class BadSeedError(QuasilogicError):
 
 class BadToleranceError(QuasilogicError):
     """A sampled check was given a tolerance that is not positive and finite."""
+
+
+class UnknownOptionError(QuasilogicError, ValueError):
+    """A sampler purity, or a joint or table method, that the Hilbert layer does not define."""
 
 
 class ZeroPostSelectionError(QuasilogicError):

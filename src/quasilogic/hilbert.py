@@ -49,6 +49,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import (
+    MAX_DIM,
     BadDimensionError,
     BadRankError,
     DimensionMismatchError,
@@ -61,6 +62,7 @@ from .errors import (
     NotPositiveSemidefiniteError,
     TooFewTrialsError,
     TraceNotOneError,
+    UnknownOptionError,
     ZeroPostSelectionError,
 )
 from .logic import CELLS
@@ -105,7 +107,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-MAX_DIM = 64
 
 _BLOCK_ENTRIES = 1 << 12
 """Matrix entries per member stack in one block of a long stack, which bounds temporaries."""
@@ -544,7 +545,7 @@ def sample_states(
         raise TypeError(f"purities must be a sequence of 'pure' or 'mixed', got {purities!r}")
     for purity in purities:
         if purity not in ("pure", "mixed"):
-            raise ValueError(f"purity must be 'pure' or 'mixed', got {purity!r}")
+            raise UnknownOptionError(f"purity must be 'pure' or 'mixed', got {purity!r}")
     pure = [i for i, purity in enumerate(purities) if purity == "pure"]
     mixed = [i for i, purity in enumerate(purities) if purity == "mixed"]
     vectors = _complex_gaussians(rng, len(pure), (dim,))
@@ -747,7 +748,7 @@ def logical_joints(
     """
     rho, a, b = _operands(rho, a, b)
     if method not in ("operational", "jordan"):
-        raise ValueError(f"unknown method {method!r}")
+        raise UnknownOptionError(f"unknown method {method!r}")
 
     def joints(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if method == "jordan":
@@ -859,7 +860,7 @@ def quasi_prob_tables(
             products = {i: _symmetrised(rho, firsts[i]) for i in (0, 1)}
             return np.stack([_re_trace_product(products[i], seconds[j]) for i, j in CELLS], -1)
         if method != "operational":
-            raise ValueError(f"unknown method {method!r}")
+            raise UnknownOptionError(f"unknown method {method!r}")
         branches = {(i, j): sequential_probabilities(rho, firsts[i], seconds[j]) for i, j in CELLS}
         born = {j: born_probabilities(rho, seconds[j]) for j in (0, 1)}
         return np.stack([_operational_joint(branches[i, j], branches[1 - i, j], born[j])

@@ -27,14 +27,13 @@ import csv
 import io
 import json
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
-
-import numpy as np
 
 from .errors import (
     BadConfidenceError,
@@ -91,7 +90,8 @@ class SequentialCountTable:
     ``counts_ba[(first, second)]``: respondents who answered ``first`` to
     question B (asked first) and then ``second`` to question A.
     The two groups may have different sizes; every estimate divides by its own
-    group total, which may not exceed :data:`MAX_GROUP_TOTAL`.
+    group total, which may not exceed :data:`MAX_GROUP_TOTAL`.  A count may be any
+    integral number but a ``bool``; it is kept as a Python ``int``.
     """
 
     counts_ab: Mapping[Cell, int]
@@ -104,7 +104,7 @@ class SequentialCountTable:
             if set(counts) != set(CELLS):
                 raise MissingCellError(f"{name}: expected exactly cells {CELLS}")
             for cell, value in counts.items():
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                     raise SchemaError(f"{name}{cell}: count {value!r} is not an integer")
                 if value < 0:
                     raise NegativeCountError(f"{name}{cell}: count {value} is negative")
@@ -116,8 +116,8 @@ class SequentialCountTable:
                     f"{name}: group total {_shown(str(total), quote=False)} exceeds the limit"
                     f" {MAX_GROUP_TOTAL} (10**8)"
                 )
-        object.__setattr__(self, "counts_ab", dict(self.counts_ab))
-        object.__setattr__(self, "counts_ba", dict(self.counts_ba))
+        object.__setattr__(self, "counts_ab", {cell: int(n) for cell, n in self.counts_ab.items()})
+        object.__setattr__(self, "counts_ba", {cell: int(n) for cell, n in self.counts_ba.items()})
 
     @property
     def n_ab(self) -> int:
@@ -329,6 +329,7 @@ def _chi2_df3_sf(x: float) -> float:
 
 def _relabeled_rows(table: SequentialCountTable) -> np.ndarray:
     """2x4 observed counts with both orders relabeled to common (a, b) cells."""
+    import numpy as np
     row_ab = [table.counts_ab[(a, b)] for a, b in CELLS]
     row_ba = [table.counts_ba[(b, a)] for a, b in CELLS]
     return np.array([row_ab, row_ba], dtype=float)
@@ -391,6 +392,7 @@ of a resampled order-difference table sums to zero, so the order differences at 
 
 def _frequency_grid(fft_size: int) -> tuple[np.ndarray, np.ndarray]:
     """ω = 2πj / fft_size at each rfft bin j, with sin²(ω/2)."""
+    import numpy as np
     omega = 2 * np.pi / fft_size * np.arange(fft_size // 2 + 1)
     return omega, np.sin(omega / 2) ** 2
 
@@ -407,6 +409,7 @@ def _sum_pmf(k_minus: int, k_zero: int, k_plus: int, grids: dict) -> tuple[int, 
     others stay exact zeros of the spectrum.  ``grids`` holds the table's
     :func:`_frequency_grid` per FFT size.
     """
+    import numpy as np
     n = k_minus + k_zero + k_plus
     if max(k_minus, k_zero, k_plus) == n:
         return 1, k_plus - k_minus, np.ones(1)
@@ -456,6 +459,7 @@ def _fine_lattice(u_f: int, u_c: int, fine_pmfs: list[np.ndarray]) -> tuple:
     sort), and ``pieces`` holds, per pmf in ``fine_pmfs``, its ceil-rebinned pmf and its
     atoms in that order.
     """
+    import numpy as np
     j_f = np.arange(fine_pmfs[0].size)
     k = -(-j_f * u_f // u_c)
     offset = k * u_c - j_f * u_f
@@ -477,6 +481,7 @@ def _inverse_cdf(p_c: np.ndarray, fine: tuple, lattice: tuple, levels) -> list[i
     with K = k[-1] zeros on each side, so an atom whose partner lies outside it adds an
     exact +0.0, and the sum at every real partner is the sum over partners alone.
     """
+    import numpy as np
     binned, p_sorted = fine
     u_c, k_sorted, offsets = lattice
     reach = binned.size - 1
@@ -804,6 +809,7 @@ def _render_svg(report: ReconstructionReport) -> str:
 
 
 def _axis_ticks(lo: float, hi: float) -> list[float]:
+    import numpy as np
     raw_step = (hi - lo) / 6
     step = 10 ** np.floor(np.log10(raw_step))
     for mult in (1, 2, 5, 10):

@@ -660,6 +660,65 @@ def test_logic_layer_loads_no_numpy():
     assert len(lines) > 2 and (lines[0], lines[-1]) == ("False", "False")
 
 
+# Runs each argv of the JSON list argv[1] through main in this interpreter and prints, as
+# JSON, the numpy and quasilogic modules loaded by the import and then after each run, with
+# each run's exit code and stderr lines.
+LOADS_PROBE = """
+import contextlib, io, json, sys
+import quasilogic.cli
+loaded = lambda: sorted(m for m in sys.modules if m == "numpy" or m.startswith("quasilogic."))
+report = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = quasilogic.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([code, err.getvalue().splitlines(), loaded()])
+print(json.dumps(report))
+"""
+
+
+def loads(*argvs: list[str]) -> list:
+    """LOADS_PROBE's report on ``argvs``, run in order in one fresh interpreter."""
+    return json.loads(fresh_python(LOADS_PROBE, json.dumps(argvs))[0])
+
+
+def test_commands_that_compute_nothing_load_no_numpy(tmp_path, data_dir):
+    """Importing the CLI loads no layer; truth-table loads the logic layer alone; and
+    --version, a usage error and a survey file that cannot be read or parsed exit before
+    numpy loads, each input error with one line."""
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"# label_a = caf\xe9\n" + (data_dir / "synthetic_n100.csv").read_bytes())
+    schema = tmp_path / "schema.csv"
+    schema.write_text("order,first,second\nAB,0,0\n")
+    report = loads(["truth-table"], ["truth-table", "--format", "json"],
+                   ["truth-table", "--format", "csv"], ["--version"], ["verify", "--dim", "1"],
+                   ["survey", str(tmp_path / "missing.csv")], ["survey", str(latin1)],
+                   ["survey", str(schema)])
+    assert report[0] == ["quasilogic.cli", "quasilogic.errors"]
+    runs = report[1:]
+    assert [code for code, _, _ in runs] == [0, 0, 0, 0, 2, 2, 2, 2]
+    assert runs[0][2] == ["quasilogic.cli", "quasilogic.errors", "quasilogic.logic"]
+    assert runs[-1][2] == ["quasilogic.cli", "quasilogic.errors", "quasilogic.logic",
+                           "quasilogic.survey"]
+    assert not any("numpy" in modules for _, _, modules in runs)
+    for _, err, _ in runs[-3:]:
+        assert len(err) == 1 and err[0].startswith("error: ")
+    assert "input file not found" in runs[-3][1][0]
+    assert "not UTF-8" in runs[-2][1][0] and "expected header" in runs[-1][1][0]
+
+
+def test_a_command_that_computes_loads_every_layer():
+    """kd uses hilbert alone, but loads numpy and all five layers: perfbench/tracing.py reads
+    each layer from sys.modules after its warm-up batch, whatever the workload."""
+    (code, _, modules), = loads(["kd", "--dim", "2"])[1:]
+    assert code == 0
+    assert modules == ["numpy"] + [f"quasilogic.{name}" for name in
+                                   ("cli", "errors", "hilbert", "jordan", "logic", "survey", "verify")]
+
+
 class TestArgumentHandling:
     def test_bad_dim_spec(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -33,6 +33,7 @@ from quasilogic.errors import (
     TraceNotOneError,
     QuasilogicError,
     TooFewTrialsError,
+    UnknownOptionError,
     ZeroPostSelectionError,
 )
 
@@ -750,8 +751,11 @@ class TestStackedSampling:
             hilbert.sample_projectors(3, [1, 3], np.random.default_rng(0))
 
     def test_bad_purity_in_stack_rejected(self):
-        with pytest.raises(ValueError):
-            hilbert.sample_states(3, ["pure", "thermal"], np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(UnknownOptionError, match="purity must be 'pure' or 'mixed', got 'thermal'"):
+            hilbert.sample_states(3, ["pure", "thermal"], rng)
+        assert rng.bit_generator.state == state
 
     @given(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 64]), st.integers(1, 4), stack_seeds)
     @settings(max_examples=40, deadline=None)
@@ -1095,8 +1099,11 @@ class TestStackedKernels:
             assert np.abs(cells[:, k] - joints).max() <= 1e-14
 
     def test_tables_reject_an_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method 'kd'"):
-            hilbert.quasi_prob_tables(*hilbert.worked_example(), "kd")
+        """A package error that is also a ``ValueError``, for callers that catch that."""
+        for kernel in (hilbert.logical_joints, hilbert.quasi_prob_tables):
+            with pytest.raises(UnknownOptionError, match="unknown method 'kd'") as caught:
+                kernel(*hilbert.worked_example(), "kd")
+            assert isinstance(caught.value, ValueError)
 
     @given(st.integers(min_value=2, max_value=5), stack_seeds)
     @settings(max_examples=25, deadline=None)
@@ -1561,6 +1568,8 @@ BOUNDARY = {
     "hilbert.logical_joints operational":
         lambda rho, a, b: hilbert.logical_joints(rho, a, b, "operational"),
     "hilbert.logical_joints jordan": lambda rho, a, b: hilbert.logical_joints(rho, a, b, "jordan"),
+    "hilbert.logical_joints unknown method":
+        lambda rho, a, b: hilbert.logical_joints(rho, a, b, "kd"),
     "hilbert.logical_joint_table": hilbert.logical_joint_table,
     "hilbert.xor_expectation": hilbert.xor_expectation,
     "hilbert.xor_expectations": hilbert.xor_expectations,
@@ -1569,6 +1578,8 @@ BOUNDARY = {
         lambda rho, a, b: hilbert.quasi_prob_tables(rho, a, b, "operational"),
     "hilbert.quasi_prob_tables jordan":
         lambda rho, a, b: hilbert.quasi_prob_tables(rho, a, b, "jordan"),
+    "hilbert.quasi_prob_tables unknown method":
+        lambda rho, a, b: hilbert.quasi_prob_tables(rho, a, b, "kd"),
     "hilbert.table_marginality_residuals": "takes table cells and marginals, not matrices",
     "hilbert.kd_distribution": lambda rho, a, b: hilbert.kd_distribution(
         rho, np.eye(2), [[1.0, 1.0], [1.0, -1.0]] / np.sqrt(2)),

@@ -190,6 +190,26 @@ class TestParsing:
         with pytest.raises(SchemaError, match=r"counts_ba\(1, 1\): count False is not an integer"):
             make_table((1, 1, 1, 1), (1, 1, 1, False))
 
+    @pytest.mark.parametrize("kind", [int, np.int64, np.uint8], ids=["int", "int64", "uint8"])
+    def test_integral_counts_are_counts(self, kind):
+        """A count is any ``numbers.Integral`` but a ``bool``, and numpy registers its integer
+        types there.  Counts are kept as Python ints, so uint8 counts whose group total
+        passes 255 do not wrap."""
+        ab, ba = (200, 100, 15, 35), (35, 20, 5, 40)
+        table, reference = make_table([kind(n) for n in ab], [kind(n) for n in ba]), make_table(ab, ba)
+        assert table == reference and (table.n_ab, table.n_ba) == (350, 100)
+        assert {type(n) for n in [*table.counts_ab.values(), *table.counts_ba.values()]} == {int}
+        assert (survey.classicality_report(table).to_json()
+                == survey.classicality_report(reference).to_json())
+
+    @pytest.mark.parametrize("count", [2.0, np.float64(2.0), F(2), "2"],
+                             ids=["2.0", "float64", "Fraction", "'2'"])
+    def test_non_integral_counts_are_not_counts(self, count):
+        """Rejected with the message a ``bool`` gets (test_bool_counts_are_not_integers)."""
+        with pytest.raises(SchemaError) as caught:
+            make_table((count, 1, 1, 1), (1, 1, 1, 1))
+        assert str(caught.value) == f"counts_ab(0, 0): count {count!r} is not an integer"
+
     def test_count_past_the_digit_limit_names_the_limit(self, synthetic):
         for digits in (400, 5000):
             text = synthetic.to_csv().replace("AB,1,1,40", "AB,1,1," + "7" * digits)
