@@ -992,19 +992,22 @@ def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     it below by -1/8, reached by rank-one questions with overlap |<a|b>| = 1/2.
     A product with a NaN or infinite entry has no eigenvalues, and its cell is NaN.
     """
-    def lowest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        firsts, seconds = _answers(a), _answers(b)
-        products = _symmetrised(
-            np.stack([firsts[i] for i, _ in CELLS], axis=-3),
-            np.stack([seconds[j] for _, j in CELLS], axis=-3),
-        )
-        finite = np.isfinite(products).all(axis=(-2, -1))
-        if not finite.all():
-            products[~finite] = 0
-        return np.where(finite, np.linalg.eigvalsh(products)[..., 0], np.nan)
-
-    blocks = _blockwise(lowest, *_operands(a, b))
+    blocks = _blockwise(lambda a, b: _least_eigenvalues(_cell_products(a, b)), *_operands(a, b))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _cell_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The four Jordan products A_i ∘ B_j of each member, shape (..., 4, d, d) in the cell order."""
+    firsts, seconds = _answers(a), _answers(b)
+    return _symmetrised(np.stack([firsts[i] for i, _ in CELLS], axis=-3),
+                        np.stack([seconds[j] for _, j in CELLS], axis=-3))
+
+
+def _least_eigenvalues(products: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each product, NaN for one with a NaN or inf entry, zeroed in place."""
+    finite = np.isfinite(products).all(axis=(-2, -1))
+    products[~finite] = 0
+    return np.where(finite, np.linalg.eigvalsh(products)[..., 0], np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,8 @@ does; formal reality is probed over random inputs, so its verdict is
 "consistent with", never a proof.
 
 The residual kernels norm the defects of private builders, which ``verify``
-reduces itself: its checks keep only the worst spectral norm of a stack, so
-``hilbert._worst_norm`` solves the member of the largest Frobenius norm, drops
-the members whose Frobenius norm cannot reach its spectral norm, bounds the
-others by σ₁² ≤ ‖MᴴM‖_F, and solves just those whose Gram bound reaches it.
+reduces to the worst spectral norm of a stack itself (``hilbert._worst_norm``); the XOR
+builder takes the mapped disjunctions that ``verify`` forms once for both suites.
 Formal reality needs no singular values: x∘x + y∘y = x² + y² and its inputs
 are Hermitian, so each spectral norm is the largest absolute eigenvalue, from
 ``eigvalsh`` (:func:`_hermitian_norm`), which the kernel and ``verify``'s sweep share; the
@@ -126,16 +124,16 @@ def xor_symmetry_residuals(a: np.ndarray, b: np.ndarray) -> tuple[float | np.nda
     Takes projectors, as d x d matrices or (n, d, d) stacks, and returns one
     residual of each kind per member.
     """
+    a, b = _finite_operands(a, b)
     with np.errstate(all="ignore"):
-        defects = _unless_overflowed(*_xor_symmetry_defects(*_finite_operands(a, b)))
+        defects = _unless_overflowed(*_xor_symmetry_defects(
+            hilbert._mapped_xor(a, b), hilbert._mapped_xor(b, a), hilbert._xor_expansion(a, b)))
     return tuple(hilbert._norm(defect) for defect in defects)
 
 
-def _xor_symmetry_defects(a: np.ndarray, b: np.ndarray) -> tuple:
+def _xor_symmetry_defects(forward: np.ndarray, backward: np.ndarray, expansion: np.ndarray):
     """The swap and both expansion defects whose norms :func:`xor_symmetry_residuals` returns,
-    of complex operands its caller has shaped (``_finite_operands``, or ``verify``'s sampler)."""
-    forward, backward = hilbert._mapped_xor(a, b), hilbert._mapped_xor(b, a)
-    expansion = hilbert._xor_expansion(a, b)
+    of the mapped exclusive disjunctions of A, B and of B, A, and A + B - AB - BA."""
     return forward - backward, forward - expansion, backward - expansion
 
 

@@ -227,7 +227,7 @@ def _hilbert_results(worst: _WorstByCheck, min_table_cell: float, lowest_cells,
     detail = f"{len(dims) * trials_per_dim} triples over dims {dims}"
     details = {"hilbert.quasi_prob_floor": f"{detail}, min cell {min_table_cell:.6f}"}
     results = [_residual(name, residual, tol, details.get(name, detail))
-               for name, residual in worst.items()]
+               for name, residual in worst.items() if name.startswith("hilbert.")]
 
     # fixed worked example: negative cell, weak value, genuine order dependence
     rho, a, b = hilbert.worked_example()
@@ -292,8 +292,8 @@ def _hilbert_results(worst: _WorstByCheck, min_table_cell: float, lowest_cells,
 
 
 def _triple_checks(worst: _WorstByCheck, rho, a, b, min_table_cell: float) -> float:
-    """Fold the checks on sampled triples, member blocks of (n, d, d) stacks, into ``worst``;
-    returns the least table cell among ``min_table_cell`` and the block's (NaN if any is)."""
+    """Fold the checks on sampled triples, member blocks of stacks, and the Jordan XOR check into
+    ``worst``; returns the least table cell among ``min_table_cell`` and the block's (or NaN)."""
     cells, pa, pb = hilbert.quasi_prob_tables(rho, a, b, "jordan", tol=np.inf)
     abar, bbar = hilbert._answers(a)[0], hilbert._answers(b)[0]
     # the seven distinct sequential branches, each formed once: ab is Tr(B A rho A)
@@ -313,15 +313,26 @@ def _triple_checks(worst: _WorstByCheck, rho, a, b, min_table_cell: float) -> fl
     worst.add("hilbert.xor_operational_vs_mapped",
               np.abs(xor_op - hilbert._re_trace(rho @ forward)))
     worst.add("hilbert.xor_order_symmetry", np.abs(xor_op - (b_abar + bbar_a)))
-    worst.add("hilbert.xor_operator_expansion",
-              forward - hilbert._xor_expansion(a, b), forward - backward)
+    swap, forward_gap, backward_gap = map(_worst_residual, jordan._xor_symmetry_defects(
+        forward, backward, hilbert._xor_expansion(a, b)))
+    worst.add("hilbert.xor_operator_expansion", forward_gap, swap)
     # total, row a=1 and column b=1
     worst.add("hilbert.table_marginality",
               hilbert.table_marginality_residuals(cells, pa, pb)[:, [0, 1, 3]])
     # Jordan's two-subspace lemma: no cell of any table is below -1/8
     worst.add("hilbert.quasi_prob_floor", -1 / 8 - cells)
     worst.add("hilbert.repeated_question", np.abs(aa - pa))
+    worst.add("jordan.xor_operator_symmetry", swap, forward_gap, backward_gap)
     return float(np.min(cells, initial=min_table_cell))
+
+
+def _least_cells(worst: _WorstByCheck, a, b) -> np.ndarray:
+    """``hilbert.min_cells_over_states`` of a block of questions, folding the marginality of its
+    products A_i ∘ B_j (index 2i + j) into ``worst`` before the solve zeroes a non-finite one."""
+    cells = hilbert._cell_products(a, b)
+    worst.add("jordan.operator_marginality",
+              cells[:, 3] + cells[:, 2] - a, cells[:, 3] + cells[:, 1] - b)
+    return hilbert._least_eigenvalues(cells)
 
 
 def _negativity_floor(lowest_cells, dims: tuple[int, ...], tol: float) -> CheckResult:
@@ -567,12 +578,15 @@ def jordan_suite(
         raise TypeError(f"reality must be a FormalRealitySweep, got {reality!r}")
     worst = _WorstByCheck()
     for dim in dims:
-        _dimension_products(worst, seed, *_sampled_questions(dim, trials_per_dim, seed))
+        a, b = _sampled_questions(dim, trials_per_dim, seed)
+        for block in hilbert._blocks(len(a), dim, _SUITE_BLOCK_ENTRIES):
+            _question_products(worst, a[block], b[block])
+        _dimension_products(worst, seed, a)
     return _jordan_results(worst, dims, trials_per_dim, tol, reality)
 
 
-def _dimension_products(worst: _WorstByCheck, seed: int, a, b) -> None:
-    """Fold the Jordan-product checks on one dimension's question stacks ``a`` and ``b``
+def _dimension_products(worst: _WorstByCheck, seed: int, a) -> None:
+    """Fold the Jordan-product checks on one dimension's question stack ``a`` and Hermitians
     into ``worst``, on member blocks of at most ``_SUITE_BLOCK_ENTRIES`` entries per stack."""
     dim = a.shape[-1]
     # the products stream of the dimension gives every x, then every y
@@ -580,14 +594,16 @@ def _dimension_products(worst: _WorstByCheck, seed: int, a, b) -> None:
     x = hilbert.sample_hermitians(dim, len(a), rng)
     y = hilbert.sample_hermitians(dim, len(a), rng)
     for block in hilbert._blocks(len(a), dim, _SUITE_BLOCK_ENTRIES):
-        _product_checks(worst, a[block], b[block], x[block], y[block])
+        _product_checks(worst, a[block], x[block], y[block])
 
 
 def _jordan_results(worst: _WorstByCheck, dims: tuple[int, ...], trials_per_dim: int,
                     tol: float, reality: FormalRealitySweep) -> list[CheckResult]:
     """The Jordan-product results folded into ``worst``, then ``jordan.formal_reality``."""
     detail = f"{len(dims) * trials_per_dim} samples over dims {dims}"
-    results = [_residual(name, residual, tol, detail) for name, residual in worst.items()]
+    names = ("product_commutativity", "product_hermiticity", "operator_marginality",
+             "power_associativity", "idempotency_transfer", "xor_operator_symmetry")
+    results = [_residual(f"jordan.{name}", worst[f"jordan.{name}"], tol, detail) for name in names]
     results.append(_exact(
         "jordan.formal_reality",
         reality.violations == 0 and reality.min_ratio > 1.0,
@@ -596,25 +612,30 @@ def _jordan_results(worst: _WorstByCheck, dims: tuple[int, ...], trials_per_dim:
     return results
 
 
-def _product_checks(worst: _WorstByCheck, a, b, x, y) -> None:
-    """Fold the Jordan-product checks on member blocks of sampled question stacks ``a``, ``b``
-    and Hermitian stacks ``x``, ``y`` into ``worst``, dropping each product once it is read."""
+def _product_checks(worst: _WorstByCheck, a, x, y) -> None:
+    """Fold the Jordan-product checks on member blocks of a sampled question stack ``a`` and
+    Hermitian stacks ``x``, ``y`` into ``worst``, dropping each product once it is read."""
     # the product jordan.jordan_product takes, unvalidated: the stacks are sampled valid
     product = hilbert._symmetrised
     xy = product(x, y)
     worst.add("jordan.product_commutativity", xy - product(y, x))
     worst.add("jordan.product_hermiticity", xy - xy.conj().transpose(0, 2, 1))
     del xy
-    identity = np.eye(a.shape[-1])
-    ab = product(a, b)
-    worst.add("jordan.operator_marginality",
-              ab + product(a, identity - b) - a, ab + product(identity - a, b) - b)
-    del ab
     xx = product(x, x)
     worst.add("jordan.power_associativity", product(xx, x) - product(x, xx))
     del xx
     worst.add("jordan.idempotency_transfer", *jordan._idempotency_defects(a))
-    worst.add("jordan.xor_operator_symmetry", *jordan._xor_symmetry_defects(a, b))
+
+
+def _question_products(worst: _WorstByCheck, a, b) -> None:
+    """Fold into ``worst`` the Jordan checks that ``run_all`` reads off its Hilbert checks."""
+    product = hilbert._symmetrised
+    ab = product(a, b)
+    worst.add("jordan.operator_marginality", ab + product(a, hilbert._answers(b)[0]) - a,
+              ab + product(hilbert._answers(a)[0], b) - b)
+    del ab
+    worst.add("jordan.xor_operator_symmetry", *jordan._xor_symmetry_defects(
+        hilbert._mapped_xor(a, b), hilbert._mapped_xor(b, a), hilbert._xor_expansion(a, b)))
 
 
 def run_all(
@@ -630,20 +651,21 @@ def run_all(
     own; the checks on fixed inputs and the formal-reality sweep follow.
     """
     _check_sampling(dims, trials_per_dim, seed, tol)
-    triples, products = _WorstByCheck(), _WorstByCheck()
+    worst = _WorstByCheck()
     min_table_cell = np.inf
     lowest_cells = []  # (dim, the least cell over all states of each question pair)
     for dim in dims:
         a, b = _sampled_questions(dim, trials_per_dim, seed)
         rho = _sampled_states(dim, trials_per_dim, seed)
-        lowest_cells.append((dim, hilbert.min_cells_over_states(a, b)))
+        lowest = hilbert._blockwise(lambda *pair: _least_cells(worst, *pair), a, b)
+        lowest_cells.append((dim, np.concatenate(lowest)))
         for block in hilbert._blocks(trials_per_dim, dim, _SUITE_BLOCK_ENTRIES):
-            min_table_cell = _triple_checks(triples, rho[block], a[block], b[block], min_table_cell)
-        del rho  # before the products draw theirs
-        _dimension_products(products, seed, a, b)
-        del a, b  # before the next dimension draws its own
+            min_table_cell = _triple_checks(worst, rho[block], a[block], b[block], min_table_cell)
+        del rho, b  # before the products draw theirs
+        _dimension_products(worst, seed, a)
+        del a  # before the next dimension draws its own
     results = logic_suite()
-    results += _hilbert_results(triples, min_table_cell, lowest_cells, dims, trials_per_dim,
+    results += _hilbert_results(worst, min_table_cell, lowest_cells, dims, trials_per_dim,
                                 seed, tol)
     reality = jordan_sweep_report(dims, max(100, trials_per_dim), seed, tol)
-    return results + _jordan_results(products, dims, trials_per_dim, tol, reality)
+    return results + _jordan_results(worst, dims, trials_per_dim, tol, reality)

@@ -506,12 +506,14 @@ class TestCallCounts:
     # probabilities 2.  Born: the 12 tables' marginals 24, which the sampled triples' joints
     # read (their own 18), the round trip's table 2 (4) and the worked example 2.  The worked
     # example's two joints are the only logical_joints calls (27); the mapped XOR is formed
-    # forward and backward once per dimension in each suite (5 per dimension), with no
-    # xor_expectations (21); products: 28 from tables, 9 from the least cells over states,
-    # 1 from the floor witness and 56 from the jordan suite (103, with the Jordan joints).
+    # forward and backward once per dimension for both suites (5 per dimension, 4 at
+    # 0.26.0), with no xor_expectations (21); products: 28 from tables, 9 from the least cells
+    # over states, which the Jordan marginality reads, 1 from the floor witness and 35 from
+    # the other Jordan-product checks (103, with the Jordan joints; 94 at 0.26.0, with 56
+    # from the jordan suite).  jordan-verify forms 8 products and 2 mapped XORs per dimension.
     PRODUCTS = {
         "verify": {"sequential_probabilities": 67, "born_probabilities": 28, "logical_joints": 2,
-                   "xor_expectations": 0, "_mapped_xor": 28, "_symmetrised": 94},
+                   "xor_expectations": 0, "_mapped_xor": 14, "_symmetrised": 73},
         "jordan-verify": {"sequential_probabilities": 0, "born_probabilities": 0,
                           "logical_joints": 0, "xor_expectations": 0, "_mapped_xor": 14,
                           "_symmetrised": 56},

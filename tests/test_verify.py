@@ -2,7 +2,9 @@
 
 Each control swaps one kernel for a NaN-returning copy in the namespace ``verify``
 calls it through, so only that call sees NaN; the check must then fail as a
-violation, and the command must exit 1 with nothing on stderr (no traceback).
+violation, and the command must exit 1 with nothing on stderr (no traceback).  A
+Jordan-product check's control runs on both commands, since ``verify`` reads some of
+its products off its Hilbert checks'.
 Perturbation controls make a kernel or the cell order slightly wrong and name the checks
 that must fail; a command they do not reach must still pass.  The sampled suites' input
 boundary, their working memory and the bits of their block cuts are checked at the end.
@@ -42,7 +44,7 @@ CONTROLS = {
     "hilbert.quasi_prob_floor": ("hilbert", "quasi_prob_tables", "jordan"),
     "hilbert.repeated_question": ("hilbert", "sequential_probabilities", None),
     "hilbert.classical_triples_nonnegative": ("hilbert", "quasi_prob_tables", "jordan"),
-    "hilbert.negativity_search_floor": ("hilbert", "min_cells_over_states", None),
+    "hilbert.negativity_search_floor": ("hilbert", "_least_eigenvalues", None),
     "hilbert.survey_round_trip": ("survey", "logical_tables_from_probs", None),
     "jordan.product_commutativity": ("hilbert", "_symmetrised", None),
     "jordan.product_hermiticity": ("hilbert", "_symmetrised", None),
@@ -51,6 +53,12 @@ CONTROLS = {
     "jordan.idempotency_transfer": ("jordan", "_idempotency_defects", None),
     "jordan.xor_operator_symmetry": ("jordan", "_xor_symmetry_defects", None),
     "jordan.formal_reality": ("jordan", "_formal_reality_sums", None),
+}
+
+# where verify reads a Jordan-product check off another kernel than jordan-verify does:
+# the marginality off the cell products of its least cells over states
+VERIFY_CONTROLS = {
+    "jordan.operator_marginality": ("hilbert", "_cell_products", None),
 }
 
 
@@ -84,16 +92,27 @@ def json_run(capsys, command, *options):
     return code, json.loads(captured.out), captured.err
 
 
-@pytest.mark.parametrize("check", CONTROLS)
-def test_nan_kernel_output_fails_the_check_as_a_violation(monkeypatch, capsys, check):
-    patch_nan(monkeypatch, *CONTROLS[check])
-    command = "verify" if check.startswith("hilbert.") else "jordan-verify"
+def assert_nan_control_fails(monkeypatch, capsys, command, check, control):
+    patch_nan(monkeypatch, *control)
     code, report, err = json_run(capsys, command, "--dim", "2,3", "--trials", "4")
     assert (code, err) == (1, "")
     result = {c["name"]: c for c in report["checks"]}[check]
     assert not result["passed"] and result["failure_kind"] == "violation"
     # an _exact check fails at inf; every toleranced one carries the NaN itself
     assert math.isnan(result["residual"]) or result["residual"] == math.inf
+
+
+@pytest.mark.parametrize("check", CONTROLS)
+def test_nan_kernel_output_fails_the_check_as_a_violation(monkeypatch, capsys, check):
+    command = "verify" if check.startswith("hilbert.") else "jordan-verify"
+    assert_nan_control_fails(monkeypatch, capsys, command, check, CONTROLS[check])
+
+
+@pytest.mark.parametrize("check", [check for check in CONTROLS if check.startswith("jordan.")])
+def test_nan_kernel_output_fails_the_jordan_check_on_verify_too(monkeypatch, capsys, check):
+    """A product that verify shares between its Hilbert and Jordan checks hides no NaN."""
+    control = VERIFY_CONTROLS.get(check, CONTROLS[check])
+    assert_nan_control_fails(monkeypatch, capsys, "verify", check, control)
 
 
 def test_nan_sweep_residual_makes_its_dimension_violated(monkeypatch, capsys):
@@ -172,8 +191,9 @@ PERTURBATIONS = {
         }),
     "complement_scaled_by_1.001": (
         [(hilbert, "_answers", lambda real: lambda p: {1: p, 0: np.eye(p.shape[-1]) - 1.001 * p})], {
-            "verify": {"hilbert.joint_operational_vs_algebraic", "hilbert.table_marginality"},
-            "jordan-verify": {"jordan.xor_operator_symmetry"},
+            "verify": {"hilbert.joint_operational_vs_algebraic", "hilbert.table_marginality",
+                       "jordan.operator_marginality"},
+            "jordan-verify": {"jordan.operator_marginality", "jordan.xor_operator_symmetry"},
         }),
     "other_branch_scaled_by_1.001": (
         [(hilbert, "_operational_joint",
