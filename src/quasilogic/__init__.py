@@ -18,6 +18,6 @@ none, so :mod:`quasilogic.logic` loads without numpy.  Nor does
 :mod:`quasilogic.cli` until a subcommand computes.
 """
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 __all__ = ["__version__"]

@@ -196,22 +196,18 @@ def _render_checks(results: list[verify.CheckResult], args: argparse.Namespace,
     return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
 
 
-def _too_many_samples(args: argparse.Namespace) -> bool:
-    """Whether trials x d² at the largest d exceeds MAX_SAMPLED_ENTRIES; if so, says so."""
+def _check_sample_size(args: argparse.Namespace) -> None:
+    """Raise a :class:`QuasilogicError` if trials x d² at the largest d exceeds the limit."""
     dim = max(args.dims)
     entries = args.trials * dim * dim
-    if entries <= MAX_SAMPLED_ENTRIES:
-        return False
-    sys.stderr.write(
-        f"error: --trials {args.trials} at dimension {dim} makes {entries} matrix entries"
-        f" per stack; trials * dim**2 may be at most {MAX_SAMPLED_ENTRIES}\n"
-    )
-    return True
+    if entries > MAX_SAMPLED_ENTRIES:
+        raise QuasilogicError(
+            f"--trials {args.trials} at dimension {dim} makes {entries} matrix entries"
+            f" per stack; trials * dim**2 may be at most {MAX_SAMPLED_ENTRIES}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if _too_many_samples(args):
-        return EXIT_INPUT_ERROR
+    _check_sample_size(args)
     _load_numeric_layers()
     results = verify.run_all(
         dims=args.dims, trials_per_dim=args.trials, seed=args.seed, tol=args.tol
@@ -220,8 +216,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_jordan_verify(args: argparse.Namespace) -> int:
-    if _too_many_samples(args):
-        return EXIT_INPUT_ERROR
+    _check_sample_size(args)
     _load_numeric_layers()
     sweep = verify.jordan_sweep_report(
         dims=args.dims, trials_per_dim=args.trials, seed=args.seed, tol=args.tol
@@ -309,14 +304,13 @@ _KD_CELL_JSON = '    {\n      "i": %d,\n      "j": %d,\n      "re": %r,\n      "
 
 def _cmd_kd(args: argparse.Namespace) -> int:
     if len(args.dims) != 1:
-        sys.stderr.write(f"error: kd takes a single dimension, got {list(args.dims)}\n")
-        return EXIT_INPUT_ERROR
+        raise QuasilogicError(f"kd takes a single dimension, got {list(args.dims)}")
     _load_numeric_layers()
     dim = args.dims[0]
     rho = hilbert.sample_states(dim, ["mixed"], np.random.default_rng(args.seed))[0]
     basis_a, basis_b = (hilbert.sample_orthonormal_bases(dim, 1, np.random.default_rng(seed))[0]
                         for seed in (args.seed + 1, args.seed + 2))
-    table = hilbert.kd_distribution(rho, basis_a, basis_b, tol=args.tol)
+    table = hilbert.kd_distribution(rho, basis_a, basis_b)
     # the cells in row order as Python floats, read once for every format
     cells = [
         (i, j, re, im)
@@ -377,8 +371,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     try:
         table = survey.load_counts(args.input)
     except FileNotFoundError:
-        sys.stderr.write(f"error: input file not found: {args.input}\n")
-        return EXIT_INPUT_ERROR
+        raise QuasilogicError(f"input file not found: {args.input}") from None
     _load_numeric_layers()
 
     report = survey.classicality_report(
@@ -469,15 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     seed = _number(int, "seed", lambda value: 0 <= value < math.inf, "non-negative and finite")
 
-    def common(p: argparse.ArgumentParser, *, dims: str = "2", trials: int | None = 1000) -> None:
-        """--dim, --seed and --tol, and --trials unless ``trials`` is None."""
+    def common(p: argparse.ArgumentParser, *, dims: str, trials: int) -> None:
+        """--dim, --seed, --trials and --tol of the sampled suites."""
         p.add_argument("--dim", dest="dims", type=_parse_dims, default=_parse_dims(dims),
                        help=f"dimension or range, e.g. 2, 2-8, 2,4,6 (default {dims})")
         p.add_argument("--seed", type=seed, default=42, help="random seed (default 42)")
-        if trials is not None:
-            p.add_argument("--trials", type=_number(int, "trials"), default=trials,
-                           help=f"samples per dimension; trials * dim**2 at the largest"
-                           f" dimension at most {MAX_SAMPLED_ENTRIES} (default {trials})")
+        p.add_argument("--trials", type=_number(int, "trials"), default=trials,
+                       help=f"samples per dimension; trials * dim**2 at the largest"
+                       f" dimension at most {MAX_SAMPLED_ENTRIES} (default {trials})")
         p.add_argument("--tol", type=_number(float, "tol"), default=1e-10,
                        help="numerical tolerance (default 1e-10)")
 
@@ -499,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(func=_cmd_demo)
 
     kd = sub.add_parser("kd", help="Kirkwood-Dirac distribution on random bases")
-    common(kd, dims="2", trials=None)
+    kd.add_argument("--dim", dest="dims", type=_parse_dims, default=(2,),
+                    help="one dimension (default 2)")
+    kd.add_argument("--seed", type=seed, default=42, help="random seed (default 42)")
     kd.add_argument("--format", choices=("json", "csv", "text"), default="text")
     kd.add_argument("--out", default=None)
     kd.set_defaults(func=_cmd_kd)

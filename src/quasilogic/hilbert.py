@@ -992,15 +992,15 @@ def min_cells_over_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     it below by -1/8, reached by rank-one questions with overlap |<a|b>| = 1/2.
     A product with a NaN or infinite entry has no eigenvalues, and its cell is NaN.
     """
-    blocks = _blockwise(lambda a, b: _least_eigenvalues(_cell_products(a, b)), *_operands(a, b))
+    blocks = _blockwise(lambda a, b: _least_eigenvalues(np.stack(_cell_products(a, b), axis=-3)),
+                        *_operands(a, b))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def _cell_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The four Jordan products A_i ∘ B_j of each member, shape (..., 4, d, d) in the cell order."""
+def _cell_products(a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """The four Jordan products A_i ∘ B_j of each member, in the cell order."""
     firsts, seconds = _answers(a), _answers(b)
-    return _symmetrised(np.stack([firsts[i] for i, _ in CELLS], axis=-3),
-                        np.stack([seconds[j] for _, j in CELLS], axis=-3))
+    return [_symmetrised(firsts[i], seconds[j]) for i, j in CELLS]
 
 
 def _least_eigenvalues(products: np.ndarray) -> np.ndarray:

@@ -611,6 +611,7 @@ class ReconstructionReport:
     order_statistic: float
     order_p_value: float
     order_df: int
+    order_warnings: tuple[str, ...]  # each "category: message" the order-effect test emitted
     order_invariance_gap: dict[Cell, float]
     iterations: int
     confidence: float
@@ -638,10 +639,7 @@ class ReconstructionReport:
 
     @cached_property
     def diagnostics(self) -> list[str]:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", LowExpectedCountWarning)
-            order_effect_stat(self.table)
-        diagnostics = [f"order-effect test: {w.category.__name__}: {w.message}" for w in caught]
+        diagnostics = [f"order-effect test: {warning}" for warning in self.order_warnings]
         if self.xor_ab == self.xor_ba and self.xor_ab in (0.0, 1.0):
             diagnostics.append("question-order equality test: zero pooled variance, z = 0 and"
                                " p = 1 are set, not computed")
@@ -849,7 +847,7 @@ def classicality_report(
     logical_ab, logical_ba = logical_tables_from_probs(p_ab, p_ba)
     xor_ab, xor_ba = _xor_from_probs(p_ab, p_ba)
     qq_statistic, qq_p = _qq_equality(table, (xor_ab, xor_ba), (logical_ab, logical_ba))
-    with warnings.catch_warnings(record=True):  # the report's diagnostics name them
+    with warnings.catch_warnings(record=True) as caught:  # the report's diagnostics name them
         warnings.simplefilter("always", LowExpectedCountWarning)
         order_statistic, order_p = order_effect_stat(table)
 
@@ -872,6 +870,7 @@ def classicality_report(
         order_statistic=order_statistic,
         order_p_value=order_p,
         order_df=3,
+        order_warnings=tuple(f"{w.category.__name__}: {w.message}" for w in caught),
         order_invariance_gap={
             cell: abs(float(logical_ab[cell]) - float(logical_ba[cell]))
             for cell in logical_ab

@@ -131,7 +131,7 @@ def _worst_residual(*residuals, initial: float = 0.0) -> float:
 
 
 class _WorstByCheck(dict):
-    """The worst residual so far of each check, by name, in the order the checks first report."""
+    """The worst residual so far of each check, by name."""
 
     def add(self, name: str, *residuals) -> None:
         self[name] = _worst_residual(*residuals, initial=self.get(name, 0.0))
@@ -225,9 +225,12 @@ def _hilbert_results(worst: _WorstByCheck, min_table_cell: float, lowest_cells,
     """Hilbert-semantics results: the checks on sampled triples folded into ``worst``, a
     worked example, baselines, the negativity floor of ``lowest_cells`` and a round trip."""
     detail = f"{len(dims) * trials_per_dim} triples over dims {dims}"
-    details = {"hilbert.quasi_prob_floor": f"{detail}, min cell {min_table_cell:.6f}"}
-    results = [_residual(name, residual, tol, details.get(name, detail))
-               for name, residual in worst.items() if name.startswith("hilbert.")]
+    details = {"quasi_prob_floor": f"{detail}, min cell {min_table_cell:.6f}"}
+    names = ("joint_operational_vs_algebraic", "joint_equals_re_trace", "joint_order_symmetry",
+             "xor_operational_vs_mapped", "xor_order_symmetry", "xor_operator_expansion",
+             "table_marginality", "quasi_prob_floor", "repeated_question")
+    results = [_residual(f"hilbert.{name}", worst[f"hilbert.{name}"], tol,
+                         details.get(name, detail)) for name in names]
 
     # fixed worked example: negative cell, weak value, genuine order dependence
     rho, a, b = hilbert.worked_example()
@@ -309,30 +312,39 @@ def _triple_checks(worst: _WorstByCheck, rho, a, b, min_table_cell: float) -> fl
     worst.add("hilbert.joint_order_symmetry",
               np.abs(operational - hilbert._operational_joint(ba, bbar_a, pa)))
     xor_op = a_bbar + abar_b
-    forward, backward = hilbert._mapped_xor(a, b), hilbert._mapped_xor(b, a)
     worst.add("hilbert.xor_operational_vs_mapped",
-              np.abs(xor_op - hilbert._re_trace(rho @ forward)))
+              np.abs(xor_op - hilbert._re_trace(rho @ _xor_symmetry(worst, a, b))))
     worst.add("hilbert.xor_order_symmetry", np.abs(xor_op - (b_abar + bbar_a)))
-    swap, forward_gap, backward_gap = map(_worst_residual, jordan._xor_symmetry_defects(
-        forward, backward, hilbert._xor_expansion(a, b)))
-    worst.add("hilbert.xor_operator_expansion", forward_gap, swap)
     # total, row a=1 and column b=1
     worst.add("hilbert.table_marginality",
               hilbert.table_marginality_residuals(cells, pa, pb)[:, [0, 1, 3]])
     # Jordan's two-subspace lemma: no cell of any table is below -1/8
     worst.add("hilbert.quasi_prob_floor", -1 / 8 - cells)
     worst.add("hilbert.repeated_question", np.abs(aa - pa))
-    worst.add("jordan.xor_operator_symmetry", swap, forward_gap, backward_gap)
     return float(np.min(cells, initial=min_table_cell))
 
 
-def _least_cells(worst: _WorstByCheck, a, b) -> np.ndarray:
-    """``hilbert.min_cells_over_states`` of a block of questions, folding the marginality of its
-    products A_i ∘ B_j (index 2i + j) into ``worst`` before the solve zeroes a non-finite one."""
-    cells = hilbert._cell_products(a, b)
+def _marginal_products(worst: _WorstByCheck, a, b) -> list:
+    """The four Jordan products A_i ∘ B_j of a block of questions (index 2i + j), folding
+    ``jordan.operator_marginality``, A∘B + A∘B̄ − A and A∘B + Ā∘B − B, into ``worst``;
+    ``run_all`` and ``jordan_suite`` both fold it here."""
+    products = hilbert._cell_products(a, b)
     worst.add("jordan.operator_marginality",
-              cells[:, 3] + cells[:, 2] - a, cells[:, 3] + cells[:, 1] - b)
-    return hilbert._least_eigenvalues(cells)
+              products[3] + products[2] - a, products[3] + products[1] - b)
+    return products
+
+
+def _xor_symmetry(worst: _WorstByCheck, a, b):
+    """The mapped XOR A B̄ A + Ā B Ā of a block of questions, folding its gaps to B Ā B + B̄ A B̄
+    and to A + B − AB − BA, ``jordan.xor_operator_symmetry`` and
+    ``hilbert.xor_operator_expansion``, into ``worst``; ``run_all`` and ``jordan_suite`` both
+    fold them here."""
+    forward = hilbert._mapped_xor(a, b)
+    swap, forward_gap, backward_gap = map(_worst_residual, jordan._xor_symmetry_defects(
+        forward, hilbert._mapped_xor(b, a), hilbert._xor_expansion(a, b)))
+    worst.add("hilbert.xor_operator_expansion", forward_gap, swap)
+    worst.add("jordan.xor_operator_symmetry", swap, forward_gap, backward_gap)
+    return forward
 
 
 def _negativity_floor(lowest_cells, dims: tuple[int, ...], tol: float) -> CheckResult:
@@ -580,7 +592,8 @@ def jordan_suite(
     for dim in dims:
         a, b = _sampled_questions(dim, trials_per_dim, seed)
         for block in hilbert._blocks(len(a), dim, _SUITE_BLOCK_ENTRIES):
-            _question_products(worst, a[block], b[block])
+            _marginal_products(worst, a[block], b[block])
+            _xor_symmetry(worst, a[block], b[block])
         _dimension_products(worst, seed, a)
     return _jordan_results(worst, dims, trials_per_dim, tol, reality)
 
@@ -627,17 +640,6 @@ def _product_checks(worst: _WorstByCheck, a, x, y) -> None:
     worst.add("jordan.idempotency_transfer", *jordan._idempotency_defects(a))
 
 
-def _question_products(worst: _WorstByCheck, a, b) -> None:
-    """Fold into ``worst`` the Jordan checks that ``run_all`` reads off its Hilbert checks."""
-    product = hilbert._symmetrised
-    ab = product(a, b)
-    worst.add("jordan.operator_marginality", ab + product(a, hilbert._answers(b)[0]) - a,
-              ab + product(hilbert._answers(a)[0], b) - b)
-    del ab
-    worst.add("jordan.xor_operator_symmetry", *jordan._xor_symmetry_defects(
-        hilbert._mapped_xor(a, b), hilbert._mapped_xor(b, a), hilbert._xor_expansion(a, b)))
-
-
 def run_all(
     dims: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     trials_per_dim: int = 100,
@@ -657,7 +659,8 @@ def run_all(
     for dim in dims:
         a, b = _sampled_questions(dim, trials_per_dim, seed)
         rho = _sampled_states(dim, trials_per_dim, seed)
-        lowest = hilbert._blockwise(lambda *pair: _least_cells(worst, *pair), a, b)
+        lowest = hilbert._blockwise(lambda *pair: hilbert._least_eigenvalues(
+            np.stack(_marginal_products(worst, *pair), axis=-3)), a, b)
         lowest_cells.append((dim, np.concatenate(lowest)))
         for block in hilbert._blocks(trials_per_dim, dim, _SUITE_BLOCK_ENTRIES):
             min_table_cell = _triple_checks(worst, rho[block], a[block], b[block], min_table_cell)

@@ -106,8 +106,9 @@ def expected(pin: Pin, host: str) -> str | None:
 
 
 # The fields that 0.3.0 changed in their last bits, where kd and verify read the
-# Jordan route, Tr((rho∘A)B) since 0.3.0 (and kd no longer takes --trials).
-KD_CHANGED = ("config.trials", "max_gap_to_logical_joint")
+# Jordan route, Tr((rho∘A)B) since 0.3.0 (and kd no longer takes --trials, nor --tol
+# since 0.31.0).
+KD_CHANGED = ("config.trials", "config.tol", "max_gap_to_logical_joint")
 # The fields 0.11.0 changed in survey's JSON: the bootstrap intervals became exact
 # quantiles in place of percentiles of drawn resamples, and the diagnostics are new.
 BOOTSTRAP_CHANGED = ("bootstrap", "diagnostics")
@@ -122,9 +123,9 @@ JSON = ["--format", "json"]
 PINS = [
     # 0.1.0: commands that draw nothing from the samplers that changed in 0.2.0
     Pin(KD + JSON, "0.1.0", KD_CHANGED, {
-        "SkylakeX/X86_V3": "9abf817672f8c3a91f1deea0a4fd963e7230e81e35344992fdc24d16c2108e80",
-        "Haswell/X86_V3": "0d322d9353ed37566c73a1ca7ef7b757705ecb2b86d5472ac8ecd163a9427980",
-        "Sandybridge/X86_V2": "73f3b699228aac599656cc058120505bbdc2020603a0b75ff591094c8053e0be",
+        "SkylakeX/X86_V3": "d0ec3e2372c4f317e589b53914cd18f4c87cfb72e9ece0d5203ac4038564e285",
+        "Haswell/X86_V3": "f5d75a8c70a8746ca52f6afb67be684d1bdf7a9b8c1fef53d3547484c198cce1",
+        "Sandybridge/X86_V2": "7b8d07241fd5c73985ef489205cd71c72645464a97f4c1d35d24571e57ad0b7d",
     }),
     Pin(["demo"] + JSON, "0.1.0", (), {
         "SkylakeX/X86_V3": "f6a82446a44f41e996359356a22302b25f7662f3db0826d22dbd490621b23e8d",
@@ -210,13 +211,13 @@ PINS = [
         "Haswell/X86_V3": "496f40930b0fa79b9e02aea6614790bedbb35ca1de8ef3411731fc1140222819",
         "Sandybridge/X86_V2": "55e5542ac7b48802556048c786c6be49714fd0c96776e27885396171ee059703",
     }),
-    # 0.23.0: kd's JSON and text output (kd's text holds no version string) since the Jordan
-    # route contracts each pair with one BLAS dot product, which moves the last bits of kd's
-    # max_gap_to_logical_joint
-    Pin(KD + JSON, "0.23.0", (), {
-        "SkylakeX/X86_V3": "786f16a3ab6e665206c12246493b92101eb96b520e412a6d0bdc83bcbc80adbd",
-        "Haswell/X86_V3": "e6e9d4304d3187b393fd0d66bacfc955a92a2e4609e92759aced08e546ad9830",
-        "Sandybridge/X86_V2": "f1ff8c159f79278c46a017d5263ee321eb927a503751c4dc5d9a6bebf40fcdda",
+    # 0.23.0: kd's text output (it holds no version string) since the Jordan route contracts
+    # each pair with one BLAS dot product, which moves the last bits of kd's
+    # max_gap_to_logical_joint; 0.31.0: kd's JSON, whose config no longer lists a tol
+    Pin(KD + JSON, "0.31.0", (), {
+        "SkylakeX/X86_V3": "0b6379ceb1383c6d8931487a7b12c24bdea85a652816bdd83847cdd23142b21a",
+        "Haswell/X86_V3": "04ab609896595ab942ad81bb7bc93ebfa4b175a2cc8402648df2d545542274bd",
+        "Sandybridge/X86_V2": "b0efd3a8edc7dfca4e5601065775da174b4eccb62193e37fa1c1a3d541ac36ba",
     }),
     Pin(KD, "0.23.0", (), {
         "SkylakeX/X86_V3": "bf84e3fbc2112a3b2cfb451582b8ac51aec81fcc97e3288d3397be7930d5ce05",

@@ -178,8 +178,7 @@ class TestKd:
             max_gap = max(max_gap, float(abs(table[i].real - joints).max()))
         total = complex(table.sum())
         reference = {
-            "config": {"version": quasilogic.__version__, "dims": [dim], "seed": seed,
-                       "tol": 1e-10},
+            "config": {"version": quasilogic.__version__, "dims": [dim], "seed": seed},
             "cells": [
                 {"i": i, "j": j, "re": float(table[i, j].real), "im": float(table[i, j].imag)}
                 for i in range(dim)
@@ -215,6 +214,15 @@ class TestKd:
         code, out, _ = run(capsys, "kd", "--dim", "2", "--format", "json")
         assert code == 0 and "trials" not in json.loads(out)["config"]
 
+    def test_tol_is_not_an_option(self, capsys):
+        """kd checks only the bases it samples itself, so a --tol could only make it exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kd", "--tol", "1e-10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
+        code, out, _ = run(capsys, "kd", "--dim", "2", "--format", "json")
+        assert code == 0 and "tol" not in json.loads(out)["config"]
+
     def test_nan_gap_is_reported(self, capsys, monkeypatch):
         """A NaN joint in one cell reaches max_gap_to_logical_joint, not dropped by a max."""
         table = hilbert.logical_joint_table
@@ -243,7 +251,7 @@ class TestKd:
         code, out, err = run(capsys, "kd", "--dim", spec)
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err == f"error: kd takes a single dimension, got {list(cli._parse_dims(spec))}\n"
 
 
 class TestSurvey:
@@ -420,6 +428,17 @@ class TestInputErrors:
         self.assert_input_error(code, err)
         assert "is not an integer" in err
 
+    def test_main_alone_reports_an_input_error(self):
+        """A subcommand raises a QuasilogicError or an OSError for bad input, and ``main``
+        alone writes the error line and returns EXIT_INPUT_ERROR."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        reporters = {function.name for function in ast.walk(tree)
+                     if isinstance(function, ast.FunctionDef)
+                     for node in ast.walk(function)
+                     if isinstance(node, ast.Name) and node.id == "EXIT_INPUT_ERROR"
+                     or isinstance(node, ast.Attribute) and node.attr == "stderr"}
+        assert reporters == {"main"}
+
     @given(st.one_of(st.binary(max_size=300), count_files))
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -507,16 +526,19 @@ class TestCallCounts:
     # read (their own 18), the round trip's table 2 (4) and the worked example 2.  The worked
     # example's two joints are the only logical_joints calls (27); the mapped XOR is formed
     # forward and backward once per dimension for both suites (5 per dimension, 4 at
-    # 0.26.0), with no xor_expectations (21); products: 28 from tables, 9 from the least cells
-    # over states, which the Jordan marginality reads, 1 from the floor witness and 35 from
-    # the other Jordan-product checks (103, with the Jordan joints; 94 at 0.26.0, with 56
-    # from the jordan suite).  jordan-verify forms 8 products and 2 mapped XORs per dimension.
+    # 0.26.0), with no xor_expectations (21); products: 28 from tables, 36 from the least
+    # cells over states, which the Jordan marginality reads, 4 from the floor witness and 35
+    # from the other Jordan-product checks (103, with the Jordan joints; 94 at 0.26.0, with 56
+    # from the jordan suite).  The four cell products A_i∘B_j take one call per cell in each
+    # of the 9 blocks and in the witness (73 calls at 0.30.0, which formed them in one slower
+    # call on stacked copies of the operands).  jordan-verify forms the same four, 5 products
+    # of Hermitians and 2 mapped XORs per dimension (8 products at 0.30.0).
     PRODUCTS = {
         "verify": {"sequential_probabilities": 67, "born_probabilities": 28, "logical_joints": 2,
-                   "xor_expectations": 0, "_mapped_xor": 14, "_symmetrised": 73},
+                   "xor_expectations": 0, "_mapped_xor": 14, "_symmetrised": 103},
         "jordan-verify": {"sequential_probabilities": 0, "born_probabilities": 0,
                           "logical_joints": 0, "xor_expectations": 0, "_mapped_xor": 14,
-                          "_symmetrised": 56},
+                          "_symmetrised": 63},
     }
 
     @pytest.mark.parametrize("command", PRODUCTS)
@@ -968,7 +990,8 @@ def removed_names(version: str) -> set[str]:
 
 @pytest.mark.parametrize("version, count",
                          [("0.4.0", 16), ("0.5.0", 5), ("0.7.0", 12), ("0.10.0", 36),
-                          ("0.14.0", 2), ("0.27.0", 4), ("0.28.0", 5)])
+                          ("0.14.0", 2), ("0.27.0", 4), ("0.28.0", 5),
+                          ("0.31.0", 2)])
 def test_removed_names_stay_absent(version, count):
     """A method named after its class is gone from that class; a name qualified by
     ``quasilogic.`` from the package, whose layer may keep it; any other name from the

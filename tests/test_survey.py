@@ -940,6 +940,17 @@ class TestClassicalityReport:
         assert calls == [(clinton_gore, 0.95)]
         assert first[0] == original(clinton_gore, 0.95)
 
+    def test_the_order_effect_test_runs_once_per_report(self, monkeypatch):
+        """The diagnostics read the warnings the report's own test recorded."""
+        calls, original = [], survey.order_effect_stat
+        monkeypatch.setattr(survey, "order_effect_stat",
+                            lambda table: calls.append(table) or original(table))
+        table = make_table((3, 0, 0, 0), (3, 0, 0, 0))
+        report = survey.classicality_report(table, iterations=200, seed=3)
+        assert report.diagnostics[0].startswith("order-effect test: LowExpectedCountWarning: ")
+        report.to_json()
+        assert calls == [table]
+
     def test_diagnostics_name_each_statistic_that_shows_nothing(self):
         table = make_table((3, 0, 0, 0), (3, 0, 0, 0))
         report = survey.classicality_report(table, iterations=200, seed=3)

@@ -4,7 +4,7 @@ Each control swaps one kernel for a NaN-returning copy in the namespace ``verify
 calls it through, so only that call sees NaN; the check must then fail as a
 violation, and the command must exit 1 with nothing on stderr (no traceback).  A
 Jordan-product check's control runs on both commands, since ``verify`` reads some of
-its products off its Hilbert checks'.
+its products off its Hilbert checks', through the fold helpers ``jordan-verify`` calls.
 Perturbation controls make a kernel or the cell order slightly wrong and name the checks
 that must fail; a command they do not reach must still pass.  The sampled suites' input
 boundary, their working memory and the bits of their block cuts are checked at the end.
@@ -13,6 +13,7 @@ boundary, their working memory and the bits of their block cuts are checked at t
 import ast
 import json
 import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -48,17 +49,11 @@ CONTROLS = {
     "hilbert.survey_round_trip": ("survey", "logical_tables_from_probs", None),
     "jordan.product_commutativity": ("hilbert", "_symmetrised", None),
     "jordan.product_hermiticity": ("hilbert", "_symmetrised", None),
-    "jordan.operator_marginality": ("hilbert", "_symmetrised", None),
+    "jordan.operator_marginality": ("hilbert", "_cell_products", None),
     "jordan.power_associativity": ("hilbert", "_symmetrised", None),
     "jordan.idempotency_transfer": ("jordan", "_idempotency_defects", None),
     "jordan.xor_operator_symmetry": ("jordan", "_xor_symmetry_defects", None),
     "jordan.formal_reality": ("jordan", "_formal_reality_sums", None),
-}
-
-# where verify reads a Jordan-product check off another kernel than jordan-verify does:
-# the marginality off the cell products of its least cells over states
-VERIFY_CONTROLS = {
-    "jordan.operator_marginality": ("hilbert", "_cell_products", None),
 }
 
 
@@ -111,8 +106,27 @@ def test_nan_kernel_output_fails_the_check_as_a_violation(monkeypatch, capsys, c
 @pytest.mark.parametrize("check", [check for check in CONTROLS if check.startswith("jordan.")])
 def test_nan_kernel_output_fails_the_jordan_check_on_verify_too(monkeypatch, capsys, check):
     """A product that verify shares between its Hilbert and Jordan checks hides no NaN."""
-    control = VERIFY_CONTROLS.get(check, CONTROLS[check])
-    assert_nan_control_fails(monkeypatch, capsys, "verify", check, control)
+    assert_nan_control_fails(monkeypatch, capsys, "verify", check, CONTROLS[check])
+
+
+@pytest.mark.parametrize("check", ["jordan.operator_marginality", "jordan.xor_operator_symmetry"])
+def test_both_commands_fold_a_question_pair_check_in_one_helper(monkeypatch, capsys, check):
+    """verify and jordan-verify fold each Jordan check on question pairs in the same function,
+    so a defect in the products fails both: at 0.30.0 each command had its own fold, and
+    jordan-verify passed two PERTURBATIONS rows that failed verify's marginality."""
+    folds = {}
+    add = verify._WorstByCheck.add
+
+    def recording_add(self, name, *residuals):
+        if name == check:
+            folds.setdefault(command, set()).add(sys._getframe(1).f_code)
+        add(self, name, *residuals)
+
+    monkeypatch.setattr(verify._WorstByCheck, "add", recording_add)
+    for command in ("verify", "jordan-verify"):
+        code, _, err = json_run(capsys, command, "--dim", "2,3", "--trials", "4")
+        assert (code, err) == (0, "")
+    assert len(folds["verify"]) == 1 and folds["verify"] == folds["jordan-verify"]
 
 
 def test_nan_sweep_residual_makes_its_dimension_violated(monkeypatch, capsys):
@@ -192,7 +206,7 @@ PERTURBATIONS = {
     "complement_scaled_by_1.001": (
         [(hilbert, "_answers", lambda real: lambda p: {1: p, 0: np.eye(p.shape[-1]) - 1.001 * p})], {
             "verify": {"hilbert.joint_operational_vs_algebraic", "hilbert.table_marginality",
-                       "jordan.operator_marginality"},
+                       "jordan.operator_marginality", "jordan.xor_operator_symmetry"},
             "jordan-verify": {"jordan.operator_marginality", "jordan.xor_operator_symmetry"},
         }),
     "other_branch_scaled_by_1.001": (
@@ -205,13 +219,17 @@ PERTURBATIONS = {
     "yes_answer_shifted_by_1e-6": (
         [(hilbert, "_answers", lambda real: lambda p: {
             1: p + 1e-6 * np.eye(p.shape[-1]), 0: np.eye(p.shape[-1]) - p})], {
-            "verify": {"hilbert.table_marginality", "hilbert.survey_round_trip"},
+            "verify": {"hilbert.table_marginality", "hilbert.survey_round_trip",
+                       "jordan.operator_marginality"},
+            "jordan-verify": {"jordan.operator_marginality"},
         }),
     # hilbert and survey bind logic.CELLS by name, so the row rebinds it in both
     "cells_in_column_order": (
         [(module, "CELLS", lambda real: ((0, 0), (1, 0), (0, 1), (1, 1)))
          for module in (hilbert, survey)], {
-            "verify": {"hilbert.table_marginality", "hilbert.survey_round_trip"},
+            "verify": {"hilbert.table_marginality", "hilbert.survey_round_trip",
+                       "jordan.operator_marginality"},
+            "jordan-verify": {"jordan.operator_marginality"},
         }),
 }
 
