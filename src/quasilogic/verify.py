@@ -335,10 +335,10 @@ def _marginal_products(worst: _WorstByCheck, a, b) -> list:
 
 
 def _xor_symmetry(worst: _WorstByCheck, a, b):
-    """The mapped XOR A B̄ A + Ā B Ā of a block of questions, folding its gaps to B Ā B + B̄ A B̄
-    and to A + B − AB − BA, ``jordan.xor_operator_symmetry`` and
-    ``hilbert.xor_operator_expansion``, into ``worst``; ``run_all`` and ``jordan_suite`` both
-    fold them here."""
+    """The mapped XOR A B̄ A + Ā B Ā of a block of questions, once its gap to B Ā B + B̄ A B̄ and
+    the gaps of both to A + B − AB − BA are folded into ``worst``: all three for
+    ``jordan.xor_operator_symmetry``, the first two for ``hilbert.xor_operator_expansion``.
+    ``run_all`` and ``jordan_suite`` both fold them here."""
     forward = hilbert._mapped_xor(a, b)
     swap, forward_gap, backward_gap = map(_worst_residual, jordan._xor_symmetry_defects(
         forward, hilbert._mapped_xor(b, a), hilbert._xor_expansion(a, b)))

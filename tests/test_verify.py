@@ -58,7 +58,8 @@ CONTROLS = {
 
 
 def nan_like(out):
-    """``out`` as NaN: an array of NaN, a dict of NaN values, or a tuple whose first member is."""
+    """``out`` as NaN: an array of NaN, a dict of NaN values, or a tuple whose first member is.
+    A list of arrays, such as the four cell products, becomes one array of NaN."""
     if isinstance(out, tuple):
         return (nan_like(out[0]), *out[1:])
     if isinstance(out, dict):
